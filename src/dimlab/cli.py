@@ -22,7 +22,6 @@ comma-separated list of rationals.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -504,10 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dimlab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap worker parallelism (default: DIMLAB_THREADS "
-                         "env var, else 1; computations are single-threaded "
-                         "unless a module documents otherwise)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     # construct ---------------------------------------------------------
@@ -699,22 +694,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve_threads(args) -> int:
-    n = args.threads
-    if n is None:
-        env = os.environ.get("DIMLAB_THREADS", "").strip()
-        n = int(env) if env else 1
-    if n < 1:
-        raise ValidationError("--threads must be >= 1")
-    os.environ["DIMLAB_THREADS"] = str(n)
-    return n
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _resolve_threads(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

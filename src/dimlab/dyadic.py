@@ -77,10 +77,6 @@ class DyadicCode:
     def from_key(cls, level: int, key: int, d: int) -> "DyadicCode":
         return cls(level, deinterleave(key, level, d))
 
-    def lower_corner(self) -> tuple[Fraction, ...]:
-        s = self.side
-        return tuple(j * s for j in self.index)
-
     def upper_corner(self) -> tuple[Fraction, ...]:
         s = self.side
         return tuple((j + 1) * s for j in self.index)
@@ -121,13 +117,6 @@ class DyadicCode:
         if other.d != self.d or other.level < self.level:
             return False
         return other.ancestor(self.level) == self
-
-    def contains_point(self, point) -> bool:
-        pt = tuple(to_fraction(x) for x in point)
-        if len(pt) != self.d:
-            raise ValidationError("point dimension mismatch")
-        s = self.side
-        return all(j * s < x <= (j + 1) * s for j, x in zip(self.index, pt))
 
 
 def cube_of_point(point, level: int) -> DyadicCode:
@@ -196,26 +185,6 @@ def same_level_axis_bounds(d: int, j_a: tuple[int, ...], j_b: tuple[int, ...]) -
         gaps += g * g
         reach += m * m
     return gaps, reach
-
-
-def point_to_code_distance_sq(point, code: DyadicCode) -> Fraction:
-    """Exact squared distance from a point to a cube's closure."""
-    pt = tuple(to_fraction(x) for x in point)
-    if len(pt) != code.d:
-        raise ValidationError("point dimension mismatch")
-    s = code.side
-    total = Fraction(0)
-    for x, j in zip(pt, code.index):
-        lo, hi = j * s, (j + 1) * s
-        if x < lo:
-            total += (lo - x) ** 2
-        elif x > hi:
-            total += (x - hi) ** 2
-    return total
-
-
-def code_sort_key(code: DyadicCode) -> tuple[int, int]:
-    return (code.level, code.key)
 
 
 def squared_distance(p, q) -> Fraction:

@@ -110,7 +110,7 @@ def cmp_rpow(a, r, s) -> int:
     if r <= 0:
         raise ValidationError("r must be positive")
     if a <= 0:
-        return -1 if s != 0 or a < 1 else cmp_rpow(a, r, Fraction(0))
+        return -1
     q = s.denominator
     p = s.numerator
     lhs = a ** q
@@ -120,14 +120,6 @@ def cmp_rpow(a, r, s) -> int:
     if lhs > rhs:
         return 1
     return 0
-
-
-def le_pow2(a, e, coeff: int = 1) -> bool:
-    return cmp_pow2(a, e, coeff) <= 0
-
-
-def ge_pow2(a, e, coeff: int = 1) -> bool:
-    return cmp_pow2(a, e, coeff) >= 0
 
 
 def le_rpow(a, r, s) -> bool:
@@ -209,8 +201,3 @@ def log2_fraction(x) -> float:
     if f <= 0:
         raise ValidationError("log2 needs a positive argument")
     return math.log2(f.numerator) - math.log2(f.denominator)
-
-
-def isqrt_ceil(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1

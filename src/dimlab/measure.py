@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dyadic import DyadicCode, deinterleave, interleave, squared_distance
+from .dyadic import (DyadicCode, deinterleave, interleave,
+                     same_level_axis_bounds, squared_distance)
 from .exact import (
     UnsupportedModelError,
     ValidationError,
@@ -208,18 +209,6 @@ class DyadicMeasureTree:
     def max_cube_mass(self, n: int) -> Fraction:
         return max(m for _, m in self.level_masses(n))
 
-    def frostman_profile(self, levels: Iterable[int]) -> list[dict]:
-        """Per-level max cube mass with its decay exponent
-        -log2(max mass) / n."""
-        from .exact import log2_fraction
-
-        out = []
-        for n in sorted(set(levels)):
-            m = self.max_cube_mass(n)
-            expo = -log2_fraction(m) / n if n > 0 else 0.0
-            out.append({"level": n, "max_mass": m, "exponent": expo})
-        return out
-
     # -- correlation ----------------------------------------------------------
 
     def dyadic_correlation_sum(self, n: int) -> Fraction:
@@ -261,40 +250,55 @@ class DyadicMeasureTree:
 
         lower = Fraction(0)
         upper = Fraction(0)
-        # stack holds canonical pairs keyA <= keyB at a common level
-        stack = [(0, 0, 0, Fraction(1), Fraction(1))]
-        while stack:
-            level, ka, kb, ma, mb = stack.pop()
-            w = ma * mb if ka == kb else 2 * ma * mb
-            if ka == kb:
-                gaps, reach = 0, dd
-            elif dd == 1:
-                delta = kb - ka if kb > ka else ka - kb
-                gaps = (delta - 1) * (delta - 1)
-                reach = (delta + 1) * (delta + 1)
-            else:
-                ja = deinterleave(ka, level, dd)
-                jb = deinterleave(kb, level, dd)
-                gaps = 0
-                reach = 0
-                for i in range(dd):
-                    delta = ja[i] - jb[i]
-                    if delta < 0:
-                        delta = -delta
-                    g = delta - 1 if delta > 0 else 0
-                    gaps += g * g
-                    reach += (delta + 1) * (delta + 1)
+
+        def refine(level, gaps, reach, w):
+            nonlocal lower, upper
             shift = 2 * level
             # reach * 4^-level <= r^2 ?
             if reach * r2d <= r2n << shift:
                 lower += w
                 upper += w
-                continue
+                return False
             # gaps * 4^-level > r^2 ?
             if gaps * r2d > r2n << shift:
-                continue
+                return False
             if level >= cap:
                 upper += w
+                return False
+            return True
+
+        self._walk_pairs(refine)
+        return CorrelationBracket(lower, upper, rf, cap)
+
+    def _walk_pairs(self, refine) -> None:
+        """Dual-tree traversal over canonical cube pairs (key_a <= key_b at
+        a common level), starting from the root pair.
+
+        Calls refine(level, gaps, reach, w) once per visited pair: gaps and
+        reach are the integer squared min and max closure distances in units
+        of the cube side (min_dist^2 = gaps * 4^-level, likewise reach), w
+        is the pair's mass product, doubled off the diagonal so that the
+        canonical pair stands for both orders. refine adds the pair to its
+        own sums and returns True to descend into the pair's child pairs.
+        """
+        dd = self.d
+        stack = [(0, 0, 0, Fraction(1), Fraction(1))]
+        while stack:
+            level, ka, kb, ma, mb = stack.pop()
+            if ka == kb:
+                w = ma * mb
+                gaps, reach = 0, dd
+            else:
+                w = 2 * ma * mb
+                if dd == 1:
+                    delta = kb - ka if kb > ka else ka - kb
+                    gaps = (delta - 1) * (delta - 1)
+                    reach = (delta + 1) * (delta + 1)
+                else:
+                    gaps, reach = same_level_axis_bounds(
+                        dd, deinterleave(ka, level, dd),
+                        deinterleave(kb, level, dd))
+            if not refine(level, gaps, reach, w):
                 continue
             ca = self._node_children(level, ka, ma)
             cb = ca if ka == kb else self._node_children(level, kb, mb)
@@ -302,7 +306,6 @@ class DyadicMeasureTree:
                 start = ia if ka == kb else 0
                 for ckb, cmb in cb[start:]:
                     stack.append((level + 1, cka, ckb, cma, cmb))
-        return CorrelationBracket(lower, upper, rf, cap)
 
     def _node_children(self, level: int, key: int,
                        mass: Fraction) -> list[tuple[int, Fraction]]:
@@ -428,68 +431,34 @@ class DyadicMeasureTree:
         sigma = d * vd
         lower = 0.0
         upper = 0.0
-        stack = [(0, 0, 0, Fraction(1), Fraction(1))]
-        while stack:
-            level, ka, kb, ma, mb = stack.pop()
-            w = float(ma * mb) if ka == kb else 2.0 * float(ma * mb)
+
+        def refine(level, gaps, reach, w):
+            nonlocal lower, upper
+            w = float(w)
             side = 2.0 ** (-level)
-            if ka == kb:
-                gaps, reach = 0, d
-            else:
-                ja = deinterleave(ka, level, d)
-                jb = deinterleave(kb, level, d)
-                gaps = sum((abs(x - y) - 1) ** 2 for x, y in zip(ja, jb)
-                           if abs(x - y) > 0)
-                reach = sum((abs(x - y) + 1) ** 2 for x, y in zip(ja, jb))
             min_dist = math.sqrt(gaps) * side
             max_dist = math.sqrt(reach) * side
             if gaps > 0 and level >= cap:
                 lower += w * max_dist ** (-sv)
                 upper += w * min_dist ** (-sv)
-                continue
+                return False
             if gaps > 0:
                 lo_term = w * max_dist ** (-sv)
                 hi_term = w * min_dist ** (-sv)
                 if hi_term - lo_term <= 1e-12 * max(1.0, lo_term):
                     lower += lo_term
                     upper += hi_term
-                    continue
+                    return False
             if level >= cap:
                 lower += w * max_dist ** (-sv)
                 upper += w * sigma * max_dist ** (d - sv) / ((d - sv)
                                                              * side ** d)
-                continue
-            ca = self._node_children(level, ka, ma)
-            cb = ca if ka == kb else self._node_children(level, kb, mb)
-            for ia, (cka, cma) in enumerate(ca):
-                start = ia if ka == kb else 0
-                for ckb, cmb in cb[start:]:
-                    stack.append((level + 1, cka, ckb, cma, cmb))
+                return False
+            return True
+
+        self._walk_pairs(refine)
         return EnergyBracket(lower, upper, s, False,
                              {"method": "dualtree", "cap_level": cap})
-
-    # -- derived measures -----------------------------------------------------------
-
-    def restrict_normalize(self, code: DyadicCode) -> "DyadicMeasureTree":
-        total = self.mass_of_code(code)
-        if total == 0:
-            raise ValidationError("cube carries no mass")
-        sub = self.support.restrict(code)
-        masses: list[dict[int, Fraction]] = []
-        for n in range(self.max_depth + 1):
-            tbl: dict[int, Fraction] = {}
-            for key in sub.levels[n]:
-                if n <= code.level:
-                    tbl[key] = Fraction(1)
-                else:
-                    tbl[key] = self.mass(n, key) / total
-            masses.append(tbl)
-        atoms = None
-        if self.leaf_model == ATOMS:
-            atoms = [(p, w / total) for p, w in self.atoms
-                     if code.contains_point(p)]
-        return DyadicMeasureTree(sub, self.leaf_model, "explicit", masses,
-                                 atoms, {"kind": "restricted"})
 
     # -- validation ----------------------------------------------------------------
 

@@ -326,23 +326,6 @@ class DyadicSetTree:
 
     # -- derived trees ----------------------------------------------------
 
-    def restrict(self, code: DyadicCode) -> "DyadicSetTree":
-        """Skeleton of the intersection with one selected cube: the cube's
-        ancestors plus all its selected descendants."""
-        if code.d != self.d or code.level > self.max_depth:
-            raise ValidationError("cube incompatible with tree")
-        if not self.selected(code.level, code.key):
-            raise ValidationError("cube is not selected in this tree")
-        levels: list[list[int]] = []
-        for n in range(self.max_depth + 1):
-            if n <= code.level:
-                levels.append([code.key >> (self.d * (code.level - n))])
-            else:
-                levels.append(self.descendant_keys(code.level, code.key, n))
-        meta = dict(self.meta)
-        meta["restricted_to"] = {"level": code.level, "index": list(code.index)}
-        return DyadicSetTree(self.d, self.max_depth, levels, None, meta)
-
     def union(self, other: "DyadicSetTree") -> "DyadicSetTree":
         if other.d != self.d:
             raise ValidationError("dimension mismatch")

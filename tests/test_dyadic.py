@@ -7,12 +7,10 @@ import pytest
 
 from dimlab.dyadic import (
     DyadicCode,
-    code_sort_key,
     cube_of_point,
     cube_pair_geometry,
     deinterleave,
     interleave,
-    point_to_code_distance_sq,
     same_level_axis_bounds,
     squared_distance,
 )
@@ -51,7 +49,6 @@ class TestDyadicCode:
         c = DyadicCode(3, (5, 2))
         assert c.d == 2
         assert c.side == Fraction(1, 8)
-        assert c.lower_corner() == (Fraction(5, 8), Fraction(2, 8))
         assert c.upper_corner() == (Fraction(6, 8), Fraction(3, 8))
         assert c.representative() == c.upper_corner()
         assert c.center() == (Fraction(11, 16), Fraction(5, 16))
@@ -92,19 +89,6 @@ class TestDyadicCode:
         assert not c.contains(a)
         assert c.ancestor(5) == c
 
-    def test_contains_point_is_half_open(self):
-        c = DyadicCode(1, (0,))  # (0, 1/2]
-        assert c.contains_point((Fraction(1, 2),))
-        assert not c.contains_point((Fraction(0),))
-        right = DyadicCode(1, (1,))  # (1/2, 1]
-        assert not right.contains_point((Fraction(1, 2),))
-        assert right.contains_point((Fraction(1),))
-
-    def test_sort_key(self):
-        codes = [DyadicCode(2, (3,)), DyadicCode(1, (1,)), DyadicCode(2, (0,))]
-        ordered = sorted(codes, key=code_sort_key)
-        assert [(c.level, c.key) for c in ordered] == [(1, 1), (2, 0), (2, 3)]
-
 
 class TestCubeOfPoint:
     def test_scalar_becomes_1d(self):
@@ -121,7 +105,9 @@ class TestCubeOfPoint:
             d = rng.randrange(1, 4)
             p = tuple(Fraction(rng.randrange(1, 1000), 1000) for _ in range(d))
             c = cube_of_point(p, 5)
-            assert c.contains_point(p)
+            # half-open: (upper - side, upper] on every axis
+            assert all(u - c.side < x <= u
+                       for x, u in zip(p, c.upper_corner()))
 
     def test_rejects_zero_coordinate(self):
         with pytest.raises(ValidationError):
@@ -196,26 +182,6 @@ def test_same_level_axis_bounds_matches_geometry():
         g = cube_pair_geometry(DyadicCode(n, ja), DyadicCode(n, jb))
         assert g.min_dist_sq == gaps * pow2(-2 * n)
         assert g.max_dist_sq == reach * pow2(-2 * n)
-
-
-class TestPointToCode:
-    def test_inside_is_zero(self):
-        c = DyadicCode(1, (0,))
-        assert point_to_code_distance_sq((Fraction(1, 4),), c) == 0
-        assert point_to_code_distance_sq((Fraction(0),), c) == 0  # closure
-
-    def test_outside_interval(self):
-        c = DyadicCode(1, (0,))
-        assert point_to_code_distance_sq((Fraction(3, 4),), c) == Fraction(1, 16)
-
-    def test_corner_distance_2d(self):
-        c = DyadicCode(1, (0, 0))
-        d2 = point_to_code_distance_sq((Fraction(3, 4), Fraction(1)), c)
-        assert d2 == Fraction(1, 16) + Fraction(1, 4)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            point_to_code_distance_sq((Fraction(1, 2),), DyadicCode(1, (0, 0)))
 
 
 def test_squared_distance():

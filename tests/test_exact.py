@@ -13,9 +13,6 @@ from dimlab.exact import (
     dyadic_index,
     floor_log2,
     format_rational,
-    ge_pow2,
-    isqrt_ceil,
-    le_pow2,
     le_rpow,
     level_for_radius,
     log2_fraction,
@@ -97,11 +94,6 @@ class TestCmpPow2:
         assert cmp_pow2(0, -100) == -1
         assert cmp_pow2(Fraction(-1, 2), Fraction(1, 3)) == -1
 
-    def test_wrappers(self):
-        assert le_pow2(Fraction(1, 4), -2)
-        assert ge_pow2(Fraction(1, 4), -2)
-        assert not ge_pow2(Fraction(1, 5), -2)
-
 
 class TestCmpRpow:
     def test_exact_tie(self):
@@ -126,6 +118,7 @@ class TestCmpRpow:
 
     def test_nonpositive_a_with_positive_s(self):
         assert cmp_rpow(0, Fraction(1, 2), Fraction(1, 2)) == -1
+        assert cmp_rpow(Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2)) == -1
 
     def test_rejects_nonpositive_base(self):
         with pytest.raises(ValidationError):
@@ -251,11 +244,3 @@ class TestSnapToDyadic:
             snap_to_dyadic(-0.1, 4)
         with pytest.raises(ValidationError):
             snap_to_dyadic(1.5, 4)
-
-
-def test_isqrt_ceil():
-    assert isqrt_ceil(0) == 0
-    assert isqrt_ceil(16) == 4
-    assert isqrt_ceil(17) == 5
-    assert isqrt_ceil(24) == 5
-    assert isqrt_ceil(25) == 5

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 from fractions import Fraction
 
 import pytest
@@ -349,17 +348,3 @@ class TestCliPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "alternating-counts", "--dim-low", "0.4"])
         assert exc.value.code == 2
-
-    def test_threads_flag_and_env(self, capsys, monkeypatch):
-        monkeypatch.delenv("DIMLAB_THREADS", raising=False)
-        code, _, _ = run_cli(capsys, "--threads", "2",
-                             "verify", "alternating-counts")
-        assert code == 0 and os.environ["DIMLAB_THREADS"] == "2"
-        monkeypatch.setenv("DIMLAB_THREADS", "3")
-        code, _, _ = run_cli(capsys, "verify", "alternating-counts")
-        assert code == 0 and os.environ["DIMLAB_THREADS"] == "3"
-
-    def test_threads_must_be_positive(self, capsys):
-        code, _, err = run_cli(capsys, "--threads", "0",
-                               "verify", "alternating-counts")
-        assert code == 2

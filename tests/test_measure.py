@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimlab.dyadic import DyadicCode
+from dimlab.dyadic import DyadicCode, cube_pair_geometry
 from dimlab.exact import UnsupportedModelError, ValidationError, pow2
 from dimlab.measure import (
     CorrelationBracket,
@@ -23,6 +23,31 @@ def cantor_tree(depth):
 
 def uniform_cantor(depth):
     return DyadicMeasureTree.uniform_on_set(cantor_tree(depth))
+
+
+def brute_force_ball_bracket(mu, r, cap):
+    """Ball-correlation bracket summed over every ordered pair of cap-level
+    cubes, each pair classified by its exact closure distances. Masses below
+    the deepest materialized level split uniformly, as the leaf model says."""
+    top = min(cap, mu.max_depth)
+    extra = mu.d * (cap - top)
+    cubes = []
+    for key, m in mu.level_masses(top):
+        share = m / (1 << extra)
+        for t in range(1 << extra):
+            code = DyadicCode.from_key(cap, (key << extra) + t, mu.d)
+            cubes.append((code, share))
+    r2 = r * r
+    lower = upper = Fraction(0)
+    for a, ma in cubes:
+        for b, mb in cubes:
+            g = cube_pair_geometry(a, b)
+            if g.max_dist_sq <= r2:
+                lower += ma * mb
+                upper += ma * mb
+            elif g.min_dist_sq <= r2:
+                upper += ma * mb
+    return lower, upper
 
 
 class TestUniformMasses:
@@ -57,14 +82,6 @@ class TestUniformMasses:
     def test_max_cube_mass(self):
         mu = uniform_cantor(6)
         assert mu.max_cube_mass(6) == Fraction(1, 8)
-
-    def test_frostman_profile(self):
-        mu = uniform_cantor(8)
-        prof = mu.frostman_profile([4, 8])
-        assert prof[0]["max_mass"] == Fraction(1, 4)
-        assert prof[0]["exponent"] == pytest.approx(0.5)
-        assert prof[1]["max_mass"] == Fraction(1, 16)
-        assert prof[1]["exponent"] == pytest.approx(0.5)
 
 
 class TestExplicitMasses:
@@ -216,6 +233,28 @@ class TestBallCorrelationBracket:
         with pytest.raises(ValidationError):
             uniform_cantor(4).ball_correlation_bracket(0)
 
+    @pytest.mark.parametrize("kind", ["uniform", "random_split"])
+    @pytest.mark.parametrize("r", [Fraction(3, 16), Fraction(1, 4)], ids=str)
+    def test_matches_brute_force_sierpinski(self, kind, r):
+        tree = DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 3)
+        if kind == "uniform":
+            mu = DyadicMeasureTree.uniform_on_set(tree)
+        else:
+            mu = DyadicMeasureTree.random_split(tree, random.Random(7))
+        b = mu.ball_correlation_bracket(r, extra_depth=1)
+        assert b.cap_level > mu.max_depth  # cubes split below the leaves
+        assert (b.lower, b.upper) == brute_force_ball_bracket(
+            mu, r, b.cap_level)
+
+    def test_matches_brute_force_1d(self):
+        mu = DyadicMeasureTree.random_split(DyadicSetTree.full(1, 5),
+                                            random.Random(7))
+        r = Fraction(1, 7)
+        b = mu.ball_correlation_bracket(r, extra_depth=3)
+        assert b.cap_level > mu.max_depth
+        assert (b.lower, b.upper) == brute_force_ball_bracket(
+            mu, r, b.cap_level)
+
     def test_bracket_order_enforced(self):
         with pytest.raises(ValidationError):
             CorrelationBracket(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), 3)
@@ -288,6 +327,10 @@ class TestEnergy:
         assert rough.lower <= fine.lower <= fine.upper <= rough.upper
         assert fine.width < rough.width
         assert fine.lower > 0
+        # s = 1: the mean reciprocal distance in the unit square
+        want = 4 / 3 * (1 - math.sqrt(2)) + 4 * math.log(1 + math.sqrt(2))
+        one = mu.energy_bracket(1, refine_depth=3)
+        assert one.lower <= want <= one.upper
 
     def test_cantor_energy_finite_below_half(self):
         # the middle-half Cantor set carries a measure of dimension 1/2,
@@ -295,29 +338,6 @@ class TestEnergy:
         b = uniform_cantor(10).energy_bracket(Fraction(1, 3))
         assert not b.diverged
         assert 1 < b.lower <= b.upper < 10
-
-
-class TestRestrictNormalize:
-    def test_uniform_cantor_half(self):
-        mu = uniform_cantor(6)
-        sub = mu.restrict_normalize(DyadicCode(2, (3,)))
-        sub.validate()
-        assert sub.mass(2, 3) == 1
-        assert sub.mass(4, 12) == Fraction(1, 2)
-        assert sub.support.box_count(6) == 4
-
-    def test_zero_mass_cube_rejected(self):
-        mu = uniform_cantor(4)
-        with pytest.raises(ValidationError):
-            mu.restrict_normalize(DyadicCode(2, (1,)))
-
-    def test_atoms_carry_over(self):
-        mu = DyadicMeasureTree.atomic(
-            [(Fraction(1, 8),), (Fraction(7, 8),)],
-            [Fraction(1, 4), Fraction(3, 4)], 1, 4)
-        sub = mu.restrict_normalize(DyadicCode(1, (1,)))
-        assert sub.atoms == [((Fraction(7, 8),), Fraction(1))]
-        sub.validate()
 
 
 class TestAntiFrostman:

@@ -191,20 +191,6 @@ class TestQueries:
 
 
 class TestDerivedTrees:
-    def test_restrict(self):
-        t = cantor_tree(6)
-        sub = t.restrict(DyadicCode(2, (3,)))
-        assert sub.levels[0] == [0]
-        assert sub.levels[1] == [1]
-        assert sub.levels[2] == [3]
-        assert sub.levels[4] == [12, 15]
-        assert sub.box_count(6) == t.box_count(6) // 2
-        sub.validate()
-
-    def test_restrict_requires_selected_cube(self):
-        with pytest.raises(ValidationError):
-            cantor_tree(6).restrict(DyadicCode(2, (1,)))
-
     def test_union_with_complementary_tree(self):
         t = cantor_tree(4)
         other = DyadicSetTree.from_digit_ifs(1, group=2, keep=[1, 2], depth=4)
