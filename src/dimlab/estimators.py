@@ -351,17 +351,66 @@ def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
 def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
                       ) -> tuple[Fraction, list[tuple[Fraction, str]]]:
     """Largest grid exponent whose packing predicate holds on the window.
-    Returns (threshold, per-exponent verdicts); threshold 0 when none hold."""
+    Returns (threshold, per-exponent verdicts); threshold 0 when none hold.
+
+    Same verdicts as packing_predicate at every grid exponent, from one
+    top-down walk. For a fixed cube of mass m at level n, m <= 2^-ns is
+    monotone in s, so the exponents it passes form a prefix of the sorted
+    grid; its length is found by bisection, once per (level, mass). A leaf
+    then passes at the first k exponents, where k is the smaller of the
+    longest prefix passed by an ancestor in the first half of the window
+    and in the second half, and the predicate holds exactly on the shortest
+    such prefix over all leaves. Every selected cube at the window's last
+    level has a leaf below it, and each such leaf has the same window
+    ancestors, so the walk stops at that level.
+    """
     if grid is None:
         grid = [Fraction(k, 20) for k in range(1, 21)]
-    tested: list[tuple[Fraction, str]] = []
-    best = Fraction(0)
-    for sv in sorted((to_fraction(g) for g in grid)):
-        verdict = packing_predicate(mu, sv, levels).verdict
-        tested.append((sv, verdict))
-        if verdict == "holds-on-window":
-            best = sv
-    return best, tested
+    svs = sorted(to_fraction(g) for g in grid)
+    if not svs:
+        return Fraction(0), []
+    lv = sorted(set(int(n) for n in levels))
+    if not lv:
+        raise ValidationError("empty level window")
+    if lv[0] < 0 or lv[-1] > mu.max_depth:
+        raise ValidationError("levels must lie within the measure depth")
+    half = len(lv) - len(lv) // 2  # first-half length (ceil)
+    in_first = {n: i < half for i, n in enumerate(lv)}
+    last = lv[-1]
+
+    prefix: dict[tuple[int, Fraction], int] = {}
+
+    def passed(n: int, m: Fraction) -> int:
+        k = prefix.get((n, m))
+        if k is None:
+            lo, hi = 0, len(svs)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if cmp_pow2(m, -(n * svs[mid])) <= 0:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            k = prefix[(n, m)] = lo
+        return k
+
+    holds = len(svs)
+    # (level, key, mass, best prefix in the first half, in the second half)
+    stack = [(0, 0, Fraction(1), 0, 0)]
+    while stack:
+        n, key, m, first, second = stack.pop()
+        if n in in_first:
+            if in_first[n]:
+                first = max(first, passed(n, m))
+            else:
+                second = max(second, passed(n, m))
+        if n == last:
+            holds = min(holds, first, second)
+            continue
+        for ck, cm in mu._node_children(n, key, m):
+            stack.append((n + 1, ck, cm, first, second))
+    tested = [(sv, "holds-on-window" if i < holds else "fails")
+              for i, sv in enumerate(svs)]
+    return (svs[holds - 1] if holds else Fraction(0)), tested
 
 
 # ---------------------------------------------------------------------------

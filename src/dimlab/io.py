@@ -222,14 +222,31 @@ def save_json(obj, path) -> None:
 
 
 def load_json(path):
+    """Load a saved set, measure or plan. Anything that is not a well-formed
+    payload of this format version raises ValidationError."""
     try:
-        data = _decode_bigints(json.loads(Path(path).read_text()))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    loader = _LOADERS.get(data.get("type"))
+    if not isinstance(data, dict):
+        raise ValidationError(
+            f"{path}: expected a JSON object, got {type(data).__name__}")
+    kind = data.get("type")
+    loader = _LOADERS.get(kind) if isinstance(kind, str) else None
     if loader is None:
-        raise ValidationError(f"unknown payload type {data.get('type')!r}")
-    return loader(data)
+        raise ValidationError(f"unknown payload type {kind!r}")
+    if data.get("version") != FORMAT_VERSION:
+        raise ValidationError(
+            f"unsupported format version {data.get('version')!r} "
+            f"(expected {FORMAT_VERSION})")
+    try:
+        return loader(_decode_bigints(data))
+    except ValidationError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError,
+            ArithmeticError) as exc:
+        raise ValidationError(
+            f"malformed {kind} payload in {path}: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

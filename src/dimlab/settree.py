@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dyadic import DyadicCode, deinterleave, interleave, squared_distance
+from .dyadic import DyadicCode, deinterleave, squared_distance
 from .exact import UnavailableError, ValidationError, pow2
 
 

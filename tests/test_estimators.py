@@ -1,10 +1,16 @@
 """Tests for slope estimators, exact predicates, and the inequality chain."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dimlab import estimators
+from dimlab.constructions import (alternating_plan, alternating_set,
+                                  sweep_plan, sweep_set)
 from dimlab.estimators import (
     box_dims,
     correlation_dims,
@@ -17,7 +23,7 @@ from dimlab.estimators import (
     packing_threshold,
     slope_fit,
 )
-from dimlab.exact import ValidationError, pow2
+from dimlab.exact import ValidationError, cmp_pow2, pow2
 from dimlab.measure import DyadicMeasureTree
 from dimlab.settree import DyadicSetTree
 
@@ -197,6 +203,119 @@ class TestPacking:
             packing_predicate(mu, 1, [])
         with pytest.raises(ValidationError):
             packing_predicate(mu, 1, [3, 9])
+        with pytest.raises(ValidationError):
+            packing_threshold(mu, [], grid=[1])
+        with pytest.raises(ValidationError):
+            packing_threshold(mu, [3, 9], grid=[1])
+        assert packing_threshold(mu, [3, 9], grid=[]) == (Fraction(0), [])
+
+    @pytest.mark.parametrize("name, expected", [
+        ("cantor", Fraction(11, 20)), ("full", Fraction(1)),
+        ("alternating", Fraction(1, 2)), ("sweep", Fraction(1, 5))])
+    def test_inequality_chain_thresholds(self, name, expected):
+        # the four sets of the inequality-chain acceptance check, on their
+        # default window 1..depth
+        low, high = Fraction(2, 5), Fraction(7, 10)
+        tree = {
+            "cantor": lambda: cantor_tree(12),
+            "full": lambda: DyadicSetTree.full(1, 10),
+            "alternating": lambda: alternating_set(
+                alternating_plan(low, high, level_budget=10 ** 6), 24),
+            "sweep": lambda: sweep_set(sweep_plan(low, high), 24),
+        }[name]()
+        mu = DyadicMeasureTree.uniform_on_set(tree)
+        thr, tested = packing_threshold(mu, range(1, tree.max_depth + 1))
+        assert thr == expected
+        assert tested == [
+            (Fraction(k, 20),
+             "holds-on-window" if Fraction(k, 20) <= expected else "fails")
+            for k in range(1, 21)]
+
+    def test_one_bisection_per_level_and_mass(self, monkeypatch):
+        mu = DyadicMeasureTree.uniform_on_set(cantor_tree(12))
+        window = range(4, 13)
+        grid = [Fraction(k, 20) for k in range(1, 21)]
+        calls = []
+
+        def counting_cmp_pow2(a, e, coeff=1):
+            calls.append((a, e))
+            return cmp_pow2(a, e, coeff)
+
+        def no_predicate(*args, **kwargs):
+            raise AssertionError("packing_predicate called")
+
+        monkeypatch.setattr(estimators, "cmp_pow2", counting_cmp_pow2)
+        monkeypatch.setattr(estimators, "packing_predicate", no_predicate)
+        thr, _ = packing_threshold(mu, window, grid)
+        assert thr == Fraction(11, 20)
+        distinct = sum(len({m for _, m in mu.level_masses(n)})
+                       for n in window)
+        assert 0 < len(calls) <= \
+            math.ceil(math.log2(len(grid) + 1)) * distinct
+
+
+def _reference_threshold(mu, levels, grid):
+    """The threshold as one packing_predicate run per grid exponent."""
+    best = Fraction(0)
+    tested = []
+    for sv in sorted(Fraction(g) for g in grid):
+        verdict = packing_predicate(mu, sv, levels).verdict
+        tested.append((sv, verdict))
+        if verdict == "holds-on-window":
+            best = sv
+    return best, tested
+
+
+@st.composite
+def _packing_cases(draw):
+    """(measure, window, grid): digit-IFS trees in 1-D and 2-D with equal or
+    random splits, or atomic measures; any window inside the depth; grids
+    with duplicates, negative values and values above d, possibly empty."""
+    d = draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(1, 7 if d == 1 else 4))
+    kind = draw(st.sampled_from(["uniform", "random_split", "atomic"]))
+    if kind == "atomic":
+        k = draw(st.integers(1, 5))
+        pts = [tuple(Fraction(draw(st.integers(1, 64)), 64)
+                     for _ in range(d)) for _ in range(k)]
+        ws = [draw(st.integers(1, 9)) for _ in range(k)]
+        mu = DyadicMeasureTree.atomic(
+            pts, [Fraction(w, sum(ws)) for w in ws], d, depth)
+    else:
+        group = draw(st.integers(1, 2))
+        keep = draw(st.sets(st.integers(0, (1 << (d * group)) - 1),
+                            min_size=1))
+        tree = DyadicSetTree.from_digit_ifs(d, group, sorted(keep), depth)
+        if kind == "uniform":
+            mu = DyadicMeasureTree.uniform_on_set(tree)
+        else:
+            mu = DyadicMeasureTree.random_split(
+                tree, random.Random(draw(st.integers(0, 2 ** 16))))
+    lo = draw(st.integers(0, depth))
+    hi = draw(st.integers(lo, depth))
+    exponent = st.builds(Fraction, st.integers(-6, 24), st.integers(1, 6))
+    grid = draw(st.lists(exponent, max_size=8))
+    return mu, range(lo, hi + 1), grid
+
+
+_SIERPINSKI = DyadicMeasureTree.uniform_on_set(
+    DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 4))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_packing_cases())
+@example((DyadicMeasureTree.uniform_on_set(cantor_tree(8)), range(0, 9),
+          [Fraction(1, 2), Fraction(1, 2), Fraction(-1), Fraction(3)]))
+@example((_SIERPINSKI, range(3, 4), [Fraction(1), Fraction(1, 2), 1]))
+@example((DyadicMeasureTree.random_split(cantor_tree(6), random.Random(3)),
+          range(0, 1), [Fraction(0), Fraction(5, 2)]))
+@example((DyadicMeasureTree.atomic([(Fraction(1, 3),)], [1], 1, 6),
+          range(2, 7), [Fraction(-1, 2), Fraction(0), Fraction(1, 20)]))
+@example((_SIERPINSKI, range(0, 5), []))
+def test_packing_threshold_matches_predicate_loop(case):
+    mu, window, grid = case
+    assert packing_threshold(mu, window, grid) == \
+        _reference_threshold(mu, window, grid)
 
 
 class TestInequalityReport:

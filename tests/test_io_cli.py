@@ -245,6 +245,37 @@ class TestCliEstimate:
                                "--in", "/nonexistent.json")
         assert code == 2 and "error:" in err
 
+    def _estimate_box(self, capsys, tmp_path, payload):
+        p = tmp_path / "in.json"
+        p.write_text(payload if isinstance(payload, str)
+                     else json.dumps(payload))
+        return run_cli(capsys, "estimate", "box", "--in", str(p))
+
+    def test_set_without_fields_is_validation_error(self, tmp_path, capsys):
+        for payload in ('{"type": "set"}', '{"type": "set", "version": 1}'):
+            code, _, err = self._estimate_box(capsys, tmp_path, payload)
+            assert code == 2 and "error:" in err
+
+    def test_non_object_payload_is_validation_error(self, tmp_path, capsys):
+        code, _, err = self._estimate_box(capsys, tmp_path, "[1, 2]")
+        assert code == 2 and "JSON object" in err
+
+    def test_non_integer_level_key_is_validation_error(self, tmp_path,
+                                                       capsys):
+        data = io.set_to_dict(cantor_tree(4))
+        data["levels"][1][0] = "x"
+        code, _, err = self._estimate_box(capsys, tmp_path, data)
+        assert code == 2 and "malformed set payload" in err
+
+    def test_unknown_version_is_validation_error(self, tmp_path, capsys):
+        data = io.set_to_dict(cantor_tree(4))
+        data["version"] = 99
+        code, _, err = self._estimate_box(capsys, tmp_path, data)
+        assert code == 2 and "format version 99" in err
+        data["version"] = io.FORMAT_VERSION
+        code, _, _ = self._estimate_box(capsys, tmp_path, data)
+        assert code == 0
+
     def test_unavailable_is_computation_error(self, tmp_path, capsys):
         mu3 = DyadicMeasureTree.atomic([(Fraction(1, 2),) * 3], [1], 3, 4)
         p = tmp_path / "mu3.json"
