@@ -40,7 +40,7 @@ from .exact import (
     level_for_radius,
     to_fraction,
 )
-from .measure import DyadicMeasureTree
+from .measure import DyadicMeasureTree, ancestor_tables
 from .settree import DyadicSetTree, Segment, SegmentCounts
 
 
@@ -743,16 +743,9 @@ def _stage_measure(tree: DyadicSetTree, level: int,
                    cubes: list[tuple[int, Fraction]]) -> DyadicMeasureTree:
     """Measure truncated at the stage level: explicit masses on the stage
     cubes' ancestor closure, uniform leaf model below."""
-    d = tree.d
-    masses: list[dict[int, Fraction]] = [dict() for _ in range(level + 1)]
-    for key, m in cubes:
-        masses[level][key] = m
-    for n in range(level, 0, -1):
-        for key, m in masses[n].items():
-            pk = key >> d
-            masses[n - 1][pk] = masses[n - 1].get(pk, Fraction(0)) + m
+    masses = ancestor_tables(dict(cubes), tree.d, level)
     levels = [sorted(masses[n]) for n in range(level + 1)]
-    support = DyadicSetTree(d, level, levels, None,
+    support = DyadicSetTree(tree.d, level, levels, None,
                             {"kind": "frostman_stage", "from": tree.meta.get("kind")})
     return DyadicMeasureTree.from_masses(support, masses, meta={
         "kind": "frostman_stage", "level": level})

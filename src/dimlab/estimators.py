@@ -197,7 +197,7 @@ def _sup_ball_cover(mu: DyadicMeasureTree, r: Fraction, n: int) -> Fraction:
     of C and one neighbor per axis; the max block mass over all cubes and
     corner directions dominates the sup."""
     d = mu.d
-    masses = dict(mu.level_masses(n))
+    masses = mu.masses[n]
     top = 1 << n
     best = Fraction(0)
     for key in masses:
@@ -316,7 +316,7 @@ def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
     half = len(lv) - len(lv) // 2  # first-half length (ceil)
     first, second = set(lv[:half]), set(lv[half:])
 
-    masses = {n: dict(mu.level_masses(n)) for n in lv}
+    masses = mu.masses
     d = mu.d
     report = PredicateReport("dyadic-packing", sf)
     failing: list[int] = []

@@ -92,9 +92,17 @@ def set_to_dict(tree: DyadicSetTree) -> dict:
     }
 
 
+def _check_version(data: dict) -> None:
+    if data.get("version") != FORMAT_VERSION:
+        raise ValidationError(
+            f"unsupported format version {data.get('version')!r} "
+            f"(expected {FORMAT_VERSION})")
+
+
 def set_from_dict(data: dict) -> DyadicSetTree:
     if data.get("type") != "set":
         raise ValidationError("not a serialized set")
+    _check_version(data)
     symbolic = (SymbolicCounts.from_dict(data["symbolic"])
                 if data.get("symbolic") else None)
     tree = DyadicSetTree(int(data["d"]), int(data["max_depth"]),
@@ -109,10 +117,8 @@ def set_from_dict(data: dict) -> DyadicSetTree:
 
 
 def measure_to_dict(mu: DyadicMeasureTree) -> dict:
-    masses = None
-    if mu.masses is not None:
-        masses = [[[k, format_rational(m)] for k, m in sorted(level.items())]
-                  for level in mu.masses]
+    masses = [[[k, format_rational(m)] for k, m in sorted(level.items())]
+              for level in mu.masses]
     atoms = None
     if mu.atoms is not None:
         atoms = [[[format_rational(c) for c in p], format_rational(w)]
@@ -122,7 +128,8 @@ def measure_to_dict(mu: DyadicMeasureTree) -> dict:
         "version": FORMAT_VERSION,
         "support": set_to_dict(mu.support),
         "leaf_model": mu.leaf_model,
-        "mass_rule": mu.mass_rule,
+        # always tables; the field keeps the files readable by older readers
+        "mass_rule": "explicit",
         "masses": masses,
         "atoms": atoms,
         "meta": _encode_meta(mu.meta),
@@ -132,17 +139,24 @@ def measure_to_dict(mu: DyadicMeasureTree) -> dict:
 def measure_from_dict(data: dict) -> DyadicMeasureTree:
     if data.get("type") != "measure":
         raise ValidationError("not a serialized measure")
+    _check_version(data)
     support = set_from_dict(data["support"])
-    masses = None
-    if data.get("masses") is not None:
+    rule, tables = data.get("mass_rule"), data.get("masses")
+    if rule == "explicit" and tables is not None:
         masses = [{int(k): parse_rational(m) for k, m in level}
-                  for level in data["masses"]]
+                  for level in tables]
+    elif rule == "equal_split" and tables is None:
+        # files written before every measure carried tables
+        masses = DyadicMeasureTree.uniform_on_set(support).masses
+    else:
+        raise ValidationError(
+            f"unsupported mass rule {rule!r} or missing mass tables")
     atoms = None
     if data.get("atoms") is not None:
         atoms = [(tuple(parse_rational(c) for c in p), parse_rational(w))
                  for p, w in data["atoms"]]
-    mu = DyadicMeasureTree(support, data["leaf_model"], data["mass_rule"],
-                           masses, atoms, _decode_meta(data.get("meta", {})))
+    mu = DyadicMeasureTree(support, data["leaf_model"], masses, atoms,
+                           _decode_meta(data.get("meta", {})))
     mu.validate()
     return mu
 
@@ -179,20 +193,21 @@ def plan_to_dict(plan) -> dict:
 
 def plan_from_dict(data: dict):
     kind = data.get("type")
+    if kind not in ("alternating_plan", "sweep_plan"):
+        raise ValidationError("not a serialized plan")
+    _check_version(data)
     if kind == "alternating_plan":
         return AlternatingPlan(
             parse_rational(data["dim_low"]), parse_rational(data["dim_high"]),
             tuple(parse_rational(e) for e in data["slack"]),
             tuple(int(n) for n in data["breakpoints"]),
             tuple(int(e) for e in data["doubled"]), int(data["level_budget"]))
-    if kind == "sweep_plan":
-        return SweepPlan(
-            parse_rational(data["dim_low"]), parse_rational(data["dim_high"]),
-            tuple(int(n) for n in data["n_seq"]),
-            tuple(int(n) for n in data["big_n_seq"]),
-            tuple(int(c) for c in data["counts_at_stage"]),
-            int(data["level_budget"]))
-    raise ValidationError("not a serialized plan")
+    return SweepPlan(
+        parse_rational(data["dim_low"]), parse_rational(data["dim_high"]),
+        tuple(int(n) for n in data["n_seq"]),
+        tuple(int(n) for n in data["big_n_seq"]),
+        tuple(int(c) for c in data["counts_at_stage"]),
+        int(data["level_budget"]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +250,6 @@ def load_json(path):
     loader = _LOADERS.get(kind) if isinstance(kind, str) else None
     if loader is None:
         raise ValidationError(f"unknown payload type {kind!r}")
-    if data.get("version") != FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported format version {data.get('version')!r} "
-            f"(expected {FORMAT_VERSION})")
     try:
         return loader(_decode_bigints(data))
     except ValidationError:

@@ -2,10 +2,14 @@
 
 A measure assigns a rational mass to every selected cube, consistently
 (parent mass = sum of selected-child masses, root mass 1, positive mass
-exactly on selected cubes). Below the deepest materialized level the measure
-is interpreted through a leaf model: "uniform" spreads each leaf's mass as
-normalized Lebesgue measure on the leaf cube, "atoms" concentrates it on an
-explicit finite point list.
+exactly on selected cubes). Every measure stores these masses the same
+way, as one exact table per level (key -> Fraction), built once when the
+measure is made: top-down by splitting each cube's mass among its selected
+children (uniform, random), or bottom-up by summing deepest-level masses
+into their ancestors (atoms, construction stages). Below the deepest
+materialized level the measure is interpreted through a leaf model:
+"uniform" spreads each leaf's mass as normalized Lebesgue measure on the
+leaf cube, "atoms" concentrates it on an explicit finite point list.
 
 Ball quantities that a finite tree cannot pin down exactly are returned as
 two-sided brackets; dyadic quantities (cube masses, correlation sums over
@@ -21,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import (DyadicCode, deinterleave, interleave,
+from .dyadic import (cube_of_point, deinterleave, interleave,
                      same_level_axis_bounds, squared_distance)
 from .exact import (
     UnsupportedModelError,
@@ -80,20 +84,15 @@ class DyadicMeasureTree:
     """Mass assignment on a DyadicSetTree."""
 
     def __init__(self, support: DyadicSetTree, leaf_model: str,
-                 mass_rule: str, masses: list[dict[int, Fraction]] | None,
+                 masses: list[dict[int, Fraction]],
                  atoms: list[tuple[tuple[Fraction, ...], Fraction]] | None = None,
                  meta: dict | None = None):
         if leaf_model not in (UNIFORM, ATOMS):
             raise ValidationError(f"unknown leaf model {leaf_model!r}")
-        if mass_rule not in ("explicit", "equal_split"):
-            raise ValidationError(f"unknown mass rule {mass_rule!r}")
-        if mass_rule == "explicit" and masses is None:
-            raise ValidationError("explicit mass rule needs mass tables")
         if leaf_model == ATOMS and atoms is None:
             raise ValidationError("atomic leaf model needs an atom list")
         self.support = support
         self.leaf_model = leaf_model
-        self.mass_rule = mass_rule
         self.masses = masses
         self.atoms = atoms
         self.meta = meta or {}
@@ -103,15 +102,15 @@ class DyadicMeasureTree:
     @classmethod
     def uniform_on_set(cls, tree: DyadicSetTree) -> "DyadicMeasureTree":
         """Equal split among selected children at every cube."""
-        return cls(tree, UNIFORM, "equal_split", None, None,
-                   {"kind": "uniform_on_set"})
+        masses = _split_masses(tree, lambda kids: [1] * len(kids))
+        return cls(tree, UNIFORM, masses, None, {"kind": "uniform_on_set"})
 
     @classmethod
     def from_masses(cls, tree: DyadicSetTree,
                     masses: list[dict[int, Fraction]],
                     leaf_model: str = UNIFORM,
                     atoms=None, meta=None) -> "DyadicMeasureTree":
-        mu = cls(tree, leaf_model, "explicit", masses, atoms, meta)
+        mu = cls(tree, leaf_model, masses, atoms, meta)
         mu.validate()
         return mu
 
@@ -136,7 +135,7 @@ class DyadicMeasureTree:
         atom_list = sorted(agg.items())
         tree = DyadicSetTree.from_points([p for p, _ in atom_list], d, depth)
         masses = _aggregate_atoms(atom_list, d, depth)
-        return cls(tree, ATOMS, "explicit", masses, atom_list,
+        return cls(tree, ATOMS, masses, atom_list,
                    meta or {"kind": "atomic"})
 
     @classmethod
@@ -144,18 +143,9 @@ class DyadicMeasureTree:
                      max_part: int = 9) -> "DyadicMeasureTree":
         """Random exact-rational splits among selected children; useful for
         seeded property sweeps."""
-        masses: list[dict[int, Fraction]] = [dict() for _ in
-                                             range(tree.max_depth + 1)]
-        masses[0][0] = Fraction(1)
-        for level in range(tree.max_depth):
-            for key, m in masses[level].items():
-                kids = tree.children_keys(level, key)
-                parts = [rng.randint(1, max_part) for _ in kids]
-                tot = sum(parts)
-                for k, p in zip(kids, parts):
-                    masses[level + 1][k] = m * Fraction(p, tot)
-        return cls(tree, UNIFORM, "explicit", masses, None,
-                   {"kind": "random_split"})
+        masses = _split_masses(
+            tree, lambda kids: [rng.randint(1, max_part) for _ in kids])
+        return cls(tree, UNIFORM, masses, None, {"kind": "random_split"})
 
     # -- mass queries --------------------------------------------------------
 
@@ -167,53 +157,26 @@ class DyadicMeasureTree:
     def max_depth(self) -> int:
         return self.support.max_depth
 
-    def mass(self, level: int, key: int) -> Fraction:
-        if not (0 <= level <= self.max_depth):
+    def _table(self, n: int) -> dict[int, Fraction]:
+        if not (0 <= n <= self.max_depth):
             raise ValidationError("level out of range")
-        if self.mass_rule == "explicit":
-            return self.masses[level].get(key, Fraction(0))
-        if not self.support.selected(level, key):
-            return Fraction(0)
-        m = Fraction(1)
-        for l in range(level):
-            anc = key >> (self.d * (level - l))
-            kids = self.support.children_keys(l, anc)
-            m /= len(kids)
-        return m
+        return self.masses[n]
 
-    def mass_of_code(self, code: DyadicCode) -> Fraction:
-        if code.d != self.d:
-            raise ValidationError("dimension mismatch")
-        return self.mass(code.level, code.key)
+    def mass(self, level: int, key: int) -> Fraction:
+        return self._table(level).get(key, Fraction(0))
 
     def level_masses(self, n: int) -> list[tuple[int, Fraction]]:
         """Sorted (key, mass) pairs over the selected level-n cubes."""
-        if not (0 <= n <= self.max_depth):
-            raise ValidationError("level out of range")
-        if self.mass_rule == "explicit":
-            return sorted(self.masses[n].items())
-        out: list[tuple[int, Fraction]] = []
-        stack = [(0, 0, Fraction(1))]
-        while stack:
-            level, key, m = stack.pop()
-            if level == n:
-                out.append((key, m))
-                continue
-            kids = self.support.children_keys(level, key)
-            share = m / len(kids)
-            for k in reversed(kids):
-                stack.append((level + 1, k, share))
-        out.sort()
-        return out
+        return sorted(self._table(n).items())
 
     def max_cube_mass(self, n: int) -> Fraction:
-        return max(m for _, m in self.level_masses(n))
+        return max(self._table(n).values())
 
     # -- correlation ----------------------------------------------------------
 
     def dyadic_correlation_sum(self, n: int) -> Fraction:
         """Sum of squared level-n cube masses, exactly."""
-        return sum((m * m for _, m in self.level_masses(n)), Fraction(0))
+        return sum((m * m for m in self._table(n).values()), Fraction(0))
 
     def ball_correlation_bracket(self, r, extra_depth: int = 4) -> CorrelationBracket:
         """Two-sided enclosure of (mu x mu){(x, y): |x - y| <= r}.
@@ -310,12 +273,9 @@ class DyadicMeasureTree:
     def _node_children(self, level: int, key: int,
                        mass: Fraction) -> list[tuple[int, Fraction]]:
         if level < self.max_depth:
+            tbl = self.masses[level + 1]
             kids = self.support.children_keys(level, key)
-            if self.mass_rule == "explicit":
-                tbl = self.masses[level + 1]
-                return [(k, tbl[k]) for k in kids]
-            share = mass / len(kids)
-            return [(k, share) for k in kids]
+            return [(k, tbl[k]) for k in kids]
         # virtual uniform refinement below the leaves
         share = mass / (1 << self.d)
         base = key << self.d
@@ -464,8 +424,6 @@ class DyadicMeasureTree:
 
     def validate(self) -> None:
         self.support.validate()
-        if self.mass_rule == "equal_split":
-            return
         if len(self.masses) != self.max_depth + 1:
             raise ValidationError("mass table depth mismatch")
         if self.masses[0].get(0, Fraction(0)) != 1:
@@ -495,17 +453,44 @@ class DyadicMeasureTree:
                 raise ValidationError("atoms inconsistent with leaf masses")
 
 
-def _aggregate_atoms(atom_list, d: int, depth: int) -> list[dict[int, Fraction]]:
-    from .dyadic import cube_of_point
-
-    masses: list[dict[int, Fraction]] = [dict() for _ in range(depth + 1)]
-    for p, w in atom_list:
-        code = cube_of_point(p, depth)
-        key = code.key
-        for n in range(depth, -1, -1):
-            masses[n][key >> (d * (depth - n))] = (
-                masses[n].get(key >> (d * (depth - n)), Fraction(0)) + w)
+def _split_masses(tree: DyadicSetTree, parts) -> list[dict[int, Fraction]]:
+    """Per-level tables built top-down from root mass 1: each cube's mass is
+    split among its selected children in proportion to the positive integer
+    weights parts(kids)."""
+    masses: list[dict[int, Fraction]] = [dict() for _ in
+                                         range(tree.max_depth + 1)]
+    masses[0][0] = Fraction(1)
+    for level in range(tree.max_depth):
+        below = masses[level + 1]
+        for key, m in masses[level].items():
+            kids = tree.children_keys(level, key)
+            weights = parts(kids)
+            tot = sum(weights)
+            for k, p in zip(kids, weights):
+                below[k] = m * Fraction(p, tot)
     return masses
+
+
+def ancestor_tables(leaf: dict[int, Fraction], d: int,
+                    depth: int) -> list[dict[int, Fraction]]:
+    """Per-level tables built bottom-up from the level-`depth` masses in
+    `leaf`: every ancestor cube gets the sum of its descendants' masses."""
+    masses: list[dict[int, Fraction]] = [dict() for _ in range(depth)]
+    masses.append(leaf)
+    for n in range(depth, 0, -1):
+        above = masses[n - 1]
+        for key, m in masses[n].items():
+            pk = key >> d
+            above[pk] = above.get(pk, Fraction(0)) + m
+    return masses
+
+
+def _aggregate_atoms(atom_list, d: int, depth: int) -> list[dict[int, Fraction]]:
+    leaf: dict[int, Fraction] = {}
+    for p, w in atom_list:
+        key = cube_of_point(p, depth).key
+        leaf[key] = leaf.get(key, Fraction(0)) + w
+    return ancestor_tables(leaf, d, depth)
 
 
 def anti_frostman_measure(tree: DyadicSetTree,

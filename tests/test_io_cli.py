@@ -52,6 +52,26 @@ class TestJsonRoundTrips:
             assert back.atoms == mu.atoms
             assert back.support.levels == mu.support.levels
 
+    def test_legacy_equal_split_measure_loads_with_tables(self, tmp_path):
+        # format-1 files of uniform measures carried no tables
+        for tree in (cantor_tree(6),
+                     DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 4)):
+            uni = DyadicMeasureTree.uniform_on_set(tree)
+            legacy = io.measure_to_dict(uni)
+            legacy.update(mass_rule="equal_split", masses=None)
+            old = tmp_path / "legacy.json"
+            old.write_text(json.dumps(legacy))
+            back = io.load_json(old)
+            assert back.masses == uni.masses
+            assert back.meta == {"kind": "uniform_on_set"}
+            a, b = tmp_path / "a.json", tmp_path / "b.json"
+            io.save_json(back, a)
+            saved = json.loads(a.read_text())
+            assert saved["mass_rule"] == "explicit"
+            assert saved == io.measure_to_dict(uni)
+            io.save_json(io.load_json(a), b)
+            assert a.read_bytes() == b.read_bytes()
+
     def test_plan_round_trips(self, tmp_path):
         for plan in (alternating_plan(Fraction(2, 5), Fraction(7, 10)),
                      sweep_plan(Fraction(2, 5), Fraction(7, 10))):
@@ -275,6 +295,32 @@ class TestCliEstimate:
         data["version"] = io.FORMAT_VERSION
         code, _, _ = self._estimate_box(capsys, tmp_path, data)
         assert code == 0
+
+    def test_nested_support_version_is_validation_error(self, tmp_path,
+                                                        capsys):
+        data = io.measure_to_dict(
+            DyadicMeasureTree.uniform_on_set(cantor_tree(4)))
+        data["support"]["version"] = 99
+        code, _, err = self._estimate_box(capsys, tmp_path, data)
+        assert code == 2 and "format version 99" in err
+
+    def test_bad_mass_rule_is_validation_error(self, tmp_path, capsys):
+        data = io.measure_to_dict(
+            DyadicMeasureTree.uniform_on_set(cantor_tree(4)))
+        for rule, masses in (("lazy", data["masses"]), ("lazy", None),
+                             ("explicit", None)):
+            bad = dict(data, mass_rule=rule, masses=masses)
+            code, _, err = self._estimate_box(capsys, tmp_path, bad)
+            assert code == 2 and "mass rule" in err
+
+    def test_unconserved_uniform_tables_are_validation_error(self, tmp_path,
+                                                             capsys):
+        data = io.measure_to_dict(
+            DyadicMeasureTree.uniform_on_set(cantor_tree(4)))
+        assert data["masses"][2][0] == [0, "1/2"]
+        data["masses"][2][0][1] = "1/3"
+        code, _, err = self._estimate_box(capsys, tmp_path, data)
+        assert code == 2 and "not conserved" in err
 
     def test_unavailable_is_computation_error(self, tmp_path, capsys):
         mu3 = DyadicMeasureTree.atomic([(Fraction(1, 2),) * 3], [1], 3, 4)

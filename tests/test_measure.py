@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimlab.dyadic import DyadicCode, cube_pair_geometry
 from dimlab.exact import UnsupportedModelError, ValidationError, pow2
@@ -72,12 +74,10 @@ class TestUniformMasses:
     def test_unselected_cube_has_no_mass(self):
         mu = uniform_cantor(4)
         assert mu.mass(2, 1) == 0
-
-    def test_mass_of_code(self):
-        mu = uniform_cantor(4)
-        assert mu.mass_of_code(DyadicCode(2, (3,))) == Fraction(1, 2)
-        with pytest.raises(ValidationError):
-            mu.mass_of_code(DyadicCode(1, (0, 0)))
+        assert mu.mass(2, 3) == Fraction(1, 2)
+        for level in (-1, 5):
+            with pytest.raises(ValidationError):
+                mu.mass(level, 0)
 
     def test_max_cube_mass(self):
         mu = uniform_cantor(6)
@@ -120,12 +120,68 @@ class TestExplicitMasses:
         with pytest.raises(ValidationError):
             DyadicMeasureTree.from_masses(tree, masses)
 
+    def test_random_split_pinned(self):
+        # seeded outputs of the top-down split: a change in the order of the
+        # rng draws shows up here
+        mu = DyadicMeasureTree.random_split(cantor_tree(4),
+                                            random.Random(2025))
+        assert mu.level_masses(2) == [(0, Fraction(9, 11)),
+                                      (3, Fraction(2, 11))]
+        assert mu.level_masses(4)[:3] == [(0, Fraction(81, 110)),
+                                          (3, Fraction(9, 110)),
+                                          (12, Fraction(12, 143))]
+        sier = DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 3)
+        mu2 = DyadicMeasureTree.random_split(sier, random.Random(7),
+                                             max_part=5)
+        assert [m for _, m in mu2.level_masses(1)] == [
+            Fraction(1, 3), Fraction(2, 9), Fraction(4, 9)]
+        assert mu2.mass(3, 0) == mu2.mass(3, 1) == Fraction(1, 126)
+        assert mu2.mass(3, 42) == Fraction(5, 99)
+
     def test_random_split_is_a_probability_measure(self):
         rng = random.Random(41)
         mu = DyadicMeasureTree.random_split(cantor_tree(7), rng)
         mu.validate()
         for n in range(8):
             assert sum(m for _, m in mu.level_masses(n)) == 1
+
+
+@st.composite
+def _random_trees(draw):
+    """Digit-IFS trees in 1-D and 2-D, and occupied-cube trees of point
+    sets."""
+    d = draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(1, 7 if d == 1 else 4))
+    if draw(st.booleans()):
+        group = draw(st.integers(1, 2))
+        keep = draw(st.sets(st.integers(0, (1 << (d * group)) - 1),
+                            min_size=1))
+        return DyadicSetTree.from_digit_ifs(d, group, sorted(keep), depth)
+    coord = st.builds(Fraction, st.integers(1, 1 << depth),
+                      st.just(1 << depth))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=12))
+    return DyadicSetTree.from_points(pts, d, depth)
+
+
+def equal_split_mass(tree, level, key):
+    """Mass of a selected cube under equal splitting: the product of
+    1 / (selected-children count) over its ancestors."""
+    m = Fraction(1)
+    for n in range(level):
+        m /= len(tree.children_keys(n, key >> (tree.d * (level - n))))
+    return m
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_random_trees())
+def test_uniform_tables_are_equal_split(tree):
+    mu = DyadicMeasureTree.uniform_on_set(tree)
+    mu.validate()
+    for n in range(tree.max_depth + 1):
+        assert sorted(mu.masses[n]) == tree.levels[n]
+        assert sum(mu.masses[n].values()) == 1
+        for key, m in mu.masses[n].items():
+            assert m == equal_split_mass(tree, n, key)
 
 
 class TestAtomic:
