@@ -205,9 +205,14 @@ def _cmd_construct_sweep(args) -> int:
 def _cmd_construct_ifs(args) -> int:
     base = args.base
     group = base.bit_length() - 1
-    if base != 1 << group or group < 1:
+    if group < 1 or base != 1 << group:
         raise ValidationError(f"--base must be a power of two >= 2, got {base}")
-    keep = sorted(set(int(c) for c in args.keep.split(",")))
+    try:
+        keep = sorted(set(int(c) for c in args.keep.split(",")))
+    except ValueError as exc:
+        raise ValidationError(
+            f"--keep must be comma-separated integers, got {args.keep!r}"
+        ) from exc
     tree = DyadicSetTree.from_digit_ifs(args.d, group, keep, args.depth)
     io.save_json(tree, args.out)
     print(f"wrote {args.out} (digit rule base {base} keep {keep}, "

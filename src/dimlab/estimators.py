@@ -406,7 +406,7 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
         if n == last:
             holds = min(holds, first, second)
             continue
-        for ck, cm in mu._node_children(n, key, m):
+        for ck, cm in mu._node_children(n, key):
             stack.append((n + 1, ck, cm, first, second))
     tested = [(sv, "holds-on-window" if i < holds else "fails")
               for i, sv in enumerate(svs)]

@@ -12,6 +12,7 @@ import csv
 import json
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 from .constructions import AlternatingPlan, SweepPlan
@@ -269,22 +270,27 @@ def points_from_csv(path, d: int, depth: int) -> DyadicSetTree:
     columns (floats or p/q). Coordinates snap to the depth-level dyadic
     grid. Blank lines, '#' comments and a non-numeric header row are
     skipped."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     rows: list[tuple[Fraction, ...]] = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in row if c.strip()]
-            if not cells or cells[0].startswith("#"):
-                continue
-            try:
-                vals = [_parse_coord(c) for c in cells]
-            except ValidationError:
-                if lineno == 1:
-                    continue  # header
-                raise
-            if len(vals) != d:
-                raise ValidationError(
-                    f"line {lineno}: expected {d} columns, got {len(vals)}")
-            rows.append(tuple(snap_to_dyadic(v, depth) for v in vals))
+    reader = csv.reader(StringIO(text, newline=""))
+    for lineno, row in enumerate(reader, start=1):
+        cells = [c.strip() for c in row if c.strip()]
+        if not cells or cells[0].startswith("#"):
+            continue
+        try:
+            vals = [_parse_coord(c) for c in cells]
+        except ValidationError:
+            if lineno == 1:
+                continue  # header
+            raise
+        if len(vals) != d:
+            raise ValidationError(
+                f"line {lineno}: expected {d} columns, got {len(vals)}")
+        rows.append(tuple(snap_to_dyadic(v, depth) for v in vals))
     if not rows:
         raise ValidationError("no points in CSV")
     return DyadicSetTree.from_points(rows, d, depth)

@@ -13,12 +13,15 @@ leaf cube, "atoms" concentrates it on an explicit finite point list.
 
 Ball quantities that a finite tree cannot pin down exactly are returned as
 two-sided brackets; dyadic quantities (cube masses, correlation sums over
-cube pairs) are exact rationals.
+cube pairs) are exact rationals. The pair walker behind the ball-correlation
+and energy brackets works on integer numerators derived from the tables,
+over one common denominator per level, and builds no Fraction per pair.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -211,75 +214,113 @@ class DyadicMeasureTree:
             cap += 1
         cap += max(0, extra_depth)
 
-        lower = Fraction(0)
-        upper = Fraction(0)
+        nums, den2 = self._pair_scale(cap)
+        lower = [0] * (cap + 1)
+        upper = [0] * (cap + 1)
 
         def refine(level, gaps, reach, w):
-            nonlocal lower, upper
             shift = 2 * level
             # reach * 4^-level <= r^2 ?
             if reach * r2d <= r2n << shift:
-                lower += w
-                upper += w
+                lower[level] += w
+                upper[level] += w
                 return False
             # gaps * 4^-level > r^2 ?
             if gaps * r2d > r2n << shift:
                 return False
             if level >= cap:
-                upper += w
+                upper[level] += w
                 return False
             return True
 
-        self._walk_pairs(refine)
-        return CorrelationBracket(lower, upper, rf, cap)
+        self._walk_pairs(refine, nums)
+        return CorrelationBracket(_level_sum(lower, den2),
+                                  _level_sum(upper, den2), rf, cap)
 
-    def _walk_pairs(self, refine) -> None:
+    def _pair_scale(self, deepest: int) -> tuple[list[dict[int, int]],
+                                                 list[int]]:
+        """Integer form of the masses for a pair walk down to level `deepest`.
+
+        D_n is the lcm of the level-n mass denominators for n <= max_depth,
+        and D_{n+1} = D_n << d below the leaves, where a virtual child keeps
+        its parent's numerator (a uniform split of the leaf mass). Returns
+        the numerators N_n[key] = mass(n, key) * D_n for n <= min(deepest,
+        max_depth) and den2[n] = D_n^2 for n <= deepest.
+        """
+        nums: list[dict[int, int]] = []
+        den2: list[int] = []
+        for n in range(deepest + 1):
+            if n <= self.max_depth:
+                tbl = self.masses[n]
+                den = math.lcm(*(m.denominator for m in tbl.values()))
+                nums.append({k: m.numerator * (den // m.denominator)
+                             for k, m in tbl.items()})
+            else:
+                den <<= self.d
+            den2.append(den * den)
+        return nums, den2
+
+    def _walk_pairs(self, refine, nums: list[dict[int, int]]) -> None:
         """Dual-tree traversal over canonical cube pairs (key_a <= key_b at
         a common level), starting from the root pair.
 
         Calls refine(level, gaps, reach, w) once per visited pair: gaps and
         reach are the integer squared min and max closure distances in units
         of the cube side (min_dist^2 = gaps * 4^-level, likewise reach), w
-        is the pair's mass product, doubled off the diagonal so that the
-        canonical pair stands for both orders. refine adds the pair to its
-        own sums and returns True to descend into the pair's child pairs.
+        is the int N_a * N_b of the pair's mass numerators from `nums` (see
+        _pair_scale), doubled off the diagonal so that the canonical pair
+        stands for both orders; it stands for the mass product
+        w / den2[level]. refine adds the pair to its own sums and returns
+        True to descend into the pair's child pairs, which it must not do at
+        or below the deepest level that den2 covers. Cube coordinates are
+        computed once per cube and walk.
         """
         dd = self.d
-        stack = [(0, 0, 0, Fraction(1), Fraction(1))]
+        top = self.max_depth
+        children_keys = self.support.children_keys
+        fan = range(1 << dd)
+        coords = defaultdict(dict)  # level -> key -> axis indices
+        stack = [(0, 0, 0, nums[0][0], nums[0][0])]
         while stack:
-            level, ka, kb, ma, mb = stack.pop()
+            level, ka, kb, na, nb = stack.pop()
             if ka == kb:
-                w = ma * mb
+                w = na * nb
                 gaps, reach = 0, dd
             else:
-                w = 2 * ma * mb
+                w = (na * nb) << 1
                 if dd == 1:
                     delta = kb - ka if kb > ka else ka - kb
                     gaps = (delta - 1) * (delta - 1)
                     reach = (delta + 1) * (delta + 1)
                 else:
-                    gaps, reach = same_level_axis_bounds(
-                        dd, deinterleave(ka, level, dd),
-                        deinterleave(kb, level, dd))
+                    memo = coords[level]
+                    ja = memo.get(ka)
+                    if ja is None:
+                        ja = memo[ka] = deinterleave(ka, level, dd)
+                    jb = memo.get(kb)
+                    if jb is None:
+                        jb = memo[kb] = deinterleave(kb, level, dd)
+                    gaps, reach = same_level_axis_bounds(dd, ja, jb)
             if not refine(level, gaps, reach, w):
                 continue
-            ca = self._node_children(level, ka, ma)
-            cb = ca if ka == kb else self._node_children(level, kb, mb)
-            for ia, (cka, cma) in enumerate(ca):
+            if level < top:
+                tbl = nums[level + 1]
+                ca = [(k, tbl[k]) for k in children_keys(level, ka)]
+                cb = ca if ka == kb else [(k, tbl[k])
+                                          for k in children_keys(level, kb)]
+            else:
+                ca = [((ka << dd) + t, na) for t in fan]
+                cb = ca if ka == kb else [((kb << dd) + t, nb) for t in fan]
+            for ia, (cka, cna) in enumerate(ca):
                 start = ia if ka == kb else 0
-                for ckb, cmb in cb[start:]:
-                    stack.append((level + 1, cka, ckb, cma, cmb))
+                for ckb, cnb in cb[start:]:
+                    stack.append((level + 1, cka, ckb, cna, cnb))
 
-    def _node_children(self, level: int, key: int,
-                       mass: Fraction) -> list[tuple[int, Fraction]]:
-        if level < self.max_depth:
-            tbl = self.masses[level + 1]
-            kids = self.support.children_keys(level, key)
-            return [(k, tbl[k]) for k in kids]
-        # virtual uniform refinement below the leaves
-        share = mass / (1 << self.d)
-        base = key << self.d
-        return [(base + t, share) for t in range(1 << self.d)]
+    def _node_children(self, level: int,
+                       key: int) -> list[tuple[int, Fraction]]:
+        """(key, mass) of the selected children of a cube above the leaves."""
+        tbl = self.masses[level + 1]
+        return [(k, tbl[k]) for k in self.support.children_keys(level, key)]
 
     # -- ball masses -----------------------------------------------------------
 
@@ -389,12 +430,13 @@ class DyadicMeasureTree:
         cap = self.max_depth + max(0, refine_depth)
         vd = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
         sigma = d * vd
+        nums, den2 = self._pair_scale(cap)
         lower = 0.0
         upper = 0.0
 
         def refine(level, gaps, reach, w):
             nonlocal lower, upper
-            w = float(w)
+            w = w / den2[level]  # correctly rounded, as float(Fraction) is
             side = 2.0 ** (-level)
             min_dist = math.sqrt(gaps) * side
             max_dist = math.sqrt(reach) * side
@@ -416,7 +458,7 @@ class DyadicMeasureTree:
                 return False
             return True
 
-        self._walk_pairs(refine)
+        self._walk_pairs(refine, nums)
         return EnergyBracket(lower, upper, s, False,
                              {"method": "dualtree", "cap_level": cap})
 
@@ -451,6 +493,11 @@ class DyadicMeasureTree:
             agg = _aggregate_atoms(self.atoms, self.d, self.max_depth)
             if agg[self.max_depth] != self.masses[self.max_depth]:
                 raise ValidationError("atoms inconsistent with leaf masses")
+
+
+def _level_sum(nums: list[int], den2: list[int]) -> Fraction:
+    """Exact sum of nums[n] / den2[n] over the levels n."""
+    return sum((Fraction(x, q) for x, q in zip(nums, den2)), Fraction(0))
 
 
 def _split_masses(tree: DyadicSetTree, parts) -> list[dict[int, Fraction]]:

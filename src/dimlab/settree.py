@@ -275,14 +275,6 @@ class DyadicSetTree:
             f"level {n} beyond materialized depth {self.max_depth} "
             "and no symbolic counts cover it")
 
-    def selected(self, level: int, key: int) -> bool:
-        if not (0 <= level <= self.max_depth):
-            return False
-        return _contains(self.levels[level], key)
-
-    def selected_code(self, code: DyadicCode) -> bool:
-        return code.d == self.d and self.selected(code.level, code.key)
-
     def children_keys(self, level: int, key: int) -> list[int]:
         if level >= self.max_depth:
             return []

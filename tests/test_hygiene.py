@@ -1,10 +1,14 @@
-"""Source hygiene: every name a dimlab module imports is used there.
+"""Source hygiene: every name a dimlab module imports is used there, and
+every function or class it defines is used somewhere.
 
-A stdlib-`ast` stand-in for a linter's unused-import rule. `__init__.py`
-is skipped, since its imports are the package's re-exports.
+Stdlib-`ast` stand-ins for a linter's unused-import and dead-code rules.
+The import check skips `__init__.py`, since its imports are the package's
+re-exports.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -53,3 +57,51 @@ def test_no_unused_imports(path):
                     for name, line in imported_names(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports but never uses: {unused}"
+
+
+ROOT = SRC.parent.parent
+SEARCHED = sorted(p for top in ("src", "tests", "perfbench")
+                  for p in (ROOT / top).rglob("*.py"))
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def used_identifiers(tree: ast.AST) -> Counter:
+    """How often each identifier is loaded, imported, read as an attribute
+    or named in a string that is not a docstring (string annotations, the
+    benchmark tracer's target table, `__all__`)."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr)
+                  and isinstance(node.value, ast.Constant)}
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used[node.name.split(".")[-1]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            used.update(IDENTIFIER.findall(node.value))
+    return used
+
+
+def test_no_dead_definitions():
+    """Every function, method and class defined in src/dimlab is named
+    somewhere in src, tests or perfbench outside its own definition."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in SEARCHED}
+    used = Counter()
+    for tree in trees.values():
+        used.update(used_identifiers(tree))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if used[name] - used_identifiers(node)[name] <= 0:
+                dead.append(f"{path.name}:{node.lineno} {name}")
+    assert not dead, f"defined but never used: {dead}"

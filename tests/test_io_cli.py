@@ -236,6 +236,25 @@ class TestCliConstruct:
                                 "--out", str(tmp_path / "p.json"))
         assert code == 0 and "3 occupied" in text
 
+    def test_ifs_rejects_zero_base(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "construct", "ifs", "--base", "0",
+                               "--keep", "0", "--depth", "4",
+                               "--out", str(tmp_path / "x.json"))
+        assert code == 2 and "power of two" in err
+
+    def test_ifs_rejects_non_integer_keep(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "construct", "ifs", "--base", "4",
+                               "--keep", "x,1", "--depth", "4",
+                               "--out", str(tmp_path / "x.json"))
+        assert code == 2 and "--keep" in err
+
+    def test_points_missing_csv_is_validation_error(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "construct", "points",
+                               "--csv", str(tmp_path / "missing.csv"),
+                               "--snap-depth", "3",
+                               "--out", str(tmp_path / "p.json"))
+        assert code == 2 and "cannot read" in err
+
 
 class TestCliEstimate:
     def test_corr_and_frostman(self, cantor_file, capsys):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimlab.dyadic import DyadicCode, cube_pair_geometry
@@ -13,6 +13,7 @@ from dimlab.exact import UnsupportedModelError, ValidationError, pow2
 from dimlab.measure import (
     CorrelationBracket,
     DyadicMeasureTree,
+    ancestor_tables,
     anti_frostman_check,
     anti_frostman_measure,
 )
@@ -316,6 +317,55 @@ class TestBallCorrelationBracket:
             CorrelationBracket(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), 3)
 
 
+# leaf denominators for the prime-table measures: distinct primes above the
+# largest leaf count drawn (9), so that the leaves but one have masses
+# summing below 1 and the last one takes the rest
+LEAF_PRIMES = [17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+               79, 83, 89, 97]
+
+
+@st.composite
+def _walker_cases(draw):
+    """(measure, radius, extra_depth) on small digit-IFS trees in 1-D and
+    2-D: uniform, random-split, and prime-denominator leaf tables."""
+    d = draw(st.sampled_from([1, 2]))
+    group = draw(st.integers(1, 2))
+    depth = draw(st.integers(1, 3 if d == 1 else 2))
+    keep = draw(st.sets(st.integers(0, (1 << (d * group)) - 1),
+                        min_size=1, max_size=3))
+    tree = DyadicSetTree.from_digit_ifs(d, group, sorted(keep), depth)
+    leaves = tree.levels[depth]
+    kind = draw(st.sampled_from(["uniform", "random_split", "primes"]))
+    if kind == "uniform":
+        mu = DyadicMeasureTree.uniform_on_set(tree)
+    elif kind == "random_split":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        mu = DyadicMeasureTree.random_split(tree, rng,
+                                            draw(st.integers(1, 97)))
+    else:
+        primes = draw(st.permutations(LEAF_PRIMES))
+        leaf = {k: Fraction(1, p) for k, p in zip(leaves[:-1], primes)}
+        leaf[leaves[-1]] = 1 - sum(leaf.values(), Fraction(0))
+        mu = DyadicMeasureTree.from_masses(
+            tree, ancestor_tables(leaf, d, depth))
+    q = draw(st.integers(1, 12))
+    r = Fraction(draw(st.integers(max(1, q // (8 // d)), q)), q)
+    return mu, r, draw(st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_walker_cases())
+def test_integer_walker_matches_brute_force(case):
+    # the walker sums integer numerators over one denominator per level;
+    # the oracle sums Fraction mass products over every ordered cube pair
+    mu, r, extra = case
+    b = mu.ball_correlation_bracket(r, extra_depth=extra)
+    top = min(b.cap_level, mu.max_depth)
+    cubes = len(mu.masses[top]) << (mu.d * (b.cap_level - top))
+    assume(cubes <= 32)  # the oracle is quadratic in the cap-level cubes
+    assert (b.lower, b.upper) == brute_force_ball_bracket(mu, r, b.cap_level)
+
+
 class TestCoverMass:
     def test_uniform_hand_value(self):
         mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 3))
@@ -387,6 +437,30 @@ class TestEnergy:
         want = 4 / 3 * (1 - math.sqrt(2)) + 4 * math.log(1 + math.sqrt(2))
         one = mu.energy_bracket(1, refine_depth=3)
         assert one.lower <= want <= one.upper
+
+    @pytest.mark.parametrize("case, want", [
+        ("square", ("0x1.665ad2c59416fp+0", "0x1.d7e22785dbb59p+1")),
+        ("sierpinski_random", ("0x1.751f8ad618265p+1",
+                               "0x1.ef2b0edb3d72cp+4")),
+        ("cube_digits", ("0x1.209bec63e3d33p+0", "0x1.81f3814000ae3p+6")),
+    ])
+    def test_dualtree_bits_pinned(self, case, want):
+        # float.hex of the dual-tree brackets: the walk's visiting order and
+        # the rounding of each pair weight are part of the output
+        if case == "square":
+            mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, 1))
+            s, depth = Fraction(1, 2), 3
+        elif case == "sierpinski_random":
+            mu = DyadicMeasureTree.random_split(
+                DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 3),
+                random.Random(7))
+            s, depth = Fraction(1), 1
+        else:
+            mu = DyadicMeasureTree.uniform_on_set(
+                DyadicSetTree.from_digit_ifs(3, 1, [0, 3, 5, 6], 1))
+            s, depth = Fraction(3, 2), 1
+        b = mu.energy_bracket(s, refine_depth=depth)
+        assert (b.lower.hex(), b.upper.hex()) == want
 
     def test_cantor_energy_finite_below_half(self):
         # the middle-half Cantor set carries a measure of dimension 1/2,

@@ -145,13 +145,6 @@ class TestValidate:
 
 
 class TestQueries:
-    def test_selected(self):
-        t = cantor_tree(6)
-        assert t.selected(2, 0)
-        assert t.selected(2, 3)
-        assert not t.selected(2, 1)
-        assert not t.selected(7, 0)  # past depth
-
     def test_children_keys(self):
         t = cantor_tree(6)
         assert t.children_keys(1, 0) == [0]
