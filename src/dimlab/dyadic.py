@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import sqrt
 
 from .exact import ValidationError, dyadic_index, pow2, to_fraction
 
@@ -134,18 +133,6 @@ class CubePairGeometry:
 
     min_dist_sq: Fraction
     max_dist_sq: Fraction
-
-    @property
-    def min_dist(self) -> float:
-        return sqrt(self.min_dist_sq)
-
-    @property
-    def max_dist(self) -> float:
-        return sqrt(self.max_dist_sq)
-
-    @property
-    def intersects(self) -> bool:
-        return self.min_dist_sq == 0
 
 
 def cube_pair_geometry(a: DyadicCode, b: DyadicCode) -> CubePairGeometry:

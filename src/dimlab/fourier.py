@@ -10,6 +10,11 @@ bounded by the support diameter, so a node spacing of pi/(8 sqrt(d)) already
 oversamples the fastest oscillation; Richardson halving then drives the
 composite-trapezoid error below the requested tolerance, and running out of
 refinement budget raises a flag instead of failing silently.
+
+Each integral builds the measure's leaf decomposition (`_terms`) once. One
+radial evaluator returns, at every node, both the integrand and the raw
+shell mean of |mu_hat|^2, so the energy's decay fit reads its shell means
+off the converged nodes instead of evaluating them again.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dyadic import deinterleave
 from .estimators import SlopeTriple, slope_fit
 from .exact import UnavailableError, ValidationError, to_fraction
 from .measure import DyadicMeasureTree
@@ -56,8 +62,6 @@ def _terms(mu: DyadicMeasureTree):
     n = mu.max_depth
     side = 2.0 ** -n
     rows = mu.level_masses(n)
-    from .dyadic import deinterleave
-
     centers = np.empty((len(rows), d), dtype=float)
     w = np.empty(len(rows), dtype=float)
     for i, (key, m) in enumerate(rows):
@@ -92,10 +96,10 @@ def mu_hat(mu: DyadicMeasureTree, z) -> complex:
     return complex(_mu_hat_block(zv.reshape(1, -1), centers, w, side)[0])
 
 
-def _mu_hat_sq_many(mu: DyadicMeasureTree, Z: np.ndarray) -> np.ndarray:
-    """|mu_hat|^2 on an (M, d) array of frequencies, block-wise to bound
-    the (M x leaves) working set."""
-    centers, w, side = _terms(mu)
+def _mu_hat_sq_many(terms, Z: np.ndarray) -> np.ndarray:
+    """|mu_hat|^2 on an (M, d) array of frequencies, given the measure's
+    `_terms`, block-wise to bound the (M x leaves) working set."""
+    centers, w, side = terms
     leaves = max(1, len(w))
     block = max(256, (1 << 22) // leaves)
     out = np.empty(len(Z), dtype=float)
@@ -138,53 +142,51 @@ def _node_spacing(d: int) -> float:
 
 
 class _RadialIntegrand:
-    """Radial profile g with I(R) = integral_0^R g, for d = 1 and d = 2."""
+    """Radial profile g with I(R) = integral_0^R g, for d = 1 and d = 2.
+
+    A call at radii rhos returns g(rhos) and, at the same nodes, the shell
+    means of the unweighted |mu_hat|^2 (d = 2: the ring mean; d = 1: the
+    value on the half-line, by symmetry)."""
 
     def __init__(self, mu: DyadicMeasureTree, weight_exp: float = 0.0,
                  angular_nodes: int = 64):
-        self.mu = mu
+        self.terms = _terms(mu)
         self.d = mu.d
         self.weight_exp = weight_exp  # extra |z|^weight_exp factor
         if self.d == 2:
             thetas = np.linspace(0.0, _TWO_PI, angular_nodes, endpoint=False)
             self.dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
-    def __call__(self, rhos: np.ndarray) -> np.ndarray:
+    def __call__(self, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.d == 1:
-            vals = 2.0 * _mu_hat_sq_many(self.mu, rhos.reshape(-1, 1))
+            shell = _mu_hat_sq_many(self.terms, rhos.reshape(-1, 1))
+            vals = 2.0 * shell
         else:
+            shell = np.empty(len(rhos))
             vals = np.empty(len(rhos))
             for i, rho in enumerate(rhos):
-                ring = _mu_hat_sq_many(self.mu, rho * self.dirs)
-                vals[i] = rho * ring.mean() * _TWO_PI
+                shell[i] = _mu_hat_sq_many(self.terms, rho * self.dirs).mean()
+                vals[i] = rho * shell[i] * _TWO_PI
         if self.weight_exp != 0.0:
             vals = vals * rhos ** self.weight_exp
-        return vals
-
-    def mean_sq_average(self, lo: float, hi: float, pieces: int) -> float:
-        """Average of |mu_hat|^2 over the shell lo <= |z| <= hi (d=1: over
-        [lo, hi] on the half-line, by symmetry)."""
-        xs = np.linspace(lo, hi, pieces + 1)
-        if self.d == 1:
-            raw = _mu_hat_sq_many(self.mu, xs.reshape(-1, 1))
-        else:
-            raw = np.array([_mu_hat_sq_many(self.mu, x * self.dirs).mean()
-                            for x in xs])
-        return float(raw.mean())
+        return vals, shell
 
 
 def _refine_segments(g, bounds: list[float], h_start: float,
                      rel_tol: float, max_halvings: int):
     """Composite trapezoid per segment with Richardson halving until each
-    segment's error estimate fits its share of the total budget."""
+    segment's error estimate fits its share of the total budget. Each
+    segment keeps raw_mean, the mean of g's shell values at its final
+    nodes."""
     segments = []
     for lo, hi in zip(bounds, bounds[1:]):
         if hi <= lo:
             continue
         pieces = max(8, math.ceil((hi - lo) / h_start))
-        xs = np.linspace(lo, hi, pieces + 1)
-        v = _trapezoid(g(xs), (hi - lo) / pieces)
-        segments.append({"lo": lo, "hi": hi, "pieces": pieces, "value": v})
+        ys, shell = g(np.linspace(lo, hi, pieces + 1))
+        segments.append({"lo": lo, "hi": hi, "pieces": pieces,
+                         "value": _trapezoid(ys, (hi - lo) / pieces),
+                         "raw_mean": float(shell.mean())})
     total0 = sum(abs(s["value"]) for s in segments) or 1e-30
     budget = rel_tol * total0 / max(1, len(segments))
 
@@ -195,8 +197,10 @@ def _refine_segments(g, bounds: list[float], h_start: float,
         err = math.inf
         for _ in range(max_halvings):
             seg["pieces"] *= 2
-            xs = np.linspace(seg["lo"], seg["hi"], seg["pieces"] + 1)
-            v2 = _trapezoid(g(xs), (seg["hi"] - seg["lo"]) / seg["pieces"])
+            ys, shell = g(np.linspace(seg["lo"], seg["hi"],
+                                      seg["pieces"] + 1))
+            v2 = _trapezoid(ys, (seg["hi"] - seg["lo"]) / seg["pieces"])
+            seg["raw_mean"] = float(shell.mean())
             err = abs(v2 - v) / 3.0
             v = v2
             halvings += 1
@@ -438,13 +442,10 @@ def fourier_energy(mu: DyadicMeasureTree, s, r_max: float = 4096.0,
     octaves.append(r_max)
 
     g = _RadialIntegrand(mu, weight_exp=sf - d)
+    # each segment's raw_mean, the shell average of |mu_hat|^2 on its
+    # converged nodes, feeds the high-frequency decay fit
     segments, degraded, _ = _refine_segments(g, octaves, _node_spacing(d),
                                              rel_tol, max_halvings=12)
-    # shell averages of the raw |mu_hat|^2, on the converged node counts,
-    # for the high-frequency decay fit
-    for seg in segments:
-        seg["raw_mean"] = g.mean_sq_average(seg["lo"], seg["hi"],
-                                            seg["pieces"])
 
     truncations = []
     acc = head
@@ -504,7 +505,7 @@ def near_zero_report(mu: DyadicMeasureTree, samples: int = 129) -> dict:
         radii = radius * rng.random(samples) ** (1.0 / d)
         Z = raw * radii[:, None]
         Z[0] = 0.0
-    vals = np.sqrt(_mu_hat_sq_many(mu, Z))
+    vals = np.sqrt(_mu_hat_sq_many(_terms(mu), Z))
     worst = int(np.argmin(vals))
     return {"radius": radius, "min_abs": float(vals[worst]),
             "argmin": [float(c) for c in Z[worst]],

@@ -129,10 +129,6 @@ class SegmentCounts(SymbolicCounts):
     def covers(self, n: int) -> bool:
         return self.segments[0].lo <= n <= self.segments[-1].hi
 
-    @property
-    def max_level(self) -> int:
-        return self.segments[-1].hi
-
     def to_dict(self) -> dict:
         return {"kind": self.kind,
                 "segments": [{"lo": s.lo, "hi": s.hi, "base": s.base,

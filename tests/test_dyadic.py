@@ -120,15 +120,13 @@ class TestCubePairGeometry:
         g = cube_pair_geometry(c, c)
         assert g.min_dist_sq == 0
         assert g.max_dist_sq == 2 * Fraction(1, 16)
-        assert g.intersects
 
     def test_adjacent_intervals_touch(self):
         a = DyadicCode(1, (0,))
         b = DyadicCode(1, (1,))
         g = cube_pair_geometry(a, b)
-        assert g.min_dist_sq == 0
+        assert g.min_dist_sq == 0  # closures touch at 1/2
         assert g.max_dist_sq == 1
-        assert g.intersects  # closures touch at 1/2
 
     def test_separated_intervals(self):
         a = DyadicCode(2, (0,))
@@ -136,7 +134,6 @@ class TestCubePairGeometry:
         g = cube_pair_geometry(a, b)
         assert g.min_dist_sq == Fraction(4, 16)
         assert g.max_dist_sq == 1
-        assert not g.intersects
 
     def test_diagonal_neighbours_in_2d(self):
         a = DyadicCode(1, (0, 0))

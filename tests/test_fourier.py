@@ -1,13 +1,14 @@
 """Tests for the frequency-side pipeline: transform values, mean-square
-integrals against a special-function oracle, decay-slope dimension reads,
+integrals against special-function oracles, decay-slope dimension reads,
 the correlation sandwich, and weighted energy."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import sici
+from scipy.special import j1, sici
 
 from dimlab.exact import UnavailableError, ValidationError, pow2
 from dimlab.fourier import (
@@ -38,6 +39,23 @@ def interval_I(R):
     # closed form for the centered unit interval:
     # I(R) = 4 Si(R) - 8 sin^2(R/2) / R
     return 4.0 * sici(R)[0] - 8.0 * math.sin(R / 2.0) ** 2 / R
+
+
+def atoms_I(points, weights, R):
+    """I(R) of sum_j w_j delta_{c_j}: the sum over atom pairs of w_j w_k
+    times the integral of exp(i z.(c_j - c_k)) over |z| <= R, which is
+    2 sin(R D)/D in d = 1 and 2 pi R J1(R D)/D in d = 2, with D = |c_j - c_k|
+    (2R and pi R^2 on the diagonal)."""
+    total = 0.0
+    for (p, a), (q, b) in itertools.product(zip(points, weights), repeat=2):
+        dist = math.dist([float(x) for x in p], [float(x) for x in q])
+        if len(p) == 1:
+            kernel = 2.0 * R if dist == 0 else 2.0 * math.sin(R * dist) / dist
+        else:
+            kernel = (math.pi * R * R if dist == 0 else
+                      2.0 * math.pi * R * j1(R * dist) / dist)
+        total += float(a) * float(b) * kernel
+    return total
 
 
 class TestTransform:
@@ -95,6 +113,28 @@ class TestMeanSquare:
         got = mean_square(mu, 5.0)
         assert got["value"] == pytest.approx(10.0, abs=1e-9)
         assert got["err"] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("points, weights, Rs", [
+        ([(Fraction(1, 3),), (Fraction(3, 4),), (Fraction(1, 8),)],
+         [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)],
+         [1.0, 4.0, 16.0, 64.0, 256.0]),
+        ([(Fraction(1, 3), Fraction(1, 5)), (Fraction(3, 4), Fraction(1, 2)),
+          (Fraction(1, 8), Fraction(7, 8))],
+         [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
+         [1.0, 4.0, 16.0, 32.0]),
+    ], ids=["d1", "d2"])
+    def test_atoms_against_closed_form(self, points, weights, Rs):
+        mu = DyadicMeasureTree.atomic(points, weights, len(points[0]), 6)
+        curve = mean_square_curve(mu, Rs)
+        for got in curve.samples:
+            assert got["value"] == pytest.approx(
+                atoms_I(points, weights, got["R"]),
+                abs=max(3 * got["err"], 1e-9))
+
+    def test_no_halvings_is_degraded(self):
+        curve = mean_square_curve(uniform_interval(4), [4.0], max_halvings=0)
+        assert curve.degraded
+        assert curve.samples[0]["err"] == math.inf
 
     def test_curve_is_increasing_and_samples_pin_endpoints(self):
         mu = uniform_interval(6)
@@ -239,3 +279,38 @@ class TestNearZero:
         rep = near_zero_report(mu)
         assert rep["ok"]
         assert rep["radius"] == pytest.approx(0.5)
+
+
+def test_radial_bits_pinned():
+    # float.hex of the energy outputs as computed before the radial
+    # evaluator began returning shell means with the integrand; evaluating
+    # each node once keeps every float operation in the same order. err
+    # is the Richardson difference, so it is what shows a reordered
+    # product in the integrand.
+    cases = [
+        (DyadicSetTree.full(2, 2), Fraction(1, 2), {"r_max": 64},
+         "0x1.4d53c75e0c481p+4", "0x1.97a52ae153a0ep-2",
+         "0x1.86c9e1f7bb232p+1",
+         ["0x1.ff9c099581e0bp-1", "0x1.fe70993c16a11p-1",
+          "0x1.f9c98cc419008p-1", "0x1.e797116d8cdedp-1",
+          "0x1.a506bde591ff1p-1", "0x1.d35d4ddf176f0p-2",
+          "0x1.9d174f4d32ef2p-5", "0x1.dbd25db746279p-8",
+          "0x1.85297f438f853p-11", "0x1.86c7ad1946bacp-14"]),
+        (cantor_tree(6), Fraction(1, 3), {},
+         "0x1.4d1a7f80f55b1p+3", "0x1.3689eed494500p-3",
+         "0x1.029495ee3ae2ap+1",
+         ["0x1.ff4c1ec73db68p-1", "0x1.fd31b01b28f73p-1",
+          "0x1.f4d9fb94a6177p-1", "0x1.d496806721713p-1",
+          "0x1.6408f7193c2b3p-1", "0x1.9fdf145d83e12p-3",
+          "0x1.0fad1078e4345p-2", "0x1.03c59e12b553dp-3",
+          "0x1.d68634d82582bp-4", "0x1.2fa92d6c50441p-4",
+          "0x1.31f8aee77b1aep-4", "0x1.f45c65cd7f93ep-5",
+          "0x1.fbe6f2efb6eb6p-8", "0x1.42eb6657c7dc6p-9",
+          "0x1.07e4391929831p-11", "0x1.0343e856d9149p-13"]),
+    ]
+    for tree, s, kw, value, err, gamma, means in cases:
+        rep = fourier_energy(DyadicMeasureTree.uniform_on_set(tree), s, **kw)
+        assert rep.value.hex() == value
+        assert rep.err.hex() == err
+        assert rep.decay_exponent.hex() == gamma
+        assert [m.hex() for m in rep.meta["octave_means"]] == means

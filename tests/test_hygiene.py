@@ -65,20 +65,21 @@ SEARCHED = sorted(p for top in ("src", "tests", "perfbench")
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
-def used_identifiers(tree: ast.AST) -> Counter:
-    """How often each identifier is loaded, imported, read as an attribute
-    or named in a string that is not a docstring (string annotations, the
-    benchmark tracer's target table, `__all__`)."""
+def used_identifiers(tree: ast.AST, attributes_only: bool = False) -> Counter:
+    """How often each identifier is read as an attribute or named in a
+    string that is not a docstring (string annotations, the benchmark
+    tracer's target table, `__all__`), and, unless attributes_only, loaded
+    as a bare name or imported."""
     docstrings = {id(node.value) for node in ast.walk(tree)
                   if isinstance(node, ast.Expr)
                   and isinstance(node.value, ast.Constant)}
     used = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes_only:
             used[node.id] += 1
         elif isinstance(node, ast.Attribute):
             used[node.attr] += 1
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and not attributes_only:
             used[node.name.split(".")[-1]] += 1
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings):
@@ -88,20 +89,29 @@ def used_identifiers(tree: ast.AST) -> Counter:
 
 def test_no_dead_definitions():
     """Every function, method and class defined in src/dimlab is named
-    somewhere in src, tests or perfbench outside its own definition."""
+    somewhere in src, tests or perfbench outside its own definition. A
+    method or property counts as used only when it is read as an attribute
+    or named in a string: a bare name of the same spelling is some other
+    variable."""
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in SEARCHED}
-    used = Counter()
+    used = {False: Counter(), True: Counter()}
     for tree in trees.values():
-        used.update(used_identifiers(tree))
+        for attributes_only, counts in used.items():
+            counts.update(used_identifiers(tree, attributes_only))
     dead = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(trees[path]):
+        tree = trees[path]
+        members = {id(item) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if used[name] - used_identifiers(node)[name] <= 0:
+            member = id(node) in members
+            if (used[member][name]
+                    - used_identifiers(node, member)[name] <= 0):
                 dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, f"defined but never used: {dead}"

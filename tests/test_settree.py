@@ -243,7 +243,6 @@ class TestSymbolicCounts:
         assert segs.count(0) == 1
         assert segs.count(4) == 16
         assert segs.count(5) == 16 + 15
-        assert segs.max_level == 9
         assert segs.covers(9)
         assert not segs.covers(10)
 
