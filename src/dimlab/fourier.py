@@ -9,12 +9,18 @@ support ball around 0. After centering, every pair frequency |c_j - c_k| is
 bounded by the support diameter, so a node spacing of pi/(8 sqrt(d)) already
 oversamples the fastest oscillation; Richardson halving then drives the
 composite-trapezoid error below the requested tolerance, and running out of
-refinement budget raises a flag instead of failing silently.
+refinement budget raises a flag instead of failing silently. The halvings are
+nested: going from P to 2P pieces evaluates only the P new midpoints and
+reuses the old sum (Romberg's reuse), so every quadrature node is evaluated
+once.
 
 Each integral builds the measure's leaf decomposition (`_terms`) once. One
 radial evaluator returns, at every node, both the integrand and the raw
 shell mean of |mu_hat|^2, so the energy's decay fit reads its shell means
-off the converged nodes instead of evaluating them again.
+off the converged nodes instead of evaluating them again. Every measure here
+is real, so |mu_hat(-z)| = |mu_hat(z)|: a 2-D ring mean over equispaced
+directions equals the mean over the half of them in [0, pi), and only that
+half is evaluated.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ from .measure import DyadicMeasureTree
 from .settree import DyadicSetTree
 
 _TWO_PI = 2.0 * math.pi
+# 2-D ring directions in [0, pi); by conjugate symmetry their mean is the
+# mean over the 64 equispaced directions of the full circle
+_HALF_RING = 32
 
 
 def unit_ball_volume(d: int) -> float:
@@ -148,13 +157,12 @@ class _RadialIntegrand:
     means of the unweighted |mu_hat|^2 (d = 2: the ring mean; d = 1: the
     value on the half-line, by symmetry)."""
 
-    def __init__(self, mu: DyadicMeasureTree, weight_exp: float = 0.0,
-                 angular_nodes: int = 64):
+    def __init__(self, mu: DyadicMeasureTree, weight_exp: float = 0.0):
         self.terms = _terms(mu)
         self.d = mu.d
         self.weight_exp = weight_exp  # extra |z|^weight_exp factor
         if self.d == 2:
-            thetas = np.linspace(0.0, _TWO_PI, angular_nodes, endpoint=False)
+            thetas = np.linspace(0.0, math.pi, _HALF_RING, endpoint=False)
             self.dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
     def __call__(self, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,9 +183,13 @@ class _RadialIntegrand:
 def _refine_segments(g, bounds: list[float], h_start: float,
                      rel_tol: float, max_halvings: int):
     """Composite trapezoid per segment with Richardson halving until each
-    segment's error estimate fits its share of the total budget. Each
-    segment keeps raw_mean, the mean of g's shell values at its final
-    nodes."""
+    segment's error estimate fits its share of the total budget.
+
+    Halvings are nested: from P to 2P pieces of width h, g is evaluated
+    only at the P new midpoints, and T(h/2) = T(h)/2 + (h/2) * sum g(mid).
+    Each segment keeps a running sum of g's shell values over the nodes
+    evaluated, and ends with raw_mean, that sum over pieces + 1: the mean
+    of the shell values at its final nodes."""
     segments = []
     for lo, hi in zip(bounds, bounds[1:]):
         if hi <= lo:
@@ -186,7 +198,7 @@ def _refine_segments(g, bounds: list[float], h_start: float,
         ys, shell = g(np.linspace(lo, hi, pieces + 1))
         segments.append({"lo": lo, "hi": hi, "pieces": pieces,
                          "value": _trapezoid(ys, (hi - lo) / pieces),
-                         "raw_mean": float(shell.mean())})
+                         "shell_sum": float(shell.sum())})
     total0 = sum(abs(s["value"]) for s in segments) or 1e-30
     budget = rel_tol * total0 / max(1, len(segments))
 
@@ -196,11 +208,12 @@ def _refine_segments(g, bounds: list[float], h_start: float,
         v = seg["value"]
         err = math.inf
         for _ in range(max_halvings):
-            seg["pieces"] *= 2
-            ys, shell = g(np.linspace(seg["lo"], seg["hi"],
-                                      seg["pieces"] + 1))
-            v2 = _trapezoid(ys, (seg["hi"] - seg["lo"]) / seg["pieces"])
-            seg["raw_mean"] = float(shell.mean())
+            pieces = seg["pieces"]
+            h = (seg["hi"] - seg["lo"]) / pieces
+            ys, shell = g(seg["lo"] + h * (np.arange(pieces) + 0.5))
+            v2 = 0.5 * v + 0.5 * h * float(ys.sum())
+            seg["pieces"] = 2 * pieces
+            seg["shell_sum"] += float(shell.sum())
             err = abs(v2 - v) / 3.0
             v = v2
             halvings += 1
@@ -210,7 +223,13 @@ def _refine_segments(g, bounds: list[float], h_start: float,
             degraded = True
         seg["value"] = v
         seg["err"] = err
+        seg["raw_mean"] = seg["shell_sum"] / (seg["pieces"] + 1)
     return segments, degraded, halvings
+
+
+def _check_rel_tol(rel_tol: float) -> None:
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValidationError("rel_tol must be finite and > 0")
 
 
 def mean_square_curve(mu: DyadicMeasureTree, r_values, rel_tol: float = 1e-3,
@@ -220,6 +239,9 @@ def mean_square_curve(mu: DyadicMeasureTree, r_values, rel_tol: float = 1e-3,
     Rs = sorted(float(R) for R in r_values)
     if not Rs or Rs[0] <= 0:
         raise ValidationError("frequency radii must be positive")
+    _check_rel_tol(rel_tol)
+    if max_halvings < 0:
+        raise ValidationError("max_halvings must be >= 0")
     if mu.d > 2:
         raise UnavailableError("mean-square quadrature is implemented for "
                                "d <= 2")
@@ -433,6 +455,9 @@ def fourier_energy(mu: DyadicMeasureTree, s, r_max: float = 4096.0,
         a = 1.0
         head = 0.0
         head_err = 0.0
+    if not (math.isfinite(r_max) and r_max > a):
+        raise ValidationError(f"r_max must be finite and > the head cut {a}")
+    _check_rel_tol(rel_tol)
 
     octaves = [a]
     R = a * 2.0

@@ -272,14 +272,16 @@ class DyadicMeasureTree:
         stands for both orders; it stands for the mass product
         w / den2[level]. refine adds the pair to its own sums and returns
         True to descend into the pair's child pairs, which it must not do at
-        or below the deepest level that den2 covers. Cube coordinates are
-        computed once per cube and walk.
+        or below the deepest level that den2 covers. Cube coordinates, and
+        the child lists of cubes above the leaves, are computed once per
+        cube and walk.
         """
         dd = self.d
         top = self.max_depth
         children_keys = self.support.children_keys
         fan = range(1 << dd)
         coords = defaultdict(dict)  # level -> key -> axis indices
+        kids = defaultdict(dict)  # level -> key -> [(child key, numerator)]
         stack = [(0, 0, 0, nums[0][0], nums[0][0])]
         while stack:
             level, ka, kb, na, nb = stack.pop()
@@ -304,10 +306,16 @@ class DyadicMeasureTree:
             if not refine(level, gaps, reach, w):
                 continue
             if level < top:
+                memo = kids[level]
                 tbl = nums[level + 1]
-                ca = [(k, tbl[k]) for k in children_keys(level, ka)]
-                cb = ca if ka == kb else [(k, tbl[k])
-                                          for k in children_keys(level, kb)]
+                ca = memo.get(ka)
+                if ca is None:
+                    ca = memo[ka] = [(k, tbl[k])
+                                     for k in children_keys(level, ka)]
+                cb = memo.get(kb)
+                if cb is None:
+                    cb = memo[kb] = [(k, tbl[k])
+                                     for k in children_keys(level, kb)]
             else:
                 ca = [((ka << dd) + t, na) for t in fan]
                 cb = ca if ka == kb else [((kb << dd) + t, nb) for t in fan]

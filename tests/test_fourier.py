@@ -4,6 +4,7 @@ the correlation sandwich, and weighted energy."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,11 @@ from scipy.special import j1, sici
 
 from dimlab.exact import UnavailableError, ValidationError, pow2
 from dimlab.fourier import (
+    _mu_hat_sq_many,
+    _node_spacing,
+    _RadialIntegrand,
+    _refine_segments,
+    _trapezoid,
     fourier_box_estimate,
     fourier_correlation_dims,
     fourier_energy,
@@ -154,6 +160,95 @@ class TestMeanSquare:
             mean_square(mu3, 2.0)
 
 
+def sierpinski_tree(depth=3):
+    return DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], depth)
+
+
+QUADRATURE_MEASURES = {
+    "cantor-uniform": lambda: DyadicMeasureTree.uniform_on_set(
+        cantor_tree(6)),
+    "sierpinski-uniform": lambda: DyadicMeasureTree.uniform_on_set(
+        sierpinski_tree()),
+    "sierpinski-random-split": lambda: DyadicMeasureTree.random_split(
+        sierpinski_tree(), random.Random(7)),
+    "atoms-2d": lambda: DyadicMeasureTree.atomic(
+        [(Fraction(1, 3), Fraction(1, 5)), (Fraction(3, 4), Fraction(1, 2)),
+         (Fraction(1, 8), Fraction(7, 8))],
+        [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], 2, 6),
+}
+
+
+class _CountingIntegrand:
+    """Wraps a radial integrand and records the radii of every call."""
+
+    def __init__(self, g):
+        self.g = g
+        self.calls = []
+
+    def __call__(self, rhos):
+        self.calls.append(np.array(rhos))
+        return self.g(rhos)
+
+
+class TestNestedQuadrature:
+    @pytest.mark.parametrize("kind", sorted(QUADRATURE_MEASURES))
+    def test_each_node_is_evaluated_once(self, kind):
+        mu = QUADRATURE_MEASURES[kind]()
+        g = _CountingIntegrand(_RadialIntegrand(mu))
+        bounds = [0.0, 3.0, 12.0, 40.0]
+        h = _node_spacing(mu.d)
+        segments, _, halvings = _refine_segments(g, bounds, h, 1e-7, 14)
+        assert halvings > len(segments)  # some segment halves repeatedly
+        for seg in segments:
+            mine = [c for c in g.calls
+                    if seg["lo"] < 0.5 * (c[0] + c[-1]) < seg["hi"]]
+            p0 = len(mine[0]) - 1
+            assert p0 == max(8, math.ceil((seg["hi"] - seg["lo"]) / h))
+            k = len(mine) - 1
+            # the halving from P pieces evaluates exactly the P midpoints
+            assert [len(c) for c in mine[1:]] == [p0 << i for i in range(k)]
+            assert seg["pieces"] == p0 << k
+            assert sum(len(c) for c in mine) == seg["pieces"] + 1
+            nodes = np.sort(np.concatenate(mine))
+            assert np.all(np.diff(nodes) > 0)  # no node evaluated twice
+        assert sum(len(c) for c in g.calls) == \
+            sum(seg["pieces"] + 1 for seg in segments)
+
+    @pytest.mark.parametrize("kind, weight_exp, bounds", [
+        ("cantor-uniform", 0.0, [0.0, 4.0, 16.0, 64.0]),
+        ("cantor-uniform", -2.0 / 3.0, [1.0 / 16.0, 0.5, 8.0, 64.0]),
+        ("sierpinski-random-split", 0.0, [0.0, 4.0, 16.0]),
+        ("sierpinski-random-split", -1.5, [1.0 / 16.0, 1.0, 16.0]),
+        ("atoms-2d", 0.0, [0.0, 2.0, 8.0]),
+    ])
+    def test_nested_value_matches_full_grid(self, kind, weight_exp, bounds):
+        mu = QUADRATURE_MEASURES[kind]()
+        g = _RadialIntegrand(mu, weight_exp=weight_exp)
+        segments, _, halvings = _refine_segments(
+            g, bounds, _node_spacing(mu.d), 1e-6, 14)
+        assert halvings > len(segments)
+        for seg in segments:
+            ys, shell = g(np.linspace(seg["lo"], seg["hi"],
+                                      seg["pieces"] + 1))
+            fresh = _trapezoid(ys, (seg["hi"] - seg["lo"]) / seg["pieces"])
+            assert seg["value"] == pytest.approx(fresh, rel=1e-12, abs=0)
+            assert seg["raw_mean"] == pytest.approx(float(shell.mean()),
+                                                    rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ["sierpinski-uniform",
+                                      "sierpinski-random-split", "atoms-2d"])
+    def test_half_circle_ring_matches_full_circle(self, kind):
+        g = _RadialIntegrand(QUADRATURE_MEASURES[kind]())
+        assert g.dirs.shape == (32, 2)
+        thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        full = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        rhos = np.array([0.25, 1.0, 3.7, 11.0, 29.5, 64.0])
+        _, shell = g(rhos)
+        for rho, half in zip(rhos, shell):
+            want = _mu_hat_sq_many(g.terms, rho * full).mean()
+            assert half == pytest.approx(want, rel=1e-13, abs=0)
+
+
 class TestDecaySlopes:
     window = [2.0 ** k for k in range(2, 11)]
 
@@ -282,30 +377,31 @@ class TestNearZero:
 
 
 def test_radial_bits_pinned():
-    # float.hex of the energy outputs as computed before the radial
-    # evaluator began returning shell means with the integrand; evaluating
-    # each node once keeps every float operation in the same order. err
-    # is the Richardson difference, so it is what shows a reordered
-    # product in the integrand.
+    # float.hex of the energy outputs as computed with nested halvings and
+    # half-circle rings. Re-pinned when node reuse came in: each halving
+    # now adds the new midpoints to the old trapezoid sum and each shell
+    # mean is a running sum over pieces + 1, so the same nodes round
+    # differently in the last bits. err is the Richardson difference, so
+    # it is what shows a reordered product in the integrand.
     cases = [
         (DyadicSetTree.full(2, 2), Fraction(1, 2), {"r_max": 64},
-         "0x1.4d53c75e0c481p+4", "0x1.97a52ae153a0ep-2",
-         "0x1.86c9e1f7bb232p+1",
+         "0x1.4d53c75e0c481p+4", "0x1.97a52ae153a0cp-2",
+         "0x1.86c9e1f7bb233p+1",
          ["0x1.ff9c099581e0bp-1", "0x1.fe70993c16a11p-1",
-          "0x1.f9c98cc419008p-1", "0x1.e797116d8cdedp-1",
+          "0x1.f9c98cc419009p-1", "0x1.e797116d8cdedp-1",
           "0x1.a506bde591ff1p-1", "0x1.d35d4ddf176f0p-2",
-          "0x1.9d174f4d32ef2p-5", "0x1.dbd25db746279p-8",
-          "0x1.85297f438f853p-11", "0x1.86c7ad1946bacp-14"]),
+          "0x1.9d174f4d32ef4p-5", "0x1.dbd25db746278p-8",
+          "0x1.85297f438f853p-11", "0x1.86c7ad1946ba2p-14"]),
         (cantor_tree(6), Fraction(1, 3), {},
-         "0x1.4d1a7f80f55b1p+3", "0x1.3689eed494500p-3",
+         "0x1.4d1a7f80f55b1p+3", "0x1.3689eed494502p-3",
          "0x1.029495ee3ae2ap+1",
-         ["0x1.ff4c1ec73db68p-1", "0x1.fd31b01b28f73p-1",
+         ["0x1.ff4c1ec73db69p-1", "0x1.fd31b01b28f73p-1",
           "0x1.f4d9fb94a6177p-1", "0x1.d496806721713p-1",
-          "0x1.6408f7193c2b3p-1", "0x1.9fdf145d83e12p-3",
-          "0x1.0fad1078e4345p-2", "0x1.03c59e12b553dp-3",
+          "0x1.6408f7193c2b4p-1", "0x1.9fdf145d83e13p-3",
+          "0x1.0fad1078e4346p-2", "0x1.03c59e12b553dp-3",
           "0x1.d68634d82582bp-4", "0x1.2fa92d6c50441p-4",
-          "0x1.31f8aee77b1aep-4", "0x1.f45c65cd7f93ep-5",
-          "0x1.fbe6f2efb6eb6p-8", "0x1.42eb6657c7dc6p-9",
+          "0x1.31f8aee77b1adp-4", "0x1.f45c65cd7f93ep-5",
+          "0x1.fbe6f2efb6eb6p-8", "0x1.42eb6657c7dc5p-9",
           "0x1.07e4391929831p-11", "0x1.0343e856d9149p-13"]),
     ]
     for tree, s, kw, value, err, gamma, means in cases:

@@ -279,6 +279,30 @@ class TestCliEstimate:
         assert code == 0 and "fourier-corr: full=" in text
         assert len(cout.read_text().splitlines()) == 9
 
+    @pytest.mark.parametrize("tree", [
+        cantor_tree(6), DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 3)],
+        ids=["cantor6", "sierpinski3"])
+    @pytest.mark.parametrize("cmd, flag, value", [
+        ("energy", "--rmax", "0.01"),  # below the head cut 1/16
+        ("energy", "--rmax", "-5"),
+        ("energy", "--rmax", "nan"),
+        ("energy", "--rmax", "inf"),
+        ("energy", "--rel-tol", "0"),
+        ("energy", "--rel-tol", "-1"),
+        ("energy", "--rel-tol", "nan"),
+        ("fourier-corr", "--rel-tol", "0"),
+        ("fourier-corr", "--rel-tol", "-1"),
+        ("fourier-corr", "--rel-tol", "nan"),
+    ])
+    def test_bad_quadrature_args_are_validation_errors(
+            self, tmp_path, capsys, tree, cmd, flag, value):
+        p = tmp_path / "set.json"
+        io.save_json(tree, p)
+        extra = ["--s", "1/3"] if cmd == "energy" else []
+        code, _, err = run_cli(capsys, "estimate", cmd, "--in", str(p),
+                               *extra, f"{flag}={value}")
+        assert code == 2 and "error:" in err
+
     def test_missing_input_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "box",
                                "--in", "/nonexistent.json")

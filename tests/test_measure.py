@@ -185,6 +185,56 @@ def test_uniform_tables_are_equal_split(tree):
             assert m == equal_split_mass(tree, n, key)
 
 
+@st.composite
+def _random_measures(draw):
+    """Uniform and random-split measures on `_random_trees`."""
+    tree = draw(_random_trees())
+    if draw(st.booleans()):
+        return DyadicMeasureTree.uniform_on_set(tree)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return DyadicMeasureTree.random_split(tree, rng, draw(st.integers(1, 9)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_random_measures())
+def test_tables_conserve_mass(mu):
+    mu.validate()  # root mass 1, each parent the sum of its children
+    for n in range(mu.max_depth + 1):
+        assert sum(mu.masses[n].values()) == 1
+
+
+# radii p/q in [1/8, 1]
+_unit_radii = st.integers(1, 8).flatmap(
+    lambda q: st.builds(Fraction, st.integers(1, q), st.just(q)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_random_measures(), _unit_radii)
+def test_ball_brackets_nest_as_cap_deepens(mu, r):
+    # each extra level splits the straddling pairs at the old cap: the
+    # lower sum only gains pairs and the upper sum only sheds them
+    prev = mu.ball_correlation_bracket(r, extra_depth=0)
+    for extra in (1, 2):
+        b = mu.ball_correlation_bracket(r, extra_depth=extra)
+        assert b.cap_level == prev.cap_level + 1
+        assert prev.lower <= b.lower <= b.upper <= prev.upper
+        prev = b
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_random_measures(), st.integers(0, 3), st.integers(0, 20),
+       st.integers(0, 2))
+def test_ball_upper_above_cauchy_schwarz_floor(mu, n, k, extra):
+    # r >= sqrt(d) 2^-n puts every pair inside one level-n cube within r,
+    # so the true value, and with it the upper end, is at least the sum
+    # over level-n cubes of mu(Q)^2
+    n = min(n, mu.max_depth)
+    least = math.isqrt(mu.d - 1) + 1  # least integer >= sqrt(d)
+    r = Fraction(7 * least + k, 7 << n)
+    b = mu.ball_correlation_bracket(r, extra_depth=extra)
+    assert b.upper >= mu.dyadic_correlation_sum(n)
+
+
 class TestAtomic:
     def test_weights_validation(self):
         p = (Fraction(1, 2),)
