@@ -24,7 +24,7 @@ from .constructions import (
     verify_sweep_plan,
     verify_sweep_set,
 )
-from .dyadic import DyadicCode, cube_of_point, cube_pair_geometry
+from .dyadic import cube_of_point, cube_pair_geometry
 from .estimators import (
     InequalityReport,
     PredicateReport,

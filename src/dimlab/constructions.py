@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dyadic import DyadicCode
 from .exact import (
     ConstructionError,
     UnavailableError,
@@ -217,8 +216,9 @@ def alternating_set(plan: AlternatingPlan,
                     materialize_depth: int) -> DyadicSetTree:
     """Materialize the alternating tree: single (left) child on slow
     stretches, both children on doubling stretches."""
-    if materialize_depth > plan.last_level:
-        raise ValidationError("materialize depth beyond plan budget")
+    if not 0 <= materialize_depth <= plan.last_level:
+        raise ValidationError(
+            f"materialize depth must lie in 0..{plan.last_level}")
     levels = [[0]]
     for m in range(1, materialize_depth + 1):
         prev = levels[-1]
@@ -332,6 +332,8 @@ def sweep_plan(dim_low, dim_high, level_budget: int = 10 ** 5) -> SweepPlan:
     s = to_fraction(dim_high)
     if not (0 < t < s < 1):
         raise ValidationError("need 0 < dim_low < dim_high < 1")
+    if level_budget < 1:
+        raise ValidationError("level budget must be >= 1")
     n_seq: list[int] = []
     big_n: list[int] = [1]
     counts = [2]
@@ -411,8 +413,9 @@ def sweep_set(plan: SweepPlan, materialize_depth: int) -> DyadicSetTree:
     level), wrapping to the global leftmost cube when the old interval was
     rightmost.
     """
-    if materialize_depth > plan.last_level:
-        raise ValidationError("materialize depth beyond plan budget")
+    if not 0 <= materialize_depth <= plan.last_level:
+        raise ValidationError(
+            f"materialize depth must lie in 0..{plan.last_level}")
     if materialize_depth > 62:
         raise ValidationError("materialize depth beyond key budget")
     levels = [[0]]
@@ -536,14 +539,15 @@ def verify_sweep_set(plan: SweepPlan, tree: DyadicSetTree) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _auto_oracle(tree: DyadicSetTree, s: Fraction,
-                 margin: float = 0.01) -> tuple[Callable[[DyadicCode], bool], bool]:
-    """Admissibility of a cube for exponent s: does the set inside the cube
-    have lower box dimension exceeding s?
+def _auto_oracle(tree: DyadicSetTree, s: Fraction
+                 ) -> tuple[Callable[[int, int], bool], bool]:
+    """Admissibility of the cube (level, key) for exponent s: does the set
+    inside the cube have lower box dimension exceeding s?
 
     For self-similar and staged constructions this is decided exactly from
     the known dimension; otherwise a windowed slope heuristic is used and
-    flagged. Returns (oracle, heuristic_flag).
+    flagged: its slope must exceed s by 0.01. Returns (oracle,
+    heuristic_flag).
     """
     kind = tree.meta.get("kind")
     if kind == "ifs":
@@ -554,30 +558,28 @@ def _auto_oracle(tree: DyadicSetTree, s: Fraction,
         if branch is not None:
             # dimension = log2(branch)/(group*d); admissible iff dim > s
             admit = cmp_pow2(Fraction(branch), s * group * tree.d) > 0
-            return (lambda code: admit), False
+            return (lambda level, key: admit), False
     if kind == "alternating":
         low = to_fraction(tree.meta["dim_low"])
         admit = low > s
-        return (lambda code: admit), False
+        return (lambda level, key: admit), False
     if kind == "full":
         admit = tree.d > s
-        return (lambda code: admit), False
-
-    import math
+        return (lambda level, key: admit), False
 
     max_depth = tree.max_depth
 
-    def heuristic(code: DyadicCode) -> bool:
-        span = max_depth - code.level
+    def heuristic(level: int, key: int) -> bool:
+        span = max_depth - level
         if span < 2:
             return False
-        lo = code.level + span // 2
-        c_lo = tree.descendant_count(code.level, code.key, lo)
-        c_hi = tree.descendant_count(code.level, code.key, max_depth)
+        lo = level + span // 2
+        c_lo = tree.descendant_count(level, key, lo)
+        c_hi = tree.descendant_count(level, key, max_depth)
         if c_lo == 0:
             return False
         slope = (math.log2(c_hi) - math.log2(c_lo)) / (max_depth - lo)
-        return slope > float(s) + margin
+        return slope > float(s) + 0.01
 
     return heuristic, True
 
@@ -593,9 +595,9 @@ class FrostmanStageReport:
 
 
 def stagewise_frostman_measures(tree: DyadicSetTree, s, radii,
-                                stages: int | None = None,
-                                oracle=None) -> tuple[list[DyadicMeasureTree],
-                                                      FrostmanStageReport]:
+                                stages: int | None = None
+                                ) -> tuple[list[DyadicMeasureTree],
+                                           FrostmanStageReport]:
     """Finite-stage Frostman measures on the set carried by `tree`.
 
     radii must decrease; each maps to the level n with
@@ -614,11 +616,10 @@ def stagewise_frostman_measures(tree: DyadicSetTree, s, radii,
         raise ValidationError("radii must strictly decrease")
     if not rads:
         raise ValidationError("need at least one radius")
+    if stages is not None and stages < 1:
+        raise ValidationError("stages must be >= 1")
 
-    if oracle is None:
-        oracle_fn, heuristic = _auto_oracle(tree, sf)
-    else:
-        oracle_fn, heuristic = oracle, False
+    admissible, heuristic = _auto_oracle(tree, sf)
 
     d = tree.d
     level_of: dict[int, Fraction] = {}
@@ -632,12 +633,13 @@ def stagewise_frostman_measures(tree: DyadicSetTree, s, radii,
 
     threshold_exp = d + 2 * sf  # 2^{d+2s}
 
-    # stage state: list of (level, key, mass)
+    # stage state: keys and masses at cur_level; stage 1 splits the unit
+    # cube's mass 1, so its test is the general one with mu(C) = 1
     stage_levels: list[int] = []
     stage_radii: list[Fraction] = []
     measures: list[DyadicMeasureTree] = []
     rows: list[dict] = []
-    current: list[tuple[int, Fraction]] | None = None  # keys and masses
+    current: list[tuple[int, Fraction]] = [(0, Fraction(1))]
     cur_level = 0
 
     max_stage = stages if stages is not None else len(candidates)
@@ -647,34 +649,18 @@ def stagewise_frostman_measures(tree: DyadicSetTree, s, radii,
         for n in candidates:
             if n <= floor_level:
                 continue
-            if current is None:
-                dn = [k for k in tree.levels[n]
-                      if oracle_fn(DyadicCode.from_key(n, k, d))]
-                if not dn:
-                    continue
-                # 2^{-ns} #D_n >= 2^{d+2s}
-                if cmp_pow2(Fraction(len(dn)), threshold_exp + n * sf) >= 0:
-                    found = (n, {None: dn})
+            per_parent: dict[int, list[int]] = {}
+            for key, mass in current:
+                dn_c = [k for k in tree.descendant_keys(cur_level, key, n)
+                        if admissible(n, k)]
+                # #D_n(C) >= 2^{d+2s+ns} * mu(C)
+                if not dn_c or cmp_pow2(Fraction(len(dn_c)) / mass,
+                                        threshold_exp + n * sf) < 0:
                     break
+                per_parent[key] = dn_c
             else:
-                ok_all = True
-                per_parent: dict[int, list[int]] = {}
-                for key, mass in current:
-                    dn_c = [k for k in
-                            tree.descendant_keys(cur_level, key, n)
-                            if oracle_fn(DyadicCode.from_key(n, k, d))]
-                    if not dn_c:
-                        ok_all = False
-                        break
-                    # #D_n(C) >= 2^{d+2s+ns} * mu(C)
-                    if cmp_pow2(Fraction(len(dn_c)) / mass,
-                                threshold_exp + n * sf) < 0:
-                        ok_all = False
-                        break
-                    per_parent[key] = dn_c
-                if ok_all:
-                    found = (n, per_parent)
-                    break
+                found = (n, per_parent)
+                break
         if found is None:
             if not stage_levels:
                 raise ConstructionError(
@@ -682,17 +668,12 @@ def stagewise_frostman_measures(tree: DyadicSetTree, s, radii,
                     f"(s={sf}, candidates={candidates})")
             break
         n, selection = found
-        if current is None:
-            dn = selection[None]
-            share = Fraction(1, len(dn))
-            current = [(k, share) for k in dn]
-        else:
-            nxt: list[tuple[int, Fraction]] = []
-            for key, mass in current:
-                kids = selection[key]
-                share = mass / len(kids)
-                nxt.extend((k, share) for k in kids)
-            current = nxt
+        nxt: list[tuple[int, Fraction]] = []
+        for key, mass in current:
+            kids = selection[key]
+            share = mass / len(kids)
+            nxt.extend((k, share) for k in kids)
+        current = nxt
         cur_level = n
         stage_levels.append(n)
         stage_radii.append(level_of[n])
@@ -718,6 +699,8 @@ def verify_stage_balls(measures: Sequence[DyadicMeasureTree],
     since 2^-(n+2) <= r < 2^-(n+1)), and that is compared with r^s by
     rational power arithmetic.
     """
+    if samples < 1:
+        raise ValidationError("samples must be >= 1")
     rows = []
     ok = True
     for mu, n, r in zip(measures, report.stage_levels, report.stage_radii):

@@ -4,10 +4,10 @@ A level-n cube in dimension d is a product of intervals
 (j_i * 2^-n, (j_i + 1) * 2^-n], one per axis. The unit cube is tiled by the
 2^(nd) such cubes; the right endpoint convention makes the tiling exact.
 
-Cubes are addressed two ways: by the index tuple (j_1, ..., j_d), and by the
-Morton key obtained by interleaving index bits. Morton keys order each level
-so that the descendants of a cube occupy one contiguous key range, which is
-what makes sorted-key level lists searchable with bisect.
+A cube is addressed by the pair (level n, Morton key), the key obtained by
+interleaving the bits of the index tuple (j_1, ..., j_d). Morton keys order
+each level so that the descendants of a cube occupy one contiguous key
+range, which is what makes sorted-key level lists searchable with bisect.
 """
 
 from __future__ import annotations
@@ -40,91 +40,12 @@ def deinterleave(key: int, level: int, d: int) -> tuple[int, ...]:
     return tuple(idx)
 
 
-@dataclass(frozen=True)
-class DyadicCode:
-    """Address of a half-open dyadic cube: level n and per-axis indices."""
-
-    level: int
-    index: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValidationError("level must be >= 0")
-        if not self.index:
-            raise ValidationError("index tuple must be non-empty")
-        object.__setattr__(self, "index", tuple(int(j) for j in self.index))
-        top = 1 << self.level
-        for j in self.index:
-            if not (0 <= j < top):
-                raise ValidationError(
-                    f"index {j} out of range at level {self.level}"
-                )
-
-    @property
-    def d(self) -> int:
-        return len(self.index)
-
-    @property
-    def side(self) -> Fraction:
-        return pow2(-self.level)
-
-    @property
-    def key(self) -> int:
-        return interleave(self.index, self.level)
-
-    @classmethod
-    def from_key(cls, level: int, key: int, d: int) -> "DyadicCode":
-        return cls(level, deinterleave(key, level, d))
-
-    def upper_corner(self) -> tuple[Fraction, ...]:
-        s = self.side
-        return tuple((j + 1) * s for j in self.index)
-
-    def representative(self) -> tuple[Fraction, ...]:
-        """The one point of the cube with all-dyadic coordinates at this
-        level: the upper corner (it belongs to the half-open cube)."""
-        return self.upper_corner()
-
-    def center(self) -> tuple[Fraction, ...]:
-        s = self.side
-        return tuple((2 * j + 1) * s / 2 for j in self.index)
-
-    def parent(self) -> "DyadicCode":
-        if self.level == 0:
-            raise ValidationError("the unit cube has no parent")
-        return DyadicCode(self.level - 1, tuple(j >> 1 for j in self.index))
-
-    def children(self) -> list["DyadicCode"]:
-        d = self.d
-        out = []
-        for t in range(1 << d):
-            idx = tuple(
-                (self.index[i] << 1) | ((t >> (d - 1 - i)) & 1)
-                for i in range(d)
-            )
-            out.append(DyadicCode(self.level + 1, idx))
-        return out
-
-    def ancestor(self, level: int) -> "DyadicCode":
-        if not (0 <= level <= self.level):
-            raise ValidationError("ancestor level out of range")
-        shift = self.level - level
-        return DyadicCode(level, tuple(j >> shift for j in self.index))
-
-    def contains(self, other: "DyadicCode") -> bool:
-        """True when other is this cube or one of its descendants."""
-        if other.d != self.d or other.level < self.level:
-            return False
-        return other.ancestor(self.level) == self
-
-
-def cube_of_point(point, level: int) -> DyadicCode:
-    """The unique level-n cube containing a point of the (half-open) unit
-    cube. Coordinates must lie in (0, 1]; 0 is rejected because no half-open
-    cube contains it."""
+def cube_of_point(point, level: int) -> int:
+    """Morton key of the unique level-n cube containing a point of the
+    (half-open) unit cube. Coordinates must lie in (0, 1]; 0 is rejected
+    because no half-open cube contains it."""
     pt = point if isinstance(point, (tuple, list)) else (point,)
-    idx = tuple(dyadic_index(x, level) for x in pt)
-    return DyadicCode(level, idx)
+    return interleave(tuple(dyadic_index(x, level) for x in pt), level)
 
 
 @dataclass(frozen=True)
@@ -135,21 +56,24 @@ class CubePairGeometry:
     max_dist_sq: Fraction
 
 
-def cube_pair_geometry(a: DyadicCode, b: DyadicCode) -> CubePairGeometry:
-    """Min and max distance between cube closures, exactly.
+def cube_pair_geometry(a: tuple[int, tuple[int, ...]],
+                       b: tuple[int, tuple[int, ...]]) -> CubePairGeometry:
+    """Min and max distance between the closures of two cubes, each given
+    as a (level, index tuple) pair, exactly.
 
     Works for cubes at different levels. Per axis, with intervals
     [lo1, hi1] and [lo2, hi2]: the gap is max(0, lo2-hi1, lo1-hi2) and the
     farthest separation is max(hi2-lo1, hi1-lo2).
     """
-    if a.d != b.d:
+    (la, ja), (lb, jb) = a, b
+    if len(ja) != len(jb):
         raise ValidationError("dimension mismatch")
-    sa, sb = a.side, b.side
+    sa, sb = pow2(-la), pow2(-lb)
     min_sq = Fraction(0)
     max_sq = Fraction(0)
-    for i in range(a.d):
-        lo1, hi1 = a.index[i] * sa, (a.index[i] + 1) * sa
-        lo2, hi2 = b.index[i] * sb, (b.index[i] + 1) * sb
+    for i, j in zip(ja, jb):
+        lo1, hi1 = i * sa, (i + 1) * sa
+        lo2, hi2 = j * sb, (j + 1) * sb
         gap = max(Fraction(0), lo2 - hi1, lo1 - hi2)
         far = max(hi2 - lo1, hi1 - lo2)
         min_sq += gap * gap

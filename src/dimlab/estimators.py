@@ -321,12 +321,13 @@ def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
     report = PredicateReport("dyadic-packing", sf)
     failing: list[int] = []
     per_level_pass = {n: 0 for n in lv}
-    leaves = mu.support.leaf_codes()
+    top = mu.max_depth
+    leaves = mu.support.levels[top]
     ok_all = True
     for leaf in leaves:
         hits = []
         for n in lv:
-            anc = leaf.key >> (d * (leaf.level - n))
+            anc = leaf >> (d * (top - n))
             if cmp_pow2(masses[n].get(anc, Fraction(0)), -(n * sf)) <= 0:
                 hits.append(n)
                 per_level_pass[n] += 1
@@ -334,7 +335,7 @@ def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
                 and any(h in second for h in hits)):
             ok_all = False
             if len(failing) < 16:
-                failing.append(leaf.key)
+                failing.append(leaf)
     for n in lv:
         report.records.append({"level": n, "cubes_pass": per_level_pass[n],
                                "cubes_total": len(leaves),
@@ -343,7 +344,7 @@ def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
     report.verdict = "holds-on-window" if ok_all else "fails"
     if failing:
         report.records.append({"failing_leaf_keys": failing,
-                               "leaf_level": leaves[0].level,
+                               "leaf_level": top,
                                "status": "fail"})
     return report
 
@@ -532,6 +533,8 @@ def correlation_sandwich(tree: DyadicSetTree, levels, n_random: int = 0,
     lv = sorted(set(int(n) for n in levels))
     if not lv or lv[0] < 0 or lv[-1] > tree.max_depth:
         raise ValidationError("levels outside the materialized range")
+    if n_random < 0:
+        raise ValidationError("number of random measures must be >= 0")
     named = [("uniform", DyadicMeasureTree.uniform_on_set(tree))]
     rng = random.Random(seed)
     for i in range(n_random):

@@ -188,6 +188,8 @@ def snap_to_dyadic(x, depth: int) -> Fraction:
     f = to_fraction(x)
     if f < 0 or f > 1:
         raise ValidationError(f"coordinate {x!r} outside [0, 1]")
+    if depth < 0:
+        raise ValidationError("depth must be >= 0")
     if f == 0:
         j = 0
     else:

@@ -543,7 +543,7 @@ def ancestor_tables(leaf: dict[int, Fraction], d: int,
 def _aggregate_atoms(atom_list, d: int, depth: int) -> list[dict[int, Fraction]]:
     leaf: dict[int, Fraction] = {}
     for p, w in atom_list:
-        key = cube_of_point(p, depth).key
+        key = cube_of_point(p, depth)
         leaf[key] = leaf.get(key, Fraction(0)) + w
     return ancestor_tables(leaf, d, depth)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dyadic import DyadicCode, deinterleave, squared_distance
+from .dyadic import cube_of_point, deinterleave, squared_distance
 from .exact import UnavailableError, ValidationError, pow2
 
 
@@ -155,30 +155,28 @@ class DyadicSetTree:
         return cls(d, depth, levels, sym, {"kind": "full"})
 
     @classmethod
-    def from_codes(cls, d: int, depth: int, deepest: Iterable[DyadicCode],
+    def from_codes(cls, d: int, depth: int, keys: Iterable[int],
                    meta: dict | None = None) -> "DyadicSetTree":
-        """Tree generated by a family of deepest-level cubes (their
-        ancestors fill in the upper levels)."""
+        """Tree generated by a family of deepest-level cubes, given by their
+        Morton keys (their ancestors fill in the upper levels)."""
         _check_dims(d, depth)
-        keys = sorted({c.key for c in deepest})
-        for c in deepest:
-            if c.level != depth or c.d != d:
-                raise ValidationError("codes must all sit at the tree depth")
-        if not keys:
+        deepest = sorted(set(keys))
+        if not deepest:
             raise ValidationError("empty cube family")
-        levels = _levels_from_deepest(d, depth, keys)
+        if deepest[0] < 0 or deepest[-1] >= 1 << (d * depth):
+            raise ValidationError(f"cube keys must lie in 0..2^{d * depth}-1")
+        levels = _levels_from_deepest(d, depth, deepest)
         return cls(d, depth, levels, None, meta or {})
 
     @classmethod
     def from_points(cls, points: Sequence, d: int, depth: int) -> "DyadicSetTree":
         """Occupied-cube tree of a finite point set (coordinates in (0, 1])."""
-        from .dyadic import cube_of_point
-
-        codes = [cube_of_point(p, depth) for p in points]
-        if any(c.d != d for c in codes):
+        _check_dims(d, depth)
+        pts = [p if isinstance(p, (tuple, list)) else (p,) for p in points]
+        if any(len(p) != d for p in pts):
             raise ValidationError("point dimension mismatch")
-        return cls.from_codes(d, depth, codes, {"kind": "points",
-                                                "count": len(codes)})
+        return cls.from_codes(d, depth, [cube_of_point(p, depth) for p in pts],
+                              {"kind": "points", "count": len(pts)})
 
     @classmethod
     def from_digit_ifs(cls, d: int, group: int, keep: Sequence[int],
@@ -300,10 +298,6 @@ class DyadicSetTree:
         hi = bisect.bisect_left(arr, (key + 1) << shift)
         return arr[lo:hi]
 
-    def codes(self, n: int) -> list[DyadicCode]:
-        return [DyadicCode(n, deinterleave(k, n, self.d))
-                for k in self.levels[n]]
-
     def representatives(self, n: int) -> list[tuple[Fraction, ...]]:
         side = pow2(-n)
         out = []
@@ -341,9 +335,6 @@ class DyadicSetTree:
             if ok:
                 kept.append(rep)
         return kept
-
-    def leaf_codes(self) -> list[DyadicCode]:
-        return self.codes(self.max_depth)
 
 
 def _check_dims(d: int, depth: int) -> None:
@@ -389,6 +380,4 @@ def _levels_from_deepest(d: int, depth: int, deepest_keys: list[int]) -> list[li
         levels.append(nxt)
         cur = nxt
     levels.reverse()
-    if levels[0] != [0]:
-        raise ValidationError("cube family does not hang from the unit cube")
     return levels

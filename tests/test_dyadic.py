@@ -1,4 +1,4 @@
-"""Unit tests for dyadic cube codes and exact cube geometry."""
+"""Unit tests for Morton keys and exact cube geometry."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from dimlab.dyadic import (
-    DyadicCode,
     cube_of_point,
     cube_pair_geometry,
     deinterleave,
@@ -44,70 +43,22 @@ class TestInterleave:
             assert deinterleave(key, n, d) == idx
 
 
-class TestDyadicCode:
-    def test_basic_properties(self):
-        c = DyadicCode(3, (5, 2))
-        assert c.d == 2
-        assert c.side == Fraction(1, 8)
-        assert c.upper_corner() == (Fraction(6, 8), Fraction(3, 8))
-        assert c.representative() == c.upper_corner()
-        assert c.center() == (Fraction(11, 16), Fraction(5, 16))
-
-    def test_key_round_trip(self):
-        c = DyadicCode(4, (9, 3, 14))
-        assert DyadicCode.from_key(4, c.key, 3) == c
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            DyadicCode(2, (4,))  # index must stay below 2^level
-        with pytest.raises(ValidationError):
-            DyadicCode(-1, (0,))
-        with pytest.raises(ValidationError):
-            DyadicCode(2, ())
-
-    def test_parent_child_round_trip(self):
-        c = DyadicCode(3, (5, 2))
-        assert c.parent().children()[c.key & 0b11] == c
-        for child in c.children():
-            assert child.parent() == c
-
-    def test_children_come_in_morton_order(self):
-        c = DyadicCode(1, (1, 0))
-        keys = [k.key for k in c.children()]
-        assert keys == sorted(keys)
-        assert keys == [(c.key << 2) | t for t in range(4)]
-
-    def test_root_has_no_parent(self):
-        with pytest.raises(ValidationError):
-            DyadicCode(0, (0,)).parent()
-
-    def test_ancestor_and_containment(self):
-        c = DyadicCode(5, (19,))
-        a = c.ancestor(2)
-        assert a == DyadicCode(2, (19 >> 3,))
-        assert a.contains(c)
-        assert not c.contains(a)
-        assert c.ancestor(5) == c
-
-
 class TestCubeOfPoint:
     def test_scalar_becomes_1d(self):
-        c = cube_of_point(Fraction(3, 10), 2)
-        assert c == DyadicCode(2, (1,))
+        assert cube_of_point(Fraction(3, 10), 2) == 1
 
     def test_tuple_point(self):
-        c = cube_of_point((Fraction(3, 10), 1), 2)
-        assert c == DyadicCode(2, (1, 3))
+        assert cube_of_point((Fraction(3, 10), 1), 2) == interleave((1, 3), 2)
 
     def test_cube_contains_its_point(self):
         rng = random.Random(3)
         for _ in range(100):
             d = rng.randrange(1, 4)
             p = tuple(Fraction(rng.randrange(1, 1000), 1000) for _ in range(d))
-            c = cube_of_point(p, 5)
-            # half-open: (upper - side, upper] on every axis
-            assert all(u - c.side < x <= u
-                       for x, u in zip(p, c.upper_corner()))
+            idx = deinterleave(cube_of_point(p, 5), 5, d)
+            # half-open: (j * side, (j + 1) * side] on every axis
+            assert all(Fraction(j, 32) < x <= Fraction(j + 1, 32)
+                       for x, j in zip(p, idx))
 
     def test_rejects_zero_coordinate(self):
         with pytest.raises(ValidationError):
@@ -116,35 +67,35 @@ class TestCubeOfPoint:
 
 class TestCubePairGeometry:
     def test_identical_cube(self):
-        c = DyadicCode(2, (1, 2))
+        c = (2, (1, 2))
         g = cube_pair_geometry(c, c)
         assert g.min_dist_sq == 0
         assert g.max_dist_sq == 2 * Fraction(1, 16)
 
     def test_adjacent_intervals_touch(self):
-        a = DyadicCode(1, (0,))
-        b = DyadicCode(1, (1,))
+        a = (1, (0,))
+        b = (1, (1,))
         g = cube_pair_geometry(a, b)
         assert g.min_dist_sq == 0  # closures touch at 1/2
         assert g.max_dist_sq == 1
 
     def test_separated_intervals(self):
-        a = DyadicCode(2, (0,))
-        b = DyadicCode(2, (3,))
+        a = (2, (0,))
+        b = (2, (3,))
         g = cube_pair_geometry(a, b)
         assert g.min_dist_sq == Fraction(4, 16)
         assert g.max_dist_sq == 1
 
     def test_diagonal_neighbours_in_2d(self):
-        a = DyadicCode(1, (0, 0))
-        b = DyadicCode(1, (1, 1))
+        a = (1, (0, 0))
+        b = (1, (1, 1))
         g = cube_pair_geometry(a, b)
         assert g.min_dist_sq == 0
         assert g.max_dist_sq == 2
 
     def test_cross_level_containment(self):
-        big = DyadicCode(0, (0, 0))
-        small = DyadicCode(3, (5, 1))
+        big = (0, (0, 0))
+        small = (3, (5, 1))
         g = cube_pair_geometry(big, small)
         assert g.min_dist_sq == 0
         # farthest pair per axis: lo of big to hi of small or vice versa
@@ -152,15 +103,15 @@ class TestCubePairGeometry:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            cube_pair_geometry(DyadicCode(1, (0,)), DyadicCode(1, (0, 0)))
+            cube_pair_geometry((1, (0,)), (1, (0, 0)))
 
     def test_symmetry_random(self):
         rng = random.Random(23)
         for _ in range(100):
             d = rng.randrange(1, 4)
             la, lb = rng.randrange(0, 5), rng.randrange(0, 5)
-            a = DyadicCode(la, tuple(rng.randrange(1 << la) for _ in range(d)))
-            b = DyadicCode(lb, tuple(rng.randrange(1 << lb) for _ in range(d)))
+            a = (la, tuple(rng.randrange(1 << la) for _ in range(d)))
+            b = (lb, tuple(rng.randrange(1 << lb) for _ in range(d)))
             g1 = cube_pair_geometry(a, b)
             g2 = cube_pair_geometry(b, a)
             assert g1.min_dist_sq == g2.min_dist_sq
@@ -176,7 +127,7 @@ def test_same_level_axis_bounds_matches_geometry():
         ja = tuple(rng.randrange(1 << n) for _ in range(d))
         jb = tuple(rng.randrange(1 << n) for _ in range(d))
         gaps, reach = same_level_axis_bounds(d, ja, jb)
-        g = cube_pair_geometry(DyadicCode(n, ja), DyadicCode(n, jb))
+        g = cube_pair_geometry((n, ja), (n, jb))
         assert g.min_dist_sq == gaps * pow2(-2 * n)
         assert g.max_dist_sq == reach * pow2(-2 * n)
 

@@ -175,6 +175,9 @@ class TestPacking:
         rep = packing_predicate(mu, Fraction(1, 20), range(2, 9))
         assert rep.verdict == "fails"
         assert rep.records[-1]["status"] == "fail"
+        # the atom 1/2 sits in the level-8 cube (127/256, 128/256]
+        assert rep.records[-1]["failing_leaf_keys"] == [127]
+        assert rep.records[-1]["leaf_level"] == 8
 
     def test_cantor_threshold_on_window(self):
         # at s = 11/20 the odd levels up to 10 still pass and land in both

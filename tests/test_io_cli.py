@@ -427,6 +427,39 @@ class TestCliVerify:
                                 "--samples", "64")
         assert code == 0 and "frostman-stages: PASS" in text
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "frostman-stages", "--s", "1/2", "--depth", "8",
+         "--samples", "0"],
+        ["verify", "frostman-stages", "--s", "1/2", "--depth", "8",
+         "--samples", "-3"],
+        ["verify", "frostman-stages", "--s", "1/2", "--depth", "8",
+         "--stages", "0"],
+        ["verify", "frostman-stages", "--s", "1/2", "--depth", "8",
+         "--stages", "-2"],
+        ["verify", "sweep-counts", "--materialize-depth", "-1"],
+        ["verify", "sweep-counts", "--level-budget", "0"],
+        ["construct", "alternating", "--dim-low", "2/5", "--dim-high", "7/10",
+         "--depth", "-1", "--out", "{out}"],
+        ["construct", "sweep", "--dim-low", "2/5", "--dim-high", "7/10",
+         "--depth", "-1", "--out", "{out}"],
+        ["verify", "corr-sandwich", "--in", "{cantor}", "--levels", "2..8",
+         "--random-measures", "-2"],
+        ["construct", "points", "--csv", "{csv}", "--snap-depth", "-1",
+         "--out", "{out}"],
+    ], ids=["samples-0", "samples-neg", "stages-0", "stages-neg",
+            "sweep-depth-neg", "sweep-budget-0", "alternating-depth-neg",
+            "sweep-set-depth-neg", "random-measures-neg", "snap-depth-neg"])
+    def test_malformed_counts_are_validation_errors(self, tmp_path,
+                                                    cantor_file, capsys, argv):
+        out = tmp_path / "set.json"
+        csv = tmp_path / "pts.csv"
+        csv.write_text("1/4\n3/4\n")
+        argv = [a.format(out=out, cantor=cantor_file, csv=csv)
+                for a in argv]
+        code, text, err = run_cli(capsys, *argv)
+        assert code == 2 and "error:" in err
+        assert "PASS" not in text and not out.exists()
+
 
 class TestCliExport:
     def test_measure_table(self, tmp_path, cantor_file, capsys):

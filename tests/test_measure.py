@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dimlab.dyadic import DyadicCode, cube_pair_geometry
+from dimlab.dyadic import cube_pair_geometry, deinterleave
 from dimlab.exact import UnsupportedModelError, ValidationError, pow2
 from dimlab.measure import (
     CorrelationBracket,
@@ -38,8 +38,8 @@ def brute_force_ball_bracket(mu, r, cap):
     for key, m in mu.level_masses(top):
         share = m / (1 << extra)
         for t in range(1 << extra):
-            code = DyadicCode.from_key(cap, (key << extra) + t, mu.d)
-            cubes.append((code, share))
+            idx = deinterleave((key << extra) + t, cap, mu.d)
+            cubes.append(((cap, idx), share))
     r2 = r * r
     lower = upper = Fraction(0)
     for a, ma in cubes:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimlab.dyadic import DyadicCode, squared_distance
+from dimlab.dyadic import squared_distance
 from dimlab.exact import UnavailableError, ValidationError, pow2
 from dimlab.settree import (
     DyadicSetTree,
@@ -94,19 +94,21 @@ class TestDigitIfs:
         cantor_tree(9).validate()
 
 
-class TestFromPointsAndCodes:
+class TestFromPointsAndKeys:
     def test_two_points(self):
         t = DyadicSetTree.from_points([(Fraction(1, 4),), (Fraction(1),)], 1, 2)
         assert t.levels == [[0], [0, 1], [0, 3]]
 
     def test_ancestors_fill_in(self):
-        t = DyadicSetTree.from_codes(1, 3, [DyadicCode(3, (5,))])
+        t = DyadicSetTree.from_codes(1, 3, [5])
         assert t.levels == [[0], [1], [2], [5]]
         t.validate()
 
-    def test_code_level_must_match_depth(self):
+    def test_key_out_of_range(self):
         with pytest.raises(ValidationError):
-            DyadicSetTree.from_codes(1, 3, [DyadicCode(2, (1,))])
+            DyadicSetTree.from_codes(1, 3, [-1])
+        with pytest.raises(ValidationError):
+            DyadicSetTree.from_codes(1, 3, [8])  # 8 = 2^(d*depth)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -115,6 +117,10 @@ class TestFromPointsAndCodes:
     def test_point_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             DyadicSetTree.from_points([(Fraction(1, 2), Fraction(1, 2))], 1, 3)
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValidationError):
+            DyadicSetTree.from_points([(Fraction(1, 2),)], 1, -1)
 
 
 class TestValidate:
@@ -173,14 +179,10 @@ class TestQueries:
         with pytest.raises(UnavailableError):
             t.box_count(5)
 
-    def test_codes_and_representatives(self):
+    def test_representatives(self):
         t = cantor_tree(4)
         reps = t.representatives(2)
         assert reps == [(Fraction(1, 4),), (Fraction(1),)]
-        codes = t.codes(3)
-        assert [c.key for c in codes] == t.levels[3]
-        assert all(c.level == 3 for c in codes)
-        assert [c.key for c in t.leaf_codes()] == t.levels[4]
 
 
 class TestDerivedTrees:
@@ -264,8 +266,7 @@ class TestRandomTrees:
             # random leaf family, then closure under parents
             top = 1 << (d * depth)
             leaves = sorted(rng.sample(range(top), rng.randrange(1, min(top, 12) + 1)))
-            t = DyadicSetTree.from_codes(
-                d, depth, [DyadicCode.from_key(depth, k, d) for k in leaves])
+            t = DyadicSetTree.from_codes(d, depth, leaves)
             t.validate()
             assert t.levels[depth] == leaves
             for n in range(depth):
