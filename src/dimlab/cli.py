@@ -466,18 +466,19 @@ def _cmd_verify_ball_lower(args) -> int:
 
 def _cmd_export(args) -> int:
     obj = io.load_json(args.infile)
+    if not isinstance(obj, (DyadicMeasureTree, DyadicSetTree)):
+        raise ValidationError("export needs a set or measure file")
+    if not 0 <= args.min_level <= obj.max_depth:
+        raise ValidationError(f"--min-level must lie in 0..{obj.max_depth}")
+    levels = range(args.min_level, obj.max_depth + 1)
     if isinstance(obj, DyadicMeasureTree):
         rows = [(n, float(obj.max_cube_mass(n)),
-                 float(obj.dyadic_correlation_sum(n)))
-                for n in range(args.min_level, obj.max_depth + 1)]
+                 float(obj.dyadic_correlation_sum(n))) for n in levels]
         io.curve_to_csv(rows, args.csv,
                         header=("level", "max_mass", "corr_sum"))
-    elif isinstance(obj, DyadicSetTree):
-        rows = [(n, obj.box_count(n), "")
-                for n in range(args.min_level, obj.max_depth + 1)]
-        io.curve_to_csv(rows, args.csv, header=("level", "box_count", ""))
     else:
-        raise ValidationError("export needs a set or measure file")
+        rows = [(n, obj.box_count(n), "") for n in levels]
+        io.curve_to_csv(rows, args.csv, header=("level", "box_count", ""))
     print(f"wrote {args.csv}")
     return EXIT_OK
 

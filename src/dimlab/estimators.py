@@ -454,6 +454,8 @@ def inequality_report(tree: DyadicSetTree, measures, levels=None,
     lv = sorted(set(int(n) for n in levels))
     if len(lv) < 4:
         raise ValidationError("need at least 4 levels")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError("tol must be finite and >= 0")
 
     box = box_dims(tree, lv, window_len)
     estimates = {"lower_box": box.lower.value, "upper_box": box.upper.value,

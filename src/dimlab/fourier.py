@@ -299,6 +299,8 @@ def fourier_sandwich_report(mu: DyadicMeasureTree, eps, r_list,
     epsf = float(eps)
     if not (0.0 < epsf < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError("tol must be finite and >= 0")
     rads = sorted((to_fraction(r) for r in r_list), reverse=True)
     if not rads:
         raise ValidationError("need at least one radius")

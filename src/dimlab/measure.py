@@ -20,6 +20,7 @@ over one common denominator per level, and builds no Fraction per pair.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -136,8 +137,11 @@ class DyadicMeasureTree:
         for p, w in zip(pts, ws):
             agg[p] = agg.get(p, Fraction(0)) + w
         atom_list = sorted(agg.items())
-        tree = DyadicSetTree.from_points([p for p, _ in atom_list], d, depth)
+        if depth < 0:
+            raise ValidationError("depth must be >= 0")
         masses = _aggregate_atoms(atom_list, d, depth)
+        tree = DyadicSetTree.from_codes(d, depth, masses[depth], {
+            "kind": "points", "count": len(atom_list)})
         return cls(tree, ATOMS, masses, atom_list,
                    meta or {"kind": "atomic"})
 
@@ -188,7 +192,12 @@ class DyadicMeasureTree:
         bracket classifies cube pairs by exact closure distances, recursing
         on straddling pairs down to a cap level below which cubes are small
         relative to r; leaf cubes refine as uniform splits, which is exactly
-        what the leaf model asserts.
+        what the leaf model asserts. So below the leaves a pair's subtree
+        depends only on its level and sorted per-axis index offsets: each
+        straddling leaf pair adds its weight times one memoised count of
+        the inside and straddling cap-level pairs under that offset. These
+        integer sums regroup the terms of the full walk, so the bracket is
+        the same rational.
         """
         rf = to_fraction(r)
         if rf <= 0:
@@ -218,22 +227,60 @@ class DyadicMeasureTree:
         lower = [0] * (cap + 1)
         upper = [0] * (cap + 1)
 
-        def refine(level, gaps, reach, w):
+        def resolve(level, gaps, reach):
+            """(inside, inside or straddling) weight of a pair that needs no
+            refinement, None for one that does."""
             shift = 2 * level
             # reach * 4^-level <= r^2 ?
             if reach * r2d <= r2n << shift:
-                lower[level] += w
-                upper[level] += w
-                return False
+                return 1, 1
             # gaps * 4^-level > r^2 ?
             if gaps * r2d > r2n << shift:
-                return False
-            if level >= cap:
-                upper[level] += w
-                return False
-            return True
+                return 0, 0
+            return (0, 1) if level >= cap else None
 
-        self._walk_pairs(refine, nums)
+        def refine(level, gaps, reach, w):
+            got = resolve(level, gaps, reach)
+            if got is not None:
+                lower[level] += w * got[0]
+                upper[level] += w * got[1]
+            return got is None
+
+        memo = {}  # (level, sorted axis offsets) -> below(level, offsets)
+
+        def below(level, offset):
+            """(inside, inside or straddling) counts, in ordered cap-level
+            cube pairs, of a cube pair below the leaves with these axis
+            offsets; a uniform split makes them depend on nothing else."""
+            got = memo.get((level, offset))
+            if got is None:
+                got = resolve(level, *same_level_axis_bounds(
+                    dd, offset, (0,) * dd))
+                if got is None:
+                    lo = hi = 0
+                    # per axis, child offsets with their multiplicities
+                    for kids in itertools.product(*(
+                            ((0, 2), (1, 2)) if x == 0 else
+                            ((2 * x - 1, 1), (2 * x, 2), (2 * x + 1, 1))
+                            for x in offset)):
+                        a, b = below(level + 1, tuple(sorted(
+                            k for k, _ in kids)))
+                        n = math.prod(c for _, c in kids)
+                        lo += n * a
+                        hi += n * b
+                    got = lo, hi
+                else:
+                    unit = 1 << (2 * dd * (cap - level))
+                    got = got[0] * unit, got[1] * unit
+                memo[(level, offset)] = got
+            return got
+
+        def leaf_pair(level, offset, w):
+            lo, hi = below(level, offset)
+            lower[cap] += w * lo
+            upper[cap] += w * hi
+
+        self._walk_pairs(refine, nums, leaf_pair)
         return CorrelationBracket(_level_sum(lower, den2),
                                   _level_sum(upper, den2), rf, cap)
 
@@ -260,7 +307,8 @@ class DyadicMeasureTree:
             den2.append(den * den)
         return nums, den2
 
-    def _walk_pairs(self, refine, nums: list[dict[int, int]]) -> None:
+    def _walk_pairs(self, refine, nums: list[dict[int, int]],
+                    leaf_pairs=None) -> None:
         """Dual-tree traversal over canonical cube pairs (key_a <= key_b at
         a common level), starting from the root pair.
 
@@ -274,7 +322,9 @@ class DyadicMeasureTree:
         True to descend into the pair's child pairs, which it must not do at
         or below the deepest level that den2 covers. Cube coordinates, and
         the child lists of cubes above the leaves, are computed once per
-        cube and walk.
+        cube and walk. Given leaf_pairs, a leaf pair that refine opens is
+        passed to leaf_pairs(level, offsets, w), with its sorted per-axis
+        index offsets, in place of a walk over its virtual child pairs.
         """
         dd = self.d
         top = self.max_depth
@@ -304,6 +354,11 @@ class DyadicMeasureTree:
                         jb = memo[kb] = deinterleave(kb, level, dd)
                     gaps, reach = same_level_axis_bounds(dd, ja, jb)
             if not refine(level, gaps, reach, w):
+                continue
+            if level == top and leaf_pairs is not None:
+                leaf_pairs(level, (0,) * dd if ka == kb else (
+                    (delta,) if dd == 1 else tuple(sorted(
+                        abs(x - y) for x, y in zip(ja, jb)))), w)
                 continue
             if level < top:
                 memo = kids[level]

@@ -402,9 +402,11 @@ class TestCliVerify:
         code, text, _ = run_cli(capsys, "verify", "ineq-chain",
                                 "--in", cantor_file, "--levels", "4..9")
         assert code == 0 and "ineq-chain: PASS" in text
+        # a 4-level window reads the correlation slope 0.6 above the
+        # packing threshold 11/20, which tol 0 does not forgive
         code, text, _ = run_cli(capsys, "verify", "ineq-chain",
                                 "--in", cantor_file, "--levels", "4..9",
-                                "--tol", "-1")
+                                "--tol", "0", "--window", "4")
         assert code == 4 and "ineq-chain: FAIL" in text
 
     def test_ball_lower_bound(self, cantor_file, capsys):
@@ -446,9 +448,18 @@ class TestCliVerify:
          "--random-measures", "-2"],
         ["construct", "points", "--csv", "{csv}", "--snap-depth", "-1",
          "--out", "{out}"],
+        ["verify", "ineq-chain", "--in", "{cantor}", "--levels", "4..9",
+         "--tol", "-1"],
+        ["verify", "ineq-chain", "--in", "{cantor}", "--levels", "4..9",
+         "--tol", "nan"],
+        ["verify", "fourier-sandwich", "--in", "{cantor}", "--eps", "1/10",
+         "--tol", "-1"],
+        ["export", "--in", "{cantor}", "--csv", "{out}", "--min-level", "99"],
     ], ids=["samples-0", "samples-neg", "stages-0", "stages-neg",
             "sweep-depth-neg", "sweep-budget-0", "alternating-depth-neg",
-            "sweep-set-depth-neg", "random-measures-neg", "snap-depth-neg"])
+            "sweep-set-depth-neg", "random-measures-neg", "snap-depth-neg",
+            "ineq-tol-neg", "ineq-tol-nan", "fourier-tol-neg",
+            "export-min-level-99"])
     def test_malformed_counts_are_validation_errors(self, tmp_path,
                                                     cantor_file, capsys, argv):
         out = tmp_path / "set.json"

@@ -251,6 +251,20 @@ class TestAtomic:
         assert mu.atoms == [(p, Fraction(1))]
         mu.validate()
 
+    def test_support_is_the_point_tree(self):
+        pts = [(Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(1)),
+               (Fraction(1, 4), Fraction(3, 4))]
+        mu = DyadicMeasureTree.atomic(pts, [Fraction(1, 4), Fraction(1, 4),
+                                            Fraction(1, 2)], 2, 5)
+        want = DyadicSetTree.from_points(pts, 2, 5)
+        assert mu.support.levels == want.levels
+        assert mu.support.meta == {"kind": "points", "count": 2}
+        mu.validate()
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValidationError):
+            DyadicMeasureTree.atomic([(Fraction(1, 2),)], [1], 1, -1)
+
     def test_cube_masses_aggregate_atoms(self):
         mu = DyadicMeasureTree.atomic(
             [(Fraction(1, 4),), (Fraction(1),)],
@@ -361,6 +375,36 @@ class TestBallCorrelationBracket:
         assert b.cap_level > mu.max_depth
         assert (b.lower, b.upper) == brute_force_ball_bracket(
             mu, r, b.cap_level)
+
+    @pytest.mark.parametrize("tree, r, extra", [
+        (DyadicSetTree.full(1, 3), Fraction(1, 32), 2),
+        (DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 2), Fraction(1, 8), 0),
+        (DyadicSetTree.full(3, 0), Fraction(1, 2), 0),
+    ], ids=["d1-cap7", "d2-sierpinski-cap4", "d3-cap2"])
+    def test_matches_brute_force_below_leaves(self, tree, r, extra):
+        # leaf pairs at least two levels above the cap resolve through the
+        # per-offset counts, recursing over child offsets
+        mu = DyadicMeasureTree.random_split(tree, random.Random(3))
+        b = mu.ball_correlation_bracket(r, extra_depth=extra)
+        assert b.cap_level >= mu.max_depth + 2
+        assert (b.lower, b.upper) == brute_force_ball_bracket(
+            mu, r, b.cap_level)
+
+    @pytest.mark.parametrize("d, r", [(1, Fraction(1, 7)), (2, Fraction(1, 5)),
+                                      (3, Fraction(2, 3))], ids=str)
+    def test_single_leaf_matches_deeper_trees(self, d, r):
+        # full(d, 0) is one leaf, so its whole bracket comes from the
+        # zero-offset counts; deeper full trees are the same measure and
+        # also use off-diagonal leaf pairs
+        brackets = {(b.lower, b.upper, b.cap_level) for b in (
+            DyadicMeasureTree.uniform_on_set(
+                DyadicSetTree.full(d, depth)).ball_correlation_bracket(r, 1)
+            for depth in range(3))}
+        assert len(brackets) == 1
+        lower, upper, cap = brackets.pop()
+        assert 0 < lower <= upper and cap >= 2
+        if d == 1:
+            assert lower <= 2 * r - r * r <= upper
 
     def test_bracket_order_enforced(self):
         with pytest.raises(ValidationError):
