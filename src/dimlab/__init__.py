@@ -45,7 +45,6 @@ from .exact import (
     UnavailableError,
     UnsupportedModelError,
     ValidationError,
-    VerificationFailure,
     cmp_pow2,
     cmp_rpow,
     format_rational,

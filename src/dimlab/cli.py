@@ -35,7 +35,7 @@ from .estimators import (box_dims, correlation_dims, correlation_sandwich,
                          frostman_slope, inequality_report)
 from .exact import (ConstructionError, UnavailableError,
                     UnsupportedModelError, ValidationError,
-                    VerificationFailure, parse_rational, pow2)
+                    parse_rational, pow2)
 from .measure import DyadicMeasureTree, anti_frostman_check
 from .settree import DyadicSetTree
 
@@ -712,9 +712,6 @@ def main(argv=None) -> int:
             ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -28,10 +28,6 @@ class UnsupportedModelError(RuntimeError):
     """Operation not defined for this leaf model."""
 
 
-class VerificationFailure(RuntimeError):
-    """A verification suite ran to completion and found a violation."""
-
-
 def to_fraction(x) -> Fraction:
     """Convert int/Fraction/float/str to an exact Fraction.
 
@@ -79,22 +75,19 @@ def pow2(e: int) -> Fraction:
     return Fraction(1, 1 << (-e))
 
 
-def cmp_pow2(a, e, coeff: int = 1) -> int:
-    """Sign of a - coeff * 2**e for rational a and rational exponent e.
+def cmp_pow2(a, e) -> int:
+    """Sign of a - 2**e for rational a and rational exponent e.
 
-    coeff must be a positive integer. Decided exactly by raising both sides
-    to e's denominator.
+    Decided exactly by raising both sides to e's denominator.
     """
     a = to_fraction(a)
     e = to_fraction(e)
-    if coeff <= 0:
-        raise ValidationError("coeff must be positive")
     if a <= 0:
         return -1
     q = e.denominator
     p = e.numerator
     lhs = a ** q
-    rhs = Fraction(coeff) ** q * pow2(p)
+    rhs = pow2(p)
     if lhs < rhs:
         return -1
     if lhs > rhs:

@@ -192,12 +192,11 @@ class DyadicMeasureTree:
         bracket classifies cube pairs by exact closure distances, recursing
         on straddling pairs down to a cap level below which cubes are small
         relative to r; leaf cubes refine as uniform splits, which is exactly
-        what the leaf model asserts. So below the leaves a pair's subtree
-        depends only on its level and sorted per-axis index offsets: each
-        straddling leaf pair adds its weight times one memoised count of
-        the inside and straddling cap-level pairs under that offset. These
-        integer sums regroup the terms of the full walk, so the bracket is
-        the same rational.
+        what the leaf model asserts. Each resolved pair counts its inside
+        and straddling ordered cap-level pairs, so a straddling leaf pair
+        resolves through the walker's per-offset memo (see _walk_pairs).
+        These integer sums regroup the terms of a walk over every cap-level
+        pair, so the bracket is the same rational.
         """
         rf = to_fraction(r)
         if rf <= 0:
@@ -223,115 +222,109 @@ class DyadicMeasureTree:
             cap += 1
         cap += max(0, extra_depth)
 
-        nums, den2 = self._pair_scale(cap)
-        lower = [0] * (cap + 1)
-        upper = [0] * (cap + 1)
+        nums, den2 = self._pair_scale()
+        top = min(cap, self.max_depth)
+        lower = [0] * (top + 1)
+        upper = [0] * (top + 1)
 
         def resolve(level, gaps, reach):
-            """(inside, inside or straddling) weight of a pair that needs no
-            refinement, None for one that does."""
+            """(inside, inside or straddling) counts of the ordered cap-level
+            cube pairs under a pair that needs no refinement, None for one
+            that does."""
             shift = 2 * level
             # reach * 4^-level <= r^2 ?
             if reach * r2d <= r2n << shift:
-                return 1, 1
+                unit = 1 << (2 * dd * (cap - level))
+                return unit, unit
             # gaps * 4^-level > r^2 ?
             if gaps * r2d > r2n << shift:
                 return 0, 0
             return (0, 1) if level >= cap else None
 
-        def refine(level, gaps, reach, w):
-            got = resolve(level, gaps, reach)
-            if got is not None:
-                lower[level] += w * got[0]
-                upper[level] += w * got[1]
-            return got is None
+        def add(level, w, got):
+            lower[level] += w * got[0]
+            upper[level] += w * got[1]
 
-        memo = {}  # (level, sorted axis offsets) -> below(level, offsets)
+        def total(sums):
+            # a level-n pair of weight w splits into 4^(d (cap - n)) ordered
+            # cap-level pairs of mass w / den2[n] / 4^(d (cap - n)) each
+            return sum((Fraction(x, q << (2 * dd * (cap - n)))
+                        for n, (x, q) in enumerate(zip(sums, den2))),
+                       Fraction(0))
 
-        def below(level, offset):
-            """(inside, inside or straddling) counts, in ordered cap-level
-            cube pairs, of a cube pair below the leaves with these axis
-            offsets; a uniform split makes them depend on nothing else."""
-            got = memo.get((level, offset))
-            if got is None:
-                got = resolve(level, *same_level_axis_bounds(
-                    dd, offset, (0,) * dd))
-                if got is None:
-                    lo = hi = 0
-                    # per axis, child offsets with their multiplicities
-                    for kids in itertools.product(*(
-                            ((0, 2), (1, 2)) if x == 0 else
-                            ((2 * x - 1, 1), (2 * x, 2), (2 * x + 1, 1))
-                            for x in offset)):
-                        a, b = below(level + 1, tuple(sorted(
-                            k for k, _ in kids)))
-                        n = math.prod(c for _, c in kids)
-                        lo += n * a
-                        hi += n * b
-                    got = lo, hi
-                else:
-                    unit = 1 << (2 * dd * (cap - level))
-                    got = got[0] * unit, got[1] * unit
-                memo[(level, offset)] = got
-            return got
+        self._walk_pairs(resolve, add, nums)
+        return CorrelationBracket(total(lower), total(upper), rf, cap)
 
-        def leaf_pair(level, offset, w):
-            lo, hi = below(level, offset)
-            lower[cap] += w * lo
-            upper[cap] += w * hi
+    def _pair_scale(self) -> tuple[list[dict[int, int]], list[int]]:
+        """Integer form of the masses for a pair walk.
 
-        self._walk_pairs(refine, nums, leaf_pair)
-        return CorrelationBracket(_level_sum(lower, den2),
-                                  _level_sum(upper, den2), rf, cap)
-
-    def _pair_scale(self, deepest: int) -> tuple[list[dict[int, int]],
-                                                 list[int]]:
-        """Integer form of the masses for a pair walk down to level `deepest`.
-
-        D_n is the lcm of the level-n mass denominators for n <= max_depth,
-        and D_{n+1} = D_n << d below the leaves, where a virtual child keeps
-        its parent's numerator (a uniform split of the leaf mass). Returns
-        the numerators N_n[key] = mass(n, key) * D_n for n <= min(deepest,
-        max_depth) and den2[n] = D_n^2 for n <= deepest.
+        D_n is the lcm of the level-n mass denominators. Returns the
+        numerators N_n[key] = mass(n, key) * D_n and den2[n] = D_n^2 for
+        n <= max_depth.
         """
         nums: list[dict[int, int]] = []
         den2: list[int] = []
-        for n in range(deepest + 1):
-            if n <= self.max_depth:
-                tbl = self.masses[n]
-                den = math.lcm(*(m.denominator for m in tbl.values()))
-                nums.append({k: m.numerator * (den // m.denominator)
-                             for k, m in tbl.items()})
-            else:
-                den <<= self.d
+        for tbl in self.masses:
+            den = math.lcm(*(m.denominator for m in tbl.values()))
+            nums.append({k: m.numerator * (den // m.denominator)
+                         for k, m in tbl.items()})
             den2.append(den * den)
         return nums, den2
 
-    def _walk_pairs(self, refine, nums: list[dict[int, int]],
-                    leaf_pairs=None) -> None:
+    def _walk_pairs(self, resolve, add, nums: list[dict[int, int]]) -> None:
         """Dual-tree traversal over canonical cube pairs (key_a <= key_b at
         a common level), starting from the root pair.
 
-        Calls refine(level, gaps, reach, w) once per visited pair: gaps and
+        Calls resolve(level, gaps, reach) once per visited pair: gaps and
         reach are the integer squared min and max closure distances in units
-        of the cube side (min_dist^2 = gaps * 4^-level, likewise reach), w
-        is the int N_a * N_b of the pair's mass numerators from `nums` (see
+        of the cube side (min_dist^2 = gaps * 4^-level, likewise reach).
+        resolve returns the pair's contribution, or None to descend into its
+        child pairs. A contribution goes to add(level, w, got), where w is
+        the int N_a * N_b of the pair's mass numerators from `nums` (see
         _pair_scale), doubled off the diagonal so that the canonical pair
         stands for both orders; it stands for the mass product
-        w / den2[level]. refine adds the pair to its own sums and returns
-        True to descend into the pair's child pairs, which it must not do at
-        or below the deepest level that den2 covers. Cube coordinates, and
-        the child lists of cubes above the leaves, are computed once per
-        cube and walk. Given leaf_pairs, a leaf pair that refine opens is
-        passed to leaf_pairs(level, offsets, w), with its sorted per-axis
-        index offsets, in place of a walk over its virtual child pairs.
+        w / den2[level].
+
+        Below max_depth the leaf model splits every cube uniformly, so what
+        lies under a leaf pair depends only on its level and sorted per-axis
+        index offsets. A leaf pair that resolve opens gets the contribution
+        below(level, offsets), memoised for the walk: resolve's value if it
+        resolves the offset pair, else the sum over the child offsets, which
+        per axis are 2x - 1, 2x, 2x + 1 with multiplicities 1, 2, 1 for an
+        offset x > 0 and 0, 1 with multiplicities 2, 2 for x = 0, counting
+        ordered child pairs. resolve must scale its values so that such a
+        child sum needs no rescaling. Cube coordinates, and the child lists
+        of cubes above the leaves, are computed once per cube and walk.
         """
         dd = self.d
         top = self.max_depth
         children_keys = self.support.children_keys
-        fan = range(1 << dd)
         coords = defaultdict(dict)  # level -> key -> axis indices
         kids = defaultdict(dict)  # level -> key -> [(child key, numerator)]
+        memo = {}  # (level, sorted axis offsets) -> below(level, offsets)
+        origin = (0,) * dd
+
+        def below(level, offset):
+            got = memo.get((level, offset))
+            if got is None:
+                got = resolve(level, *same_level_axis_bounds(dd, offset,
+                                                             origin))
+                if got is None:
+                    lo = hi = 0
+                    # per axis, child offsets with their multiplicities
+                    for axes in itertools.product(*(
+                            ((0, 2), (1, 2)) if x == 0 else
+                            ((2 * x - 1, 1), (2 * x, 2), (2 * x + 1, 1))
+                            for x in offset)):
+                        a, b = below(level + 1, tuple(sorted(
+                            k for k, _ in axes)))
+                        n = math.prod(c for _, c in axes)
+                        lo += n * a
+                        hi += n * b
+                    got = lo, hi
+                memo[(level, offset)] = got
+            return got
+
         stack = [(0, 0, 0, nums[0][0], nums[0][0])]
         while stack:
             level, ka, kb, na, nb = stack.pop()
@@ -345,35 +338,32 @@ class DyadicMeasureTree:
                     gaps = (delta - 1) * (delta - 1)
                     reach = (delta + 1) * (delta + 1)
                 else:
-                    memo = coords[level]
-                    ja = memo.get(ka)
+                    pos = coords[level]
+                    ja = pos.get(ka)
                     if ja is None:
-                        ja = memo[ka] = deinterleave(ka, level, dd)
-                    jb = memo.get(kb)
+                        ja = pos[ka] = deinterleave(ka, level, dd)
+                    jb = pos.get(kb)
                     if jb is None:
-                        jb = memo[kb] = deinterleave(kb, level, dd)
+                        jb = pos[kb] = deinterleave(kb, level, dd)
                     gaps, reach = same_level_axis_bounds(dd, ja, jb)
-            if not refine(level, gaps, reach, w):
-                continue
-            if level == top and leaf_pairs is not None:
-                leaf_pairs(level, (0,) * dd if ka == kb else (
+            got = resolve(level, gaps, reach)
+            if got is None and level == top:
+                got = below(level, origin if ka == kb else (
                     (delta,) if dd == 1 else tuple(sorted(
-                        abs(x - y) for x, y in zip(ja, jb)))), w)
+                        abs(x - y) for x, y in zip(ja, jb)))))
+            if got is not None:
+                add(level, w, got)
                 continue
-            if level < top:
-                memo = kids[level]
-                tbl = nums[level + 1]
-                ca = memo.get(ka)
-                if ca is None:
-                    ca = memo[ka] = [(k, tbl[k])
-                                     for k in children_keys(level, ka)]
-                cb = memo.get(kb)
-                if cb is None:
-                    cb = memo[kb] = [(k, tbl[k])
-                                     for k in children_keys(level, kb)]
-            else:
-                ca = [((ka << dd) + t, na) for t in fan]
-                cb = ca if ka == kb else [((kb << dd) + t, nb) for t in fan]
+            cache = kids[level]
+            tbl = nums[level + 1]
+            ca = cache.get(ka)
+            if ca is None:
+                ca = cache[ka] = [(k, tbl[k])
+                                  for k in children_keys(level, ka)]
+            cb = cache.get(kb)
+            if cb is None:
+                cb = cache[kb] = [(k, tbl[k])
+                                  for k in children_keys(level, kb)]
             for ia, (cka, cna) in enumerate(ca):
                 start = ia if ka == kb else 0
                 for ckb, cnb in cb[start:]:
@@ -441,7 +431,12 @@ class DyadicMeasureTree:
         infinite weight on the diagonal for every s > 0, so the true value
         is known, not estimated. In dimension 1 the uniform leaf model
         admits closed-form cube-pair integrals, so the bracket collapses to
-        float rounding width.
+        float rounding width. In higher dimensions every cube pair is
+        bounded through its closure distances at the cap level max_depth +
+        refine_depth. Below the leaves a pair's terms depend only on its
+        level and axis offsets, so the walk computes them once per offset
+        (see _walk_pairs): the cost grows with the distinct offsets, at
+        most about 2^(d cap) of them, not with the 4^(d cap) cube pairs.
         """
         sf = to_fraction(s)
         if sf <= 0:
@@ -493,35 +488,35 @@ class DyadicMeasureTree:
         cap = self.max_depth + max(0, refine_depth)
         vd = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
         sigma = d * vd
-        nums, den2 = self._pair_scale(cap)
+        nums, den2 = self._pair_scale()
         lower = 0.0
         upper = 0.0
 
-        def refine(level, gaps, reach, w):
-            nonlocal lower, upper
-            w = w / den2[level]  # correctly rounded, as float(Fraction) is
+        def resolve(level, gaps, reach):
+            """(lower, upper) terms of a cap-level pair, for the pair's
+            mass product taken as 4^(-d level); None above the cap."""
+            if level < cap:
+                return None
             side = 2.0 ** (-level)
-            min_dist = math.sqrt(gaps) * side
+            unit = side ** (2 * d)
             max_dist = math.sqrt(reach) * side
-            if gaps > 0 and level >= cap:
-                lower += w * max_dist ** (-sv)
-                upper += w * min_dist ** (-sv)
-                return False
+            lo = unit * max_dist ** (-sv)
             if gaps > 0:
-                lo_term = w * max_dist ** (-sv)
-                hi_term = w * min_dist ** (-sv)
-                if hi_term - lo_term <= 1e-12 * max(1.0, lo_term):
-                    lower += lo_term
-                    upper += hi_term
-                    return False
-            if level >= cap:
-                lower += w * max_dist ** (-sv)
-                upper += w * sigma * max_dist ** (d - sv) / ((d - sv)
-                                                             * side ** d)
-                return False
-            return True
+                return lo, unit * (math.sqrt(gaps) * side) ** (-sv)
+            # same cube: |x - y|^-s integrated over the ball of radius
+            # max_dist around x
+            return lo, unit * sigma * max_dist ** (d - sv) / ((d - sv)
+                                                              * side ** d)
 
-        self._walk_pairs(refine, nums)
+        def add(level, w, got):
+            nonlocal lower, upper
+            # mass product over 4^(-d level), correctly rounded as an
+            # int-by-int division; the powers of two cancel exactly
+            w = (w << (2 * d * level)) / den2[level]
+            lower += w * got[0]
+            upper += w * got[1]
+
+        self._walk_pairs(resolve, add, nums)
         return EnergyBracket(lower, upper, s, False,
                              {"method": "dualtree", "cap_level": cap})
 
@@ -556,11 +551,6 @@ class DyadicMeasureTree:
             agg = _aggregate_atoms(self.atoms, self.d, self.max_depth)
             if agg[self.max_depth] != self.masses[self.max_depth]:
                 raise ValidationError("atoms inconsistent with leaf masses")
-
-
-def _level_sum(nums: list[int], den2: list[int]) -> Fraction:
-    """Exact sum of nums[n] / den2[n] over the levels n."""
-    return sum((Fraction(x, q) for x, q in zip(nums, den2)), Fraction(0))
 
 
 def _split_masses(tree: DyadicSetTree, parts) -> list[dict[int, Fraction]]:

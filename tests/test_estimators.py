@@ -240,9 +240,9 @@ class TestPacking:
         grid = [Fraction(k, 20) for k in range(1, 21)]
         calls = []
 
-        def counting_cmp_pow2(a, e, coeff=1):
+        def counting_cmp_pow2(a, e):
             calls.append((a, e))
-            return cmp_pow2(a, e, coeff)
+            return cmp_pow2(a, e)
 
         def no_predicate(*args, **kwargs):
             raise AssertionError("packing_predicate called")

@@ -83,13 +83,6 @@ class TestCmpPow2:
         assert cmp_pow2(Fraction(3, 2), Fraction(1, 2)) == 1
         assert cmp_pow2(Fraction(7, 5), Fraction(1, 2)) == -1
 
-    def test_coefficient(self):
-        # a vs 3 * 2^-2
-        assert cmp_pow2(Fraction(3, 4), -2, coeff=3) == 0
-        assert cmp_pow2(Fraction(3, 4), -2, coeff=4) == -1
-        with pytest.raises(ValidationError):
-            cmp_pow2(1, 0, coeff=0)
-
     def test_nonpositive_argument(self):
         assert cmp_pow2(0, -100) == -1
         assert cmp_pow2(Fraction(-1, 2), Fraction(1, 3)) == -1

@@ -349,6 +349,29 @@ class TestFourierEnergy:
         assert not rep.diverged
         assert rep.value > 0
 
+    @pytest.mark.parametrize("tree, s, refine_depth, kw", [
+        (DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 4), Fraction(1, 2),
+         4, {"r_max": 256}),
+        (DyadicSetTree.full(1, 6), Fraction(1, 2), 8, {}),
+    ], ids=["sierpinski4", "interval6"])
+    def test_parseval_matches_spatial_bracket(self, tree, s, refine_depth,
+                                              kw):
+        # int |z|^(s-d) |mu_hat|^2 dz = (2 pi)^d / c(d, s) * I_s(mu) with
+        # c(d, s) = pi^(d/2) 2^(d-s) Gamma((d-s)/2) / Gamma(s/2) (Mattila,
+        # Fourier Analysis and Hausdorff Dimension, 2015, sec. 3.5): the
+        # quadrature must land in the scaled spatial bracket, widened by
+        # its own error estimate
+        mu = DyadicMeasureTree.uniform_on_set(tree)
+        d, sv = mu.d, float(s)
+        c = (math.pi ** (d / 2) * 2 ** (d - sv) * math.gamma((d - sv) / 2)
+             / math.gamma(sv / 2))
+        scale = (2 * math.pi) ** d / c
+        b = mu.energy_bracket(s, refine_depth=refine_depth)
+        rep = fourier_energy(mu, s, **kw)
+        assert not b.diverged and not rep.diverged
+        assert (b.lower * scale - rep.err <= rep.value
+                <= b.upper * scale + rep.err)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             fourier_energy(uniform_interval(3), 1.5)

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a dimlab module imports is used there, and
-every function or class it defines is used somewhere.
+"""Source hygiene: every name a dimlab module imports is used there,
+every function or class it defines is used somewhere, and every exception
+class it defines is raised somewhere.
 
 Stdlib-`ast` stand-ins for a linter's unused-import and dead-code rules.
 The import check skips `__init__.py`, since its imports are the package's
@@ -7,6 +8,7 @@ re-exports.
 """
 
 import ast
+import builtins
 import re
 from collections import Counter
 from pathlib import Path
@@ -115,3 +117,32 @@ def test_no_dead_definitions():
                     - used_identifiers(node, member)[name] <= 0):
                 dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, f"defined but never used: {dead}"
+
+
+def test_exceptions_are_raised():
+    """Every exception class defined in src/dimlab is raised somewhere in
+    src: an exception nothing raises makes its handlers dead code."""
+    trees = [ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))]
+    classes = {node.name: node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return name in classes and any(
+            isinstance(base, ast.Name) and is_exception(base.id)
+            for base in classes[name].bases)
+
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    unraised = sorted(name for name in classes
+                      if is_exception(name) and name not in raised)
+    assert not unraised, f"exception classes never raised: {unraised}"

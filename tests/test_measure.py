@@ -490,6 +490,18 @@ class TestCoverMass:
                                          Fraction(1, 4), 2)
 
 
+def deeper(mu, k):
+    """mu materialised k levels deeper: each leaf mass split equally over
+    all 2^(d k) descendant cubes, as the uniform leaf model says."""
+    d, depth, spread = mu.d, mu.max_depth + k, mu.d * k
+    leaf = {(key << spread) + t: m / (1 << spread)
+            for key, m in mu.masses[mu.max_depth].items()
+            for t in range(1 << spread)}
+    return DyadicMeasureTree.from_masses(
+        DyadicSetTree.from_codes(d, depth, leaf),
+        ancestor_tables(leaf, d, depth))
+
+
 class TestEnergy:
     def test_uniform_interval_family(self):
         # closed form for the uniform interval: 2 / ((1-s)(2-s))
@@ -519,7 +531,6 @@ class TestEnergy:
             mu.energy_bracket(0)
 
     def test_dualtree_2d_brackets_nest(self):
-        # pair enumeration is quadratic in the cap level, so keep it small
         mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, 1))
         rough = mu.energy_bracket(Fraction(1, 2), refine_depth=1)
         fine = mu.energy_bracket(Fraction(1, 2), refine_depth=3)
@@ -533,14 +544,18 @@ class TestEnergy:
         assert one.lower <= want <= one.upper
 
     @pytest.mark.parametrize("case, want", [
-        ("square", ("0x1.665ad2c59416fp+0", "0x1.d7e22785dbb59p+1")),
-        ("sierpinski_random", ("0x1.751f8ad618265p+1",
-                               "0x1.ef2b0edb3d72cp+4")),
-        ("cube_digits", ("0x1.209bec63e3d33p+0", "0x1.81f3814000ae3p+6")),
+        ("square", ("0x1.665ad2c59403ep+0", "0x1.d7e22785dbfe6p+1")),
+        ("sierpinski_random", ("0x1.751f8ad61825fp+1",
+                               "0x1.ef2b0edb3d747p+4")),
+        ("cube_digits", ("0x1.209bec63e3d38p+0", "0x1.81f3814000ac4p+6")),
     ])
     def test_dualtree_bits_pinned(self, case, want):
         # float.hex of the dual-tree brackets: the walk's visiting order and
-        # the rounding of each pair weight are part of the output
+        # the rounding of each pair weight are part of the output.
+        # Re-pinned when leaf pairs began to resolve through the per-offset
+        # memo: the terms below the leaves are summed per offset and then
+        # scaled once by the leaf pair's weight, so they round differently
+        # (at most 1.4e-13 relative, on "square")
         if case == "square":
             mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, 1))
             s, depth = Fraction(1, 2), 3
@@ -555,6 +570,29 @@ class TestEnergy:
             s, depth = Fraction(3, 2), 1
         b = mu.energy_bracket(s, refine_depth=depth)
         assert (b.lower.hex(), b.upper.hex()) == want
+
+    @pytest.mark.parametrize("cap, tree", [
+        (4, DyadicSetTree.full(2, 0)),
+        (2, DyadicSetTree.full(3, 0)),
+        (4, DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 2)),
+    ], ids=["full2-cap4", "full3-cap2", "sierpinski-random-cap4"])
+    @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(1)], ids=str)
+    def test_offset_memo_matches_deeper_trees(self, cap, tree, s):
+        # the same measure materialised k levels deeper by equal splits, at
+        # the same cap: at k = 0 every pair below the tree's leaves goes
+        # through the per-offset memo, at k = cap - depth none does. On a
+        # one-cube tree the measure, and every deeper copy, is uniform
+        mu = DyadicMeasureTree.random_split(tree, random.Random(5))
+        values = []
+        for k in range(cap - mu.max_depth + 1):
+            deep = deeper(mu, k)
+            b = deep.energy_bracket(s, refine_depth=cap - deep.max_depth)
+            assert b.detail["cap_level"] == cap and not b.diverged
+            values.append((b.lower, b.upper))
+        lo, hi = values[0]
+        assert 0 < lo < hi
+        for got in values[1:]:
+            assert got == pytest.approx((lo, hi), rel=1e-12)
 
     def test_cantor_energy_finite_below_half(self):
         # the middle-half Cantor set carries a measure of dimension 1/2,
