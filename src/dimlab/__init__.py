@@ -4,8 +4,8 @@ two-regime counterexample constructions, and Fourier-side dimension checks.
 Everything scale-indexed lives on the dyadic grid of half-open cubes
 (j 2^-n, (j+1) 2^-n] inside the unit cube. Counts, masses and the
 inequalities between them are exact (integers and Fractions); slopes,
-transforms and energies are floats that always carry their fitting window
-or an error bound.
+transforms and energies are floats that always carry their fitting window,
+an enclosure or an error estimate.
 """
 
 from .constructions import (

@@ -39,7 +39,7 @@ from .exact import (
     level_for_radius,
     to_fraction,
 )
-from .measure import DyadicMeasureTree, ancestor_tables
+from .measure import UNIFORM, DyadicMeasureTree, ancestor_tables
 from .settree import DyadicSetTree, Segment, SegmentCounts
 
 
@@ -726,9 +726,11 @@ def _stage_measure(tree: DyadicSetTree, level: int,
                    cubes: list[tuple[int, Fraction]]) -> DyadicMeasureTree:
     """Measure truncated at the stage level: explicit masses on the stage
     cubes' ancestor closure, uniform leaf model below."""
-    masses = ancestor_tables(dict(cubes), tree.d, level)
-    levels = [sorted(masses[n]) for n in range(level + 1)]
+    tables = ancestor_tables(dict(cubes), tree.d, level)
+    levels = [sorted(tbl) for tbl, _ in tables]
     support = DyadicSetTree(tree.d, level, levels, None,
                             {"kind": "frostman_stage", "from": tree.meta.get("kind")})
-    return DyadicMeasureTree.from_masses(support, masses, meta={
+    mu = DyadicMeasureTree(support, UNIFORM, tables, None, {
         "kind": "frostman_stage", "level": level})
+    mu.validate()
+    return mu

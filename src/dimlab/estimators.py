@@ -197,22 +197,22 @@ def _sup_ball_cover(mu: DyadicMeasureTree, r: Fraction, n: int) -> Fraction:
     of C and one neighbor per axis; the max block mass over all cubes and
     corner directions dominates the sup."""
     d = mu.d
-    masses = mu.masses[n]
+    masses, den = mu.tables[n]
     top = 1 << n
-    best = Fraction(0)
+    best = 0
     for key in masses:
         idx = deinterleave(key, n, d)
         for dirs in product((-1, 1), repeat=d):
-            total = Fraction(0)
+            total = 0
             for offs in product((0, 1), repeat=d):
                 j = tuple(idx[i] + dirs[i] * offs[i] for i in range(d))
                 if any(not (0 <= ji < top) for ji in j):
                     continue
                 k2 = interleave(j, n)
-                total += masses.get(k2, Fraction(0))
+                total += masses.get(k2, 0)
             if total > best:
                 best = total
-    return best
+    return Fraction(best, den)
 
 
 def _diam_le_r_level(d: int, r: Fraction) -> int:
@@ -316,7 +316,6 @@ def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
     half = len(lv) - len(lv) // 2  # first-half length (ceil)
     first, second = set(lv[:half]), set(lv[half:])
 
-    masses = mu.masses
     d = mu.d
     report = PredicateReport("dyadic-packing", sf)
     failing: list[int] = []
@@ -328,7 +327,7 @@ def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
         hits = []
         for n in lv:
             anc = leaf >> (d * (top - n))
-            if cmp_pow2(masses[n].get(anc, Fraction(0)), -(n * sf)) <= 0:
+            if cmp_pow2(mu.mass(n, anc), -(n * sf)) <= 0:
                 hits.append(n)
                 per_level_pass[n] += 1
         if not (any(h in first for h in hits)
@@ -355,15 +354,15 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     Returns (threshold, per-exponent verdicts); threshold 0 when none hold.
 
     Same verdicts as packing_predicate at every grid exponent, from one
-    top-down walk. For a fixed cube of mass m at level n, m <= 2^-ns is
-    monotone in s, so the exponents it passes form a prefix of the sorted
-    grid; its length is found by bisection, once per (level, mass). A leaf
-    then passes at the first k exponents, where k is the smaller of the
-    longest prefix passed by an ancestor in the first half of the window
-    and in the second half, and the predicate holds exactly on the shortest
-    such prefix over all leaves. Every selected cube at the window's last
-    level has a leaf below it, and each such leaf has the same window
-    ancestors, so the walk stops at that level.
+    top-down pass over the levels. For a fixed cube of mass m at level n,
+    m <= 2^-ns is monotone in s, so the exponents it passes form a prefix
+    of the sorted grid; its length is found by bisection, once per (level,
+    mass numerator). A leaf then passes at the first k exponents, where k
+    is the smaller of the longest prefix passed by an ancestor in the first
+    half of the window and in the second half, and the predicate holds
+    exactly on the shortest such prefix over all leaves. Every selected
+    cube at the window's last level has a leaf below it, and each such
+    leaf has the same window ancestors, so the pass stops at that level.
     """
     if grid is None:
         grid = [Fraction(k, 20) for k in range(1, 21)]
@@ -379,11 +378,12 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     in_first = {n: i < half for i, n in enumerate(lv)}
     last = lv[-1]
 
-    prefix: dict[tuple[int, Fraction], int] = {}
+    prefix: dict[tuple[int, int], int] = {}
 
-    def passed(n: int, m: Fraction) -> int:
-        k = prefix.get((n, m))
+    def passed(n: int, num: int) -> int:
+        k = prefix.get((n, num))
         if k is None:
+            m = Fraction(num, mu.tables[n][1])
             lo, hi = 0, len(svs)
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -391,24 +391,23 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
                     lo = mid + 1
                 else:
                     hi = mid
-            k = prefix[(n, m)] = lo
+            k = prefix[(n, num)] = lo
         return k
 
-    holds = len(svs)
-    # (level, key, mass, best prefix in the first half, in the second half)
-    stack = [(0, 0, Fraction(1), 0, 0)]
-    while stack:
-        n, key, m, first, second = stack.pop()
-        if n in in_first:
-            if in_first[n]:
-                first = max(first, passed(n, m))
-            else:
-                second = max(second, passed(n, m))
-        if n == last:
-            holds = min(holds, first, second)
-            continue
-        for ck, cm in mu._node_children(n, key):
-            stack.append((n + 1, ck, cm, first, second))
+    # level-n cube key -> the best prefix passed by the cube or an ancestor
+    # in the first half of the window, and in the second half
+    best = {0: (0, 0)}
+    for n in range(last + 1):
+        up, best = best, {}
+        for key, m in mu.tables[n][0].items():
+            first, second = up[key >> mu.d]
+            if n in in_first:
+                if in_first[n]:
+                    first = max(first, passed(n, m))
+                else:
+                    second = max(second, passed(n, m))
+            best[key] = first, second
+    holds = min(len(svs), *(min(ab) for ab in best.values()))
     tested = [(sv, "holds-on-window" if i < holds else "fails")
               for i, sv in enumerate(svs)]
     return (svs[holds - 1] if holds else Fraction(0)), tested

@@ -124,9 +124,9 @@ def _mu_hat_sq_many(terms, Z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MeanSquareCurve:
-    """Samples of R -> integral_{|z|<=R} |mu_hat(z)|^2 dz with per-sample
-    quadrature error bounds. degraded means the refinement budget ran out
-    before the error target was met."""
+    """Samples of R -> integral_{|z|<=R} |mu_hat(z)|^2 dz, each with an err
+    that is a Richardson estimate of the quadrature error, not a proven
+    bound. degraded means the refinement budget ran out first."""
 
     samples: list[dict] = field(default_factory=list)
     degraded: bool = False
@@ -420,8 +420,10 @@ def fourier_box_estimate(tree: DyadicSetTree, r_window, candidates=None,
 @dataclass
 class FourierEnergyReport:
     """Weighted frequency integral int |z|^(s-d) |mu_hat|^2 dz, truncated,
-    with a decay-fit tail estimate. diverged means the measured high-
-    frequency decay cannot make the full integral finite."""
+    with a decay-fit tail estimate. err adds Richardson estimates of the
+    quadrature error, the head's bound and half the tail: an estimate, not
+    a proven bound. diverged means the measured high-frequency decay
+    cannot make the full integral finite."""
 
     s: float
     value: float

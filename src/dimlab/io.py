@@ -118,8 +118,8 @@ def set_from_dict(data: dict) -> DyadicSetTree:
 
 
 def measure_to_dict(mu: DyadicMeasureTree) -> dict:
-    masses = [[[k, format_rational(m)] for k, m in sorted(level.items())]
-              for level in mu.masses]
+    masses = [[[k, format_rational(m)] for k, m in mu.level_masses(n)]
+              for n in range(mu.max_depth + 1)]
     atoms = None
     if mu.atoms is not None:
         atoms = [[[format_rational(c) for c in p], format_rational(w)]
@@ -148,7 +148,9 @@ def measure_from_dict(data: dict) -> DyadicMeasureTree:
                   for level in tables]
     elif rule == "equal_split" and tables is None:
         # files written before every measure carried tables
-        masses = DyadicMeasureTree.uniform_on_set(support).masses
+        uni = DyadicMeasureTree.uniform_on_set(support)
+        masses = [dict(uni.level_masses(n))
+                  for n in range(support.max_depth + 1)]
     else:
         raise ValidationError(
             f"unsupported mass rule {rule!r} or missing mass tables")
@@ -156,10 +158,9 @@ def measure_from_dict(data: dict) -> DyadicMeasureTree:
     if data.get("atoms") is not None:
         atoms = [(tuple(parse_rational(c) for c in p), parse_rational(w))
                  for p, w in data["atoms"]]
-    mu = DyadicMeasureTree(support, data["leaf_model"], masses, atoms,
-                           _decode_meta(data.get("meta", {})))
-    mu.validate()
-    return mu
+    meta = _decode_meta(data.get("meta", {}))
+    return DyadicMeasureTree.from_masses(support, masses, data["leaf_model"],
+                                         atoms, meta)
 
 
 # ---------------------------------------------------------------------------

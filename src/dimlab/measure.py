@@ -3,19 +3,21 @@
 A measure assigns a rational mass to every selected cube, consistently
 (parent mass = sum of selected-child masses, root mass 1, positive mass
 exactly on selected cubes). Every measure stores these masses the same
-way, as one exact table per level (key -> Fraction), built once when the
-measure is made: top-down by splitting each cube's mass among its selected
-children (uniform, random), or bottom-up by summing deepest-level masses
-into their ancestors (atoms, construction stages). Below the deepest
-materialized level the measure is interpreted through a leaf model:
-"uniform" spreads each leaf's mass as normalized Lebesgue measure on the
-leaf cube, "atoms" concentrates it on an explicit finite point list.
+way, as int numerators over one reduced denominator per level (a canonical
+form: equal tables mean equal measures; Fractions are made only where a
+mass leaves the measure), built once when the measure is made: top-down by
+splitting each cube's mass among its selected children (uniform, random),
+or bottom-up by summing deepest-level masses into their ancestors (atoms,
+construction stages). Below the deepest materialized level the measure is
+interpreted through a leaf model: "uniform" spreads each leaf's mass as
+normalized Lebesgue measure on the leaf cube, "atoms" concentrates it on
+an explicit finite point list.
 
 Ball quantities that a finite tree cannot pin down exactly are returned as
 two-sided brackets; dyadic quantities (cube masses, correlation sums over
 cube pairs) are exact rationals. The pair walker behind the ball-correlation
-and energy brackets works on integer numerators derived from the tables,
-over one common denominator per level, and builds no Fraction per pair.
+and energy brackets works on the stored numerators and builds no Fraction
+per pair.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .dyadic import (cube_of_point, deinterleave, interleave,
-                     same_level_axis_bounds, squared_distance)
+                     same_level_axis_bounds)
 from .exact import (
     UnsupportedModelError,
     ValidationError,
@@ -40,6 +42,8 @@ from .settree import DyadicSetTree
 
 UNIFORM = "uniform"
 ATOMS = "atoms"
+# per level: (int numerators by cube key, their reduced denominator)
+Tables = list[tuple[dict[int, int], int]]
 
 
 @dataclass(frozen=True)
@@ -85,10 +89,10 @@ class EnergyBracket:
 
 
 class DyadicMeasureTree:
-    """Mass assignment on a DyadicSetTree."""
+    """Mass assignment on a DyadicSetTree. tables[n] = (N, D) holds level
+    n's masses as mass(n, key) = N[key] / D, in lowest terms."""
 
-    def __init__(self, support: DyadicSetTree, leaf_model: str,
-                 masses: list[dict[int, Fraction]],
+    def __init__(self, support: DyadicSetTree, leaf_model: str, tables: Tables,
                  atoms: list[tuple[tuple[Fraction, ...], Fraction]] | None = None,
                  meta: dict | None = None):
         if leaf_model not in (UNIFORM, ATOMS):
@@ -97,7 +101,7 @@ class DyadicMeasureTree:
             raise ValidationError("atomic leaf model needs an atom list")
         self.support = support
         self.leaf_model = leaf_model
-        self.masses = masses
+        self.tables = tables
         self.atoms = atoms
         self.meta = meta or {}
 
@@ -106,15 +110,17 @@ class DyadicMeasureTree:
     @classmethod
     def uniform_on_set(cls, tree: DyadicSetTree) -> "DyadicMeasureTree":
         """Equal split among selected children at every cube."""
-        masses = _split_masses(tree, lambda kids: [1] * len(kids))
-        return cls(tree, UNIFORM, masses, None, {"kind": "uniform_on_set"})
+        tables = _split_masses(tree, lambda kids: [1] * len(kids))
+        return cls(tree, UNIFORM, tables, None, {"kind": "uniform_on_set"})
 
     @classmethod
     def from_masses(cls, tree: DyadicSetTree,
                     masses: list[dict[int, Fraction]],
                     leaf_model: str = UNIFORM,
                     atoms=None, meta=None) -> "DyadicMeasureTree":
-        mu = cls(tree, leaf_model, masses, atoms, meta)
+        """Validated measure from per-level Fraction tables."""
+        mu = cls(tree, leaf_model, [_over_lcm(tbl) for tbl in masses],
+                 atoms, meta)
         mu.validate()
         return mu
 
@@ -139,10 +145,10 @@ class DyadicMeasureTree:
         atom_list = sorted(agg.items())
         if depth < 0:
             raise ValidationError("depth must be >= 0")
-        masses = _aggregate_atoms(atom_list, d, depth)
-        tree = DyadicSetTree.from_codes(d, depth, masses[depth], {
+        tables = _aggregate_atoms(atom_list, d, depth)
+        tree = DyadicSetTree.from_codes(d, depth, tables[depth][0], {
             "kind": "points", "count": len(atom_list)})
-        return cls(tree, ATOMS, masses, atom_list,
+        return cls(tree, ATOMS, tables, atom_list,
                    meta or {"kind": "atomic"})
 
     @classmethod
@@ -150,9 +156,9 @@ class DyadicMeasureTree:
                      max_part: int = 9) -> "DyadicMeasureTree":
         """Random exact-rational splits among selected children; useful for
         seeded property sweeps."""
-        masses = _split_masses(
+        tables = _split_masses(
             tree, lambda kids: [rng.randint(1, max_part) for _ in kids])
-        return cls(tree, UNIFORM, masses, None, {"kind": "random_split"})
+        return cls(tree, UNIFORM, tables, None, {"kind": "random_split"})
 
     # -- mass queries --------------------------------------------------------
 
@@ -164,26 +170,30 @@ class DyadicMeasureTree:
     def max_depth(self) -> int:
         return self.support.max_depth
 
-    def _table(self, n: int) -> dict[int, Fraction]:
+    def _table(self, n: int) -> tuple[dict[int, int], int]:
         if not (0 <= n <= self.max_depth):
             raise ValidationError("level out of range")
-        return self.masses[n]
+        return self.tables[n]
 
     def mass(self, level: int, key: int) -> Fraction:
-        return self._table(level).get(key, Fraction(0))
+        tbl, den = self._table(level)
+        return Fraction(tbl.get(key, 0), den)
 
     def level_masses(self, n: int) -> list[tuple[int, Fraction]]:
         """Sorted (key, mass) pairs over the selected level-n cubes."""
-        return sorted(self._table(n).items())
+        tbl, den = self._table(n)
+        return [(k, Fraction(m, den)) for k, m in sorted(tbl.items())]
 
     def max_cube_mass(self, n: int) -> Fraction:
-        return max(self._table(n).values())
+        tbl, den = self._table(n)
+        return Fraction(max(tbl.values()), den)
 
     # -- correlation ----------------------------------------------------------
 
     def dyadic_correlation_sum(self, n: int) -> Fraction:
         """Sum of squared level-n cube masses, exactly."""
-        return sum((m * m for m in self._table(n).values()), Fraction(0))
+        tbl, den = self._table(n)
+        return Fraction(sum(m * m for m in tbl.values()), den * den)
 
     def ball_correlation_bracket(self, r, extra_depth: int = 4) -> CorrelationBracket:
         """Two-sided enclosure of (mu x mu){(x, y): |x - y| <= r}.
@@ -202,15 +212,14 @@ class DyadicMeasureTree:
         if rf <= 0:
             raise ValidationError("radius must be positive")
         if self.leaf_model == ATOMS:
-            total = Fraction(0)
-            r2 = rf * rf
-            pts = self.atoms
+            r2, _, pts, wden = self._atoms_on_ints(rf)
+            total = 0
             for i, (p, w) in enumerate(pts):
                 total += w * w
-                for j in range(i + 1, len(pts)):
-                    q, v = pts[j]
-                    if squared_distance(p, q) <= r2:
+                for q, v in pts[i + 1:]:
+                    if sum((a - b) ** 2 for a, b in zip(p, q)) <= r2:
                         total += 2 * w * v
+            total = Fraction(total, wden * wden)
             return CorrelationBracket(total, total, rf, self.max_depth)
 
         r2 = rf * rf
@@ -222,7 +231,7 @@ class DyadicMeasureTree:
             cap += 1
         cap += max(0, extra_depth)
 
-        nums, den2 = self._pair_scale()
+        den2 = [q * q for _, q in self.tables]
         top = min(cap, self.max_depth)
         lower = [0] * (top + 1)
         upper = [0] * (top + 1)
@@ -252,26 +261,10 @@ class DyadicMeasureTree:
                         for n, (x, q) in enumerate(zip(sums, den2))),
                        Fraction(0))
 
-        self._walk_pairs(resolve, add, nums)
+        self._walk_pairs(resolve, add)
         return CorrelationBracket(total(lower), total(upper), rf, cap)
 
-    def _pair_scale(self) -> tuple[list[dict[int, int]], list[int]]:
-        """Integer form of the masses for a pair walk.
-
-        D_n is the lcm of the level-n mass denominators. Returns the
-        numerators N_n[key] = mass(n, key) * D_n and den2[n] = D_n^2 for
-        n <= max_depth.
-        """
-        nums: list[dict[int, int]] = []
-        den2: list[int] = []
-        for tbl in self.masses:
-            den = math.lcm(*(m.denominator for m in tbl.values()))
-            nums.append({k: m.numerator * (den // m.denominator)
-                         for k, m in tbl.items()})
-            den2.append(den * den)
-        return nums, den2
-
-    def _walk_pairs(self, resolve, add, nums: list[dict[int, int]]) -> None:
+    def _walk_pairs(self, resolve, add) -> None:
         """Dual-tree traversal over canonical cube pairs (key_a <= key_b at
         a common level), starting from the root pair.
 
@@ -280,10 +273,9 @@ class DyadicMeasureTree:
         of the cube side (min_dist^2 = gaps * 4^-level, likewise reach).
         resolve returns the pair's contribution, or None to descend into its
         child pairs. A contribution goes to add(level, w, got), where w is
-        the int N_a * N_b of the pair's mass numerators from `nums` (see
-        _pair_scale), doubled off the diagonal so that the canonical pair
-        stands for both orders; it stands for the mass product
-        w / den2[level].
+        the int N_a * N_b of the pair's stored mass numerators, doubled off
+        the diagonal so that the canonical pair stands for both orders; it
+        stands for the mass product w / D^2 with D the level's denominator.
 
         Below max_depth the leaf model splits every cube uniformly, so what
         lies under a leaf pair depends only on its level and sorted per-axis
@@ -298,6 +290,7 @@ class DyadicMeasureTree:
         """
         dd = self.d
         top = self.max_depth
+        nums = [tbl for tbl, _ in self.tables]
         children_keys = self.support.children_keys
         coords = defaultdict(dict)  # level -> key -> axis indices
         kids = defaultdict(dict)  # level -> key -> [(child key, numerator)]
@@ -369,12 +362,6 @@ class DyadicMeasureTree:
                 for ckb, cnb in cb[start:]:
                     stack.append((level + 1, cka, ckb, cna, cnb))
 
-    def _node_children(self, level: int,
-                       key: int) -> list[tuple[int, Fraction]]:
-        """(key, mass) of the selected children of a cube above the leaves."""
-        tbl = self.masses[level + 1]
-        return [(k, tbl[k]) for k in self.support.children_keys(level, key)]
-
     # -- ball masses -----------------------------------------------------------
 
     def cover_mass(self, point, r, level: int) -> Fraction:
@@ -396,12 +383,13 @@ class DyadicMeasureTree:
             if lo > hi:
                 return Fraction(0)
             ranges.append(range(lo, hi + 1))
-        total = Fraction(0)
+        tbl, den = self._table(level)
+        total = 0
         idx = [rg.start for rg in ranges]
         # odometer over the small product of index ranges
         while True:
             key = interleave(tuple(idx), level)
-            total += self.mass(level, key)
+            total += tbl.get(key, 0)
             axis = self.d - 1
             while axis >= 0:
                 idx[axis] += 1
@@ -411,16 +399,32 @@ class DyadicMeasureTree:
                 axis -= 1
             if axis < 0:
                 break
-        return total
+        return Fraction(total, den)
 
     def ball_mass_atoms(self, point, r) -> Fraction:
         """Exact closed-ball mass for atomic measures."""
         if self.leaf_model != ATOMS:
             raise UnsupportedModelError("exact ball mass needs atoms")
         pt = tuple(to_fraction(x) for x in point)
-        r2 = to_fraction(r) ** 2
-        return sum((w for p, w in self.atoms
-                    if squared_distance(pt, p) <= r2), Fraction(0))
+        if len(pt) != self.d:
+            raise ValidationError("point dimension mismatch")
+        r2, x, pts, wden = self._atoms_on_ints(to_fraction(r), pt)
+        return Fraction(sum(w for p, w in pts
+                            if sum((a - b) ** 2 for a, b in zip(p, x)) <= r2),
+                        wden)
+
+    def _atoms_on_ints(self, r: Fraction, centre: tuple[Fraction, ...] = ()):
+        """Closed-ball tests |x - p|^2 <= r^2 on ints: r, `centre` and every
+        atom scaled by one common denominator. Returns (r^2, centre, [(atom,
+        weight numerator)], weight denominator)."""
+        q = math.lcm(r.denominator, *(c.denominator for c in centre),
+                     *(c.denominator for p, _ in self.atoms for c in p))
+        wden = math.lcm(*(w.denominator for _, w in self.atoms))
+        return ((r.numerator * (q // r.denominator)) ** 2,
+                [c.numerator * (q // c.denominator) for c in centre],
+                [([c.numerator * (q // c.denominator) for c in p],
+                  w.numerator * (wden // w.denominator))
+                 for p, w in self.atoms], wden)
 
     # -- energy ------------------------------------------------------------------
 
@@ -488,7 +492,7 @@ class DyadicMeasureTree:
         cap = self.max_depth + max(0, refine_depth)
         vd = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
         sigma = d * vd
-        nums, den2 = self._pair_scale()
+        den2 = [q * q for _, q in self.tables]
         lower = 0.0
         upper = 0.0
 
@@ -516,7 +520,7 @@ class DyadicMeasureTree:
             lower += w * got[0]
             upper += w * got[1]
 
-        self._walk_pairs(resolve, add, nums)
+        self._walk_pairs(resolve, add)
         return EnergyBracket(lower, upper, s, False,
                              {"method": "dualtree", "cap_level": cap})
 
@@ -524,68 +528,88 @@ class DyadicMeasureTree:
 
     def validate(self) -> None:
         self.support.validate()
-        if len(self.masses) != self.max_depth + 1:
+        if len(self.tables) != self.max_depth + 1:
             raise ValidationError("mass table depth mismatch")
-        if self.masses[0].get(0, Fraction(0)) != 1:
+        if self.tables[0][0].get(0, 0) != self.tables[0][1]:
             raise ValidationError("root mass must be 1")
-        for n in range(self.max_depth + 1):
-            tbl = self.masses[n]
+        for n, (tbl, den) in enumerate(self.tables):
             keys = self.support.levels[n]
             if sorted(tbl) != keys:
                 raise ValidationError(
                     f"level {n}: mass support differs from selected cubes")
-            for k, m in tbl.items():
-                if m <= 0:
-                    raise ValidationError("non-positive cube mass")
+            if den <= 0 or any(m <= 0 for m in tbl.values()):
+                raise ValidationError("non-positive cube mass")
+            if math.gcd(den, *tbl.values()) != 1:
+                raise ValidationError(f"level {n}: masses not in lowest terms")
             if n > 0:
-                for pk, pm in self.masses[n - 1].items():
-                    kid_sum = sum((tbl[k] for k in
-                                   self.support.children_keys(n - 1, pk)),
-                                  Fraction(0))
-                    if kid_sum != pm:
+                above, up = self.tables[n - 1]
+                for pk, pm in above.items():
+                    kid_sum = sum(tbl[k] for k in
+                                  self.support.children_keys(n - 1, pk))
+                    if kid_sum * up != pm * den:
                         raise ValidationError(
                             f"mass not conserved under cube {pk} at level {n-1}")
         if self.leaf_model == ATOMS:
             if sum(w for _, w in self.atoms) != 1:
                 raise ValidationError("atom weights must sum to 1")
             agg = _aggregate_atoms(self.atoms, self.d, self.max_depth)
-            if agg[self.max_depth] != self.masses[self.max_depth]:
+            if agg[-1] != self.tables[-1]:
                 raise ValidationError("atoms inconsistent with leaf masses")
 
 
-def _split_masses(tree: DyadicSetTree, parts) -> list[dict[int, Fraction]]:
+def _reduced(tbl: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """One level divided through by gcd(den, all numerators)."""
+    g = math.gcd(den, *tbl.values())
+    if g == 1:
+        return tbl, den
+    return {k: m // g for k, m in tbl.items()}, den // g
+
+
+def _over_lcm(tbl: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """A level of Fraction masses as int numerators over the lcm of their
+    denominators, which is already in lowest terms."""
+    den = math.lcm(*(m.denominator for m in tbl.values()))
+    return {k: m.numerator * (den // m.denominator)
+            for k, m in tbl.items()}, den
+
+
+def _split_masses(tree: DyadicSetTree, parts) -> Tables:
     """Per-level tables built top-down from root mass 1: each cube's mass is
     split among its selected children in proportion to the positive integer
-    weights parts(kids)."""
-    masses: list[dict[int, Fraction]] = [dict() for _ in
-                                         range(tree.max_depth + 1)]
-    masses[0][0] = Fraction(1)
+    weights parts(kids), called per cube in key order: over the lcm L of a
+    level's weight totals a child gets N * p * L / total, over D * L."""
+    tables: Tables = [({0: 1}, 1)]
     for level in range(tree.max_depth):
-        below = masses[level + 1]
-        for key, m in masses[level].items():
+        split = []
+        for key, m in tables[level][0].items():
             kids = tree.children_keys(level, key)
             weights = parts(kids)
-            tot = sum(weights)
+            split.append((m, kids, weights, sum(weights)))
+        lcm = math.lcm(*(tot for *_, tot in split))
+        below = {}
+        for m, kids, weights, tot in split:
+            m *= lcm // tot
             for k, p in zip(kids, weights):
-                below[k] = m * Fraction(p, tot)
-    return masses
+                below[k] = m * p
+        tables.append(_reduced(below, tables[level][1] * lcm))
+    return tables
 
 
-def ancestor_tables(leaf: dict[int, Fraction], d: int,
-                    depth: int) -> list[dict[int, Fraction]]:
+def ancestor_tables(leaf: dict[int, Fraction], d: int, depth: int) -> Tables:
     """Per-level tables built bottom-up from the level-`depth` masses in
-    `leaf`: every ancestor cube gets the sum of its descendants' masses."""
-    masses: list[dict[int, Fraction]] = [dict() for _ in range(depth)]
-    masses.append(leaf)
-    for n in range(depth, 0, -1):
-        above = masses[n - 1]
-        for key, m in masses[n].items():
-            pk = key >> d
-            above[pk] = above.get(pk, Fraction(0)) + m
-    return masses
+    `leaf`: every ancestor cube gets the sum of its descendants' numerators
+    over the leaf level's denominator, then each level is reduced."""
+    tbl, den = _over_lcm(leaf)
+    sums = [tbl]
+    for _ in range(depth):
+        above: dict[int, int] = {}
+        for key, m in sums[-1].items():
+            above[key >> d] = above.get(key >> d, 0) + m
+        sums.append(above)
+    return [_reduced(t, den) for t in reversed(sums)]
 
 
-def _aggregate_atoms(atom_list, d: int, depth: int) -> list[dict[int, Fraction]]:
+def _aggregate_atoms(atom_list, d: int, depth: int) -> Tables:
     leaf: dict[int, Fraction] = {}
     for p, w in atom_list:
         key = cube_of_point(p, depth)

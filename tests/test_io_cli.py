@@ -1,14 +1,17 @@
 """Serialization round trips and command-line driver behavior."""
 
+import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from dimlab import io
 from dimlab.cli import main
-from dimlab.constructions import alternating_plan, alternating_set, sweep_plan
+from dimlab.constructions import (alternating_plan, alternating_set,
+                                  stagewise_frostman_measures, sweep_plan)
 from dimlab.exact import ValidationError
 from dimlab.measure import DyadicMeasureTree
 from dimlab.settree import DyadicSetTree
@@ -16,6 +19,11 @@ from dimlab.settree import DyadicSetTree
 
 def cantor_tree(depth=8):
     return DyadicSetTree.from_digit_ifs(1, group=2, keep=[0, 3], depth=depth)
+
+
+def tables(mu):
+    """Every level's sorted (key, Fraction mass) rows."""
+    return [mu.level_masses(n) for n in range(mu.max_depth + 1)]
 
 
 class TestJsonRoundTrips:
@@ -48,9 +56,43 @@ class TestJsonRoundTrips:
             io.save_json(mu, p)
             back = io.load_json(p)
             assert back.leaf_model == mu.leaf_model
-            assert back.masses == mu.masses
+            assert tables(back) == tables(mu)
             assert back.atoms == mu.atoms
             assert back.support.levels == mu.support.levels
+
+    def test_saved_measures_are_byte_identical(self, tmp_path):
+        # pinned digests of the format-1 files of these measures: lowest-terms
+        # "p/q" masses with the keys of each level sorted
+        stages, _ = stagewise_frostman_measures(
+            DyadicSetTree.full(1, 8), Fraction(1, 2),
+            [Fraction(1, 2 ** k) for k in range(2, 9)], stages=2)
+        cases = {
+            "uniform": (DyadicMeasureTree.uniform_on_set(cantor_tree(6)),
+                        "bdb640e9d722d1d004652613319660064d0a2b6317dbc93600cd4486ba7b88a2"),
+            "random_split": (DyadicMeasureTree.random_split(
+                DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 3),
+                random.Random(11)),
+                "e0d77c60c8c425ed2dd876ae64f9c758605ce02349f02d83464ba4107873a8b9"),
+            "atomic": (DyadicMeasureTree.atomic(
+                [(Fraction(1, 3),), (Fraction(3, 4),), (Fraction(5, 7),)],
+                [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], 1, 5),
+                "78c24c0d25285eea634ec60ae94c41f0e9c514224abe8f51d4e79147cbb9fc8f"),
+            "stage": (stages[-1],
+                      "70a146ed74831acfa66d74515a57ec021a598d3d9c94eb5d26b4f3dff890b736"),
+        }
+        for name, (mu, want) in cases.items():
+            p = tmp_path / f"{name}.json"
+            io.save_json(mu, p)
+            assert hashlib.sha256(p.read_bytes()).hexdigest() == want, name
+            for n, level in enumerate(json.loads(p.read_text())["masses"]):
+                assert [k for k, _ in level] == sorted(k for k, _ in level)
+                for k, text in level:
+                    num, den = map(int, text.split("/"))
+                    assert math.gcd(num, den) == 1
+                    assert Fraction(num, den) == mu.mass(n, k)
+            back = io.load_json(p)
+            assert back.tables == mu.tables, name
+            assert tables(back) == tables(mu)
 
     def test_legacy_equal_split_measure_loads_with_tables(self, tmp_path):
         # format-1 files of uniform measures carried no tables
@@ -62,7 +104,7 @@ class TestJsonRoundTrips:
             old = tmp_path / "legacy.json"
             old.write_text(json.dumps(legacy))
             back = io.load_json(old)
-            assert back.masses == uni.masses
+            assert tables(back) == tables(uni)
             assert back.meta == {"kind": "uniform_on_set"}
             a, b = tmp_path / "a.json", tmp_path / "b.json"
             io.save_json(back, a)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dimlab.dyadic import cube_pair_geometry, deinterleave
+from dimlab.dyadic import (cube_of_point, cube_pair_geometry, deinterleave,
+                           squared_distance)
+from dimlab.estimators import packing_predicate, packing_threshold
 from dimlab.exact import UnsupportedModelError, ValidationError, pow2
 from dimlab.measure import (
     CorrelationBracket,
@@ -26,6 +28,15 @@ def cantor_tree(depth):
 
 def uniform_cantor(depth):
     return DyadicMeasureTree.uniform_on_set(cantor_tree(depth))
+
+
+def leaf_measure(tree, leaf):
+    """Validated uniform-leaf measure whose deepest-level masses are the
+    Fractions in `leaf`, ancestors summed by `ancestor_tables`."""
+    mu = DyadicMeasureTree(tree, "uniform",
+                           ancestor_tables(leaf, tree.d, tree.max_depth))
+    mu.validate()
+    return mu
 
 
 def brute_force_ball_bracket(mu, r, cap):
@@ -179,9 +190,10 @@ def test_uniform_tables_are_equal_split(tree):
     mu = DyadicMeasureTree.uniform_on_set(tree)
     mu.validate()
     for n in range(tree.max_depth + 1):
-        assert sorted(mu.masses[n]) == tree.levels[n]
-        assert sum(mu.masses[n].values()) == 1
-        for key, m in mu.masses[n].items():
+        rows = mu.level_masses(n)
+        assert [k for k, _ in rows] == tree.levels[n]
+        assert sum(m for _, m in rows) == 1
+        for key, m in rows:
             assert m == equal_split_mass(tree, n, key)
 
 
@@ -200,7 +212,7 @@ def _random_measures(draw):
 def test_tables_conserve_mass(mu):
     mu.validate()  # root mass 1, each parent the sum of its children
     for n in range(mu.max_depth + 1):
-        assert sum(mu.masses[n].values()) == 1
+        assert sum(m for _, m in mu.level_masses(n)) == 1
 
 
 # radii p/q in [1/8, 1]
@@ -440,8 +452,7 @@ def _walker_cases(draw):
         primes = draw(st.permutations(LEAF_PRIMES))
         leaf = {k: Fraction(1, p) for k, p in zip(leaves[:-1], primes)}
         leaf[leaves[-1]] = 1 - sum(leaf.values(), Fraction(0))
-        mu = DyadicMeasureTree.from_masses(
-            tree, ancestor_tables(leaf, d, depth))
+        mu = leaf_measure(tree, leaf)
     q = draw(st.integers(1, 12))
     r = Fraction(draw(st.integers(max(1, q // (8 // d)), q)), q)
     return mu, r, draw(st.integers(0, 2))
@@ -455,7 +466,7 @@ def test_integer_walker_matches_brute_force(case):
     mu, r, extra = case
     b = mu.ball_correlation_bracket(r, extra_depth=extra)
     top = min(b.cap_level, mu.max_depth)
-    cubes = len(mu.masses[top]) << (mu.d * (b.cap_level - top))
+    cubes = len(mu.level_masses(top)) << (mu.d * (b.cap_level - top))
     assume(cubes <= 32)  # the oracle is quadratic in the cap-level cubes
     assert (b.lower, b.upper) == brute_force_ball_bracket(mu, r, b.cap_level)
 
@@ -495,11 +506,9 @@ def deeper(mu, k):
     all 2^(d k) descendant cubes, as the uniform leaf model says."""
     d, depth, spread = mu.d, mu.max_depth + k, mu.d * k
     leaf = {(key << spread) + t: m / (1 << spread)
-            for key, m in mu.masses[mu.max_depth].items()
+            for key, m in mu.level_masses(mu.max_depth)
             for t in range(1 << spread)}
-    return DyadicMeasureTree.from_masses(
-        DyadicSetTree.from_codes(d, depth, leaf),
-        ancestor_tables(leaf, d, depth))
+    return leaf_measure(DyadicSetTree.from_codes(d, depth, leaf), leaf)
 
 
 class TestEnergy:
@@ -642,3 +651,135 @@ class TestAntiFrostman:
         # the diagonal-step argument needs sqrt(d) <= 2
         with pytest.raises(ValidationError):
             anti_frostman_check(DyadicSetTree.full(5, 2), [1])
+
+
+# -- int tables against a Fraction oracle -------------------------------------
+
+
+def oracle_split(tree, parts):
+    """Per-level Fraction tables split top-down from root mass 1, one
+    Fraction product per child: the slow path the int tables replace."""
+    masses = [dict() for _ in range(tree.max_depth + 1)]
+    masses[0][0] = Fraction(1)
+    for level in range(tree.max_depth):
+        below = masses[level + 1]
+        for key, m in masses[level].items():
+            kids = tree.children_keys(level, key)
+            weights = parts(kids)
+            tot = sum(weights)
+            for k, p in zip(kids, weights):
+                below[k] = m * Fraction(p, tot)
+    return masses
+
+
+def oracle_ancestors(leaf, d, depth):
+    """Per-level Fraction tables summed bottom-up from the leaf masses."""
+    masses = [dict() for _ in range(depth)] + [dict(leaf)]
+    for n in range(depth, 0, -1):
+        above = masses[n - 1]
+        for key, m in masses[n].items():
+            above[key >> d] = above.get(key >> d, Fraction(0)) + m
+    return masses
+
+
+def oracle_cover(masses, x, r, n, d):
+    """Mass of the level-n cubes whose closure meets [x - r, x + r]^d."""
+    side = Fraction(1, 1 << n)
+    return sum((m for key, m in masses.items()
+                if all(j * side <= c + r and (j + 1) * side >= c - r
+                       for j, c in zip(deinterleave(key, n, d), x))),
+               Fraction(0))
+
+
+# rationals in (0, 1] with denominators up to 12, not only dyadic ones
+_coords = st.integers(1, 12).flatmap(
+    lambda q: st.builds(Fraction, st.integers(1, q), st.just(q)))
+
+
+@st.composite
+def _atomic_measures(draw):
+    d = draw(st.sampled_from([1, 2]))
+    pts = draw(st.lists(st.tuples(*[_coords] * d), min_size=1, max_size=8))
+    ws = draw(st.lists(st.integers(1, 9), min_size=len(pts),
+                       max_size=len(pts)))
+    return DyadicMeasureTree.atomic(pts, [Fraction(w, sum(ws)) for w in ws],
+                                    d, draw(st.integers(0, 5)))
+
+
+@st.composite
+def _oracle_cases(draw):
+    """(measure, its Fraction tables from the oracle): uniform, random-split
+    and atomic measures, and deepest-level masses given as Fraction tables
+    to from_masses or summed by ancestor_tables."""
+    tree = draw(_random_trees())
+    d, depth = tree.d, tree.max_depth
+    kind = draw(st.sampled_from(["uniform", "random_split", "atoms",
+                                 "from_masses", "ancestor_tables"]))
+    if kind == "uniform":
+        return (DyadicMeasureTree.uniform_on_set(tree),
+                oracle_split(tree, lambda kids: [1] * len(kids)))
+    if kind == "random_split":
+        seed, top = draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 97))
+        rng = random.Random(seed)
+        return (DyadicMeasureTree.random_split(tree, random.Random(seed), top),
+                oracle_split(tree, lambda kids: [rng.randint(1, top)
+                                                 for _ in kids]))
+    if kind == "atoms":
+        mu = draw(_atomic_measures())
+        leaf = {}
+        for p, w in mu.atoms:
+            key = cube_of_point(p, mu.max_depth)
+            leaf[key] = leaf.get(key, Fraction(0)) + w
+        return mu, oracle_ancestors(leaf, mu.d, mu.max_depth)
+    leaves = tree.levels[depth]
+    ws = draw(st.lists(st.integers(1, 60), min_size=len(leaves),
+                       max_size=len(leaves)))
+    leaf = {k: Fraction(w, sum(ws)) for k, w in zip(leaves, ws)}
+    masses = oracle_ancestors(leaf, d, depth)
+    if kind == "from_masses":
+        return DyadicMeasureTree.from_masses(tree, masses), masses
+    return leaf_measure(tree, leaf), masses
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_oracle_cases(), _unit_radii)
+def test_int_tables_match_fraction_oracle(case, r):
+    mu, masses = case
+    mu.validate()
+    d = mu.d
+    for n, want in enumerate(masses):
+        tbl, den = mu.tables[n]
+        assert math.gcd(den, *tbl.values()) == 1  # each level reduced
+        assert mu.level_masses(n) == sorted(want.items())
+        assert all(mu.mass(n, k) == m for k, m in want.items())
+        assert mu.mass(n, max(want) + 1) == 0
+        assert mu.max_cube_mass(n) == max(want.values())
+        assert mu.dyadic_correlation_sum(n) == sum(
+            (m * m for m in want.values()), Fraction(0))
+        for x in mu.support.representatives(n)[:3] + [(Fraction(1, 3),) * d]:
+            assert mu.cover_mass(x, r, n) == oracle_cover(want, x, r, n, d)
+    if mu.max_depth >= 1:
+        levels = range(1, mu.max_depth + 1)
+        grid = [Fraction(k, 4) for k in range(1, 9)]
+        _, tested = packing_threshold(mu, levels, grid)
+        assert [v for _, v in tested] == [
+            packing_predicate(mu, sv, levels).verdict for sv in grid]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_atomic_measures(), _unit_radii, st.lists(st.tuples(_coords, _coords),
+                                                 max_size=3))
+def test_atom_ball_masses_match_fraction_oracle(mu, r, extra):
+    # the closed-ball tests run on ints; the oracle compares Fraction
+    # squared distances, so atoms at distance exactly r count. Radii lie in
+    # [1/16, 1/2], so some atoms fall outside.
+    r = r / 2
+    centres = [p for p, _ in mu.atoms] + [c[:mu.d] for c in extra]
+    for x in centres:
+        assert mu.ball_mass_atoms(x, r) == sum(
+            (w for p, w in mu.atoms if squared_distance(p, x) <= r * r),
+            Fraction(0))
+    b = mu.ball_correlation_bracket(r)
+    assert b.lower == b.upper == sum(
+        (w * v for p, w in mu.atoms for q, v in mu.atoms
+         if squared_distance(p, q) <= r * r), Fraction(0))
