@@ -14,13 +14,20 @@ nested: going from P to 2P pieces evaluates only the P new midpoints and
 reuses the old sum (Romberg's reuse), so every quadrature node is evaluated
 once.
 
-Each integral builds the measure's leaf decomposition (`_terms`) once. One
+Each integral builds the measure's leaf decomposition (`_terms`) once, in
+factored form: splitting the leaf Morton keys at one level k writes every
+leaf center as c = hi + lo, a prefix-cube corner plus an offset inside it,
+so exp(i z.c) = exp(i z.hi) exp(i z.lo). A frequency then costs U + H
+sin/cos pairs (U distinct suffixes, H distinct prefixes) instead of one per
+leaf, and the sum over leaves is two real matmuls against the dense
+(U x H) weight matrix. k follows one cost rule (`_split_level`) that
+includes the unsplit k = 0, which is also how atoms are evaluated. One
 radial evaluator returns, at every node, both the integrand and the raw
 shell mean of |mu_hat|^2, so the energy's decay fit reads its shell means
 off the converged nodes instead of evaluating them again. Every measure here
 is real, so |mu_hat(-z)| = |mu_hat(z)|: a 2-D ring mean over equispaced
 directions equals the mean over the half of them in [0, pi), and only that
-half is evaluated.
+half is evaluated, for all the radii of a call in one kernel pass.
 """
 
 from __future__ import annotations
@@ -41,6 +48,14 @@ _TWO_PI = 2.0 * math.pi
 # 2-D ring directions in [0, pi); by conjugate symmetry their mean is the
 # mean over the 64 equispaced directions of the full circle
 _HALF_RING = 32
+# the factored kernel's cost model: one sin/cos pair costs about as much as
+# _TRIG_COST cells of the two real matmuls (about 40 ns against 1 ns on one
+# core), and the dense weight matrix is kept within _FILL_CAP cells per leaf
+_TRIG_COST = 32
+_FILL_CAP = 8
+# about this many (frequency, phase) cells per kernel block: rows times
+# (U + H)
+_BLOCK_CELLS = 1 << 20
 
 
 def unit_ball_volume(d: int) -> float:
@@ -56,36 +71,75 @@ def support_radius(d: int) -> float:
 # the transform
 
 
-def _terms(mu: DyadicMeasureTree):
-    """Leaf decomposition for transform work: (centers, weights, side).
+def _split_level(keys: list[int], n: int, d: int) -> int:
+    """Morton split level k for the factored phases: the one minimising
+    _TRIG_COST * (U + H) + U * H, where H counts the distinct level-k
+    prefixes and U the distinct suffixes of the leaf keys, over the splits
+    whose dense weight matrix holds at most _FILL_CAP * L cells. k = 0
+    (H = 1) always qualifies, so W never outgrows _FILL_CAP leaves' worth."""
+    cap = _FILL_CAP * len(keys)
+    best, best_cost = 0, None
+    for k in range(n + 1):
+        shift = d * (n - k)
+        mask = (1 << shift) - 1
+        h = len({key >> shift for key in keys})
+        u = len({key & mask for key in keys})
+        cost = _TRIG_COST * (u + h) + u * h
+        if u * h <= cap and (best_cost is None or cost < best_cost):
+            best, best_cost = k, cost
+    return best
 
-    Centers are shifted by -1/2 per axis so the support sits in
-    B(0, sqrt(d)/2). side is None for atomic measures.
+
+def _terms(mu: DyadicMeasureTree):
+    """Factored leaf decomposition for transform work: (hi, lo, W, side).
+
+    Every leaf center, shifted by -1/2 per axis so the support sits in
+    B(0, sqrt(d)/2), is hi[h] + lo[u]: hi holds the corners of the level-k
+    prefix cubes of the leaf Morton keys (H x d), lo the centers of the
+    suffix cubes inside a prefix cube, shifted (U x d), and W[u, h] the
+    weight of the leaf with that prefix and suffix (0 where there is none).
+    Atoms are the unsplit case: one prefix at the origin and W the weight
+    column. side is None for atomic measures.
     """
     d = mu.d
     if mu.leaf_model == "atoms":
-        pts = np.array([[float(c) - 0.5 for c in p] for p, _ in mu.atoms],
-                       dtype=float)
-        w = np.array([float(wt) for _, wt in mu.atoms], dtype=float)
-        return pts.reshape(len(w), d), w, None
+        lo = np.array([[float(c) - 0.5 for c in p] for p, _ in mu.atoms],
+                      dtype=float).reshape(-1, d)
+        W = np.array([[float(wt)] for _, wt in mu.atoms], dtype=float)
+        return np.zeros((1, d)), lo, W, None
     n = mu.max_depth
     side = 2.0 ** -n
     rows = mu.level_masses(n)
-    centers = np.empty((len(rows), d), dtype=float)
-    w = np.empty(len(rows), dtype=float)
-    for i, (key, m) in enumerate(rows):
-        idx = deinterleave(key, n, d)
-        for k in range(d):
-            centers[i, k] = (idx[k] + 0.5) * side - 0.5
-        w[i] = float(m)
-    return centers, w, side
+    k = _split_level([key for key, _ in rows], n, d)
+    shift = d * (n - k)
+    mask = (1 << shift) - 1
+    prefixes: dict[int, int] = {}
+    suffixes: dict[int, int] = {}
+    cells = [(suffixes.setdefault(key & mask, len(suffixes)),
+              prefixes.setdefault(key >> shift, len(prefixes)))
+             for key, _ in rows]
+    hi = np.array([deinterleave(p, k, d) for p in prefixes],
+                  dtype=float).reshape(-1, d) * 2.0 ** -k
+    lo = (np.array([deinterleave(q, n - k, d) for q in suffixes],
+                   dtype=float).reshape(-1, d) + 0.5) * side - 0.5
+    W = np.zeros((len(suffixes), len(prefixes)))
+    for (u, h), (_, m) in zip(cells, rows):
+        W[u, h] = float(m)
+    return hi, lo, W, side
 
 
-def _mu_hat_block(z_block: np.ndarray, centers: np.ndarray, w: np.ndarray,
-                  side) -> np.ndarray:
-    """mu_hat on a (M, d) block of frequency vectors."""
-    phases = z_block @ centers.T  # (M, L)
-    vals = np.exp(1j * phases) @ w
+def _mu_hat_block(z_block: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+                  W: np.ndarray, side) -> np.ndarray:
+    """mu_hat on a (M, d) block of frequency vectors: U + H sin/cos pairs
+    per frequency, with the (M x U) by (U x H) products done by BLAS."""
+    # sum_u W[u, h] exp(i z.lo[u]) = A + iB, times exp(i z.hi[h]) = C + iS
+    phase_lo = z_block @ lo.T
+    A = np.cos(phase_lo) @ W
+    B = np.sin(phase_lo) @ W
+    phase_hi = z_block @ hi.T
+    C = np.cos(phase_hi)
+    S = np.sin(phase_hi)
+    vals = (A * C - B * S).sum(axis=1) + 1j * (A * S + B * C).sum(axis=1)
     if side is not None:
         # sin(u)/u with u = z_k * side / 2; np.sinc is sin(pi x)/(pi x)
         fac = np.ones(len(z_block))
@@ -101,20 +155,18 @@ def mu_hat(mu: DyadicMeasureTree, z) -> complex:
     zv = np.atleast_1d(np.asarray(z, dtype=float)).reshape(-1)
     if zv.shape[0] != mu.d:
         raise ValidationError(f"frequency vector must have length {mu.d}")
-    centers, w, side = _terms(mu)
-    return complex(_mu_hat_block(zv.reshape(1, -1), centers, w, side)[0])
+    return complex(_mu_hat_block(zv.reshape(1, -1), *_terms(mu))[0])
 
 
 def _mu_hat_sq_many(terms, Z: np.ndarray) -> np.ndarray:
     """|mu_hat|^2 on an (M, d) array of frequencies, given the measure's
-    `_terms`, block-wise to bound the (M x leaves) working set."""
-    centers, w, side = terms
-    leaves = max(1, len(w))
-    block = max(256, (1 << 22) // leaves)
+    `_terms`, block-wise to bound the (M x (U + H)) working set."""
+    hi, lo, W, _ = terms
+    block = max(256, _BLOCK_CELLS // (len(lo) + len(hi)))
     out = np.empty(len(Z), dtype=float)
-    for lo in range(0, len(Z), block):
-        vals = _mu_hat_block(Z[lo:lo + block], centers, w, side)
-        out[lo:lo + block] = np.abs(vals) ** 2
+    for start in range(0, len(Z), block):
+        vals = _mu_hat_block(Z[start:start + block], *terms)
+        out[start:start + block] = np.abs(vals) ** 2
     return out
 
 
@@ -170,11 +222,11 @@ class _RadialIntegrand:
             shell = _mu_hat_sq_many(self.terms, rhos.reshape(-1, 1))
             vals = 2.0 * shell
         else:
-            shell = np.empty(len(rhos))
-            vals = np.empty(len(rhos))
-            for i, rho in enumerate(rhos):
-                shell[i] = _mu_hat_sq_many(self.terms, rho * self.dirs).mean()
-                vals[i] = rho * shell[i] * _TWO_PI
+            # every ring of the call in one kernel pass, one row per rho
+            Z = (rhos[:, None, None] * self.dirs).reshape(-1, 2)
+            shell = _mu_hat_sq_many(self.terms, Z).reshape(
+                len(rhos), -1).mean(axis=1)
+            vals = rhos * shell * _TWO_PI
         if self.weight_exp != 0.0:
             vals = vals * rhos ** self.weight_exp
         return vals, shell
@@ -227,6 +279,17 @@ def _refine_segments(g, bounds: list[float], h_start: float,
     return segments, degraded, halvings
 
 
+def _radii(values) -> list[float]:
+    """Radii as sorted floats, at least one, each finite and positive."""
+    try:
+        Rs = sorted(float(R) for R in values)
+    except OverflowError:
+        raise ValidationError("radii must fit in a float") from None
+    if not Rs or not all(0.0 < R < math.inf for R in Rs):  # nan fails too
+        raise ValidationError("radii must be finite and positive as floats")
+    return Rs
+
+
 def _check_rel_tol(rel_tol: float) -> None:
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValidationError("rel_tol must be finite and > 0")
@@ -236,9 +299,7 @@ def mean_square_curve(mu: DyadicMeasureTree, r_values, rel_tol: float = 1e-3,
                       max_halvings: int = 14) -> MeanSquareCurve:
     """I(R) at each requested R. The requested radii are segment endpoints,
     so every sample sits exactly on a quadrature node."""
-    Rs = sorted(float(R) for R in r_values)
-    if not Rs or Rs[0] <= 0:
-        raise ValidationError("frequency radii must be positive")
+    Rs = _radii(r_values)
     _check_rel_tol(rel_tol)
     if max_halvings < 0:
         raise ValidationError("max_halvings must be >= 0")
@@ -302,8 +363,7 @@ def fourier_sandwich_report(mu: DyadicMeasureTree, eps, r_list,
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError("tol must be finite and >= 0")
     rads = sorted((to_fraction(r) for r in r_list), reverse=True)
-    if not rads:
-        raise ValidationError("need at least one radius")
+    _radii(rads)
     # the near-zero argument pins mu_hat only out to |z| ~ 1/diam, which
     # caps the usable radii at 1/2 regardless of the nominal r_0
     cap = 0.5
@@ -400,7 +460,7 @@ def fourier_box_estimate(tree: DyadicSetTree, r_window, candidates=None,
     if not candidates:
         raise ValidationError("candidate family must be nonempty")
 
-    Rs = sorted(float(R) for R in r_window)
+    Rs = _radii(r_window)
     curves = [mean_square_curve(mu, Rs, rel_tol) for mu in candidates]
     best = MeanSquareCurve(degraded=any(c.degraded for c in curves),
                            meta={"candidates": len(candidates)})
@@ -522,6 +582,8 @@ def near_zero_report(mu: DyadicMeasureTree, samples: int = 129) -> dict:
     """Sampled check of |mu_hat(z)| >= 1/2 on |z| <= (1/2)/(sqrt(d) rho),
     which follows from the gradient bound |grad mu_hat| <= sqrt(d) rho for
     a probability measure supported in B(0, rho)."""
+    if samples < 1:
+        raise ValidationError("samples must be >= 1")
     d = mu.d
     rho = support_radius(d)
     radius = 0.5 / (math.sqrt(d) * rho)

@@ -366,7 +366,8 @@ class DyadicMeasureTree:
 
     def cover_mass(self, point, r, level: int) -> Fraction:
         """Total mass of the level-n cubes whose closure meets the closed
-        ball B(point, r). An exact upper bound for the ball mass."""
+        box [point - r, point + r]^d. The box holds the closed ball
+        B(point, r), so this is an exact upper bound for the ball mass."""
         pt = tuple(to_fraction(x) for x in point)
         if len(pt) != self.d:
             raise ValidationError("point dimension mismatch")

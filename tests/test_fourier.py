@@ -9,14 +9,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import j1, sici
 
+from dimlab.dyadic import deinterleave
 from dimlab.exact import UnavailableError, ValidationError, pow2
 from dimlab.fourier import (
     _mu_hat_sq_many,
     _node_spacing,
     _RadialIntegrand,
     _refine_segments,
+    _terms,
     _trapezoid,
     fourier_box_estimate,
     fourier_correlation_dims,
@@ -106,6 +110,172 @@ class TestTransform:
         assert support_radius(1) == pytest.approx(0.5)
 
 
+def oracle_mu_hat(mu, Z):
+    """Brute force sum_j w_j exp(i z.c_j) prod_k sinc(z_k side / 2) over
+    the leaves (centers from level_masses and deinterleave, shifted by
+    -1/2 per axis), or over the atoms with no sinc factor."""
+    if mu.leaf_model == "atoms":
+        centers = np.array([[float(x) - 0.5 for x in p] for p, _ in mu.atoms])
+        w = np.array([float(wt) for _, wt in mu.atoms])
+        return np.exp(1j * (Z @ centers.T)) @ w
+    n, d = mu.max_depth, mu.d
+    side = 2.0 ** -n
+    rows = mu.level_masses(n)
+    centers = np.array([[(j + 0.5) * side - 0.5
+                         for j in deinterleave(key, n, d)]
+                        for key, _ in rows])
+    w = np.array([float(m) for _, m in rows])
+    vals = np.exp(1j * (Z @ centers.T)) @ w
+    for k in range(d):
+        u = Z[:, k] * side / 2.0
+        vals = vals * np.where(u == 0.0, 1.0,
+                               np.sin(u) / np.where(u == 0.0, 1.0, u))
+    return vals
+
+
+def oracle_frequencies(d, seed, count=200, radius=4096.0):
+    """Frequencies with |z| <= radius: the origin, axis points at the
+    radius, and random points spread over all scales."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(count, d))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    Z = raw * (radius * rng.random(count) ** 3)[:, None]
+    Z[0] = 0.0
+    Z[1] = radius * np.eye(d)[0]
+    Z[2] = -radius * np.eye(d)[-1]
+    return Z
+
+
+def assert_kernel_matches_oracle(mu, seed=0):
+    Z = oracle_frequencies(mu.d, seed)
+    want = oracle_mu_hat(mu, Z)
+    terms = _terms(mu)
+    assert np.abs(_mu_hat_sq_many(terms, Z) - np.abs(want) ** 2).max() \
+        <= 1e-12
+    for z, v in zip(Z[:12], want[:12]):
+        assert abs(mu_hat(mu, z) - v) <= 1e-12
+    # the split never makes the dense weight matrix much larger than the
+    # leaf count
+    hi, lo, W, _ = terms
+    leaves = len(mu.atoms) if mu.leaf_model == "atoms" else \
+        len(mu.level_masses(mu.max_depth))
+    assert W.shape == (len(lo), len(hi))
+    assert W.size <= 8 * leaves
+    return terms
+
+
+def random_sparse_2d(seed, depth=8, count=40):
+    rng = random.Random(seed)
+    keys = rng.sample(range(1 << (2 * depth)), count)
+    return DyadicSetTree.from_codes(2, depth, keys)
+
+
+ORACLE_MEASURES = {
+    "sierpinski5": lambda: DyadicMeasureTree.uniform_on_set(
+        DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 5)),
+    "full1-10": lambda: uniform_interval(10),
+    "full2-6": lambda: DyadicMeasureTree.uniform_on_set(
+        DyadicSetTree.full(2, 6)),
+    "cantor12": lambda: DyadicMeasureTree.uniform_on_set(cantor_tree(12)),
+    "sparse-cantor": lambda: DyadicMeasureTree.uniform_on_set(
+        DyadicSetTree.from_digit_ifs(1, 3, [0, 7], 12)),
+    "random-split-sierpinski": lambda: DyadicMeasureTree.random_split(
+        DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 5), random.Random(3)),
+    "random-split-cantor": lambda: DyadicMeasureTree.random_split(
+        cantor_tree(10), random.Random(5), 9),
+    "random-sparse-2d": lambda: DyadicMeasureTree.random_split(
+        random_sparse_2d(11), random.Random(11)),
+    # 12% of the depth-7 cubes: the cheapest split by cost alone would
+    # hold W at 8.2 cells per leaf, over the cap
+    "random-2d": lambda: DyadicMeasureTree.uniform_on_set(
+        random_sparse_2d(13, depth=7, count=2000)),
+    "atoms-1d": lambda: DyadicMeasureTree.atomic(
+        [(Fraction(1, 3),), (Fraction(3, 4),), (Fraction(1, 8),)],
+        [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], 1, 6),
+    "atoms-2d": lambda: DyadicMeasureTree.atomic(
+        [(Fraction(1, 3), Fraction(1, 5)), (Fraction(3, 4), Fraction(1, 2)),
+         (Fraction(1, 8), Fraction(7, 8))],
+        [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], 2, 6),
+}
+
+
+@st.composite
+def _oracle_trees(draw):
+    """Digit-IFS trees and occupied-cube trees of point sets, d = 1, 2."""
+    d = draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(1, 10 if d == 1 else 5))
+    if draw(st.booleans()):
+        group = draw(st.integers(1, 2))
+        keep = draw(st.sets(st.integers(0, (1 << (d * group)) - 1),
+                            min_size=1))
+        return DyadicSetTree.from_digit_ifs(d, group, sorted(keep), depth)
+    coord = st.builds(Fraction, st.integers(1, 1 << depth),
+                      st.just(1 << depth))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=40))
+    return DyadicSetTree.from_points(pts, d, depth)
+
+
+@st.composite
+def _oracle_measures(draw):
+    """Uniform and random-split measures on `_oracle_trees`, and atoms."""
+    kind = draw(st.sampled_from(["uniform", "random_split", "atoms"]))
+    if kind == "atoms":
+        d = draw(st.sampled_from([1, 2]))
+        coord = st.builds(Fraction, st.integers(1, 12), st.just(12))
+        pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1,
+                            max_size=8))
+        ws = draw(st.lists(st.integers(1, 9), min_size=len(pts),
+                           max_size=len(pts)))
+        return DyadicMeasureTree.atomic(
+            pts, [Fraction(w, sum(ws)) for w in ws], d, 4)
+    tree = draw(_oracle_trees())
+    if kind == "uniform":
+        return DyadicMeasureTree.uniform_on_set(tree)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return DyadicMeasureTree.random_split(tree, rng, draw(st.integers(1, 9)))
+
+
+class TestFactoredKernel:
+    """The factored phases against the brute-force leaf sum, |z| <= 4096."""
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_MEASURES))
+    def test_matches_oracle(self, kind):
+        assert_kernel_matches_oracle(ORACLE_MEASURES[kind]())
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(_oracle_measures(), st.integers(0, 2 ** 16))
+    def test_matches_oracle_on_random_measures(self, mu, seed):
+        assert_kernel_matches_oracle(mu, seed)
+
+    @pytest.mark.parametrize("kind, leaves, U, H", [
+        ("full1-10", 1024, 32, 32),
+        ("sierpinski5", 243, 27, 9),
+        ("cantor12", 64, 8, 8),
+        ("full2-6", 4096, 64, 64),
+    ])
+    def test_product_sets_split_near_the_square_root(self, kind, leaves, U,
+                                                     H):
+        hi, lo, W, _ = _terms(ORACLE_MEASURES[kind]())
+        assert (len(lo), len(hi), W.size) == (U, H, leaves)
+        assert np.count_nonzero(W) == leaves
+
+    def test_sparse_2d_set_stays_unsplit(self):
+        # 40 random cubes of 65536: no split shares enough prefixes or
+        # suffixes to pay, so the kernel is the unsplit leaf sum
+        mu = DyadicMeasureTree.uniform_on_set(random_sparse_2d(11))
+        hi, lo, W, _ = assert_kernel_matches_oracle(mu)
+        assert hi.shape == (1, 2) and not hi.any()
+        assert W.shape == (40, 1)
+
+    def test_atoms_are_the_unsplit_case(self):
+        mu = ORACLE_MEASURES["atoms-2d"]()
+        hi, lo, W, side = _terms(mu)
+        assert side is None and hi.shape == (1, 2) and not hi.any()
+        assert W[:, 0].tolist() == [float(w) for _, w in mu.atoms]
+        assert lo.tolist() == [[float(x) - 0.5 for x in p]
+                               for p, _ in mu.atoms]
+
+
 class TestMeanSquare:
     def test_interval_against_si_oracle(self):
         mu = uniform_interval()
@@ -155,6 +325,9 @@ class TestMeanSquare:
     def test_validation(self):
         with pytest.raises(ValidationError):
             mean_square(uniform_interval(3), 0.0)
+        for bad in (math.inf, math.nan, pow2(1100), pow2(-1100)):
+            with pytest.raises(ValidationError):
+                mean_square_curve(uniform_interval(3), [1.0, bad])
         mu3 = DyadicMeasureTree.atomic([(Fraction(1, 2),) * 3], [1], 3, 4)
         with pytest.raises(UnavailableError):
             mean_square(mu3, 2.0)
@@ -317,6 +490,14 @@ class TestSandwich:
             # only three radii survive the 1/2 cap
             fourier_sandwich_report(mu, 0.2, [1, pow2(-2), pow2(-3),
                                               pow2(-4)])
+        with pytest.raises(ValidationError):
+            # 2^-1100 rounds to 0 as a float
+            fourier_sandwich_report(mu, 0.2, [pow2(-k)
+                                              for k in range(1, 1101)])
+        with pytest.raises(ValidationError):
+            # 2^1100 does not fit in a float
+            fourier_sandwich_report(mu, 0.2, [pow2(1100)] + [
+                pow2(-k) for k in range(2, 7)])
 
 
 class TestFourierEnergy:
@@ -398,6 +579,12 @@ class TestNearZero:
         assert rep["ok"]
         assert rep["radius"] == pytest.approx(0.5)
 
+    def test_needs_a_sample(self):
+        for samples in (0, -3):
+            with pytest.raises(ValidationError):
+                near_zero_report(uniform_interval(4), samples=samples)
+        assert near_zero_report(uniform_interval(4), samples=1)["ok"]
+
 
 def test_radial_bits_pinned():
     # float.hex of the energy outputs as computed with nested halvings and
@@ -405,27 +592,31 @@ def test_radial_bits_pinned():
     # now adds the new midpoints to the old trapezoid sum and each shell
     # mean is a running sum over pieces + 1, so the same nodes round
     # differently in the last bits. err is the Richardson difference, so
-    # it is what shows a reordered product in the integrand.
+    # it is what shows a reordered product in the integrand. Re-pinned
+    # again for the factored kernel: each leaf phase is now exp(i z.hi)
+    # times exp(i z.lo) summed through real matmuls, and a 2-D call's rings
+    # are averaged row-wise in one batch, so err, the decay exponent and
+    # some octave means move in the last bits; every value is unchanged.
     cases = [
         (DyadicSetTree.full(2, 2), Fraction(1, 2), {"r_max": 64},
-         "0x1.4d53c75e0c481p+4", "0x1.97a52ae153a0cp-2",
-         "0x1.86c9e1f7bb233p+1",
+         "0x1.4d53c75e0c481p+4", "0x1.97a52ae153a11p-2",
+         "0x1.86c9e1f7bb232p+1",
          ["0x1.ff9c099581e0bp-1", "0x1.fe70993c16a11p-1",
           "0x1.f9c98cc419009p-1", "0x1.e797116d8cdedp-1",
-          "0x1.a506bde591ff1p-1", "0x1.d35d4ddf176f0p-2",
-          "0x1.9d174f4d32ef4p-5", "0x1.dbd25db746278p-8",
-          "0x1.85297f438f853p-11", "0x1.86c7ad1946ba2p-14"]),
+          "0x1.a506bde591ff1p-1", "0x1.d35d4ddf176efp-2",
+          "0x1.9d174f4d32ef4p-5", "0x1.dbd25db746279p-8",
+          "0x1.85297f438f853p-11", "0x1.86c7ad1946ba4p-14"]),
         (cantor_tree(6), Fraction(1, 3), {},
-         "0x1.4d1a7f80f55b1p+3", "0x1.3689eed494502p-3",
-         "0x1.029495ee3ae2ap+1",
-         ["0x1.ff4c1ec73db69p-1", "0x1.fd31b01b28f73p-1",
+         "0x1.4d1a7f80f55b1p+3", "0x1.3689eed4944fep-3",
+         "0x1.029495ee3ae2bp+1",
+         ["0x1.ff4c1ec73db68p-1", "0x1.fd31b01b28f73p-1",
           "0x1.f4d9fb94a6177p-1", "0x1.d496806721713p-1",
-          "0x1.6408f7193c2b4p-1", "0x1.9fdf145d83e13p-3",
+          "0x1.6408f7193c2b4p-1", "0x1.9fdf145d83e12p-3",
           "0x1.0fad1078e4346p-2", "0x1.03c59e12b553dp-3",
-          "0x1.d68634d82582bp-4", "0x1.2fa92d6c50441p-4",
-          "0x1.31f8aee77b1adp-4", "0x1.f45c65cd7f93ep-5",
+          "0x1.d68634d82582dp-4", "0x1.2fa92d6c50442p-4",
+          "0x1.31f8aee77b1acp-4", "0x1.f45c65cd7f93dp-5",
           "0x1.fbe6f2efb6eb6p-8", "0x1.42eb6657c7dc5p-9",
-          "0x1.07e4391929831p-11", "0x1.0343e856d9149p-13"]),
+          "0x1.07e4391929830p-11", "0x1.0343e856d914bp-13"]),
     ]
     for tree, s, kw, value, err, gamma, means in cases:
         rep = fourier_energy(DyadicMeasureTree.uniform_on_set(tree), s, **kw)

@@ -345,6 +345,21 @@ class TestCliEstimate:
                                *extra, f"{flag}={value}")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "fourier-corr", "--scales", "2^1100"],
+        ["estimate", "fourier-corr", "--scales", "2^1..2^1100"],
+        ["estimate", "fourier-corr", "--scales", "2^-1100"],
+        ["estimate", "fourier-box", "--scales", "2^1100"],
+        ["verify", "fourier-sandwich", "--eps", "1/5",
+         "--scales", "2^-1..2^-1100"],
+    ], ids=["corr-overflow", "corr-range-overflow", "corr-underflow",
+            "box-overflow", "sandwich-underflow"])
+    def test_malformed_fourier_scales_are_validation_errors(
+            self, cantor_file, capsys, argv):
+        code, text, err = run_cli(capsys, *argv, "--in", cantor_file)
+        assert code == 2 and "error:" in err
+        assert "PASS" not in text
+
     def test_missing_input_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "box",
                                "--in", "/nonexistent.json")
