@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .dyadic import deinterleave
 from .estimators import SlopeTriple, slope_fit
 from .exact import UnavailableError, ValidationError, to_fraction
@@ -56,6 +54,9 @@ _FILL_CAP = 8
 # about this many (frequency, phase) cells per kernel block: rows times
 # (U + H)
 _BLOCK_CELLS = 1 << 20
+# frequency vectors per quadrature call: ~4x the ~950,000 of the default
+# 2-D fourier-corr and energy radii on a depth-6 Sierpinski measure
+_NODE_BUDGET = 1 << 22
 
 
 def unit_ball_volume(d: int) -> float:
@@ -101,6 +102,7 @@ def _terms(mu: DyadicMeasureTree):
     Atoms are the unsplit case: one prefix at the origin and W the weight
     column. side is None for atomic measures.
     """
+    import numpy as np
     d = mu.d
     if mu.leaf_model == "atoms":
         lo = np.array([[float(c) - 0.5 for c in p] for p, _ in mu.atoms],
@@ -132,6 +134,7 @@ def _mu_hat_block(z_block: np.ndarray, hi: np.ndarray, lo: np.ndarray,
                   W: np.ndarray, side) -> np.ndarray:
     """mu_hat on a (M, d) block of frequency vectors: U + H sin/cos pairs
     per frequency, with the (M x U) by (U x H) products done by BLAS."""
+    import numpy as np
     # sum_u W[u, h] exp(i z.lo[u]) = A + iB, times exp(i z.hi[h]) = C + iS
     phase_lo = z_block @ lo.T
     A = np.cos(phase_lo) @ W
@@ -152,6 +155,7 @@ def _mu_hat_block(z_block: np.ndarray, hi: np.ndarray, lo: np.ndarray,
 def mu_hat(mu: DyadicMeasureTree, z) -> complex:
     """The characteristic function of mu at one frequency vector
     (a scalar is accepted when d = 1)."""
+    import numpy as np
     zv = np.atleast_1d(np.asarray(z, dtype=float)).reshape(-1)
     if zv.shape[0] != mu.d:
         raise ValidationError(f"frequency vector must have length {mu.d}")
@@ -161,6 +165,7 @@ def mu_hat(mu: DyadicMeasureTree, z) -> complex:
 def _mu_hat_sq_many(terms, Z: np.ndarray) -> np.ndarray:
     """|mu_hat|^2 on an (M, d) array of frequencies, given the measure's
     `_terms`, block-wise to bound the (M x (U + H)) working set."""
+    import numpy as np
     hi, lo, W, _ = terms
     block = max(256, _BLOCK_CELLS // (len(lo) + len(hi)))
     out = np.empty(len(Z), dtype=float)
@@ -213,7 +218,9 @@ class _RadialIntegrand:
         self.terms = _terms(mu)
         self.d = mu.d
         self.weight_exp = weight_exp  # extra |z|^weight_exp factor
+        self.directions = _HALF_RING if self.d == 2 else 1  # per radius
         if self.d == 2:
+            import numpy as np
             thetas = np.linspace(0.0, math.pi, _HALF_RING, endpoint=False)
             self.dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
@@ -241,12 +248,18 @@ def _refine_segments(g, bounds: list[float], h_start: float,
     only at the P new midpoints, and T(h/2) = T(h)/2 + (h/2) * sum g(mid).
     Each segment keeps a running sum of g's shell values over the nodes
     evaluated, and ends with raw_mean, that sum over pieces + 1: the mean
-    of the shell values at its final nodes."""
+    of the shell values at its final nodes. A node is g.directions
+    frequency vectors; a starting grid of more than _NODE_BUDGET raises
+    before any array is made, and a halving past it ends as degraded."""
+    import numpy as np
+    spans = [(lo, hi, max(8, math.ceil((hi - lo) / h_start)))
+             for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    nodes = g.directions * sum(pieces + 1 for _, _, pieces in spans)
+    if nodes > _NODE_BUDGET:
+        raise UnavailableError(f"quadrature needs {nodes} frequency "
+                               f"vectors, over the budget of {_NODE_BUDGET}")
     segments = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi <= lo:
-            continue
-        pieces = max(8, math.ceil((hi - lo) / h_start))
+    for lo, hi, pieces in spans:
         ys, shell = g(np.linspace(lo, hi, pieces + 1))
         segments.append({"lo": lo, "hi": hi, "pieces": pieces,
                          "value": _trapezoid(ys, (hi - lo) / pieces),
@@ -261,6 +274,10 @@ def _refine_segments(g, bounds: list[float], h_start: float,
         err = math.inf
         for _ in range(max_halvings):
             pieces = seg["pieces"]
+            if nodes + g.directions * pieces > _NODE_BUDGET:
+                degraded = True
+                break
+            nodes += g.directions * pieces
             h = (seg["hi"] - seg["lo"]) / pieces
             ys, shell = g(seg["lo"] + h * (np.arange(pieces) + 0.5))
             v2 = 0.5 * v + 0.5 * h * float(ys.sum())
@@ -465,10 +482,8 @@ def fourier_box_estimate(tree: DyadicSetTree, r_window, candidates=None,
     best = MeanSquareCurve(degraded=any(c.degraded for c in curves),
                            meta={"candidates": len(candidates)})
     for i, R in enumerate(Rs):
-        vals = [c.samples[i]["value"] for c in curves]
-        errs = [c.samples[i]["err"] for c in curves]
-        j = int(np.argmin(vals))
-        best.samples.append({"R": R, "value": vals[j], "err": errs[j]})
+        low = min((c.samples[i] for c in curves), key=lambda s: s["value"])
+        best.samples.append({"R": R, "value": low["value"], "err": low["err"]})
     triple, low_conf = _dims_from_curve(tree.d, best, window_len)
     return FourierDimsReport(triple, low_conf or best.degraded, best)
 
@@ -582,6 +597,7 @@ def near_zero_report(mu: DyadicMeasureTree, samples: int = 129) -> dict:
     """Sampled check of |mu_hat(z)| >= 1/2 on |z| <= (1/2)/(sqrt(d) rho),
     which follows from the gradient bound |grad mu_hat| <= sqrt(d) rho for
     a probability measure supported in B(0, rho)."""
+    import numpy as np
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     d = mu.d

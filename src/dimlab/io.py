@@ -41,14 +41,11 @@ def _encode_bigints(value):
     return value
 
 
-def _decode_bigints(value):
-    if isinstance(value, dict):
-        if set(value) == {"$bighex"}:
-            return int(value["$bighex"], 16)
-        return {k: _decode_bigints(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_bigints(v) for v in value]
-    return value
+def _decode_bigint(obj: dict):
+    """json object_hook: an object whose one key is "$bighex" is an int."""
+    if len(obj) == 1 and "$bighex" in obj:
+        return int(obj["$bighex"], 16)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +239,8 @@ def load_json(path):
     """Load a saved set, measure or plan. Anything that is not a well-formed
     payload of this format version raises ValidationError."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:
+        data = json.loads(Path(path).read_text(), object_hook=_decode_bigint)
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(
@@ -253,7 +250,7 @@ def load_json(path):
     if loader is None:
         raise ValidationError(f"unknown payload type {kind!r}")
     try:
-        return loader(_decode_bigints(data))
+        return loader(data)
     except ValidationError:
         raise
     except (LookupError, TypeError, ValueError, AttributeError,

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .dyadic import (cube_of_point, deinterleave, interleave,
                      same_level_axis_bounds)
 from .exact import (
@@ -457,6 +455,7 @@ class DyadicMeasureTree:
         return self._energy_dualtree(sf, refine_depth)
 
     def _energy_exact_1d(self, s: Fraction) -> EnergyBracket:
+        import numpy as np
         L = self.max_depth
         pairs = self.level_masses(L)
         keys = np.array([k for k, _ in pairs], dtype=np.int64)

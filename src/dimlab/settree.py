@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dyadic import cube_of_point, deinterleave, squared_distance
+from .dyadic import cube_of_point, deinterleave
 from .exact import UnavailableError, ValidationError, pow2
 
 
@@ -244,19 +244,22 @@ class DyadicSetTree:
                 if k <= prev:
                     raise ValidationError(f"level {n} keys not strictly sorted")
                 prev = k
-            if n > 0:
-                parents = self.levels[n - 1]
-                for k in keys:
-                    if not _contains(parents, k >> self.d):
-                        raise ValidationError(
-                            f"cube {k} at level {n} has unselected parent")
-            if n < self.max_depth:
-                children = self.levels[n + 1]
-                for k in keys:
-                    lo = bisect.bisect_left(children, k << self.d)
-                    if lo >= len(children) or children[lo] >= (k + 1) << self.d:
-                        raise ValidationError(
-                            f"cube {k} at level {n} has no selected child")
+        # a sorted level's distinct parents k >> d, in order, equal the level
+        # above iff every cube has a selected parent and every parent a child
+        for n in range(1, self.max_depth + 1):
+            parents = self.levels[n - 1]
+            ups = list(dict.fromkeys(k >> self.d for k in self.levels[n]))
+            if ups == parents:
+                continue
+            selected = set(parents)
+            childless = selected.difference(ups)
+            if childless:
+                raise ValidationError(f"cube {min(childless)} at level "
+                                      f"{n - 1} has no selected child")
+            orphan = next(k for k in self.levels[n]
+                          if k >> self.d not in selected)
+            raise ValidationError(
+                f"cube {orphan} at level {n} has unselected parent")
 
     def box_count(self, n: int) -> int:
         if n < 0:
@@ -318,23 +321,11 @@ class DyadicSetTree:
                              {"kind": "union"})
 
     def separated_net(self, n: int) -> list[tuple[Fraction, ...]]:
-        """Greedy maximal 2^-n-separated subset of the level-n cube
-        representatives, scanned in Morton order. Points at distance exactly
-        2^-n count as separated, so distinct same-level representatives
-        always qualify and the net is maximal among them."""
+        """All level-n cube representatives, in Morton order: distinct ones
+        are at least 2^-n apart, so they form a maximal 2^-n-separated net."""
         if not (0 <= n <= self.max_depth):
             raise ValidationError("level out of range")
-        sep_sq = pow2(-2 * n)
-        kept: list[tuple[Fraction, ...]] = []
-        for rep in self.representatives(n):
-            ok = True
-            for q in kept:
-                if squared_distance(rep, q) < sep_sq:
-                    ok = False
-                    break
-            if ok:
-                kept.append(rep)
-        return kept
+        return self.representatives(n)
 
 
 def _check_dims(d: int, depth: int) -> None:
@@ -345,11 +336,6 @@ def _check_dims(d: int, depth: int) -> None:
     if d * depth > 62:
         raise ValidationError(
             f"materialized keys need d*depth <= 62, got {d * depth}")
-
-
-def _contains(sorted_keys: list[int], key: int) -> bool:
-    i = bisect.bisect_left(sorted_keys, key)
-    return i < len(sorted_keys) and sorted_keys[i] == key
 
 
 def _merge_sorted(a: list[int], b: list[int]) -> list[int]:

@@ -356,6 +356,7 @@ class _CountingIntegrand:
 
     def __init__(self, g):
         self.g = g
+        self.directions = g.directions
         self.calls = []
 
     def __call__(self, rhos):
@@ -420,6 +421,34 @@ class TestNestedQuadrature:
         for rho, half in zip(rhos, shell):
             want = _mu_hat_sq_many(g.terms, rho * full).mean()
             assert half == pytest.approx(want, rel=1e-13, abs=0)
+
+    # 2^16 fits the budget as radii but not times the 32 ring directions
+    @pytest.mark.parametrize("kind, R", [("cantor-uniform", 2.0 ** 40),
+                                         ("atoms-2d", 2.0 ** 16)])
+    def test_grid_over_node_budget_is_unavailable(self, kind, R):
+        mu = QUADRATURE_MEASURES[kind]()
+        g = _CountingIntegrand(_RadialIntegrand(mu))
+        with pytest.raises(UnavailableError, match="budget"):
+            _refine_segments(g, [0.0, R], _node_spacing(mu.d), 1e-3, 14)
+        assert g.calls == []  # refused before any node array was made
+        with pytest.raises(UnavailableError, match="budget"):
+            mean_square_curve(mu, [R])
+        with pytest.raises(UnavailableError, match="budget"):
+            fourier_energy(mu, 0.5, r_max=R)
+
+    def test_halving_past_node_budget_degrades(self, monkeypatch):
+        mu = QUADRATURE_MEASURES["sierpinski-uniform"]()
+        g = _CountingIntegrand(_RadialIntegrand(mu))
+        bounds = [0.0, 3.0, 12.0, 40.0]
+        h = _node_spacing(mu.d)
+        _, degraded, _ = _refine_segments(g, bounds, h, 1e-7, 14)
+        spent = 32 * sum(len(c) for c in g.calls)
+        assert not degraded
+        monkeypatch.setattr("dimlab.fourier._NODE_BUDGET", spent - 1)
+        g.calls.clear()
+        _, degraded, _ = _refine_segments(g, bounds, h, 1e-7, 14)
+        assert degraded
+        assert 32 * sum(len(c) for c in g.calls) <= spent - 1
 
 
 class TestDecaySlopes:

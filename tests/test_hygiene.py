@@ -1,6 +1,7 @@
 """Source hygiene: every name a dimlab module imports is used there,
-every function or class it defines is used somewhere, and every exception
-class it defines is raised somewhere.
+every function or class it defines is used somewhere, every exception
+class it defines is raised somewhere, and numpy loads only when a transform
+needs it.
 
 Stdlib-`ast` stand-ins for a linter's unused-import and dead-code rules.
 The import check skips `__init__.py`, since its imports are the package's
@@ -9,7 +10,10 @@ re-exports.
 
 import ast
 import builtins
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -146,3 +150,33 @@ def test_exceptions_are_raised():
     unraised = sorted(name for name in classes
                       if is_exception(name) and name not in raised)
     assert not unraised, f"exception classes never raised: {unraised}"
+
+
+NUMPY_PROBE = """
+import sys
+
+import dimlab
+import dimlab.cli
+from dimlab import fourier, io
+from dimlab.measure import DyadicMeasureTree
+from dimlab.settree import DyadicSetTree
+
+tree = DyadicSetTree.from_digit_ifs(1, group=2, keep=[0, 3], depth=6)
+io.save_json(tree, sys.argv[1])
+assert dimlab.cli.main(["verify", "ineq-chain", "--in", sys.argv[1]]) == 0
+assert "numpy" not in sys.modules, "an exact command loaded numpy"
+fourier.mu_hat(DyadicMeasureTree.uniform_on_set(tree), 1.0)
+assert "numpy" in sys.modules, "the transform ran without numpy"
+"""
+
+
+def test_numpy_loads_only_for_transforms(tmp_path):
+    """Importing the package and running an exact command leave numpy
+    unloaded; the first transform loads it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, str(tmp_path / "cantor.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

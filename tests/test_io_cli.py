@@ -387,6 +387,14 @@ class TestCliEstimate:
         code, _, err = self._estimate_box(capsys, tmp_path, data)
         assert code == 2 and "malformed set payload" in err
 
+    @pytest.mark.parametrize("tag", [5, "0xnothex"])
+    def test_malformed_bighex_tag_is_validation_error(self, tmp_path, capsys,
+                                                      tag):
+        data = io.set_to_dict(cantor_tree(4))
+        data["levels"][1][0] = {"$bighex": tag}
+        code, _, err = self._estimate_box(capsys, tmp_path, data)
+        assert code == 2 and "error:" in err
+
     def test_unknown_version_is_validation_error(self, tmp_path, capsys):
         data = io.set_to_dict(cantor_tree(4))
         data["version"] = 99
@@ -429,6 +437,12 @@ class TestCliEstimate:
         code, _, err = run_cli(capsys, "estimate", "energy", "--in", str(p),
                                "--s", "1/2")
         assert code == 3 and "error:" in err
+
+    def test_quadrature_over_node_budget_is_computation_error(
+            self, cantor_file, capsys):
+        code, _, err = run_cli(capsys, "estimate", "fourier-corr",
+                               "--in", cantor_file, "--scales", "2^40")
+        assert code == 3 and "budget" in err and "Traceback" not in err
 
     def test_too_small_budget_is_computation_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "construct", "alternating",

@@ -125,13 +125,15 @@ class TestFromPointsAndKeys:
 
 class TestValidate:
     def test_orphan_is_caught(self):
-        bad = DyadicSetTree(1, 2, [[0], [0], [2]], None, {})
-        with pytest.raises(ValidationError):
+        bad = DyadicSetTree(1, 2, [[0], [0], [0, 2]], None, {})
+        with pytest.raises(ValidationError,
+                           match="cube 2 at level 2 has unselected parent"):
             bad.validate()
 
     def test_childless_cube_is_caught(self):
         bad = DyadicSetTree(1, 2, [[0], [0, 1], [0]], None, {})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="cube 1 at level 1 has no selected child"):
             bad.validate()
 
     def test_unsorted_level_is_caught(self):
@@ -148,6 +150,37 @@ class TestValidate:
         bad = DyadicSetTree(1, 1, [[], [0]], None, {})
         with pytest.raises(ValidationError):
             bad.validate()
+
+    def test_nesting_matches_brute_force(self):
+        def first_defect(levels, d):
+            for n in range(1, len(levels)):
+                for k in levels[n - 1]:
+                    if not any(c >> d == k for c in levels[n]):
+                        return (f"cube {k} at level {n - 1} "
+                                "has no selected child")
+                for k in levels[n]:
+                    if k >> d not in levels[n - 1]:
+                        return f"cube {k} at level {n} has unselected parent"
+            return None
+
+        rng = random.Random(13)
+        for _ in range(300):
+            d, depth = rng.choice([1, 2]), rng.randint(1, 4)
+            top = 1 << (d * depth)
+            keys = rng.sample(range(top), rng.randint(1, min(6, top)))
+            levels = DyadicSetTree.from_codes(d, depth, keys).levels
+            n = rng.randint(1, depth)  # drop or add one key at level n
+            if len(levels[n]) > 1 and rng.random() < 0.5:
+                levels[n].remove(rng.choice(levels[n]))
+            else:
+                levels[n] = sorted({*levels[n], rng.randrange(1 << (d * n))})
+            bad = DyadicSetTree(d, depth, levels, None, {})
+            want = first_defect(levels, d)
+            if want is None:
+                bad.validate()
+            else:
+                with pytest.raises(ValidationError, match=want):
+                    bad.validate()
 
 
 class TestQueries:
