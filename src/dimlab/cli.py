@@ -241,7 +241,7 @@ def _cmd_construct_measure(args) -> int:
         mu = DyadicMeasureTree.uniform_on_set(tree)
     elif args.kind == "net":
         n = args.level if args.level is not None else tree.max_depth
-        net = tree.separated_net(n)
+        net = tree.representatives(n)
         w = Fraction(1, len(net))
         mu = DyadicMeasureTree.atomic(net, [w] * len(net), tree.d, n)
     else:  # anti-frostman

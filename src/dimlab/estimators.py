@@ -550,7 +550,7 @@ def correlation_sandwich(tree: DyadicSetTree, levels, n_random: int = 0,
             ok = ok and good
             rows.append({"level": n, "measure": name, "corr_sum": c,
                          "floor": floor, "ok": good})
-        net = tree.separated_net(n)
+        net = tree.representatives(n)
         w = Fraction(1, len(net))
         nu = DyadicMeasureTree.atomic(net, [w] * len(net), tree.d, n)
         c = nu.dyadic_correlation_sum(n)

@@ -470,7 +470,7 @@ def fourier_box_estimate(tree: DyadicSetTree, r_window, candidates=None,
         candidates = [DyadicMeasureTree.uniform_on_set(tree)]
         depth = tree.max_depth
         for n in sorted({max(1, depth // 2), depth}):
-            net = tree.separated_net(n)
+            net = tree.representatives(n)
             k = len(net)
             candidates.append(DyadicMeasureTree.atomic(
                 net, [Fraction(1, k)] * k, tree.d, depth=max(n, 1)))

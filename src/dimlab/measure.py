@@ -16,8 +16,8 @@ an explicit finite point list.
 Ball quantities that a finite tree cannot pin down exactly are returned as
 two-sided brackets; dyadic quantities (cube masses, correlation sums over
 cube pairs) are exact rationals. The pair walker behind the ball-correlation
-and energy brackets works on the stored numerators and builds no Fraction
-per pair.
+bracket works on the stored numerators and builds no Fraction per pair; the
+energy bracket sums a kernel over a histogram of leaf-pair offsets.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class DyadicMeasureTree:
         relative to r; leaf cubes refine as uniform splits, which is exactly
         what the leaf model asserts. Each resolved pair counts its inside
         and straddling ordered cap-level pairs, so a straddling leaf pair
-        resolves through the walker's per-offset memo (see _walk_pairs).
+        resolves through the per-offset memo of _below_leaves.
         These integer sums regroup the terms of a walk over every cap-level
         pair, so the bracket is the same rational.
         """
@@ -229,10 +229,7 @@ class DyadicMeasureTree:
             cap += 1
         cap += max(0, extra_depth)
 
-        den2 = [q * q for _, q in self.tables]
-        top = min(cap, self.max_depth)
-        lower = [0] * (top + 1)
-        upper = [0] * (top + 1)
+        den2 = [q * q for _, q in self.tables[:min(cap, self.max_depth) + 1]]
 
         def resolve(level, gaps, reach):
             """(inside, inside or straddling) counts of the ordered cap-level
@@ -248,10 +245,6 @@ class DyadicMeasureTree:
                 return 0, 0
             return (0, 1) if level >= cap else None
 
-        def add(level, w, got):
-            lower[level] += w * got[0]
-            upper[level] += w * got[1]
-
         def total(sums):
             # a level-n pair of weight w splits into 4^(d (cap - n)) ordered
             # cap-level pairs of mass w / den2[n] / 4^(d (cap - n)) each
@@ -259,32 +252,22 @@ class DyadicMeasureTree:
                         for n, (x, q) in enumerate(zip(sums, den2))),
                        Fraction(0))
 
-        self._walk_pairs(resolve, add)
+        lower, upper = self._walk_pairs(resolve)
         return CorrelationBracket(total(lower), total(upper), rf, cap)
 
-    def _walk_pairs(self, resolve, add) -> None:
+    def _walk_pairs(self, resolve) -> tuple[list[int], list[int]]:
         """Dual-tree traversal over canonical cube pairs (key_a <= key_b at
-        a common level), starting from the root pair.
-
-        Calls resolve(level, gaps, reach) once per visited pair: gaps and
-        reach are the integer squared min and max closure distances in units
-        of the cube side (min_dist^2 = gaps * 4^-level, likewise reach).
-        resolve returns the pair's contribution, or None to descend into its
-        child pairs. A contribution goes to add(level, w, got), where w is
-        the int N_a * N_b of the pair's stored mass numerators, doubled off
-        the diagonal so that the canonical pair stands for both orders; it
-        stands for the mass product w / D^2 with D the level's denominator.
-
-        Below max_depth the leaf model splits every cube uniformly, so what
-        lies under a leaf pair depends only on its level and sorted per-axis
-        index offsets. A leaf pair that resolve opens gets the contribution
-        below(level, offsets), memoised for the walk: resolve's value if it
-        resolves the offset pair, else the sum over the child offsets, which
-        per axis are 2x - 1, 2x, 2x + 1 with multiplicities 1, 2, 1 for an
-        offset x > 0 and 0, 1 with multiplicities 2, 2 for x = 0, counting
-        ordered child pairs. resolve must scale its values so that such a
-        child sum needs no rescaling. Cube coordinates, and the child lists
-        of cubes above the leaves, are computed once per cube and walk.
+        a common level) from the root pair: resolve(level, gaps, reach) is
+        called once per visited pair, with gaps and reach the integer
+        squared min and max closure distances in units of the cube side
+        (min_dist^2 = gaps * 4^-level, likewise reach). It returns the
+        pair's (lower, upper) contribution, or None to descend into its
+        child pairs; a leaf pair it opens gets _below_leaves' value for its
+        level and offsets. Returns the per-level sums of w * contribution,
+        w the int N_a * N_b of the pair's stored mass numerators, doubled
+        off the diagonal so that the canonical pair stands for both orders
+        (mass product w / D^2, D the level's denominator). Coordinates and
+        child lists are computed once per cube and walk.
         """
         dd = self.d
         top = self.max_depth
@@ -292,29 +275,8 @@ class DyadicMeasureTree:
         children_keys = self.support.children_keys
         coords = defaultdict(dict)  # level -> key -> axis indices
         kids = defaultdict(dict)  # level -> key -> [(child key, numerator)]
-        memo = {}  # (level, sorted axis offsets) -> below(level, offsets)
-        origin = (0,) * dd
-
-        def below(level, offset):
-            got = memo.get((level, offset))
-            if got is None:
-                got = resolve(level, *same_level_axis_bounds(dd, offset,
-                                                             origin))
-                if got is None:
-                    lo = hi = 0
-                    # per axis, child offsets with their multiplicities
-                    for axes in itertools.product(*(
-                            ((0, 2), (1, 2)) if x == 0 else
-                            ((2 * x - 1, 1), (2 * x, 2), (2 * x + 1, 1))
-                            for x in offset)):
-                        a, b = below(level + 1, tuple(sorted(
-                            k for k, _ in axes)))
-                        n = math.prod(c for _, c in axes)
-                        lo += n * a
-                        hi += n * b
-                    got = lo, hi
-                memo[(level, offset)] = got
-            return got
+        below, _ = _below_leaves(dd, resolve)
+        lower, upper = [0] * (top + 1), [0] * (top + 1)
 
         stack = [(0, 0, 0, nums[0][0], nums[0][0])]
         while stack:
@@ -339,11 +301,12 @@ class DyadicMeasureTree:
                     gaps, reach = same_level_axis_bounds(dd, ja, jb)
             got = resolve(level, gaps, reach)
             if got is None and level == top:
-                got = below(level, origin if ka == kb else (
+                got = below(level, (0,) * dd if ka == kb else (
                     (delta,) if dd == 1 else tuple(sorted(
                         abs(x - y) for x, y in zip(ja, jb)))))
             if got is not None:
-                add(level, w, got)
+                lower[level] += w * got[0]
+                upper[level] += w * got[1]
                 continue
             cache = kids[level]
             tbl = nums[level + 1]
@@ -359,6 +322,7 @@ class DyadicMeasureTree:
                 start = ia if ka == kb else 0
                 for ckb, cnb in cb[start:]:
                     stack.append((level + 1, cka, ckb, cna, cnb))
+        return lower, upper
 
     # -- ball masses -----------------------------------------------------------
 
@@ -372,33 +336,17 @@ class DyadicMeasureTree:
         rf = to_fraction(r)
         if rf < 0:
             raise ValidationError("radius must be >= 0")
+        tbl, den = self._table(level)
         scale = 1 << level
         ranges = []
         for x in pt:
-            lo = math.ceil((x - rf) * scale) - 1
-            hi = math.floor((x + rf) * scale)
-            lo = max(lo, 0)
-            hi = min(hi, scale - 1)
+            lo = max(math.ceil((x - rf) * scale) - 1, 0)
+            hi = min(math.floor((x + rf) * scale), scale - 1)
             if lo > hi:
                 return Fraction(0)
             ranges.append(range(lo, hi + 1))
-        tbl, den = self._table(level)
-        total = 0
-        idx = [rg.start for rg in ranges]
-        # odometer over the small product of index ranges
-        while True:
-            key = interleave(tuple(idx), level)
-            total += tbl.get(key, 0)
-            axis = self.d - 1
-            while axis >= 0:
-                idx[axis] += 1
-                if idx[axis] < ranges[axis].stop:
-                    break
-                idx[axis] = ranges[axis].start
-                axis -= 1
-            if axis < 0:
-                break
-        return Fraction(total, den)
+        return Fraction(sum(tbl.get(interleave(idx, level), 0)
+                            for idx in itertools.product(*ranges)), den)
 
     def ball_mass_atoms(self, point, r) -> Fraction:
         """Exact closed-ball mass for atomic measures."""
@@ -432,14 +380,17 @@ class DyadicMeasureTree:
 
         Atomic measures come back with diverged=True: any point mass puts
         infinite weight on the diagonal for every s > 0, so the true value
-        is known, not estimated. In dimension 1 the uniform leaf model
-        admits closed-form cube-pair integrals, so the bracket collapses to
-        float rounding width. In higher dimensions every cube pair is
-        bounded through its closure distances at the cap level max_depth +
-        refine_depth. Below the leaves a pair's terms depend only on its
-        level and axis offsets, so the walk computes them once per offset
-        (see _walk_pairs): the cost grows with the distinct offsets, at
-        most about 2^(d cap) of them, not with the 4^(d cap) cube pairs.
+        is known, not estimated. Under the uniform leaf model a leaf pair
+        adds its mass product times a kernel K of its sorted per-axis
+        index offsets, so the energy is sum_offsets H(offset) K(offset).
+        The cost is the leaf pairs, binned into H in numpy blocks, plus one
+        K per distinct offset: in 1-D the closed-form cube-pair integral,
+        whose bracket has float rounding width; in higher dimensions a
+        bound over every pair of cap-level cubes under the leaf pair through
+        their closure distances, at cap level max_depth + refine_depth (see
+        _below_leaves), with at most about 2^(d cap) kernel entries, not
+        4^(d cap) cube pairs. detail counts the leaf pairs, the distinct
+        offsets and the kernel entries.
         """
         sf = to_fraction(s)
         if sf <= 0:
@@ -450,79 +401,94 @@ class DyadicMeasureTree:
         if sf >= self.d:
             return EnergyBracket(math.inf, math.inf, sf, True,
                                  {"reason": "s >= d with cube mass"})
-        if self.d == 1:
-            return self._energy_exact_1d(sf)
-        return self._energy_dualtree(sf, refine_depth)
-
-    def _energy_exact_1d(self, s: Fraction) -> EnergyBracket:
         import numpy as np
-        L = self.max_depth
-        pairs = self.level_masses(L)
-        keys = np.array([k for k, _ in pairs], dtype=np.int64)
-        ms = np.array([float(m) for _, m in pairs])
-        sv = float(s)
-        denom = (1.0 - sv) * (2.0 - sv)
-        ell = 2.0 ** (-L)
-        scale = ell ** (-sv)
-
-        def f_tilde(w):
-            return np.power(w, 2.0 - sv)
-
-        total = 0.0
-        err = 0.0
-        eps = np.finfo(float).eps
-        k = len(keys)
-        block = max(1, int(4e6) // max(k, 1))
-        for lo in range(0, k, block):
-            hi = min(k, lo + block)
-            a = np.abs(keys[lo:hi, None] - keys[None, :]).astype(float)
-            w = ms[lo:hi, None] * ms[None, :]
-            j = (f_tilde(a + 1.0) - 2.0 * f_tilde(a)
-                 + f_tilde(np.abs(a - 1.0))) / denom
-            total += float(np.sum(w * j))
-            err += float(np.sum(w * (4.0 * eps * f_tilde(a + 1.0) / denom)))
-        value = scale * total
-        width = scale * err + 8 * eps * abs(value)
-        return EnergyBracket(value - width, value + width, s, False,
-                             {"method": "closed_form_1d", "level": L})
-
-    def _energy_dualtree(self, s: Fraction, refine_depth: int) -> EnergyBracket:
-        sv = float(s)
-        d = self.d
-        cap = self.max_depth + max(0, refine_depth)
-        vd = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-        sigma = d * vd
-        den2 = [q * q for _, q in self.tables]
-        lower = 0.0
-        upper = 0.0
-
-        def resolve(level, gaps, reach):
-            """(lower, upper) terms of a cap-level pair, for the pair's
-            mass product taken as 4^(-d level); None above the cap."""
-            if level < cap:
-                return None
-            side = 2.0 ** (-level)
+        d, L, sv = self.d, self.max_depth, float(sf)
+        hist, offsets, pairs = self._offset_histogram()
+        if d == 1:
+            f = np.power(np.abs(offsets[:, 0] + [[1.0], [0.0], [-1.0]]),
+                         2.0 - sv)
+            denom = (1.0 - sv) * (2.0 - sv)
+            scale = (2.0 ** (-L)) ** (-sv)
+            j = (f[0] - 2.0 * f[1] + f[2]) / denom
+            value = scale * float(np.sum(hist * j))
+            # the second difference cancels about eps * (a + 1)^(2 - s)
+            width = math.ulp(1.0) * (4 * scale * float(np.sum(hist * f[0]))
+                                     / denom + 8 * abs(value))
+            lower, upper = value - width, value + width
+            detail = {"offsets": len(j), "kernel_entries": len(j)}
+        else:
+            cap = L + max(0, refine_depth)
+            side = 2.0 ** (-cap)
             unit = side ** (2 * d)
-            max_dist = math.sqrt(reach) * side
-            lo = unit * max_dist ** (-sv)
-            if gaps > 0:
-                return lo, unit * (math.sqrt(gaps) * side) ** (-sv)
             # same cube: |x - y|^-s integrated over the ball of radius
-            # max_dist around x
-            return lo, unit * sigma * max_dist ** (d - sv) / ((d - sv)
-                                                              * side ** d)
+            # max_dist around x, over the cube volume
+            ball = unit * d * math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+            vol = (d - sv) * side ** d
 
-        def add(level, w, got):
-            nonlocal lower, upper
-            # mass product over 4^(-d level), correctly rounded as an
-            # int-by-int division; the powers of two cancel exactly
-            w = (w << (2 * d * level)) / den2[level]
-            lower += w * got[0]
-            upper += w * got[1]
+            def resolve(level, gaps, reach):
+                """(lower, upper) terms of a cap-level pair, for the pair's
+                mass product taken as 4^(-d cap); None above the cap."""
+                if level < cap:
+                    return None
+                max_dist = math.sqrt(reach) * side
+                lo = unit * max_dist ** (-sv)
+                if gaps > 0:
+                    return lo, unit * (math.sqrt(gaps) * side) ** (-sv)
+                return lo, ball * max_dist ** (d - sv) / vol
 
-        self._walk_pairs(resolve, add)
-        return EnergyBracket(lower, upper, s, False,
-                             {"method": "dualtree", "cap_level": cap})
+            bins = defaultdict(float)  # H over sorted offsets
+            for off, h in zip(offsets.tolist(), hist.tolist()):
+                bins[tuple(sorted(off))] += h
+            below, memo = _below_leaves(d, resolve)
+            # mass product over 4^(-d L): the power of two scales exactly
+            scale = float(1 << (2 * d * L))
+            lower, upper = (scale * math.fsum(h * below(L, off)[i] for off, h
+                                              in bins.items()) for i in (0, 1))
+            detail = {"cap_level": cap, "offsets": len(bins),
+                      "kernel_entries": len(memo)}
+        detail["leaf_pairs"] = pairs
+        return EnergyBracket(lower, upper, sf, False, detail)
+
+    def _offset_histogram(self):
+        """(H, offsets, ordered leaf pairs): H[i] sums m_a * m_b, as floats,
+        over the ordered leaf pairs with per-axis offsets |j_a - j_b| in row
+        i. Codes pack L bits per axis (d L <= 62); the bins are a dense
+        table if the 2^(d L) codes are at most the leaf pairs and 2^24 (128
+        MiB of floats), else the distinct codes."""
+        import numpy as np
+        d, L = self.d, self.max_depth
+        tbl, den = self.tables[L]
+        keys = sorted(tbl)
+        n = len(keys)
+        # axis i takes key bit d b + d - 1 - i as its bit b (deinterleave)
+        bits = (np.array(keys)[:, None] >> np.arange(d * L)) & 1
+        idx = (bits.reshape(n, L, d)[:, :, ::-1]
+               << np.arange(L)[:, None]).sum(axis=1)
+        w = np.array([tbl[k] / den for k in keys])
+        shifts = np.arange(d - 1, -1, -1, dtype=np.int64) * L
+        rows = min(n, max(1, (1 << 20) // (n * d)))
+        dense = 1 << (d * L) <= min(n * n, 1 << 24)
+        hist, parts = np.zeros(1 << (d * L) if dense else 0), []
+        for lo in range(0, n, rows):
+            # each unordered pair once (b >= a), counted for both orders
+            a, b = np.arange(lo, min(n, lo + rows))[:, None], np.arange(lo, n)
+            keep = b >= a
+            code = (np.abs(idx[a] - idx[b]) << shifts).sum(axis=-1)[keep]
+            ww = (w[a] * w[b] * (1 + (b > a)))[keep]
+            if dense:
+                np.add.at(hist, code, ww)
+            else:
+                got, inv = np.unique(code, return_inverse=True)
+                parts.append((got, np.bincount(inv, ww)))
+        if dense:
+            codes = np.flatnonzero(hist)
+            hist = hist[codes]
+        else:
+            codes, inv = np.unique(np.concatenate([c for c, _ in parts]),
+                                   return_inverse=True)
+            hist = np.bincount(inv, np.concatenate([h for _, h in parts]))
+        offsets = (codes[:, None] >> shifts) & ((1 << L) - 1)
+        return hist, offsets, n * n
 
     # -- validation ----------------------------------------------------------------
 
@@ -555,6 +521,44 @@ class DyadicMeasureTree:
             agg = _aggregate_atoms(self.atoms, self.d, self.max_depth)
             if agg[-1] != self.tables[-1]:
                 raise ValidationError("atoms inconsistent with leaf masses")
+
+
+def _below_leaves(d: int, resolve):
+    """(below, memo): the terms of a cube pair below the leaves, memoised
+    per (level, sorted per-axis index offsets).
+
+    Below max_depth the leaf model splits every cube uniformly, so what lies
+    under a pair of same-level cubes depends only on its level and sorted
+    offsets. below(level, offsets) is resolve(level, gaps, reach) if that is
+    not None, else the sum over the child offsets, which per axis are
+    2x - 1, 2x, 2x + 1 with multiplicities 1, 2, 1 for an offset x > 0 and
+    0, 1 with multiplicities 2, 2 for x = 0, counting ordered child pairs.
+    resolve scales its (lower, upper) values so that this sum needs no
+    rescaling."""
+    memo = {}  # (level, sorted axis offsets) -> below(level, offsets)
+    origin = (0,) * d
+
+    def below(level, offset):
+        got = memo.get((level, offset))
+        if got is None:
+            got = resolve(level, *same_level_axis_bounds(d, offset, origin))
+            if got is None:
+                lo = hi = 0
+                # per axis, child offsets with their multiplicities
+                for axes in itertools.product(*(
+                        ((0, 2), (1, 2)) if x == 0 else
+                        ((2 * x - 1, 1), (2 * x, 2), (2 * x + 1, 1))
+                        for x in offset)):
+                    ks, ns = zip(*axes)
+                    a, b = below(level + 1, tuple(sorted(ks)))
+                    n = math.prod(ns)
+                    lo += n * a
+                    hi += n * b
+                got = lo, hi
+            memo[(level, offset)] = got
+        return got
+
+    return below, memo
 
 
 def _reduced(tbl: dict[int, int], den: int) -> tuple[dict[int, int], int]:
@@ -636,7 +640,7 @@ def anti_frostman_measure(tree: DyadicSetTree,
     agg: dict[tuple[Fraction, ...], Fraction] = {}
     net_sizes: dict[int, int] = {}
     for k in lv:
-        net = tree.separated_net(k)
+        net = tree.representatives(k)
         net_sizes[k] = len(net)
         share = c / (k * k * len(net))
         for p in net:

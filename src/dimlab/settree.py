@@ -302,12 +302,14 @@ class DyadicSetTree:
         return arr[lo:hi]
 
     def representatives(self, n: int) -> list[tuple[Fraction, ...]]:
+        """Upper corners of the selected level-n cubes, in Morton order:
+        distinct ones are at least 2^-n apart, so they form a maximal
+        2^-n-separated net."""
+        if not (0 <= n <= self.max_depth):
+            raise ValidationError("level out of range")
         side = pow2(-n)
-        out = []
-        for k in self.levels[n]:
-            idx = deinterleave(k, n, self.d)
-            out.append(tuple((j + 1) * side for j in idx))
-        return out
+        return [tuple((j + 1) * side for j in deinterleave(k, n, self.d))
+                for k in self.levels[n]]
 
     # -- derived trees ----------------------------------------------------
 
@@ -319,13 +321,6 @@ class DyadicSetTree:
                   for n in range(depth + 1)]
         return DyadicSetTree(self.d, depth, levels, None,
                              {"kind": "union"})
-
-    def separated_net(self, n: int) -> list[tuple[Fraction, ...]]:
-        """All level-n cube representatives, in Morton order: distinct ones
-        are at least 2^-n apart, so they form a maximal 2^-n-separated net."""
-        if not (0 <= n <= self.max_depth):
-            raise ValidationError("level out of range")
-        return self.representatives(n)
 
 
 def _check_dims(d: int, depth: int) -> None:

@@ -1,7 +1,7 @@
 """Source hygiene: every name a dimlab module imports is used there,
 every function or class it defines is used somewhere, every exception
 class it defines is raised somewhere, and numpy loads only when a transform
-needs it.
+or an energy bracket needs it.
 
 Stdlib-`ast` stand-ins for a linter's unused-import and dead-code rules.
 The import check skips `__init__.py`, since its imports are the package's
@@ -154,6 +154,7 @@ def test_exceptions_are_raised():
 
 NUMPY_PROBE = """
 import sys
+from fractions import Fraction
 
 import dimlab
 import dimlab.cli
@@ -165,18 +166,26 @@ tree = DyadicSetTree.from_digit_ifs(1, group=2, keep=[0, 3], depth=6)
 io.save_json(tree, sys.argv[1])
 assert dimlab.cli.main(["verify", "ineq-chain", "--in", sys.argv[1]]) == 0
 assert "numpy" not in sys.modules, "an exact command loaded numpy"
-fourier.mu_hat(DyadicMeasureTree.uniform_on_set(tree), 1.0)
-assert "numpy" in sys.modules, "the transform ran without numpy"
+square = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, 2))
+assert square.ball_correlation_bracket(Fraction(1, 5)).cap_level > 2
+assert "numpy" not in sys.modules, "a 2-D ball bracket loaded numpy"
+if sys.argv[2] == "transform":
+    fourier.mu_hat(DyadicMeasureTree.uniform_on_set(tree), 1.0)
+else:
+    square.energy_bracket(Fraction(1, 2), refine_depth=1)
+assert "numpy" in sys.modules, f"the {sys.argv[2]} ran without numpy"
 """
 
 
 def test_numpy_loads_only_for_transforms(tmp_path):
-    """Importing the package and running an exact command leave numpy
-    unloaded; the first transform loads it."""
+    """Importing the package, running an exact command and a 2-D ball
+    bracket (whose walk resolves pairs below the leaves) leave numpy
+    unloaded; the first transform, or the first energy bracket, loads it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, str(tmp_path / "cantor.json")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for loader in ("transform", "energy"):
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, str(tmp_path / "cantor.json"),
+             loader], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

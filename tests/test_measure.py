@@ -2,7 +2,9 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -500,6 +502,14 @@ class TestCoverMass:
             uniform_cantor(3).cover_mass((Fraction(1, 2), Fraction(1, 2)),
                                          Fraction(1, 4), 2)
 
+    def test_level_validation(self):
+        # the level is checked before any box arithmetic, which at a
+        # negative level would shift by a negative count
+        for level in (-1, 4):
+            with pytest.raises(ValidationError):
+                uniform_cantor(3).cover_mass((Fraction(1, 2),),
+                                             Fraction(1, 4), level)
+
 
 def deeper(mu, k):
     """mu materialised k levels deeper: each leaf mass split equally over
@@ -553,18 +563,22 @@ class TestEnergy:
         assert one.lower <= want <= one.upper
 
     @pytest.mark.parametrize("case, want", [
-        ("square", ("0x1.665ad2c59403ep+0", "0x1.d7e22785dbfe6p+1")),
-        ("sierpinski_random", ("0x1.751f8ad61825fp+1",
-                               "0x1.ef2b0edb3d747p+4")),
-        ("cube_digits", ("0x1.209bec63e3d38p+0", "0x1.81f3814000ac4p+6")),
+        ("square", ("0x1.665ad2c59403dp+0", "0x1.d7e22785dbfe6p+1")),
+        ("sierpinski_random", ("0x1.751f8ad61825bp+1",
+                               "0x1.ef2b0edb3d741p+4")),
+        ("cube_digits", ("0x1.209bec63e3d38p+0", "0x1.81f3814000ac3p+6")),
     ])
     def test_dualtree_bits_pinned(self, case, want):
-        # float.hex of the dual-tree brackets: the walk's visiting order and
-        # the rounding of each pair weight are part of the output.
+        # float.hex of the d >= 2 brackets: the summation order and the
+        # rounding of each leaf-pair weight are part of the output.
         # Re-pinned when leaf pairs began to resolve through the per-offset
         # memo: the terms below the leaves are summed per offset and then
         # scaled once by the leaf pair's weight, so they round differently
-        # (at most 1.4e-13 relative, on "square")
+        # (at most 1.4e-13 relative, on "square"). Re-pinned again when the
+        # walk gave way to the offset histogram: float products of the leaf
+        # masses are summed per offset in numpy, and the kernel terms
+        # weighted by those bins are summed with math.fsum (at most 6.9e-16
+        # relative, on the upper end of "sierpinski_random")
         if case == "square":
             mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, 1))
             s, depth = Fraction(1, 2), 3
@@ -609,6 +623,125 @@ class TestEnergy:
         b = uniform_cantor(10).energy_bracket(Fraction(1, 3))
         assert not b.diverged
         assert 1 < b.lower <= b.upper < 10
+
+
+def oracle_energy_1d(mu, s):
+    """1-D s-energy of a uniform-leaf measure summed over every ordered leaf
+    pair in 50-digit Decimal arithmetic: leaves at index offset a add
+    m_a m_b l^-s ((a + 1)^(2 - s) - 2 a^(2 - s) + |a - 1|^(2 - s)) /
+    ((1 - s)(2 - s)), with l the leaf side."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        sd = Decimal(s.numerator) / s.denominator
+        p = 2 - sd
+        denom = (1 - sd) * (2 - sd)
+
+        @lru_cache(maxsize=None)
+        def pair(a):
+            return (Decimal(a + 1) ** p - 2 * Decimal(a) ** p
+                    + Decimal(abs(a - 1)) ** p) / denom
+
+        leaves = [(k, Decimal(m.numerator) / m.denominator)
+                  for k, m in mu.level_masses(mu.max_depth)]
+        total = sum(ma * mb * pair(abs(ka - kb))
+                    for ka, ma in leaves for kb, mb in leaves)
+        return float(total * Decimal(2) ** (mu.max_depth * sd))
+
+
+def oracle_energy_cubes(mu, s, cap):
+    """s-energy bracket summed over every ordered pair of cap-level cubes of
+    deeper(mu, cap - depth), each bounded through its exact closure
+    distances: max_dist^-s below, min_dist^-s above, and for a pair that
+    touches, the integral of |x - y|^-s over the ball of radius max_dist
+    around x, divided by the cube volume."""
+    d, sv = mu.d, float(s)
+    side = 2.0 ** -cap
+    sphere = d * math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    cubes = [((cap, deinterleave(k, cap, d)), float(m))
+             for k, m in deeper(mu, cap - mu.max_depth).level_masses(cap)]
+    lower, upper = [], []
+    for a, ma in cubes:
+        for b, mb in cubes:
+            g = cube_pair_geometry(a, b)
+            far = math.sqrt(g.max_dist_sq)
+            lower.append(ma * mb * far ** -sv)
+            upper.append(ma * mb * (
+                math.sqrt(g.min_dist_sq) ** -sv if g.min_dist_sq > 0 else
+                sphere * far ** (d - sv) / ((d - sv) * side ** d)))
+    return math.fsum(lower), math.fsum(upper)
+
+
+def clustered_leaves(d, depth, offsets, seed):
+    """Random-split measure on a few leaves at `depth` whose axis indices
+    sit at the given small offsets from the middle of the cube: a sparse,
+    deep tree with 2^(d depth) far above its leaf pairs."""
+    mid = 1 << (depth - 1)
+    pts = [tuple(Fraction(mid + j + 1, 1 << depth) for j in off)
+           for off in offsets]
+    return DyadicMeasureTree.random_split(
+        DyadicSetTree.from_points(pts, d, depth), random.Random(seed))
+
+
+class TestEnergyOracle:
+    """The offset histogram times the per-offset kernel against sums over
+    every pair, computed here without the package's energy code."""
+
+    @pytest.mark.parametrize("mu, s", [
+        (DyadicMeasureTree.random_split(DyadicSetTree.full(1, 6),
+                                        random.Random(7)), Fraction(1, 2)),
+        (DyadicMeasureTree.random_split(cantor_tree(8), random.Random(8)),
+         Fraction(1, 3)),
+        (clustered_leaves(1, 40, [(0,), (1,), (3,), (4,), (9,)], 9),
+         Fraction(2, 3)),
+    ], ids=["full6", "cantor8", "sparse-depth40"])
+    def test_1d_matches_pair_sum(self, mu, s):
+        want = oracle_energy_1d(mu, s)
+        b = mu.energy_bracket(s)
+        assert b.lower <= want <= b.upper
+        assert b.midpoint == pytest.approx(want, rel=1e-12)
+        assert type(b.lower) is float and type(b.upper) is float
+
+    @pytest.mark.parametrize("mu, s, cap", [
+        (DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, 0)),
+         Fraction(1, 2), 3),
+        (DyadicMeasureTree.random_split(
+            DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 2),
+            random.Random(7)), Fraction(1), 3),
+        (DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(3, 0)),
+         Fraction(3, 2), 2),
+        (clustered_leaves(2, 20, [(0, 0), (1, 3), (2, 0)], 5),
+         Fraction(1, 2), 21),
+    ], ids=["full2-cap3", "sierpinski-random-cap3", "full3-cap2",
+            "sparse-depth20-cap21"])
+    def test_cubes_match_pair_sum(self, mu, s, cap):
+        lo, hi = oracle_energy_cubes(mu, s, cap)
+        b = mu.energy_bracket(s, refine_depth=cap - mu.max_depth)
+        assert b.detail["cap_level"] == cap
+        assert (b.lower, b.upper) == pytest.approx((lo, hi), rel=1e-12)
+        assert type(b.lower) is float and type(b.upper) is float
+
+    def test_sparse_trees_outnumber_their_pairs(self):
+        # the deep cases above have far more offset codes than leaf pairs,
+        # so their bins are the distinct codes rather than a dense table
+        for mu in (clustered_leaves(1, 40, [(0,), (1,), (3,), (4,), (9,)], 9),
+                   clustered_leaves(2, 20, [(0, 0), (1, 3), (2, 0)], 5)):
+            b = mu.energy_bracket(Fraction(1, 2), refine_depth=1)
+            assert 1 << (mu.d * mu.max_depth) > b.detail["leaf_pairs"]
+
+    def test_work_counts_repeat(self):
+        # leaf pairs, distinct offsets and kernel entries are deterministic
+        mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 4))
+        first, again = (mu.energy_bracket(Fraction(1, 2)).detail
+                        for _ in range(2))
+        assert first == again == {"leaf_pairs": 256, "offsets": 16,
+                                  "kernel_entries": 16}
+        sier = DyadicMeasureTree.uniform_on_set(
+            DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 4))
+        first, again = (sier.energy_bracket(Fraction(1, 2),
+                                            refine_depth=2).detail
+                        for _ in range(2))
+        assert first == again == {"cap_level": 6, "leaf_pairs": 81 * 81,
+                                  "offsets": 136, "kernel_entries": 2744}
 
 
 class TestAntiFrostman:

@@ -239,21 +239,27 @@ class TestSeparatedNet:
         # exact ties count as separated
         t = cantor_tree(8)
         for n in range(9):
-            net = t.separated_net(n)
-            assert net == t.representatives(n)
+            net = t.representatives(n)
+            assert len(net) == t.box_count(n)
+            for i, p in enumerate(net):
+                for q in net[i + 1:]:
+                    assert max(abs(a - b) for a, b in zip(p, q)) >= pow2(-n)
 
     def test_separation_property(self):
         t = DyadicSetTree.full(2, 3)
         for n in (1, 2, 3):
-            net = t.separated_net(n)
+            net = t.representatives(n)
             sep_sq = pow2(-2 * n)
             for i, p in enumerate(net):
                 for q in net[i + 1:]:
                     assert squared_distance(p, q) >= sep_sq
 
     def test_level_out_of_range(self):
-        with pytest.raises(ValidationError):
-            cantor_tree(3).separated_net(4)
+        # below 0 the corners would leave the unit cube, and past the
+        # deepest level there are no cubes to list
+        for n in (-1, 4):
+            with pytest.raises(ValidationError):
+                cantor_tree(3).representatives(n)
 
 
 class TestSymbolicCounts:
