@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
-from .exact import ValidationError, dyadic_index, pow2, to_fraction
+from .exact import ValidationError, dyadic_index, pow2
 
 
 def interleave(index: tuple[int, ...], level: int) -> int:
@@ -97,10 +96,3 @@ def same_level_axis_bounds(d: int, j_a: tuple[int, ...], j_b: tuple[int, ...]) -
         reach += m * m
     return gaps, reach
 
-
-def squared_distance(p, q) -> Fraction:
-    pp = tuple(to_fraction(x) for x in p)
-    qq = tuple(to_fraction(x) for x in q)
-    if len(pp) != len(qq):
-        raise ValidationError("point dimension mismatch")
-    return reduce(lambda acc, t: acc + (t[0] - t[1]) ** 2, zip(pp, qq), Fraction(0))

@@ -15,15 +15,18 @@ an explicit finite point list.
 
 Ball quantities that a finite tree cannot pin down exactly are returned as
 two-sided brackets; dyadic quantities (cube masses, correlation sums over
-cube pairs) are exact rationals. The pair walker behind the ball-correlation
-bracket works on the stored numerators and builds no Fraction per pair; the
+cube pairs) are exact rationals. Both pair sums are offset histograms times
+per-offset kernels: the ball-correlation bracket sums the stored numerators
+of one level's cube pairs by row ranges (no Fraction per pair), and the
 energy bracket sums a kernel over a histogram of leaf-pair offsets.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -197,25 +200,37 @@ class DyadicMeasureTree:
         """Two-sided enclosure of (mu x mu){(x, y): |x - y| <= r}.
 
         Exact pair sum for atomic measures. For the uniform leaf model the
-        bracket classifies cube pairs by exact closure distances, recursing
-        on straddling pairs down to a cap level below which cubes are small
-        relative to r; leaf cubes refine as uniform splits, which is exactly
-        what the leaf model asserts. Each resolved pair counts its inside
-        and straddling ordered cap-level pairs, so a straddling leaf pair
-        resolves through the per-offset memo of _below_leaves.
-        These integer sums regroup the terms of a walk over every cap-level
-        pair, so the bracket is the same rational.
+        bracket classifies the ordered pairs of cap-level cubes, cap the
+        smallest level with d 4^-cap <= r^2 plus extra_depth, by their exact
+        closure distances: inside (max distance <= r), straddling, or
+        outside (min distance > r). Leaf cubes refine as uniform splits,
+        which is exactly what the leaf model asserts.
+
+        The sums run at the one level m = min(cap, max_depth). With
+        rho = floor(r^2 4^m), a level-m pair is inside if its integer reach
+        is at most rho and outside if its gaps exceed rho; both depend only
+        on the pair's axis offsets. Grouping the level-m cubes into rows
+        along the last axis, each row pair within reach splits its
+        last-axis offsets into an inside run, summed by prefix sums of the
+        stored numerators, and a straddling run, binned by sorted axis
+        offsets and weighted by the count of inside (or straddling)
+        cap-level pairs under an offset (_below_leaves). A pair that is
+        inside or outside at a level above m has all of its level-m
+        descendant pairs on the same side, so these integer sums regroup
+        the terms of a walk over every cap-level pair, and the bracket is
+        the same rational.
         """
         rf = to_fraction(r)
         if rf <= 0:
             raise ValidationError("radius must be positive")
         if self.leaf_model == ATOMS:
-            r2, _, pts, wden = self._atoms_on_ints(rf)
+            f, r2, _, pts, wden = self._atoms_on_ints(rf)
+            f2 = f * f
             total = 0
             for i, (p, w) in enumerate(pts):
                 total += w * w
                 for q, v in pts[i + 1:]:
-                    if sum((a - b) ** 2 for a, b in zip(p, q)) <= r2:
+                    if sum((a - b) ** 2 for a, b in zip(p, q)) * f2 <= r2:
                         total += 2 * w * v
             total = Fraction(total, wden * wden)
             return CorrelationBracket(total, total, rf, self.max_depth)
@@ -228,8 +243,6 @@ class DyadicMeasureTree:
         while dd * r2d > r2n << (2 * cap):
             cap += 1
         cap += max(0, extra_depth)
-
-        den2 = [q * q for _, q in self.tables[:min(cap, self.max_depth) + 1]]
 
         def resolve(level, gaps, reach):
             """(inside, inside or straddling) counts of the ordered cap-level
@@ -245,84 +258,65 @@ class DyadicMeasureTree:
                 return 0, 0
             return (0, 1) if level >= cap else None
 
-        def total(sums):
-            # a level-n pair of weight w splits into 4^(d (cap - n)) ordered
-            # cap-level pairs of mass w / den2[n] / 4^(d (cap - n)) each
-            return sum((Fraction(x, q << (2 * dd * (cap - n)))
-                        for n, (x, q) in enumerate(zip(sums, den2))),
-                       Fraction(0))
+        m = min(cap, self.max_depth)
+        tbl, den = self.tables[m]
+        rho = (r2n << (2 * m)) // r2d
+        # rows: cubes keyed by all axis indices but the last
+        cubes = defaultdict(list)
+        for key, n in tbl.items():
+            idx = (key,) if dd == 1 else deinterleave(key, m, dd)
+            cubes[idx[:-1]].append((idx[-1], n))
+        rows = []
+        for u, row in sorted(cubes.items()):
+            row.sort()
+            ns = [n for _, n in row]
+            rows.append((u, [j for j, _ in row], ns,
+                         list(itertools.accumulate(ns, initial=0))))
 
-        lower, upper = self._walk_pairs(resolve)
-        return CorrelationBracket(total(lower), total(upper), rf, cap)
+        inside = 0
+        hist = defaultdict(int)  # sorted axis offsets -> sum of N_a N_b
+        for ia, (u, js_a, ns_a, _) in enumerate(rows):
+            for ib in range(ia, len(rows)):
+                v, js_b, ns_b, pre_b = rows[ib]
+                off = [abs(x - y) for x, y in zip(u, v)]
+                gaps = sum((x - 1) ** 2 for x in off if x)
+                if gaps > rho:
+                    # rows sort by their first axis: once that offset
+                    # alone is out of reach, so are the rows after
+                    if off[0] and (off[0] - 1) ** 2 > rho:
+                        break
+                    continue
+                reach = sum((x + 1) ** 2 for x in off)
+                t_in = math.isqrt(rho - reach) - 1 if reach <= rho else -1
+                t_out = math.isqrt(rho - gaps) + 1
+                ins, acc = 0, defaultdict(int)
+                for j, na in zip(js_a, ns_a):
+                    if t_in >= 0:
+                        lo = bisect_left(js_b, j - t_in)
+                        hi = bisect_right(js_b, j + t_in, lo)
+                        ins += na * (pre_b[hi] - pre_b[lo])
+                    else:
+                        lo = hi = bisect_left(js_b, j)
+                    for i in range(bisect_left(js_b, j - t_out, 0, lo), lo):
+                        acc[j - js_b[i]] += na * ns_b[i]
+                    for i in range(hi, bisect_right(js_b, j + t_out, hi)):
+                        acc[js_b[i] - j] += na * ns_b[i]
+                w = 1 if ia == ib else 2  # the mirrored row pair
+                inside += w * ins
+                for s, h in acc.items():
+                    hist[tuple(sorted(off + [s]))] += w * h
 
-    def _walk_pairs(self, resolve) -> tuple[list[int], list[int]]:
-        """Dual-tree traversal over canonical cube pairs (key_a <= key_b at
-        a common level) from the root pair: resolve(level, gaps, reach) is
-        called once per visited pair, with gaps and reach the integer
-        squared min and max closure distances in units of the cube side
-        (min_dist^2 = gaps * 4^-level, likewise reach). It returns the
-        pair's (lower, upper) contribution, or None to descend into its
-        child pairs; a leaf pair it opens gets _below_leaves' value for its
-        level and offsets. Returns the per-level sums of w * contribution,
-        w the int N_a * N_b of the pair's stored mass numerators, doubled
-        off the diagonal so that the canonical pair stands for both orders
-        (mass product w / D^2, D the level's denominator). Coordinates and
-        child lists are computed once per cube and walk.
-        """
-        dd = self.d
-        top = self.max_depth
-        nums = [tbl for tbl, _ in self.tables]
-        children_keys = self.support.children_keys
-        coords = defaultdict(dict)  # level -> key -> axis indices
-        kids = defaultdict(dict)  # level -> key -> [(child key, numerator)]
+        # a level-m pair splits into 4^(d (cap - m)) ordered cap-level pairs
+        unit = 1 << (2 * dd * (cap - m))
         below, _ = _below_leaves(dd, resolve)
-        lower, upper = [0] * (top + 1), [0] * (top + 1)
-
-        stack = [(0, 0, 0, nums[0][0], nums[0][0])]
-        while stack:
-            level, ka, kb, na, nb = stack.pop()
-            if ka == kb:
-                w = na * nb
-                gaps, reach = 0, dd
-            else:
-                w = (na * nb) << 1
-                if dd == 1:
-                    delta = kb - ka if kb > ka else ka - kb
-                    gaps = (delta - 1) * (delta - 1)
-                    reach = (delta + 1) * (delta + 1)
-                else:
-                    pos = coords[level]
-                    ja = pos.get(ka)
-                    if ja is None:
-                        ja = pos[ka] = deinterleave(ka, level, dd)
-                    jb = pos.get(kb)
-                    if jb is None:
-                        jb = pos[kb] = deinterleave(kb, level, dd)
-                    gaps, reach = same_level_axis_bounds(dd, ja, jb)
-            got = resolve(level, gaps, reach)
-            if got is None and level == top:
-                got = below(level, (0,) * dd if ka == kb else (
-                    (delta,) if dd == 1 else tuple(sorted(
-                        abs(x - y) for x, y in zip(ja, jb)))))
-            if got is not None:
-                lower[level] += w * got[0]
-                upper[level] += w * got[1]
-                continue
-            cache = kids[level]
-            tbl = nums[level + 1]
-            ca = cache.get(ka)
-            if ca is None:
-                ca = cache[ka] = [(k, tbl[k])
-                                  for k in children_keys(level, ka)]
-            cb = cache.get(kb)
-            if cb is None:
-                cb = cache[kb] = [(k, tbl[k])
-                                  for k in children_keys(level, kb)]
-            for ia, (cka, cna) in enumerate(ca):
-                start = ia if ka == kb else 0
-                for ckb, cnb in cb[start:]:
-                    stack.append((level + 1, cka, ckb, cna, cnb))
-        return lower, upper
+        lower, upper = inside * unit, inside * unit
+        for off, h in hist.items():
+            lo, hi = below(m, off)
+            lower += h * lo
+            upper += h * hi
+        q = den * den * unit
+        return CorrelationBracket(Fraction(lower, q), Fraction(upper, q),
+                                  rf, cap)
 
     # -- ball masses -----------------------------------------------------------
 
@@ -355,23 +349,31 @@ class DyadicMeasureTree:
         pt = tuple(to_fraction(x) for x in point)
         if len(pt) != self.d:
             raise ValidationError("point dimension mismatch")
-        r2, x, pts, wden = self._atoms_on_ints(to_fraction(r), pt)
-        return Fraction(sum(w for p, w in pts
-                            if sum((a - b) ** 2 for a, b in zip(p, x)) <= r2),
-                        wden)
+        f, r2, x, pts, wden = self._atoms_on_ints(to_fraction(r), pt)
+        return Fraction(sum(w for p, w in pts if sum(
+            (f * a - b) ** 2 for a, b in zip(p, x)) <= r2), wden)
+
+    @functools.cached_property
+    def _atom_ints(self):
+        """(q, [(atom * q, weight numerator)], weight denominator): the
+        atoms as ints over the lcm q of their coordinate denominators,
+        computed once per measure."""
+        q = math.lcm(*(c.denominator for p, _ in self.atoms for c in p))
+        wden = math.lcm(*(w.denominator for _, w in self.atoms))
+        return q, [([c.numerator * (q // c.denominator) for c in p],
+                    w.numerator * (wden // w.denominator))
+                   for p, w in self.atoms], wden
 
     def _atoms_on_ints(self, r: Fraction, centre: tuple[Fraction, ...] = ()):
-        """Closed-ball tests |x - p|^2 <= r^2 on ints: r, `centre` and every
-        atom scaled by one common denominator. Returns (r^2, centre, [(atom,
-        weight numerator)], weight denominator)."""
-        q = math.lcm(r.denominator, *(c.denominator for c in centre),
-                     *(c.denominator for p, _ in self.atoms for c in p))
-        wden = math.lcm(*(w.denominator for _, w in self.atoms))
-        return ((r.numerator * (q // r.denominator)) ** 2,
-                [c.numerator * (q // c.denominator) for c in centre],
-                [([c.numerator * (q // c.denominator) for c in p],
-                  w.numerator * (wden // w.denominator))
-                 for p, w in self.atoms], wden)
+        """Closed-ball tests |x - p|^2 <= r^2 on ints, over the lcm Q of q
+        (see _atom_ints) and the denominators of r and `centre`: an atom p
+        is f p there, f = Q / q. Returns (f, r^2, centre, [(atom, weight
+        numerator)], weight denominator), r and the centre scaled by Q."""
+        q, pts, wden = self._atom_ints
+        big = math.lcm(q, r.denominator, *(c.denominator for c in centre))
+        return (big // q, (r.numerator * (big // r.denominator)) ** 2,
+                [c.numerator * (big // c.denominator) for c in centre],
+                pts, wden)
 
     # -- energy ------------------------------------------------------------------
 
@@ -583,12 +585,15 @@ def _split_masses(tree: DyadicSetTree, parts) -> Tables:
     weights parts(kids), called per cube in key order: over the lcm L of a
     level's weight totals a child gets N * p * L / total, over D * L."""
     tables: Tables = [({0: 1}, 1)]
+    d = tree.d
     for level in range(tree.max_depth):
-        split = []
-        for key, m in tables[level][0].items():
-            kids = tree.children_keys(level, key)
+        nums, split = tables[level][0], []
+        # the sorted next level holds each cube's children as one run
+        for key, run in itertools.groupby(tree.levels[level + 1],
+                                          lambda k: k >> d):
+            kids = list(run)
             weights = parts(kids)
-            split.append((m, kids, weights, sum(weights)))
+            split.append((nums[key], kids, weights, sum(weights)))
         lcm = math.lcm(*(tot for *_, tot in split))
         below = {}
         for m, kids, weights, tot in split:

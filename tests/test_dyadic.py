@@ -11,7 +11,6 @@ from dimlab.dyadic import (
     deinterleave,
     interleave,
     same_level_axis_bounds,
-    squared_distance,
 )
 from dimlab.exact import ValidationError, pow2
 
@@ -131,9 +130,3 @@ def test_same_level_axis_bounds_matches_geometry():
         assert g.min_dist_sq == gaps * pow2(-2 * n)
         assert g.max_dist_sq == reach * pow2(-2 * n)
 
-
-def test_squared_distance():
-    assert squared_distance((0, 0), (Fraction(3, 4), 1)) == Fraction(25, 16)
-    assert squared_distance((Fraction(1, 3),), (Fraction(1, 3),)) == 0
-    with pytest.raises(ValidationError):
-        squared_distance((1,), (1, 2))

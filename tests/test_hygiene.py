@@ -179,7 +179,7 @@ assert "numpy" in sys.modules, f"the {sys.argv[2]} ran without numpy"
 
 def test_numpy_loads_only_for_transforms(tmp_path):
     """Importing the package, running an exact command and a 2-D ball
-    bracket (whose walk resolves pairs below the leaves) leave numpy
+    bracket (whose pair sums resolve pairs below the leaves) leave numpy
     unloaded; the first transform, or the first energy bracket, loads it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

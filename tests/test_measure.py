@@ -1,5 +1,6 @@
 """Unit tests for mass trees: masses, ball correlation, energy, heaviness."""
 
+import hashlib
 import math
 import random
 from decimal import Decimal, localcontext
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimlab.dyadic import (cube_of_point, cube_pair_geometry, deinterleave,
-                           squared_distance)
+                           interleave)
 from dimlab.estimators import packing_predicate, packing_threshold
 from dimlab.exact import UnsupportedModelError, ValidationError, pow2
 from dimlab.measure import (
@@ -39,6 +40,10 @@ def leaf_measure(tree, leaf):
                            ancestor_tables(leaf, tree.d, tree.max_depth))
     mu.validate()
     return mu
+
+
+def squared_distance(p, q):
+    return sum(((a - b) ** 2 for a, b in zip(p, q)), Fraction(0))
 
 
 def brute_force_ball_bracket(mu, r, cap):
@@ -404,6 +409,18 @@ class TestBallCorrelationBracket:
         assert (b.lower, b.upper) == brute_force_ball_bracket(
             mu, r, b.cap_level)
 
+    def test_matches_brute_force_3d_rows(self):
+        # rows (0, 0) and (1, 0) are adjacent, while row (0, 2), between
+        # them in row order, is out of reach at rho = floor(r^2 4^2) = 0
+        keys = [interleave(j, 2) for j in ((0, 0, 0), (0, 2, 0), (1, 0, 0))]
+        mu = DyadicMeasureTree.random_split(
+            DyadicSetTree.from_codes(3, 2, keys), random.Random(11))
+        r = Fraction(2, 9)
+        b = mu.ball_correlation_bracket(r, extra_depth=0)
+        assert b.cap_level == 3
+        assert (b.lower, b.upper) == brute_force_ball_bracket(mu, r, 3)
+        assert b.lower < b.upper
+
     @pytest.mark.parametrize("d, r", [(1, Fraction(1, 7)), (2, Fraction(1, 5)),
                                       (3, Fraction(2, 3))], ids=str)
     def test_single_leaf_matches_deeper_trees(self, d, r):
@@ -434,13 +451,13 @@ LEAF_PRIMES = [17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
 
 @st.composite
 def _walker_cases(draw):
-    """(measure, radius, extra_depth) on small digit-IFS trees in 1-D and
-    2-D: uniform, random-split, and prime-denominator leaf tables."""
-    d = draw(st.sampled_from([1, 2]))
-    group = draw(st.integers(1, 2))
-    depth = draw(st.integers(1, 3 if d == 1 else 2))
+    """(measure, radius, extra_depth) on small digit-IFS trees in 1-D, 2-D
+    and 3-D: uniform, random-split, and prime-denominator leaf tables."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    group = draw(st.integers(1, 2 if d < 3 else 1))
+    depth = draw(st.integers(1, {1: 3, 2: 2, 3: 2}[d]))
     keep = draw(st.sets(st.integers(0, (1 << (d * group)) - 1),
-                        min_size=1, max_size=3))
+                        min_size=1, max_size=3 if d < 3 else 2))
     tree = DyadicSetTree.from_digit_ifs(d, group, sorted(keep), depth)
     leaves = tree.levels[depth]
     kind = draw(st.sampled_from(["uniform", "random_split", "primes"]))
@@ -456,21 +473,85 @@ def _walker_cases(draw):
         leaf[leaves[-1]] = 1 - sum(leaf.values(), Fraction(0))
         mu = leaf_measure(tree, leaf)
     q = draw(st.integers(1, 12))
-    r = Fraction(draw(st.integers(max(1, q // (8 // d)), q)), q)
-    return mu, r, draw(st.integers(0, 2))
+    if d < 3:
+        r = Fraction(draw(st.integers(max(1, q // (8 // d)), q)), q)
+    else:
+        # radii of 7/8 to 2 leaf sides keep the cap within one level of
+        # the leaves, so at most 4 * 8 oracle cubes
+        r = Fraction(draw(st.integers(q - q // 8, 2 * q)), q << depth)
+    return mu, r, draw(st.integers(0, 2 if d < 3 else 0))
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(_walker_cases())
 def test_integer_walker_matches_brute_force(case):
-    # the walker sums integer numerators over one denominator per level;
-    # the oracle sums Fraction mass products over every ordered cube pair
+    # the bracket sums integer numerators over one denominator at one
+    # level; the oracle sums Fraction mass products over every ordered
+    # cube pair
     mu, r, extra = case
     b = mu.ball_correlation_bracket(r, extra_depth=extra)
     top = min(b.cap_level, mu.max_depth)
     cubes = len(mu.level_masses(top)) << (mu.d * (b.cap_level - top))
     assume(cubes <= 32)  # the oracle is quadratic in the cap-level cubes
     assert (b.lower, b.upper) == brute_force_ball_bracket(mu, r, b.cap_level)
+
+
+PINNED_MEASURES = {
+    "full1-10": lambda: DyadicMeasureTree.uniform_on_set(
+        DyadicSetTree.full(1, 10)),
+    "full1-10-random": lambda: DyadicMeasureTree.random_split(
+        DyadicSetTree.full(1, 10), random.Random(20250819)),
+    "sierpinski5": lambda: DyadicMeasureTree.uniform_on_set(
+        DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 5)),
+    "cantor07-18": lambda: DyadicMeasureTree.uniform_on_set(
+        DyadicSetTree.from_digit_ifs(1, 3, [0, 7], 18)),
+    "full3-3": lambda: DyadicMeasureTree.uniform_on_set(
+        DyadicSetTree.full(3, 3)),
+}
+
+# "lower upper cap_level" as the dual-tree pair walker that the row-range
+# sums replaced gave them; the random-split brackets, with numerators of
+# 50+ digits, by the first 16 hex digits of that string's sha256
+BALL_BRACKET_PINS = [
+    ("full1-10", 4, 4, "481/4096 4327/32768 8"),
+    ("full1-10", 5, 4, "977/16384 8807/131072 9"),
+    ("full1-10", 6, 4, "1969/65536 17767/524288 10"),
+    ("full1-10", 7, 4, "3953/262144 35687/2097152 11"),
+    ("full1-10", 8, 4, "7921/1048576 71527/8388608 12"),
+    ("full1-10", 9, 4, "15857/4194304 143207/33554432 13"),
+    ("full1-10", 10, 4, "31729/16777216 286567/134217728 14"),
+    ("full1-10-random", 4, 4, "a22d47087d760198"),
+    ("full1-10-random", 5, 4, "b79fc558fe04aa2e"),
+    ("full1-10-random", 6, 4, "2083648c21a119f2"),
+    ("full1-10-random", 7, 4, "11e936ac379fb225"),
+    ("full1-10-random", 8, 4, "4e6c3ed3e49d0d1a"),
+    ("full1-10-random", 9, 4, "08e74baa90b3c4d6"),
+    ("full1-10-random", 10, 4, "01daf51e05395b59"),
+    ("sierpinski5", Fraction(1, 8), 2, "6427/118098 14687/157464 6"),
+    ("sierpinski5", Fraction(1, 16), 2, "34505/1889568 78937/2519424 7"),
+    ("cantor07-18", 18, 4, "1/64 1/64 22"),
+    ("cantor07-18", 20, 4, "109/16384 967/131072 24"),
+    ("cantor07-18", Fraction(7, 1 << 18), 4, "11/512 29/1024 20"),
+    ("full3-3", Fraction(1, 5), 2,
+     "159455519/8589934592 38021741/1073741824 6"),
+]
+
+
+@lru_cache(maxsize=None)
+def pinned_measure(name):
+    return PINNED_MEASURES[name]()
+
+
+@pytest.mark.parametrize("name, r, extra, want", BALL_BRACKET_PINS,
+                         ids=lambda v: str(v)[:20])
+def test_ball_brackets_pinned(name, r, extra, want):
+    # an int r stands for the radius 2^-r
+    rf = Fraction(1, 1 << r) if isinstance(r, int) else r
+    b = pinned_measure(name).ball_correlation_bracket(rf, extra_depth=extra)
+    got = f"{b.lower} {b.upper} {b.cap_level}"
+    if " " not in want:
+        got = hashlib.sha256(got.encode()).hexdigest()[:16]
+    assert got == want
 
 
 class TestCoverMass:
