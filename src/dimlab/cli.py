@@ -337,7 +337,7 @@ def _cmd_estimate_energy(args) -> int:
     else:
         lines = [f"energy s={args.s}: {rep.value:.6g} "
                  f"(decay exponent {rep.decay_exponent:.3f}, "
-                 f"err<={rep.err:.2g})"]
+                 f"est. err ~{rep.err:.2g})"]
     _emit(args, rep, lines)
     return EXIT_OK
 

@@ -376,38 +376,38 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
         raise ValidationError("levels must lie within the measure depth")
     half = len(lv) - len(lv) // 2  # first-half length (ceil)
     in_first = {n: i < half for i, n in enumerate(lv)}
-    last = lv[-1]
+    d, nsv = mu.d, len(svs)
 
-    prefix: dict[tuple[int, int], int] = {}
-
-    def passed(n: int, num: int) -> int:
-        k = prefix.get((n, num))
-        if k is None:
-            m = Fraction(num, mu.tables[n][1])
-            lo, hi = 0, len(svs)
+    # level-n cube key -> the best prefix passed by the cube or an ancestor
+    # in the first half of the window, and in the second half
+    best = {0: (0, 0)}
+    for n in range(lv[-1] + 1):
+        nums, den = mu.tables[n]
+        if n not in in_first:
+            best = {key: best[key >> d] for key in nums}
+            continue
+        passed = {}  # numerator -> length of the grid prefix its mass passes
+        for num in set(nums.values()):
+            m, lo, hi = Fraction(num, den), 0, nsv
             while lo < hi:
                 mid = (lo + hi) // 2
                 if cmp_pow2(m, -(n * svs[mid])) <= 0:
                     lo = mid + 1
                 else:
                     hi = mid
-            k = prefix[(n, num)] = lo
-        return k
-
-    # level-n cube key -> the best prefix passed by the cube or an ancestor
-    # in the first half of the window, and in the second half
-    best = {0: (0, 0)}
-    for n in range(last + 1):
+            passed[num] = lo
         up, best = best, {}
-        for key, m in mu.tables[n][0].items():
-            first, second = up[key >> mu.d]
-            if n in in_first:
-                if in_first[n]:
-                    first = max(first, passed(n, m))
-                else:
-                    second = max(second, passed(n, m))
-            best[key] = first, second
-    holds = min(len(svs), *(min(ab) for ab in best.values()))
+        if in_first[n]:
+            for key, num in nums.items():
+                a, b = up[key >> d]
+                k = passed[num]
+                best[key] = (k if k > a else a), b
+        else:
+            for key, num in nums.items():
+                a, b = up[key >> d]
+                k = passed[num]
+                best[key] = a, (k if k > b else b)
+    holds = min(nsv, min(map(min, best.values())))
     tested = [(sv, "holds-on-window" if i < holds else "fails")
               for i, sv in enumerate(svs)]
     return (svs[holds - 1] if holds else Fraction(0)), tested

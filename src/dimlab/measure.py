@@ -5,13 +5,14 @@ A measure assigns a rational mass to every selected cube, consistently
 exactly on selected cubes). Every measure stores these masses the same
 way, as int numerators over one reduced denominator per level (a canonical
 form: equal tables mean equal measures; Fractions are made only where a
-mass leaves the measure), built once when the measure is made: top-down by
-splitting each cube's mass among its selected children (uniform, random),
-or bottom-up by summing deepest-level masses into their ancestors (atoms,
-construction stages). Below the deepest materialized level the measure is
-interpreted through a leaf model: "uniform" spreads each leaf's mass as
-normalized Lebesgue measure on the leaf cube, "atoms" concentrates it on
-an explicit finite point list.
+mass leaves the measure), built once when the measure is made, one level
+at a time: top-down by splitting each cube's mass among its selected
+children (uniform, random), the parents' runs of children read off the
+sorted next level, or bottom-up by summing deepest-level masses into their
+ancestors (atoms, construction stages). Below the deepest materialized
+level the measure is interpreted through a leaf model: "uniform" spreads
+each leaf's mass as normalized Lebesgue measure on the leaf cube, "atoms"
+concentrates it on an explicit finite point list.
 
 Ball quantities that a finite tree cannot pin down exactly are returned as
 two-sided brackets; dyadic quantities (cube masses, correlation sums over
@@ -27,9 +28,10 @@ import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .dyadic import (cube_of_point, deinterleave, interleave,
@@ -111,7 +113,7 @@ class DyadicMeasureTree:
     @classmethod
     def uniform_on_set(cls, tree: DyadicSetTree) -> "DyadicMeasureTree":
         """Equal split among selected children at every cube."""
-        tables = _split_masses(tree, lambda kids: [1] * len(kids))
+        tables = _split_masses(tree)
         return cls(tree, UNIFORM, tables, None, {"kind": "uniform_on_set"})
 
     @classmethod
@@ -158,7 +160,7 @@ class DyadicMeasureTree:
         """Random exact-rational splits among selected children; useful for
         seeded property sweeps."""
         tables = _split_masses(
-            tree, lambda kids: [rng.randint(1, max_part) for _ in kids])
+            tree, lambda n: [rng.randint(1, max_part) for _ in range(n)])
         return cls(tree, UNIFORM, tables, None, {"kind": "random_split"})
 
     # -- mass queries --------------------------------------------------------
@@ -500,21 +502,23 @@ class DyadicMeasureTree:
             raise ValidationError("mass table depth mismatch")
         if self.tables[0][0].get(0, 0) != self.tables[0][1]:
             raise ValidationError("root mass must be 1")
+        d = self.d
         for n, (tbl, den) in enumerate(self.tables):
             keys = self.support.levels[n]
             if sorted(tbl) != keys:
                 raise ValidationError(
                     f"level {n}: mass support differs from selected cubes")
-            if den <= 0 or any(m <= 0 for m in tbl.values()):
+            if den <= 0 or min(tbl.values()) <= 0:
                 raise ValidationError("non-positive cube mass")
             if math.gcd(den, *tbl.values()) != 1:
                 raise ValidationError(f"level {n}: masses not in lowest terms")
             if n > 0:
                 above, up = self.tables[n - 1]
+                sums = dict.fromkeys(above, 0)
+                for k, m in tbl.items():
+                    sums[k >> d] += m
                 for pk, pm in above.items():
-                    kid_sum = sum(tbl[k] for k in
-                                  self.support.children_keys(n - 1, pk))
-                    if kid_sum * up != pm * den:
+                    if sums[pk] * up != pm * den:
                         raise ValidationError(
                             f"mass not conserved under cube {pk} at level {n-1}")
         if self.leaf_model == ATOMS:
@@ -579,28 +583,34 @@ def _over_lcm(tbl: dict[int, Fraction]) -> tuple[dict[int, int], int]:
             for k, m in tbl.items()}, den
 
 
-def _split_masses(tree: DyadicSetTree, parts) -> Tables:
-    """Per-level tables built top-down from root mass 1: each cube's mass is
-    split among its selected children in proportion to the positive integer
-    weights parts(kids), called per cube in key order: over the lcm L of a
-    level's weight totals a child gets N * p * L / total, over D * L."""
+def _split_masses(tree: DyadicSetTree, weights=None) -> Tables:
+    """Per-level tables built top-down from root mass 1, one level at a
+    time: each cube's mass N / D is split among its selected children in
+    proportion to positive integer weights, weights(n) for a level's n
+    cubes in key order (equal weights when None). Over the lcm L of the
+    level's per-parent weight totals a child of weight p gets
+    N * (L // total) * p, over D * L."""
     tables: Tables = [({0: 1}, 1)]
     d = tree.d
     for level in range(tree.max_depth):
-        nums, split = tables[level][0], []
-        # the sorted next level holds each cube's children as one run
-        for key, run in itertools.groupby(tree.levels[level + 1],
-                                          lambda k: k >> d):
-            kids = list(run)
-            weights = parts(kids)
-            split.append((nums[key], kids, weights, sum(weights)))
-        lcm = math.lcm(*(tot for *_, tot in split))
-        below = {}
-        for m, kids, weights, tot in split:
-            m *= lcm // tot
-            for k, p in zip(kids, weights):
-                below[k] = m * p
-        tables.append(_reduced(below, tables[level][1] * lcm))
+        nums, den = tables[level]
+        kids = tree.levels[level + 1]
+        ups = [k >> d for k in kids]
+        # the level is sorted: each parent's children are one run, and the
+        # runs count in key order
+        runs = Counter(ups)
+        if weights is None:
+            tots = list(runs.values())
+        else:
+            ws = weights(len(kids))
+            ends = list(itertools.accumulate(runs.values(), initial=0))
+            pre = list(itertools.accumulate(ws, initial=0))
+            tots = [pre[b] - pre[a] for a, b in zip(ends, ends[1:])]
+        lcm = math.lcm(*tots)
+        scale = {u: nums[u] * (lcm // t) for u, t in zip(runs, tots)}
+        per = map(scale.__getitem__, ups)
+        below = dict(zip(kids, per if weights is None else map(mul, per, ws)))
+        tables.append(_reduced(below, den * lcm))
     return tables
 
 

@@ -313,6 +313,15 @@ class TestCliEstimate:
                                 "--rmax", "512")
         assert code == 0 and "energy s=1/3:" in text
 
+    def test_energy_error_prints_as_estimate(self, tmp_path, capsys):
+        # err is a Richardson estimate, not a bound: the text must not
+        # read as one
+        p = tmp_path / "full.json"
+        io.save_json(DyadicSetTree.full(1, 4), p)
+        code, text, _ = run_cli(capsys, "estimate", "energy", "--in", str(p),
+                                "--s", "1/2", "--rmax", "512")
+        assert code == 0 and "est. err ~" in text and "err<=" not in text
+
     def test_fourier_corr_with_csv(self, tmp_path, cantor_file, capsys):
         cout = tmp_path / "curve.csv"
         code, text, _ = run_cli(capsys, "estimate", "fourier-corr",

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dimlab.dyadic import (cube_of_point, cube_pair_geometry, deinterleave,
@@ -124,6 +124,19 @@ class TestExplicitMasses:
         tree = DyadicSetTree.full(1, 1)
         masses = [{0: Fraction(1)}, {0: Fraction(1, 2), 1: Fraction(1, 3)}]
         with pytest.raises(ValidationError):
+            DyadicMeasureTree.from_masses(tree, masses)
+
+    def test_conservation_break_names_first_unconserved_parent(self):
+        # breaks under the third and fourth level-1 cubes of a 2-D tree, at
+        # its deepest level: the message names the first in table order
+        tree = DyadicSetTree.full(2, 2)
+        leaf = {k: Fraction(1, 16) for k in range(16)}
+        leaf[9], leaf[13] = Fraction(1, 8), Fraction(1, 32)
+        masses = [{0: Fraction(1)}, {k: Fraction(1, 4) for k in range(4)},
+                  leaf]
+        with pytest.raises(ValidationError,
+                           match="^mass not conserved under cube 2 at "
+                                 "level 1$"):
             DyadicMeasureTree.from_masses(tree, masses)
 
     def test_root_mass_must_be_one(self):
@@ -922,43 +935,69 @@ def _atomic_measures(draw):
 
 @st.composite
 def _oracle_cases(draw):
-    """(measure, its Fraction tables from the oracle): uniform, random-split
-    and atomic measures, and deepest-level masses given as Fraction tables
-    to from_masses or summed by ancestor_tables."""
+    """(measure, its Fraction tables from the oracle, rng states or None):
+    uniform, random-split and atomic measures, and deepest-level masses
+    given as Fraction tables to from_masses or summed by ancestor_tables."""
     tree = draw(_random_trees())
     d, depth = tree.d, tree.max_depth
     kind = draw(st.sampled_from(["uniform", "random_split", "atoms",
                                  "from_masses", "ancestor_tables"]))
-    if kind == "uniform":
-        return (DyadicMeasureTree.uniform_on_set(tree),
-                oracle_split(tree, lambda kids: [1] * len(kids)))
-    if kind == "random_split":
-        seed, top = draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 97))
-        rng = random.Random(seed)
-        return (DyadicMeasureTree.random_split(tree, random.Random(seed), top),
-                oracle_split(tree, lambda kids: [rng.randint(1, top)
-                                                 for _ in kids]))
+    if kind in ("uniform", "random_split"):
+        return split_case(tree, kind, draw(st.integers(0, 2 ** 32)),
+                          draw(st.integers(1, 97)))
     if kind == "atoms":
         mu = draw(_atomic_measures())
         leaf = {}
         for p, w in mu.atoms:
             key = cube_of_point(p, mu.max_depth)
             leaf[key] = leaf.get(key, Fraction(0)) + w
-        return mu, oracle_ancestors(leaf, mu.d, mu.max_depth)
+        return mu, oracle_ancestors(leaf, mu.d, mu.max_depth), None
     leaves = tree.levels[depth]
     ws = draw(st.lists(st.integers(1, 60), min_size=len(leaves),
                        max_size=len(leaves)))
     leaf = {k: Fraction(w, sum(ws)) for k, w in zip(leaves, ws)}
     masses = oracle_ancestors(leaf, d, depth)
     if kind == "from_masses":
-        return DyadicMeasureTree.from_masses(tree, masses), masses
-    return leaf_measure(tree, leaf), masses
+        return DyadicMeasureTree.from_masses(tree, masses), masses, None
+    return leaf_measure(tree, leaf), masses, None
+
+
+def split_case(tree, kind, seed=0, top=9):
+    """(measure, oracle tables, rng states) for a top-down split: equal, or
+    random_split seeded with `seed`, whose rng state afterwards is paired
+    with that of the oracle's per-cube draws from the same seed."""
+    if kind == "uniform":
+        return (DyadicMeasureTree.uniform_on_set(tree),
+                oracle_split(tree, lambda kids: [1] * len(kids)), None)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    mu = DyadicMeasureTree.random_split(tree, rng, top)
+    masses = oracle_split(tree, lambda kids: [oracle_rng.randint(1, top)
+                                              for _ in kids])
+    return mu, masses, (rng.getstate(), oracle_rng.getstate())
+
+
+# d = 3, depth 2: the i-th level-1 cube has i + 1 selected children, so one
+# level mixes child counts 1..8 (lcm 840)
+MIXED_COUNTS = DyadicSetTree.from_codes(
+    3, 2, [(p << 3) + j for p in range(8) for j in range(p + 1)])
+# two leaves that part at level 1, then a chain of single-child cubes as in
+# a sweep set: every equal split below level 1 has lcm 1
+SINGLE_CHILD_CHAIN = DyadicSetTree.from_codes(1, 12, [0, (1 << 12) - 1])
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(_oracle_cases(), _unit_radii)
+@example(split_case(MIXED_COUNTS, "uniform"), Fraction(1, 3))
+@example(split_case(MIXED_COUNTS, "random_split", 5, 97), Fraction(1, 2))
+@example(split_case(SINGLE_CHILD_CHAIN, "uniform"), Fraction(1, 8))
+@example(split_case(SINGLE_CHILD_CHAIN, "random_split", 11), Fraction(1, 8))
 def test_int_tables_match_fraction_oracle(case, r):
-    mu, masses = case
+    mu, masses, states = case
+    if states is not None:
+        # the seeded stream is part of random_split's contract: one draw
+        # per cube, in key order
+        after_split, after_oracle = states
+        assert after_split == after_oracle
     mu.validate()
     d = mu.d
     for n, want in enumerate(masses):
