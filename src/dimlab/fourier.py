@@ -17,11 +17,16 @@ once.
 Each integral builds the measure's leaf decomposition (`_terms`) once, in
 factored form: splitting the leaf Morton keys at one level k writes every
 leaf center as c = hi + lo, a prefix-cube corner plus an offset inside it,
-so exp(i z.c) = exp(i z.hi) exp(i z.lo). A frequency then costs U + H
-sin/cos pairs (U distinct suffixes, H distinct prefixes) instead of one per
-leaf, and the sum over leaves is two real matmuls against the dense
-(U x H) weight matrix. k follows one cost rule (`_split_level`) that
-includes the unsplit k = 0, which is also how atoms are evaluated. One
+so exp(i z.c) = exp(i z.hi) exp(i z.lo). A frequency then needs U + H
+phases (U distinct suffixes, H distinct prefixes) instead of one per leaf,
+and the sum over leaves is one matmul of the suffix phases against the
+dense (U x H) weight matrix. k follows one cost rule (`_split_level`) that
+includes the unsplit k = 0, which is also how atoms are evaluated. Every
+quadrature call is an equispaced radius grid start + k step, k < n, along
+fixed directions, so the phases come by angle addition: with k = i B + j
+and B about sqrt(n), a call costs U + H sin/cos pairs per direction per
+coarse or fine grid point (n / B + B of them) and a few multiply-adds per
+node; a single frequency is the n = 1 case, the direct sin/cos. One
 radial evaluator returns, at every node, both the integrand and the raw
 shell mean of |mu_hat|^2, so the energy's decay fit reads its shell means
 off the converged nodes instead of evaluating them again. Every measure here
@@ -46,9 +51,10 @@ _TWO_PI = 2.0 * math.pi
 # 2-D ring directions in [0, pi); by conjugate symmetry their mean is the
 # mean over the 64 equispaced directions of the full circle
 _HALF_RING = 32
-# the factored kernel's cost model: one sin/cos pair costs about as much as
-# _TRIG_COST cells of the two real matmuls (about 40 ns against 1 ns on one
-# core), and the dense weight matrix is kept within _FILL_CAP cells per leaf
+# the factored kernel's cost model, set when every phase cell of a node was
+# a sin/cos pair: one phase cell costs about as much as _TRIG_COST cells of
+# the weight matmul (about 40 ns against 1 ns on one core), and the dense
+# weight matrix is kept within _FILL_CAP cells per leaf
 _TRIG_COST = 32
 _FILL_CAP = 8
 # about this many (frequency, phase) cells per kernel block: rows times
@@ -130,26 +136,59 @@ def _terms(mu: DyadicMeasureTree):
     return hi, lo, W, side
 
 
-def _mu_hat_block(z_block: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-                  W: np.ndarray, side) -> np.ndarray:
-    """mu_hat on a (M, d) block of frequency vectors: U + H sin/cos pairs
-    per frequency, with the (M x U) by (U x H) products done by BLAS."""
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) from cos and sin: the transform's only trig on phases."""
     import numpy as np
-    # sum_u W[u, h] exp(i z.lo[u]) = A + iB, times exp(i z.hi[h]) = C + iS
-    phase_lo = z_block @ lo.T
-    A = np.cos(phase_lo) @ W
-    B = np.sin(phase_lo) @ W
-    phase_hi = z_block @ hi.T
-    C = np.cos(phase_hi)
-    S = np.sin(phase_hi)
-    vals = (A * C - B * S).sum(axis=1) + 1j * (A * S + B * C).sum(axis=1)
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _mu_hat_grid(terms, dirs: np.ndarray, start: float, step: float,
+                 count: int) -> np.ndarray:
+    """mu_hat at the frequencies (start + k step) dirs[t] for k < count, as
+    a (count, T) complex array, given the measure's `_terms` and the T
+    direction vectors dirs (T x d).
+
+    The phases rho_k q, q = dirs.lo and dirs.hi, come from angle addition:
+    with k = i B + j and B about sqrt(count), cos/sin run only at the B fine
+    radii start + j step and the count / B coarse offsets i B step, and a
+    node's exp(i rho_k q) is the product of its fine and coarse factors. A
+    single radius (count = 1) has coarse offset 0, which is the direct
+    cos/sin. The (node x U) by (U x H) product is done by BLAS, in blocks of
+    nodes and directions that hold every temporary within _BLOCK_CELLS
+    cells."""
+    import numpy as np
+    hi, lo, W, side = terms
+    u = len(lo)
+    cols = np.concatenate([lo, hi]).T  # d x (U + H)
+    per = max(1, _BLOCK_CELLS // cols.shape[1])  # (node, direction) rows
+    tb = min(len(dirs), per)
+    fine = min(math.isqrt(count - 1) + 1, per // tb)
+    coarse = -(-count // fine)
+    chunk = per // (tb * fine)  # coarse offsets per block
+    out = np.empty((count, len(dirs)), dtype=complex)
+    for t0 in range(0, len(dirs), tb):
+        q = dirs[t0:t0 + tb] @ cols
+        ef = _cis((start + step * np.arange(fine))[:, None, None] * q)
+        for i0 in range(0, coarse, chunk):
+            k0 = i0 * fine
+            rows = min(count - k0, chunk * fine)
+            offs = step * fine * np.arange(i0, min(i0 + chunk, coarse))
+            e = (_cis(offs[:, None, None, None] * q) * ef).reshape(
+                -1, cols.shape[1])[:rows * len(q)]
+            # sum_u W[u, h] exp(i z.lo[u]), times exp(i z.hi[h]), summed
+            vals = np.einsum("rh,rh->r", e[:, :u] @ W, e[:, u:])
+            out[k0:k0 + rows, t0:t0 + tb] = vals.reshape(rows, -1)
     if side is not None:
-        # sin(u)/u with u = z_k * side / 2; np.sinc is sin(pi x)/(pi x)
-        fac = np.ones(len(z_block))
-        for k in range(z_block.shape[1]):
-            fac = fac * np.sinc(z_block[:, k] * side / (2.0 * math.pi))
-        vals = vals * fac
-    return vals
+        # sin(x)/x with x = z_a side / 2 per axis; np.sinc is
+        # sin(pi x)/(pi x)
+        rhos = start + step * np.arange(count)
+        for a in range(dirs.shape[1]):
+            out *= np.sinc(rhos[:, None] * dirs[:, a] * side
+                           / (2.0 * math.pi))
+    return out
 
 
 def mu_hat(mu: DyadicMeasureTree, z) -> complex:
@@ -159,20 +198,8 @@ def mu_hat(mu: DyadicMeasureTree, z) -> complex:
     zv = np.atleast_1d(np.asarray(z, dtype=float)).reshape(-1)
     if zv.shape[0] != mu.d:
         raise ValidationError(f"frequency vector must have length {mu.d}")
-    return complex(_mu_hat_block(zv.reshape(1, -1), *_terms(mu))[0])
-
-
-def _mu_hat_sq_many(terms, Z: np.ndarray) -> np.ndarray:
-    """|mu_hat|^2 on an (M, d) array of frequencies, given the measure's
-    `_terms`, block-wise to bound the (M x (U + H)) working set."""
-    import numpy as np
-    hi, lo, W, _ = terms
-    block = max(256, _BLOCK_CELLS // (len(lo) + len(hi)))
-    out = np.empty(len(Z), dtype=float)
-    for start in range(0, len(Z), block):
-        vals = _mu_hat_block(Z[start:start + block], *terms)
-        out[start:start + block] = np.abs(vals) ** 2
-    return out
+    return complex(_mu_hat_grid(_terms(mu), zv.reshape(1, -1), 1.0, 0.0,
+                                1)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -210,30 +237,31 @@ def _node_spacing(d: int) -> float:
 class _RadialIntegrand:
     """Radial profile g with I(R) = integral_0^R g, for d = 1 and d = 2.
 
-    A call at radii rhos returns g(rhos) and, at the same nodes, the shell
-    means of the unweighted |mu_hat|^2 (d = 2: the ring mean; d = 1: the
-    value on the half-line, by symmetry)."""
+    A call on the radius grid start + k step, k < count, returns g there
+    and, at the same nodes, the shell means of the unweighted |mu_hat|^2
+    (d = 2: the ring mean; d = 1: the value on the half-line, by
+    symmetry)."""
 
     def __init__(self, mu: DyadicMeasureTree, weight_exp: float = 0.0):
+        import numpy as np
         self.terms = _terms(mu)
         self.d = mu.d
         self.weight_exp = weight_exp  # extra |z|^weight_exp factor
-        self.directions = _HALF_RING if self.d == 2 else 1  # per radius
         if self.d == 2:
-            import numpy as np
             thetas = np.linspace(0.0, math.pi, _HALF_RING, endpoint=False)
             self.dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-
-    def __call__(self, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.d == 1:
-            shell = _mu_hat_sq_many(self.terms, rhos.reshape(-1, 1))
-            vals = 2.0 * shell
         else:
-            # every ring of the call in one kernel pass, one row per rho
-            Z = (rhos[:, None, None] * self.dirs).reshape(-1, 2)
-            shell = _mu_hat_sq_many(self.terms, Z).reshape(
-                len(rhos), -1).mean(axis=1)
-            vals = rhos * shell * _TWO_PI
+            self.dirs = np.ones((1, 1))
+        self.directions = len(self.dirs)  # frequency vectors per radius
+
+    def __call__(self, start: float, step: float,
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+        # every ring of the call in one kernel pass, one row per radius
+        vals = _mu_hat_grid(self.terms, self.dirs, start, step, count)
+        shell = (np.abs(vals) ** 2).mean(axis=1)
+        rhos = start + step * np.arange(count)
+        vals = 2.0 * shell if self.d == 1 else rhos * shell * _TWO_PI
         if self.weight_exp != 0.0:
             vals = vals * rhos ** self.weight_exp
         return vals, shell
@@ -248,10 +276,11 @@ def _refine_segments(g, bounds: list[float], h_start: float,
     only at the P new midpoints, and T(h/2) = T(h)/2 + (h/2) * sum g(mid).
     Each segment keeps a running sum of g's shell values over the nodes
     evaluated, and ends with raw_mean, that sum over pieces + 1: the mean
-    of the shell values at its final nodes. A node is g.directions
-    frequency vectors; a starting grid of more than _NODE_BUDGET raises
-    before any array is made, and a halving past it ends as degraded."""
-    import numpy as np
+    of the shell values at its final nodes. g is called on radius grids
+    (start, step, count): a segment's pieces + 1 nodes, or a halving's
+    midpoints. A node is g.directions frequency vectors; a starting grid of
+    more than _NODE_BUDGET raises before any array is made, and a halving
+    past it ends as degraded."""
     spans = [(lo, hi, max(8, math.ceil((hi - lo) / h_start)))
              for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     nodes = g.directions * sum(pieces + 1 for _, _, pieces in spans)
@@ -260,7 +289,7 @@ def _refine_segments(g, bounds: list[float], h_start: float,
                                f"vectors, over the budget of {_NODE_BUDGET}")
     segments = []
     for lo, hi, pieces in spans:
-        ys, shell = g(np.linspace(lo, hi, pieces + 1))
+        ys, shell = g(lo, (hi - lo) / pieces, pieces + 1)
         segments.append({"lo": lo, "hi": hi, "pieces": pieces,
                          "value": _trapezoid(ys, (hi - lo) / pieces),
                          "shell_sum": float(shell.sum())})
@@ -279,7 +308,7 @@ def _refine_segments(g, bounds: list[float], h_start: float,
                 break
             nodes += g.directions * pieces
             h = (seg["hi"] - seg["lo"]) / pieces
-            ys, shell = g(seg["lo"] + h * (np.arange(pieces) + 0.5))
+            ys, shell = g(seg["lo"] + 0.5 * h, h, pieces)
             v2 = 0.5 * v + 0.5 * h * float(ys.sum())
             seg["pieces"] = 2 * pieces
             seg["shell_sum"] += float(shell.sum())
@@ -612,7 +641,7 @@ def near_zero_report(mu: DyadicMeasureTree, samples: int = 129) -> dict:
         radii = radius * rng.random(samples) ** (1.0 / d)
         Z = raw * radii[:, None]
         Z[0] = 0.0
-    vals = np.sqrt(_mu_hat_sq_many(_terms(mu), Z))
+    vals = np.abs(_mu_hat_grid(_terms(mu), Z, 1.0, 0.0, 1)[0])
     worst = int(np.argmin(vals))
     return {"radius": radius, "min_abs": float(vals[worst]),
             "argmin": [float(c) for c in Z[worst]],

@@ -158,9 +158,23 @@ class DyadicMeasureTree:
     def random_split(cls, tree: DyadicSetTree, rng,
                      max_part: int = 9) -> "DyadicMeasureTree":
         """Random exact-rational splits among selected children; useful for
-        seeded property sweeps."""
-        tables = _split_masses(
-            tree, lambda n: [rng.randint(1, max_part) for _ in range(n)])
+        seeded property sweeps. Each cube below the root, in key order,
+        draws the weight rng.randint(1, max_part), here by randint's own
+        getrandbits rejection loop inline, so the stream is the same."""
+        if max_part < 1:
+            raise ValidationError("max_part must be >= 1")
+        bits, k = rng.getrandbits, max_part.bit_length()
+
+        def weights(n: int) -> list[int]:
+            out = []
+            for _ in range(n):
+                r = bits(k)
+                while r >= max_part:
+                    r = bits(k)
+                out.append(r + 1)
+            return out
+
+        tables = _split_masses(tree, weights)
         return cls(tree, UNIFORM, tables, None, {"kind": "random_split"})
 
     # -- mass queries --------------------------------------------------------

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j1, sici
 
+from dimlab import fourier
 from dimlab.dyadic import deinterleave
 from dimlab.exact import UnavailableError, ValidationError, pow2
 from dimlab.fourier import (
-    _mu_hat_sq_many,
+    _BLOCK_CELLS,
+    _mu_hat_grid,
     _node_spacing,
     _RadialIntegrand,
     _refine_segments,
@@ -150,8 +152,8 @@ def assert_kernel_matches_oracle(mu, seed=0):
     Z = oracle_frequencies(mu.d, seed)
     want = oracle_mu_hat(mu, Z)
     terms = _terms(mu)
-    assert np.abs(_mu_hat_sq_many(terms, Z) - np.abs(want) ** 2).max() \
-        <= 1e-12
+    got = _mu_hat_grid(terms, Z, 1.0, 0.0, 1)[0]
+    assert np.abs(np.abs(got) ** 2 - np.abs(want) ** 2).max() <= 1e-12
     for z, v in zip(Z[:12], want[:12]):
         assert abs(mu_hat(mu, z) - v) <= 1e-12
     # the split never makes the dense weight matrix much larger than the
@@ -359,9 +361,9 @@ class _CountingIntegrand:
         self.directions = g.directions
         self.calls = []
 
-    def __call__(self, rhos):
-        self.calls.append(np.array(rhos))
-        return self.g(rhos)
+    def __call__(self, start, step, count):
+        self.calls.append(start + step * np.arange(count))
+        return self.g(start, step, count)
 
 
 class TestNestedQuadrature:
@@ -402,8 +404,8 @@ class TestNestedQuadrature:
             g, bounds, _node_spacing(mu.d), 1e-6, 14)
         assert halvings > len(segments)
         for seg in segments:
-            ys, shell = g(np.linspace(seg["lo"], seg["hi"],
-                                      seg["pieces"] + 1))
+            ys, shell = g(seg["lo"], (seg["hi"] - seg["lo"]) / seg["pieces"],
+                          seg["pieces"] + 1)
             fresh = _trapezoid(ys, (seg["hi"] - seg["lo"]) / seg["pieces"])
             assert seg["value"] == pytest.approx(fresh, rel=1e-12, abs=0)
             assert seg["raw_mean"] == pytest.approx(float(shell.mean()),
@@ -412,15 +414,17 @@ class TestNestedQuadrature:
     @pytest.mark.parametrize("kind", ["sierpinski-uniform",
                                       "sierpinski-random-split", "atoms-2d"])
     def test_half_circle_ring_matches_full_circle(self, kind):
+        # both rings on one radius grid through the one kernel, so the
+        # phases split into the same fine and coarse factors
         g = _RadialIntegrand(QUADRATURE_MEASURES[kind]())
         assert g.dirs.shape == (32, 2)
         thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         full = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        rhos = np.array([0.25, 1.0, 3.7, 11.0, 29.5, 64.0])
-        _, shell = g(rhos)
-        for rho, half in zip(rhos, shell):
-            want = _mu_hat_sq_many(g.terms, rho * full).mean()
-            assert half == pytest.approx(want, rel=1e-13, abs=0)
+        start, step, count = 0.25, 1.3, 50  # out to radius 63.95
+        _, shell = g(start, step, count)
+        want = (np.abs(_mu_hat_grid(g.terms, full, start, step, count))
+                ** 2).mean(axis=1)
+        assert shell == pytest.approx(want, rel=1e-13, abs=0)
 
     # 2^16 fits the budget as radii but not times the 32 ring directions
     @pytest.mark.parametrize("kind, R", [("cantor-uniform", 2.0 ** 40),
@@ -449,6 +453,62 @@ class TestNestedQuadrature:
         _, degraded, _ = _refine_segments(g, bounds, h, 1e-7, 14)
         assert degraded
         assert 32 * sum(len(c) for c in g.calls) <= spent - 1
+
+
+def grid_oracle_sq(mu, dirs, start, step, count, chunk=512):
+    """|mu_hat|^2 at (start + k step) dirs[t], k < count, from the direct
+    per-node leaf sum, chunk radii at a time."""
+    rhos = start + step * np.arange(count)
+    out = []
+    for k in range(0, count, chunk):
+        Z = (rhos[k:k + chunk, None, None] * dirs).reshape(-1, dirs.shape[1])
+        out.append((np.abs(oracle_mu_hat(mu, Z)) ** 2).reshape(-1, len(dirs)))
+    return np.concatenate(out)
+
+
+class TestGridKernel:
+    """The angle-addition phases against the direct per-node leaf sum."""
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 16, 17, "blocks", "narrow"])
+    @pytest.mark.parametrize("kind", sorted(QUADRATURE_MEASURES))
+    def test_matches_direct_leaf_sum(self, kind, count, monkeypatch):
+        mu = QUADRATURE_MEASURES[kind]()
+        g = _RadialIntegrand(mu)
+        hi, lo, _, _ = g.terms
+        cells = len(lo) + len(hi)
+        if count == "blocks":
+            # count T (U + H) is over twice _BLOCK_CELLS, so the grid takes
+            # more than one kernel block
+            count = 2 * _BLOCK_CELLS // (len(g.dirs) * cells) + 3
+        elif count == "narrow":
+            # three (node, direction) rows per block: 2-D rings split into
+            # blocks of directions, 1-D grids into blocks of 3 nodes
+            monkeypatch.setattr(fourier, "_BLOCK_CELLS", 3 * cells)
+            count = 17
+        step = min(0.29, 500.0 / count)
+        got = np.abs(_mu_hat_grid(g.terms, g.dirs, 0.37, step, count)) ** 2
+        want = grid_oracle_sq(mu, g.dirs, 0.37, step, count)
+        assert got.shape == want.shape == (count, len(g.dirs))
+        # |mu_hat|^2 <= 1, so this is an absolute error at the value's scale
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_trig_is_a_fraction_of_a_pair_per_phase_cell(self, monkeypatch):
+        # one call on 1,024 radii of the depth-5 Sierpinski measure: a sin/cos
+        # pair per node, direction and phase cell would be n T (U + H)
+        g = _RadialIntegrand(ORACLE_MEASURES["sierpinski5"]())
+        hi, lo, _, _ = g.terms
+        n, T, cells = 1024, len(g.dirs), len(lo) + len(hi)
+        assert (T, cells) == (32, 36)
+        pairs = []
+        cis = fourier._cis
+
+        def counting(phase):
+            pairs.append(phase.size)
+            return cis(phase)
+
+        monkeypatch.setattr(fourier, "_cis", counting)
+        g(0.3, 0.1, n)
+        assert 0 < sum(pairs) <= n * T * cells // 8
 
 
 class TestDecaySlopes:
@@ -626,26 +686,30 @@ def test_radial_bits_pinned():
     # times exp(i z.lo) summed through real matmuls, and a 2-D call's rings
     # are averaged row-wise in one batch, so err, the decay exponent and
     # some octave means move in the last bits; every value is unchanged.
+    # Re-pinned again for the radius grid: each node's phases are products
+    # of a fine and a coarse factor (angle addition) and the leaf sum is one
+    # complex product, so err, one decay exponent and some octave means
+    # move by at most 2.2e-15 relative; both values are unchanged.
     cases = [
         (DyadicSetTree.full(2, 2), Fraction(1, 2), {"r_max": 64},
-         "0x1.4d53c75e0c481p+4", "0x1.97a52ae153a11p-2",
+         "0x1.4d53c75e0c481p+4", "0x1.97a52ae153a0ep-2",
          "0x1.86c9e1f7bb232p+1",
          ["0x1.ff9c099581e0bp-1", "0x1.fe70993c16a11p-1",
           "0x1.f9c98cc419009p-1", "0x1.e797116d8cdedp-1",
           "0x1.a506bde591ff1p-1", "0x1.d35d4ddf176efp-2",
-          "0x1.9d174f4d32ef4p-5", "0x1.dbd25db746279p-8",
+          "0x1.9d174f4d32ef2p-5", "0x1.dbd25db746277p-8",
           "0x1.85297f438f853p-11", "0x1.86c7ad1946ba4p-14"]),
         (cantor_tree(6), Fraction(1, 3), {},
          "0x1.4d1a7f80f55b1p+3", "0x1.3689eed4944fep-3",
-         "0x1.029495ee3ae2bp+1",
-         ["0x1.ff4c1ec73db68p-1", "0x1.fd31b01b28f73p-1",
+         "0x1.029495ee3ae2ep+1",
+         ["0x1.ff4c1ec73db69p-1", "0x1.fd31b01b28f75p-1",
           "0x1.f4d9fb94a6177p-1", "0x1.d496806721713p-1",
-          "0x1.6408f7193c2b4p-1", "0x1.9fdf145d83e12p-3",
-          "0x1.0fad1078e4346p-2", "0x1.03c59e12b553dp-3",
-          "0x1.d68634d82582dp-4", "0x1.2fa92d6c50442p-4",
-          "0x1.31f8aee77b1acp-4", "0x1.f45c65cd7f93dp-5",
-          "0x1.fbe6f2efb6eb6p-8", "0x1.42eb6657c7dc5p-9",
-          "0x1.07e4391929830p-11", "0x1.0343e856d914bp-13"]),
+          "0x1.6408f7193c2b3p-1", "0x1.9fdf145d83e12p-3",
+          "0x1.0fad1078e4344p-2", "0x1.03c59e12b553dp-3",
+          "0x1.d68634d825838p-4", "0x1.2fa92d6c50443p-4",
+          "0x1.31f8aee77b1a7p-4", "0x1.f45c65cd7f940p-5",
+          "0x1.fbe6f2efb6ebap-8", "0x1.42eb6657c7dc6p-9",
+          "0x1.07e439192982fp-11", "0x1.0343e856d9141p-13"]),
     ]
     for tree, s, kw, value, err, gamma, means in cases:
         rep = fourier_energy(DyadicMeasureTree.uniform_on_set(tree), s, **kw)

@@ -170,6 +170,12 @@ class TestExplicitMasses:
         assert mu2.mass(3, 0) == mu2.mass(3, 1) == Fraction(1, 126)
         assert mu2.mass(3, 42) == Fraction(5, 99)
 
+    def test_random_split_needs_a_positive_part(self):
+        for top in (0, -3):
+            with pytest.raises(ValidationError):
+                DyadicMeasureTree.random_split(cantor_tree(3),
+                                               random.Random(1), top)
+
     def test_random_split_is_a_probability_measure(self):
         rng = random.Random(41)
         mu = DyadicMeasureTree.random_split(cantor_tree(7), rng)
@@ -989,6 +995,10 @@ SINGLE_CHILD_CHAIN = DyadicSetTree.from_codes(1, 12, [0, (1 << 12) - 1])
 @given(_oracle_cases(), _unit_radii)
 @example(split_case(MIXED_COUNTS, "uniform"), Fraction(1, 3))
 @example(split_case(MIXED_COUNTS, "random_split", 5, 97), Fraction(1, 2))
+@example(split_case(MIXED_COUNTS, "random_split", 5, 1), Fraction(1, 2))
+@example(split_case(MIXED_COUNTS, "random_split", 5, 8), Fraction(1, 2))
+@example(split_case(MIXED_COUNTS, "random_split", 5, 9), Fraction(1, 2))
+@example(split_case(MIXED_COUNTS, "random_split", 5, 16), Fraction(1, 2))
 @example(split_case(SINGLE_CHILD_CHAIN, "uniform"), Fraction(1, 8))
 @example(split_case(SINGLE_CHILD_CHAIN, "random_split", 11), Fraction(1, 8))
 def test_int_tables_match_fraction_oracle(case, r):
