@@ -22,6 +22,7 @@ comma-separated list of rationals.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -505,13 +506,18 @@ def _add_common_estimate(p, scales_default=None):
     p.add_argument("--json", default=None, help="write the report as JSON")
     p.add_argument("--csv", default=None, help="write the fit points as CSV")
     if scales_default is not None:
-        p.add_argument("--scales", type=_scales, default=_scales(scales_default),
+        p.add_argument("--scales", type=_scales, default=scales_default,
                        help=f"frequency/radius list (default {scales_default})")
         p.add_argument("--rel-tol", type=float, default=1e-3,
                        help="quadrature relative error target")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dimlab parser, built once per process on first use and shared
+    by every later call, so callers must not change it. Defaults are
+    immutable or strings that argparse converts on each parse, so no parsed
+    value is shared between calls."""
     ap = argparse.ArgumentParser(
         prog="dimlab",
         description=__doc__,
@@ -661,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "flatness")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--eps", type=_rational, required=True, metavar="p/q")
-    p.add_argument("--scales", type=_scales, default=_scales("2^-4..2^-10"),
+    p.add_argument("--scales", type=_scales, default="2^-4..2^-10",
                    help="radii (default 2^-4..2^-10)")
     p.add_argument("--tol", type=float, default=0.05)
     p.add_argument("--json", default=None)

@@ -117,22 +117,23 @@ def _terms(mu: DyadicMeasureTree):
         return np.zeros((1, d)), lo, W, None
     n = mu.max_depth
     side = 2.0 ** -n
-    rows = mu.level_masses(n)
-    k = _split_level([key for key, _ in rows], n, d)
+    tbl, den = mu.tables[n]
+    keys = sorted(tbl)
+    k = _split_level(keys, n, d)
     shift = d * (n - k)
     mask = (1 << shift) - 1
     prefixes: dict[int, int] = {}
     suffixes: dict[int, int] = {}
     cells = [(suffixes.setdefault(key & mask, len(suffixes)),
               prefixes.setdefault(key >> shift, len(prefixes)))
-             for key, _ in rows]
+             for key in keys]
     hi = np.array([deinterleave(p, k, d) for p in prefixes],
                   dtype=float).reshape(-1, d) * 2.0 ** -k
     lo = (np.array([deinterleave(q, n - k, d) for q in suffixes],
                    dtype=float).reshape(-1, d) + 0.5) * side - 0.5
     W = np.zeros((len(suffixes), len(prefixes)))
-    for (u, h), (_, m) in zip(cells, rows):
-        W[u, h] = float(m)
+    for (u, h), key in zip(cells, keys):
+        W[u, h] = tbl[key] / den  # correctly rounded: the nearest float
     return hi, lo, W, side
 
 

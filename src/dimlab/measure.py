@@ -47,6 +47,9 @@ UNIFORM = "uniform"
 ATOMS = "atoms"
 # per level: (int numerators by cube key, their reduced denominator)
 Tables = list[tuple[dict[int, int], int]]
+# terms of the 1-D energy kernel's series at large offsets: from offset 4
+# or 5 up its error bound is below the direct form's rounding bound
+_SERIES_TERMS = 8
 
 
 @dataclass(frozen=True)
@@ -403,7 +406,9 @@ class DyadicMeasureTree:
         index offsets, so the energy is sum_offsets H(offset) K(offset).
         The cost is the leaf pairs, binned into H in numpy blocks, plus one
         K per distinct offset: in 1-D the closed-form cube-pair integral,
-        whose bracket has float rounding width; in higher dimensions a
+        a second difference of |a|^(2-s) at offset a, or at large a its
+        positive series, whichever has the smaller error bound, so the
+        bracket has float rounding width at any depth; in higher dimensions a
         bound over every pair of cap-level cubes under the leaf pair through
         their closure distances, at cap level max_depth + refine_depth (see
         _below_leaves), with at most about 2^(d cap) kernel entries, not
@@ -423,15 +428,31 @@ class DyadicMeasureTree:
         d, L, sv = self.d, self.max_depth, float(sf)
         hist, offsets, pairs = self._offset_histogram()
         if d == 1:
-            f = np.power(np.abs(offsets[:, 0] + [[1.0], [0.0], [-1.0]]),
-                         2.0 - sv)
+            a, p, eps = offsets[:, 0].astype(float), 2.0 - sv, math.ulp(1.0)
+            f = np.power(np.abs(a + [[1.0], [0.0], [-1.0]]), p)
+            # the second difference cancels about eps * (a + 1)^p
+            j, err = f[0] - 2.0 * f[1] + f[2], 4 * eps * f[0]
+            # for a >= 3 it is the positive series 2 sum_k C(p, 2k) a^(p-2k),
+            # each term below the last times 1/a^2: the tail after term t is
+            # below t / (a^2 - 1). It is used where its bound is smaller
+            big = np.maximum(a, 3.0)
+            inv2 = 1.0 / (big * big)
+            term = p * (p - 1.0) * np.power(big, p) * inv2
+            series = term.copy()
+            for k in range(2, _SERIES_TERMS + 1):
+                term = term * inv2 * ((p - 2 * k + 2) * (p - 2 * k + 1)
+                                      / ((2 * k - 1) * 2 * k))
+                series += term
+            tail = term / (big * big - 1.0)
+            series_err = 0.5 * tail + 64 * eps * series
+            use = (a >= 3.0) & (series_err < err)
+            j = np.where(use, series + 0.5 * tail, j)
+            err = np.where(use, series_err, err)
             denom = (1.0 - sv) * (2.0 - sv)
             scale = (2.0 ** (-L)) ** (-sv)
-            j = (f[0] - 2.0 * f[1] + f[2]) / denom
-            value = scale * float(np.sum(hist * j))
-            # the second difference cancels about eps * (a + 1)^(2 - s)
-            width = math.ulp(1.0) * (4 * scale * float(np.sum(hist * f[0]))
-                                     / denom + 8 * abs(value))
+            value = scale * float(np.sum(hist * j)) / denom
+            width = (scale * float(np.sum(hist * err)) / denom
+                     + 8 * eps * abs(value))
             lower, upper = value - width, value + width
             detail = {"offsets": len(j), "kernel_entries": len(j)}
         else:

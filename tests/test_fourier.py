@@ -269,6 +269,21 @@ class TestFactoredKernel:
         assert hi.shape == (1, 2) and not hi.any()
         assert W.shape == (40, 1)
 
+    @pytest.mark.parametrize("kind", ["random-split-sierpinski",
+                                      "random-split-cantor",
+                                      "random-sparse-2d"])
+    def test_weights_are_the_rounded_masses(self, kind):
+        # every W entry is the float of the leaf's exact mass, bit for bit,
+        # at the cell whose hi + lo is the leaf's shifted centre
+        mu = ORACLE_MEASURES[kind]()
+        hi, lo, W, side = _terms(mu)
+        n, d = mu.max_depth, mu.d
+        got = {tuple(hi[h] + lo[u]): W[u, h].hex()
+               for u, h in zip(*np.nonzero(W))}
+        want = {tuple((c + 0.5) * side - 0.5 for c in deinterleave(k, n, d)):
+                float(m).hex() for k, m in mu.level_masses(n)}
+        assert got == want
+
     def test_atoms_are_the_unsplit_case(self):
         mu = ORACLE_MEASURES["atoms-2d"]()
         hi, lo, W, side = _terms(mu)

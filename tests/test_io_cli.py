@@ -1,5 +1,6 @@
 """Serialization round trips and command-line driver behavior."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -9,10 +10,10 @@ from fractions import Fraction
 import pytest
 
 from dimlab import io
-from dimlab.cli import main
+from dimlab.cli import build_parser, main
 from dimlab.constructions import (alternating_plan, alternating_set,
                                   stagewise_frostman_measures, sweep_plan)
-from dimlab.exact import ValidationError
+from dimlab.exact import ValidationError, pow2
 from dimlab.measure import DyadicMeasureTree
 from dimlab.settree import DyadicSetTree
 
@@ -592,3 +593,53 @@ class TestCliPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "alternating-counts", "--dim-low", "0.4"])
         assert exc.value.code == 2
+
+    def test_parser_built_once(self, cantor_file, capsys, monkeypatch):
+        # main builds its parser on the first call only; later calls in the
+        # same process reuse it and add no argument
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        argv = ("estimate", "box", "--in", cantor_file, "--levels", "3..9")
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        build_parser.__wrapped__()
+        assert calls  # the counter sees a build
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert calls == []
+
+    def test_reuse_after_usage_error_and_help(self, tmp_path, cantor_file,
+                                              capsys):
+        outs = [tmp_path / f"rep{i}.json" for i in range(2)]
+        argv = ["verify", "ineq-chain", "--in", cantor_file,
+                "--levels", "4..9"]
+        first = run_cli(capsys, *argv, "--json", str(outs[0]))[0]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "ineq-chain", "--levels", "4..9"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "fourier-corr", "--help"])
+        assert exc.value.code == 0
+        assert "(default 2^1..2^12)" in capsys.readouterr().out
+        again = run_cli(capsys, *argv, "--json", str(outs[1]))[0]
+        assert first == again == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("argv, want", [
+        (["estimate", "fourier-corr", "--in", "x.json"], range(1, 13)),
+        (["estimate", "fourier-box", "--in", "x.json"], range(1, 13)),
+        (["verify", "fourier-sandwich", "--in", "x.json", "--eps", "1/10"],
+         range(-4, -11, -1)),
+    ], ids=["fourier-corr", "fourier-box", "fourier-sandwich"])
+    def test_default_scales_not_shared(self, argv, want):
+        # a string default is converted on each parse, so a caller that
+        # changes its list cannot change the next call's default
+        ap = build_parser()
+        one, two = ap.parse_args(argv), ap.parse_args(argv)
+        assert one.scales == two.scales == [pow2(e) for e in want]
+        assert one.scales is not two.scales

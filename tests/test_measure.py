@@ -725,26 +725,39 @@ class TestEnergy:
         assert 1 < b.lower <= b.upper < 10
 
 
+def decimal_pow(x, p):
+    """x^p for a Decimal x >= 0 and a Fraction p, in the context precision:
+    by square roots when p's denominator is a power of two."""
+    q = p.denominator
+    if q & (q - 1):
+        return x ** (Decimal(p.numerator) / q)
+    while q > 1:
+        x, q = x.sqrt(), q >> 1
+    return x ** p.numerator
+
+
 def oracle_energy_1d(mu, s):
     """1-D s-energy of a uniform-leaf measure summed over every ordered leaf
-    pair in 50-digit Decimal arithmetic: leaves at index offset a add
+    pair in 80-digit Decimal arithmetic: leaves at index offset a add
     m_a m_b l^-s ((a + 1)^(2 - s) - 2 a^(2 - s) + |a - 1|^(2 - s)) /
-    ((1 - s)(2 - s)), with l the leaf side."""
+    ((1 - s)(2 - s)), with l the leaf side. The mass products are summed
+    per offset first."""
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = 80
         sd = Decimal(s.numerator) / s.denominator
-        p = 2 - sd
+        p = 2 - s
         denom = (1 - sd) * (2 - sd)
-
-        @lru_cache(maxsize=None)
-        def pair(a):
-            return (Decimal(a + 1) ** p - 2 * Decimal(a) ** p
-                    + Decimal(abs(a - 1)) ** p) / denom
-
         leaves = [(k, Decimal(m.numerator) / m.denominator)
                   for k, m in mu.level_masses(mu.max_depth)]
-        total = sum(ma * mb * pair(abs(ka - kb))
-                    for ka, ma in leaves for kb, mb in leaves)
+        bins = {}
+        for ka, ma in leaves:
+            for kb, mb in leaves:
+                a = abs(ka - kb)
+                bins[a] = bins.get(a, 0) + ma * mb
+        total = sum(w * (decimal_pow(Decimal(a + 1), p)
+                         - 2 * decimal_pow(Decimal(a), p)
+                         + decimal_pow(Decimal(abs(a - 1)), p))
+                    for a, w in bins.items()) / denom
         return float(total * Decimal(2) ** (mu.max_depth * sd))
 
 
@@ -793,11 +806,19 @@ class TestEnergyOracle:
          Fraction(1, 3)),
         (clustered_leaves(1, 40, [(0,), (1,), (3,), (4,), (9,)], 9),
          Fraction(2, 3)),
-    ], ids=["full6", "cantor8", "sparse-depth40"])
+        # far leaf pairs, where the direct second difference cancels
+        # about eps a^2 of its value: the series keeps these brackets tight
+        (DyadicMeasureTree.uniform_on_set(DyadicSetTree.from_points(
+            [(Fraction(1, 4),), (Fraction(3, 4),)], 1, 40)), Fraction(1, 2)),
+        (DyadicMeasureTree.uniform_on_set(
+            DyadicSetTree.from_digit_ifs(1, 3, [0, 7], 30)), Fraction(1, 4)),
+    ], ids=["full6", "cantor8", "sparse-depth40", "two-leaves-depth40",
+            "digits07-depth30"])
     def test_1d_matches_pair_sum(self, mu, s):
         want = oracle_energy_1d(mu, s)
         b = mu.energy_bracket(s)
         assert b.lower <= want <= b.upper
+        assert b.width < 1e-6 * want
         assert b.midpoint == pytest.approx(want, rel=1e-12)
         assert type(b.lower) is float and type(b.upper) is float
 
