@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import add
 
-from .dyadic import deinterleave, interleave
+from .dyadic import deinterleave
 from .exact import (ValidationError, cmp_pow2, cmp_rpow, le_rpow,
                     level_for_radius, log2_fraction, to_fraction)
 from .measure import DyadicMeasureTree
@@ -193,26 +195,19 @@ class PredicateReport:
 def _sup_ball_cover(mu: DyadicMeasureTree, r: Fraction, n: int) -> Fraction:
     """Upper bound on sup_x mu(B(x, r)) via 2^d-cube covers at level n,
     where n = level_for_radius(r) so the ball spans at most two cubes per
-    axis. For x in a cube C the ball sits inside one of the 2^d blocks made
-    of C and one neighbor per axis; the max block mass over all cubes and
-    corner directions dominates the sup."""
+    axis: for x in a cube C the ball sits inside one of the 2^d blocks of
+    two cubes per axis that hold C. One pass adds each cube's numerator to
+    those blocks, keyed by lower corner idx + c, c in {0, -1}^d; the bound
+    is the largest block total."""
     d = mu.d
     masses, den = mu.tables[n]
-    top = 1 << n
-    best = 0
-    for key in masses:
-        idx = deinterleave(key, n, d)
-        for dirs in product((-1, 1), repeat=d):
-            total = 0
-            for offs in product((0, 1), repeat=d):
-                j = tuple(idx[i] + dirs[i] * offs[i] for i in range(d))
-                if any(not (0 <= ji < top) for ji in j):
-                    continue
-                k2 = interleave(j, n)
-                total += masses.get(k2, 0)
-            if total > best:
-                best = total
-    return Fraction(best, den)
+    corners = list(product((0, -1), repeat=d))
+    blocks = defaultdict(int)
+    for key, m in masses.items():
+        idx = (key,) if d == 1 else deinterleave(key, n, d)
+        for c in corners:
+            blocks[tuple(map(add, idx, c))] += m
+    return Fraction(max(blocks.values()), den)
 
 
 def _diam_le_r_level(d: int, r: Fraction) -> int:

@@ -78,19 +78,18 @@ def support_radius(d: int) -> float:
 # the transform
 
 
-def _split_level(keys: list[int], n: int, d: int) -> int:
+def _split_level(mu: DyadicMeasureTree) -> int:
     """Morton split level k for the factored phases: the one minimising
-    _TRIG_COST * (U + H) + U * H, where H counts the distinct level-k
-    prefixes and U the distinct suffixes of the leaf keys, over the splits
-    whose dense weight matrix holds at most _FILL_CAP * L cells. k = 0
-    (H = 1) always qualifies, so W never outgrows _FILL_CAP leaves' worth."""
+    _TRIG_COST * (U + H) + U * H, H the level-k cubes (each has a leaf
+    below it, so H counts the leaf keys' level-k prefixes) and U the leaf
+    keys' distinct suffixes, over the splits whose dense weight matrix holds
+    at most _FILL_CAP * L cells; k = 0 (H = 1) always qualifies."""
+    n, keys = mu.max_depth, mu.tables[-1][0]
     cap = _FILL_CAP * len(keys)
     best, best_cost = 0, None
-    for k in range(n + 1):
-        shift = d * (n - k)
-        mask = (1 << shift) - 1
-        h = len({key >> shift for key in keys})
-        u = len({key & mask for key in keys})
+    for k, (level, _) in enumerate(mu.tables):
+        mask = (1 << (mu.d * (n - k))) - 1
+        h, u = len(level), len({key & mask for key in keys})
         cost = _TRIG_COST * (u + h) + u * h
         if u * h <= cap and (best_cost is None or cost < best_cost):
             best, best_cost = k, cost
@@ -119,7 +118,7 @@ def _terms(mu: DyadicMeasureTree):
     side = 2.0 ** -n
     tbl, den = mu.tables[n]
     keys = sorted(tbl)
-    k = _split_level(keys, n, d)
+    k = _split_level(mu)
     shift = d * (n - k)
     mask = (1 << shift) - 1
     prefixes: dict[int, int] = {}

@@ -18,8 +18,8 @@ Ball quantities that a finite tree cannot pin down exactly are returned as
 two-sided brackets; dyadic quantities (cube masses, correlation sums over
 cube pairs) are exact rationals. Both pair sums are offset histograms times
 per-offset kernels: the ball-correlation bracket sums the stored numerators
-of one level's cube pairs by row ranges (no Fraction per pair), and the
-energy bracket sums a kernel over a histogram of leaf-pair offsets.
+of one level's row pairs in C-level passes (no Python step per pair), and
+the energy bracket sums a kernel over a histogram of leaf-pair offsets.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Sequence
 
 from .dyadic import (cube_of_point, deinterleave, interleave,
@@ -230,8 +231,9 @@ class DyadicMeasureTree:
         is at most rho and outside if its gaps exceed rho; both depend only
         on the pair's axis offsets. Grouping the level-m cubes into rows
         along the last axis, each row pair within reach splits its
-        last-axis offsets into an inside run, summed by prefix sums of the
-        stored numerators, and a straddling run, binned by sorted axis
+        last-axis lags into an inside window |lag| <= t_in, summed in one
+        pass of bisects into prefix sums of the stored numerators, and the
+        straddling lags, one pass of lookups each, binned by sorted axis
         offsets and weighted by the count of inside (or straddling)
         cap-level pairs under an offset (_below_leaves). A pair that is
         inside or outside at a level above m has all of its level-m
@@ -287,16 +289,16 @@ class DyadicMeasureTree:
             cubes[idx[:-1]].append((idx[-1], n))
         rows = []
         for u, row in sorted(cubes.items()):
-            row.sort()
-            ns = [n for _, n in row]
-            rows.append((u, [j for j, _ in row], ns,
+            row = dict(sorted(row))
+            ns = list(row.values())
+            rows.append((u, list(row), ns, row,
                          list(itertools.accumulate(ns, initial=0))))
 
         inside = 0
         hist = defaultdict(int)  # sorted axis offsets -> sum of N_a N_b
-        for ia, (u, js_a, ns_a, _) in enumerate(rows):
+        for ia, (u, js_a, ns_a, _, _) in enumerate(rows):
             for ib in range(ia, len(rows)):
-                v, js_b, ns_b, pre_b = rows[ib]
+                v, js_b, _, row_b, pre_b = rows[ib]
                 off = [abs(x - y) for x, y in zip(u, v)]
                 gaps = sum((x - 1) ** 2 for x in off if x)
                 if gaps > rho:
@@ -308,22 +310,19 @@ class DyadicMeasureTree:
                 reach = sum((x + 1) ** 2 for x in off)
                 t_in = math.isqrt(rho - reach) - 1 if reach <= rho else -1
                 t_out = math.isqrt(rho - gaps) + 1
-                ins, acc = 0, defaultdict(int)
-                for j, na in zip(js_a, ns_a):
-                    if t_in >= 0:
-                        lo = bisect_left(js_b, j - t_in)
-                        hi = bisect_right(js_b, j + t_in, lo)
-                        ins += na * (pre_b[hi] - pre_b[lo])
-                    else:
-                        lo = hi = bisect_left(js_b, j)
-                    for i in range(bisect_left(js_b, j - t_out, 0, lo), lo):
-                        acc[j - js_b[i]] += na * ns_b[i]
-                    for i in range(hi, bisect_right(js_b, j + t_out, hi)):
-                        acc[js_b[i] - j] += na * ns_b[i]
                 w = 1 if ia == ib else 2  # the mirrored row pair
-                inside += w * ins
-                for s, h in acc.items():
-                    hist[tuple(sorted(off + [s]))] += w * h
+                if t_in >= 0:  # each j's window: bisects into prefix sums
+                    lo = map(bisect_left, repeat(js_b),
+                             map(add, js_a, repeat(-t_in)))
+                    hi = map(bisect_right, repeat(js_b),
+                             map(add, js_a, repeat(t_in)))
+                    inside += w * sum(map(mul, ns_a, map(sub, map(
+                        pre_b.__getitem__, hi), map(pre_b.__getitem__, lo))))
+                for s in range(t_in + 1, t_out + 1):  # straddling lags
+                    h = sum(sum(map(mul, ns_a, map(row_b.get, map(
+                        add, js_a, repeat(t)), repeat(0)))) for t in {s, -s})
+                    if h:
+                        hist[tuple(sorted(off + [s]))] += w * h
 
         # a level-m pair splits into 4^(d (cap - m)) ordered cap-level pairs
         unit = 1 << (2 * dd * (cap - m))

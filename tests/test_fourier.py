@@ -18,10 +18,13 @@ from dimlab.dyadic import deinterleave
 from dimlab.exact import UnavailableError, ValidationError, pow2
 from dimlab.fourier import (
     _BLOCK_CELLS,
+    _FILL_CAP,
+    _TRIG_COST,
     _mu_hat_grid,
     _node_spacing,
     _RadialIntegrand,
     _refine_segments,
+    _split_level,
     _terms,
     _trapezoid,
     fourier_box_estimate,
@@ -237,6 +240,35 @@ def _oracle_measures(draw):
     return DyadicMeasureTree.random_split(tree, rng, draw(st.integers(1, 9)))
 
 
+def two_set_split_level(keys, n, d):
+    """The split-level rule with H and U both counted as sets of the leaf
+    keys' prefixes and suffixes at every level."""
+    cap = _FILL_CAP * len(keys)
+    best, best_cost = 0, None
+    for k in range(n + 1):
+        shift = d * (n - k)
+        h = len({key >> shift for key in keys})
+        u = len({key & ((1 << shift) - 1) for key in keys})
+        cost = _TRIG_COST * (u + h) + u * h
+        if u * h <= cap and (best_cost is None or cost < best_cost):
+            best, best_cost = k, cost
+    return best
+
+
+@st.composite
+def _split_trees(draw):
+    """Occupied-cube trees of random point sets and digit-IFS trees, d <= 3."""
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, {1: 12, 2: 6, 3: 4}[d]))
+    if depth and draw(st.booleans()):
+        keep = draw(st.sets(st.integers(0, (1 << d) - 1), min_size=1))
+        return DyadicSetTree.from_digit_ifs(d, 1, sorted(keep), depth)
+    coord = st.builds(Fraction, st.integers(1, 1 << depth),
+                      st.just(1 << depth))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=300))
+    return DyadicSetTree.from_points(pts, d, depth)
+
+
 class TestFactoredKernel:
     """The factored phases against the brute-force leaf sum, |z| <= 4096."""
 
@@ -291,6 +323,21 @@ class TestFactoredKernel:
         assert W[:, 0].tolist() == [float(w) for _, w in mu.atoms]
         assert lo.tolist() == [[float(x) - 0.5 for x in p]
                                for p, _ in mu.atoms]
+
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_MEASURES))
+    def test_split_level_matches_two_set_rule(self, kind):
+        mu = ORACLE_MEASURES[kind]()
+        n = mu.max_depth
+        assert _split_level(mu) == two_set_split_level(
+            sorted(mu.tables[n][0]), n, mu.d)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_split_trees())
+    def test_split_level_matches_two_set_rule_on_random_trees(self, tree):
+        mu = DyadicMeasureTree.uniform_on_set(tree)
+        assert _split_level(mu) == two_set_split_level(
+            tree.levels[tree.max_depth], tree.max_depth, tree.d)
 
 
 class TestMeanSquare:

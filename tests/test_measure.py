@@ -1,23 +1,31 @@
 """Unit tests for mass trees: masses, ball correlation, energy, heaviness."""
 
 import hashlib
+import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dimlab import constructions
 from dimlab.dyadic import (cube_of_point, cube_pair_geometry, deinterleave,
                            interleave)
-from dimlab.estimators import packing_predicate, packing_threshold
-from dimlab.exact import UnsupportedModelError, ValidationError, pow2
+from dimlab.estimators import (_sup_ball_cover, packing_predicate,
+                               packing_threshold)
+from dimlab.exact import (UnsupportedModelError, ValidationError,
+                          level_for_radius, pow2)
 from dimlab.measure import (
     CorrelationBracket,
     DyadicMeasureTree,
+    _below_leaves,
     ancestor_tables,
     anti_frostman_check,
     anti_frostman_measure,
@@ -573,6 +581,105 @@ def test_ball_brackets_pinned(name, r, extra, want):
     assert got == want
 
 
+def oracle_row_ranges(mu, r, extra_depth):
+    """(lower, upper, cap_level) of the uniform-model ball bracket by a
+    per-cube loop over each row pair: bisects for the inside run, summed by
+    prefix sums, and a walk over the straddling cubes binned by lag."""
+    r2 = r * r
+    r2n, r2d, dd = r2.numerator, r2.denominator, mu.d
+    cap = 0
+    while dd * r2d > r2n << (2 * cap):
+        cap += 1
+    cap += extra_depth
+
+    def resolve(level, gaps, reach):
+        if reach * r2d <= r2n << (2 * level):
+            unit = 1 << (2 * dd * (cap - level))
+            return unit, unit
+        if gaps * r2d > r2n << (2 * level):
+            return 0, 0
+        return (0, 1) if level >= cap else None
+
+    m = min(cap, mu.max_depth)
+    tbl, den = mu.tables[m]
+    rho = (r2n << (2 * m)) // r2d
+    cubes = defaultdict(list)
+    for key, n in tbl.items():
+        idx = deinterleave(key, m, dd)
+        cubes[idx[:-1]].append((idx[-1], n))
+    rows = []
+    for u, row in sorted(cubes.items()):
+        row.sort()
+        ns = [n for _, n in row]
+        rows.append((u, [j for j, _ in row], ns,
+                     list(itertools.accumulate(ns, initial=0))))
+    inside, hist = 0, defaultdict(int)
+    for ia, (u, js_a, ns_a, _) in enumerate(rows):
+        for v, js_b, ns_b, pre_b in rows[ia:]:
+            off = [abs(x - y) for x, y in zip(u, v)]
+            gaps = sum((x - 1) ** 2 for x in off if x)
+            if gaps > rho:
+                continue
+            reach = sum((x + 1) ** 2 for x in off)
+            t_in = math.isqrt(rho - reach) - 1 if reach <= rho else -1
+            t_out = math.isqrt(rho - gaps) + 1
+            ins, acc = 0, defaultdict(int)
+            for j, na in zip(js_a, ns_a):
+                if t_in >= 0:
+                    lo = bisect_left(js_b, j - t_in)
+                    hi = bisect_right(js_b, j + t_in, lo)
+                    ins += na * (pre_b[hi] - pre_b[lo])
+                else:
+                    lo = hi = bisect_left(js_b, j)
+                for i in range(bisect_left(js_b, j - t_out, 0, lo), lo):
+                    acc[j - js_b[i]] += na * ns_b[i]
+                for i in range(hi, bisect_right(js_b, j + t_out, hi)):
+                    acc[js_b[i] - j] += na * ns_b[i]
+            w = 1 if u == v else 2
+            inside += w * ins
+            for s, h in acc.items():
+                hist[tuple(sorted(off + [s]))] += w * h
+    unit = 1 << (2 * dd * (cap - m))
+    below, _ = _below_leaves(dd, resolve)
+    lower = upper = inside * unit
+    for off, h in hist.items():
+        lo, hi = below(m, off)
+        lower += h * lo
+        upper += h * hi
+    q = den * den * unit
+    return Fraction(lower, q), Fraction(upper, q), cap
+
+
+T_LOW, S_HIGH = Fraction(2, 5), Fraction(7, 10)
+ROW_RANGE_MEASURES = {
+    "full1-10-random": lambda: pinned_measure("full1-10-random"),
+    # the inequality chain's depth-24 sets: sparse rows of width 2^24
+    "alternating24": lambda: DyadicMeasureTree.uniform_on_set(
+        constructions.alternating_set(constructions.alternating_plan(
+            T_LOW, S_HIGH, level_budget=10 ** 6), 24)),
+    "sweep24": lambda: DyadicMeasureTree.uniform_on_set(
+        constructions.sweep_set(constructions.sweep_plan(T_LOW, S_HIGH), 24)),
+    "sierpinski5": lambda: pinned_measure("sierpinski5"),
+    "full3-3-random": lambda: DyadicMeasureTree.random_split(
+        DyadicSetTree.full(3, 3), random.Random(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_RANGE_MEASURES))
+def test_ball_brackets_match_row_range_oracle(name):
+    # radii 2^-k p/q; at k = 0 the radii 3/2 and 5/2 put t_in past the
+    # row width, so every cube of a row is inside
+    mu = ROW_RANGE_MEASURES[name]()
+    deep = mu.max_depth + 2 if mu.d == 1 else 6
+    for k in sorted({0, 3, deep // 2, deep}):
+        for p, q in ((1, 3), (5, 7), (1, 1), (3, 2), (5, 2)):
+            r = Fraction(p, q << k)
+            for extra in range(5):
+                b = mu.ball_correlation_bracket(r, extra_depth=extra)
+                assert (b.lower, b.upper, b.cap_level) == oracle_row_ranges(
+                    mu, r, extra)
+
+
 class TestCoverMass:
     def test_uniform_hand_value(self):
         mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 3))
@@ -609,6 +716,77 @@ class TestCoverMass:
             with pytest.raises(ValidationError):
                 uniform_cantor(3).cover_mass((Fraction(1, 2),),
                                              Fraction(1, 4), level)
+
+
+def oracle_sup_ball_cover(mu, n):
+    """The cover bound by a loop over every level-n cube and every corner
+    direction, summing the 2^d cubes of that block that lie in the unit
+    cube."""
+    d = mu.d
+    masses, den = mu.tables[n]
+    top = 1 << n
+    best = 0
+    for key in masses:
+        idx = deinterleave(key, n, d)
+        for dirs in product((-1, 1), repeat=d):
+            total = 0
+            for offs in product((0, 1), repeat=d):
+                j = tuple(idx[i] + dirs[i] * offs[i] for i in range(d))
+                if all(0 <= ji < top for ji in j):
+                    total += masses.get(interleave(j, n), 0)
+            best = max(best, total)
+    return Fraction(best, den)
+
+
+@st.composite
+def _cover_measures(draw):
+    """Uniform, random-split and prime-leaf measures on occupied-cube trees
+    of point sets, and atomic measures on rational points, d = 1..3."""
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, {1: 8, 2: 5, 3: 3}[d]))
+    kind = draw(st.sampled_from(["uniform", "random_split", "primes",
+                                 "atoms"]))
+    if kind == "atoms":
+        pts = draw(st.lists(st.tuples(*[_coords] * d), min_size=1,
+                            max_size=12))
+        ws = draw(st.lists(st.integers(1, 9), min_size=len(pts),
+                           max_size=len(pts)))
+        return DyadicMeasureTree.atomic(
+            pts, [Fraction(w, sum(ws)) for w in ws], d, depth)
+    coord = st.builds(Fraction, st.integers(1, 1 << depth),
+                      st.just(1 << depth))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1,
+                        max_size=len(LEAF_PRIMES) + 1))
+    tree = DyadicSetTree.from_points(pts, d, depth)
+    if kind == "uniform":
+        return DyadicMeasureTree.uniform_on_set(tree)
+    if kind == "random_split":
+        return DyadicMeasureTree.random_split(
+            tree, random.Random(draw(st.integers(0, 2 ** 16))),
+            draw(st.integers(1, 97)))
+    leaves = tree.levels[depth]
+    primes = draw(st.permutations(LEAF_PRIMES))
+    leaf = {k: Fraction(1, p) for k, p in zip(leaves[:-1], primes)}
+    leaf[leaves[-1]] = 1 - sum(leaf.values(), Fraction(0))
+    return leaf_measure(tree, leaf)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_cover_measures(), st.integers(1, 12), st.integers(0, 11))
+@example(DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(3, 2)), 1, 0)
+@example(DyadicMeasureTree.atomic([(Fraction(1, 4),), (Fraction(3, 4),)],
+                                  [Fraction(1, 3), Fraction(2, 3)], 1, 4),
+         3, 2)
+def test_sup_ball_cover_matches_direction_loop(mu, q, p):
+    # r in [2^-(n+2), 2^-(n+1)): a closed ball of radius r meets at most
+    # two level-n cubes per axis
+    for n in range(mu.max_depth + 1):
+        r = Fraction(q + p % q, q << (n + 2))
+        assert level_for_radius(r) == n
+        cover = _sup_ball_cover(mu, r, n)
+        assert cover == oracle_sup_ball_cover(mu, n)
+        if mu.leaf_model == "atoms":
+            assert cover >= max(mu.ball_mass_atoms(x, r) for x, _ in mu.atoms)
 
 
 def deeper(mu, k):
@@ -905,6 +1083,7 @@ class TestAntiFrostman:
         # the diagonal-step argument needs sqrt(d) <= 2
         with pytest.raises(ValidationError):
             anti_frostman_check(DyadicSetTree.full(5, 2), [1])
+
 
 
 # -- int tables against a Fraction oracle -------------------------------------
