@@ -97,14 +97,21 @@ def _check_version(data: dict) -> None:
             f"(expected {FORMAT_VERSION})")
 
 
+def _ints(values: list) -> list:
+    """`values` if all are JSON integers (one C-level type pass)."""
+    if set(map(type, values)) - {int}:
+        raise TypeError("cube keys, d and max_depth must be JSON integers")
+    return values
+
+
 def set_from_dict(data: dict) -> DyadicSetTree:
     if data.get("type") != "set":
         raise ValidationError("not a serialized set")
     _check_version(data)
     symbolic = (SymbolicCounts.from_dict(data["symbolic"])
                 if data.get("symbolic") else None)
-    tree = DyadicSetTree(int(data["d"]), int(data["max_depth"]),
-                         [[int(k) for k in lvl] for lvl in data["levels"]],
+    tree = DyadicSetTree(*_ints([data["d"], data["max_depth"]]),
+                         [_ints(list(lvl)) for lvl in data["levels"]],
                          symbolic, _decode_meta(data.get("meta", {})))
     tree.validate()
     return tree
@@ -141,8 +148,9 @@ def measure_from_dict(data: dict) -> DyadicMeasureTree:
     support = set_from_dict(data["support"])
     rule, tables = data.get("mass_rule"), data.get("masses")
     if rule == "explicit" and tables is not None:
-        masses = [{int(k): parse_rational(m) for k, m in level}
+        masses = [{k: parse_rational(m) for k, m in level}
                   for level in tables]
+        _ints([k for level in tables for k, _ in level])
     elif rule == "equal_split" and tables is None:
         # files written before every measure carried tables
         uni = DyadicMeasureTree.uniform_on_set(support)

@@ -32,17 +32,16 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, mul, rshift, sub
 from typing import Sequence
 
-from .dyadic import (cube_of_point, deinterleave, interleave,
-                     same_level_axis_bounds)
+from .dyadic import deinterleave, interleave, same_level_axis_bounds
 from .exact import (
     UnsupportedModelError,
     ValidationError,
     to_fraction,
 )
-from .settree import DyadicSetTree
+from .settree import DyadicSetTree, _check_dims
 
 UNIFORM = "uniform"
 ATOMS = "atoms"
@@ -134,28 +133,25 @@ class DyadicMeasureTree:
     @classmethod
     def atomic(cls, points: Sequence, weights: Sequence, d: int,
                depth: int, meta: dict | None = None) -> "DyadicMeasureTree":
-        pts = [tuple(to_fraction(x) for x in p) for p in points]
-        ws = [to_fraction(w) for w in weights]
-        if len(pts) != len(ws) or not pts:
-            raise ValidationError("points/weights length mismatch or empty")
-        if any(w <= 0 for w in ws):
-            raise ValidationError("atom weights must be positive")
-        if sum(ws) != 1:
-            raise ValidationError("atom weights must sum to 1")
-        for p in pts:
-            if len(p) != d or any(not (0 < x <= 1) for x in p):
-                raise ValidationError("atom outside the half-open unit cube")
-        # merge coincident points
-        agg: dict[tuple[Fraction, ...], Fraction] = {}
-        for p, w in zip(pts, ws):
-            agg[p] = agg.get(p, Fraction(0)) + w
-        atom_list = sorted(agg.items())
-        if depth < 0:
-            raise ValidationError("depth must be >= 0")
-        tables = _aggregate_atoms(atom_list, d, depth)
-        tree = DyadicSetTree.from_codes(d, depth, tables[depth][0], {
-            "kind": "points", "count": len(atom_list)})
-        return cls(tree, ATOMS, tables, atom_list,
+        """Atoms, merged where they coincide; checked and summed on ints."""
+        _check_dims(d, depth)
+        pts = [tuple(map(to_fraction, p)) for p in points]
+        ws = list(map(to_fraction, weights))
+        q, ips, ns, wden = _int_atoms(pts, ws, d)
+        # an atom's level-depth axis index is (a 2^depth - 1) // q, on ints
+        idx = [((a << depth) - 1) // q for p in ips for a in p]
+        keys = idx if d == 1 else list(map(interleave, zip(*[iter(idx)] * d),
+                                           repeat(depth)))
+        tables = _sums_up(*zip(*sorted(zip(keys, ns))), wden, d, depth)
+        src = dict(zip(ips, zip(pts, ws)))
+        if len(src) < len(ips):  # coincident points: one atom, summed
+            tot = dict.fromkeys(ips, 0)
+            for p, n in zip(ips, ns):
+                tot[p] += n
+            src = {p: (src[p][0], Fraction(n, wden)) for p, n in tot.items()}
+        tree = DyadicSetTree(d, depth, [list(t) for t, _ in tables], None,
+                             {"kind": "points", "count": len(src)})
+        return cls(tree, ATOMS, tables, [src[p] for p in sorted(src)],
                    meta or {"kind": "atomic"})
 
     @classmethod
@@ -214,17 +210,17 @@ class DyadicMeasureTree:
     def dyadic_correlation_sum(self, n: int) -> Fraction:
         """Sum of squared level-n cube masses, exactly."""
         tbl, den = self._table(n)
-        return Fraction(sum(m * m for m in tbl.values()), den * den)
+        return Fraction(sum(map(mul, tbl.values(), tbl.values())), den * den)
 
     def ball_correlation_bracket(self, r, extra_depth: int = 4) -> CorrelationBracket:
         """Two-sided enclosure of (mu x mu){(x, y): |x - y| <= r}.
 
-        Exact pair sum for atomic measures. For the uniform leaf model the
-        bracket classifies the ordered pairs of cap-level cubes, cap the
-        smallest level with d 4^-cap <= r^2 plus extra_depth, by their exact
-        closure distances: inside (max distance <= r), straddling, or
-        outside (min distance > r). Leaf cubes refine as uniform splits,
-        which is exactly what the leaf model asserts.
+        Exact pair sum for atomic measures, one ball_mass_atoms per atom.
+        For the uniform leaf model the bracket classifies the ordered pairs
+        of cap-level cubes, cap the smallest level with d 4^-cap <= r^2 plus
+        extra_depth, by their exact closure distances: inside (max distance
+        <= r), straddling, or outside (min distance > r). Leaf cubes refine
+        as uniform splits, which is exactly what the leaf model asserts.
 
         The sums run at the one level m = min(cap, max_depth). With
         rho = floor(r^2 4^m), a level-m pair is inside if its integer reach
@@ -245,15 +241,7 @@ class DyadicMeasureTree:
         if rf <= 0:
             raise ValidationError("radius must be positive")
         if self.leaf_model == ATOMS:
-            f, r2, _, pts, wden = self._atoms_on_ints(rf)
-            f2 = f * f
-            total = 0
-            for i, (p, w) in enumerate(pts):
-                total += w * w
-                for q, v in pts[i + 1:]:
-                    if sum((a - b) ** 2 for a, b in zip(p, q)) * f2 <= r2:
-                        total += 2 * w * v
-            total = Fraction(total, wden * wden)
+            total = sum(w * self.ball_mass_atoms(p, rf) for p, w in self.atoms)
             return CorrelationBracket(total, total, rf, self.max_depth)
 
         r2 = rf * rf
@@ -361,37 +349,38 @@ class DyadicMeasureTree:
                             for idx in itertools.product(*ranges)), den)
 
     def ball_mass_atoms(self, point, r) -> Fraction:
-        """Exact closed-ball mass for atomic measures."""
+        """Exact closed-ball mass for atomic measures, on ints over the lcm
+        Q of q (see _atom_ints) and the centre's denominators: atom a is in
+        when sum (Q/q a - x)^2 <= r2 = floor(r^2 Q^2). Such atoms lie in the
+        window |Q/q a_0 - x_0| <= isqrt(r2), two bisects: in 1-D the mass is
+        a prefix-sum difference, in d >= 2 the test runs inside it only."""
         if self.leaf_model != ATOMS:
             raise UnsupportedModelError("exact ball mass needs atoms")
-        pt = tuple(to_fraction(x) for x in point)
+        pt, r = tuple(map(to_fraction, point)), to_fraction(r)
         if len(pt) != self.d:
             raise ValidationError("point dimension mismatch")
-        f, r2, x, pts, wden = self._atoms_on_ints(to_fraction(r), pt)
-        return Fraction(sum(w for p, w in pts if sum(
+        q, wden, xs, pre, pts, ns = self._atom_ints
+        big = math.lcm(q, *(c.denominator for c in pt))
+        f, x = big // q, [c.numerator * (big // c.denominator) for c in pt]
+        r2 = (r.numerator * big) ** 2 // r.denominator ** 2
+        t = math.isqrt(r2)
+        lo = bisect_left(xs, -((t - x[0]) // f))
+        hi = bisect_right(xs, (x[0] + t) // f)
+        if self.d == 1:
+            return Fraction(pre[hi] - pre[lo], wden)
+        return Fraction(sum(n for p, n in zip(pts[lo:hi], ns[lo:hi]) if sum(
             (f * a - b) ** 2 for a, b in zip(p, x)) <= r2), wden)
 
     @functools.cached_property
     def _atom_ints(self):
-        """(q, [(atom * q, weight numerator)], weight denominator): the
-        atoms as ints over the lcm q of their coordinate denominators,
-        computed once per measure."""
-        q = math.lcm(*(c.denominator for p, _ in self.atoms for c in p))
-        wden = math.lcm(*(w.denominator for _, w in self.atoms))
-        return q, [([c.numerator * (q // c.denominator) for c in p],
-                    w.numerator * (wden // w.denominator))
-                   for p, w in self.atoms], wden
-
-    def _atoms_on_ints(self, r: Fraction, centre: tuple[Fraction, ...] = ()):
-        """Closed-ball tests |x - p|^2 <= r^2 on ints, over the lcm Q of q
-        (see _atom_ints) and the denominators of r and `centre`: an atom p
-        is f p there, f = Q / q. Returns (f, r^2, centre, [(atom, weight
-        numerator)], weight denominator), r and the centre scaled by Q."""
-        q, pts, wden = self._atom_ints
-        big = math.lcm(q, r.denominator, *(c.denominator for c in centre))
-        return (big // q, (r.numerator * (big // r.denominator)) ** 2,
-                [c.numerator * (big // c.denominator) for c in centre],
-                pts, wden)
+        """(q, wden, first axes, prefix sums, points, weight numerators):
+        the atoms on ints (_int_atoms) sorted by their first axis (files
+        keep atoms in file order), prefix sums of the numerators over wden."""
+        q, pts, ns, wden = _int_atoms([p for p, _ in self.atoms],
+                                      [w for _, w in self.atoms], self.d)
+        pts, ns = zip(*sorted(zip(pts, ns)))
+        return (q, wden, [p[0] for p in pts],
+                list(itertools.accumulate(ns, initial=0)), pts, ns)
 
     # -- energy ------------------------------------------------------------------
 
@@ -555,12 +544,10 @@ class DyadicMeasureTree:
                     if sums[pk] * up != pm * den:
                         raise ValidationError(
                             f"mass not conserved under cube {pk} at level {n-1}")
-        if self.leaf_model == ATOMS:
-            if sum(w for _, w in self.atoms) != 1:
-                raise ValidationError("atom weights must sum to 1")
-            agg = _aggregate_atoms(self.atoms, self.d, self.max_depth)
-            if agg[-1] != self.tables[-1]:
-                raise ValidationError("atoms inconsistent with leaf masses")
+        if self.leaf_model == ATOMS and self.atomic(  # atoms as atomic() sums
+                [p for p, _ in self.atoms], [w for _, w in self.atoms], d,
+                self.max_depth).tables != self.tables:
+            raise ValidationError("atoms inconsistent with leaf masses")
 
 
 def _below_leaves(d: int, resolve):
@@ -649,25 +636,41 @@ def _split_masses(tree: DyadicSetTree, weights=None) -> Tables:
 
 
 def ancestor_tables(leaf: dict[int, Fraction], d: int, depth: int) -> Tables:
-    """Per-level tables built bottom-up from the level-`depth` masses in
-    `leaf`: every ancestor cube gets the sum of its descendants' numerators
-    over the leaf level's denominator, then each level is reduced."""
+    """Per-level tables summed up from the level-`depth` masses in `leaf`."""
     tbl, den = _over_lcm(leaf)
-    sums = [tbl]
-    for _ in range(depth):
-        above: dict[int, int] = {}
-        for key, m in sums[-1].items():
-            above[key >> d] = above.get(key >> d, 0) + m
-        sums.append(above)
-    return [_reduced(t, den) for t in reversed(sums)]
+    return _sums_up(*zip(*sorted(tbl.items())), den, d, depth)
 
 
-def _aggregate_atoms(atom_list, d: int, depth: int) -> Tables:
-    leaf: dict[int, Fraction] = {}
-    for p, w in atom_list:
-        key = cube_of_point(p, depth)
-        leaf[key] = leaf.get(key, Fraction(0)) + w
-    return ancestor_tables(leaf, d, depth)
+def _sums_up(keys, nums, den: int, d: int, depth: int) -> Tables:
+    """Reduced per-level tables from sorted level-`depth` keys (repeats add
+    up): a cube's numerator is the prefix-sum difference over its children."""
+    tables = []
+    for shift in (0,) + (d,) * depth:
+        runs = Counter(map(rshift, keys, repeat(shift)))
+        pre = list(itertools.accumulate(nums, initial=0))
+        ends = list(map(pre.__getitem__,
+                        itertools.accumulate(runs.values(), initial=0)))
+        keys, nums = list(runs), list(map(sub, ends[1:], ends))
+        tables.append(_reduced(dict(zip(keys, nums)), den))
+    return tables[::-1]
+
+
+def _int_atoms(pts, ws, d: int):
+    """(q, points, weight numerators, wden): checked Fraction atoms on ints
+    over q and wden, the lcms of the coordinate and weight denominators."""
+    if len(pts) != len(ws) or not pts:
+        raise ValidationError("points/weights length mismatch or empty")
+    wden = math.lcm(*(w.denominator for w in ws))
+    ns = [w.numerator * (wden // w.denominator) for w in ws]
+    if min(ns) <= 0:
+        raise ValidationError("atom weights must be positive")
+    if sum(ns) != wden:
+        raise ValidationError("atom weights must sum to 1")
+    q = math.lcm(*(c.denominator for p in pts for c in p))
+    xs = [c.numerator * (q // c.denominator) for p in pts for c in p]
+    if set(map(len, pts)) != {d} or min(xs) <= 0 or max(xs) > q:
+        raise ValidationError("atom outside the half-open unit cube")
+    return q, list(zip(*[iter(xs)] * d)), ns, wden
 
 
 def anti_frostman_measure(tree: DyadicSetTree,
@@ -686,21 +689,15 @@ def anti_frostman_measure(tree: DyadicSetTree,
     if lv[-1] > tree.max_depth:
         raise ValidationError("level beyond materialized depth")
     c = 1 / sum(Fraction(1, k * k) for k in lv)
-    agg: dict[tuple[Fraction, ...], Fraction] = {}
-    net_sizes: dict[int, int] = {}
-    for k in lv:
-        net = tree.representatives(k)
-        net_sizes[k] = len(net)
-        share = c / (k * k * len(net))
-        for p in net:
-            agg[p] = agg.get(p, Fraction(0)) + share
-    pts = sorted(agg)
-    ws = [agg[p] for p in pts]
-    mu = DyadicMeasureTree.atomic(pts, ws, tree.d, tree.max_depth,
-                                  {"kind": "anti_frostman", "levels": lv})
-    info = {"normalizer": c, "net_sizes": net_sizes,
-            "per_level_bound": {k: c / (k * k * net_sizes[k]) for k in lv}}
-    return mu, info
+    nets = {k: tree.representatives(k) for k in lv}
+    net_sizes = {k: len(net) for k, net in nets.items()}
+    bound = {k: c / (k * k * n) for k, n in net_sizes.items()}
+    mu = DyadicMeasureTree.atomic(  # which merges the points nets share
+        [p for net in nets.values() for p in net],
+        [w for k, n in net_sizes.items() for w in [bound[k]] * n],
+        tree.d, tree.max_depth, {"kind": "anti_frostman", "levels": lv})
+    return mu, {"normalizer": c, "net_sizes": net_sizes,
+                "per_level_bound": bound}
 
 
 def anti_frostman_check(tree: DyadicSetTree,
@@ -718,15 +715,9 @@ def anti_frostman_check(tree: DyadicSetTree,
     rows = []
     ok = True
     for k in sorted(set(int(k) for k in levels)):
-        r = Fraction(2, 1 << k)
-        bound = info["per_level_bound"][k]
-        worst = None
-        for x in centers:
-            m = mu.ball_mass_atoms(x, r)
-            if worst is None or m < worst:
-                worst = m
-            if m < bound:
-                ok = False
+        r, bound = Fraction(2, 1 << k), info["per_level_bound"][k]
+        worst = min(map(mu.ball_mass_atoms, centers, repeat(r)), default=None)
+        ok &= worst is None or worst >= bound
         rows.append({"level": k, "radius": r, "bound": bound,
                      "net_size": info["net_sizes"][k],
                      "min_ball_mass": worst, "centers": len(centers),

@@ -397,6 +397,40 @@ class TestCliEstimate:
         code, _, err = self._estimate_box(capsys, tmp_path, data)
         assert code == 2 and "malformed set payload" in err
 
+    @pytest.mark.parametrize("value", [1.9, 1.0, True, "1"])
+    @pytest.mark.parametrize("field", ["key", "d", "max_depth"])
+    def test_set_fields_must_be_json_integers(self, tmp_path, capsys, field,
+                                              value):
+        # cube keys, d and max_depth are JSON integers: a float, bool or
+        # string is not read as an int (1.9 was read as 1)
+        data = io.set_to_dict(cantor_tree(4))
+        if field == "key":
+            data["levels"][1][1] = value
+        else:
+            data[field] = value
+        code, _, err = self._estimate_box(capsys, tmp_path, data)
+        assert code == 2 and "malformed set payload" in err
+
+    def test_float_level_key_is_not_truncated(self, tmp_path):
+        p = tmp_path / "set.json"
+        p.write_text(json.dumps({"type": "set", "version": 1, "d": 1,
+                                 "max_depth": 1, "levels": [[0], [0, 1.9]],
+                                 "symbolic": None, "meta": {}}))
+        with pytest.raises(ValidationError, match="malformed set payload"):
+            io.load_json(p)
+        p.write_text(p.read_text().replace("1.9", "1"))
+        assert io.load_json(p).levels == [[0], [0, 1]]
+
+    @pytest.mark.parametrize("value", [1.0, True, "1"])
+    def test_measure_mass_keys_must_be_json_integers(self, tmp_path, capsys,
+                                                     value):
+        data = io.measure_to_dict(
+            DyadicMeasureTree.uniform_on_set(cantor_tree(4)))
+        assert data["masses"][1][1][0] == 1
+        data["masses"][1][1][0] = value
+        code, _, err = self._estimate_box(capsys, tmp_path, data)
+        assert code == 2 and "malformed measure payload" in err
+
     @pytest.mark.parametrize("tag", [5, "0xnothex"])
     def test_malformed_bighex_tag_is_validation_error(self, tmp_path, capsys,
                                                       tag):

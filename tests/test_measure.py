@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from decimal import Decimal, localcontext
@@ -31,6 +32,7 @@ from dimlab.measure import (
     anti_frostman_measure,
 )
 from dimlab.settree import DyadicSetTree
+from oracles import atom_ball_mass, atom_pair_sum, squared_distance
 
 
 def cantor_tree(depth):
@@ -48,10 +50,6 @@ def leaf_measure(tree, leaf):
                            ancestor_tables(leaf, tree.d, tree.max_depth))
     mu.validate()
     return mu
-
-
-def squared_distance(p, q):
-    return sum(((a - b) ** 2 for a, b in zip(p, q)), Fraction(0))
 
 
 def brute_force_ball_bracket(mu, r, cap):
@@ -1239,10 +1237,193 @@ def test_atom_ball_masses_match_fraction_oracle(mu, r, extra):
     r = r / 2
     centres = [p for p, _ in mu.atoms] + [c[:mu.d] for c in extra]
     for x in centres:
-        assert mu.ball_mass_atoms(x, r) == sum(
-            (w for p, w in mu.atoms if squared_distance(p, x) <= r * r),
-            Fraction(0))
+        assert mu.ball_mass_atoms(x, r) == atom_ball_mass(mu.atoms, x, r)
     b = mu.ball_correlation_bracket(r)
-    assert b.lower == b.upper == sum(
-        (w * v for p, w in mu.atoms for q, v in mu.atoms
-         if squared_distance(p, q) <= r * r), Fraction(0))
+    assert b.lower == b.upper == atom_pair_sum(mu.atoms, r)
+
+
+# rational unit vectors: an atom at x + r u lies exactly on the sphere of
+# radius r about x
+_UNIT_VECTORS = {
+    1: [(1,), (-1,)],
+    2: [(1, 0), (0, -1), (Fraction(3, 5), Fraction(4, 5)),
+        (Fraction(-4, 5), Fraction(3, 5)), (Fraction(5, 13), Fraction(-12, 13))],
+    3: [(1, 0, 0), (0, 0, -1), (Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)),
+        (Fraction(-2, 3), Fraction(1, 3), Fraction(-2, 3)),
+        (Fraction(3, 5), 0, Fraction(-4, 5))],
+}
+
+
+@st.composite
+def _sphere_cases(draw):
+    """(atoms in the order drawn, centre x, radius r) in d = 1, 2, 3:
+    random atoms, atoms exactly on the sphere of radius r about x and, when
+    drawn, one at x itself, shuffled, so they come out of order. x lies in
+    [1/3, 2/3]^d and r in (0, 1/4], so every atom lies in (0, 1]^d."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    x = tuple(Fraction(draw(st.integers(4, 8)), 12) for _ in range(d))
+    r = Fraction(draw(st.integers(1, 6)), draw(st.sampled_from([24, 25, 26])))
+    pts = draw(st.lists(st.tuples(*[_coords] * d), max_size=8))
+    pts += [tuple(c + r * u for c, u in zip(x, v)) for v in draw(
+        st.lists(st.sampled_from(_UNIT_VECTORS[d]), min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        pts.append(x)
+    pts = draw(st.permutations(pts))
+    ws = draw(st.lists(st.integers(1, 9), min_size=len(pts),
+                       max_size=len(pts)))
+    return [(p, Fraction(w, sum(ws))) for p, w in zip(pts, ws)], x, r
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_sphere_cases(), st.integers(0, 5))
+@example(([((Fraction(1, 4),), Fraction(1, 3)), ((Fraction(3, 4),),
+                                                  Fraction(2, 3))],
+          (Fraction(1, 2),), Fraction(1, 4)), 2)
+def test_atom_windows_match_brute_force(case, depth):
+    # ball masses and pair sums on ints, through the sorted first-axis
+    # windows, equal the scans of every atom and every pair: at centres on
+    # an atom and off the atoms, with atoms exactly on the sphere (and
+    # pairs exactly r apart), for atomic() (sorted, merged) and for the
+    # same atoms in the order given, as a measure file keeps them
+    atoms, x, r = case
+    d = len(x)
+    assert any(squared_distance(p, x) == r * r for p, _ in atoms)
+    mu = DyadicMeasureTree.atomic([p for p, _ in atoms],
+                                  [w for _, w in atoms], d, depth)
+    as_given = DyadicMeasureTree.from_masses(
+        mu.support, [dict(mu.level_masses(n)) for n in range(depth + 1)],
+        "atoms", atoms)
+    # eps is below one step of the atoms' grid and off it: a centre
+    # rr + eps from an atom along the first axis has that atom just outside
+    # the window, one grid step inside the bisect's rounding
+    eps = Fraction(1, 97 * math.lcm(*(c.denominator for p, _ in atoms
+                                      for c in p)))
+    for m in (mu, as_given):
+        for rr in (r, 2 * r, r / 3, r * Fraction(99, 100)):
+            near = [(p[0] + t * (rr + eps),) + p[1:]
+                    for p, _ in atoms[:3] for t in (1, -1)]
+            for c in [x] + [p for p, _ in atoms] + near:
+                assert m.ball_mass_atoms(c, rr) == atom_ball_mass(atoms, c,
+                                                                  rr)
+            b = m.ball_correlation_bracket(rr)
+            assert b.lower == b.upper == atom_pair_sum(atoms, rr)
+            assert b.cap_level == depth
+
+
+def oracle_atomic(pts, ws, d, depth):
+    """atomic() in Fractions: (sorted merged atoms, per-level tables,
+    support levels), or the message of the first check that fails: d and
+    depth before the atoms."""
+    if d < 1:
+        return "d must be >= 1"
+    if depth < 0:
+        return "depth must be >= 0"
+    if d * depth > 62:
+        return f"materialized keys need d*depth <= 62, got {d * depth}"
+    if len(pts) != len(ws) or not pts:
+        return "points/weights length mismatch or empty"
+    if any(w <= 0 for w in ws):
+        return "atom weights must be positive"
+    if sum(ws) != 1:
+        return "atom weights must sum to 1"
+    if any(len(p) != d or not all(0 < c <= 1 for c in p) for p in pts):
+        return "atom outside the half-open unit cube"
+    agg, leaf = {}, {}
+    for p, w in zip(pts, ws):
+        agg[p] = agg.get(p, Fraction(0)) + w
+    for p, w in agg.items():
+        key = cube_of_point(p, depth)
+        leaf[key] = leaf.get(key, Fraction(0)) + w
+    masses = oracle_ancestors(leaf, d, depth)
+    return sorted(agg.items()), masses, [sorted(t) for t in masses]
+
+
+@st.composite
+def _atomic_inputs(draw):
+    """(points, weights, d, depth) for atomic(): valid, or with a drawn
+    defect of the atoms, of d or depth, or of both."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    pts = draw(st.lists(st.tuples(*[_coords] * d), min_size=1, max_size=8))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))  # coincident
+    ws = draw(st.lists(st.integers(1, 9), min_size=len(pts),
+                       max_size=len(pts)))
+    ws = [Fraction(w, sum(ws)) for w in ws]
+    depth = draw(st.integers(0, 5))
+    i = draw(st.integers(0, len(pts) - 1))
+    defect = draw(st.sampled_from([None, "length", "empty", "weight", "sum",
+                                   "dimension", "zero", "above_one"]))
+    dims = draw(st.sampled_from([None, None, "d0", "depth", "wide"]))
+    if defect == "length":
+        ws = ws[:-1] if draw(st.booleans()) else ws + ws[:1]
+    elif defect == "empty":
+        pts, ws = [], []
+    elif defect == "weight":  # zero or negative, the total kept at 1
+        j = (i + 1) % len(ws)
+        w = draw(st.sampled_from([Fraction(0), -Fraction(1, 7)]))
+        ws[j] += ws[i] - w
+        ws[i] = w
+    elif defect == "sum":
+        ws[i] *= 2
+    elif defect == "dimension":
+        pts[i] = pts[i] + (Fraction(1, 2),) if draw(st.booleans()) \
+            else pts[i][1:]
+    elif defect in ("zero", "above_one"):
+        bad = Fraction(0) if defect == "zero" else Fraction(13, 12)
+        pts[i] = (bad,) + pts[i][1:]
+    if dims == "d0":
+        d = 0
+        if draw(st.booleans()):  # points of dimension 0 as well
+            pts = [() for _ in pts]
+    elif dims == "depth":
+        depth = -draw(st.integers(1, 3))
+    elif dims == "wide":  # keys beyond 2^62
+        depth = 62 // d + draw(st.integers(1, 3))
+    return pts, ws, d, depth
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_atomic_inputs())
+@example(([(), ()], [Fraction(1, 2)] * 2, 0, 3))
+@example(([(Fraction(1, 2),)], [Fraction(1)], 1, 63))
+@example(([(Fraction(1, 2), Fraction(1, 3))], [Fraction(1)], 2, 32))
+@example(([], [], 1, -1))
+def test_atomic_matches_fraction_oracle(case):
+    # the int construction gives the Fraction construction's atom list,
+    # tables and support, and the same ValidationError for each defect
+    pts, ws, d, depth = case
+    want = oracle_atomic(pts, ws, d, depth)
+    if isinstance(want, str):
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            DyadicMeasureTree.atomic(pts, ws, d, depth)
+        return
+    atoms, masses, levels = want
+    mu = DyadicMeasureTree.atomic(pts, ws, d, depth)
+    assert mu.atoms == atoms
+    assert mu.support.levels == levels
+    assert [dict(mu.level_masses(n)) for n in range(depth + 1)] == masses
+    mu.validate()
+
+
+@pytest.mark.parametrize("atoms, message", [
+    ([((Fraction(1, 4),), Fraction(1, 3)), ((Fraction(3, 4),), Fraction(2, 3)),
+      ((Fraction(3, 4),), Fraction(0))], "atom weights must be positive"),
+    ([((Fraction(1, 4),), Fraction(1, 3)), ((Fraction(3, 4),), Fraction(1, 3))],
+     "atom weights must sum to 1"),
+    ([((Fraction(1, 4),), Fraction(1, 3)), ((Fraction(3, 2),), Fraction(2, 3))],
+     "atom outside the half-open unit cube"),
+    ([((Fraction(1, 4),), Fraction(1, 3)), ((Fraction(3, 4), Fraction(1)),
+                                            Fraction(2, 3))],
+     "atom outside the half-open unit cube"),
+    ([((Fraction(1, 4),), Fraction(2, 3)), ((Fraction(3, 4),), Fraction(1, 3))],
+     "atoms inconsistent with leaf masses"),
+    ([], "points/weights length mismatch or empty"),
+])
+def test_atom_list_validation(atoms, message):
+    # a measure file's atom list is checked on ints as atomic() checks it,
+    # and must sum to the stored tables
+    mu = DyadicMeasureTree.atomic([(Fraction(1, 4),), (Fraction(3, 4),)],
+                                  [Fraction(1, 3), Fraction(2, 3)], 1, 3)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        DyadicMeasureTree.from_masses(
+            mu.support, [dict(mu.level_masses(n)) for n in range(4)],
+            "atoms", atoms)
