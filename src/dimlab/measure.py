@@ -2,17 +2,17 @@
 
 A measure assigns a rational mass to every selected cube, consistently
 (parent mass = sum of selected-child masses, root mass 1, positive mass
-exactly on selected cubes). Every measure stores these masses the same
-way, as int numerators over one reduced denominator per level (a canonical
-form: equal tables mean equal measures; Fractions are made only where a
-mass leaves the measure), built once when the measure is made, one level
-at a time: top-down by splitting each cube's mass among its selected
-children (uniform, random), the parents' runs of children read off the
-sorted next level, or bottom-up by summing deepest-level masses into their
-ancestors (atoms, construction stages). Below the deepest materialized
-level the measure is interpreted through a leaf model: "uniform" spreads
-each leaf's mass as normalized Lebesgue measure on the leaf cube, "atoms"
-concentrates it on an explicit finite point list.
+exactly on selected cubes), stored in every measure as int numerators over
+one reduced denominator per level (a canonical form: equal tables mean
+equal measures; Fractions are made only where a mass leaves the measure),
+built once, one level at a time: top-down by splitting each cube's mass
+among its selected children (uniform; random, its weights drawn in one pass
+in key order), each parent's children one run of the sorted next level, a
+level of one child per parent keeping the masses above; or bottom-up by
+summing deepest-level masses into their ancestors (atoms, construction
+stages). Below the deepest materialized level a leaf model interprets the
+measure: "uniform" spreads each leaf's mass as normalized Lebesgue measure
+on the leaf cube, "atoms" on an explicit finite point list.
 
 Ball quantities that a finite tree cannot pin down exactly are returned as
 two-sided brackets; dyadic quantities (cube masses, correlation sums over
@@ -144,37 +144,36 @@ class DyadicMeasureTree:
                                            repeat(depth)))
         tables = _sums_up(*zip(*sorted(zip(keys, ns))), wden, d, depth)
         src = dict(zip(ips, zip(pts, ws)))
-        if len(src) < len(ips):  # coincident points: one atom, summed
-            tot = dict.fromkeys(ips, 0)
-            for p, n in zip(ips, ns):
-                tot[p] += n
+        tot = dict.fromkeys(sorted(src), 0)  # coincident points: one atom
+        for p, n in zip(ips, ns):
+            tot[p] += n
+        tot, wden = _reduced(tot, wden)
+        if len(src) < len(ips):
             src = {p: (src[p][0], Fraction(n, wden)) for p, n in tot.items()}
         tree = DyadicSetTree(d, depth, [list(t) for t, _ in tables], None,
                              {"kind": "points", "count": len(src)})
-        return cls(tree, ATOMS, tables, [src[p] for p in sorted(src)],
-                   meta or {"kind": "atomic"})
+        mu = cls(tree, ATOMS, tables, list(map(src.get, tot)),
+                 meta or {"kind": "atomic"})
+        ips, ns = list(tot), list(tot.values())
+        mu._atom_ints = (q, wden, [p[0] for p in ips],
+                         list(itertools.accumulate(ns, initial=0)), ips, ns)
+        return mu
 
     @classmethod
     def random_split(cls, tree: DyadicSetTree, rng,
                      max_part: int = 9) -> "DyadicMeasureTree":
-        """Random exact-rational splits among selected children; useful for
-        seeded property sweeps. Each cube below the root, in key order,
-        draws the weight rng.randint(1, max_part), here by randint's own
-        getrandbits rejection loop inline, so the stream is the same."""
+        """Random exact-rational splits among selected children, for seeded
+        property sweeps: each cube below the root, level by level in key
+        order, draws rng.randint(1, max_part), here by randint's getrandbits
+        rejection in batches of the draws still missing (the same stream)."""
         if max_part < 1:
             raise ValidationError("max_part must be >= 1")
         bits, k = rng.getrandbits, max_part.bit_length()
-
-        def weights(n: int) -> list[int]:
-            out = []
-            for _ in range(n):
-                r = bits(k)
-                while r >= max_part:
-                    r = bits(k)
-                out.append(r + 1)
-            return out
-
-        tables = _split_masses(tree, weights)
+        ws, n = [], sum(map(len, tree.levels)) - 1
+        while len(ws) < n:
+            ws += [r + 1 for r in map(bits, repeat(k, n - len(ws)))
+                   if r < max_part]
+        tables = _split_masses(tree, ws)
         return cls(tree, UNIFORM, tables, None, {"kind": "random_split"})
 
     # -- mass queries --------------------------------------------------------
@@ -374,13 +373,11 @@ class DyadicMeasureTree:
     @functools.cached_property
     def _atom_ints(self):
         """(q, wden, first axes, prefix sums, points, weight numerators):
-        the atoms on ints (_int_atoms) sorted by their first axis (files
-        keep atoms in file order), prefix sums of the numerators over wden."""
-        q, pts, ns, wden = _int_atoms([p for p, _ in self.atoms],
-                                      [w for _, w in self.atoms], self.d)
-        pts, ns = zip(*sorted(zip(pts, ns)))
-        return (q, wden, [p[0] for p in pts],
-                list(itertools.accumulate(ns, initial=0)), pts, ns)
+        the atoms on ints (_int_atoms) merged and sorted, so by their first
+        axis, in lowest terms over wden. atomic() seeds it; another measure
+        takes it from atomic() at depth 0 (files keep atoms in file order)."""
+        return self.atomic([p for p, _ in self.atoms],
+                           [w for _, w in self.atoms], self.d, 0)._atom_ints
 
     # -- energy ------------------------------------------------------------------
 
@@ -535,13 +532,12 @@ class DyadicMeasureTree:
                 raise ValidationError("non-positive cube mass")
             if math.gcd(den, *tbl.values()) != 1:
                 raise ValidationError(f"level {n}: masses not in lowest terms")
-            if n > 0:
+            if n > 0:  # sums of the sorted level's runs, as _sums_up does
                 above, up = self.tables[n - 1]
-                sums = dict.fromkeys(above, 0)
-                for k, m in tbl.items():
-                    sums[k >> d] += m
+                (sums, sden), = _sums_up(list(map(rshift, keys, repeat(d))),
+                                         list(map(tbl.get, keys)), den, d, 0)
                 for pk, pm in above.items():
-                    if sums[pk] * up != pm * den:
+                    if sums[pk] * up != pm * sden:
                         raise ValidationError(
                             f"mass not conserved under cube {pk} at level {n-1}")
         if self.leaf_model == ATOMS and self.atomic(  # atoms as atomic() sums
@@ -604,33 +600,37 @@ def _over_lcm(tbl: dict[int, Fraction]) -> tuple[dict[int, int], int]:
             for k, m in tbl.items()}, den
 
 
-def _split_masses(tree: DyadicSetTree, weights=None) -> Tables:
+def _split_masses(tree: DyadicSetTree, ws=None) -> Tables:
     """Per-level tables built top-down from root mass 1, one level at a
     time: each cube's mass N / D is split among its selected children in
-    proportion to positive integer weights, weights(n) for a level's n
-    cubes in key order (equal weights when None). Over the lcm L of the
-    level's per-parent weight totals a child of weight p gets
-    N * (L // total) * p, over D * L."""
+    proportion to positive integer weights, ws in key order level by level
+    below the root (equal weights when None). Over the lcm L of the level's
+    per-parent weight totals a child of weight p gets N * (L // total) * p,
+    over D * L. On a level as long as the one above every parent has one
+    child, which keeps the parent's reduced N / D (tables are in key order)."""
     tables: Tables = [({0: 1}, 1)]
-    d = tree.d
+    d, it = tree.d, iter(ws or ())
     for level in range(tree.max_depth):
         nums, den = tables[level]
         kids = tree.levels[level + 1]
+        w = list(itertools.islice(it, len(kids)))
+        if len(kids) == len(nums):
+            tables.append((dict(zip(kids, nums.values())), den))
+            continue
         ups = [k >> d for k in kids]
         # the level is sorted: each parent's children are one run, and the
         # runs count in key order
         runs = Counter(ups)
-        if weights is None:
+        if ws is None:
             tots = list(runs.values())
         else:
-            ws = weights(len(kids))
             ends = list(itertools.accumulate(runs.values(), initial=0))
-            pre = list(itertools.accumulate(ws, initial=0))
+            pre = list(itertools.accumulate(w, initial=0))
             tots = [pre[b] - pre[a] for a, b in zip(ends, ends[1:])]
         lcm = math.lcm(*tots)
         scale = {u: nums[u] * (lcm // t) for u, t in zip(runs, tots)}
         per = map(scale.__getitem__, ups)
-        below = dict(zip(kids, per if weights is None else map(mul, per, ws)))
+        below = dict(zip(kids, per if ws is None else map(mul, per, w)))
         tables.append(_reduced(below, den * lcm))
     return tables
 

@@ -1,8 +1,11 @@
 """Tests for slope estimators, exact predicates, and the inequality chain."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -386,3 +389,19 @@ class TestCorrelationSandwich:
     def test_level_validation(self):
         with pytest.raises(ValidationError):
             correlation_sandwich(cantor_tree(4), [5])
+
+    def test_benchmark_seeded_rows_pin(self):
+        # the benchmark's corr-sandwich job at its default seed: the rows,
+        # Fractions written "p/q", hash to the pinned digest, which ties
+        # random_split's draws and tables to the pinned outputs
+        res = correlation_sandwich(cantor_tree(12), range(4, 13),
+                                   n_random=100, seed=20250819)
+        rows = [{k: f"{v.numerator}/{v.denominator}"
+                 if isinstance(v, Fraction) else v for k, v in row.items()}
+                for row in res["rows"]]
+        text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+        pins = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                           / "expected.json").read_text())
+        assert len(rows) == pins["corr-sandwich"]["rows"]
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == pins["corr-sandwich"]["rows_sha256"])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dimlab import constructions
+from dimlab import constructions, measure
 from dimlab.dyadic import (cube_of_point, cube_pair_geometry, deinterleave,
                            interleave)
 from dimlab.estimators import (_sup_ball_cover, packing_predicate,
@@ -1187,6 +1187,8 @@ MIXED_COUNTS = DyadicSetTree.from_codes(
 # two leaves that part at level 1, then a chain of single-child cubes as in
 # a sweep set: every equal split below level 1 has lcm 1
 SINGLE_CHILD_CHAIN = DyadicSetTree.from_codes(1, 12, [0, (1 << 12) - 1])
+# the same in 2-D: opposite corners part at level 1, then one child each
+ONE_CHILD_CHAIN_2D = DyadicSetTree.from_codes(2, 6, [0, (1 << 12) - 1])
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -1199,6 +1201,11 @@ SINGLE_CHILD_CHAIN = DyadicSetTree.from_codes(1, 12, [0, (1 << 12) - 1])
 @example(split_case(MIXED_COUNTS, "random_split", 5, 16), Fraction(1, 2))
 @example(split_case(SINGLE_CHILD_CHAIN, "uniform"), Fraction(1, 8))
 @example(split_case(SINGLE_CHILD_CHAIN, "random_split", 11), Fraction(1, 8))
+@example(split_case(SINGLE_CHILD_CHAIN, "random_split", 11, 1), Fraction(1, 8))
+# one-child and two-child levels alternate
+@example(split_case(cantor_tree(8), "random_split", 3), Fraction(1, 5))
+@example(split_case(ONE_CHILD_CHAIN_2D, "uniform"), Fraction(1, 4))
+@example(split_case(ONE_CHILD_CHAIN_2D, "random_split", 7), Fraction(1, 4))
 def test_int_tables_match_fraction_oracle(case, r):
     mu, masses, states = case
     if states is not None:
@@ -1402,6 +1409,35 @@ def test_atomic_matches_fraction_oracle(case):
     assert mu.support.levels == levels
     assert [dict(mu.level_masses(n)) for n in range(depth + 1)] == masses
     mu.validate()
+
+
+def test_atomic_seeds_its_int_atoms(monkeypatch):
+    # atomic() checks its atoms on ints once and keeps them, merged, sorted
+    # and in lowest terms, for the exact queries; a measure whose atom list
+    # comes another way (as from a file, in file order) gets the same ints
+    calls = []
+    real = measure._int_atoms
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(measure, "_int_atoms", counting)
+    a, b = (Fraction(3, 4), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 3))
+    quarter = Fraction(1, 4)
+    mu = DyadicMeasureTree.atomic([a, b, a], [quarter, 2 * quarter, quarter],
+                                  2, 4)
+    assert mu.atoms == [(b, Fraction(1, 2)), (a, Fraction(1, 2))]
+    assert mu.ball_mass_atoms(a, Fraction(1, 8)) == Fraction(1, 2)
+    assert len(calls) == 1
+    seeded = mu._atom_ints
+    assert seeded[:2] == (12, 2)  # q, and wden reduced from 4
+    del mu._atom_ints
+    assert mu._atom_ints == seeded
+    as_given = DyadicMeasureTree.from_masses(
+        mu.support, [dict(mu.level_masses(n)) for n in range(5)], "atoms",
+        mu.atoms[::-1])
+    assert as_given._atom_ints == seeded
 
 
 @pytest.mark.parametrize("atoms, message", [
