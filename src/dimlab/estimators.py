@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from operator import add
+from itertools import chain, product, repeat
+from operator import add, rshift
 
 from .dyadic import deinterleave
 from .exact import (ValidationError, cmp_pow2, cmp_rpow, le_rpow,
@@ -349,15 +349,21 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     Returns (threshold, per-exponent verdicts); threshold 0 when none hold.
 
     Same verdicts as packing_predicate at every grid exponent, from one
-    top-down pass over the levels. For a fixed cube of mass m at level n,
-    m <= 2^-ns is monotone in s, so the exponents it passes form a prefix
-    of the sorted grid; its length is found by bisection, once per (level,
-    mass numerator). A leaf then passes at the first k exponents, where k
-    is the smaller of the longest prefix passed by an ancestor in the first
-    half of the window and in the second half, and the predicate holds
-    exactly on the shortest such prefix over all leaves. Every selected
-    cube at the window's last level has a leaf below it, and each such
-    leaf has the same window ancestors, so the pass stops at that level.
+    top-down pass over the window's levels. For a fixed cube of mass m at
+    level n, m <= 2^-ns is monotone in s, so the exponents it passes form a
+    prefix of the sorted grid; its length is found by bisection, once per
+    (level, mass numerator). A leaf then passes at the first k exponents,
+    where k is the smaller of the longest prefix passed by an ancestor in
+    the first half of the window and in the second half, and the predicate
+    holds exactly on the shortest such prefix over all leaves. Each half
+    keeps its best prefixes as a list in key order; a level that branches
+    repeats each entry over the cube's run of descendants, then folds its
+    own prefixes in. A level with as many cubes only continues one-child
+    chains, which repeat their masses, and a mass passes no more exponents
+    deeper down (2^-ns falls with n for s > 0, is >= 1 for s <= 0), so it
+    is skipped once its half has been folded in on those chains. Every
+    cube at the window's last level has a leaf below it with the same
+    window ancestors, so the pass stops there.
     """
     if grid is None:
         grid = [Fraction(k, 20) for k in range(1, 21)]
@@ -370,17 +376,23 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     if lv[0] < 0 or lv[-1] > mu.max_depth:
         raise ValidationError("levels must lie within the measure depth")
     half = len(lv) - len(lv) // 2  # first-half length (ceil)
-    in_first = {n: i < half for i, n in enumerate(lv)}
-    d, nsv = mu.d, len(svs)
+    d, nsv, support = mu.d, len(svs), mu.support.levels
 
-    # level-n cube key -> the best prefix passed by the cube or an ancestor
-    # in the first half of the window, and in the second half
-    best = {0: (0, 0)}
-    for n in range(lv[-1] + 1):
-        nums, den = mu.tables[n]
-        if n not in in_first:
-            best = {key: best[key >> d] for key in nums}
+    # per half, the best prefix passed by each level-`at` cube or an
+    # ancestor in that half; halves come in order and level `at` was folded
+    # in, so the chains below it were folded into `last`, the latest half
+    best, at, last = [[0], [0]], 0, None
+    for i, n in enumerate(lv):
+        h, keys = int(i >= half), support[n]
+        if len(keys) != len(support[at]):
+            runs = Counter(map(rshift, keys, repeat(d * (n - at)))).values()
+            best = [list(chain.from_iterable(map(repeat, b, runs)))
+                    for b in best]
+            at = n
+        elif h == last:
             continue
+        last = h
+        nums, den = mu.tables[n]
         passed = {}  # numerator -> length of the grid prefix its mass passes
         for num in set(nums.values()):
             m, lo, hi = Fraction(num, den), 0, nsv
@@ -391,18 +403,9 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
                 else:
                     hi = mid
             passed[num] = lo
-        up, best = best, {}
-        if in_first[n]:
-            for key, num in nums.items():
-                a, b = up[key >> d]
-                k = passed[num]
-                best[key] = (k if k > a else a), b
-        else:
-            for key, num in nums.items():
-                a, b = up[key >> d]
-                k = passed[num]
-                best[key] = a, (k if k > b else b)
-    holds = min(nsv, min(map(min, best.values())))
+        best[h] = [x if x > k else k for x, k in zip(
+            best[h], map(passed.__getitem__, map(nums.__getitem__, keys)))]
+    holds = min(nsv, *map(min, best))
     tested = [(sv, "holds-on-window" if i < holds else "fails")
               for i, sv in enumerate(svs)]
     return (svs[holds - 1] if holds else Fraction(0)), tested

@@ -76,43 +76,37 @@ def pow2(e: int) -> Fraction:
 
 
 def cmp_pow2(a, e) -> int:
-    """Sign of a - 2**e for rational a and rational exponent e.
-
-    Decided exactly by raising both sides to e's denominator.
-    """
+    """Sign of a - 2**e for rational a and rational exponent e = p/q,
+    decided on ints: a**q against 2**p, times a's denominator**q."""
     a = to_fraction(a)
     e = to_fraction(e)
-    if a <= 0:
+    if a.numerator <= 0:
         return -1
-    q = e.denominator
-    p = e.numerator
-    lhs = a ** q
-    rhs = pow2(p)
-    if lhs < rhs:
-        return -1
-    if lhs > rhs:
-        return 1
-    return 0
+    q, p = e.denominator, e.numerator
+    lhs, rhs = a.numerator ** q, a.denominator ** q
+    if p >= 0:
+        rhs <<= p
+    else:
+        lhs <<= -p
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def cmp_rpow(a, r, s) -> int:
-    """Sign of a - r**s for rationals a, r > 0 and rational s >= 0."""
+    """Sign of a - r**s for rationals a, r > 0 and s = p/q, decided on
+    ints: a**q against r**p (= (1/r)**-p), cleared of denominators."""
     a = to_fraction(a)
     r = to_fraction(r)
     s = to_fraction(s)
-    if r <= 0:
+    if r.numerator <= 0:
         raise ValidationError("r must be positive")
-    if a <= 0:
+    if a.numerator <= 0:
         return -1
-    q = s.denominator
-    p = s.numerator
-    lhs = a ** q
-    rhs = r ** p
-    if lhs < rhs:
-        return -1
-    if lhs > rhs:
-        return 1
-    return 0
+    q, p = s.denominator, s.numerator
+    rn, rd = (r.numerator, r.denominator) if p >= 0 else \
+        (r.denominator, r.numerator)
+    lhs = a.numerator ** q * rd ** abs(p)
+    rhs = a.denominator ** q * rn ** abs(p)
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def le_rpow(a, r, s) -> bool:

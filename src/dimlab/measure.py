@@ -374,8 +374,9 @@ class DyadicMeasureTree:
     def _atom_ints(self):
         """(q, wden, first axes, prefix sums, points, weight numerators):
         the atoms on ints (_int_atoms) merged and sorted, so by their first
-        axis, in lowest terms over wden. atomic() seeds it; another measure
-        takes it from atomic() at depth 0 (files keep atoms in file order)."""
+        axis, in lowest terms over wden. atomic() seeds it, validate() too;
+        another measure takes it from atomic() at depth 0 (atom lists may
+        come in any order)."""
         return self.atomic([p for p, _ in self.atoms],
                            [w for _, w in self.atoms], self.d, 0)._atom_ints
 
@@ -540,10 +541,12 @@ class DyadicMeasureTree:
                     if sums[pk] * up != pm * sden:
                         raise ValidationError(
                             f"mass not conserved under cube {pk} at level {n-1}")
-        if self.leaf_model == ATOMS and self.atomic(  # atoms as atomic() sums
-                [p for p, _ in self.atoms], [w for _, w in self.atoms], d,
-                self.max_depth).tables != self.tables:
-            raise ValidationError("atoms inconsistent with leaf masses")
+        if self.leaf_model == ATOMS:  # atoms as atomic() sums, ints kept
+            nu = self.atomic([p for p, _ in self.atoms],
+                             [w for _, w in self.atoms], d, self.max_depth)
+            if nu.tables != self.tables:
+                raise ValidationError("atoms inconsistent with leaf masses")
+            self._atom_ints = nu._atom_ints
 
 
 def _below_leaves(d: int, resolve):

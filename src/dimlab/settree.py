@@ -17,6 +17,8 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import lt, rshift
 from typing import Iterable, Sequence
 
 from .dyadic import cube_of_point, deinterleave
@@ -235,8 +237,13 @@ class DyadicSetTree:
             raise ValidationError("level list length != max_depth + 1")
         if self.levels[0] != [0]:
             raise ValidationError("root level must be exactly the unit cube")
+        # a strictly sorted level lies in range iff its two ends do; the
+        # key-by-key scan runs only to name the first defect of a bad level
         for n, keys in enumerate(self.levels):
             top = 1 << (self.d * n)
+            if not keys or (keys[0] >= 0 and keys[-1] < top
+                            and all(map(lt, keys, keys[1:]))):
+                continue
             prev = -1
             for k in keys:
                 if not (0 <= k < top):
@@ -248,7 +255,8 @@ class DyadicSetTree:
         # above iff every cube has a selected parent and every parent a child
         for n in range(1, self.max_depth + 1):
             parents = self.levels[n - 1]
-            ups = list(dict.fromkeys(k >> self.d for k in self.levels[n]))
+            ups = list(dict.fromkeys(map(rshift, self.levels[n],
+                                         repeat(self.d))))
             if ups == parents:
                 continue
             selected = set(parents)

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dimlab.exact import (
     ValidationError,
@@ -21,6 +23,7 @@ from dimlab.exact import (
     snap_to_dyadic,
     to_fraction,
 )
+from oracles import fraction_cmp_pow2, fraction_cmp_rpow
 
 
 class TestToFraction:
@@ -131,6 +134,60 @@ class TestCmpRpow:
                     if abs(want) > 1e-9:
                         got = cmp_rpow(a, r, s)
                         assert got == (1 if want > 0 else -1)
+
+
+# numerators from zero and below up past 2^200; exponents p/q with p < 0,
+# p = 0 and p > 0, some written "kp/kq" (reducible, as a string)
+_NUMS = st.one_of(st.integers(-3, 40), st.integers(2 ** 200, 2 ** 210))
+_RATS = st.builds(Fraction, _NUMS,
+                  st.one_of(st.integers(1, 40), st.integers(1, 2 ** 70)))
+_EXPS = st.builds(lambda p, q, k: f"{k * p}/{k * q}" if k > 1 else
+                  Fraction(p, q), st.integers(-40, 40), st.integers(1, 9),
+                  st.integers(1, 3))
+
+
+@st.composite
+def _ties(draw):
+    """(a, r, s) with a = r**s exactly: r = b**q and a = b**p, s = p/q."""
+    b = draw(st.builds(Fraction, st.integers(1, 2 ** 70), st.integers(1, 99)))
+    p, q = draw(st.integers(-12, 12)), draw(st.integers(1, 6))
+    return b ** p, b ** q, Fraction(p, q)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.tuples(_RATS, _RATS.filter(lambda r: r > 0), _EXPS),
+                 _ties()))
+@example((Fraction(0), Fraction(1, 7), Fraction(0)))
+@example((Fraction(1), Fraction(1, 7), Fraction(0)))
+@example((Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 2)))
+@example((Fraction(-3), Fraction(1, 7), Fraction(1, 2)))
+@example((Fraction(4), Fraction(1, 8), Fraction(-2, 3)))
+@example((Fraction(2 ** 201 + 1, 3), Fraction(2 ** 203, 5), Fraction(7, 4)))
+def test_cmp_rpow_matches_fraction_powers(case):
+    a, r, s = case
+    assert cmp_rpow(a, r, s) == fraction_cmp_rpow(a, r, s)
+    assert le_rpow(a, r, s) == (fraction_cmp_rpow(a, r, s) <= 0)
+
+
+@st.composite
+def _pow2_near_ties(draw):
+    """(a, e) with a = 2**k, or 2**k moved by 1/2^200, and e = k."""
+    k = draw(st.integers(-30, 30))
+    nudge = draw(st.sampled_from([0, 1, -1]))
+    return Fraction(2) ** k + Fraction(nudge, 2 ** 200), Fraction(k)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.tuples(_RATS, _EXPS), _pow2_near_ties()))
+@example((Fraction(0), Fraction(-3)))
+@example((Fraction(-5, 2), Fraction(0)))
+@example((Fraction(-3), Fraction(1, 2)))
+@example((Fraction(1), Fraction(0)))
+@example((Fraction(1, 3), Fraction(-1)))
+@example((Fraction(2 ** 205 + 3, 2 ** 3), Fraction(1231, 6)))
+def test_cmp_pow2_matches_fraction_powers(case):
+    a, e = case
+    assert cmp_pow2(a, e) == fraction_cmp_pow2(a, e)
 
 
 class TestLogs:

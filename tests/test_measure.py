@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dimlab import constructions, measure
+from dimlab import constructions, io, measure
 from dimlab.dyadic import (cube_of_point, cube_pair_geometry, deinterleave,
                            interleave)
 from dimlab.estimators import (_sup_ball_cover, packing_predicate,
@@ -1438,6 +1438,13 @@ def test_atomic_seeds_its_int_atoms(monkeypatch):
         mu.support, [dict(mu.level_masses(n)) for n in range(5)], "atoms",
         mu.atoms[::-1])
     assert as_given._atom_ints == seeded
+    # a measure loaded from a file checks its atoms once, in validate(),
+    # and keeps the ints for its queries
+    calls.clear()
+    loaded = io.measure_from_dict(io.measure_to_dict(mu))
+    assert loaded.ball_mass_atoms(a, Fraction(1, 8)) == Fraction(1, 2)
+    assert len(calls) == 1
+    assert loaded._atom_ints == seeded
 
 
 @pytest.mark.parametrize("atoms, message", [

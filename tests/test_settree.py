@@ -13,6 +13,7 @@ from dimlab.settree import (
     SegmentCounts,
     SymbolicCounts,
 )
+from oracles import first_key_defect
 
 
 def cantor_tree(depth):
@@ -137,13 +138,70 @@ class TestValidate:
 
     def test_unsorted_level_is_caught(self):
         bad = DyadicSetTree(1, 1, [[0], [1, 0]], None, {})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="^level 1 keys not strictly sorted$"):
             bad.validate()
 
     def test_key_out_of_range_is_caught(self):
         bad = DyadicSetTree(1, 1, [[0], [2]], None, {})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="^key 2 out of range at level 1$"):
             bad.validate()
+
+    def test_key_defects_match_first_defect_oracle(self):
+        # one to three defects injected into valid levels; the message names
+        # the first one, level by level and in list order, as the oracle's
+        # scan of every key does
+        def inject(levels, d, rng):
+            n = rng.randint(1, len(levels) - 1)
+            keys, top = levels[n], 1 << (d * n)
+            i = rng.randrange(len(keys))
+            kind = rng.choice(["negative", "past-end", "past-middle",
+                               "duplicate", "swap"])
+            if kind == "negative":
+                keys[i] = -rng.randint(1, top)
+            elif kind == "past-end":
+                keys[-1] = top + rng.randrange(top)
+            elif kind == "past-middle":
+                keys[i] = top + rng.randrange(top)
+            elif kind == "duplicate" or len(keys) == 1:
+                keys.insert(i, keys[i])
+            else:
+                j = rng.randrange(len(keys) - 1)
+                keys[j], keys[j + 1] = keys[j + 1], keys[j]
+
+        rng = random.Random(23)
+        checked = 0
+        for _ in range(600):
+            d, depth = rng.choice([1, 2, 3]), rng.randint(1, 5)
+            top = 1 << (d * depth)
+            keys = rng.sample(range(top), rng.randint(1, min(12, top)))
+            levels = DyadicSetTree.from_codes(d, depth, keys).levels
+            for _ in range(rng.randint(1, 3)):
+                inject(levels, d, rng)
+            want = first_key_defect(levels, d)
+            if want is None:  # a second swap undid the first
+                continue
+            checked += 1
+            with pytest.raises(ValidationError) as err:
+                DyadicSetTree(d, depth, levels, None, {}).validate()
+            assert str(err.value) == want
+        assert checked > 550
+
+    @pytest.mark.parametrize("level, want", [
+        ([0, 5, 2, 1], "key 5 out of range at level 1"),  # range first
+        ([3, -1, 2], "key -1 out of range at level 1"),  # range, unsorted
+        ([2, 1, 3, 7], "level 1 keys not strictly sorted"),  # order first
+        ([1, 2, 3, 4], "key 4 out of range at level 1"),  # sorted, last key
+        ([-2, 1, 2, 3], "key -2 out of range at level 1"),  # sorted, first
+        ([1, 1, 2, 3], "level 1 keys not strictly sorted"),  # duplicate
+    ])
+    def test_first_key_defect_wins(self, level, want):
+        bad = DyadicSetTree(2, 2, [[0], level, [0]], None, {})
+        assert first_key_defect(bad.levels, 2) == want
+        with pytest.raises(ValidationError) as err:
+            bad.validate()
+        assert str(err.value) == want
 
     def test_root_must_be_unit_cube(self):
         bad = DyadicSetTree(1, 1, [[], [0]], None, {})
