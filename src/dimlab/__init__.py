@@ -12,7 +12,6 @@ from .constructions import (
     AlternatingPlan,
     FrostmanStageReport,
     SweepPlan,
-    alternating_correlation_exponents,
     alternating_measure,
     alternating_plan,
     alternating_set,
@@ -24,7 +23,7 @@ from .constructions import (
     verify_sweep_plan,
     verify_sweep_set,
 )
-from .dyadic import cube_of_point, cube_pair_geometry
+from .dyadic import cube_of_point
 from .estimators import (
     InequalityReport,
     PredicateReport,

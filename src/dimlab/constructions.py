@@ -257,15 +257,6 @@ def alternating_measure(plan: AlternatingPlan, m: int) -> DyadicMeasureTree:
     return mu
 
 
-def alternating_correlation_exponents(plan: AlternatingPlan,
-                                      levels: Sequence[int]) -> list[tuple[int, int]]:
-    """(level, -log2 of the dyadic correlation sum) pairs, symbolically.
-
-    Equal masses make the correlation sum exactly 1/#C_n = 2^-E(n).
-    """
-    return [(n, plan.doubling_exponent(n)) for n in levels]
-
-
 # ---------------------------------------------------------------------------
 # sweep construction
 # ---------------------------------------------------------------------------

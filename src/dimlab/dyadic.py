@@ -12,10 +12,7 @@ range, which is what makes sorted-key level lists searchable with bisect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .exact import ValidationError, dyadic_index, pow2
+from .exact import dyadic_index
 
 
 def interleave(index: tuple[int, ...], level: int) -> int:
@@ -47,52 +44,11 @@ def cube_of_point(point, level: int) -> int:
     return interleave(tuple(dyadic_index(x, level) for x in pt), level)
 
 
-@dataclass(frozen=True)
-class CubePairGeometry:
-    """Exact squared distances between the closures of two cubes."""
-
-    min_dist_sq: Fraction
-    max_dist_sq: Fraction
-
-
-def cube_pair_geometry(a: tuple[int, tuple[int, ...]],
-                       b: tuple[int, tuple[int, ...]]) -> CubePairGeometry:
-    """Min and max distance between the closures of two cubes, each given
-    as a (level, index tuple) pair, exactly.
-
-    Works for cubes at different levels. Per axis, with intervals
-    [lo1, hi1] and [lo2, hi2]: the gap is max(0, lo2-hi1, lo1-hi2) and the
-    farthest separation is max(hi2-lo1, hi1-lo2).
-    """
-    (la, ja), (lb, jb) = a, b
-    if len(ja) != len(jb):
-        raise ValidationError("dimension mismatch")
-    sa, sb = pow2(-la), pow2(-lb)
-    min_sq = Fraction(0)
-    max_sq = Fraction(0)
-    for i, j in zip(ja, jb):
-        lo1, hi1 = i * sa, (i + 1) * sa
-        lo2, hi2 = j * sb, (j + 1) * sb
-        gap = max(Fraction(0), lo2 - hi1, lo1 - hi2)
-        far = max(hi2 - lo1, hi1 - lo2)
-        min_sq += gap * gap
-        max_sq += far * far
-    return CubePairGeometry(min_sq, max_sq)
-
-
-def same_level_axis_bounds(d: int, j_a: tuple[int, ...], j_b: tuple[int, ...]) -> tuple[int, int]:
-    """For two level-n cubes given by index tuples, returns integer
-    (sum of squared per-axis gaps, sum of squared per-axis reaches) in units
-    of the cube side: true min_dist^2 = gaps * 4^-n, max dist^2 = reach * 4^-n."""
-    gaps = 0
-    reach = 0
-    for i in range(d):
-        delta = j_a[i] - j_b[i]
-        if delta < 0:
-            delta = -delta
-        g = delta - 1 if delta > 0 else 0
-        m = delta + 1
-        gaps += g * g
-        reach += m * m
-    return gaps, reach
-
+def offset_bounds(offsets) -> tuple[int, int]:
+    """(gaps, reach) of two same-level cubes whose index tuples differ by
+    the non-negative per-axis offsets: the squared min and max distances
+    between their closures, in units of the squared cube side. Per axis an
+    offset x leaves a gap of x - 1 sides (none when x = 0) and a reach of
+    x + 1 sides."""
+    return (sum((x - 1) ** 2 for x in offsets if x),
+            sum((x + 1) ** 2 for x in offsets))

@@ -19,8 +19,8 @@ from itertools import chain, product, repeat
 from operator import add, rshift
 
 from .dyadic import deinterleave
-from .exact import (ValidationError, cmp_pow2, cmp_rpow, le_rpow,
-                    level_for_radius, log2_fraction, to_fraction)
+from .exact import (ValidationError, cmp_pow2, cmp_rpow, diameter_level,
+                    le_rpow, level_for_radius, log2_fraction, to_fraction)
 from .measure import DyadicMeasureTree
 from .settree import DyadicSetTree
 
@@ -127,6 +127,15 @@ def slope_fit(points, window_len: int | None = None) -> SlopeTriple:
 # box and correlation dimension proxies
 
 
+def _level_slopes(tree, levels, window_len, value) -> SlopeTriple:
+    """slope_fit of (n, value(n)) over the sorted distinct levels, by
+    default 1..max_depth."""
+    if levels is None:
+        levels = range(1, tree.max_depth + 1)
+    lv = sorted(set(int(n) for n in levels))
+    return slope_fit([(n, value(n)) for n in lv], window_len)
+
+
 def box_dims(tree: DyadicSetTree, levels=None,
              window_len: int | None = None) -> SlopeTriple:
     """Slope estimates of log2 box_count(n) against n.
@@ -134,33 +143,25 @@ def box_dims(tree: DyadicSetTree, levels=None,
     Levels beyond the materialized depth are fine when the tree carries
     symbolic counts.
     """
-    if levels is None:
-        levels = range(1, tree.max_depth + 1)
-    lv = sorted(set(int(n) for n in levels))
-    pts = [(n, math.log2(tree.box_count(n))) for n in lv]
-    return slope_fit(pts, window_len)
+    return _level_slopes(tree, levels, window_len,
+                         lambda n: math.log2(tree.box_count(n)))
 
 
 def correlation_dims(mu: DyadicMeasureTree, levels=None,
                      window_len: int | None = None) -> SlopeTriple:
     """Slope estimates of -log2 sum(mass^2) against n: the dyadic
     correlation-sum reading of correlation dimension."""
-    if levels is None:
-        levels = range(1, mu.max_depth + 1)
-    lv = sorted(set(int(n) for n in levels))
-    pts = [(n, -log2_fraction(mu.dyadic_correlation_sum(n))) for n in lv]
-    return slope_fit(pts, window_len)
+    return _level_slopes(
+        mu, levels, window_len,
+        lambda n: -log2_fraction(mu.dyadic_correlation_sum(n)))
 
 
 def frostman_slope(mu: DyadicMeasureTree, levels=None,
                    window_len: int | None = None) -> SlopeTriple:
     """Slope estimates of -log2 max cube mass against n: the decay exponent
     of the measure's worst cube, a Frostman-exponent proxy."""
-    if levels is None:
-        levels = range(1, mu.max_depth + 1)
-    lv = sorted(set(int(n) for n in levels))
-    pts = [(n, -log2_fraction(mu.max_cube_mass(n))) for n in lv]
-    return slope_fit(pts, window_len)
+    return _level_slopes(mu, levels, window_len,
+                         lambda n: -log2_fraction(mu.max_cube_mass(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +209,6 @@ def _sup_ball_cover(mu: DyadicMeasureTree, r: Fraction, n: int) -> Fraction:
         for c in corners:
             blocks[tuple(map(add, idx, c))] += m
     return Fraction(max(blocks.values()), den)
-
-
-def _diam_le_r_level(d: int, r: Fraction) -> int:
-    """Least level m with cube diameter sqrt(d) 2^-m <= r."""
-    m = 0
-    r2 = r * r
-    while d > r2 * (1 << (2 * m)):
-        m += 1
-    return m
 
 
 def correlation_predicates(mu: DyadicMeasureTree, s, radii,
@@ -270,7 +262,7 @@ def correlation_predicates(mu: DyadicMeasureTree, s, radii,
             if cmp_rpow(worst, r, sf) > 0:
                 st = "fail"
         else:
-            m = _diam_le_r_level(mu.d, r)
+            m = diameter_level(mu.d, r)
             if m <= mu.max_depth and cmp_rpow(mu.max_cube_mass(m), r, sf) > 0:
                 st = "fail"
         sup.records.append({"radius": r, "level": n, "cover_bound": bound,

@@ -113,48 +113,29 @@ def le_rpow(a, r, s) -> bool:
     return cmp_rpow(a, r, s) <= 0
 
 
-def floor_log2(x) -> int:
-    """Largest integer e with 2**e <= x, for rational x > 0."""
-    f = to_fraction(x)
-    if f <= 0:
-        raise ValidationError("floor_log2 needs a positive argument")
-    num, den = f.numerator, f.denominator
-    e = num.bit_length() - den.bit_length()
-    # e is within 1 of the answer; fix up exactly.
-    while not _ge_pow2_int(num, den, e):
-        e -= 1
-    while _ge_pow2_int(num, den, e + 1):
-        e += 1
-    return e
-
-
-def _ge_pow2_int(num: int, den: int, e: int) -> bool:
-    # num/den >= 2**e
-    if e >= 0:
-        return num >= den << e
-    return num << (-e) >= den
-
-
-def ceil_log2(x) -> int:
-    """Smallest integer e with x <= 2**e, for rational x > 0."""
-    e = floor_log2(x)
-    if to_fraction(x) == pow2(e):
-        return e
-    return e + 1
-
-
 def level_for_radius(r) -> int:
     """The level n with 2**-(n+2) <= r < 2**-(n+1).
 
     Radii above 1/4 map to n = 0 (coarsest useful level); r must be > 0.
+    With k = (den - 1) // num, the largest int below 1/r, 2**e <= k holds
+    exactly when 2**e < 1/r, so n + 2 = k.bit_length() is the least e with
+    1/r <= 2**e.
     """
     f = to_fraction(r)
     if f <= 0:
         raise ValidationError("radius must be positive")
-    if f >= Fraction(1, 4):
-        return 0
-    e = ceil_log2(1 / f)  # smallest e with 1/r <= 2**e, e >= 3 here
-    return e - 2
+    return max(0, ((f.denominator - 1) // f.numerator).bit_length() - 2)
+
+
+def diameter_level(d: int, r) -> int:
+    """The least level m whose cubes have diameter at most r: d 4**-m <= r**2.
+
+    With c = ceil(d / r**2), 4**m >= c exactly when 2**(2m) > c - 1, that is
+    2m >= (c - 1).bit_length().
+    """
+    f = to_fraction(r)
+    c = -(-d * f.denominator ** 2 // f.numerator ** 2)
+    return ((c - 1).bit_length() + 1) // 2
 
 
 def dyadic_index(x, n: int) -> int:

@@ -35,10 +35,11 @@ from itertools import repeat
 from operator import add, mul, rshift, sub
 from typing import Sequence
 
-from .dyadic import deinterleave, interleave, same_level_axis_bounds
+from .dyadic import deinterleave, interleave, offset_bounds
 from .exact import (
     UnsupportedModelError,
     ValidationError,
+    diameter_level,
     to_fraction,
 )
 from .settree import DyadicSetTree, _check_dims
@@ -246,11 +247,9 @@ class DyadicMeasureTree:
         r2 = rf * rf
         r2n, r2d = r2.numerator, r2.denominator
         dd = self.d
-        # smallest level with d * 4^-L <= r^2, so same-cube pairs resolve
-        cap = 0
-        while dd * r2d > r2n << (2 * cap):
-            cap += 1
-        cap += max(0, extra_depth)
+        # below the level whose cube diameter fits under r, so that
+        # same-cube pairs resolve
+        cap = diameter_level(dd, rf) + max(0, extra_depth)
 
         def resolve(level, gaps, reach):
             """(inside, inside or straddling) counts of the ordered cap-level
@@ -287,14 +286,13 @@ class DyadicMeasureTree:
             for ib in range(ia, len(rows)):
                 v, js_b, _, row_b, pre_b = rows[ib]
                 off = [abs(x - y) for x, y in zip(u, v)]
-                gaps = sum((x - 1) ** 2 for x in off if x)
+                gaps, reach = offset_bounds(off)
                 if gaps > rho:
                     # rows sort by their first axis: once that offset
                     # alone is out of reach, so are the rows after
                     if off[0] and (off[0] - 1) ** 2 > rho:
                         break
                     continue
-                reach = sum((x + 1) ** 2 for x in off)
                 t_in = math.isqrt(rho - reach) - 1 if reach <= rho else -1
                 t_out = math.isqrt(rho - gaps) + 1
                 w = 1 if ia == ib else 2  # the mirrored row pair
@@ -313,7 +311,7 @@ class DyadicMeasureTree:
 
         # a level-m pair splits into 4^(d (cap - m)) ordered cap-level pairs
         unit = 1 << (2 * dd * (cap - m))
-        below, _ = _below_leaves(dd, resolve)
+        below, _ = _below_leaves(resolve)
         lower, upper = inside * unit, inside * unit
         for off, h in hist.items():
             lo, hi = below(m, off)
@@ -358,6 +356,8 @@ class DyadicMeasureTree:
         pt, r = tuple(map(to_fraction, point)), to_fraction(r)
         if len(pt) != self.d:
             raise ValidationError("point dimension mismatch")
+        if r.numerator < 0:
+            raise ValidationError("radius must be >= 0")
         q, wden, xs, pre, pts, ns = self._atom_ints
         big = math.lcm(q, *(c.denominator for c in pt))
         f, x = big // q, [c.numerator * (big // c.denominator) for c in pt]
@@ -464,7 +464,7 @@ class DyadicMeasureTree:
             bins = defaultdict(float)  # H over sorted offsets
             for off, h in zip(offsets.tolist(), hist.tolist()):
                 bins[tuple(sorted(off))] += h
-            below, memo = _below_leaves(d, resolve)
+            below, memo = _below_leaves(resolve)
             # mass product over 4^(-d L): the power of two scales exactly
             scale = float(1 << (2 * d * L))
             lower, upper = (scale * math.fsum(h * below(L, off)[i] for off, h
@@ -549,7 +549,7 @@ class DyadicMeasureTree:
             self._atom_ints = nu._atom_ints
 
 
-def _below_leaves(d: int, resolve):
+def _below_leaves(resolve):
     """(below, memo): the terms of a cube pair below the leaves, memoised
     per (level, sorted per-axis index offsets).
 
@@ -562,12 +562,11 @@ def _below_leaves(d: int, resolve):
     resolve scales its (lower, upper) values so that this sum needs no
     rescaling."""
     memo = {}  # (level, sorted axis offsets) -> below(level, offsets)
-    origin = (0,) * d
 
     def below(level, offset):
         got = memo.get((level, offset))
         if got is None:
-            got = resolve(level, *same_level_axis_bounds(d, offset, origin))
+            got = resolve(level, *offset_bounds(offset))
             if got is None:
                 lo = hi = 0
                 # per axis, child offsets with their multiplicities

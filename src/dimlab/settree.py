@@ -319,17 +319,6 @@ class DyadicSetTree:
         return [tuple((j + 1) * side for j in deinterleave(k, n, self.d))
                 for k in self.levels[n]]
 
-    # -- derived trees ----------------------------------------------------
-
-    def union(self, other: "DyadicSetTree") -> "DyadicSetTree":
-        if other.d != self.d:
-            raise ValidationError("dimension mismatch")
-        depth = min(self.max_depth, other.max_depth)
-        levels = [_merge_sorted(self.levels[n], other.levels[n])
-                  for n in range(depth + 1)]
-        return DyadicSetTree(self.d, depth, levels, None,
-                             {"kind": "union"})
-
 
 def _check_dims(d: int, depth: int) -> None:
     if d < 1:
@@ -339,26 +328,6 @@ def _check_dims(d: int, depth: int) -> None:
     if d * depth > 62:
         raise ValidationError(
             f"materialized keys need d*depth <= 62, got {d * depth}")
-
-
-def _merge_sorted(a: list[int], b: list[int]) -> list[int]:
-    out: list[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        x, y = a[i], b[j]
-        if x < y:
-            out.append(x)
-            i += 1
-        elif y < x:
-            out.append(y)
-            j += 1
-        else:
-            out.append(x)
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
 
 
 def _levels_from_deepest(d: int, depth: int, deepest_keys: list[int]) -> list[list[int]]:

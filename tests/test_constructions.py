@@ -12,7 +12,6 @@ import pytest
 from dimlab.constructions import (
     AlternatingPlan,
     FrostmanStageReport,
-    alternating_correlation_exponents,
     alternating_measure,
     alternating_plan,
     alternating_set,
@@ -179,10 +178,6 @@ class TestAlternatingSet:
         # stage 3 truncates at level 276, past the 62-bit key budget
         with pytest.raises(UnavailableError):
             alternating_measure(plan, 3)
-
-    def test_correlation_exponents(self, plan):
-        got = alternating_correlation_exponents(plan, [4, 10, 24, 5770])
-        assert got == [(4, 1), (10, 7), (24, 7), (5770, 4039)]
 
 
 class TestSweepPlan:

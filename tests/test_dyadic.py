@@ -5,14 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from dimlab.dyadic import (
-    cube_of_point,
-    cube_pair_geometry,
-    deinterleave,
-    interleave,
-    same_level_axis_bounds,
-)
+from dimlab.dyadic import (cube_of_point, deinterleave, interleave,
+                           offset_bounds)
 from dimlab.exact import ValidationError, pow2
+from oracles import cube_pair_geometry
 
 
 class TestInterleave:
@@ -65,6 +61,9 @@ class TestCubeOfPoint:
 
 
 class TestCubePairGeometry:
+    """The closure-distance oracle that offset_bounds and the pair brackets
+    are checked against."""
+
     def test_identical_cube(self):
         c = (2, (1, 2))
         g = cube_pair_geometry(c, c)
@@ -101,7 +100,7 @@ class TestCubePairGeometry:
         assert g.max_dist_sq == Fraction(36 + 49, 64)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError):
             cube_pair_geometry((1, (0,)), (1, (0, 0)))
 
     def test_symmetry_random(self):
@@ -118,14 +117,14 @@ class TestCubePairGeometry:
             assert g1.min_dist_sq <= g1.max_dist_sq
 
 
-def test_same_level_axis_bounds_matches_geometry():
+def test_offset_bounds_matches_geometry():
     rng = random.Random(5)
     for _ in range(200):
         d = rng.randrange(1, 4)
         n = rng.randrange(0, 6)
         ja = tuple(rng.randrange(1 << n) for _ in range(d))
         jb = tuple(rng.randrange(1 << n) for _ in range(d))
-        gaps, reach = same_level_axis_bounds(d, ja, jb)
+        gaps, reach = offset_bounds([abs(a - b) for a, b in zip(ja, jb)])
         g = cube_pair_geometry((n, ja), (n, jb))
         assert g.min_dist_sq == gaps * pow2(-2 * n)
         assert g.max_dist_sq == reach * pow2(-2 * n)

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from dimlab.exact import (
     ValidationError,
-    ceil_log2,
     cmp_pow2,
     cmp_rpow,
+    diameter_level,
     dyadic_index,
-    floor_log2,
     format_rational,
     le_rpow,
     level_for_radius,
@@ -23,7 +22,8 @@ from dimlab.exact import (
     snap_to_dyadic,
     to_fraction,
 )
-from oracles import fraction_cmp_pow2, fraction_cmp_rpow
+from oracles import (cube_diameter_level, fraction_cmp_pow2,
+                     fraction_cmp_rpow, radius_level)
 
 
 class TestToFraction:
@@ -191,30 +191,9 @@ def test_cmp_pow2_matches_fraction_powers(case):
 
 
 class TestLogs:
-    def test_floor_log2(self):
-        assert floor_log2(1) == 0
-        assert floor_log2(3) == 1
-        assert floor_log2(4) == 2
-        assert floor_log2(Fraction(1, 3)) == -2
-        assert floor_log2(Fraction(1, 4)) == -2
-        assert floor_log2(Fraction(1, 5)) == -3
-
-    def test_floor_log2_huge(self):
-        assert floor_log2(Fraction(1 << 1000)) == 1000
-        assert floor_log2(Fraction(1, 1 << 1000)) == -1000
-        assert floor_log2(Fraction((1 << 1000) + 1)) == 1000
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
-            floor_log2(0)
-        with pytest.raises(ValidationError):
             log2_fraction(Fraction(-1, 2))
-
-    def test_ceil_log2(self):
-        assert ceil_log2(1) == 0
-        assert ceil_log2(3) == 2
-        assert ceil_log2(4) == 2
-        assert ceil_log2(Fraction(1, 5)) == -2
 
     def test_log2_fraction_huge(self):
         assert log2_fraction(Fraction(1 << 5000)) == 5000.0
@@ -243,6 +222,39 @@ class TestLevelForRadius:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             level_for_radius(0)
+
+
+# positive radii: terms up to 2^200, exact powers of two and their
+# neighbours, and radii at or above 1/4 and 1
+_RADII = st.one_of(
+    st.builds(Fraction, st.integers(1, 2 ** 200), st.integers(1, 2 ** 200)),
+    st.builds(lambda k, num: Fraction(num, 1) * Fraction(2) ** k,
+              st.integers(-200, 10), st.sampled_from([1, 3])),
+    st.builds(lambda k, nudge: Fraction(2) ** -k + Fraction(nudge, 2 ** 220),
+              st.integers(0, 200), st.sampled_from([1, -1])),
+    st.builds(Fraction, st.integers(1, 2 ** 40), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_RADII)
+@example(Fraction(1, 4))
+@example(Fraction(1, 4) - Fraction(1, 2 ** 200))
+@example(Fraction(1, 8))
+@example(Fraction(1))
+@example(Fraction(2 ** 200 + 1, 2 ** 200))
+def test_level_for_radius_matches_halving_loop(r):
+    assert level_for_radius(r) == radius_level(r)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.integers(1, 4), _RADII)
+@example(1, Fraction(1))
+@example(2, Fraction(1, 2))  # sqrt(2) 2^-m <= 1/2 first at m = 2
+@example(4, Fraction(1, 4))  # 2 * 2^-m <= 1/4 at m = 3 exactly
+@example(3, Fraction(2 ** 100 + 1, 2 ** 200))
+def test_diameter_level_matches_loop(d, r):
+    assert diameter_level(d, r) == cube_diameter_level(d, r)
 
 
 class TestDyadicIndex:

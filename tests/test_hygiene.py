@@ -1,5 +1,6 @@
 """Source hygiene: every name a dimlab module imports is used there,
-every function or class it defines is used somewhere, every exception
+every function or class it defines is used by the package or the
+benchmark (not only by tests or a re-export), every exception
 class it defines is raised somewhere, and numpy loads only when a transform
 or an energy bracket needs it.
 
@@ -66,8 +67,10 @@ def test_no_unused_imports(path):
 
 
 ROOT = SRC.parent.parent
-SEARCHED = sorted(p for top in ("src", "tests", "perfbench")
-                  for p in (ROOT / top).rglob("*.py"))
+# the code that can call a definition: the other modules of the package and
+# the benchmark, whose tracer names its targets in strings. Tests and the
+# re-exports of __init__.py do not count: a name only they reach is dead.
+CALLERS = MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -95,17 +98,17 @@ def used_identifiers(tree: ast.AST, attributes_only: bool = False) -> Counter:
 
 def test_no_dead_definitions():
     """Every function, method and class defined in src/dimlab is named
-    somewhere in src, tests or perfbench outside its own definition. A
-    method or property counts as used only when it is read as an attribute
-    or named in a string: a bare name of the same spelling is some other
-    variable."""
-    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in SEARCHED}
+    somewhere in its modules (__init__.py aside) or in perfbench outside its
+    own definition. A method or property counts as used only when it is
+    read as an attribute or named in a string: a bare name of the same
+    spelling is some other variable."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in CALLERS}
     used = {False: Counter(), True: Counter()}
     for tree in trees.values():
         for attributes_only, counts in used.items():
             counts.update(used_identifiers(tree, attributes_only))
     dead = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in MODULES:
         tree = trees[path]
         members = {id(item) for node in ast.walk(tree)
                    if isinstance(node, ast.ClassDef) for item in node.body}

@@ -17,8 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dimlab import constructions, io, measure
-from dimlab.dyadic import (cube_of_point, cube_pair_geometry, deinterleave,
-                           interleave)
+from dimlab.dyadic import cube_of_point, deinterleave, interleave
 from dimlab.estimators import (_sup_ball_cover, packing_predicate,
                                packing_threshold)
 from dimlab.exact import (UnsupportedModelError, ValidationError,
@@ -32,7 +31,8 @@ from dimlab.measure import (
     anti_frostman_measure,
 )
 from dimlab.settree import DyadicSetTree
-from oracles import atom_ball_mass, atom_pair_sum, squared_distance
+from oracles import (atom_ball_mass, atom_pair_sum, cube_pair_geometry,
+                     squared_distance)
 
 
 def cantor_tree(depth):
@@ -325,6 +325,24 @@ class TestAtomic:
         assert mu.ball_mass_atoms((Fraction(1, 4),), Fraction(1, 2)) == 1
         assert mu.ball_mass_atoms((Fraction(1, 4),), Fraction(1, 4)) == Fraction(1, 3)
         assert mu.ball_mass_atoms((Fraction(1, 2),), Fraction(1, 8)) == 0
+
+    def test_ball_mass_atoms_rejects_negative_radius(self):
+        # a negative radius squares to the ball of radius |r|: reject it
+        # the way cover_mass does; r = 0 is the centre's own atom
+        line = DyadicMeasureTree.atomic(
+            [(Fraction(1, 4),), (Fraction(3, 4),)],
+            [Fraction(1, 2), Fraction(1, 2)], 1, 4)
+        plane = DyadicMeasureTree.atomic(
+            [(Fraction(1, 4), Fraction(1, 4)),
+             (Fraction(3, 4), Fraction(1, 2))],
+            [Fraction(1, 2), Fraction(1, 2)], 2, 3)
+        for mu, pt, r, mass in (
+                (line, (Fraction(1, 4),), Fraction(1, 4), Fraction(1, 2)),
+                (plane, (Fraction(1, 4), Fraction(1, 4)), 1, 1)):
+            assert mu.ball_mass_atoms(pt, r) == mass
+            assert mu.ball_mass_atoms(pt, 0) == Fraction(1, 2)
+            with pytest.raises(ValidationError, match="radius must be >= 0"):
+                mu.ball_mass_atoms(pt, -r)
 
     def test_ball_mass_needs_atoms(self):
         with pytest.raises(UnsupportedModelError):
@@ -638,7 +656,7 @@ def oracle_row_ranges(mu, r, extra_depth):
             for s, h in acc.items():
                 hist[tuple(sorted(off + [s]))] += w * h
     unit = 1 << (2 * dd * (cap - m))
-    below, _ = _below_leaves(dd, resolve)
+    below, _ = _below_leaves(resolve)
     lower = upper = inside * unit
     for off, h in hist.items():
         lo, hi = below(m, off)

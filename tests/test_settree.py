@@ -275,21 +275,6 @@ class TestQueries:
         assert reps == [(Fraction(1, 4),), (Fraction(1),)]
 
 
-class TestDerivedTrees:
-    def test_union_with_complementary_tree(self):
-        t = cantor_tree(4)
-        other = DyadicSetTree.from_digit_ifs(1, group=2, keep=[1, 2], depth=4)
-        u = t.union(other)
-        u.validate()
-        assert u.box_count(2) == 4
-        assert u.box_count(4) == 8  # {0,3,12,15} merged with {5,6,9,10}
-        assert u.levels[2] == [0, 1, 2, 3]
-
-    def test_union_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            cantor_tree(2).union(DyadicSetTree.full(2, 2))
-
-
 class TestSeparatedNet:
     def test_same_level_representatives_always_qualify(self):
         # distinct level-n representatives differ by >= 2^-n somewhere, and
