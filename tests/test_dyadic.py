@@ -60,6 +60,16 @@ class TestCubeOfPoint:
             cube_of_point((0, Fraction(1, 2)), 3)
 
 
+def test_offset_bounds_hand_values():
+    # no axes; one cube with itself; touching, then separated neighbours
+    assert offset_bounds(()) == (0, 0)
+    assert offset_bounds((0, 0)) == (0, 2)
+    assert offset_bounds((1,)) == (0, 4)
+    assert offset_bounds((1, 1)) == (0, 8)
+    assert offset_bounds((3, 0)) == (4, 17)
+    assert offset_bounds((2, 5, 0)) == (17, 46)
+
+
 class TestCubePairGeometry:
     """The closure-distance oracle that offset_bounds and the pair brackets
     are checked against."""

@@ -121,6 +121,17 @@ class TestDimensionSlopes:
         tri = frostman_slope(mu, levels=range(4, 13))
         assert tri.full.value == pytest.approx(0.5, abs=0.02)
 
+    def test_levels_default_sorted_and_distinct(self):
+        # every estimator fits the sorted distinct levels, 1..max_depth
+        # when none are given
+        mu = DyadicMeasureTree.uniform_on_set(cantor_tree(9))
+        for est, obj in [(box_dims, mu.support), (correlation_dims, mu),
+                         (frostman_slope, mu)]:
+            want = est(obj, levels=range(1, 10))
+            assert est(obj) == want
+            assert est(obj, levels=[9, 3, 1, 3, 5, 2, 8, 4, 7, 6, 9]) == want
+            assert [x for x, _ in want.points] == list(range(1, 10))
+
 
 class TestCorrelationPredicates:
     def radii(self):

@@ -257,6 +257,27 @@ def test_diameter_level_matches_loop(d, r):
     assert diameter_level(d, r) == cube_diameter_level(d, r)
 
 
+class TestDiameterLevel:
+    def test_hand_values(self):
+        assert diameter_level(1, 1) == 0
+        assert diameter_level(2, 1) == 1
+        assert diameter_level(4, 1) == 1
+        assert diameter_level(1, Fraction(1, 2)) == 1
+        assert diameter_level(1, Fraction(1, 3)) == 2
+        assert diameter_level(3, 7) == 0
+        assert diameter_level(1, pow2(-10)) == 10
+
+    def test_defining_sandwich(self):
+        # d 4^-m <= r^2, and m = 0 or d 4^-(m-1) > r^2
+        for d in range(1, 5):
+            for num, den in [(1, 5), (2, 3), (3, 1000), (1, 1 << 30),
+                             (5, 163), (9, 4)]:
+                r = Fraction(num, den)
+                m = diameter_level(d, r)
+                assert d * pow2(-2 * m) <= r * r
+                assert m == 0 or d * pow2(-2 * (m - 1)) > r * r
+
+
 class TestDyadicIndex:
     def test_half_open_convention(self):
         # intervals are (j 2^-n, (j+1) 2^-n]: the left endpoint belongs to
