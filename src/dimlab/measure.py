@@ -7,19 +7,21 @@ one reduced denominator per level (a canonical form: equal tables mean
 equal measures; Fractions are made only where a mass leaves the measure),
 built once, one level at a time: top-down by splitting each cube's mass
 among its selected children (uniform; random, its weights drawn in one pass
-in key order), each parent's children one run of the sorted next level, a
-level of one child per parent keeping the masses above; or bottom-up by
-summing deepest-level masses into their ancestors (atoms, construction
-stages). Below the deepest materialized level a leaf model interprets the
-measure: "uniform" spreads each leaf's mass as normalized Lebesgue measure
-on the leaf cube, "atoms" on an explicit finite point list.
+in key order), each parent's children one run of the sorted next level (the
+tree's parent_runs, built once per tree and shared by every measure split
+on it), a level of one child per parent keeping the masses above; or
+bottom-up by summing deepest-level masses into their ancestors (atoms,
+construction stages). Below the deepest materialized level a leaf model
+interprets the measure: "uniform" spreads each leaf's mass as normalized
+Lebesgue measure on the leaf cube, "atoms" on an explicit finite point list.
 
 Ball quantities that a finite tree cannot pin down exactly are returned as
 two-sided brackets; dyadic quantities (cube masses, correlation sums over
 cube pairs) are exact rationals. Both pair sums are offset histograms times
 per-offset kernels: the ball-correlation bracket sums the stored numerators
-of one level's row pairs in C-level passes (no Python step per pair), and
-the energy bracket sums a kernel over a histogram of leaf-pair offsets.
+of one level's row pairs in C-level passes (no Python step per pair), over
+a row index built once per measure and level, and the energy bracket sums a
+kernel over a histogram of leaf-pair offsets.
 """
 
 from __future__ import annotations
@@ -97,7 +99,9 @@ class EnergyBracket:
 
 class DyadicMeasureTree:
     """Mass assignment on a DyadicSetTree. tables[n] = (N, D) holds level
-    n's masses as mass(n, key) = N[key] / D, in lowest terms."""
+    n's masses as mass(n, key) = N[key] / D, in lowest terms. The tables
+    are never mutated after construction: the measure keeps what it
+    derives from them (the ball bracket's row index, the atoms on ints)."""
 
     def __init__(self, support: DyadicSetTree, leaf_model: str, tables: Tables,
                  atoms: list[tuple[tuple[Fraction, ...], Fraction]] | None = None,
@@ -111,6 +115,8 @@ class DyadicMeasureTree:
         self.tables = tables
         self.atoms = atoms
         self.meta = meta or {}
+        # level -> _level_rows of its table, filled by the ball bracket
+        self._row_index: dict[int, list] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -225,17 +231,21 @@ class DyadicMeasureTree:
         The sums run at the one level m = min(cap, max_depth). With
         rho = floor(r^2 4^m), a level-m pair is inside if its integer reach
         is at most rho and outside if its gaps exceed rho; both depend only
-        on the pair's axis offsets. Grouping the level-m cubes into rows
-        along the last axis, each row pair within reach splits its
-        last-axis lags into an inside window |lag| <= t_in, summed in one
-        pass of bisects into prefix sums of the stored numerators, and the
-        straddling lags, one pass of lookups each, binned by sorted axis
-        offsets and weighted by the count of inside (or straddling)
-        cap-level pairs under an offset (_below_leaves). A pair that is
-        inside or outside at a level above m has all of its level-m
-        descendant pairs on the same side, so these integer sums regroup
-        the terms of a walk over every cap-level pair, and the bracket is
-        the same rational.
+        on the pair's axis offsets. The level-m cubes are grouped into rows
+        along the last axis (_level_rows), once per measure and level. Each
+        row pair within reach splits its last-axis lags into an inside
+        window |lag| <= t_in, summed in one pass of bisects into prefix sums
+        of the stored numerators, and the straddling lags, one pass of
+        lookups each, binned by sorted axis offsets and weighted by the
+        count of inside (or straddling) cap-level pairs under an offset
+        (_below_leaves). A row paired with itself (every 1-D call, and the
+        diagonal in d >= 2) meets lag -s as it meets lag s, so it sums
+        each lag s > 0 once and counts it twice, and lag 0 once: its
+        window is sum n_a^2 + 2 sum_a n_a (P[hi_a] - P[a + 1]), one
+        bisect per cube. A pair that is inside or outside at a level above
+        m has all of its level-m descendant pairs on the same side, so
+        these integer sums regroup the terms of a walk over every cap-level
+        pair, and the bracket is the same rational.
         """
         rf = to_fraction(r)
         if rf <= 0:
@@ -268,17 +278,9 @@ class DyadicMeasureTree:
         m = min(cap, self.max_depth)
         tbl, den = self.tables[m]
         rho = (r2n << (2 * m)) // r2d
-        # rows: cubes keyed by all axis indices but the last
-        cubes = defaultdict(list)
-        for key, n in tbl.items():
-            idx = (key,) if dd == 1 else deinterleave(key, m, dd)
-            cubes[idx[:-1]].append((idx[-1], n))
-        rows = []
-        for u, row in sorted(cubes.items()):
-            row = dict(sorted(row))
-            ns = list(row.values())
-            rows.append((u, list(row), ns, row,
-                         list(itertools.accumulate(ns, initial=0))))
+        rows = self._row_index.get(m)
+        if rows is None:
+            rows = self._row_index[m] = _level_rows(tbl, m, dd)
 
         inside = 0
         hist = defaultdict(int)  # sorted axis offsets -> sum of N_a N_b
@@ -295,19 +297,30 @@ class DyadicMeasureTree:
                     continue
                 t_in = math.isqrt(rho - reach) - 1 if reach <= rho else -1
                 t_out = math.isqrt(rho - gaps) + 1
-                w = 1 if ia == ib else 2  # the mirrored row pair
+                # a row paired with itself meets lag -s as it meets lag s:
+                # each lag s > 0 is summed once and counted twice, lag 0
+                # once; any other row pair counts twice (the mirrored pair)
+                own = ia == ib
                 if t_in >= 0:  # each j's window: bisects into prefix sums
-                    lo = map(bisect_left, repeat(js_b),
-                             map(add, js_a, repeat(-t_in)))
                     hi = map(bisect_right, repeat(js_b),
                              map(add, js_a, repeat(t_in)))
-                    inside += w * sum(map(mul, ns_a, map(sub, map(
-                        pre_b.__getitem__, hi), map(pre_b.__getitem__, lo))))
+                    if own:  # j with itself, and the lags 1..t_in after j
+                        inside += sum(map(mul, ns_a, ns_a)) + 2 * sum(map(
+                            mul, ns_a, map(sub, map(pre_b.__getitem__, hi),
+                                           pre_b[1:])))
+                    else:
+                        lo = map(bisect_left, repeat(js_b),
+                                 map(add, js_a, repeat(-t_in)))
+                        inside += 2 * sum(map(mul, ns_a, map(sub, map(
+                            pre_b.__getitem__, hi), map(pre_b.__getitem__,
+                                                        lo))))
                 for s in range(t_in + 1, t_out + 1):  # straddling lags
                     h = sum(sum(map(mul, ns_a, map(row_b.get, map(
-                        add, js_a, repeat(t)), repeat(0)))) for t in {s, -s})
+                        add, js_a, repeat(t)), repeat(0))))
+                        for t in ((s,) if own else {s, -s}))
                     if h:
-                        hist[tuple(sorted(off + [s]))] += w * h
+                        hist[tuple(sorted(off + [s]))] += (
+                            h if own and not s else 2 * h)
 
         # a level-m pair splits into 4^(d (cap - m)) ordered cap-level pairs
         unit = 1 << (2 * dd * (cap - m))
@@ -549,6 +562,24 @@ class DyadicMeasureTree:
             self._atom_ints = nu._atom_ints
 
 
+def _level_rows(tbl: dict[int, int], m: int, d: int) -> list:
+    """The row index of level m's numerators tbl: its cubes grouped into
+    rows along the last axis, in the order of their other axis indices u,
+    each row as (u, sorted last-axis indices js, their numerators ns, ns
+    by js, prefix sums of ns)."""
+    cubes = defaultdict(list)
+    for key, n in tbl.items():
+        idx = (key,) if d == 1 else deinterleave(key, m, d)
+        cubes[idx[:-1]].append((idx[-1], n))
+    rows = []
+    for u, row in sorted(cubes.items()):
+        row = dict(sorted(row))
+        ns = list(row.values())
+        rows.append((u, list(row), ns, row,
+                     list(itertools.accumulate(ns, initial=0))))
+    return rows
+
+
 def _below_leaves(resolve):
     """(below, memo): the terms of a cube pair below the leaves, memoised
     per (level, sorted per-axis index offsets).
@@ -608,30 +639,28 @@ def _split_masses(tree: DyadicSetTree, ws=None) -> Tables:
     proportion to positive integer weights, ws in key order level by level
     below the root (equal weights when None). Over the lcm L of the level's
     per-parent weight totals a child of weight p gets N * (L // total) * p,
-    over D * L. On a level as long as the one above every parent has one
-    child, which keeps the parent's reduced N / D (tables are in key order)."""
+    over D * L. The children are the tree's parent runs (parent_runs, built
+    once per tree); on a level of one child per parent each keeps the
+    parent's reduced N / D (tables are in key order)."""
     tables: Tables = [({0: 1}, 1)]
-    d, it = tree.d, iter(ws or ())
-    for level in range(tree.max_depth):
+    it = iter(ws or ())
+    for level, runs in enumerate(tree.parent_runs):
         nums, den = tables[level]
         kids = tree.levels[level + 1]
         w = list(itertools.islice(it, len(kids)))
-        if len(kids) == len(nums):
+        if runs is None:
             tables.append((dict(zip(kids, nums.values())), den))
             continue
-        ups = [k >> d for k in kids]
-        # the level is sorted: each parent's children are one run, and the
-        # runs count in key order
-        runs = Counter(ups)
+        ups, lens, ends = runs
         if ws is None:
-            tots = list(runs.values())
+            tots = lens
         else:
-            ends = list(itertools.accumulate(runs.values(), initial=0))
             pre = list(itertools.accumulate(w, initial=0))
             tots = [pre[b] - pre[a] for a, b in zip(ends, ends[1:])]
         lcm = math.lcm(*tots)
-        scale = {u: nums[u] * (lcm // t) for u, t in zip(runs, tots)}
-        per = map(scale.__getitem__, ups)
+        # each parent's share, repeated over its run of children
+        per = itertools.chain.from_iterable(map(repeat, [
+            nums[u] * (lcm // t) for u, t in zip(ups, tots)], lens))
         below = dict(zip(kids, per if ws is None else map(mul, per, w)))
         tables.append(_reduced(below, den * lcm))
     return tables

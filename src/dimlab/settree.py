@@ -14,7 +14,10 @@ then answers box_count for levels far past anything stored.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -139,7 +142,9 @@ class SegmentCounts(SymbolicCounts):
 
 @dataclass
 class DyadicSetTree:
-    """Levelwise sorted Morton keys of a nested cube family."""
+    """Levelwise sorted Morton keys of a nested cube family. The levels are
+    never mutated after construction: parent_runs, and the measures built
+    on the tree, keep what they derive from them."""
 
     d: int
     max_depth: int
@@ -279,6 +284,24 @@ class DyadicSetTree:
         raise UnavailableError(
             f"level {n} beyond materialized depth {self.max_depth} "
             "and no symbolic counts cover it")
+
+    @functools.cached_property
+    def parent_runs(self) -> list[tuple[list[int], list[int], list[int]] | None]:
+        """Per level n < max_depth, level n + 1 grouped under its parents:
+        the sorted level holds each parent's children as one run, so the
+        runs are (the distinct parent keys in order, the run lengths, the
+        run ends as offsets 0, l_0, l_0 + l_1, ...); None on a level of
+        one child per parent. Built once per tree."""
+        runs = []
+        for above, kids in zip(self.levels, self.levels[1:]):
+            if len(kids) == len(above):
+                runs.append(None)
+                continue
+            ups = Counter(map(rshift, kids, repeat(self.d)))
+            lens = list(ups.values())
+            runs.append((list(ups), lens,
+                         list(itertools.accumulate(lens, initial=0))))
+        return runs
 
     def children_keys(self, level: int, key: int) -> list[int]:
         if level >= self.max_depth:

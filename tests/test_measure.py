@@ -1,12 +1,10 @@
 """Unit tests for mass trees: masses, ball correlation, energy, heaviness."""
 
+import functools
 import hashlib
-import itertools
 import math
 import random
 import re
-from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -18,20 +16,21 @@ from hypothesis import strategies as st
 
 from dimlab import constructions, io, measure
 from dimlab.dyadic import cube_of_point, deinterleave, interleave
-from dimlab.estimators import (_sup_ball_cover, packing_predicate,
+from dimlab.estimators import (_sup_ball_cover, correlation_predicates,
+                               correlation_sandwich, packing_predicate,
                                packing_threshold)
 from dimlab.exact import (UnsupportedModelError, ValidationError,
                           level_for_radius, pow2)
 from dimlab.measure import (
     CorrelationBracket,
     DyadicMeasureTree,
-    _below_leaves,
     ancestor_tables,
     anti_frostman_check,
     anti_frostman_measure,
 )
 from dimlab.settree import DyadicSetTree
-from oracles import (atom_ball_mass, atom_pair_sum, cube_pair_geometry,
+from oracles import (atom_ball_mass, atom_pair_sum, brute_force_ball_bracket,
+                     cube_pair_geometry, oracle_row_ranges, oracle_split,
                      squared_distance)
 
 
@@ -50,31 +49,6 @@ def leaf_measure(tree, leaf):
                            ancestor_tables(leaf, tree.d, tree.max_depth))
     mu.validate()
     return mu
-
-
-def brute_force_ball_bracket(mu, r, cap):
-    """Ball-correlation bracket summed over every ordered pair of cap-level
-    cubes, each pair classified by its exact closure distances. Masses below
-    the deepest materialized level split uniformly, as the leaf model says."""
-    top = min(cap, mu.max_depth)
-    extra = mu.d * (cap - top)
-    cubes = []
-    for key, m in mu.level_masses(top):
-        share = m / (1 << extra)
-        for t in range(1 << extra):
-            idx = deinterleave((key << extra) + t, cap, mu.d)
-            cubes.append(((cap, idx), share))
-    r2 = r * r
-    lower = upper = Fraction(0)
-    for a, ma in cubes:
-        for b, mb in cubes:
-            g = cube_pair_geometry(a, b)
-            if g.max_dist_sq <= r2:
-                lower += ma * mb
-                upper += ma * mb
-            elif g.min_dist_sq <= r2:
-                upper += ma * mb
-    return lower, upper
 
 
 class TestUniformMasses:
@@ -192,12 +166,12 @@ class TestExplicitMasses:
 
 @st.composite
 def _random_trees(draw):
-    """Digit-IFS trees in 1-D and 2-D, and occupied-cube trees of point
-    sets."""
-    d = draw(st.sampled_from([1, 2]))
-    depth = draw(st.integers(1, 7 if d == 1 else 4))
+    """Digit-IFS trees in 1-D to 3-D, and occupied-cube trees of point
+    sets (sparse, as from_codes builds them)."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    depth = draw(st.integers(1, {1: 7, 2: 4, 3: 3}[d]))
     if draw(st.booleans()):
-        group = draw(st.integers(1, 2))
+        group = draw(st.integers(1, 2 if d < 3 else 1))
         keep = draw(st.sets(st.integers(0, (1 << (d * group)) - 1),
                             min_size=1))
         return DyadicSetTree.from_digit_ifs(d, group, sorted(keep), depth)
@@ -494,14 +468,19 @@ LEAF_PRIMES = [17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
 
 @st.composite
 def _walker_cases(draw):
-    """(measure, radius, extra_depth) on small digit-IFS trees in 1-D, 2-D
-    and 3-D: uniform, random-split, and prime-denominator leaf tables."""
+    """(measure, radius, extra_depth) on small digit-IFS trees and sparse
+    from_codes trees in 1-D, 2-D and 3-D: uniform, random-split, and
+    prime-denominator leaf tables."""
     d = draw(st.sampled_from([1, 2, 3]))
     group = draw(st.integers(1, 2 if d < 3 else 1))
     depth = draw(st.integers(1, {1: 3, 2: 2, 3: 2}[d]))
-    keep = draw(st.sets(st.integers(0, (1 << (d * group)) - 1),
-                        min_size=1, max_size=3 if d < 3 else 2))
-    tree = DyadicSetTree.from_digit_ifs(d, group, sorted(keep), depth)
+    if draw(st.booleans()):
+        keep = draw(st.sets(st.integers(0, (1 << (d * group)) - 1),
+                            min_size=1, max_size=3 if d < 3 else 2))
+        tree = DyadicSetTree.from_digit_ifs(d, group, sorted(keep), depth)
+    else:
+        tree = DyadicSetTree.from_codes(d, depth, draw(st.sets(
+            st.integers(0, (1 << (d * depth)) - 1), min_size=1, max_size=4)))
     leaves = tree.levels[depth]
     kind = draw(st.sampled_from(["uniform", "random_split", "primes"]))
     if kind == "uniform":
@@ -597,75 +576,6 @@ def test_ball_brackets_pinned(name, r, extra, want):
     assert got == want
 
 
-def oracle_row_ranges(mu, r, extra_depth):
-    """(lower, upper, cap_level) of the uniform-model ball bracket by a
-    per-cube loop over each row pair: bisects for the inside run, summed by
-    prefix sums, and a walk over the straddling cubes binned by lag."""
-    r2 = r * r
-    r2n, r2d, dd = r2.numerator, r2.denominator, mu.d
-    cap = 0
-    while dd * r2d > r2n << (2 * cap):
-        cap += 1
-    cap += extra_depth
-
-    def resolve(level, gaps, reach):
-        if reach * r2d <= r2n << (2 * level):
-            unit = 1 << (2 * dd * (cap - level))
-            return unit, unit
-        if gaps * r2d > r2n << (2 * level):
-            return 0, 0
-        return (0, 1) if level >= cap else None
-
-    m = min(cap, mu.max_depth)
-    tbl, den = mu.tables[m]
-    rho = (r2n << (2 * m)) // r2d
-    cubes = defaultdict(list)
-    for key, n in tbl.items():
-        idx = deinterleave(key, m, dd)
-        cubes[idx[:-1]].append((idx[-1], n))
-    rows = []
-    for u, row in sorted(cubes.items()):
-        row.sort()
-        ns = [n for _, n in row]
-        rows.append((u, [j for j, _ in row], ns,
-                     list(itertools.accumulate(ns, initial=0))))
-    inside, hist = 0, defaultdict(int)
-    for ia, (u, js_a, ns_a, _) in enumerate(rows):
-        for v, js_b, ns_b, pre_b in rows[ia:]:
-            off = [abs(x - y) for x, y in zip(u, v)]
-            gaps = sum((x - 1) ** 2 for x in off if x)
-            if gaps > rho:
-                continue
-            reach = sum((x + 1) ** 2 for x in off)
-            t_in = math.isqrt(rho - reach) - 1 if reach <= rho else -1
-            t_out = math.isqrt(rho - gaps) + 1
-            ins, acc = 0, defaultdict(int)
-            for j, na in zip(js_a, ns_a):
-                if t_in >= 0:
-                    lo = bisect_left(js_b, j - t_in)
-                    hi = bisect_right(js_b, j + t_in, lo)
-                    ins += na * (pre_b[hi] - pre_b[lo])
-                else:
-                    lo = hi = bisect_left(js_b, j)
-                for i in range(bisect_left(js_b, j - t_out, 0, lo), lo):
-                    acc[j - js_b[i]] += na * ns_b[i]
-                for i in range(hi, bisect_right(js_b, j + t_out, hi)):
-                    acc[js_b[i] - j] += na * ns_b[i]
-            w = 1 if u == v else 2
-            inside += w * ins
-            for s, h in acc.items():
-                hist[tuple(sorted(off + [s]))] += w * h
-    unit = 1 << (2 * dd * (cap - m))
-    below, _ = _below_leaves(resolve)
-    lower = upper = inside * unit
-    for off, h in hist.items():
-        lo, hi = below(m, off)
-        lower += h * lo
-        upper += h * hi
-    q = den * den * unit
-    return Fraction(lower, q), Fraction(upper, q), cap
-
-
 T_LOW, S_HIGH = Fraction(2, 5), Fraction(7, 10)
 ROW_RANGE_MEASURES = {
     "full1-10-random": lambda: pinned_measure("full1-10-random"),
@@ -684,7 +594,9 @@ ROW_RANGE_MEASURES = {
 @pytest.mark.parametrize("name", sorted(ROW_RANGE_MEASURES))
 def test_ball_brackets_match_row_range_oracle(name):
     # radii 2^-k p/q; at k = 0 the radii 3/2 and 5/2 put t_in past the
-    # row width, so every cube of a row is inside
+    # row width, so every cube of a row is inside. mu keeps each level's
+    # row index from one radius to the next; a measure built afresh on the
+    # same tables, with none kept, gives the same bracket
     mu = ROW_RANGE_MEASURES[name]()
     deep = mu.max_depth + 2 if mu.d == 1 else 6
     for k in sorted({0, 3, deep // 2, deep}):
@@ -694,6 +606,10 @@ def test_ball_brackets_match_row_range_oracle(name):
                 b = mu.ball_correlation_bracket(r, extra_depth=extra)
                 assert (b.lower, b.upper, b.cap_level) == oracle_row_ranges(
                     mu, r, extra)
+                fresh = DyadicMeasureTree(mu.support, mu.leaf_model,
+                                          mu.tables)
+                assert fresh.ball_correlation_bracket(
+                    r, extra_depth=extra) == b
 
 
 class TestCoverMass:
@@ -1105,22 +1021,6 @@ class TestAntiFrostman:
 # -- int tables against a Fraction oracle -------------------------------------
 
 
-def oracle_split(tree, parts):
-    """Per-level Fraction tables split top-down from root mass 1, one
-    Fraction product per child: the slow path the int tables replace."""
-    masses = [dict() for _ in range(tree.max_depth + 1)]
-    masses[0][0] = Fraction(1)
-    for level in range(tree.max_depth):
-        below = masses[level + 1]
-        for key, m in masses[level].items():
-            kids = tree.children_keys(level, key)
-            weights = parts(kids)
-            tot = sum(weights)
-            for k, p in zip(kids, weights):
-                below[k] = m * Fraction(p, tot)
-    return masses
-
-
 def oracle_ancestors(leaf, d, depth):
     """Per-level Fraction tables summed bottom-up from the leaf masses."""
     masses = [dict() for _ in range(depth)] + [dict(leaf)]
@@ -1463,6 +1363,44 @@ def test_atomic_seeds_its_int_atoms(monkeypatch):
     assert loaded.ball_mass_atoms(a, Fraction(1, 8)) == Fraction(1, 2)
     assert len(calls) == 1
     assert loaded._atom_ints == seeded
+
+
+def test_ball_brackets_build_each_level_row_index_once(monkeypatch):
+    # a level's row index depends only on the measure and the level: the
+    # radii 2^-4..2^-10 at extra_depth 4 sum at levels 8, 9 and then 10
+    # five times, and the index of each level is built once
+    calls = []
+    real = measure._level_rows
+
+    def counting(tbl, m, d):
+        calls.append(m)
+        return real(tbl, m, d)
+
+    monkeypatch.setattr(measure, "_level_rows", counting)
+    mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 10))
+    radii = [Fraction(1, 1 << k) for k in range(4, 11)]
+    pair = correlation_predicates(mu, 1, radii)["pair-integral"]
+    assert len(pair.records) == 7
+    assert calls == [8, 9, 10]
+
+
+def test_sandwich_builds_parent_runs_once(monkeypatch):
+    # the uniform and the 100 random-split measures of one tree split its
+    # levels along the same parent runs, built once for the tree
+    calls = []
+    real = DyadicSetTree.parent_runs.func
+
+    def counting(tree):
+        calls.append(tree)
+        return real(tree)
+
+    runs = functools.cached_property(counting)
+    runs.__set_name__(DyadicSetTree, "parent_runs")
+    monkeypatch.setattr(DyadicSetTree, "parent_runs", runs)
+    tree = cantor_tree(12)
+    rep = correlation_sandwich(tree, range(4, 13), n_random=100)
+    assert rep["ok"] and len(rep["rows"]) == 9 * 102
+    assert len(calls) == 1 and calls[0] is tree
 
 
 @pytest.mark.parametrize("atoms, message", [
