@@ -167,10 +167,12 @@ def _check_lines(checks, limit: int = 20) -> list[str]:
 # construct
 
 
-def _cmd_construct_alternating(args) -> int:
-    plan = alternating_plan(args.dim_low, args.dim_high,
-                            level_budget=args.level_budget)
-    print(f"alternating plan: stages k=1..{plan.k_max}, "
+def _construct_plan(args, make_plan, make_set):
+    """The plan of construct alternating or sweep, saved to --plan-out, and
+    its set at --depth saved to --out."""
+    plan = make_plan(args.dim_low, args.dim_high,
+                     level_budget=args.level_budget)
+    print(f"{args.kind} plan: stages k=1..{plan.k_max}, "
           f"last level {plan.last_level}")
     if args.plan_out:
         io.save_json(plan, args.plan_out)
@@ -178,10 +180,15 @@ def _cmd_construct_alternating(args) -> int:
     if args.out:
         if args.depth is None:
             raise ValidationError("--depth is required with --out")
-        tree = alternating_set(plan, args.depth)
+        tree = make_set(plan, args.depth)
         io.save_json(tree, args.out)
         print(f"wrote {args.out} (depth {args.depth}, "
               f"{len(tree.levels[args.depth])} leaf cubes)")
+    return plan
+
+
+def _cmd_construct_alternating(args) -> int:
+    plan = _construct_plan(args, alternating_plan, alternating_set)
     if args.measure_out:
         if args.stage is None:
             raise ValidationError("--stage is required with --measure-out")
@@ -193,20 +200,7 @@ def _cmd_construct_alternating(args) -> int:
 
 
 def _cmd_construct_sweep(args) -> int:
-    plan = sweep_plan(args.dim_low, args.dim_high,
-                      level_budget=args.level_budget)
-    print(f"sweep plan: stages k=1..{plan.k_max}, "
-          f"last level {plan.last_level}")
-    if args.plan_out:
-        io.save_json(plan, args.plan_out)
-        print(f"wrote {args.plan_out}")
-    if args.out:
-        if args.depth is None:
-            raise ValidationError("--depth is required with --out")
-        tree = sweep_set(plan, args.depth)
-        io.save_json(tree, args.out)
-        print(f"wrote {args.out} (depth {args.depth}, "
-              f"{len(tree.levels[args.depth])} leaf cubes)")
+    _construct_plan(args, sweep_plan, sweep_set)
     return EXIT_OK
 
 
@@ -259,41 +253,13 @@ def _cmd_construct_measure(args) -> int:
 # estimate
 
 
-def _estimate_levels(args, depth: int) -> list[int]:
-    if args.levels is not None:
-        return args.levels
-    return list(range(1, depth + 1))
-
-
-def _cmd_estimate_box(args) -> int:
-    tree = _load_set(args.infile)
-    st = box_dims(tree, _estimate_levels(args, tree.max_depth), args.window)
-    _emit(args, _triple_report(st), _slope_lines("box", st))
+def _cmd_estimate_slope(args) -> int:
+    """estimate box, corr or frostman: the loader, fit and CSV column that
+    the subcommand registered."""
+    st = args.fit(args.load(args.infile), args.levels, args.window)
+    _emit(args, _triple_report(st), _slope_lines(args.estimator, st))
     if args.csv:
-        io.curve_to_csv(st.points, args.csv, header=("level", "log2_count"))
-        print(f"wrote {args.csv}")
-    return EXIT_OK
-
-
-def _cmd_estimate_corr(args) -> int:
-    mu = _load_measure(args.infile)
-    st = correlation_dims(mu, _estimate_levels(args, mu.max_depth),
-                          args.window)
-    _emit(args, _triple_report(st), _slope_lines("corr", st))
-    if args.csv:
-        io.curve_to_csv(st.points, args.csv,
-                        header=("level", "neg_log2_corr_sum"))
-        print(f"wrote {args.csv}")
-    return EXIT_OK
-
-
-def _cmd_estimate_frostman(args) -> int:
-    mu = _load_measure(args.infile)
-    st = frostman_slope(mu, _estimate_levels(args, mu.max_depth), args.window)
-    _emit(args, _triple_report(st), _slope_lines("frostman", st))
-    if args.csv:
-        io.curve_to_csv(st.points, args.csv,
-                        header=("level", "neg_log2_max_mass"))
+        io.curve_to_csv(st.points, args.csv, header=("level", args.column))
         print(f"wrote {args.csv}")
     return EXIT_OK
 
@@ -496,11 +462,15 @@ def _cmd_export(args) -> int:
 
 
 def _add_common_estimate(p, scales_default=None):
+    """The options of the slope estimates; with scales_default, of the
+    Fourier ones, which take --scales and --rel-tol instead of --levels."""
     p.add_argument("--in", dest="infile", required=True,
                    help="set or measure JSON (a set is wrapped in its "
                         "uniform-split measure where one is needed)")
-    p.add_argument("--levels", type=_levels, default=None,
-                   help="'a..b' or comma list (default: all materialized)")
+    if scales_default is None:
+        p.add_argument("--levels", type=_levels, default=None,
+                       help="'a..b' or comma list (default: all "
+                            "materialized)")
     p.add_argument("--window", type=int, default=None,
                    help="window length for the windowed slope extremes")
     p.add_argument("--json", default=None, help="write the report as JSON")
@@ -510,6 +480,15 @@ def _add_common_estimate(p, scales_default=None):
                        help=f"frequency/radius list (default {scales_default})")
         p.add_argument("--rel-tol", type=float, default=1e-3,
                        help="quadrature relative error target")
+
+
+def _add_plan_options(p, level_budget, dim_low=None, dim_high=None):
+    """--dim-low and --dim-high (required where they have no default) and
+    --level-budget of a plan command."""
+    for flag, default in (("--dim-low", dim_low), ("--dim-high", dim_high)):
+        p.add_argument(flag, type=_rational, required=default is None,
+                       default=default, metavar="p/q")
+    p.add_argument("--level-budget", type=int, default=level_budget)
 
 
 @functools.cache
@@ -531,9 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("alternating",
                         help="two-regime set alternating frozen and "
                              "doubling count stretches")
-    p.add_argument("--dim-low", type=_rational, required=True, metavar="p/q")
-    p.add_argument("--dim-high", type=_rational, required=True, metavar="p/q")
-    p.add_argument("--level-budget", type=int, default=10 ** 6)
+    _add_plan_options(p, 10 ** 6)
     p.add_argument("--depth", type=int, default=None,
                    help="materialization depth for --out")
     p.add_argument("--stage", type=int, default=None,
@@ -547,9 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("sweep",
                         help="set with one doubling interval swept "
                              "left-to-right with wraparound")
-    p.add_argument("--dim-low", type=_rational, required=True, metavar="p/q")
-    p.add_argument("--dim-high", type=_rational, required=True, metavar="p/q")
-    p.add_argument("--level-budget", type=int, default=10 ** 5)
+    _add_plan_options(p, 10 ** 5)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--plan-out", default=None)
@@ -587,17 +562,17 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("estimate", help="slope and energy estimators")
     esub = e.add_subparsers(dest="estimator", required=True)
 
-    p = esub.add_parser("box", help="box-count log-log slopes")
-    _add_common_estimate(p)
-    p.set_defaults(func=_cmd_estimate_box)
-
-    p = esub.add_parser("corr", help="dyadic correlation-sum slopes")
-    _add_common_estimate(p)
-    p.set_defaults(func=_cmd_estimate_corr)
-
-    p = esub.add_parser("frostman", help="max-cube-mass decay slopes")
-    _add_common_estimate(p)
-    p.set_defaults(func=_cmd_estimate_frostman)
+    for name, text, load, fit, column in (
+            ("box", "box-count log-log slopes", _load_set, box_dims,
+             "log2_count"),
+            ("corr", "dyadic correlation-sum slopes", _load_measure,
+             correlation_dims, "neg_log2_corr_sum"),
+            ("frostman", "max-cube-mass decay slopes", _load_measure,
+             frostman_slope, "neg_log2_max_mass")):
+        p = esub.add_parser(name, help=text)
+        _add_common_estimate(p)
+        p.set_defaults(func=_cmd_estimate_slope, load=load, fit=fit,
+                       column=column)
 
     p = esub.add_parser("fourier-corr",
                         help="correlation slopes from the mean-square "
@@ -626,22 +601,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("alternating-counts",
                         help="exact count inequalities of the alternating "
                              "schedule")
-    p.add_argument("--dim-low", type=_rational, default=Fraction(2, 5),
-                   metavar="p/q")
-    p.add_argument("--dim-high", type=_rational, default=Fraction(7, 10),
-                   metavar="p/q")
-    p.add_argument("--level-budget", type=int, default=10 ** 6)
+    _add_plan_options(p, 10 ** 6, Fraction(2, 5), Fraction(7, 10))
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_verify_alternating)
 
     p = vsub.add_parser("sweep-counts",
                         help="exact count and designation checks of the "
                              "sweep schedule")
-    p.add_argument("--dim-low", type=_rational, default=Fraction(2, 5),
-                   metavar="p/q")
-    p.add_argument("--dim-high", type=_rational, default=Fraction(7, 10),
-                   metavar="p/q")
-    p.add_argument("--level-budget", type=int, default=10 ** 5)
+    _add_plan_options(p, 10 ** 5, Fraction(2, 5), Fraction(7, 10))
     p.add_argument("--materialize-depth", type=int, default=24)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_verify_sweep)

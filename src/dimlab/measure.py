@@ -261,10 +261,11 @@ class DyadicMeasureTree:
         # same-cube pairs resolve
         cap = diameter_level(dd, rf) + max(0, extra_depth)
 
-        def resolve(level, gaps, reach):
+        def resolve(level, offset):
             """(inside, inside or straddling) counts of the ordered cap-level
             cube pairs under a pair that needs no refinement, None for one
             that does."""
+            gaps, reach = offset_bounds(offset)
             shift = 2 * level
             # reach * 4^-level <= r^2 ?
             if reach * r2d <= r2n << shift:
@@ -463,11 +464,12 @@ class DyadicMeasureTree:
             ball = unit * d * math.pi ** (d / 2) / math.gamma(d / 2 + 1)
             vol = (d - sv) * side ** d
 
-            def resolve(level, gaps, reach):
+            def resolve(level, offset):
                 """(lower, upper) terms of a cap-level pair, for the pair's
                 mass product taken as 4^(-d cap); None above the cap."""
                 if level < cap:
                     return None
+                gaps, reach = offset_bounds(offset)
                 max_dist = math.sqrt(reach) * side
                 lo = unit * max_dist ** (-sv)
                 if gaps > 0:
@@ -586,8 +588,10 @@ def _below_leaves(resolve):
 
     Below max_depth the leaf model splits every cube uniformly, so what lies
     under a pair of same-level cubes depends only on its level and sorted
-    offsets. below(level, offsets) is resolve(level, gaps, reach) if that is
-    not None, else the sum over the child offsets, which per axis are
+    offsets. below(level, offset) is resolve(level, offset), offset the
+    sorted tuple of per-axis offsets, if that is not None (each resolve
+    derives what it needs, such as offset_bounds, from the offset itself),
+    else the sum over the child offsets, which per axis are
     2x - 1, 2x, 2x + 1 with multiplicities 1, 2, 1 for an offset x > 0 and
     0, 1 with multiplicities 2, 2 for x = 0, counting ordered child pairs.
     resolve scales its (lower, upper) values so that this sum needs no
@@ -597,7 +601,7 @@ def _below_leaves(resolve):
     def below(level, offset):
         got = memo.get((level, offset))
         if got is None:
-            got = resolve(level, *offset_bounds(offset))
+            got = resolve(level, offset)
             if got is None:
                 lo = hi = 0
                 # per axis, child offsets with their multiplicities

@@ -6,11 +6,15 @@ atom, the ball-correlation pair sum of an atom list by a loop over every
 pair, the signs of a - 2**e and a - r**s from Fraction powers, the first
 key defect of a set tree's levels by a scan of every key, the closure
 distances of two cubes per axis, and the dyadic levels of a radius by
-stepping through the powers of two. Three more are slow paths of the
+stepping through the powers of two. The rest are slow paths of the
 measure layer: the uniform-model ball bracket over every ordered pair of
 cap-level cubes, the same bracket by a per-cube loop over each row pair
-(no row paired with itself specially, no row index kept), and top-down
-mass tables split by one Fraction product per child.
+(no row paired with itself specially, no row index kept), top-down mass
+tables split by one Fraction product per child, tables summed bottom-up
+from leaf masses, atomic() in Fractions, the cover mass and the 2^d-cube
+sup-ball cover bound by scans of every cube, and the s-energy over every
+leaf pair in 80-digit Decimals (1-D) or every pair of cap-level cubes
+(d >= 2), with leaf_measure and deeper to build their inputs.
 """
 
 from __future__ import annotations
@@ -20,10 +24,13 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 
-from dimlab.dyadic import deinterleave
-from dimlab.measure import _below_leaves
+from dimlab.dyadic import cube_of_point, deinterleave, interleave
+from dimlab.measure import DyadicMeasureTree, _below_leaves, ancestor_tables
+from dimlab.settree import DyadicSetTree
 
 
 def squared_distance(p, q) -> Fraction:
@@ -168,7 +175,9 @@ def oracle_row_ranges(mu, r, extra_depth):
         cap += 1
     cap += extra_depth
 
-    def resolve(level, gaps, reach):
+    def resolve(level, offset):
+        gaps = sum((x - 1) ** 2 for x in offset if x)
+        reach = sum((x + 1) ** 2 for x in offset)
         if reach * r2d <= r2n << (2 * level):
             unit = 1 << (2 * dd * (cap - level))
             return unit, unit
@@ -240,3 +249,148 @@ def oracle_split(tree, parts):
             for k, p in zip(kids, weights):
                 below[k] = m * Fraction(p, tot)
     return masses
+
+
+def leaf_measure(tree, leaf):
+    """Validated uniform-leaf measure whose deepest-level masses are the
+    Fractions in `leaf`, ancestors summed by `ancestor_tables`."""
+    mu = DyadicMeasureTree(tree, "uniform",
+                           ancestor_tables(leaf, tree.d, tree.max_depth))
+    mu.validate()
+    return mu
+
+
+def oracle_sup_ball_cover(mu, n):
+    """The cover bound by a loop over every level-n cube and every corner
+    direction, summing the 2^d cubes of that block that lie in the unit
+    cube."""
+    d = mu.d
+    masses, den = mu.tables[n]
+    top = 1 << n
+    best = 0
+    for key in masses:
+        idx = deinterleave(key, n, d)
+        for dirs in product((-1, 1), repeat=d):
+            total = 0
+            for offs in product((0, 1), repeat=d):
+                j = tuple(idx[i] + dirs[i] * offs[i] for i in range(d))
+                if all(0 <= ji < top for ji in j):
+                    total += masses.get(interleave(j, n), 0)
+            best = max(best, total)
+    return Fraction(best, den)
+
+
+def deeper(mu, k):
+    """mu materialised k levels deeper: each leaf mass split equally over
+    all 2^(d k) descendant cubes, as the uniform leaf model says."""
+    d, depth, spread = mu.d, mu.max_depth + k, mu.d * k
+    leaf = {(key << spread) + t: m / (1 << spread)
+            for key, m in mu.level_masses(mu.max_depth)
+            for t in range(1 << spread)}
+    return leaf_measure(DyadicSetTree.from_codes(d, depth, leaf), leaf)
+
+
+def decimal_pow(x, p):
+    """x^p for a Decimal x >= 0 and a Fraction p, in the context precision:
+    by square roots when p's denominator is a power of two."""
+    q = p.denominator
+    if q & (q - 1):
+        return x ** (Decimal(p.numerator) / q)
+    while q > 1:
+        x, q = x.sqrt(), q >> 1
+    return x ** p.numerator
+
+
+def oracle_energy_1d(mu, s):
+    """1-D s-energy of a uniform-leaf measure summed over every ordered leaf
+    pair in 80-digit Decimal arithmetic: leaves at index offset a add
+    m_a m_b l^-s ((a + 1)^(2 - s) - 2 a^(2 - s) + |a - 1|^(2 - s)) /
+    ((1 - s)(2 - s)), with l the leaf side. The mass products are summed
+    per offset first."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        sd = Decimal(s.numerator) / s.denominator
+        p = 2 - s
+        denom = (1 - sd) * (2 - sd)
+        leaves = [(k, Decimal(m.numerator) / m.denominator)
+                  for k, m in mu.level_masses(mu.max_depth)]
+        bins = {}
+        for ka, ma in leaves:
+            for kb, mb in leaves:
+                a = abs(ka - kb)
+                bins[a] = bins.get(a, 0) + ma * mb
+        total = sum(w * (decimal_pow(Decimal(a + 1), p)
+                         - 2 * decimal_pow(Decimal(a), p)
+                         + decimal_pow(Decimal(abs(a - 1)), p))
+                    for a, w in bins.items()) / denom
+        return float(total * Decimal(2) ** (mu.max_depth * sd))
+
+
+def oracle_energy_cubes(mu, s, cap):
+    """s-energy bracket summed over every ordered pair of cap-level cubes of
+    deeper(mu, cap - depth), each bounded through its exact closure
+    distances: max_dist^-s below, min_dist^-s above, and for a pair that
+    touches, the integral of |x - y|^-s over the ball of radius max_dist
+    around x, divided by the cube volume."""
+    d, sv = mu.d, float(s)
+    side = 2.0 ** -cap
+    sphere = d * math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    cubes = [((cap, deinterleave(k, cap, d)), float(m))
+             for k, m in deeper(mu, cap - mu.max_depth).level_masses(cap)]
+    lower, upper = [], []
+    for a, ma in cubes:
+        for b, mb in cubes:
+            g = cube_pair_geometry(a, b)
+            far = math.sqrt(g.max_dist_sq)
+            lower.append(ma * mb * far ** -sv)
+            upper.append(ma * mb * (
+                math.sqrt(g.min_dist_sq) ** -sv if g.min_dist_sq > 0 else
+                sphere * far ** (d - sv) / ((d - sv) * side ** d)))
+    return math.fsum(lower), math.fsum(upper)
+
+
+def oracle_ancestors(leaf, d, depth):
+    """Per-level Fraction tables summed bottom-up from the leaf masses."""
+    masses = [dict() for _ in range(depth)] + [dict(leaf)]
+    for n in range(depth, 0, -1):
+        above = masses[n - 1]
+        for key, m in masses[n].items():
+            above[key >> d] = above.get(key >> d, Fraction(0)) + m
+    return masses
+
+
+def oracle_cover(masses, x, r, n, d):
+    """Mass of the level-n cubes whose closure meets [x - r, x + r]^d."""
+    side = Fraction(1, 1 << n)
+    return sum((m for key, m in masses.items()
+                if all(j * side <= c + r and (j + 1) * side >= c - r
+                       for j, c in zip(deinterleave(key, n, d), x))),
+               Fraction(0))
+
+
+def oracle_atomic(pts, ws, d, depth):
+    """atomic() in Fractions: (sorted merged atoms, per-level tables,
+    support levels), or the message of the first check that fails: d and
+    depth before the atoms."""
+    if d < 1:
+        return "d must be >= 1"
+    if depth < 0:
+        return "depth must be >= 0"
+    if d * depth > 62:
+        return f"materialized keys need d*depth <= 62, got {d * depth}"
+    if len(pts) != len(ws) or not pts:
+        return "points/weights length mismatch or empty"
+    if any(w <= 0 for w in ws):
+        return "atom weights must be positive"
+    if sum(ws) != 1:
+        return "atom weights must sum to 1"
+    if any(len(p) != d or not all(0 < c <= 1 for c in p) for p in pts):
+        return "atom outside the half-open unit cube"
+    agg, leaf = {}, {}
+    for p, w in zip(pts, ws):
+        agg[p] = agg.get(p, Fraction(0)) + w
+    for p, w in agg.items():
+        key = cube_of_point(p, depth)
+        leaf[key] = leaf.get(key, Fraction(0)) + w
+    masses = oracle_ancestors(leaf, d, depth)
+    return sorted(agg.items()), masses, [sorted(t) for t in masses]

@@ -19,7 +19,6 @@ import functools
 import hashlib
 import json
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -197,4 +196,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

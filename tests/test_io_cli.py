@@ -370,6 +370,16 @@ class TestCliEstimate:
         assert code == 2 and "error:" in err
         assert "PASS" not in text
 
+    @pytest.mark.parametrize("cmd", ["fourier-corr", "fourier-box"])
+    def test_fourier_estimates_reject_levels(self, cantor_file, capsys, cmd):
+        # the transform slopes fit every scale in --scales; a level list
+        # would be ignored, so the parser refuses it
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", cmd, "--in", cantor_file,
+                  "--scales", "2^1..2^6", "--levels", "3..5"])
+        assert exc.value.code == 2
+        assert "--levels" in capsys.readouterr().err
+
     def test_missing_input_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "box",
                                "--in", "/nonexistent.json")

@@ -2,20 +2,19 @@
 
 import functools
 import hashlib
+import itertools
 import math
 import random
 import re
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dimlab import constructions, io, measure
-from dimlab.dyadic import cube_of_point, deinterleave, interleave
+from dimlab.dyadic import cube_of_point, interleave
 from dimlab.estimators import (_sup_ball_cover, correlation_predicates,
                                correlation_sandwich, packing_predicate,
                                packing_threshold)
@@ -24,13 +23,14 @@ from dimlab.exact import (UnsupportedModelError, ValidationError,
 from dimlab.measure import (
     CorrelationBracket,
     DyadicMeasureTree,
-    ancestor_tables,
     anti_frostman_check,
     anti_frostman_measure,
 )
 from dimlab.settree import DyadicSetTree
 from oracles import (atom_ball_mass, atom_pair_sum, brute_force_ball_bracket,
-                     cube_pair_geometry, oracle_row_ranges, oracle_split,
+                     deeper, leaf_measure, oracle_ancestors, oracle_atomic,
+                     oracle_cover, oracle_energy_1d, oracle_energy_cubes,
+                     oracle_row_ranges, oracle_split, oracle_sup_ball_cover,
                      squared_distance)
 
 
@@ -40,15 +40,6 @@ def cantor_tree(depth):
 
 def uniform_cantor(depth):
     return DyadicMeasureTree.uniform_on_set(cantor_tree(depth))
-
-
-def leaf_measure(tree, leaf):
-    """Validated uniform-leaf measure whose deepest-level masses are the
-    Fractions in `leaf`, ancestors summed by `ancestor_tables`."""
-    mu = DyadicMeasureTree(tree, "uniform",
-                           ancestor_tables(leaf, tree.d, tree.max_depth))
-    mu.validate()
-    return mu
 
 
 class TestUniformMasses:
@@ -650,26 +641,6 @@ class TestCoverMass:
                                              Fraction(1, 4), level)
 
 
-def oracle_sup_ball_cover(mu, n):
-    """The cover bound by a loop over every level-n cube and every corner
-    direction, summing the 2^d cubes of that block that lie in the unit
-    cube."""
-    d = mu.d
-    masses, den = mu.tables[n]
-    top = 1 << n
-    best = 0
-    for key in masses:
-        idx = deinterleave(key, n, d)
-        for dirs in product((-1, 1), repeat=d):
-            total = 0
-            for offs in product((0, 1), repeat=d):
-                j = tuple(idx[i] + dirs[i] * offs[i] for i in range(d))
-                if all(0 <= ji < top for ji in j):
-                    total += masses.get(interleave(j, n), 0)
-            best = max(best, total)
-    return Fraction(best, den)
-
-
 @st.composite
 def _cover_measures(draw):
     """Uniform, random-split and prime-leaf measures on occupied-cube trees
@@ -721,14 +692,23 @@ def test_sup_ball_cover_matches_direction_loop(mu, q, p):
             assert cover >= max(mu.ball_mass_atoms(x, r) for x, _ in mu.atoms)
 
 
-def deeper(mu, k):
-    """mu materialised k levels deeper: each leaf mass split equally over
-    all 2^(d k) descendant cubes, as the uniform leaf model says."""
-    d, depth, spread = mu.d, mu.max_depth + k, mu.d * k
-    leaf = {(key << spread) + t: m / (1 << spread)
-            for key, m in mu.level_masses(mu.max_depth)
-            for t in range(1 << spread)}
-    return leaf_measure(DyadicSetTree.from_codes(d, depth, leaf), leaf)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_below_leaves_hands_resolve_the_sorted_offset(d):
+    # a resolve that settles each cap-level pair as (1, 1) and nothing
+    # above the cap: below(l, off) then counts the 4^(d (cap - l)) ordered
+    # cap-level pairs under a level-l pair, whatever its offset
+    cap, seen = 3, []
+
+    def resolve(level, offset):
+        seen.append((level, offset))
+        return (1, 1) if level >= cap else None
+
+    below, memo = measure._below_leaves(resolve)
+    for level in range(cap + 1):
+        for off in itertools.combinations_with_replacement(range(4), d):
+            assert below(level, off) == (4 ** (d * (cap - level)),) * 2
+    assert all(len(off) == d and list(off) == sorted(off) for _, off in seen)
+    assert sorted(seen) == sorted(memo)  # once per memo entry
 
 
 class TestEnergy:
@@ -833,65 +813,6 @@ class TestEnergy:
         b = uniform_cantor(10).energy_bracket(Fraction(1, 3))
         assert not b.diverged
         assert 1 < b.lower <= b.upper < 10
-
-
-def decimal_pow(x, p):
-    """x^p for a Decimal x >= 0 and a Fraction p, in the context precision:
-    by square roots when p's denominator is a power of two."""
-    q = p.denominator
-    if q & (q - 1):
-        return x ** (Decimal(p.numerator) / q)
-    while q > 1:
-        x, q = x.sqrt(), q >> 1
-    return x ** p.numerator
-
-
-def oracle_energy_1d(mu, s):
-    """1-D s-energy of a uniform-leaf measure summed over every ordered leaf
-    pair in 80-digit Decimal arithmetic: leaves at index offset a add
-    m_a m_b l^-s ((a + 1)^(2 - s) - 2 a^(2 - s) + |a - 1|^(2 - s)) /
-    ((1 - s)(2 - s)), with l the leaf side. The mass products are summed
-    per offset first."""
-    with localcontext() as ctx:
-        ctx.prec = 80
-        sd = Decimal(s.numerator) / s.denominator
-        p = 2 - s
-        denom = (1 - sd) * (2 - sd)
-        leaves = [(k, Decimal(m.numerator) / m.denominator)
-                  for k, m in mu.level_masses(mu.max_depth)]
-        bins = {}
-        for ka, ma in leaves:
-            for kb, mb in leaves:
-                a = abs(ka - kb)
-                bins[a] = bins.get(a, 0) + ma * mb
-        total = sum(w * (decimal_pow(Decimal(a + 1), p)
-                         - 2 * decimal_pow(Decimal(a), p)
-                         + decimal_pow(Decimal(abs(a - 1)), p))
-                    for a, w in bins.items()) / denom
-        return float(total * Decimal(2) ** (mu.max_depth * sd))
-
-
-def oracle_energy_cubes(mu, s, cap):
-    """s-energy bracket summed over every ordered pair of cap-level cubes of
-    deeper(mu, cap - depth), each bounded through its exact closure
-    distances: max_dist^-s below, min_dist^-s above, and for a pair that
-    touches, the integral of |x - y|^-s over the ball of radius max_dist
-    around x, divided by the cube volume."""
-    d, sv = mu.d, float(s)
-    side = 2.0 ** -cap
-    sphere = d * math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-    cubes = [((cap, deinterleave(k, cap, d)), float(m))
-             for k, m in deeper(mu, cap - mu.max_depth).level_masses(cap)]
-    lower, upper = [], []
-    for a, ma in cubes:
-        for b, mb in cubes:
-            g = cube_pair_geometry(a, b)
-            far = math.sqrt(g.max_dist_sq)
-            lower.append(ma * mb * far ** -sv)
-            upper.append(ma * mb * (
-                math.sqrt(g.min_dist_sq) ** -sv if g.min_dist_sq > 0 else
-                sphere * far ** (d - sv) / ((d - sv) * side ** d)))
-    return math.fsum(lower), math.fsum(upper)
 
 
 def clustered_leaves(d, depth, offsets, seed):
@@ -1019,25 +940,6 @@ class TestAntiFrostman:
 
 
 # -- int tables against a Fraction oracle -------------------------------------
-
-
-def oracle_ancestors(leaf, d, depth):
-    """Per-level Fraction tables summed bottom-up from the leaf masses."""
-    masses = [dict() for _ in range(depth)] + [dict(leaf)]
-    for n in range(depth, 0, -1):
-        above = masses[n - 1]
-        for key, m in masses[n].items():
-            above[key >> d] = above.get(key >> d, Fraction(0)) + m
-    return masses
-
-
-def oracle_cover(masses, x, r, n, d):
-    """Mass of the level-n cubes whose closure meets [x - r, x + r]^d."""
-    side = Fraction(1, 1 << n)
-    return sum((m for key, m in masses.items()
-                if all(j * side <= c + r and (j + 1) * side >= c - r
-                       for j, c in zip(deinterleave(key, n, d), x))),
-               Fraction(0))
 
 
 # rationals in (0, 1] with denominators up to 12, not only dyadic ones
@@ -1233,34 +1135,6 @@ def test_atom_windows_match_brute_force(case, depth):
             b = m.ball_correlation_bracket(rr)
             assert b.lower == b.upper == atom_pair_sum(atoms, rr)
             assert b.cap_level == depth
-
-
-def oracle_atomic(pts, ws, d, depth):
-    """atomic() in Fractions: (sorted merged atoms, per-level tables,
-    support levels), or the message of the first check that fails: d and
-    depth before the atoms."""
-    if d < 1:
-        return "d must be >= 1"
-    if depth < 0:
-        return "depth must be >= 0"
-    if d * depth > 62:
-        return f"materialized keys need d*depth <= 62, got {d * depth}"
-    if len(pts) != len(ws) or not pts:
-        return "points/weights length mismatch or empty"
-    if any(w <= 0 for w in ws):
-        return "atom weights must be positive"
-    if sum(ws) != 1:
-        return "atom weights must sum to 1"
-    if any(len(p) != d or not all(0 < c <= 1 for c in p) for p in pts):
-        return "atom outside the half-open unit cube"
-    agg, leaf = {}, {}
-    for p, w in zip(pts, ws):
-        agg[p] = agg.get(p, Fraction(0)) + w
-    for p, w in agg.items():
-        key = cube_of_point(p, depth)
-        leaf[key] = leaf.get(key, Fraction(0)) + w
-    masses = oracle_ancestors(leaf, d, depth)
-    return sorted(agg.items()), masses, [sorted(t) for t in masses]
 
 
 @st.composite
