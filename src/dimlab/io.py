@@ -3,7 +3,9 @@
 Masses, weights and plan parameters round-trip as "p/q" strings; floats
 never enter a serialized measure, so load(dump(x)) reproduces x bit for
 bit. Report exports (slope fits, curves) are plain CSV/JSON for plotting
-and are not meant to round-trip.
+and are not meant to round-trip. Files and reports are written compact,
+by json's C encoder; ints wider than 2048 bits are tagged hex strings,
+and files in the older indented layout still load.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .constructions import AlternatingPlan, SweepPlan
 from .exact import (ValidationError, format_rational, parse_rational,
                     snap_to_dyadic, to_fraction)
 from .measure import DyadicMeasureTree
-from .settree import DyadicSetTree, SymbolicCounts
+from .settree import DyadicSetTree, SymbolicCounts, _ints
 
 FORMAT_VERSION = 1
 
@@ -27,6 +29,7 @@ FORMAT_VERSION = 1
 # schedules reach 2^(hundreds of thousands), past the interpreter's
 # decimal-conversion guard
 _BIGINT_BITS = 2048
+_BIG = 1 << _BIGINT_BITS
 
 
 def _encode_bigints(value):
@@ -37,6 +40,9 @@ def _encode_bigints(value):
     if isinstance(value, dict):
         return {k: _encode_bigints(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if (set(map(type, value)) == {int}  # flat int lists skip the walk
+                and -_BIG < min(value) and max(value) < _BIG):
+            return value
         return [_encode_bigints(v) for v in value]
     return value
 
@@ -91,17 +97,10 @@ def set_to_dict(tree: DyadicSetTree) -> dict:
 
 
 def _check_version(data: dict) -> None:
-    if data.get("version") != FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported format version {data.get('version')!r} "
-            f"(expected {FORMAT_VERSION})")
-
-
-def _ints(values: list) -> list:
-    """`values` if all are JSON integers (one C-level type pass)."""
-    if set(map(type, values)) - {int}:
-        raise TypeError("cube keys, d and max_depth must be JSON integers")
-    return values
+    version = data.get("version")
+    if version != FORMAT_VERSION or type(version) is not int:
+        raise ValidationError(f"unsupported format version {version!r} "
+                              f"(expected {FORMAT_VERSION})")
 
 
 def set_from_dict(data: dict) -> DyadicSetTree:
@@ -207,14 +206,12 @@ def plan_from_dict(data: dict):
         return AlternatingPlan(
             parse_rational(data["dim_low"]), parse_rational(data["dim_high"]),
             tuple(parse_rational(e) for e in data["slack"]),
-            tuple(int(n) for n in data["breakpoints"]),
-            tuple(int(e) for e in data["doubled"]), int(data["level_budget"]))
+            tuple(_ints(data["breakpoints"])), tuple(_ints(data["doubled"])),
+            *_ints([data["level_budget"]]))
     return SweepPlan(
         parse_rational(data["dim_low"]), parse_rational(data["dim_high"]),
-        tuple(int(n) for n in data["n_seq"]),
-        tuple(int(n) for n in data["big_n_seq"]),
-        tuple(int(c) for c in data["counts_at_stage"]),
-        int(data["level_budget"]))
+        tuple(_ints(data["n_seq"])), tuple(_ints(data["big_n_seq"])),
+        tuple(_ints(data["counts_at_stage"])), *_ints([data["level_budget"]]))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +233,10 @@ def save_json(obj, path) -> None:
         data = measure_to_dict(obj)
     elif isinstance(obj, (AlternatingPlan, SweepPlan)):
         data = plan_to_dict(obj)
-    elif isinstance(obj, dict):
-        data = obj
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
-    Path(path).write_text(json.dumps(_encode_bigints(data), indent=1) + "\n")
+    Path(path).write_text(json.dumps(_encode_bigints(data),
+                                     separators=(",", ":")) + "\n")
 
 
 def load_json(path):
@@ -345,7 +341,8 @@ def report_to_json(report, path=None):
             return {"re": o.real, "im": o.imag}
         return str(o)
 
-    text = json.dumps(_encode_bigints(payload), indent=1, default=default)
+    text = json.dumps(_encode_bigints(payload), separators=(",", ":"),
+                      default=default)
     if path is not None:
         Path(path).write_text(text + "\n")
     return text

@@ -28,6 +28,13 @@ from .dyadic import cube_of_point, deinterleave
 from .exact import UnavailableError, ValidationError, pow2
 
 
+def _ints(values: list) -> list:
+    """`values` if all are JSON integers (one C-level type pass)."""
+    if set(map(type, values)) - {int}:
+        raise TypeError("expected JSON integers")
+    return values
+
+
 class SymbolicCounts:
     """Closed-form cube counts past the materialized depth."""
 
@@ -46,11 +53,11 @@ class SymbolicCounts:
     def from_dict(data: dict) -> "SymbolicCounts":
         kind = data.get("kind")
         if kind == GeometricCounts.kind:
-            return GeometricCounts(data["group"], data["branch"],
-                                   list(data["prefix_counts"]))
+            return GeometricCounts(*_ints([data["group"], data["branch"]]),
+                                   _ints(list(data["prefix_counts"])))
         if kind == SegmentCounts.kind:
-            segs = [Segment(int(s["lo"]), int(s["hi"]), int(s["base"]),
-                            int(s["coef"])) for s in data["segments"]]
+            segs = [Segment(*_ints([s["lo"], s["hi"], s["base"], s["coef"]]))
+                    for s in data["segments"]]
             return SegmentCounts(segs)
         raise ValidationError(f"unknown symbolic counts kind {kind!r}")
 

@@ -41,11 +41,31 @@ class TestJsonRoundTrips:
         assert back.box_count(40) == tree.box_count(40)
 
     def test_save_is_idempotent(self, tmp_path):
-        tree = cantor_tree(6)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        io.save_json(tree, a)
-        io.save_json(io.load_json(a), b)
-        assert a.read_bytes() == b.read_bytes()
+        # the depth-24 alternating set and the sweep plan hold $bighex ints
+        plan = alternating_plan(Fraction(2, 5), Fraction(7, 10))
+        for obj in (cantor_tree(6), alternating_set(plan, 24), plan,
+                    sweep_plan(Fraction(2, 5), Fraction(7, 10))):
+            a, b = tmp_path / "a.json", tmp_path / "b.json"
+            io.save_json(obj, a)
+            io.save_json(io.load_json(a), b)
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_indented_files_still_load(self, tmp_path):
+        # earlier versions wrote files with indent=1
+        plan = sweep_plan(Fraction(2, 5), Fraction(7, 10))
+        alt = alternating_set(alternating_plan(Fraction(2, 5),
+                                               Fraction(7, 10)), 24)
+        mu = DyadicMeasureTree.random_split(cantor_tree(5), random.Random(3))
+        for obj, to_dict in ((plan, io.plan_to_dict), (alt, io.set_to_dict),
+                             (mu, io.measure_to_dict)):
+            old, new = tmp_path / "old.json", tmp_path / "new.json"
+            old.write_text(json.dumps(io._encode_bigints(to_dict(obj)),
+                                      indent=1) + "\n")
+            assert "\n " in old.read_text()
+            back = io.load_json(old)
+            assert to_dict(back) == to_dict(obj)
+            io.save_json(back, new)
+            assert json.loads(new.read_text()) == json.loads(old.read_text())
 
     def test_measure_round_trips(self, tmp_path):
         uni = DyadicMeasureTree.uniform_on_set(cantor_tree(6))
@@ -84,7 +104,13 @@ class TestJsonRoundTrips:
         for name, (mu, want) in cases.items():
             p = tmp_path / f"{name}.json"
             io.save_json(mu, p)
-            assert hashlib.sha256(p.read_bytes()).hexdigest() == want, name
+            text = p.read_text()
+            value = json.loads(text)
+            # files are compact; the digests are of the value re-rendered
+            # in the indented layout files had before
+            assert text == json.dumps(value, separators=(",", ":")) + "\n"
+            layout = json.dumps(value, indent=1) + "\n"
+            assert hashlib.sha256(layout.encode()).hexdigest() == want, name
             for n, level in enumerate(json.loads(p.read_text())["masses"]):
                 assert [k for k, _ in level] == sorted(k for k, _ in level)
                 for k, text in level:
@@ -196,6 +222,47 @@ class TestReportJson:
     def test_rejects_other_types(self):
         with pytest.raises(ValidationError):
             io.report_to_json(42)
+
+    def test_bigint_tagging_boundary(self):
+        # ints of more than 2048 bits are tagged, in flat int lists and
+        # nested alike; the loader's hook turns the tags back into ints
+        edge, big = 2 ** 2048 - 1, 2 ** 2048
+        report = {"plain": [1, edge, -edge], "tagged": [1, big],
+                  "negative": [-big, 0], "nested": {"a": {"b": big},
+                                                    "c": edge, "d": -big}}
+        text = io.report_to_json(report)
+        data = json.loads(text)
+        assert data["plain"] == [1, edge, -edge]
+        assert data["tagged"] == [1, {"$bighex": hex(big)}]
+        assert data["negative"] == [{"$bighex": hex(-big)}, 0]
+        assert data["nested"] == {"a": {"b": {"$bighex": hex(big)}},
+                                  "c": edge, "d": {"$bighex": hex(-big)}}
+        assert json.loads(text, object_hook=io._decode_bigint) == report
+
+    def test_bool_in_int_list_stays_bool(self):
+        text = io.report_to_json({"xs": [1, True, 2], "flags": [False]})
+        assert text == '{"xs":[1,true,2],"flags":[false]}'
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None,
+                        reason="json's C encoder is not available")
+    def test_files_and_reports_use_the_c_encoder(self, tmp_path,
+                                                 monkeypatch):
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        for obj in (cantor_tree(5),
+                    DyadicMeasureTree.uniform_on_set(cantor_tree(5)),
+                    alternating_plan(Fraction(2, 5), Fraction(7, 10)),
+                    sweep_plan(Fraction(2, 5), Fraction(7, 10))):
+            p = tmp_path / "obj.json"
+            io.save_json(obj, p)
+            assert io.load_json(p) is not None
+        big = 1 << 3000
+        text = io.report_to_json({"ratio": Fraction(3, 7), "z": 1 + 2j,
+                                  "big": big}, tmp_path / "rep.json")
+        assert json.loads(text, object_hook=io._decode_bigint) == {
+            "ratio": "3/7", "z": {"re": 1.0, "im": 2.0}, "big": big}
 
 
 def run_cli(capsys, *argv):
@@ -457,6 +524,47 @@ class TestCliEstimate:
         data["version"] = io.FORMAT_VERSION
         code, _, _ = self._estimate_box(capsys, tmp_path, data)
         assert code == 0
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_json_integer(self, tmp_path, capsys, version):
+        # true and 1.0 compare equal to 1 but are not format version 1
+        data = io.set_to_dict(cantor_tree(4))
+        data["version"] = version
+        code, _, err = self._estimate_box(capsys, tmp_path, data)
+        assert code == 2 and "unsupported format version" in err
+        with pytest.raises(ValidationError):
+            io.load_json(tmp_path / "in.json")
+
+    def test_symbolic_segment_coef_is_not_truncated(self, tmp_path, capsys):
+        tree = alternating_set(alternating_plan(Fraction(2, 5),
+                                                Fraction(7, 10)), 24)
+        data = io._encode_bigints(io.set_to_dict(tree))
+        assert data["symbolic"]["segments"][0]["coef"] == 1
+        data["symbolic"]["segments"][0]["coef"] = 1.9
+        code, _, err = self._estimate_box(capsys, tmp_path, data)
+        assert code == 2 and "malformed set payload" in err
+        with pytest.raises(ValidationError):
+            io.load_json(tmp_path / "in.json")
+
+    def test_symbolic_geometric_group_must_be_json_integer(self, tmp_path,
+                                                           capsys):
+        data = io.set_to_dict(DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2],
+                                                           3))
+        assert data["symbolic"]["group"] == 1
+        data["symbolic"]["group"] = True
+        code, _, err = self._estimate_box(capsys, tmp_path, data)
+        assert code == 2 and "malformed set payload" in err
+        with pytest.raises(ValidationError):
+            io.load_json(tmp_path / "in.json")
+
+    def test_plan_integers_are_not_truncated(self, tmp_path):
+        data = io._encode_bigints(io.plan_to_dict(
+            sweep_plan(Fraction(2, 5), Fraction(7, 10))))
+        data["n_seq"][0] += 0.5
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match="malformed sweep_plan"):
+            io.load_json(p)
 
     def test_nested_support_version_is_validation_error(self, tmp_path,
                                                         capsys):
