@@ -349,7 +349,8 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     the first half of the window and in the second half, and the predicate
     holds exactly on the shortest such prefix over all leaves. Each half
     keeps its best prefixes as a list in key order; a level that branches
-    repeats each entry over the cube's run of descendants, then folds its
+    repeats each entry over the cube's run of descendants (the tree's
+    parent_runs when the levels in between do not branch), then folds its
     own prefixes in. A level with as many cubes only continues one-child
     chains, which repeat their masses, and a mass passes no more exponents
     deeper down (2^-ns falls with n for s > 0, is >= 1 for s <= 0), so it
@@ -377,7 +378,9 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     for i, n in enumerate(lv):
         h, keys = int(i >= half), support[n]
         if len(keys) != len(support[at]):
-            runs = Counter(map(rshift, keys, repeat(d * (n - at)))).values()
+            runs = (mu.support.parent_runs[n - 1][1]
+                    if len(support[n - 1]) == len(support[at]) else
+                    Counter(map(rshift, keys, repeat(d * (n - at)))).values())
             best = [list(chain.from_iterable(map(repeat, b, runs)))
                     for b in best]
             at = n

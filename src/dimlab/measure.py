@@ -538,7 +538,7 @@ class DyadicMeasureTree:
             raise ValidationError("mass table depth mismatch")
         if self.tables[0][0].get(0, 0) != self.tables[0][1]:
             raise ValidationError("root mass must be 1")
-        d = self.d
+        d, parent_runs = self.d, self.support.parent_runs
         for n, (tbl, den) in enumerate(self.tables):
             keys = self.support.levels[n]
             if sorted(tbl) != keys:
@@ -548,12 +548,16 @@ class DyadicMeasureTree:
                 raise ValidationError("non-positive cube mass")
             if math.gcd(den, *tbl.values()) != 1:
                 raise ValidationError(f"level {n}: masses not in lowest terms")
-            if n > 0:  # sums of the sorted level's runs, as _sums_up does
+            if n > 0:  # per parent in key order, its run of children summed
                 above, up = self.tables[n - 1]
-                (sums, sden), = _sums_up(list(map(rshift, keys, repeat(d))),
-                                         list(map(tbl.get, keys)), den, d, 0)
+                nums, runs = list(map(tbl.get, keys)), parent_runs[n - 1]
+                if runs:  # else one child per parent
+                    pre = list(itertools.accumulate(nums, initial=0))
+                    nums = list(map(sub, map(pre.__getitem__, runs[2][1:]),
+                                    map(pre.__getitem__, runs[2])))
+                sums = dict(zip(self.support.levels[n - 1], nums))
                 for pk, pm in above.items():
-                    if sums[pk] * up != pm * sden:
+                    if sums[pk] * up != pm * den:
                         raise ValidationError(
                             f"mass not conserved under cube {pk} at level {n-1}")
         if self.leaf_model == ATOMS:  # atoms as atomic() sums, ints kept

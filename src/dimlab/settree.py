@@ -151,7 +151,8 @@ class SegmentCounts(SymbolicCounts):
 class DyadicSetTree:
     """Levelwise sorted Morton keys of a nested cube family. The levels are
     never mutated after construction: parent_runs, and the measures built
-    on the tree, keep what they derive from them."""
+    on the tree, keep what they derive from them; validate builds
+    parent_runs once the levels pass the order and range checks."""
 
     d: int
     max_depth: int
@@ -263,12 +264,13 @@ class DyadicSetTree:
                 if k <= prev:
                     raise ValidationError(f"level {n} keys not strictly sorted")
                 prev = k
-        # a sorted level's distinct parents k >> d, in order, equal the level
-        # above iff every cube has a selected parent and every parent a child
-        for n in range(1, self.max_depth + 1):
+        # the distinct parents k >> d of a sorted level (all of its k >> d on
+        # a one-child level), in order, equal the level above iff every cube
+        # has a selected parent and every parent a child
+        for n, runs in enumerate(self.parent_runs, 1):
             parents = self.levels[n - 1]
-            ups = list(dict.fromkeys(map(rshift, self.levels[n],
-                                         repeat(self.d))))
+            ups = (runs[0] if runs else
+                   list(map(rshift, self.levels[n], repeat(self.d))))
             if ups == parents:
                 continue
             selected = set(parents)
@@ -298,7 +300,8 @@ class DyadicSetTree:
         the sorted level holds each parent's children as one run, so the
         runs are (the distinct parent keys in order, the run lengths, the
         run ends as offsets 0, l_0, l_0 + l_1, ...); None on a level of
-        one child per parent. Built once per tree."""
+        one child per parent. Built once per tree and read by validate, the
+        mass splits, measure validation and the packing threshold."""
         runs = []
         for above, kids in zip(self.levels, self.levels[1:]):
             if len(kids) == len(above):

@@ -4,7 +4,8 @@ Each one is the plain definition, in Fraction arithmetic, with no window or
 int scaling: the closed-ball mass of a finite atom list by a scan of every
 atom, the ball-correlation pair sum of an atom list by a loop over every
 pair, the signs of a - 2**e and a - r**s from Fraction powers, the first
-key defect of a set tree's levels by a scan of every key, the closure
+key defect of a set tree's levels by a scan of every key and the first
+nesting defect by a scan of every cube pair, the closure
 distances of two cubes per axis, and the dyadic levels of a radius by
 stepping through the powers of two. The rest are slow paths of the
 measure layer: the uniform-model ball bracket over every ordered pair of
@@ -84,6 +85,20 @@ def first_key_defect(levels, d: int) -> str | None:
             if k <= prev:
                 return f"level {n} keys not strictly sorted"
             prev = k
+    return None
+
+
+def first_nesting_defect(levels, d: int) -> str | None:
+    """The message for the first nesting defect of sorted in-range levels,
+    level by level: a cube with no selected child, then a cube whose parent
+    is not selected, each by a scan of every cube pair; None when nested."""
+    for n in range(1, len(levels)):
+        for k in levels[n - 1]:
+            if not any(c >> d == k for c in levels[n]):
+                return f"cube {k} at level {n - 1} has no selected child"
+        for k in levels[n]:
+            if k >> d not in levels[n - 1]:
+                return f"cube {k} at level {n} has unselected parent"
     return None
 
 

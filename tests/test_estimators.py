@@ -374,6 +374,9 @@ _CHAIN_2D = DyadicMeasureTree.uniform_on_set(
 @example((_CHAINS, range(2, 11), [Fraction(k, 10) for k in range(-2, 13)]))
 @example((_CHAINS, [1, 3, 5, 6, 8, 9], [Fraction(k, 7) for k in range(8)]))
 @example((_CHAINS, [0, 4, 7, 10], [Fraction(1, 9), Fraction(2, 3)]))
+# level 10's runs under level 0 skip the branching levels 1 and 8, so they
+# are not its runs under level 9
+@example((_CHAINS, [0, 10], [Fraction(k, 10) for k in range(1, 13)]))
 @example((_CHAIN_2D, [0, 2, 3, 5, 6], [Fraction(k, 4) for k in range(-1, 9)]))
 @example((_reverse_order(DyadicMeasureTree.random_split(
     DyadicSetTree.from_codes(1, 3, [3, 4, 5]), random.Random(3))),

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import math
 import random
 import re
@@ -14,12 +15,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dimlab import constructions, io, measure
+from dimlab.cli import main
 from dimlab.dyadic import cube_of_point, interleave
 from dimlab.estimators import (_sup_ball_cover, correlation_predicates,
-                               correlation_sandwich, packing_predicate,
-                               packing_threshold)
+                               correlation_sandwich, inequality_report,
+                               packing_predicate, packing_threshold)
 from dimlab.exact import (UnsupportedModelError, ValidationError,
-                          level_for_radius, pow2)
+                          format_rational, level_for_radius, pow2)
 from dimlab.measure import (
     CorrelationBracket,
     DyadicMeasureTree,
@@ -109,6 +111,43 @@ class TestExplicitMasses:
                            match="^mass not conserved under cube 2 at "
                                  "level 1$"):
             DyadicMeasureTree.from_masses(tree, masses)
+
+    @pytest.mark.parametrize("d, depth, codes", [
+        (1, 6, [0, 1, 4, 40]), (2, 4, [3, 12, 200, 201])])
+    @pytest.mark.parametrize("branching", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("broken", [1, 2])
+    def test_conservation_break_names_parent_in_table_order(
+            self, tmp_path, capsys, d, depth, codes, branching, reverse,
+            broken):
+        # a child's mass doubled under the last, or the first and last,
+        # parents of a one-child or a branching level, with the tables in
+        # key order or reversed (as _reverse_order in test_estimators lists
+        # them): from_masses and a measure file both name the first broken
+        # parent in the order the level above is listed
+        tree = DyadicSetTree.from_codes(d, depth, codes)
+        mu = DyadicMeasureTree.random_split(tree, random.Random(7))
+        n = next(n for n in range(2, depth + 1)
+                 if (len(tree.levels[n]) > len(tree.levels[n - 1]))
+                 == branching)
+        parents = tree.levels[n - 1]
+        cut = [parents[0], parents[-1]][-broken:]
+        masses = [dict(mu.level_masses(m)) for m in range(depth + 1)]
+        for pk in cut:
+            masses[n][tree.children_keys(n - 1, pk)[0]] *= 2
+        if reverse:
+            masses = [dict(reversed(tbl.items())) for tbl in masses]
+        first = max(cut) if reverse else min(cut)
+        message = f"mass not conserved under cube {first} at level {n - 1}"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            DyadicMeasureTree.from_masses(tree, masses)
+        data = io.measure_to_dict(mu)
+        data["masses"] = [[[k, format_rational(m)] for k, m in tbl.items()]
+                          for tbl in masses]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(data))
+        assert main(["estimate", "box", "--in", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_root_mass_must_be_one(self):
         tree = DyadicSetTree.full(1, 1)
@@ -1275,6 +1314,34 @@ def test_sandwich_builds_parent_runs_once(monkeypatch):
     rep = correlation_sandwich(tree, range(4, 13), n_random=100)
     assert rep["ok"] and len(rep["rows"]) == 9 * 102
     assert len(calls) == 1 and calls[0] is tree
+
+
+def test_loaded_set_groups_its_levels_once(monkeypatch, tmp_path):
+    # loading the depth-24 sweep set groups each level under its parents
+    # once, in validation; the uniform split, the inequality report (its
+    # packing threshold) and a second validation read the same runs
+    calls = []
+    real = DyadicSetTree.parent_runs.func
+
+    def counting(tree):
+        calls.append(tree)
+        return real(tree)
+
+    runs = functools.cached_property(counting)
+    runs.__set_name__(DyadicSetTree, "parent_runs")
+    monkeypatch.setattr(DyadicSetTree, "parent_runs", runs)
+    plan = constructions.sweep_plan(Fraction(2, 5), Fraction(7, 10))
+    path = tmp_path / "sweep.json"
+    io.save_json(constructions.sweep_set(plan, 24), path)
+    assert calls == []
+    tree = io.load_json(path)
+    assert sum(map(len, tree.levels)) == 20575 and calls == [tree]
+    mu = DyadicMeasureTree.uniform_on_set(tree)
+    rep = inequality_report(tree, [mu])  # what verify ineq-chain runs
+    assert rep.ok and rep.estimates["packing_threshold"] == Fraction(1, 5)
+    tree.validate()
+    mu.validate()
+    assert calls == [tree]
 
 
 @pytest.mark.parametrize("atoms, message", [

@@ -13,7 +13,7 @@ from dimlab.settree import (
     SegmentCounts,
     SymbolicCounts,
 )
-from oracles import first_key_defect
+from oracles import first_key_defect, first_nesting_defect
 
 
 def cantor_tree(depth):
@@ -209,17 +209,6 @@ class TestValidate:
             bad.validate()
 
     def test_nesting_matches_brute_force(self):
-        def first_defect(levels, d):
-            for n in range(1, len(levels)):
-                for k in levels[n - 1]:
-                    if not any(c >> d == k for c in levels[n]):
-                        return (f"cube {k} at level {n - 1} "
-                                "has no selected child")
-                for k in levels[n]:
-                    if k >> d not in levels[n - 1]:
-                        return f"cube {k} at level {n} has unselected parent"
-            return None
-
         rng = random.Random(13)
         for _ in range(300):
             d, depth = rng.choice([1, 2]), rng.randint(1, 4)
@@ -232,12 +221,46 @@ class TestValidate:
             else:
                 levels[n] = sorted({*levels[n], rng.randrange(1 << (d * n))})
             bad = DyadicSetTree(d, depth, levels, None, {})
-            want = first_defect(levels, d)
+            want = first_nesting_defect(levels, d)
             if want is None:
                 bad.validate()
             else:
                 with pytest.raises(ValidationError, match=want):
                     bad.validate()
+
+    def test_same_length_nesting_defects_match_brute_force(self):
+        # one key of a level replaced by another in-range key keeps the
+        # level's length, so a one-child level stays one and is compared
+        # key by key with the level above; the message is the oracle's
+        # whether parent_runs was built before validate() or by it
+        rng = random.Random(31)
+        one_child = 0
+        for _ in range(300):
+            d, depth = rng.choice([1, 2]), rng.randint(1, 4)
+            top = 1 << (d * depth)
+            keys = rng.sample(range(top), rng.randint(1, min(6, top)))
+            levels = DyadicSetTree.from_codes(d, depth, keys).levels
+            n = rng.randint(1, depth)
+            free = sorted(set(range(1 << (d * n))).difference(levels[n]))
+            if not free:
+                continue
+            kept = set(levels[n]) - {rng.choice(levels[n])}
+            levels[n] = sorted(kept | {rng.choice(free)})
+            want = first_nesting_defect(levels, d)
+            one_child += want is not None and (
+                len(levels[n]) == len(levels[n - 1])
+                or n < depth and len(levels[n + 1]) == len(levels[n]))
+            for prebuilt in (False, True):
+                bad = DyadicSetTree(d, depth, levels, None, {})
+                if prebuilt:
+                    assert len(bad.parent_runs) == depth
+                if want is None:
+                    bad.validate()
+                    continue
+                with pytest.raises(ValidationError) as err:
+                    bad.validate()
+                assert str(err.value) == want
+        assert one_child > 100
 
 
 class TestQueries:
