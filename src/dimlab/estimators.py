@@ -16,7 +16,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product, repeat
-from operator import add, rshift
+from operator import add, mul, rshift, sub
 
 from .dyadic import deinterleave
 from .exact import (ValidationError, cmp_pow2, cmp_rpow, diameter_level,
@@ -53,19 +53,24 @@ class SlopeTriple:
     points: tuple[tuple[float, float], ...]
 
 
-def _ls(xs: list[float], ys: list[float]) -> tuple[float, float]:
-    """Least-squares slope and RMS residual."""
+def _ls(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
+    """Least-squares slope, with the means of xs and ys."""
     n = len(xs)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    dx = list(map(sub, xs, repeat(mx)))
+    sxx = math.fsum(map(pow, dx, repeat(2)))
     if sxx == 0.0:
         raise ValidationError("degenerate abscissae in slope fit")
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
+    return math.fsum(map(mul, dx, map(sub, ys, repeat(my)))) / sxx, mx, my
+
+
+def _rms(xs, ys, slope: float, mx: float, my: float) -> float:
+    """RMS residual of the line of that slope through (mx, my)."""
     icept = my - slope * mx
-    rss = math.fsum((y - (slope * x + icept)) ** 2 for x, y in zip(xs, ys))
-    return slope, math.sqrt(rss / n)
+    fit = map(add, map(mul, repeat(slope), xs), repeat(icept))
+    return math.sqrt(math.fsum(map(pow, map(sub, ys, fit), repeat(2)))
+                     / len(xs))
 
 
 def default_window_len(npoints: int) -> int:
@@ -81,6 +86,8 @@ def slope_fit(points, window_len: int | None = None) -> SlopeTriple:
 
     The full window is itself a candidate, so lower <= full <= upper holds
     structurally. Scales must be strictly monotone; at least 4 points.
+    Windows are ranked by slope alone, the first of tied windows kept; the
+    residual is computed for the three reported windows only.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 4:
@@ -100,27 +107,21 @@ def slope_fit(points, window_len: int | None = None) -> SlopeTriple:
         raise ValidationError("window_len must be >= 2")
     wl = min(wl, n)
 
-    best_lo = None
-    best_hi = None
-    full = None
-    for length in range(wl, n + 1):
-        for start in range(0, n - length + 1):
-            wx = xs[start:start + length]
-            wy = ys[start:start + length]
-            slope, rms = _ls(wx, wy)
-            est = (slope, (wx[0], wx[-1]), rms, length)
-            if best_lo is None or slope < best_lo[0]:
-                best_lo = est
-            if best_hi is None or slope > best_hi[0]:
-                best_hi = est
-            if length == n:
-                full = est
+    # by length, then start: the full window comes last
+    wins = [(a, a + length) for length in range(wl, n + 1)
+            for a in range(n - length + 1)]
+    fits = [_ls(xs[a:b], ys[a:b]) for a, b in wins]
+    slope = [fit[0] for fit in fits].__getitem__
 
-    def mk(e, tag):
-        return SlopeEstimate(e[0], e[1], e[2], tag, e[3])
+    def mk(i, tag):
+        (a, b), fit = wins[i], fits[i]
+        return SlopeEstimate(fit[0], (xs[a], xs[b - 1]),
+                             _rms(xs[a:b], ys[a:b], *fit), tag, b - a)
 
-    return SlopeTriple(mk(best_lo, "liminf-proxy"), mk(best_hi, "limsup-proxy"),
-                       mk(full, "full-fit"), wl, tuple(pts))
+    ids = range(len(wins))
+    return SlopeTriple(mk(min(ids, key=slope), "liminf-proxy"),
+                       mk(max(ids, key=slope), "limsup-proxy"),
+                       mk(ids[-1], "full-fit"), wl, tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +129,21 @@ def slope_fit(points, window_len: int | None = None) -> SlopeTriple:
 
 
 def _level_slopes(tree, levels, window_len, value) -> SlopeTriple:
-    """slope_fit of (n, value(n)) over the sorted distinct levels, by
-    default 1..max_depth."""
+    """slope_fit of (n, value(n)) over the sorted distinct levels of the
+    set tree, by default 1..max_depth. Cube counts never fall going down,
+    so a materialized level with as many cubes as the last level evaluated
+    ends a chain of one-child levels below it, and value(n) is called once
+    per chain: a chain repeats the box count and every mass, so also the
+    correlation sum and the max cube mass."""
     if levels is None:
         levels = range(1, tree.max_depth + 1)
-    lv = sorted(set(int(n) for n in levels))
-    return slope_fit([(n, value(n)) for n in lv], window_len)
+    pts, last = [], None
+    for n in sorted(set(int(n) for n in levels)):
+        if not (last and n <= tree.max_depth
+                and len(tree.levels[n]) == len(tree.levels[last[0]])):
+            last = n, value(n)
+        pts.append((n, last[1]))
+    return slope_fit(pts, window_len)
 
 
 def box_dims(tree: DyadicSetTree, levels=None,
@@ -152,7 +162,7 @@ def correlation_dims(mu: DyadicMeasureTree, levels=None,
     """Slope estimates of -log2 sum(mass^2) against n: the dyadic
     correlation-sum reading of correlation dimension."""
     return _level_slopes(
-        mu, levels, window_len,
+        mu.support, levels, window_len,
         lambda n: -log2_fraction(mu.dyadic_correlation_sum(n)))
 
 
@@ -160,7 +170,7 @@ def frostman_slope(mu: DyadicMeasureTree, levels=None,
                    window_len: int | None = None) -> SlopeTriple:
     """Slope estimates of -log2 max cube mass against n: the decay exponent
     of the measure's worst cube, a Frostman-exponent proxy."""
-    return _level_slopes(mu, levels, window_len,
+    return _level_slopes(mu.support, levels, window_len,
                          lambda n: -log2_fraction(mu.max_cube_mass(n)))
 
 
@@ -351,12 +361,14 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     keeps its best prefixes as a list in key order; a level that branches
     repeats each entry over the cube's run of descendants (the tree's
     parent_runs when the levels in between do not branch), then folds its
-    own prefixes in. A level with as many cubes only continues one-child
-    chains, which repeat their masses, and a mass passes no more exponents
-    deeper down (2^-ns falls with n for s > 0, is >= 1 for s <= 0), so it
-    is skipped once its half has been folded in on those chains. Every
-    cube at the window's last level has a leaf below it with the same
-    window ancestors, so the pass stops there.
+    own prefixes in. Once no level of a half is left, only the minimum of
+    its list is read, which repeating entries does not change, so the
+    second half's levels repeat its list alone. A level with as many cubes
+    only continues one-child chains, which repeat their masses, and a mass
+    passes no more exponents deeper down (2^-ns falls with n for s > 0, is
+    >= 1 for s <= 0), so it is skipped once its half has been folded in on
+    those chains. Every cube at the window's last level has a leaf below
+    it with the same window ancestors, so the pass stops there.
     """
     if grid is None:
         grid = [Fraction(k, 20) for k in range(1, 21)]
@@ -381,8 +393,8 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
             runs = (mu.support.parent_runs[n - 1][1]
                     if len(support[n - 1]) == len(support[at]) else
                     Counter(map(rshift, keys, repeat(d * (n - at)))).values())
-            best = [list(chain.from_iterable(map(repeat, b, runs)))
-                    for b in best]
+            best[h:] = [list(chain.from_iterable(map(repeat, b, runs)))
+                        for b in best[h:]]
             at = n
         elif h == last:
             continue

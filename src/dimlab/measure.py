@@ -241,11 +241,13 @@ class DyadicMeasureTree:
         (_below_leaves). A row paired with itself (every 1-D call, and the
         diagonal in d >= 2) meets lag -s as it meets lag s, so it sums
         each lag s > 0 once and counts it twice, and lag 0 once: its
-        window is sum n_a^2 + 2 sum_a n_a (P[hi_a] - P[a + 1]), one
-        bisect per cube. A pair that is inside or outside at a level above
-        m has all of its level-m descendant pairs on the same side, so
-        these integer sums regroup the terms of a walk over every cap-level
-        pair, and the bracket is the same rational.
+        window is sum n_a^2 + 2 sum_a n_a (P[hi_a] - P[a + 1]), which is
+        2 sum_a n_a P[hi_a] - S^2 for S = P[-1], since
+        sum_a n_a P[a + 1] = (S^2 + sum n_a^2) / 2: one bisect per cube.
+        A pair that is inside or outside at a level above m has all of its
+        level-m descendant pairs on the same side, so these integer sums
+        regroup the terms of a walk over every cap-level pair, and the
+        bracket is the same rational.
         """
         rf = to_fraction(r)
         if rf <= 0:
@@ -305,10 +307,9 @@ class DyadicMeasureTree:
                 if t_in >= 0:  # each j's window: bisects into prefix sums
                     hi = map(bisect_right, repeat(js_b),
                              map(add, js_a, repeat(t_in)))
-                    if own:  # j with itself, and the lags 1..t_in after j
-                        inside += sum(map(mul, ns_a, ns_a)) + 2 * sum(map(
-                            mul, ns_a, map(sub, map(pre_b.__getitem__, hi),
-                                           pre_b[1:])))
+                    if own:  # j with itself and lags 1..t_in after j, as above
+                        inside += 2 * sum(map(mul, ns_a, map(
+                            pre_b.__getitem__, hi))) - pre_b[-1] ** 2
                     else:
                         lo = map(bisect_left, repeat(js_b),
                                  map(add, js_a, repeat(-t_in)))

@@ -244,15 +244,27 @@ class DyadicSetTree:
     # -- structure queries ------------------------------------------------
 
     def validate(self) -> None:
+        """Raise ValidationError on the first defect: the shape, a key out
+        of range or order, then a level not nested under the one above (a
+        childless parent before an orphan), each level by level. A sound
+        level of one child per parent passes both in one comparison."""
         if self.d < 1:
             raise ValidationError("d must be >= 1")
         if len(self.levels) != self.max_depth + 1:
             raise ValidationError("level list length != max_depth + 1")
         if self.levels[0] != [0]:
             raise ValidationError("root level must be exactly the unit cube")
-        # a strictly sorted level lies in range iff its two ends do; the
-        # key-by-key scan runs only to name the first defect of a bad level
+        # a level with as many keys as the (checked) level above nests
+        # under it iff its keys >> d equal that level, and is then strictly
+        # sorted and in range too; any other level is iff its two ends are
+        # in range and each key is above the one before, and the key-by-key
+        # scan names the first defect of a bad one
+        chained = set()
         for n, keys in enumerate(self.levels):
+            if n and len(keys) == len(self.levels[n - 1]) and list(
+                    map(rshift, keys, repeat(self.d))) == self.levels[n - 1]:
+                chained.add(n)
+                continue
             top = 1 << (self.d * n)
             if not keys or (keys[0] >= 0 and keys[-1] < top
                             and all(map(lt, keys, keys[1:]))):
@@ -268,6 +280,8 @@ class DyadicSetTree:
         # a one-child level), in order, equal the level above iff every cube
         # has a selected parent and every parent a child
         for n, runs in enumerate(self.parent_runs, 1):
+            if n in chained:
+                continue
             parents = self.levels[n - 1]
             ups = (runs[0] if runs else
                    list(map(rshift, self.levels[n], repeat(self.d))))

@@ -15,7 +15,8 @@ tables split by one Fraction product per child, tables summed bottom-up
 from leaf masses, atomic() in Fractions, the cover mass and the 2^d-cube
 sup-ball cover bound by scans of every cube, and the s-energy over every
 leaf pair in 80-digit Decimals (1-D) or every pair of cap-level cubes
-(d >= 2), with leaf_measure and deeper to build their inputs.
+(d >= 2), with leaf_measure and deeper to build their inputs. The slope
+fit is the float one with a slope and an RMS residual for every window.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from fractions import Fraction
 from itertools import product
 
 from dimlab.dyadic import cube_of_point, deinterleave, interleave
+from dimlab.estimators import SlopeEstimate, SlopeTriple, default_window_len
+from dimlab.exact import ValidationError
 from dimlab.measure import DyadicMeasureTree, _below_leaves, ancestor_tables
 from dimlab.settree import DyadicSetTree
 
@@ -409,3 +412,60 @@ def oracle_atomic(pts, ws, d, depth):
         leaf[key] = leaf.get(key, Fraction(0)) + w
     masses = oracle_ancestors(leaf, d, depth)
     return sorted(agg.items()), masses, [sorted(t) for t in masses]
+
+
+def _oracle_ls(xs, ys):
+    """Least-squares slope and RMS residual, five fsums."""
+    n = len(xs)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    if sxx == 0.0:
+        raise ValidationError("degenerate abscissae in slope fit")
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    icept = my - slope * mx
+    rss = math.fsum((y - (slope * x + icept)) ** 2 for x, y in zip(xs, ys))
+    return slope, math.sqrt(rss / n)
+
+
+def oracle_slope_fit(points, window_len=None):
+    """slope_fit with the slope and residual of every window of at least
+    window_len points; the first window of least (greatest) slope is the
+    lower (upper) estimate."""
+    pts = [(float(x), float(y)) for x, y in points]
+    if len(pts) < 4:
+        raise ValidationError("slope fit needs at least 4 points")
+    xs = [p[0] for p in pts]
+    inc = all(a < b for a, b in zip(xs, xs[1:]))
+    dec = all(a > b for a, b in zip(xs, xs[1:]))
+    if not (inc or dec):
+        raise ValidationError("scales must be strictly monotone")
+    if dec:
+        pts.reverse()
+        xs.reverse()
+    ys = [p[1] for p in pts]
+    n = len(pts)
+    wl = default_window_len(n) if window_len is None else int(window_len)
+    if wl < 2:
+        raise ValidationError("window_len must be >= 2")
+    wl = min(wl, n)
+    best_lo = best_hi = full = None
+    for length in range(wl, n + 1):
+        for start in range(0, n - length + 1):
+            wx = xs[start:start + length]
+            slope, rms = _oracle_ls(wx, ys[start:start + length])
+            est = (slope, (wx[0], wx[-1]), rms, length)
+            if best_lo is None or slope < best_lo[0]:
+                best_lo = est
+            if best_hi is None or slope > best_hi[0]:
+                best_hi = est
+            if length == n:
+                full = est
+
+    def mk(e, tag):
+        return SlopeEstimate(e[0], e[1], e[2], tag, e[3])
+
+    return SlopeTriple(mk(best_lo, "liminf-proxy"),
+                       mk(best_hi, "limsup-proxy"), mk(full, "full-fit"),
+                       wl, tuple(pts))

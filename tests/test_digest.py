@@ -5,8 +5,9 @@ Each section prints canonical text (Fractions as p/q, floats as
 float.hex) for one family of results over a fixed corpus: full trees in
 d = 1..3, Cantor and Sierpinski digit-IFS sets, sparse from_codes trees
 and the depth-24 alternating set, under uniform, seeded random_split and
-atomic measures. A change that is meant to keep every output passes
-unchanged; one that moves a section on purpose re-pins it with
+atomic measures, plus the ValidationError text of set trees with one
+defect or two planted on their one-child levels. A change that is meant
+to keep every output passes unchanged; one that moves a section on purpose re-pins it with
 
     PYTHONPATH=src python tests/test_digest.py
 
@@ -158,6 +159,83 @@ def slopes():
                        f"{st.window_len} {text(st.points)}")
 
 
+def _sweep24():
+    return constructions.sweep_set(constructions.sweep_plan(
+        Fraction(2, 5), Fraction(7, 10)), 24)
+
+
+# set trees whose one-child levels (as many cubes as the level above) get
+# the planted defects of bad_trees
+VALIDATION_TREES = {name: TREES[name] for name in (
+    "cantor-8", "codes1-12", "codes2-6", "alternating24")}
+VALIDATION_TREES["sweep24"] = _sweep24
+
+
+def _defects(levels, d, n, i):
+    """(label, level n's keys) for the defects planted at key i of level n:
+    a key out of range above or below, two neighbours swapped, a key moved
+    to a sibling of its neighbour (a childless parent above, the order
+    kept), a key moved to a cube whose parent is not selected, and such an
+    orphan added."""
+    keys, above = levels[n], set(levels[n - 1])
+    yield "range-high", keys[:i] + [1 << (d * n)] + keys[i + 1:]
+    yield "range-low", keys[:i] + [-1] + keys[i + 1:]
+    if len(keys) > 1:
+        j = min(i, len(keys) - 2)
+        yield "swap", keys[:j] + [keys[j + 1], keys[j]] + keys[j + 2:]
+    # a sibling of key i in place of its neighbour on that side: on a
+    # one-child level the neighbour's parent loses its only child, and the
+    # order is kept
+    sib = keys[i] ^ 1
+    j = i + 1 if sib > keys[i] else i - 1
+    if 0 <= j < len(keys) and keys[j] != sib:
+        yield "childless", keys[:j] + [sib] + keys[j + 1:]
+    lo = keys[i - 1] + 1 if i else 0
+    hi = keys[i + 1] if i + 1 < len(keys) else 1 << (d * n)
+    orphan = next((k for k in range(lo, min(hi, lo + 4096))
+                   if k >> d not in above), None)
+    if orphan is not None:
+        yield "orphan", keys[:i] + [orphan] + keys[i + 1:]
+        yield "orphan-added", sorted(keys + [orphan])
+
+
+def bad_trees():
+    """(name, levels, d): one defect on a one-child level at its first,
+    middle and last key, and a defect on a one-child level together with
+    one on a later branching level."""
+    for name, make in VALIDATION_TREES.items():
+        tree = make()
+        lv, d = tree.levels, tree.d
+        chained = [n for n in range(1, len(lv)) if len(lv[n]) == len(lv[n - 1])]
+        branching = [n for n in range(1, len(lv)) if len(lv[n]) > len(lv[n - 1])]
+        for n in chained:
+            for i in sorted({0, len(lv[n]) // 2, len(lv[n]) - 1}):
+                for label, keys in _defects(lv, d, n, i):
+                    yield (f"{name} {label} {n} {i}",
+                           lv[:n] + [keys] + lv[n + 1:], d)
+        for n in chained:
+            later = [m for m in branching if m > n][:2]
+            for m in later:
+                i, k = len(lv[n]) // 2, len(lv[m]) // 2
+                for first, one in _defects(lv, d, n, i):
+                    for second, two in _defects(lv, d, m, k):
+                        levels = list(lv)
+                        levels[n], levels[m] = one, two
+                        yield (f"{name} {first} {n} {i} + {second} {m} {k}",
+                               levels, d)
+
+
+def validation_messages():
+    for label, levels, d in bad_trees():
+        tree = DyadicSetTree(d, len(levels) - 1, levels, None, {})
+        try:
+            tree.validate()
+        except ValidationError as exc:
+            yield f"{label} {exc}"
+        else:
+            yield f"{label} valid"
+
+
 def levels():
     for q in range(1, 41):
         for p in range(1, 2 * q + 1):
@@ -174,6 +252,7 @@ SECTIONS = {
     "correlation_predicates": predicates,
     "slopes": slopes,
     "radius_levels": levels,
+    "validation_messages": validation_messages,
 }
 
 

@@ -26,13 +26,46 @@ from dimlab.estimators import (
     packing_threshold,
     slope_fit,
 )
-from dimlab.exact import ValidationError, cmp_pow2, pow2
+from dimlab.exact import ValidationError, cmp_pow2, log2_fraction, pow2
 from dimlab.measure import DyadicMeasureTree
 from dimlab.settree import DyadicSetTree
+from oracles import oracle_slope_fit
 
 
 def cantor_tree(depth):
     return DyadicSetTree.from_digit_ifs(1, group=2, keep=[0, 3], depth=depth)
+
+
+def chain_set(name):
+    """The four sets of the inequality-chain acceptance check."""
+    low, high = Fraction(2, 5), Fraction(7, 10)
+    return {
+        "cantor": lambda: cantor_tree(12),
+        "full": lambda: DyadicSetTree.full(1, 10),
+        "alternating": lambda: alternating_set(
+            alternating_plan(low, high, level_budget=10 ** 6), 24),
+        "sweep": lambda: sweep_set(sweep_plan(low, high), 24),
+    }[name]()
+
+
+def hexed(triple):
+    """A SlopeTriple as text, every float as float.hex."""
+    def text(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, tuple):
+            return "(" + " ".join(map(text, x)) + ")"
+        return str(x)
+    return " ".join(text((e.value, e.window, e.residual, e.variant,
+                          e.npoints)) for e in (triple.lower, triple.upper,
+                                                triple.full)) + (
+        f" {triple.window_len} {text(triple.points)}")
+
+
+def assert_same_fit(pts, window_len):
+    got, want = slope_fit(pts, window_len), oracle_slope_fit(pts, window_len)
+    assert got == want
+    assert hexed(got) == hexed(want)
 
 
 class TestSlopeFit:
@@ -84,6 +117,38 @@ class TestSlopeFit:
         tri = slope_fit(list(reversed(pts)))
         assert tri.full.value == pytest.approx(0.3)
 
+    def test_matches_every_window_oracle_seeded(self):
+        # windows ranked by slope alone, residuals only for the three
+        # reported ones: the same floats as a fit of every window
+        rng = random.Random(29)
+        for case in range(300):
+            n = rng.randint(4, 18)
+            xs = sorted(rng.sample(range(-40, 40), n))
+            if case % 3 == 0:  # integer ys: tied slopes
+                ys = [rng.randint(0, 3) for _ in xs]
+            elif case % 3 == 1:  # staircase with float steps
+                ys = [0.5 * (x // 2) + 0.1 * rng.random() for x in xs]
+            else:
+                ys = [rng.uniform(-50, 50) for _ in xs]
+            pts = list(zip(xs, ys))
+            if case % 2:
+                pts.reverse()  # decreasing scales
+            for wl in (None, 2, n, rng.randint(2, n)):
+                assert_same_fit(pts, wl)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.integers(-1000, 1000),
+                              st.one_of(st.integers(-5, 5),
+                                        st.floats(-1e6, 1e6))),
+                    min_size=4, max_size=16,
+                    unique_by=lambda p: p[0]),
+           st.booleans(), st.sampled_from([None, 2, 3, "n"]))
+    @example([(0, 0), (1, 1), (2, 0), (3, 1)], False, 2)
+    @example([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], True, None)
+    def test_matches_every_window_oracle(self, pts, decreasing, wl):
+        pts = sorted(pts, reverse=decreasing)
+        assert_same_fit(pts, len(pts) if wl == "n" else wl)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             slope_fit([(0, 0), (1, 1), (2, 2)])
@@ -131,6 +196,51 @@ class TestDimensionSlopes:
             assert est(obj) == want
             assert est(obj, levels=[9, 3, 1, 3, 5, 2, 8, 4, 7, 6, 9]) == want
             assert [x for x, _ in want.points] == list(range(1, 10))
+
+    @pytest.mark.parametrize("name", ["cantor", "alternating", "sweep",
+                                      "codes", "atoms"])
+    def test_chains_match_directly_evaluated_levels(self, name):
+        # one value per chain of one-child levels, repeated down it, gives
+        # the fit of every level evaluated on its own: windows with gaps,
+        # box windows past the materialized depth (symbolic counts), under
+        # uniform, random-split and atomic measures
+        rng = random.Random(name)
+        if name == "atoms":
+            pts = [(Fraction(rng.randint(1, 999), 999),) for _ in range(5)]
+            atoms = DyadicMeasureTree.atomic(pts, [Fraction(1, 5)] * 5, 1, 18)
+            tree, measures = atoms.support, [atoms]
+        else:
+            tree = chain_set(name) if name != "codes" else \
+                DyadicSetTree.from_codes(2, 9, rng.sample(range(1 << 18), 7))
+            measures = [DyadicMeasureTree.uniform_on_set(tree),
+                        DyadicMeasureTree.random_split(tree, rng)]
+        top = tree.max_depth
+        assert any(len(a) == len(b) for a, b in zip(tree.levels[1:],
+                                                    tree.levels[2:]))
+        windows = [range(1, top + 1), range(top // 2, top + 1)]
+        windows += [rng.sample(range(top + 1), rng.randint(4, top))
+                    for _ in range(6)]
+        box_windows = list(windows)
+        if tree.symbolic is not None:
+            box_windows += [range(top - 5, top + 9), [2, top, top + 3,
+                                                      top + 40]]
+        for levels in box_windows:
+            got = box_dims(tree, levels)
+            want = slope_fit([(n, math.log2(tree.box_count(n)))
+                              for n in sorted(set(levels))])
+            assert hexed(got) == hexed(want)
+        for mu in measures:
+            for levels in windows:
+                for wl in (None, 2):
+                    lv = sorted(set(levels))
+                    corr = [(n, -log2_fraction(mu.dyadic_correlation_sum(n)))
+                            for n in lv]
+                    fro = [(n, -log2_fraction(mu.max_cube_mass(n)))
+                           for n in lv]
+                    assert hexed(correlation_dims(mu, levels, wl)) == \
+                        hexed(slope_fit(corr, wl))
+                    assert hexed(frostman_slope(mu, levels, wl)) == \
+                        hexed(slope_fit(fro, wl))
 
 
 class TestCorrelationPredicates:
@@ -236,14 +346,7 @@ class TestPacking:
         # makes are a work count, pinned as an algorithmic regression check
         # (403 in all before one-child levels were skipped); a change that
         # moves them on purpose says so
-        low, high = Fraction(2, 5), Fraction(7, 10)
-        tree = {
-            "cantor": lambda: cantor_tree(12),
-            "full": lambda: DyadicSetTree.full(1, 10),
-            "alternating": lambda: alternating_set(
-                alternating_plan(low, high, level_budget=10 ** 6), 24),
-            "sweep": lambda: sweep_set(sweep_plan(low, high), 24),
-        }[name]()
+        tree = chain_set(name)
         mu = DyadicMeasureTree.uniform_on_set(tree)
         calls = []
         with monkeypatch.context() as m:
@@ -258,6 +361,34 @@ class TestPacking:
             (Fraction(k, 20),
              "holds-on-window" if Fraction(k, 20) <= expected else "fails")
             for k in range(1, 21)]
+
+    @pytest.mark.parametrize("name, values", [
+        ("cantor", 6), ("full", 10), ("alternating", 7), ("sweep", 14)])
+    def test_inequality_chain_work_counts(self, name, values, monkeypatch):
+        # work counts of one inequality_report on the default window,
+        # pinned like the comparisons above: one correlation sum and one
+        # max cube mass per chain of one-child levels (12, 10, 24 and 24
+        # before chains were evaluated once), and three residuals per
+        # slope fit, one for each reported window
+        tree = chain_set(name)
+        mu = DyadicMeasureTree.uniform_on_set(tree)
+        calls = {"corr": 0, "max": 0, "fit": 0, "rms": 0}
+
+        def counting(key, f):
+            def wrapper(*args):
+                calls[key] += 1
+                return f(*args)
+            return wrapper
+
+        for key, owner, attr in (
+                ("corr", DyadicMeasureTree, "dyadic_correlation_sum"),
+                ("max", DyadicMeasureTree, "max_cube_mass"),
+                ("fit", estimators, "slope_fit"),
+                ("rms", estimators, "_rms")):
+            monkeypatch.setattr(owner, attr,
+                                counting(key, getattr(owner, attr)))
+        inequality_report(tree, [mu])
+        assert calls == {"corr": values, "max": values, "fit": 3, "rms": 9}
 
     def test_one_bisection_per_level_and_mass(self, monkeypatch):
         mu = DyadicMeasureTree.uniform_on_set(cantor_tree(12))

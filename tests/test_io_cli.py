@@ -12,7 +12,8 @@ import pytest
 from dimlab import io
 from dimlab.cli import build_parser, main
 from dimlab.constructions import (alternating_plan, alternating_set,
-                                  stagewise_frostman_measures, sweep_plan)
+                                  stagewise_frostman_measures, sweep_plan,
+                                  sweep_set)
 from dimlab.exact import ValidationError, pow2
 from dimlab.measure import DyadicMeasureTree
 from dimlab.settree import DyadicSetTree
@@ -641,6 +642,34 @@ class TestCliVerify:
                                 "--in", cantor_file, "--levels", "4..9",
                                 "--tol", "0", "--window", "4")
         assert code == 4 and "ineq-chain: FAIL" in text
+
+    @pytest.mark.parametrize("edits, want", [
+        ({20: {0: 131072, 1: 0}}, "level 20 keys not strictly sorted"),
+        ({24: {-1: 1 << 24}}, "key 16777216 out of range at level 24"),
+        ({18: {1: 1}}, "cube 16384 at level 17 has no selected child"),
+        ({5: {1: 2, 2: 4, 3: 8, 4: 12, 5: 16}},
+         "cube 2 at level 5 has unselected parent"),
+        # a nesting defect on a one-child level, an order defect on a
+        # later branching one: the order scan of every level comes first
+        ({5: {1: 1}, 10: {0: 128, 1: 0}}, "level 10 keys not strictly sorted"),
+    ], ids=["swap", "range", "childless", "orphan", "two-defects"])
+    def test_ineq_chain_corrupted_sweep_file(self, tmp_path, capsys, edits,
+                                             want):
+        # keys edited on the sweep set's one-child levels (4, 5 and 17..24
+        # have as many cubes as the level above) and on branching level 10
+        data = io.set_to_dict(sweep_set(sweep_plan(Fraction(2, 5),
+                                                   Fraction(7, 10)), 24))
+        for n, keys in edits.items():
+            level = data["levels"][n]
+            for i, k in keys.items():
+                if i == len(level):
+                    level.append(k)
+                level[i] = k
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(data))
+        code, text, err = run_cli(capsys, "verify", "ineq-chain",
+                                  "--in", str(path))
+        assert (code, text, err) == (2, "", f"error: {want}\n")
 
     def test_ball_lower_bound(self, cantor_file, capsys):
         code, text, _ = run_cli(capsys, "verify", "ball-lower-bound",
