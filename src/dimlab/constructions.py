@@ -717,8 +717,7 @@ def _stage_measure(tree: DyadicSetTree, level: int,
                    cubes: list[tuple[int, Fraction]]) -> DyadicMeasureTree:
     """Measure truncated at the stage level: explicit masses on the stage
     cubes' ancestor closure, uniform leaf model below."""
-    tables = ancestor_tables(dict(cubes), tree.d, level)
-    levels = [sorted(tbl) for tbl, _ in tables]
+    levels, tables = ancestor_tables(dict(cubes), tree.d, level)
     support = DyadicSetTree(tree.d, level, levels, None,
                             {"kind": "frostman_stage", "from": tree.meta.get("kind")})
     mu = DyadicMeasureTree(support, UNIFORM, tables, None, {

@@ -211,10 +211,10 @@ def _sup_ball_cover(mu: DyadicMeasureTree, r: Fraction, n: int) -> Fraction:
     those blocks, keyed by lower corner idx + c, c in {0, -1}^d; the bound
     is the largest block total."""
     d = mu.d
-    masses, den = mu.tables[n]
+    nums, den = mu.tables[n]
     corners = list(product((0, -1), repeat=d))
     blocks = defaultdict(int)
-    for key, m in masses.items():
+    for key, m in zip(mu.support.levels[n], nums):
         idx = (key,) if d == 1 else deinterleave(key, n, d)
         for c in corners:
             blocks[tuple(map(add, idx, c))] += m
@@ -401,7 +401,7 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
         last = h
         nums, den = mu.tables[n]
         passed = {}  # numerator -> length of the grid prefix its mass passes
-        for num in set(nums.values()):
+        for num in set(nums):
             m, lo, hi = Fraction(num, den), 0, nsv
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -411,7 +411,7 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
                     hi = mid
             passed[num] = lo
         best[h] = [x if x > k else k for x, k in zip(
-            best[h], map(passed.__getitem__, map(nums.__getitem__, keys)))]
+            best[h], map(passed.__getitem__, nums))]
     holds = min(nsv, *map(min, best))
     tested = [(sv, "holds-on-window" if i < holds else "fails")
               for i, sv in enumerate(svs)]

@@ -84,10 +84,10 @@ def _split_level(mu: DyadicMeasureTree) -> int:
     below it, so H counts the leaf keys' level-k prefixes) and U the leaf
     keys' distinct suffixes, over the splits whose dense weight matrix holds
     at most _FILL_CAP * L cells; k = 0 (H = 1) always qualifies."""
-    n, keys = mu.max_depth, mu.tables[-1][0]
+    n, keys = mu.max_depth, mu.support.levels[-1]
     cap = _FILL_CAP * len(keys)
     best, best_cost = 0, None
-    for k, (level, _) in enumerate(mu.tables):
+    for k, level in enumerate(mu.support.levels):
         mask = (1 << (mu.d * (n - k))) - 1
         h, u = len(level), len({key & mask for key in keys})
         cost = _TRIG_COST * (u + h) + u * h
@@ -116,8 +116,8 @@ def _terms(mu: DyadicMeasureTree):
         return np.zeros((1, d)), lo, W, None
     n = mu.max_depth
     side = 2.0 ** -n
-    tbl, den = mu.tables[n]
-    keys = sorted(tbl)
+    nums, den = mu.tables[n]
+    keys = mu.support.levels[n]
     k = _split_level(mu)
     shift = d * (n - k)
     mask = (1 << shift) - 1
@@ -131,8 +131,8 @@ def _terms(mu: DyadicMeasureTree):
     lo = (np.array([deinterleave(q, n - k, d) for q in suffixes],
                    dtype=float).reshape(-1, d) + 0.5) * side - 0.5
     W = np.zeros((len(suffixes), len(prefixes)))
-    for (u, h), key in zip(cells, keys):
-        W[u, h] = tbl[key] / den  # correctly rounded: the nearest float
+    for (u, h), num in zip(cells, nums):
+        W[u, h] = num / den  # correctly rounded: the nearest float
     return hi, lo, W, side
 
 

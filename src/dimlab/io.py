@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from io import StringIO
@@ -121,8 +122,10 @@ def set_from_dict(data: dict) -> DyadicSetTree:
 
 
 def measure_to_dict(mu: DyadicMeasureTree) -> dict:
-    masses = [[[k, format_rational(m)] for k, m in mu.level_masses(n)]
-              for n in range(mu.max_depth + 1)]
+    # each row's mass in lowest terms by one gcd, as format_rational writes
+    masses = [[[k, f"{m // (g := math.gcd(m, den))}/{den // g}"]
+               for k, m in zip(keys, nums)]
+              for keys, (nums, den) in zip(mu.support.levels, mu.tables)]
     atoms = None
     if mu.atoms is not None:
         atoms = [[[format_rational(c) for c in p], format_rational(w)]
@@ -150,6 +153,11 @@ def measure_from_dict(data: dict) -> DyadicMeasureTree:
         masses = [{k: parse_rational(m) for k, m in level}
                   for level in tables]
         _ints([k for level in tables for k, _ in level])
+        for n, (tbl, level) in enumerate(zip(masses, tables)):
+            if len(tbl) < len(level):  # a row that a later one overwrote
+                seen = set()
+                k = next(k for k, _ in level if k in seen or seen.add(k))
+                raise ValidationError(f"level {n}: cube {k} listed twice")
     elif rule == "equal_split" and tables is None:
         # files written before every measure carried tables
         uni = DyadicMeasureTree.uniform_on_set(support)

@@ -2,18 +2,20 @@
 
 A measure assigns a rational mass to every selected cube, consistently
 (parent mass = sum of selected-child masses, root mass 1, positive mass
-exactly on selected cubes), stored in every measure as int numerators over
-one reduced denominator per level (a canonical form: equal tables mean
-equal measures; Fractions are made only where a mass leaves the measure),
-built once, one level at a time: top-down by splitting each cube's mass
-among its selected children (uniform; random, its weights drawn in one pass
-in key order), each parent's children one run of the sorted next level (the
-tree's parent_runs, built once per tree and shared by every measure split
-on it), a level of one child per parent keeping the masses above; or
-bottom-up by summing deepest-level masses into their ancestors (atoms,
-construction stages). Below the deepest materialized level a leaf model
-interprets the measure: "uniform" spreads each leaf's mass as normalized
-Lebesgue measure on the leaf cube, "atoms" on an explicit finite point list.
+exactly on selected cubes), stored in every measure as a list of int
+numerators per level, in the order of the support tree's sorted level, over
+one reduced denominator (a canonical form: equal tables mean equal
+measures; the keys live only in the tree, and Fractions are made only where
+a mass leaves the measure), built once, one level at a time: top-down by
+splitting each cube's mass among its selected children (uniform; random,
+its weights drawn in one pass in key order), each parent's children one run
+of the sorted next level (the tree's parent_runs, built once per tree and
+shared by every measure split on it), a level of one child per parent
+sharing the list above; or bottom-up by summing deepest-level masses into
+their ancestors (atoms, construction stages). Below the deepest
+materialized level a leaf model interprets the measure: "uniform" spreads
+each leaf's mass as normalized Lebesgue measure on the leaf cube, "atoms"
+on an explicit finite point list.
 
 Ball quantities that a finite tree cannot pin down exactly are returned as
 two-sided brackets; dyadic quantities (cube masses, correlation sums over
@@ -34,7 +36,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul, rshift, sub
+from operator import add, floordiv, mul, rshift, sub
 from typing import Sequence
 
 from .dyadic import deinterleave, interleave, offset_bounds
@@ -48,8 +50,8 @@ from .settree import DyadicSetTree, _check_dims
 
 UNIFORM = "uniform"
 ATOMS = "atoms"
-# per level: (int numerators by cube key, their reduced denominator)
-Tables = list[tuple[dict[int, int], int]]
+# per level: (int numerators in support.levels order, reduced denominator)
+Tables = list[tuple[list[int], int]]
 # terms of the 1-D energy kernel's series at large offsets: from offset 4
 # or 5 up its error bound is below the direct form's rounding bound
 _SERIES_TERMS = 8
@@ -99,9 +101,9 @@ class EnergyBracket:
 
 class DyadicMeasureTree:
     """Mass assignment on a DyadicSetTree. tables[n] = (N, D) holds level
-    n's masses as mass(n, key) = N[key] / D, in lowest terms. The tables
-    are never mutated after construction: the measure keeps what it
-    derives from them (the ball bracket's row index, the atoms on ints)."""
+    n's masses as mass(n, support.levels[n][i]) = N[i] / D, in lowest
+    terms. The tables are never mutated after construction: the measure
+    keeps what it derives from them (the row index, the atoms on ints)."""
 
     def __init__(self, support: DyadicSetTree, leaf_model: str, tables: Tables,
                  atoms: list[tuple[tuple[Fraction, ...], Fraction]] | None = None,
@@ -131,10 +133,19 @@ class DyadicMeasureTree:
                     masses: list[dict[int, Fraction]],
                     leaf_model: str = UNIFORM,
                     atoms=None, meta=None) -> "DyadicMeasureTree":
-        """Validated measure from per-level Fraction tables."""
-        mu = cls(tree, leaf_model, [_over_lcm(tbl) for tbl in masses],
-                 atoms, meta)
-        mu.validate()
+        """Validated measure from Fraction tables in any key order, aligned
+        with the sorted levels once (a level equal to the one above shares
+        its table); a broken parent is named in its table's order."""
+        tables = []
+        for keys, tbl in zip(tree.levels, masses):
+            # a level keyed unlike the support gets no numerators
+            t = (_over_lcm(list(map(tbl.get, keys)))
+                 if tbl.keys() == set(keys) else ([], 1))
+            tables.append(tables[-1] if tables and t == tables[-1] else t)
+        if masses and masses[0].get(0, 0) != 1:  # named before level 0's keys
+            tables[:1] = [([0], 1)]
+        mu = cls(tree, leaf_model, tables, atoms, meta)
+        mu._check(masses)
         return mu
 
     @classmethod
@@ -149,19 +160,18 @@ class DyadicMeasureTree:
         idx = [((a << depth) - 1) // q for p in ips for a in p]
         keys = idx if d == 1 else list(map(interleave, zip(*[iter(idx)] * d),
                                            repeat(depth)))
-        tables = _sums_up(*zip(*sorted(zip(keys, ns))), wden, d, depth)
-        src = dict(zip(ips, zip(pts, ws)))
-        tot = dict.fromkeys(sorted(src), 0)  # coincident points: one atom
+        levels, tables = _sums_up(*zip(*sorted(zip(keys, ns))), wden, d,
+                                  depth)
+        tot = Counter()  # coincident points: one atom
         for p, n in zip(ips, ns):
             tot[p] += n
-        tot, wden = _reduced(tot, wden)
-        if len(src) < len(ips):
-            src = {p: (src[p][0], Fraction(n, wden)) for p, n in tot.items()}
-        tree = DyadicSetTree(d, depth, [list(t) for t, _ in tables], None,
-                             {"kind": "points", "count": len(src)})
-        mu = cls(tree, ATOMS, tables, list(map(src.get, tot)),
+        src, ips = dict(zip(ips, pts)), sorted(tot)
+        ns, wden = _reduced(list(map(tot.get, ips)), wden)
+        tree = DyadicSetTree(d, depth, levels, None,
+                             {"kind": "points", "count": len(ips)})
+        mu = cls(tree, ATOMS, tables, [(src[p], Fraction(n, wden))
+                                       for p, n in zip(ips, ns)],
                  meta or {"kind": "atomic"})
-        ips, ns = list(tot), list(tot.values())
         mu._atom_ints = (q, wden, [p[0] for p in ips],
                          list(itertools.accumulate(ns, initial=0)), ips, ns)
         return mu
@@ -193,30 +203,37 @@ class DyadicMeasureTree:
     def max_depth(self) -> int:
         return self.support.max_depth
 
-    def _table(self, n: int) -> tuple[dict[int, int], int]:
+    def _table(self, n: int) -> tuple[list[int], int]:
         if not (0 <= n <= self.max_depth):
             raise ValidationError("level out of range")
         return self.tables[n]
 
+    def _num(self, n: int, key: int) -> int:
+        """A level-n cube's numerator (0 if unselected), by a bisect."""
+        keys = self.support.levels[n]
+        i = bisect_left(keys, key)
+        return self.tables[n][0][i] if keys[i:i + 1] == [key] else 0
+
     def mass(self, level: int, key: int) -> Fraction:
-        tbl, den = self._table(level)
-        return Fraction(tbl.get(key, 0), den)
+        den = self._table(level)[1]
+        return Fraction(self._num(level, key), den)
 
     def level_masses(self, n: int) -> list[tuple[int, Fraction]]:
         """Sorted (key, mass) pairs over the selected level-n cubes."""
-        tbl, den = self._table(n)
-        return [(k, Fraction(m, den)) for k, m in sorted(tbl.items())]
+        nums, den = self._table(n)
+        return [(k, Fraction(m, den)) for k, m in zip(self.support.levels[n],
+                                                       nums)]
 
     def max_cube_mass(self, n: int) -> Fraction:
-        tbl, den = self._table(n)
-        return Fraction(max(tbl.values()), den)
+        nums, den = self._table(n)
+        return Fraction(max(nums), den)
 
     # -- correlation ----------------------------------------------------------
 
     def dyadic_correlation_sum(self, n: int) -> Fraction:
         """Sum of squared level-n cube masses, exactly."""
-        tbl, den = self._table(n)
-        return Fraction(sum(map(mul, tbl.values(), tbl.values())), den * den)
+        nums, den = self._table(n)
+        return Fraction(sum(map(mul, nums, nums)), den * den)
 
     def ball_correlation_bracket(self, r, extra_depth: int = 4) -> CorrelationBracket:
         """Two-sided enclosure of (mu x mu){(x, y): |x - y| <= r}.
@@ -279,11 +296,12 @@ class DyadicMeasureTree:
             return (0, 1) if level >= cap else None
 
         m = min(cap, self.max_depth)
-        tbl, den = self.tables[m]
+        nums, den = self.tables[m]
         rho = (r2n << (2 * m)) // r2d
         rows = self._row_index.get(m)
         if rows is None:
-            rows = self._row_index[m] = _level_rows(tbl, m, dd)
+            rows = self._row_index[m] = _level_rows(self.support.levels[m],
+                                                    nums, m, dd)
 
         inside = 0
         hist = defaultdict(int)  # sorted axis offsets -> sum of N_a N_b
@@ -348,16 +366,12 @@ class DyadicMeasureTree:
         rf = to_fraction(r)
         if rf < 0:
             raise ValidationError("radius must be >= 0")
-        tbl, den = self._table(level)
-        scale = 1 << level
-        ranges = []
-        for x in pt:
-            lo = max(math.ceil((x - rf) * scale) - 1, 0)
-            hi = min(math.floor((x + rf) * scale), scale - 1)
-            if lo > hi:
-                return Fraction(0)
-            ranges.append(range(lo, hi + 1))
-        return Fraction(sum(tbl.get(interleave(idx, level), 0)
+        den = self._table(level)[1]  # checked before the box arithmetic
+        scale = 1 << level  # per axis the cubes lo..hi, none if lo > hi
+        ranges = [range(max(math.ceil((x - rf) * scale) - 1, 0),
+                        min(math.floor((x + rf) * scale), scale - 1) + 1)
+                  for x in pt]
+        return Fraction(sum(self._num(level, interleave(idx, level))
                             for idx in itertools.product(*ranges)), den)
 
     def ball_mass_atoms(self, point, r) -> Fraction:
@@ -498,14 +512,14 @@ class DyadicMeasureTree:
         MiB of floats), else the distinct codes."""
         import numpy as np
         d, L = self.d, self.max_depth
-        tbl, den = self.tables[L]
-        keys = sorted(tbl)
+        nums, den = self.tables[L]
+        keys = self.support.levels[L]
         n = len(keys)
         # axis i takes key bit d b + d - 1 - i as its bit b (deinterleave)
         bits = (np.array(keys)[:, None] >> np.arange(d * L)) & 1
         idx = (bits.reshape(n, L, d)[:, :, ::-1]
                << np.arange(L)[:, None]).sum(axis=1)
-        w = np.array([tbl[k] / den for k in keys])
+        w = np.array([m / den for m in nums])
         shifts = np.arange(d - 1, -1, -1, dtype=np.int64) * L
         rows = min(n, max(1, (1 << 20) // (n * d)))
         dense = 1 << (d * L) <= min(n * n, 1 << 24)
@@ -534,48 +548,54 @@ class DyadicMeasureTree:
     # -- validation ----------------------------------------------------------------
 
     def validate(self) -> None:
+        self._check(self.support.levels)
+
+    def _check(self, order) -> None:
+        """validate(), a level's first broken parent named in the order of
+        order[n - 1]: the sorted level, or a from_masses table."""
         self.support.validate()
-        if len(self.tables) != self.max_depth + 1:
+        if not len(self.tables) == len(order) == self.max_depth + 1:
             raise ValidationError("mass table depth mismatch")
-        if self.tables[0][0].get(0, 0) != self.tables[0][1]:
-            raise ValidationError("root mass must be 1")
-        d, parent_runs = self.d, self.support.parent_runs
-        for n, (tbl, den) in enumerate(self.tables):
-            keys = self.support.levels[n]
-            if sorted(tbl) != keys:
+        levels, parent_runs = self.support.levels, self.support.parent_runs
+        for n, (nums, den) in enumerate(self.tables):
+            if len(nums) != len(levels[n]):
                 raise ValidationError(
                     f"level {n}: mass support differs from selected cubes")
-            if den <= 0 or min(tbl.values()) <= 0:
+            if n == 0 and nums != [den]:
+                raise ValidationError("root mass must be 1")
+            if den <= 0 or min(nums) <= 0:
                 raise ValidationError("non-positive cube mass")
-            if math.gcd(den, *tbl.values()) != 1:
+            if math.gcd(den, *nums) != 1:
                 raise ValidationError(f"level {n}: masses not in lowest terms")
-            if n > 0:  # per parent in key order, its run of children summed
+            if n > 0:  # per parent, its run of children summed
                 above, up = self.tables[n - 1]
-                nums, runs = list(map(tbl.get, keys)), parent_runs[n - 1]
+                runs, sums = parent_runs[n - 1], nums
                 if runs:  # else one child per parent
                     pre = list(itertools.accumulate(nums, initial=0))
-                    nums = list(map(sub, map(pre.__getitem__, runs[2][1:]),
+                    sums = list(map(sub, map(pre.__getitem__, runs[2][1:]),
                                     map(pre.__getitem__, runs[2])))
-                sums = dict(zip(self.support.levels[n - 1], nums))
-                for pk, pm in above.items():
-                    if sums[pk] * up != pm * den:
-                        raise ValidationError(
-                            f"mass not conserved under cube {pk} at level {n-1}")
+                broken = {pk for pk, s, pm in zip(levels[n - 1], sums, above)
+                          if s * up != pm * den}
+                if broken:
+                    pk = next(k for k in order[n - 1] if k in broken)
+                    raise ValidationError(
+                        f"mass not conserved under cube {pk} at level {n-1}")
         if self.leaf_model == ATOMS:  # atoms as atomic() sums, ints kept
             nu = self.atomic([p for p, _ in self.atoms],
-                             [w for _, w in self.atoms], d, self.max_depth)
-            if nu.tables != self.tables:
+                             [w for _, w in self.atoms], self.d,
+                             self.max_depth)
+            if nu.support.levels != levels or nu.tables != self.tables:
                 raise ValidationError("atoms inconsistent with leaf masses")
             self._atom_ints = nu._atom_ints
 
 
-def _level_rows(tbl: dict[int, int], m: int, d: int) -> list:
-    """The row index of level m's numerators tbl: its cubes grouped into
-    rows along the last axis, in the order of their other axis indices u,
-    each row as (u, sorted last-axis indices js, their numerators ns, ns
-    by js, prefix sums of ns)."""
+def _level_rows(keys: list[int], nums: list[int], m: int, d: int) -> list:
+    """The row index of level m's sorted keys and their numerators: its
+    cubes grouped into rows along the last axis, in the order of their
+    other axis indices u, each row as (u, sorted last-axis indices js,
+    their numerators ns, ns by js, prefix sums of ns)."""
     cubes = defaultdict(list)
-    for key, n in tbl.items():
+    for key, n in zip(keys, nums):
         idx = (key,) if d == 1 else deinterleave(key, m, d)
         cubes[idx[:-1]].append((idx[-1], n))
     rows = []
@@ -626,20 +646,19 @@ def _below_leaves(resolve):
     return below, memo
 
 
-def _reduced(tbl: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
     """One level divided through by gcd(den, all numerators)."""
-    g = math.gcd(den, *tbl.values())
+    g = math.gcd(den, *nums)
     if g == 1:
-        return tbl, den
-    return {k: m // g for k, m in tbl.items()}, den // g
+        return nums, den
+    return list(map(floordiv, nums, repeat(g))), den // g
 
 
-def _over_lcm(tbl: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+def _over_lcm(masses: list[Fraction]) -> tuple[list[int], int]:
     """A level of Fraction masses as int numerators over the lcm of their
     denominators, which is already in lowest terms."""
-    den = math.lcm(*(m.denominator for m in tbl.values()))
-    return {k: m.numerator * (den // m.denominator)
-            for k, m in tbl.items()}, den
+    den = math.lcm(*(m.denominator for m in masses))
+    return [m.numerator * (den // m.denominator) for m in masses], den
 
 
 def _split_masses(tree: DyadicSetTree, ws=None) -> Tables:
@@ -649,18 +668,18 @@ def _split_masses(tree: DyadicSetTree, ws=None) -> Tables:
     below the root (equal weights when None). Over the lcm L of the level's
     per-parent weight totals a child of weight p gets N * (L // total) * p,
     over D * L. The children are the tree's parent runs (parent_runs, built
-    once per tree); on a level of one child per parent each keeps the
-    parent's reduced N / D (tables are in key order)."""
-    tables: Tables = [({0: 1}, 1)]
+    once per tree), one run per numerator of the level above, so the split
+    works on positions; a level of one child per parent shares the table
+    above, its reduced N / D."""
+    tables: Tables = [([1], 1)]
     it = iter(ws or ())
     for level, runs in enumerate(tree.parent_runs):
         nums, den = tables[level]
-        kids = tree.levels[level + 1]
-        w = list(itertools.islice(it, len(kids)))
+        w = list(itertools.islice(it, len(tree.levels[level + 1])))
         if runs is None:
-            tables.append((dict(zip(kids, nums.values())), den))
+            tables.append(tables[level])
             continue
-        ups, lens, ends = runs
+        _, lens, ends = runs
         if ws is None:
             tots = lens
         else:
@@ -668,31 +687,37 @@ def _split_masses(tree: DyadicSetTree, ws=None) -> Tables:
             tots = [pre[b] - pre[a] for a, b in zip(ends, ends[1:])]
         lcm = math.lcm(*tots)
         # each parent's share, repeated over its run of children
-        per = itertools.chain.from_iterable(map(repeat, [
-            nums[u] * (lcm // t) for u, t in zip(ups, tots)], lens))
-        below = dict(zip(kids, per if ws is None else map(mul, per, w)))
-        tables.append(_reduced(below, den * lcm))
+        per = itertools.chain.from_iterable(map(repeat, map(
+            mul, nums, map(floordiv, repeat(lcm), tots)), lens))
+        tables.append(_reduced(list(per if ws is None else map(mul, per, w)),
+                               den * lcm))
     return tables
 
 
-def ancestor_tables(leaf: dict[int, Fraction], d: int, depth: int) -> Tables:
-    """Per-level tables summed up from the level-`depth` masses in `leaf`."""
-    tbl, den = _over_lcm(leaf)
-    return _sums_up(*zip(*sorted(tbl.items())), den, d, depth)
+def ancestor_tables(leaf: dict[int, Fraction], d: int,
+                    depth: int) -> tuple[list[list[int]], Tables]:
+    """(levels, tables) summed up from the level-`depth` masses in `leaf`."""
+    keys, masses = zip(*sorted(leaf.items()))
+    return _sums_up(keys, *_over_lcm(masses), d, depth)
 
 
-def _sums_up(keys, nums, den: int, d: int, depth: int) -> Tables:
-    """Reduced per-level tables from sorted level-`depth` keys (repeats add
-    up): a cube's numerator is the prefix-sum difference over its children."""
-    tables = []
+def _sums_up(keys, nums, den: int, d: int,
+             depth: int) -> tuple[list[list[int]], Tables]:
+    """(sorted keys, reduced tables) per level from sorted level-`depth`
+    keys (repeats add up): a cube's numerator is the prefix-sum difference
+    over its children; a level of one child per cube shares the table
+    below."""
+    levels, tables = [], []
     for shift in (0,) + (d,) * depth:
         runs = Counter(map(rshift, keys, repeat(shift)))
+        one = tables and len(runs) == len(keys)  # one child per cube
         pre = list(itertools.accumulate(nums, initial=0))
         ends = list(map(pre.__getitem__,
                         itertools.accumulate(runs.values(), initial=0)))
         keys, nums = list(runs), list(map(sub, ends[1:], ends))
-        tables.append(_reduced(dict(zip(keys, nums)), den))
-    return tables[::-1]
+        levels.append(keys)
+        tables.append(tables[-1] if one else _reduced(nums, den))
+    return levels[::-1], tables[::-1]
 
 
 def _int_atoms(pts, ws, d: int):

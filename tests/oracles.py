@@ -15,14 +15,25 @@ tables split by one Fraction product per child, tables summed bottom-up
 from leaf masses, atomic() in Fractions, the cover mass and the 2^d-cube
 sup-ball cover bound by scans of every cube, and the s-energy over every
 leaf pair in 80-digit Decimals (1-D) or every pair of cap-level cubes
-(d >= 2), with leaf_measure and deeper to build their inputs. The slope
-fit is the float one with a slope and an RMS residual for every window.
+(d >= 2), with leaf_measure and deeper to build their inputs, and a
+measure file with one Fraction per mass row. The slope fit is the float
+one with a slope and an RMS residual for every window. Two closed forms
+check the float results: the Riesz energies of the unit square from its
+distance density, and the 1-D mean square I(R) from the leaf offset
+histogram and the sine integral.
+
+measure_cases is the one hypothesis strategy of measures that the measure
+tests draw from (uniform, random-split, prime-leaf, atomic, from_masses in
+key or reversed order, ancestor_tables; d = 1..3, on digit-IFS and sparse
+trees of set_trees), each with its Fraction tables from these oracles.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import random
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -30,9 +41,13 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from dimlab import io
 from dimlab.dyadic import cube_of_point, deinterleave, interleave
 from dimlab.estimators import SlopeEstimate, SlopeTriple, default_window_len
-from dimlab.exact import ValidationError
+from dimlab.exact import ValidationError, format_rational
 from dimlab.measure import DyadicMeasureTree, _below_leaves, ancestor_tables
 from dimlab.settree import DyadicSetTree
 
@@ -204,10 +219,10 @@ def oracle_row_ranges(mu, r, extra_depth):
         return (0, 1) if level >= cap else None
 
     m = min(cap, mu.max_depth)
-    tbl, den = mu.tables[m]
+    nums, den = mu.tables[m]
     rho = (r2n << (2 * m)) // r2d
     cubes = defaultdict(list)
-    for key, n in tbl.items():
+    for key, n in zip(mu.support.levels[m], nums):
         idx = deinterleave(key, m, dd)
         cubes[idx[:-1]].append((idx[-1], n))
     rows = []
@@ -273,9 +288,19 @@ def leaf_measure(tree, leaf):
     """Validated uniform-leaf measure whose deepest-level masses are the
     Fractions in `leaf`, ancestors summed by `ancestor_tables`."""
     mu = DyadicMeasureTree(tree, "uniform",
-                           ancestor_tables(leaf, tree.d, tree.max_depth))
+                           ancestor_tables(leaf, tree.d, tree.max_depth)[1])
     mu.validate()
     return mu
+
+
+def oracle_measure_json(mu) -> str:
+    """A measure's file text with every mass row written through one
+    Fraction, format_rational(mass): the reference for measure_to_dict,
+    which formats each row from its numerator."""
+    data = io.measure_to_dict(mu)
+    data["masses"] = [[[k, format_rational(m)] for k, m in mu.level_masses(n)]
+                      for n in range(mu.max_depth + 1)]
+    return json.dumps(io._encode_bigints(data), separators=(",", ":")) + "\n"
 
 
 def oracle_sup_ball_cover(mu, n):
@@ -283,7 +308,8 @@ def oracle_sup_ball_cover(mu, n):
     direction, summing the 2^d cubes of that block that lie in the unit
     cube."""
     d = mu.d
-    masses, den = mu.tables[n]
+    nums, den = mu.tables[n]
+    masses = dict(zip(mu.support.levels[n], nums))
     top = 1 << n
     best = 0
     for key in masses:
@@ -365,6 +391,52 @@ def oracle_energy_cubes(mu, s, cap):
                 math.sqrt(g.min_dist_sq) ** -sv if g.min_dist_sq > 0 else
                 sphere * far ** (d - sv) / ((d - sv) * side ** d)))
     return math.fsum(lower), math.fsum(upper)
+
+
+def square_distance_density(t):
+    """Density of |X - Y| for X, Y independent and uniform on the unit
+    square: 2t(pi - 4t + t^2) on [0, 1], 2t(4 sqrt(t^2 - 1) - (t^2 + 2 - pi)
+    - 4 arcsec t) on [1, sqrt 2]."""
+    if t <= 1:
+        return 2 * t * (math.pi - 4 * t + t * t)
+    return 2 * t * (4 * math.sqrt(t * t - 1) - (t * t + 2 - math.pi)
+                    - 4 * math.acos(1 / t))
+
+
+def square_riesz_energy(s):
+    """The s-energy of Lebesgue measure on the unit square, the integral of
+    t^-s against square_distance_density, by scipy's quad on [0, 1] and
+    [1, sqrt 2]."""
+    from scipy.integrate import quad
+
+    def f(t):
+        return t ** -s * square_distance_density(t)
+
+    return quad(f, 0, 1)[0] + quad(f, 1, math.sqrt(2))[0]
+
+
+def oracle_mean_square_1d(mu, R):
+    """I(R), the integral of |mu_hat|^2 over [-R, R], of a 1-D uniform-leaf
+    measure in closed form: with leaf side l and H(k) the sum of m_a m_b
+    over ordered leaf pairs at index offset |a - b| = k,
+    I(R) = (1/l) sum_k H(k) (G(k + 1) + G(|k - 1|) - 2 G(k)),
+    G(a) = 2 (a Si(a R l) - (1 - cos(a R l)) / (R l)). H is the leaf-mass
+    vector's autocorrelation (numpy), Si is scipy's sici."""
+    import numpy as np
+    from scipy.special import sici
+    depth = mu.max_depth
+    w = np.zeros(1 << depth)
+    for k, m in mu.level_masses(depth):
+        w[k] = float(m)
+    hist = np.correlate(w, w, "full")[len(w) - 1:]
+    hist[1:] *= 2  # k > 0: both orders of each pair
+    a, x = np.arange(len(hist), dtype=float), R * 2.0 ** -depth
+
+    def g(a):
+        return 2 * (a * sici(a * x)[0] - (1 - np.cos(a * x)) / x)
+
+    second = g(a + 1) + g(np.abs(a - 1)) - 2 * g(a)
+    return float(np.sum(hist * second)) * 2.0 ** depth
 
 
 def oracle_ancestors(leaf, d, depth):
@@ -469,3 +541,108 @@ def oracle_slope_fit(points, window_len=None):
     return SlopeTriple(mk(best_lo, "liminf-proxy"),
                        mk(best_hi, "limsup-proxy"), mk(full, "full-fit"),
                        wl, tuple(pts))
+
+
+# ---------------------------------------------------------------------------
+# one hypothesis strategy of measures, with their Fraction tables
+
+# leaf denominators for the prime-table measures: distinct primes, and at
+# most 20 leaves, so that the leaves but one have masses summing below 1
+# and the last one takes the rest
+LEAF_PRIMES = [17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+               79, 83, 89, 97]
+# rational coordinates p/q in (0, 1], q <= 12
+COORDS = st.integers(1, 12).flatmap(
+    lambda q: st.builds(Fraction, st.integers(1, q), st.just(q)))
+MEASURE_KINDS = ("uniform", "random_split", "primes", "atoms", "from_masses",
+                 "reversed", "ancestor_tables")
+
+
+@st.composite
+def set_trees(draw, depths=(7, 4, 3), min_depth=1, max_keep=(None,) * 3,
+              sparse="points", max_cubes=12, ifs=True):
+    """Set trees in d = 1..3 of depth min_depth..depths[d - 1]: digit-IFS
+    trees (digit groups of 1 or 2 bits per axis, 1 in 3-D, keeping up to
+    max_keep[d - 1] digits, any number for None) when ifs and drawn, else
+    sparse trees: the occupied cubes of 1..max_cubes grid points
+    (sparse="points", from_points) or the ancestors of 1..max_cubes
+    deepest cubes (sparse="codes", from_codes)."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    depth = draw(st.integers(min_depth, depths[d - 1]))
+    if ifs and draw(st.booleans()):
+        group = draw(st.integers(1, 2 if d < 3 else 1))
+        keep = draw(st.sets(st.integers(0, (1 << (d * group)) - 1),
+                            min_size=1, max_size=max_keep[d - 1]))
+        return DyadicSetTree.from_digit_ifs(d, group, sorted(keep), depth)
+    if sparse == "codes":
+        return DyadicSetTree.from_codes(d, depth, draw(st.sets(
+            st.integers(0, (1 << (d * depth)) - 1), min_size=1,
+            max_size=max_cubes)))
+    coord = st.builds(Fraction, st.integers(1, 1 << depth),
+                      st.just(1 << depth))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1,
+                        max_size=max_cubes))
+    return DyadicSetTree.from_points(pts, d, depth)
+
+
+def split_case(tree, kind, seed=0, top=9):
+    """(measure, oracle tables, rng states) for a top-down split: equal, or
+    random_split seeded with `seed`, whose rng state afterwards is paired
+    with that of the oracle's per-cube draws from the same seed."""
+    if kind == "uniform":
+        return (DyadicMeasureTree.uniform_on_set(tree),
+                oracle_split(tree, lambda kids: [1] * len(kids)), None)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    mu = DyadicMeasureTree.random_split(tree, rng, top)
+    masses = oracle_split(tree, lambda kids: [oracle_rng.randint(1, top)
+                                              for _ in kids])
+    return mu, masses, (rng.getstate(), oracle_rng.getstate())
+
+
+def leaf_case(tree, kind, leaf):
+    """(measure, oracle tables, None) for deepest-level Fraction masses:
+    the summed tables given to from_masses in key order ("from_masses") or
+    each reversed ("reversed"), else summed by ancestor_tables."""
+    masses = oracle_ancestors(leaf, tree.d, tree.max_depth)
+    if kind == "from_masses":
+        return DyadicMeasureTree.from_masses(tree, masses), masses, None
+    if kind == "reversed":
+        return DyadicMeasureTree.from_masses(tree, [
+            dict(reversed(t.items())) for t in masses]), masses, None
+    return leaf_measure(tree, leaf), masses, None
+
+
+@st.composite
+def measure_cases(draw, kinds=MEASURE_KINDS, trees=set_trees(),
+                  max_part=97):
+    """(measure, its Fraction tables from the oracles, rng states or None)
+    on a drawn tree, of a drawn kind: uniform; random_split with parts
+    1..max_part; "primes", leaf masses 1/p for distinct primes p, the last
+    leaf the rest (trees of at most 20 leaves); atoms, 1..12 points of
+    COORDS with weights 1..9, at the tree's d and depth; leaf weights
+    1..60 given to from_masses in key or reversed order, or summed by
+    ancestor_tables."""
+    tree = draw(trees)
+    d, depth, leaves = tree.d, tree.max_depth, tree.levels[-1]
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("uniform", "random_split"):
+        return split_case(tree, kind, draw(st.integers(0, 2 ** 32)),
+                          draw(st.integers(1, max_part)))
+    if kind == "atoms":
+        pts = draw(st.lists(st.tuples(*[COORDS] * d), min_size=1,
+                            max_size=12))
+        ws = draw(st.lists(st.integers(1, 9), min_size=len(pts),
+                           max_size=len(pts)))
+        ws = [Fraction(w, sum(ws)) for w in ws]
+        return (DyadicMeasureTree.atomic(pts, ws, d, depth),
+                oracle_atomic(pts, ws, d, depth)[1], None)
+    if kind == "primes":
+        assume(len(leaves) <= len(LEAF_PRIMES) + 1)
+        primes = draw(st.permutations(LEAF_PRIMES))
+        leaf = {k: Fraction(1, p) for k, p in zip(leaves[:-1], primes)}
+        leaf[leaves[-1]] = 1 - sum(leaf.values(), Fraction(0))
+        return leaf_case(tree, "ancestor_tables", leaf)
+    ws = draw(st.lists(st.integers(1, 60), min_size=len(leaves),
+                       max_size=len(leaves)))
+    return leaf_case(tree, kind, {k: Fraction(w, sum(ws))
+                                  for k, w in zip(leaves, ws)})

@@ -25,11 +25,12 @@ from pathlib import Path
 
 import pytest
 
-from dimlab import constructions
+from dimlab import constructions, io
 from dimlab.estimators import (box_dims, correlation_dims,
                                correlation_predicates, frostman_slope,
                                packing_threshold)
-from dimlab.exact import ValidationError, diameter_level, level_for_radius
+from dimlab.exact import (ValidationError, diameter_level, format_rational,
+                          level_for_radius)
 from dimlab.measure import DyadicMeasureTree, anti_frostman_measure
 from dimlab.settree import DyadicSetTree
 
@@ -107,8 +108,10 @@ def text(x) -> str:
 
 def split_tables():
     for name in MEASURES:
-        for n, (tbl, den) in enumerate(measure(name).tables):
-            yield f"{name} {n} {den} {text(sorted(tbl.items()))}"
+        mu = measure(name)
+        for n, ((nums, den), keys) in enumerate(zip(mu.tables,
+                                                    mu.support.levels)):
+            yield f"{name} {n} {den} {text(list(zip(keys, nums)))}"
 
 
 def ball_brackets():
@@ -236,6 +239,110 @@ def validation_messages():
             yield f"{label} valid"
 
 
+# measures whose tables get the planted defects of planted_masses: one-child
+# and branching levels in 1-D and 2-D, equal splits, and atoms
+MESSAGE_MEASURES = {
+    "codes1-6/random": lambda: DyadicMeasureTree.random_split(
+        DyadicSetTree.from_codes(1, 6, [0, 1, 4, 40]), random.Random(7)),
+    "codes2-4/random": lambda: DyadicMeasureTree.random_split(
+        DyadicSetTree.from_codes(2, 4, [3, 12, 200, 201]), random.Random(7)),
+    "cantor-5/uniform": lambda: DyadicMeasureTree.uniform_on_set(
+        DyadicSetTree.from_digit_ifs(1, 2, [0, 3], 5)),
+    "full2-2/uniform": lambda: DyadicMeasureTree.uniform_on_set(
+        DyadicSetTree.full(2, 2)),
+    "atoms2": lambda: _atoms(2, 10, 12),
+}
+
+
+def planted_masses(mu):
+    """(label, per-level Fraction tables, atoms) of mu with one defect
+    each: none, a level dropped, root mass 1/2, a cube missing, a mass of
+    0 or negated at the first, middle and last key of each level, an extra
+    cube, a child's mass doubled under the first, the last or both parents
+    of each level above, and for atoms two atom weights swapped."""
+    masses = [dict(mu.level_masses(n)) for n in range(mu.max_depth + 1)]
+
+    def edited(n, change):
+        tbl = dict(masses[n])
+        change(tbl)
+        return masses[:n] + [tbl] + masses[n + 1:]
+
+    yield "none", masses, mu.atoms
+    yield "depth", masses[:-1], mu.atoms
+    yield "root", edited(0, lambda t: t.update({0: Fraction(1, 2)})), mu.atoms
+    levels = mu.support.levels
+    for n, keys in enumerate(levels):
+        for i in sorted({0, len(keys) // 2, len(keys) - 1}):
+            k = keys[i]
+            yield f"missing {n} {i}", edited(n, lambda t: t.pop(k)), mu.atoms
+            yield f"zero {n} {i}", edited(
+                n, lambda t: t.update({k: Fraction(0)})), mu.atoms
+            yield f"negative {n} {i}", edited(
+                n, lambda t: t.update({k: -t[k]})), mu.atoms
+        extra = next(k for k in range(len(keys) + 1) if k not in keys)
+        yield f"extra {n}", edited(
+            n, lambda t: t.update({extra: Fraction(1, 7)})), mu.atoms
+        if n:
+            first, last = levels[n - 1][0], levels[n - 1][-1]
+            for label, cut in (("first", {first}), ("last", {last}),
+                               ("both", {first, last})):
+                kids = [mu.support.children_keys(n - 1, pk)[0] for pk in cut]
+                yield (f"conservation {label} {n}",
+                       edited(n, lambda t: t.update({c: 2 * t[c]
+                                                     for c in kids})),
+                       mu.atoms)
+    if mu.atoms:
+        ws = [w for _, w in mu.atoms]
+        i = next(i for i, w in enumerate(ws) if w != ws[0])
+        ws[0], ws[i] = ws[i], ws[0]
+        yield "atoms", masses, [(p, w) for (p, _), w in zip(mu.atoms, ws)]
+
+
+def _message(build, *args):
+    try:
+        build(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return "valid"
+
+
+def measure_messages():
+    """The ValidationError text of from_masses and of measure_from_dict (a
+    measure file's rows in the tables' order) on each planted defect, the
+    tables in key order and reversed, of measure_from_dict on a file that
+    lists a cube twice in one level, and of validate() on tables with one
+    level scaled out of lowest terms."""
+    for name, make in MESSAGE_MEASURES.items():
+        mu = make()
+        for label, masses, atoms in planted_masses(mu):
+            for order in ("keys", "reversed"):
+                if order == "reversed":
+                    masses = [dict(reversed(t.items())) for t in masses]
+                got = _message(DyadicMeasureTree.from_masses, mu.support,
+                               masses, mu.leaf_model, atoms)
+                yield f"{name} {label} {order} from_masses {got}"
+                data = io.measure_to_dict(mu)
+                data["masses"] = [[[k, format_rational(m)] for k, m in
+                                   t.items()] for t in masses]
+                if atoms is not None:
+                    data["atoms"] = [[[format_rational(c) for c in p],
+                                      format_rational(w)] for p, w in atoms]
+                got = _message(io.measure_from_dict, data)
+                yield f"{name} {label} {order} measure_from_dict {got}"
+        for n, keys in enumerate(mu.support.levels):
+            # a file's row for the last cube again, first in its level
+            data = io.measure_to_dict(mu)
+            data["masses"][n].insert(0, [keys[-1], "999/1000"])
+            got = _message(io.measure_from_dict, data)
+            yield f"{name} duplicate {n} measure_from_dict {got}"
+        for n, (nums, den) in enumerate(mu.tables):
+            tables = list(mu.tables)
+            tables[n] = ([3 * m for m in nums], 3 * den)
+            got = _message(DyadicMeasureTree(mu.support, mu.leaf_model,
+                                             tables, mu.atoms).validate)
+            yield f"{name} scaled {n} validate {got}"
+
+
 def levels():
     for q in range(1, 41):
         for p in range(1, 2 * q + 1):
@@ -253,6 +360,7 @@ SECTIONS = {
     "slopes": slopes,
     "radius_levels": levels,
     "validation_messages": validation_messages,
+    "measure_messages": measure_messages,
 }
 
 

@@ -40,6 +40,7 @@ from dimlab.fourier import (
 )
 from dimlab.measure import DyadicMeasureTree
 from dimlab.settree import DyadicSetTree
+from oracles import oracle_mean_square_1d
 
 
 def uniform_interval(depth=8):
@@ -330,7 +331,7 @@ class TestFactoredKernel:
         mu = ORACLE_MEASURES[kind]()
         n = mu.max_depth
         assert _split_level(mu) == two_set_split_level(
-            sorted(mu.tables[n][0]), n, mu.d)
+            mu.support.levels[n], n, mu.d)
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(_split_trees())
@@ -347,6 +348,21 @@ class TestMeanSquare:
             got = mean_square(mu, R)
             assert got["value"] == pytest.approx(
                 interval_I(R), abs=max(3 * got["err"], 1e-6))
+
+    @pytest.mark.parametrize("name", ["full1-10", "cantor10",
+                                      "cantor12-random"])
+    def test_within_err_of_offset_histogram_closed_form(self, name):
+        # I(R) at R = 2..4096 from the leaf offset histogram and Si lies
+        # within the Richardson err of every sample; at R = 2 the err
+        # exceeds the distance by under 0.1%
+        mu = {"full1-10": uniform_interval(10),
+              "cantor10": DyadicMeasureTree.uniform_on_set(cantor_tree(10)),
+              "cantor12-random": DyadicMeasureTree.random_split(
+                  cantor_tree(12), random.Random(12))}[name]
+        curve = mean_square_curve(mu, [2.0 ** k for k in range(1, 13)])
+        for s in curve.samples:
+            truth = oracle_mean_square_1d(mu, s["R"])
+            assert abs(s["value"] - truth) <= s["err"], s["R"]
 
     def test_atom_is_twice_R(self):
         mu = DyadicMeasureTree.atomic([(Fraction(1, 3),)], [1], 1, 6)

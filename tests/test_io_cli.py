@@ -15,8 +15,9 @@ from dimlab.constructions import (alternating_plan, alternating_set,
                                   stagewise_frostman_measures, sweep_plan,
                                   sweep_set)
 from dimlab.exact import ValidationError, pow2
-from dimlab.measure import DyadicMeasureTree
+from dimlab.measure import DyadicMeasureTree, anti_frostman_measure
 from dimlab.settree import DyadicSetTree
+from oracles import oracle_measure_json
 
 
 def cantor_tree(depth=8):
@@ -121,6 +122,34 @@ class TestJsonRoundTrips:
             back = io.load_json(p)
             assert back.tables == mu.tables, name
             assert tables(back) == tables(mu)
+
+    def test_rows_from_numerators_match_fraction_rows(self, tmp_path):
+        # measure files format each row from its numerator by one gcd; the
+        # bytes equal those of one Fraction per row, on uniform (one-child
+        # chains sharing rows), random-split, atomic and construction
+        # measures
+        stages, _ = stagewise_frostman_measures(
+            DyadicSetTree.full(1, 8), Fraction(1, 2),
+            [Fraction(1, 2 ** k) for k in range(2, 9)], stages=2)
+        sweep = sweep_set(sweep_plan(Fraction(2, 5), Fraction(7, 10)), 24)
+        measures = [
+            DyadicMeasureTree.uniform_on_set(cantor_tree(6)),
+            DyadicMeasureTree.uniform_on_set(sweep),
+            DyadicMeasureTree.random_split(DyadicSetTree.full(1, 10),
+                                           random.Random(1)),
+            DyadicMeasureTree.random_split(
+                DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 4),
+                random.Random(2)),
+            DyadicMeasureTree.random_split(sweep, random.Random(3)),
+            DyadicMeasureTree.atomic(
+                [(Fraction(1, 3),), (Fraction(3, 4),), (Fraction(5, 7),)],
+                [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], 1, 5),
+            anti_frostman_measure(cantor_tree(8), [2, 4, 6])[0],
+            stages[0], stages[-1]]
+        for i, mu in enumerate(measures):
+            p = tmp_path / f"mu{i}.json"
+            io.save_json(mu, p)
+            assert p.read_text() == oracle_measure_json(mu), i
 
     def test_legacy_equal_split_measure_loads_with_tables(self, tmp_path):
         # format-1 files of uniform measures carried no tables
@@ -592,6 +621,23 @@ class TestCliEstimate:
         data["masses"][2][0][1] = "1/3"
         code, _, err = self._estimate_box(capsys, tmp_path, data)
         assert code == 2 and "not conserved" in err
+
+    @pytest.mark.parametrize("level, row, at, want", [
+        (2, [0, "999/1000"], 0, "level 2: cube 0 listed twice"),
+        (2, [3, "1/4"], 4, "level 2: cube 3 listed twice"),
+        (0, [0, "1/1"], 1, "level 0: cube 0 listed twice"),
+        (6, [17, "1/64"], 0, "level 6: cube 17 listed twice")])
+    def test_cube_listed_twice_is_validation_error(self, tmp_path, capsys,
+                                                   level, row, at, want):
+        # a second row for a cube, with another mass or the same, used to
+        # load with the last row winning
+        data = io.measure_to_dict(
+            DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 6)))
+        data["masses"][level].insert(at, row)
+        p = tmp_path / "dup.json"
+        p.write_text(json.dumps(data))
+        code, text, err = run_cli(capsys, "estimate", "corr", "--in", str(p))
+        assert (code, text, err) == (2, "", f"error: {want}\n")
 
     def test_unavailable_is_computation_error(self, tmp_path, capsys):
         mu3 = DyadicMeasureTree.atomic([(Fraction(1, 2),) * 3], [1], 3, 4)

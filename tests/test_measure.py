@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dimlab import constructions, io, measure
 from dimlab.cli import main
-from dimlab.dyadic import cube_of_point, interleave
+from dimlab.dyadic import interleave
 from dimlab.estimators import (_sup_ball_cover, correlation_predicates,
                                correlation_sandwich, inequality_report,
                                packing_predicate, packing_threshold)
@@ -29,11 +29,12 @@ from dimlab.measure import (
     anti_frostman_measure,
 )
 from dimlab.settree import DyadicSetTree
-from oracles import (atom_ball_mass, atom_pair_sum, brute_force_ball_bracket,
-                     deeper, leaf_measure, oracle_ancestors, oracle_atomic,
-                     oracle_cover, oracle_energy_1d, oracle_energy_cubes,
-                     oracle_row_ranges, oracle_split, oracle_sup_ball_cover,
-                     squared_distance)
+from oracles import (COORDS, MEASURE_KINDS, atom_ball_mass, atom_pair_sum,
+                     brute_force_ball_bracket, deeper, leaf_case,
+                     measure_cases, oracle_atomic, oracle_cover,
+                     oracle_energy_1d, oracle_energy_cubes, oracle_row_ranges,
+                     oracle_sup_ball_cover, set_trees, split_case,
+                     square_riesz_energy, squared_distance)
 
 
 def cantor_tree(depth):
@@ -194,23 +195,6 @@ class TestExplicitMasses:
             assert sum(m for _, m in mu.level_masses(n)) == 1
 
 
-@st.composite
-def _random_trees(draw):
-    """Digit-IFS trees in 1-D to 3-D, and occupied-cube trees of point
-    sets (sparse, as from_codes builds them)."""
-    d = draw(st.sampled_from([1, 2, 3]))
-    depth = draw(st.integers(1, {1: 7, 2: 4, 3: 3}[d]))
-    if draw(st.booleans()):
-        group = draw(st.integers(1, 2 if d < 3 else 1))
-        keep = draw(st.sets(st.integers(0, (1 << (d * group)) - 1),
-                            min_size=1))
-        return DyadicSetTree.from_digit_ifs(d, group, sorted(keep), depth)
-    coord = st.builds(Fraction, st.integers(1, 1 << depth),
-                      st.just(1 << depth))
-    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=12))
-    return DyadicSetTree.from_points(pts, d, depth)
-
-
 def equal_split_mass(tree, level, key):
     """Mass of a selected cube under equal splitting: the product of
     1 / (selected-children count) over its ancestors."""
@@ -221,7 +205,7 @@ def equal_split_mass(tree, level, key):
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(_random_trees())
+@given(set_trees())
 def test_uniform_tables_are_equal_split(tree):
     mu = DyadicMeasureTree.uniform_on_set(tree)
     mu.validate()
@@ -233,14 +217,10 @@ def test_uniform_tables_are_equal_split(tree):
             assert m == equal_split_mass(tree, n, key)
 
 
-@st.composite
-def _random_measures(draw):
-    """Uniform and random-split measures on `_random_trees`."""
-    tree = draw(_random_trees())
-    if draw(st.booleans()):
-        return DyadicMeasureTree.uniform_on_set(tree)
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    return DyadicMeasureTree.random_split(tree, rng, draw(st.integers(1, 9)))
+def _random_measures():
+    """Uniform and random-split measures (parts 1..9) on set_trees."""
+    return measure_cases(("uniform", "random_split"), max_part=9).map(
+        lambda case: case[0])
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -489,41 +469,16 @@ class TestBallCorrelationBracket:
             CorrelationBracket(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), 3)
 
 
-# leaf denominators for the prime-table measures: distinct primes above the
-# largest leaf count drawn (9), so that the leaves but one have masses
-# summing below 1 and the last one takes the rest
-LEAF_PRIMES = [17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
-               79, 83, 89, 97]
-
-
 @st.composite
 def _walker_cases(draw):
     """(measure, radius, extra_depth) on small digit-IFS trees and sparse
     from_codes trees in 1-D, 2-D and 3-D: uniform, random-split, and
     prime-denominator leaf tables."""
-    d = draw(st.sampled_from([1, 2, 3]))
-    group = draw(st.integers(1, 2 if d < 3 else 1))
-    depth = draw(st.integers(1, {1: 3, 2: 2, 3: 2}[d]))
-    if draw(st.booleans()):
-        keep = draw(st.sets(st.integers(0, (1 << (d * group)) - 1),
-                            min_size=1, max_size=3 if d < 3 else 2))
-        tree = DyadicSetTree.from_digit_ifs(d, group, sorted(keep), depth)
-    else:
-        tree = DyadicSetTree.from_codes(d, depth, draw(st.sets(
-            st.integers(0, (1 << (d * depth)) - 1), min_size=1, max_size=4)))
-    leaves = tree.levels[depth]
-    kind = draw(st.sampled_from(["uniform", "random_split", "primes"]))
-    if kind == "uniform":
-        mu = DyadicMeasureTree.uniform_on_set(tree)
-    elif kind == "random_split":
-        rng = random.Random(draw(st.integers(0, 2 ** 32)))
-        mu = DyadicMeasureTree.random_split(tree, rng,
-                                            draw(st.integers(1, 97)))
-    else:
-        primes = draw(st.permutations(LEAF_PRIMES))
-        leaf = {k: Fraction(1, p) for k, p in zip(leaves[:-1], primes)}
-        leaf[leaves[-1]] = 1 - sum(leaf.values(), Fraction(0))
-        mu = leaf_measure(tree, leaf)
+    mu, _, _ = draw(measure_cases(
+        ("uniform", "random_split", "primes"),
+        set_trees((3, 2, 2), max_keep=(3, 3, 2), sparse="codes",
+                  max_cubes=4)))
+    d, depth = mu.d, mu.max_depth
     q = draw(st.integers(1, 12))
     if d < 3:
         r = Fraction(draw(st.integers(max(1, q // (8 // d)), q)), q)
@@ -680,37 +635,14 @@ class TestCoverMass:
                                              Fraction(1, 4), level)
 
 
-@st.composite
-def _cover_measures(draw):
+def _cover_measures():
     """Uniform, random-split and prime-leaf measures on occupied-cube trees
-    of point sets, and atomic measures on rational points, d = 1..3."""
-    d = draw(st.integers(1, 3))
-    depth = draw(st.integers(0, {1: 8, 2: 5, 3: 3}[d]))
-    kind = draw(st.sampled_from(["uniform", "random_split", "primes",
-                                 "atoms"]))
-    if kind == "atoms":
-        pts = draw(st.lists(st.tuples(*[_coords] * d), min_size=1,
-                            max_size=12))
-        ws = draw(st.lists(st.integers(1, 9), min_size=len(pts),
-                           max_size=len(pts)))
-        return DyadicMeasureTree.atomic(
-            pts, [Fraction(w, sum(ws)) for w in ws], d, depth)
-    coord = st.builds(Fraction, st.integers(1, 1 << depth),
-                      st.just(1 << depth))
-    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1,
-                        max_size=len(LEAF_PRIMES) + 1))
-    tree = DyadicSetTree.from_points(pts, d, depth)
-    if kind == "uniform":
-        return DyadicMeasureTree.uniform_on_set(tree)
-    if kind == "random_split":
-        return DyadicMeasureTree.random_split(
-            tree, random.Random(draw(st.integers(0, 2 ** 16))),
-            draw(st.integers(1, 97)))
-    leaves = tree.levels[depth]
-    primes = draw(st.permutations(LEAF_PRIMES))
-    leaf = {k: Fraction(1, p) for k, p in zip(leaves[:-1], primes)}
-    leaf[leaves[-1]] = 1 - sum(leaf.values(), Fraction(0))
-    return leaf_measure(tree, leaf)
+    of up to 20 points, depth 0 up, and atomic measures on rational
+    points, d = 1..3."""
+    return measure_cases(
+        ("uniform", "random_split", "primes", "atoms"),
+        set_trees((8, 5, 3), min_depth=0, max_cubes=20, ifs=False)).map(
+            lambda case: case[0])
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -761,6 +693,21 @@ class TestEnergy:
             assert not b.diverged
             assert b.lower <= want <= b.upper or abs(b.midpoint - want) < 1e-9
             assert b.width < 1e-6
+
+    @pytest.mark.parametrize("s, want", [
+        (Fraction(1, 2), 1.5844091716), (Fraction(1), 2.9732095982),
+        (Fraction(3, 2), 8.0556092819)])
+    def test_unit_square_encloses_closed_form(self, s, want):
+        # Lebesgue measure on the unit square is uniform full(2, k) at any
+        # k: each bracket, at every depth and refinement, holds the energy
+        # integrated from the square's distance density
+        truth = square_riesz_energy(float(s))
+        assert truth == pytest.approx(want, abs=1e-9)
+        for k in (1, 2, 3):
+            mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, k))
+            for refine in (1, 2, 3):
+                b = mu.energy_bracket(s, refine_depth=refine)
+                assert b.lower <= truth <= b.upper, (k, refine)
 
     def test_s_at_or_above_d_diverges(self):
         mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 5))
@@ -982,61 +929,14 @@ class TestAntiFrostman:
 
 
 # rationals in (0, 1] with denominators up to 12, not only dyadic ones
-_coords = st.integers(1, 12).flatmap(
-    lambda q: st.builds(Fraction, st.integers(1, q), st.just(q)))
-
-
 @st.composite
 def _atomic_measures(draw):
     d = draw(st.sampled_from([1, 2]))
-    pts = draw(st.lists(st.tuples(*[_coords] * d), min_size=1, max_size=8))
+    pts = draw(st.lists(st.tuples(*[COORDS] * d), min_size=1, max_size=8))
     ws = draw(st.lists(st.integers(1, 9), min_size=len(pts),
                        max_size=len(pts)))
     return DyadicMeasureTree.atomic(pts, [Fraction(w, sum(ws)) for w in ws],
                                     d, draw(st.integers(0, 5)))
-
-
-@st.composite
-def _oracle_cases(draw):
-    """(measure, its Fraction tables from the oracle, rng states or None):
-    uniform, random-split and atomic measures, and deepest-level masses
-    given as Fraction tables to from_masses or summed by ancestor_tables."""
-    tree = draw(_random_trees())
-    d, depth = tree.d, tree.max_depth
-    kind = draw(st.sampled_from(["uniform", "random_split", "atoms",
-                                 "from_masses", "ancestor_tables"]))
-    if kind in ("uniform", "random_split"):
-        return split_case(tree, kind, draw(st.integers(0, 2 ** 32)),
-                          draw(st.integers(1, 97)))
-    if kind == "atoms":
-        mu = draw(_atomic_measures())
-        leaf = {}
-        for p, w in mu.atoms:
-            key = cube_of_point(p, mu.max_depth)
-            leaf[key] = leaf.get(key, Fraction(0)) + w
-        return mu, oracle_ancestors(leaf, mu.d, mu.max_depth), None
-    leaves = tree.levels[depth]
-    ws = draw(st.lists(st.integers(1, 60), min_size=len(leaves),
-                       max_size=len(leaves)))
-    leaf = {k: Fraction(w, sum(ws)) for k, w in zip(leaves, ws)}
-    masses = oracle_ancestors(leaf, d, depth)
-    if kind == "from_masses":
-        return DyadicMeasureTree.from_masses(tree, masses), masses, None
-    return leaf_measure(tree, leaf), masses, None
-
-
-def split_case(tree, kind, seed=0, top=9):
-    """(measure, oracle tables, rng states) for a top-down split: equal, or
-    random_split seeded with `seed`, whose rng state afterwards is paired
-    with that of the oracle's per-cube draws from the same seed."""
-    if kind == "uniform":
-        return (DyadicMeasureTree.uniform_on_set(tree),
-                oracle_split(tree, lambda kids: [1] * len(kids)), None)
-    rng, oracle_rng = random.Random(seed), random.Random(seed)
-    mu = DyadicMeasureTree.random_split(tree, rng, top)
-    masses = oracle_split(tree, lambda kids: [oracle_rng.randint(1, top)
-                                              for _ in kids])
-    return mu, masses, (rng.getstate(), oracle_rng.getstate())
 
 
 # d = 3, depth 2: the i-th level-1 cube has i + 1 selected children, so one
@@ -1051,7 +951,7 @@ ONE_CHILD_CHAIN_2D = DyadicSetTree.from_codes(2, 6, [0, (1 << 12) - 1])
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(_oracle_cases(), _unit_radii)
+@given(measure_cases(), _unit_radii)
 @example(split_case(MIXED_COUNTS, "uniform"), Fraction(1, 3))
 @example(split_case(MIXED_COUNTS, "random_split", 5, 97), Fraction(1, 2))
 @example(split_case(MIXED_COUNTS, "random_split", 5, 1), Fraction(1, 2))
@@ -1075,8 +975,8 @@ def test_int_tables_match_fraction_oracle(case, r):
     mu.validate()
     d = mu.d
     for n, want in enumerate(masses):
-        tbl, den = mu.tables[n]
-        assert math.gcd(den, *tbl.values()) == 1  # each level reduced
+        nums, den = mu.tables[n]
+        assert math.gcd(den, *nums) == 1  # each level reduced
         assert mu.level_masses(n) == sorted(want.items())
         assert all(mu.mass(n, k) == m for k, m in want.items())
         assert mu.mass(n, max(want) + 1) == 0
@@ -1093,8 +993,36 @@ def test_int_tables_match_fraction_oracle(case, r):
             packing_predicate(mu, sv, levels).verdict for sv in grid]
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(measure_cases(MEASURE_KINDS))
+@example(split_case(MIXED_COUNTS, "random_split", 5, 97))
+@example(split_case(SINGLE_CHILD_CHAIN, "uniform"))
+@example(split_case(SINGLE_CHILD_CHAIN, "random_split", 11))
+@example(split_case(ONE_CHILD_CHAIN_2D, "random_split", 7))
+@example(leaf_case(SINGLE_CHILD_CHAIN, "reversed", {
+    0: Fraction(1, 3), (1 << 12) - 1: Fraction(2, 3)}))
+@example(leaf_case(ONE_CHILD_CHAIN_2D, "from_masses", {
+    0: Fraction(3, 7), (1 << 12) - 1: Fraction(4, 7)}))
+def test_tables_in_support_order_match_fraction_oracle(case):
+    # level n's numerators are listed in the order of the sorted level,
+    # over the lcm of the oracle's denominators; a level of one child per
+    # parent holds the very list of the level above
+    mu, masses, states = case
+    if states is not None:
+        assert states[0] == states[1]
+    levels = mu.support.levels
+    for n, ((nums, den), want) in enumerate(zip(mu.tables, masses)):
+        lcm = math.lcm(*(m.denominator for m in want.values()))
+        assert den == lcm
+        assert list(zip(levels[n], nums)) == [
+            (k, m.numerator * (lcm // m.denominator))
+            for k, m in sorted(want.items())]
+        if n and len(levels[n]) == len(levels[n - 1]):
+            assert nums is mu.tables[n - 1][0]
+
+
 @settings(max_examples=150, deadline=None, database=None)
-@given(_atomic_measures(), _unit_radii, st.lists(st.tuples(_coords, _coords),
+@given(_atomic_measures(), _unit_radii, st.lists(st.tuples(COORDS, COORDS),
                                                  max_size=3))
 def test_atom_ball_masses_match_fraction_oracle(mu, r, extra):
     # the closed-ball tests run on ints; the oracle compares Fraction
@@ -1129,7 +1057,7 @@ def _sphere_cases(draw):
     d = draw(st.sampled_from([1, 2, 3]))
     x = tuple(Fraction(draw(st.integers(4, 8)), 12) for _ in range(d))
     r = Fraction(draw(st.integers(1, 6)), draw(st.sampled_from([24, 25, 26])))
-    pts = draw(st.lists(st.tuples(*[_coords] * d), max_size=8))
+    pts = draw(st.lists(st.tuples(*[COORDS] * d), max_size=8))
     pts += [tuple(c + r * u for c, u in zip(x, v)) for v in draw(
         st.lists(st.sampled_from(_UNIT_VECTORS[d]), min_size=1, max_size=4))]
     if draw(st.booleans()):
@@ -1181,7 +1109,7 @@ def _atomic_inputs(draw):
     """(points, weights, d, depth) for atomic(): valid, or with a drawn
     defect of the atoms, of d or depth, or of both."""
     d = draw(st.sampled_from([1, 2, 3]))
-    pts = draw(st.lists(st.tuples(*[_coords] * d), min_size=1, max_size=8))
+    pts = draw(st.lists(st.tuples(*[COORDS] * d), min_size=1, max_size=8))
     pts += draw(st.lists(st.sampled_from(pts), max_size=3))  # coincident
     ws = draw(st.lists(st.integers(1, 9), min_size=len(pts),
                        max_size=len(pts)))
@@ -1285,9 +1213,9 @@ def test_ball_brackets_build_each_level_row_index_once(monkeypatch):
     calls = []
     real = measure._level_rows
 
-    def counting(tbl, m, d):
+    def counting(keys, nums, m, d):
         calls.append(m)
-        return real(tbl, m, d)
+        return real(keys, nums, m, d)
 
     monkeypatch.setattr(measure, "_level_rows", counting)
     mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 10))
