@@ -37,7 +37,8 @@ from .estimators import (box_dims, correlation_dims, correlation_sandwich,
 from .exact import (ConstructionError, UnavailableError,
                     UnsupportedModelError, ValidationError,
                     parse_rational, pow2)
-from .measure import DyadicMeasureTree, anti_frostman_check
+from .measure import (DyadicMeasureTree, anti_frostman_check,
+                      anti_frostman_measure, net_measure)
 from .settree import DyadicSetTree
 
 EXIT_OK = 0
@@ -235,14 +236,11 @@ def _cmd_construct_measure(args) -> int:
     if args.kind == "uniform":
         mu = DyadicMeasureTree.uniform_on_set(tree)
     elif args.kind == "net":
-        n = args.level if args.level is not None else tree.max_depth
-        net = tree.representatives(n)
-        w = Fraction(1, len(net))
-        mu = DyadicMeasureTree.atomic(net, [w] * len(net), tree.d, n)
+        mu = net_measure(tree, args.level if args.level is not None
+                         else tree.max_depth)
     else:  # anti-frostman
         if not args.net_levels:
             raise ValidationError("--net-levels required for anti-frostman")
-        from .measure import anti_frostman_measure
         mu, _ = anti_frostman_measure(tree, args.net_levels)
     io.save_json(mu, args.out)
     print(f"wrote {args.out} ({args.kind} measure, depth {mu.max_depth})")

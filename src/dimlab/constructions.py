@@ -25,7 +25,6 @@ split, which is what keeps the per-cube mass below 2^-(d+2s) * 2^-ns.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -537,8 +536,8 @@ def _auto_oracle(tree: DyadicSetTree, s: Fraction
 
     For self-similar and staged constructions this is decided exactly from
     the known dimension; otherwise a windowed slope heuristic is used and
-    flagged: its slope must exceed s by 0.01. Returns (oracle,
-    heuristic_flag).
+    flagged: its slope must exceed s by 1/100, decided exactly by cmp_pow2.
+    Returns (oracle, heuristic_flag).
     """
     kind = tree.meta.get("kind")
     if kind == "ifs":
@@ -569,8 +568,9 @@ def _auto_oracle(tree: DyadicSetTree, s: Fraction
         c_hi = tree.descendant_count(level, key, max_depth)
         if c_lo == 0:
             return False
-        slope = (math.log2(c_hi) - math.log2(c_lo)) / (max_depth - lo)
-        return slope > float(s) + 0.01
+        # log2(c_hi / c_lo) / (max_depth - lo) > s + 1/100, on ints
+        return cmp_pow2(Fraction(c_hi, c_lo),
+                        (s + Fraction(1, 100)) * (max_depth - lo)) > 0
 
     return heuristic, True
 

@@ -21,7 +21,7 @@ from operator import add, mul, rshift, sub
 from .dyadic import deinterleave
 from .exact import (ValidationError, cmp_pow2, cmp_rpow, diameter_level,
                     le_rpow, level_for_radius, log2_fraction, to_fraction)
-from .measure import DyadicMeasureTree
+from .measure import DyadicMeasureTree, net_measure
 from .settree import DyadicSetTree
 
 
@@ -266,10 +266,9 @@ def correlation_predicates(mu: DyadicMeasureTree, s, radii,
             continue
         # cover bound exceeded r^s: try to certify failure
         st = "inconclusive"
-        if mu.leaf_model == "atoms":
-            worst = max((mu.ball_mass_atoms(pt, r) for pt, _ in mu.atoms),
-                        default=Fraction(0))
-            if cmp_rpow(worst, r, sf) > 0:
+        if mu.leaf_model == "atoms":  # the heaviest ball about an atom
+            nums, wden = mu.ball_masses_atoms(None, r)
+            if cmp_rpow(Fraction(max(nums), wden), r, sf) > 0:
                 st = "fail"
         else:
             m = diameter_level(mu.d, r)
@@ -534,7 +533,8 @@ def correlation_sandwich(tree: DyadicSetTree, levels, n_random: int = 0,
     the level-n cubes gives sum(m^2) >= 1/#C_n, with equality exactly at
     equal masses. Verified with rational arithmetic for the uniform-split
     measure, `n_random` seeded random-split measures, and the level-n net
-    atomic measure, which must achieve equality.
+    atomic measure, which must achieve equality. Each verdict compares
+    ints, sum N^2 #C_n against D^2 for a level table N / D.
     """
     lv = sorted(set(int(n) for n in levels))
     if not lv or lv[0] < 0 or lv[-1] > tree.max_depth:
@@ -545,23 +545,31 @@ def correlation_sandwich(tree: DyadicSetTree, levels, n_random: int = 0,
     rng = random.Random(seed)
     for i in range(n_random):
         named.append((f"random-{i}", DyadicMeasureTree.random_split(tree, rng)))
+    # name -> (table, sum N^2, D^2) at the last level checked: a one-child
+    # level shares the table above, and so its sums
+    last = {}
     rows = []
     ok = True
     for n in lv:
-        floor = Fraction(1, tree.box_count(n))
+        count = tree.box_count(n)
+        floor = Fraction(1, count)
         for name, mu in named:
-            c = mu.dyadic_correlation_sum(n)
-            good = c >= floor
+            table = mu.tables[n]
+            if name not in last or last[name][0] is not table:
+                nums, den = table
+                last[name] = table, sum(map(mul, nums, nums)), den * den
+            _, s2, den2 = last[name]
+            good = s2 * count >= den2
             ok = ok and good
-            rows.append({"level": n, "measure": name, "corr_sum": c,
-                         "floor": floor, "ok": good})
-        net = tree.representatives(n)
-        w = Fraction(1, len(net))
-        nu = DyadicMeasureTree.atomic(net, [w] * len(net), tree.d, n)
-        c = nu.dyadic_correlation_sum(n)
-        good = c == floor
+            rows.append({"level": n, "measure": name,
+                         "corr_sum": Fraction(s2, den2), "floor": floor,
+                         "ok": good})
+        nums, den = net_measure(tree, n).tables[n]
+        s2, den2 = sum(map(mul, nums, nums)), den * den
+        good = s2 * count == den2
         ok = ok and good
-        rows.append({"level": n, "measure": "net", "corr_sum": c,
-                     "floor": floor, "ok": good, "equality": True})
+        rows.append({"level": n, "measure": "net",
+                     "corr_sum": Fraction(s2, den2), "floor": floor,
+                     "ok": good, "equality": True})
     return {"ok": ok, "rows": rows, "levels": lv,
             "random_measures": n_random, "seed": seed}

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .dyadic import deinterleave
 from .estimators import SlopeTriple, slope_fit
 from .exact import UnavailableError, ValidationError, to_fraction
-from .measure import DyadicMeasureTree
+from .measure import DyadicMeasureTree, net_measure
 from .settree import DyadicSetTree
 
 _TWO_PI = 2.0 * math.pi
@@ -109,10 +108,11 @@ def _terms(mu: DyadicMeasureTree):
     """
     import numpy as np
     d = mu.d
-    if mu.leaf_model == "atoms":
-        lo = np.array([[float(c) - 0.5 for c in p] for p, _ in mu.atoms],
+    if mu.leaf_model == "atoms":  # a / q is float(Fraction(a, q)), bit for bit
+        q, pts, ns, wden = mu._atom_ints
+        lo = np.array([[a / q - 0.5 for a in p] for p in pts],
                       dtype=float).reshape(-1, d)
-        W = np.array([[float(wt)] for _, wt in mu.atoms], dtype=float)
+        W = np.array([[n / wden] for n in ns], dtype=float)
         return np.zeros((1, d)), lo, W, None
     n = mu.max_depth
     side = 2.0 ** -n
@@ -499,10 +499,7 @@ def fourier_box_estimate(tree: DyadicSetTree, r_window, candidates=None,
         candidates = [DyadicMeasureTree.uniform_on_set(tree)]
         depth = tree.max_depth
         for n in sorted({max(1, depth // 2), depth}):
-            net = tree.representatives(n)
-            k = len(net)
-            candidates.append(DyadicMeasureTree.atomic(
-                net, [Fraction(1, k)] * k, tree.d, depth=max(n, 1)))
+            candidates.append(net_measure(tree, n))
     if not candidates:
         raise ValidationError("candidate family must be nonempty")
 

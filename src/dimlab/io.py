@@ -16,6 +16,7 @@ import math
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from io import StringIO
+from operator import itemgetter, methodcaller
 from pathlib import Path
 
 from .constructions import AlternatingPlan, SweepPlan
@@ -150,19 +151,22 @@ def measure_from_dict(data: dict) -> DyadicMeasureTree:
     support = set_from_dict(data["support"])
     rule, tables = data.get("mass_rule"), data.get("masses")
     if rule == "explicit" and tables is not None:
-        masses = [{k: parse_rational(m) for k, m in level}
-                  for level in tables]
-        _ints([k for level in tables for k, _ in level])
-        for n, (tbl, level) in enumerate(zip(masses, tables)):
-            if len(tbl) < len(level):  # a row that a later one overwrote
+        build, rows = DyadicMeasureTree._from_rows, []
+        for level in tables:  # (keys, numerators, denominators) per level
+            rows.append(([k for k, _ in level],
+                         *_ratios([m for _, m in level])))
+        _ints([k for ks, _, _ in rows for k in ks])
+        for n, (ks, _, _) in enumerate(rows):
+            if len(set(ks)) < len(ks):
                 seen = set()
-                k = next(k for k, _ in level if k in seen or seen.add(k))
+                k = next(k for k in ks if k in seen or seen.add(k))
                 raise ValidationError(f"level {n}: cube {k} listed twice")
     elif rule == "equal_split" and tables is None:
         # files written before every measure carried tables
         uni = DyadicMeasureTree.uniform_on_set(support)
-        masses = [dict(uni.level_masses(n))
-                  for n in range(support.max_depth + 1)]
+        build = DyadicMeasureTree.from_masses
+        rows = [dict(uni.level_masses(n))
+                for n in range(support.max_depth + 1)]
     else:
         raise ValidationError(
             f"unsupported mass rule {rule!r} or missing mass tables")
@@ -171,8 +175,23 @@ def measure_from_dict(data: dict) -> DyadicMeasureTree:
         atoms = [(tuple(parse_rational(c) for c in p), parse_rational(w))
                  for p, w in data["atoms"]]
     meta = _decode_meta(data.get("meta", {}))
-    return DyadicMeasureTree.from_masses(support, masses, data["leaf_model"],
-                                         atoms, meta)
+    return build(support, rows, data["leaf_model"], atoms, meta)
+
+
+def _ratios(texts: list) -> tuple[list[int], list[int]]:
+    """Mass texts as (numerators, denominators > 0) on ints: "p/q" rows in
+    C-level passes, and if any row is not "p/q" with q > 0, every row
+    through parse_rational (its value, or its error)."""
+    try:
+        parts = list(map(methodcaller("partition", "/"), texts))
+        ps = list(map(int, map(itemgetter(0), parts)))
+        qs = list(map(int, map(itemgetter(2), parts)))
+        if min(qs, default=1) > 0:
+            return ps, qs
+    except (AttributeError, TypeError, ValueError):
+        pass
+    fs = list(map(parse_rational, texts))
+    return [f.numerator for f in fs], [f.denominator for f in fs]
 
 
 # ---------------------------------------------------------------------------

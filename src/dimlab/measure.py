@@ -17,6 +17,16 @@ materialized level a leaf model interprets the measure: "uniform" spreads
 each leaf's mass as normalized Lebesgue measure on the leaf cube, "atoms"
 on an explicit finite point list.
 
+Atoms have one representation, the int form (q, points, weight
+numerators, wden), merged, sorted and in lowest terms: atomic() converts
+its input to it once, level-n nets and the anti-Frostman net sum are built
+in it from the tree's level keys (upper corners deinterleave(key) + 1 over
+2^n), and (point, weight) Fractions are made from it only where a point
+leaves the measure. Exact ball masses are one batched query per radius
+over any number of centres (ball_masses_atoms): the atoms grouped axis by
+axis down to sorted last-axis coordinates with prefix sums, each centre's
+window bisected per axis on ints.
+
 Ball quantities that a finite tree cannot pin down exactly are returned as
 two-sided brackets; dyadic quantities (cube masses, correlation sums over
 cube pairs) are exact rationals. Both pair sums are offset histograms times
@@ -36,7 +46,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import add, floordiv, mul, rshift, sub
+from operator import add, floordiv, getitem, mul, neg, rshift, sub
 from typing import Sequence
 
 from .dyadic import deinterleave, interleave, offset_bounds
@@ -103,19 +113,24 @@ class DyadicMeasureTree:
     """Mass assignment on a DyadicSetTree. tables[n] = (N, D) holds level
     n's masses as mass(n, support.levels[n][i]) = N[i] / D, in lowest
     terms. The tables are never mutated after construction: the measure
-    keeps what it derives from them (the row index, the atoms on ints)."""
+    keeps what it derives from them (the row index, the atom rows). An
+    atomic measure is given its atoms in the int form (ints, _atom_ints)
+    or as a Fraction list (atoms, a file's), and derives the other."""
 
     def __init__(self, support: DyadicSetTree, leaf_model: str, tables: Tables,
                  atoms: list[tuple[tuple[Fraction, ...], Fraction]] | None = None,
-                 meta: dict | None = None):
+                 meta: dict | None = None, ints: tuple | None = None):
         if leaf_model not in (UNIFORM, ATOMS):
             raise ValidationError(f"unknown leaf model {leaf_model!r}")
-        if leaf_model == ATOMS and atoms is None:
+        if leaf_model == ATOMS and atoms is None and ints is None:
             raise ValidationError("atomic leaf model needs an atom list")
         self.support = support
         self.leaf_model = leaf_model
         self.tables = tables
-        self.atoms = atoms
+        if atoms is not None:  # as given (a file's): checked in _atom_ints
+            self.atoms = atoms
+        if ints is not None:
+            self._atom_ints = ints
         self.meta = meta or {}
         # level -> _level_rows of its table, filled by the ball bracket
         self._row_index: dict[int, list] = {}
@@ -133,48 +148,64 @@ class DyadicMeasureTree:
                     masses: list[dict[int, Fraction]],
                     leaf_model: str = UNIFORM,
                     atoms=None, meta=None) -> "DyadicMeasureTree":
-        """Validated measure from Fraction tables in any key order, aligned
-        with the sorted levels once (a level equal to the one above shares
-        its table); a broken parent is named in its table's order."""
+        """Validated measure from Fraction tables in any key order (see
+        _from_rows)."""
+        return cls._from_rows(tree, [
+            (list(t), [m.numerator for m in t.values()],
+             [m.denominator for m in t.values()]) for t in masses],
+            leaf_model, atoms, meta)
+
+    @classmethod
+    def _from_rows(cls, tree: DyadicSetTree, rows: list, leaf_model: str,
+                   atoms, meta) -> "DyadicMeasureTree":
+        """Validated measure from per-level rows (keys, numerators,
+        denominators): masses p/q, q > 0, distinct keys in any order, each
+        level aligned with the sorted level once (by position when the
+        keys come sorted) over the lcm of its q and reduced (a level equal
+        to the one above shares its table); a broken parent is named in
+        its row order."""
         tables = []
-        for keys, tbl in zip(tree.levels, masses):
-            # a level keyed unlike the support gets no numerators
-            t = (_over_lcm(list(map(tbl.get, keys)))
-                 if tbl.keys() == set(keys) else ([], 1))
+        for keys, (ks, ps, qs) in zip(tree.levels, rows):
+            if ks != keys:  # another order: aligned by key, if the keys agree
+                pos = dict(zip(ks, zip(ps, qs)))
+                ps, qs = (zip(*map(pos.get, keys)) if pos.keys() == set(keys)
+                          else ((), ()))
+            den = math.lcm(*qs)
+            t = _reduced(list(map(mul, ps, map(floordiv, repeat(den), qs))),
+                         den)
             tables.append(tables[-1] if tables and t == tables[-1] else t)
-        if masses and masses[0].get(0, 0) != 1:  # named before level 0's keys
-            tables[:1] = [([0], 1)]
+        if rows:  # root mass 1, named before level 0's keys
+            ks, ps, qs = rows[0]
+            if 0 not in ks or ps[ks.index(0)] != qs[ks.index(0)]:
+                tables[:1] = [([0], 1)]
         mu = cls(tree, leaf_model, tables, atoms, meta)
-        mu._check(masses)
+        mu._check([ks for ks, _, _ in rows])
         return mu
 
     @classmethod
     def atomic(cls, points: Sequence, weights: Sequence, d: int,
                depth: int, meta: dict | None = None) -> "DyadicMeasureTree":
-        """Atoms, merged where they coincide; checked and summed on ints."""
+        """Atoms, merged where they coincide: checked on ints once
+        (_int_atoms), then built from those ints (_on_ints)."""
         _check_dims(d, depth)
-        pts = [tuple(map(to_fraction, p)) for p in points]
-        ws = list(map(to_fraction, weights))
-        q, ips, ns, wden = _int_atoms(pts, ws, d)
-        # an atom's level-depth axis index is (a 2^depth - 1) // q, on ints
+        return cls._on_ints(*_int_atoms(points, weights, d), d, depth, meta)
+
+    @classmethod
+    def _on_ints(cls, q: int, ips: list, ns: list[int], wden: int, d: int,
+                 depth: int, meta: dict | None) -> "DyadicMeasureTree":
+        """The atomic measure of points ips / q with weights ns / wden
+        (positive, summing to wden) at `depth`, its tables summed up from
+        the atoms' level-depth keys, (a 2^depth - 1) // q per axis."""
         idx = [((a << depth) - 1) // q for p in ips for a in p]
         keys = idx if d == 1 else list(map(interleave, zip(*[iter(idx)] * d),
                                            repeat(depth)))
         levels, tables = _sums_up(*zip(*sorted(zip(keys, ns))), wden, d,
                                   depth)
-        tot = Counter()  # coincident points: one atom
-        for p, n in zip(ips, ns):
-            tot[p] += n
-        src, ips = dict(zip(ips, pts)), sorted(tot)
-        ns, wden = _reduced(list(map(tot.get, ips)), wden)
+        ints = _merged(q, ips, ns, wden)
         tree = DyadicSetTree(d, depth, levels, None,
-                             {"kind": "points", "count": len(ips)})
-        mu = cls(tree, ATOMS, tables, [(src[p], Fraction(n, wden))
-                                       for p, n in zip(ips, ns)],
-                 meta or {"kind": "atomic"})
-        mu._atom_ints = (q, wden, [p[0] for p in ips],
-                         list(itertools.accumulate(ns, initial=0)), ips, ns)
-        return mu
+                             {"kind": "points", "count": len(ints[1])})
+        return cls(tree, ATOMS, tables, None, meta or {"kind": "atomic"},
+                   ints)
 
     @classmethod
     def random_split(cls, tree: DyadicSetTree, rng,
@@ -238,7 +269,8 @@ class DyadicMeasureTree:
     def ball_correlation_bracket(self, r, extra_depth: int = 4) -> CorrelationBracket:
         """Two-sided enclosure of (mu x mu){(x, y): |x - y| <= r}.
 
-        Exact pair sum for atomic measures, one ball_mass_atoms per atom.
+        Exact pair sum for atomic measures: sum_a w_a mu(B(a, r)), every
+        atom's ball mass from one ball_masses_atoms pass.
         For the uniform leaf model the bracket classifies the ordered pairs
         of cap-level cubes, cap the smallest level with d 4^-cap <= r^2 plus
         extra_depth, by their exact closure distances: inside (max distance
@@ -269,8 +301,10 @@ class DyadicMeasureTree:
         rf = to_fraction(r)
         if rf <= 0:
             raise ValidationError("radius must be positive")
-        if self.leaf_model == ATOMS:
-            total = sum(w * self.ball_mass_atoms(p, rf) for p, w in self.atoms)
+        if self.leaf_model == ATOMS:  # every atom's ball mass, one pass
+            nums, wden = self.ball_masses_atoms(None, rf)
+            total = Fraction(sum(map(mul, self._atom_ints[2], nums)),
+                             wden * wden)
             return CorrelationBracket(total, total, rf, self.max_depth)
 
         r2 = rf * rf
@@ -375,39 +409,74 @@ class DyadicMeasureTree:
                             for idx in itertools.product(*ranges)), den)
 
     def ball_mass_atoms(self, point, r) -> Fraction:
-        """Exact closed-ball mass for atomic measures, on ints over the lcm
-        Q of q (see _atom_ints) and the centre's denominators: atom a is in
-        when sum (Q/q a - x)^2 <= r2 = floor(r^2 Q^2). Such atoms lie in the
-        window |Q/q a_0 - x_0| <= isqrt(r2), two bisects: in 1-D the mass is
-        a prefix-sum difference, in d >= 2 the test runs inside it only."""
+        """Exact closed-ball mass mu(B(point, r)) of an atomic measure: the
+        one-centre call of ball_masses_atoms."""
+        nums, wden = self.ball_masses_atoms([point], r)
+        return Fraction(nums[0], wden)
+
+    def ball_masses_atoms(self, centres, r) -> tuple[list[int], int]:
+        """Exact closed-ball masses of an atomic measure at many centres
+        and one radius: (numerators, wden), mu(B(x, r)) = N / wden for each
+        centre x in order, or at every atom (in _atom_ints order) when
+        centres is None. The centres go to ints once (see _ball_nums)."""
         if self.leaf_model != ATOMS:
             raise UnsupportedModelError("exact ball mass needs atoms")
-        pt, r = tuple(map(to_fraction, point)), to_fraction(r)
-        if len(pt) != self.d:
+        pts = (None if centres is None else
+               [tuple(map(to_fraction, x)) for x in centres])
+        r = to_fraction(r)
+        if pts is None:
+            q, pts = self._atom_ints[:2]
+        elif any(len(x) != self.d for x in pts):
             raise ValidationError("point dimension mismatch")
+        else:
+            q = math.lcm(*(c.denominator for x in pts for c in x))
+            pts = [[c.numerator * (q // c.denominator) for c in x]
+                   for x in pts]
         if r.numerator < 0:
             raise ValidationError("radius must be >= 0")
-        q, wden, xs, pre, pts, ns = self._atom_ints
-        big = math.lcm(q, *(c.denominator for c in pt))
-        f, x = big // q, [c.numerator * (big // c.denominator) for c in pt]
+        return self._ball_nums(q, pts, r), self._atom_ints[3]
+
+    def _ball_nums(self, cq: int, centres: list, r: Fraction) -> list[int]:
+        """Ball-mass numerators over wden for int centres over cq, on ints
+        over the lcm Q of q (see _atom_ints) and cq: atom a is in when
+        sum (Q/q a - x)^2 <= r2 = floor(r^2 Q^2), summed over the atom rows
+        (_ball_sums)."""
+        q = self._atom_ints[0]
+        big = math.lcm(q, cq)
+        if big != cq:
+            g = big // cq
+            centres = [[c * g for c in x] for x in centres]
         r2 = (r.numerator * big) ** 2 // r.denominator ** 2
-        t = math.isqrt(r2)
-        lo = bisect_left(xs, -((t - x[0]) // f))
-        hi = bisect_right(xs, (x[0] + t) // f)
-        if self.d == 1:
-            return Fraction(pre[hi] - pre[lo], wden)
-        return Fraction(sum(n for p, n in zip(pts[lo:hi], ns[lo:hi]) if sum(
-            (f * a - b) ** 2 for a, b in zip(p, x)) <= r2), wden)
+        if not centres:
+            return []
+        return _ball_sums(self._ball_rows, big // q, list(map(list, zip(
+            *centres))), r2)
 
     @functools.cached_property
     def _atom_ints(self):
-        """(q, wden, first axes, prefix sums, points, weight numerators):
-        the atoms on ints (_int_atoms) merged and sorted, so by their first
-        axis, in lowest terms over wden. atomic() seeds it, validate() too;
-        another measure takes it from atomic() at depth 0 (atom lists may
-        come in any order)."""
-        return self.atomic([p for p, _ in self.atoms],
-                           [w for _, w in self.atoms], self.d, 0)._atom_ints
+        """The atoms' int form (q, points, weight numerators, wden): merged,
+        sorted, in lowest terms, q the lcm of the coordinates' reduced
+        denominators. atomic() builds it; an atom list given as Fractions
+        (a file's, in any order) is checked on ints here, once."""
+        return _merged(*_int_atoms([p for p, _ in self.atoms],
+                                   [w for _, w in self.atoms], self.d))
+
+    @functools.cached_property
+    def atoms(self) -> list[tuple[tuple[Fraction, ...], Fraction]] | None:
+        """(point, weight) Fraction pairs, as given or made from _atom_ints
+        where a point leaves the measure; None without atoms."""
+        if self.leaf_model != ATOMS:
+            return None
+        q, pts, ns, wden = self._atom_ints
+        return [(tuple(Fraction(a, q) for a in p), Fraction(n, wden))
+                for p, n in zip(pts, ns)]
+
+    @functools.cached_property
+    def _ball_rows(self):
+        """The atoms grouped for ball queries (_axis_rows), built from
+        _atom_ints on the first query."""
+        _, pts, ns, _ = self._atom_ints
+        return _axis_rows(pts, ns, 0)
 
     # -- energy ------------------------------------------------------------------
 
@@ -580,13 +649,11 @@ class DyadicMeasureTree:
                     pk = next(k for k in order[n - 1] if k in broken)
                     raise ValidationError(
                         f"mass not conserved under cube {pk} at level {n-1}")
-        if self.leaf_model == ATOMS:  # atoms as atomic() sums, ints kept
-            nu = self.atomic([p for p, _ in self.atoms],
-                             [w for _, w in self.atoms], self.d,
-                             self.max_depth)
+        if self.leaf_model == ATOMS:  # atoms as atomic() sums them
+            nu = self._on_ints(*self._atom_ints, self.d, self.max_depth,
+                               None)
             if nu.support.levels != levels or nu.tables != self.tables:
                 raise ValidationError("atoms inconsistent with leaf masses")
-            self._atom_ints = nu._atom_ints
 
 
 def _level_rows(keys: list[int], nums: list[int], m: int, d: int) -> list:
@@ -654,13 +721,6 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
     return list(map(floordiv, nums, repeat(g))), den // g
 
 
-def _over_lcm(masses: list[Fraction]) -> tuple[list[int], int]:
-    """A level of Fraction masses as int numerators over the lcm of their
-    denominators, which is already in lowest terms."""
-    den = math.lcm(*(m.denominator for m in masses))
-    return [m.numerator * (den // m.denominator) for m in masses], den
-
-
 def _split_masses(tree: DyadicSetTree, ws=None) -> Tables:
     """Per-level tables built top-down from root mass 1, one level at a
     time: each cube's mass N / D is split among its selected children in
@@ -698,7 +758,9 @@ def ancestor_tables(leaf: dict[int, Fraction], d: int,
                     depth: int) -> tuple[list[list[int]], Tables]:
     """(levels, tables) summed up from the level-`depth` masses in `leaf`."""
     keys, masses = zip(*sorted(leaf.items()))
-    return _sums_up(keys, *_over_lcm(masses), d, depth)
+    den = math.lcm(*(m.denominator for m in masses))
+    return _sums_up(keys, [m.numerator * (den // m.denominator)
+                           for m in masses], den, d, depth)
 
 
 def _sums_up(keys, nums, den: int, d: int,
@@ -720,9 +782,11 @@ def _sums_up(keys, nums, den: int, d: int,
     return levels[::-1], tables[::-1]
 
 
-def _int_atoms(pts, ws, d: int):
-    """(q, points, weight numerators, wden): checked Fraction atoms on ints
-    over q and wden, the lcms of the coordinate and weight denominators."""
+def _int_atoms(points, weights, d: int):
+    """(q, points, weight numerators, wden): atoms checked on ints over q
+    and wden, the lcms of the coordinate and weight denominators."""
+    pts = [tuple(map(to_fraction, p)) for p in points]
+    ws = list(map(to_fraction, weights))
     if len(pts) != len(ws) or not pts:
         raise ValidationError("points/weights length mismatch or empty")
     wden = math.lcm(*(w.denominator for w in ws))
@@ -738,6 +802,113 @@ def _int_atoms(pts, ws, d: int):
     return q, list(zip(*[iter(xs)] * d)), ns, wden
 
 
+def _merged(q: int, ips: list, ns: list[int], wden: int):
+    """The int form of atoms ips / q with weights ns / wden: coincident
+    points one atom, sorted, weights over their reduced denominator, and q
+    divided by its gcd with every coordinate (so the lcm of the reduced
+    coordinate denominators)."""
+    tot = Counter()
+    for p, n in zip(ips, ns):
+        tot[p] += n
+    pts = sorted(tot)
+    ns, wden = _reduced(list(map(tot.get, pts)), wden)
+    g = math.gcd(q, *itertools.chain.from_iterable(pts))
+    if g > 1:
+        q, pts = q // g, [tuple(a // g for a in p) for p in pts]
+    return q, pts, ns, wden
+
+
+def _axis_rows(pts: list, ns: list[int], i: int):
+    """Sorted int atoms (all sharing their axes before i) grouped for ball
+    queries: on the last axis (its sorted coordinates, prefix sums of the
+    weight numerators), on any other (its distinct coordinates, for each
+    the rows of its atoms on the axes after i)."""
+    if i == len(pts[0]) - 1:
+        return [p[i] for p in pts], list(itertools.accumulate(ns, initial=0))
+    coords, subs, lo = [], [], 0
+    for a, run in itertools.groupby(p[i] for p in pts):
+        hi = lo + sum(1 for _ in run)
+        coords.append(a)
+        subs.append(_axis_rows(pts[lo:hi], ns[lo:hi], i + 1))
+        lo = hi
+    return coords, subs
+
+
+def _ball_sums(rows, f: int, cols: list[list[int]], r2: int) -> list[int]:
+    """For each centre, the weight numerators of the atoms under rows
+    within squared distance r2 of it on the axes that rows and cols span
+    (cols: the centres' int coordinates, one list per axis), an atom
+    coordinate a standing at f a.
+
+    On each axis the atoms in reach lie in the window
+    |f a - x| <= isqrt(r2): two bisects, shared by the centres with that
+    x. Below the window's rows the squared radius is r2 - (f a - x)^2. On
+    the last axis a centre's sum is one prefix-sum difference, so in 1-D
+    the query is two maps of bisects over the centres; on the last two
+    axes each centre takes, for every row in its window at once, the
+    prefix-sum difference over that row's own window, in maps over the
+    rows; above them the centres that share x recurse into each row."""
+    coords, below = rows
+    t, xs = math.isqrt(r2), cols[0]
+    if len(cols) == 1:
+        lo = map(neg, map(floordiv, map(sub, repeat(t), xs), repeat(f)))
+        hi = map(floordiv, map(add, xs, repeat(t)), repeat(f))
+        return list(map(sub, map(below.__getitem__, map(
+            bisect_right, repeat(coords), hi)), map(below.__getitem__, map(
+                bisect_left, repeat(coords), lo))))
+    groups = defaultdict(list)  # x -> positions of its centres
+    for j, x in enumerate(xs):
+        groups[x].append(j)
+    out = [0] * len(xs)
+    for x, js in groups.items():
+        a, b = (bisect_left(coords, -((t - x) // f)),
+                bisect_right(coords, (x + t) // f))
+        if len(cols) == 2:  # per centre, every row of the window at once
+            dx = [f * c - x for c in coords[a:b]]
+            ts = list(map(math.isqrt, map(sub, repeat(r2), map(mul, dx, dx))))
+            cs, pres = [row[0] for row in below[a:b]], [row[1] for row in
+                                                        below[a:b]]
+            for j in js:
+                y = cols[1][j]
+                hi = map(floordiv, map(add, ts, repeat(y)), repeat(f))
+                lo = map(neg, map(floordiv, map(sub, ts, repeat(y)),
+                                  repeat(f)))
+                out[j] = sum(map(sub, map(getitem, pres, map(
+                    bisect_right, cs, hi)), map(getitem, pres, map(
+                        bisect_left, cs, lo))))
+            continue
+        rest = (cols[1:] if len(js) == len(xs) else
+                [list(map(col.__getitem__, js)) for col in cols[1:]])
+        parts = [_ball_sums(below[k], f, rest, r2 - (f * coords[k] - x) ** 2)
+                 for k in range(a, b)]
+        for j, v in zip(js, map(sum, zip(*parts)) if parts else repeat(0)):
+            out[j] = v
+    return out
+
+
+def _net(tree: DyadicSetTree, n: int, shift: int = 0) -> list[tuple]:
+    """The level-n net (representatives(n)) on ints over 2^(n + shift):
+    per selected level-n cube in key order, its upper corner
+    (deinterleave(key) + 1) 2^shift."""
+    if not (0 <= n <= tree.max_depth):
+        raise ValidationError("level out of range")
+    if tree.d == 1:
+        return [((k + 1) << shift,) for k in tree.levels[n]]
+    return [tuple((j + 1) << shift for j in deinterleave(k, n, tree.d))
+            for k in tree.levels[n]]
+
+
+def net_measure(tree: DyadicSetTree, n: int) -> "DyadicMeasureTree":
+    """Equal weights on the level-n net at depth n, built on ints from the
+    level's keys: atomic(representatives(n), [1/N] * N, d, n) without a
+    Fraction per atom. A cube's mass is the number of net points in it
+    over N; each level-n cube holds one, so the level-n correlation sum is
+    1/N."""
+    pts = _net(tree, n)
+    return DyadicMeasureTree._on_ints(1 << n, pts, [1] * len(pts), len(pts),
+                                      tree.d, n, None)
+
+
 def anti_frostman_measure(tree: DyadicSetTree,
                           levels: Sequence[int]) -> tuple["DyadicMeasureTree", dict]:
     """Measure that is heavy at every scale in `levels`: atoms on the
@@ -746,7 +917,9 @@ def anti_frostman_measure(tree: DyadicSetTree,
     Every point of the underlying set then has ball mass
     mu(B(x, 2 * 2^-k)) >= c / (k^2 N_k) for each k in levels, where N_k is
     the net size: the net point of x's level-k cube is within 2^-k of x on
-    the axis diagonal and carries at least the per-atom budget.
+    the axis diagonal and carries at least the per-atom budget. The nets go
+    to ints over 2^max(levels) (_net) and are merged where they share
+    points.
     """
     lv = sorted(set(int(k) for k in levels))
     if not lv or lv[0] < 1:
@@ -754,13 +927,17 @@ def anti_frostman_measure(tree: DyadicSetTree,
     if lv[-1] > tree.max_depth:
         raise ValidationError("level beyond materialized depth")
     c = 1 / sum(Fraction(1, k * k) for k in lv)
-    nets = {k: tree.representatives(k) for k in lv}
-    net_sizes = {k: len(net) for k, net in nets.items()}
+    net_sizes = {k: len(tree.levels[k]) for k in lv}
     bound = {k: c / (k * k * n) for k, n in net_sizes.items()}
-    mu = DyadicMeasureTree.atomic(  # which merges the points nets share
-        [p for net in nets.values() for p in net],
-        [w for k, n in net_sizes.items() for w in [bound[k]] * n],
-        tree.d, tree.max_depth, {"kind": "anti_frostman", "levels": lv})
+    wden = math.lcm(*(b.denominator for b in bound.values()))
+    pts, ns = [], []
+    for k in lv:
+        pts += _net(tree, k, lv[-1] - k)
+        ns += [bound[k].numerator * (wden // bound[k].denominator)] * (
+            net_sizes[k])
+    mu = DyadicMeasureTree._on_ints(1 << lv[-1], pts, ns, wden, tree.d,
+                                    tree.max_depth,
+                                    {"kind": "anti_frostman", "levels": lv})
     return mu, {"normalizer": c, "net_sizes": net_sizes,
                 "per_level_bound": bound}
 
@@ -770,18 +947,22 @@ def anti_frostman_check(tree: DyadicSetTree,
     """Exact verification that the anti-frostman measure is heavy at every
     requested scale: mu(B(x, 2 * 2^-k)) >= c / (k^2 N_k) for every
     materialized center x (deepest-level representatives) and every k in
-    `levels`. All arithmetic is rational; `ok` is an exact verdict.
+    `levels`. All arithmetic is rational; `ok` is an exact verdict. Per
+    level, one batched ball query over every centre, the centres on ints
+    from the deepest level's keys.
     """
     if tree.d > 4:
         # the level-k net point of x's cube sits within sqrt(d) 2^-k <= 2*2^-k
         raise ValidationError("heaviness argument needs d <= 4")
     mu, info = anti_frostman_measure(tree, levels)
-    centers = tree.representatives(tree.max_depth)
+    centers = _net(tree, tree.max_depth)
+    wden = mu._atom_ints[3]
     rows = []
     ok = True
     for k in sorted(set(int(k) for k in levels)):
         r, bound = Fraction(2, 1 << k), info["per_level_bound"][k]
-        worst = min(map(mu.ball_mass_atoms, centers, repeat(r)), default=None)
+        nums = mu._ball_nums(1 << tree.max_depth, centers, r)
+        worst = Fraction(min(nums), wden) if nums else None
         ok &= worst is None or worst >= bound
         rows.append({"level": k, "radius": r, "bound": bound,
                      "net_size": info["net_sizes"][k],

@@ -16,7 +16,7 @@ from leaf masses, atomic() in Fractions, the cover mass and the 2^d-cube
 sup-ball cover bound by scans of every cube, and the s-energy over every
 leaf pair in 80-digit Decimals (1-D) or every pair of cap-level cubes
 (d >= 2), with leaf_measure and deeper to build their inputs, and a
-measure file with one Fraction per mass row. The slope fit is the float
+measure file written, and one read, with one Fraction per mass row. The slope fit is the float
 one with a slope and an RMS residual for every window. Two closed forms
 check the float results: the Riesz energies of the unit square from its
 distance density, and the 1-D mean square I(R) from the leaf offset
@@ -47,7 +47,7 @@ from hypothesis import strategies as st
 from dimlab import io
 from dimlab.dyadic import cube_of_point, deinterleave, interleave
 from dimlab.estimators import SlopeEstimate, SlopeTriple, default_window_len
-from dimlab.exact import ValidationError, format_rational
+from dimlab.exact import ValidationError, format_rational, parse_rational
 from dimlab.measure import DyadicMeasureTree, _below_leaves, ancestor_tables
 from dimlab.settree import DyadicSetTree
 
@@ -301,6 +301,20 @@ def oracle_measure_json(mu) -> str:
     data["masses"] = [[[k, format_rational(m)] for k, m in mu.level_masses(n)]
                       for n in range(mu.max_depth + 1)]
     return json.dumps(io._encode_bigints(data), separators=(",", ":")) + "\n"
+
+
+def oracle_measure_from_dict(data):
+    """A measure file read with one parse_rational Fraction per mass row,
+    given to from_masses: the reference for measure_from_dict, which
+    parses the rows to ints."""
+    support = io.set_from_dict(data["support"])
+    masses = [{k: parse_rational(m) for k, m in level}
+              for level in data["masses"]]
+    atoms = None if data.get("atoms") is None else [
+        (tuple(map(parse_rational, p)), parse_rational(w))
+        for p, w in data["atoms"]]
+    return DyadicMeasureTree.from_masses(support, masses, data["leaf_model"],
+                                         atoms, io._decode_meta(data.get("meta", {})))
 
 
 def oracle_sup_ball_cover(mu, n):

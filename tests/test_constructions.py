@@ -12,6 +12,7 @@ import pytest
 from dimlab.constructions import (
     AlternatingPlan,
     FrostmanStageReport,
+    _auto_oracle,
     alternating_measure,
     alternating_plan,
     alternating_set,
@@ -32,6 +33,7 @@ from dimlab.exact import (
 )
 from dimlab.measure import DyadicMeasureTree
 from dimlab.settree import DyadicSetTree
+from oracles import fraction_cmp_pow2
 
 T = Fraction(2, 5)
 S = Fraction(7, 10)
@@ -369,6 +371,35 @@ class TestFrostmanStages:
             bare, Fraction(1, 4), self.radii(14), stages=1)
         assert report.heuristic_oracle
         assert measures
+
+    def test_heuristic_slope_is_exact(self):
+        # the fallback decides log2(c_hi / c_lo) / width > s + 1/100 on
+        # ints: against Fractions for every pair of counts c_lo <= 8 and
+        # c_lo <= c_hi <= c_lo 2^width, widths 1..5, at exponents whose
+        # threshold (s + 1/100) width is hit exactly by some count ratios
+        class Counts:  # no construction metadata; chosen descendant counts
+            meta, symbolic = {}, None
+
+            def __init__(self, depth, c_lo, c_hi):
+                self.max_depth, self.counts = depth, {depth: c_hi}
+                self.c_lo = c_lo
+
+            def descendant_count(self, level, key, n):
+                return self.counts.get(n, self.c_lo)
+
+        for s in (Fraction(0), Fraction(1, 4), Fraction(29, 100),
+                  Fraction(49, 100), Fraction(1, 2), Fraction(99, 100),
+                  Fraction(149, 100), Fraction(2)):
+            for depth in range(2, 11):
+                width = depth - depth // 2  # max_depth - lo at the root
+                e = (s + Fraction(1, 100)) * width
+                for c_lo in range(1, 9):
+                    for c_hi in range(c_lo, (c_lo << width) + 1):
+                        oracle, heuristic = _auto_oracle(
+                            Counts(depth, c_lo, c_hi), s)
+                        assert heuristic
+                        want = fraction_cmp_pow2(Fraction(c_hi, c_lo), e) > 0
+                        assert oracle(0, 0) is want, (s, depth, c_lo, c_hi)
 
     def test_radii_validation(self):
         tree = DyadicSetTree.full(1, 6)

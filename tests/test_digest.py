@@ -20,18 +20,23 @@ import functools
 import hashlib
 import json
 import random
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
-from dimlab import constructions, io
+from dimlab import cli, constructions, io
 from dimlab.estimators import (box_dims, correlation_dims,
-                               correlation_predicates, frostman_slope,
-                               packing_threshold)
+                               correlation_predicates, correlation_sandwich,
+                               frostman_slope, packing_threshold)
 from dimlab.exact import (ValidationError, diameter_level, format_rational,
                           level_for_radius)
-from dimlab.measure import DyadicMeasureTree, anti_frostman_measure
+from dimlab.fourier import fourier_box_estimate
+from dimlab.measure import (DyadicMeasureTree, anti_frostman_check,
+                            anti_frostman_measure)
 from dimlab.settree import DyadicSetTree
 
 DIGEST = Path(__file__).with_name("digest.json")
@@ -343,6 +348,71 @@ def measure_messages():
             yield f"{name} scaled {n} validate {got}"
 
 
+def _ball_rows(name, mu, centres):
+    """Every centre's exact ball mass and the ball bracket of an atomic
+    measure, at radius 0, a few p/q 2^-k, and 2 (at least sqrt(d))."""
+    for r in [Fraction(0)] + radii(4)[::3] + [Fraction(2)]:
+        masses = [mu.ball_mass_atoms(x, r) for x in centres]
+        yield f"{name} {r} {text(masses)}"
+        if r:
+            b = mu.ball_correlation_bracket(r)
+            yield f"{name} {r} bracket {b.lower} {b.upper} {b.cap_level}"
+
+
+def atom_ball_masses():
+    """anti_frostman_check on the corpus's sets (2-D Sierpinski at depth 6
+    among them), and on every atomic measure (random atoms in d = 1..3, an
+    anti-Frostman measure, the level-n nets of the corpus written by
+    `construct measure --kind net`) its atoms, ball masses at its atoms and
+    a few other centres, and ball brackets; the net rows of
+    correlation_sandwich; and a Fourier box estimate, whose candidates are
+    nets, in float.hex."""
+    sets = dict(TREES)
+    sets["sierpinski-6"] = lambda: DyadicSetTree.from_digit_ifs(
+        2, 1, [0, 1, 2], 6)
+    for name in ("full1-10", "cantor-8", "codes1-12", "alternating24",
+                 "sierpinski-5", "sierpinski-6", "codes2-6", "full2-5",
+                 "full3-3", "codes3-4"):
+        tree = sets[name]()
+        top = min(tree.max_depth, 12)
+        for lv in (range(1, top + 1), range(2, top + 1, 3)):
+            rep = anti_frostman_check(tree, lv)
+            yield (f"{name} anti-frostman {text(list(lv))} {rep['ok']} "
+                   f"{rep['normalizer']} {text(rep['rows'])}")
+    extra = [tuple(Fraction(k, 7) for k in (3, 5, 1)),
+             tuple(Fraction(1, 1 << j) for j in (1, 3, 2))]
+    atomic = {"atoms1": measure("atoms1"), "atoms2": measure("atoms2"),
+              "atoms3": _atoms(3, 12, 13),
+              "anti-frostman": measure("anti-frostman")}
+    for name, mu in atomic.items():
+        yield f"{name} atoms {text(mu.atoms)}"
+        centres = [p for p, _ in mu.atoms] + [x[:mu.d] for x in extra]
+        yield from _ball_rows(name, mu, centres)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, make in TREES.items():
+            tree = make()
+            src, out = f"{tmp}/{name}.json", f"{tmp}/{name}.net.json"
+            io.save_json(tree, src)
+            for n in sorted({0, 1, tree.max_depth // 2, tree.max_depth}):
+                with redirect_stdout(StringIO()):
+                    code = cli.main(["construct", "measure", "--set", src,
+                                     "--kind", "net", "--level", str(n),
+                                     "--out", out])
+                body = Path(out).read_bytes()
+                yield (f"{name} net {n} {code} "
+                       f"{hashlib.sha256(body).hexdigest()} {len(body)}")
+                mu = io.load_json(out)
+                centres = [p for p, _ in mu.atoms][:48] + [
+                    x[:mu.d] for x in extra]
+                yield from _ball_rows(f"{name} net {n}", mu, centres)
+            rows = correlation_sandwich(tree, range(tree.max_depth + 1))
+            yield f"{name} sandwich {rows['ok']} {text(rows['rows'])}"
+    rep = fourier_box_estimate(sets["cantor-8"](),
+                               [2.0 ** k for k in range(1, 7)])
+    yield (f"fourier-box cantor-8 {rep.low_confidence} "
+           f"{text(rep.curve.samples)} {text(rep.dims.full.value)}")
+
+
 def levels():
     for q in range(1, 41):
         for p in range(1, 2 * q + 1):
@@ -361,6 +431,7 @@ SECTIONS = {
     "radius_levels": levels,
     "validation_messages": validation_messages,
     "measure_messages": measure_messages,
+    "atom_ball_masses": atom_ball_masses,
 }
 
 

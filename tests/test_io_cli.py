@@ -17,7 +17,7 @@ from dimlab.constructions import (alternating_plan, alternating_set,
 from dimlab.exact import ValidationError, pow2
 from dimlab.measure import DyadicMeasureTree, anti_frostman_measure
 from dimlab.settree import DyadicSetTree
-from oracles import oracle_measure_json
+from oracles import oracle_measure_from_dict, oracle_measure_json
 
 
 def cantor_tree(depth=8):
@@ -170,6 +170,37 @@ class TestJsonRoundTrips:
             assert saved == io.measure_to_dict(uni)
             io.save_json(io.load_json(a), b)
             assert a.read_bytes() == b.read_bytes()
+
+    def test_mass_rows_load_as_one_fraction_per_row(self):
+        # measure files load their rows on ints; every row text, canonical
+        # or not, valid or not, gives the measure or the error that one
+        # parse_rational Fraction per row gives
+        mu = DyadicMeasureTree.random_split(
+            DyadicSetTree.from_codes(2, 4, [3, 12, 200, 201]),
+            random.Random(4))
+        base = io.measure_to_dict(mu)
+
+        def outcome(load, data):
+            try:
+                got = load(data)
+            except Exception as exc:  # the error text is the outcome
+                return repr(exc)
+            return got.support.levels, got.tables
+
+        for n, level in enumerate(base["masses"]):
+            for i in sorted({0, len(level) // 2, len(level) - 1}):
+                p, q = map(int, level[i][1].split("/"))
+                for text in (f"{2 * p}/{2 * q}", f" {p} / {q} ",
+                             f"-{p}/-{q}", f"{p}/-{q}", f"-{p}/{q}",
+                             f"{p}", f"{q}/{q}", f"0/{q}", f"{p}/0",
+                             f"{p}/{q}/1", f"{p}.0/{q}", "", "x/y",
+                             f"+{p}/{q}", f"{p:_}/{q}", 3):
+                    data = json.loads(json.dumps(base))
+                    data["masses"][n][i][1] = text
+                    assert outcome(io.measure_from_dict, data) == outcome(
+                        oracle_measure_from_dict, data), (n, i, text)
+        assert outcome(io.measure_from_dict, base) == (mu.support.levels,
+                                                       mu.tables)
 
     def test_plan_round_trips(self, tmp_path):
         for plan in (alternating_plan(Fraction(2, 5), Fraction(7, 10)),

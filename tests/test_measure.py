@@ -27,6 +27,7 @@ from dimlab.measure import (
     DyadicMeasureTree,
     anti_frostman_check,
     anti_frostman_measure,
+    net_measure,
 )
 from dimlab.settree import DyadicSetTree
 from oracles import (COORDS, MEASURE_KINDS, atom_ball_mass, atom_pair_sum,
@@ -1036,6 +1037,130 @@ def test_atom_ball_masses_match_fraction_oracle(mu, r, extra):
     assert b.lower == b.upper == atom_pair_sum(mu.atoms, r)
 
 
+def _check_batched_ball_masses(mu, centres, radii):
+    """Every centre's batched ball mass, and the atoms' own (centres None),
+    equal the scan of every atom, at each radius; so do the one-centre
+    calls and the atomic pair sum."""
+    atoms = mu.atoms
+    for r in radii:
+        nums, wden = mu.ball_masses_atoms(centres, r)
+        assert [Fraction(n, wden) for n in nums] == [
+            atom_ball_mass(atoms, x, r) for x in centres]
+        assert [mu.ball_mass_atoms(x, r) for x in centres[:4]] == [
+            Fraction(n, wden) for n in nums[:4]]
+        nums, _ = mu.ball_masses_atoms(None, r)
+        assert [Fraction(n, wden) for n in nums] == [
+            atom_ball_mass(atoms, p, r) for p, _ in atoms]
+        if r:
+            b = mu.ball_correlation_bracket(r)
+            assert b.lower == b.upper == atom_pair_sum(atoms, r)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(measure_cases(("atoms",)), st.lists(_unit_radii, min_size=1,
+                                           max_size=3),
+       st.lists(st.tuples(COORDS, COORDS, COORDS), max_size=4))
+def test_batched_ball_masses_match_brute_force(case, radii, extra):
+    # the shared strategy's atoms in d = 1..3, centres on the atoms and off
+    # them, radii 0, in (0, 1] and 2 (at least sqrt(d): every atom)
+    mu = case[0]
+    centres = [p for p, _ in mu.atoms] + [x[:mu.d] for x in extra]
+    _check_batched_ball_masses(mu, centres, [Fraction(0), Fraction(2)] + [
+        r / 2 for r in radii])
+    nums, wden = mu.ball_masses_atoms(centres, 2)
+    assert nums == [wden] * len(centres)
+
+
+def _atom_set(kind, d):
+    """(points, weights) of an explicit atom set: collinear (on an axis
+    line in 2-D, on the diagonal in 3-D), sharing coordinates (two values
+    on the first axis, many on the others), or a lattice of step 1/5."""
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    if kind == "collinear":
+        pts = [((third,) * (d - 1) + (Fraction(k, 12),)) if d < 3 else
+               (Fraction(k, 12),) * 3 for k in range(1, 13)]
+    elif kind == "shared":
+        pts = [(Fraction(1 + k % 2, 2),) + tuple(
+            Fraction((k * (i + 2)) % 7 + 1, 7) for i in range(d - 1))
+            for k in range(14)]
+    else:  # 4^3 points in 3-D, to keep the pair-sum oracle short
+        pts = list(itertools.product(
+            *[[fifth * k for k in range(1, 6 if d < 3 else 5)]] * d))
+    ws = [k % 4 + 1 for k in range(len(pts))]
+    return pts, [Fraction(w, sum(ws)) for w in ws]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["collinear", "shared", "lattice"])
+def test_batched_ball_masses_on_explicit_sets(kind, d):
+    # on the 1/5 lattice the radii 1/5, 2/5 and 1 put atoms exactly on the
+    # sphere (1 also at the offset (3/5, 4/5)); centres on the atoms, off
+    # them and at the unit cube's far corner
+    pts, ws = _atom_set(kind, d)
+    mu = DyadicMeasureTree.atomic(pts, ws, d, 4)
+    centres = pts + [tuple(Fraction(k, 10) for k in (3, 5, 9)[:d]),
+                     tuple(Fraction(1, 2) for _ in range(d)),
+                     (Fraction(1, 1),) * d]
+    radii = [Fraction(0), Fraction(1, 12), Fraction(1, 7), Fraction(1, 5),
+             Fraction(2, 5), Fraction(1, 2), Fraction(1), Fraction(2)]
+    _check_batched_ball_masses(mu, centres, radii)
+
+
+def test_ball_masses_reject_what_the_one_centre_call_rejects():
+    mu = DyadicMeasureTree.atomic([(Fraction(1, 4), Fraction(1, 2))], [1],
+                                  2, 3)
+    assert mu.ball_masses_atoms([], Fraction(1, 2)) == ([], 1)
+    with pytest.raises(ValidationError, match="point dimension mismatch"):
+        mu.ball_masses_atoms([(Fraction(1, 4), Fraction(1, 2)),
+                              (Fraction(1, 4),)], 1)
+    with pytest.raises(ValidationError, match="radius must be >= 0"):
+        mu.ball_masses_atoms(None, Fraction(-1, 2))
+    with pytest.raises(UnsupportedModelError):
+        uniform_cantor(3).ball_masses_atoms(None, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DyadicSetTree.full(1, 6),
+    lambda: cantor_tree(8),
+    lambda: DyadicSetTree.from_codes(1, 9, [0, 5, 300, 301, 511]),
+    lambda: DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 4),
+    lambda: DyadicSetTree.from_digit_ifs(2, 1, [3], 3),  # odd corners only
+    lambda: DyadicSetTree.from_codes(2, 5, [3, 12, 200, 201, 1023]),
+    lambda: DyadicSetTree.full(3, 2),
+    lambda: DyadicSetTree.from_codes(3, 3, [0, 7, 63, 64, 511]),
+], ids=["full1-6", "cantor-8", "codes1-9", "sierpinski-4", "corner2-3",
+        "codes2-5", "full3-2", "codes3-3"])
+def test_net_measure_is_atomic_on_the_representatives(make, tmp_path):
+    # the net built from the level's keys is atomic() on the level's upper
+    # corners with equal weights, field by field and byte for byte in its
+    # file; its q is the lcm of the corners' reduced denominators
+    tree = make()
+    for n in range(tree.max_depth + 1):
+        net = tree.representatives(n)
+        want = DyadicMeasureTree.atomic(net, [Fraction(1, len(net))] * len(
+            net), tree.d, n)
+        got = net_measure(tree, n)
+        assert got.support.levels == want.support.levels
+        assert got.support.meta == want.support.meta
+        assert got.tables == want.tables
+        assert got.meta == want.meta == {"kind": "atomic"}
+        assert got.atoms == want.atoms == [
+            (p, Fraction(1, len(net))) for p in sorted(net)]
+        q = math.lcm(*(c.denominator for p in net for c in p))
+        assert got._atom_ints == want._atom_ints
+        assert got._atom_ints[0] == q
+        assert got._atom_ints[1] == [tuple(c.numerator * (q // c.denominator)
+                                           for c in p) for p in sorted(net)]
+        io.save_json(got, tmp_path / "got.json")
+        io.save_json(want, tmp_path / "want.json")
+        assert ((tmp_path / "got.json").read_bytes()
+                == (tmp_path / "want.json").read_bytes())
+        got.validate()
+        assert got.dyadic_correlation_sum(n) == Fraction(1, len(net))
+    with pytest.raises(ValidationError, match="level out of range"):
+        net_measure(tree, tree.max_depth + 1)
+
+
 # rational unit vectors: an atom at x + r u lies exactly on the sphere of
 # radius r about x
 _UNIT_VECTORS = {
@@ -1190,7 +1315,8 @@ def test_atomic_seeds_its_int_atoms(monkeypatch):
     assert mu.ball_mass_atoms(a, Fraction(1, 8)) == Fraction(1, 2)
     assert len(calls) == 1
     seeded = mu._atom_ints
-    assert seeded[:2] == (12, 2)  # q, and wden reduced from 4
+    # (q, points, weight numerators, wden): wden reduced from 4
+    assert seeded == (12, [(3, 4), (9, 6)], [1, 1], 2)
     del mu._atom_ints
     assert mu._atom_ints == seeded
     as_given = DyadicMeasureTree.from_masses(
