@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import fourier, io
@@ -346,7 +347,7 @@ def _cmd_verify_frostman_stages(args) -> int:
                                            for k in range(1, tree.max_depth + 1)]
     measures, rep = stagewise_frostman_measures(tree, args.s, radii,
                                                 stages=args.stages)
-    balls = verify_stage_balls(measures, rep, samples=args.samples)
+    balls = verify_stage_balls(measures, rep)
     ok = rep.ok and balls["ok"] and bool(rep.stage_levels)
     lines = [f"frostman-stages: s={args.s}, stages at levels "
              f"{rep.stage_levels}"]
@@ -361,7 +362,7 @@ def _cmd_verify_frostman_stages(args) -> int:
     if rep.heuristic_oracle:
         lines.append("  note: admissibility decided by a slope heuristic")
     lines.append(f"frostman-stages: {'PASS' if ok else 'FAIL'}")
-    _emit(args, {"stages": rep, "balls": balls, "ok": ok}, lines)
+    _emit(args, {"stages": asdict(rep), "balls": balls, "ok": ok}, lines)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -612,7 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_sweep)
 
     p = vsub.add_parser("frostman-stages",
-                        help="stagewise mass bounds and sampled ball checks")
+                        help="stagewise mass bounds and ball bounds at every "
+                             "centre")
     p.add_argument("--in", dest="infile", default=None,
                    help="set JSON (default: the full interval/cube)")
     p.add_argument("--d", type=int, default=1,
@@ -623,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", type=_scales, default=None,
                    help="decreasing radii (default: 2^-(k+2) per stage)")
     p.add_argument("--stages", type=int, default=3)
-    p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_verify_frostman_stages)
 

@@ -34,7 +34,7 @@ from .exact import (
     UnavailableError,
     ValidationError,
     cmp_pow2,
-    cmp_rpow,
+    le_rpow,
     level_for_radius,
     to_fraction,
 )
@@ -682,35 +682,22 @@ def stagewise_frostman_measures(tree: DyadicSetTree, s, radii,
 
 
 def verify_stage_balls(measures: Sequence[DyadicMeasureTree],
-                       report: FrostmanStageReport,
-                       samples: int = 1000) -> dict:
+                       report: FrostmanStageReport) -> dict:
     """Exact ball-mass check for each stage measure at its own radius:
-    mu_i(B(x, r_i)) <= r_i^s for sampled centers x. The ball mass is
-    dominated by the cover mass at the radius's level (at most 2^d cubes
-    since 2^-(n+2) <= r < 2^-(n+1)), and that is compared with r^s by
-    rational power arithmetic.
+    mu_i(B(x, r_i)) <= r_i^s at every centre x. The stage level n is
+    level_for_radius(r_i), so the 2^d-block cover bound at level n
+    (ball_cover_bound) bounds the ball mass at every x in one pass, and
+    that bound is compared with r_i^s by rational power arithmetic. The
+    stage mass bound implies this check: 2^d 2^-(d+2s) 2^-ns =
+    2^-s(n+2) <= r^s.
     """
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
     rows = []
-    ok = True
     for mu, n, r in zip(measures, report.stage_levels, report.stage_radii):
-        reps = mu.support.representatives(n)
-        m = min(samples, len(reps))
-        picks = [reps[(j * (len(reps) - 1)) // max(m - 1, 1)]
-                 for j in range(m)]
-        worst = Fraction(0)
-        good = True
-        for x in picks:
-            cm = mu.cover_mass(x, r, n)
-            if cm > worst:
-                worst = cm
-            if cmp_rpow(cm, r, report.s) > 0:
-                good = False
-        rows.append({"stage_level": n, "radius": r, "centers": m,
-                     "max_cover_mass": worst, "ok": good})
-        ok = ok and good
-    return {"ok": ok, "rows": rows, "samples": samples}
+        bound = mu.ball_cover_bound(n)
+        rows.append({"stage_level": n, "radius": r,
+                     "centers": len(mu.support.levels[n]),
+                     "cover_bound": bound, "ok": le_rpow(bound, r, report.s)})
+    return {"ok": all(row["ok"] for row in rows), "rows": rows}
 
 
 def _stage_measure(tree: DyadicSetTree, level: int,

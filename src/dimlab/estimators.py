@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from operator import add, mul, rshift, sub
 
-from .dyadic import deinterleave
 from .exact import (ValidationError, cmp_pow2, cmp_rpow, diameter_level,
                     le_rpow, level_for_radius, log2_fraction, to_fraction)
 from .measure import DyadicMeasureTree, net_measure
@@ -203,24 +202,6 @@ class PredicateReport:
         return self
 
 
-def _sup_ball_cover(mu: DyadicMeasureTree, r: Fraction, n: int) -> Fraction:
-    """Upper bound on sup_x mu(B(x, r)) via 2^d-cube covers at level n,
-    where n = level_for_radius(r) so the ball spans at most two cubes per
-    axis: for x in a cube C the ball sits inside one of the 2^d blocks of
-    two cubes per axis that hold C. One pass adds each cube's numerator to
-    those blocks, keyed by lower corner idx + c, c in {0, -1}^d; the bound
-    is the largest block total."""
-    d = mu.d
-    nums, den = mu.tables[n]
-    corners = list(product((0, -1), repeat=d))
-    blocks = defaultdict(int)
-    for key, m in zip(mu.support.levels[n], nums):
-        idx = (key,) if d == 1 else deinterleave(key, n, d)
-        for c in corners:
-            blocks[tuple(map(add, idx, c))] += m
-    return Fraction(max(blocks.values()), den)
-
-
 def correlation_predicates(mu: DyadicMeasureTree, s, radii,
                            extra_depth: int = 4) -> dict[str, PredicateReport]:
     """The three per-scale membership tests behind the upper correlation
@@ -228,7 +209,8 @@ def correlation_predicates(mu: DyadicMeasureTree, s, radii,
 
     - "pair-integral": two-point bracket upper bound <= r^s; certified fail
       when the bracket lower bound already exceeds r^s.
-    - "ball-sup": sup ball mass <= r^s via the 2^d-cube cover bound;
+    - "ball-sup": sup ball mass <= r^s via the 2^d-cube cover bound
+      (DyadicMeasureTree.ball_cover_bound);
       certified fail when some materialized cube of diameter <= r carries
       mass > r^s.
     - "cube-max": max level-n cube mass <= 2^-ns at n = level_for_radius(r).
@@ -259,7 +241,7 @@ def correlation_predicates(mu: DyadicMeasureTree, s, radii,
                                 "status": "inconclusive",
                                 "why": "cover level beyond depth"})
             continue
-        bound = _sup_ball_cover(mu, r, n)
+        bound = mu.ball_cover_bound(n)
         if le_rpow(bound, r, sf):
             sup.records.append({"radius": r, "level": n, "cover_bound": bound,
                                 "status": "pass"})

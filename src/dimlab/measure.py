@@ -239,15 +239,12 @@ class DyadicMeasureTree:
             raise ValidationError("level out of range")
         return self.tables[n]
 
-    def _num(self, n: int, key: int) -> int:
-        """A level-n cube's numerator (0 if unselected), by a bisect."""
-        keys = self.support.levels[n]
-        i = bisect_left(keys, key)
-        return self.tables[n][0][i] if keys[i:i + 1] == [key] else 0
-
     def mass(self, level: int, key: int) -> Fraction:
-        den = self._table(level)[1]
-        return Fraction(self._num(level, key), den)
+        """A level-n cube's mass (0 if unselected), by a bisect."""
+        nums, den = self._table(level)
+        keys = self.support.levels[level]
+        i = bisect_left(keys, key)
+        return Fraction(nums[i] if keys[i:i + 1] == [key] else 0, den)
 
     def level_masses(self, n: int) -> list[tuple[int, Fraction]]:
         """Sorted (key, mass) pairs over the selected level-n cubes."""
@@ -390,23 +387,22 @@ class DyadicMeasureTree:
 
     # -- ball masses -----------------------------------------------------------
 
-    def cover_mass(self, point, r, level: int) -> Fraction:
-        """Total mass of the level-n cubes whose closure meets the closed
-        box [point - r, point + r]^d. The box holds the closed ball
-        B(point, r), so this is an exact upper bound for the ball mass."""
-        pt = tuple(to_fraction(x) for x in point)
-        if len(pt) != self.d:
-            raise ValidationError("point dimension mismatch")
-        rf = to_fraction(r)
-        if rf < 0:
-            raise ValidationError("radius must be >= 0")
-        den = self._table(level)[1]  # checked before the box arithmetic
-        scale = 1 << level  # per axis the cubes lo..hi, none if lo > hi
-        ranges = [range(max(math.ceil((x - rf) * scale) - 1, 0),
-                        min(math.floor((x + rf) * scale), scale - 1) + 1)
-                  for x in pt]
-        return Fraction(sum(self._num(level, interleave(idx, level))
-                            for idx in itertools.product(*ranges)), den)
+    def ball_cover_bound(self, n: int) -> Fraction:
+        """Upper bound on mu(B(x, r)) at every centre x at once, for every
+        r < 2^-(n+1) (so at n = level_for_radius(r)): the closed box
+        [x - r, x + r]^d then meets at most two level-n cubes per axis, so
+        the ball sits inside one of the 2^d blocks of two cubes per axis
+        that hold x's cube. One pass adds each cube's numerator to those
+        blocks, keyed by lower corner idx + c, c in {0, -1}^d; the bound is
+        the largest block total."""
+        nums, den = self._table(n)
+        corners = list(itertools.product((0, -1), repeat=self.d))
+        blocks = defaultdict(int)
+        for key, m in zip(self.support.levels[n], nums):
+            idx = (key,) if self.d == 1 else deinterleave(key, n, self.d)
+            for c in corners:
+                blocks[tuple(map(add, idx, c))] += m
+        return Fraction(max(blocks.values()), den)
 
     def ball_mass_atoms(self, point, r) -> Fraction:
         """Exact closed-ball mass mu(B(point, r)) of an atomic measure: the
@@ -887,9 +883,10 @@ def _ball_sums(rows, f: int, cols: list[list[int]], r2: int) -> list[int]:
 
 
 def _net(tree: DyadicSetTree, n: int, shift: int = 0) -> list[tuple]:
-    """The level-n net (representatives(n)) on ints over 2^(n + shift):
-    per selected level-n cube in key order, its upper corner
-    (deinterleave(key) + 1) 2^shift."""
+    """The level-n net on ints over 2^(n + shift): per selected level-n
+    cube in key order, its upper corner (deinterleave(key) + 1) 2^shift.
+    Distinct corners are at least 2^-n apart on some axis, one per cube,
+    so they form a maximal 2^-n-separated net."""
     if not (0 <= n <= tree.max_depth):
         raise ValidationError("level out of range")
     if tree.d == 1:
@@ -900,10 +897,10 @@ def _net(tree: DyadicSetTree, n: int, shift: int = 0) -> list[tuple]:
 
 def net_measure(tree: DyadicSetTree, n: int) -> "DyadicMeasureTree":
     """Equal weights on the level-n net at depth n, built on ints from the
-    level's keys: atomic(representatives(n), [1/N] * N, d, n) without a
-    Fraction per atom. A cube's mass is the number of net points in it
-    over N; each level-n cube holds one, so the level-n correlation sum is
-    1/N."""
+    level's keys: atomic() on the level's upper corners with weights 1/N,
+    without a Fraction per atom. A cube's mass is the number of net points
+    in it over N; each level-n cube holds one, so the level-n correlation
+    sum is 1/N."""
     pts = _net(tree, n)
     return DyadicMeasureTree._on_ints(1 << n, pts, [1] * len(pts), len(pts),
                                       tree.d, n, None)
@@ -946,7 +943,7 @@ def anti_frostman_check(tree: DyadicSetTree,
                         levels: Sequence[int]) -> dict:
     """Exact verification that the anti-frostman measure is heavy at every
     requested scale: mu(B(x, 2 * 2^-k)) >= c / (k^2 N_k) for every
-    materialized center x (deepest-level representatives) and every k in
+    materialized center x (the deepest level's net) and every k in
     `levels`. All arithmetic is rational; `ok` is an exact verdict. Per
     level, one batched ball query over every centre, the centres on ints
     from the deepest level's keys.

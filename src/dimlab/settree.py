@@ -19,13 +19,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import repeat
 from operator import lt, rshift
 from typing import Iterable, Sequence
 
-from .dyadic import cube_of_point, deinterleave
-from .exact import UnavailableError, ValidationError, pow2
+from .dyadic import cube_of_point
+from .exact import UnavailableError, ValidationError
 
 
 def _ints(values: list) -> list:
@@ -330,10 +329,14 @@ class DyadicSetTree:
     def children_keys(self, level: int, key: int) -> list[int]:
         if level >= self.max_depth:
             return []
-        nxt = self.levels[level + 1]
-        lo = bisect.bisect_left(nxt, key << self.d)
-        hi = bisect.bisect_left(nxt, (key + 1) << self.d)
-        return nxt[lo:hi]
+        return self.descendant_keys(level, key, level + 1)
+
+    def _span(self, level: int, key: int, n: int) -> tuple[int, int]:
+        """The slice of levels[n] under the level-`level` cube `key`."""
+        shift = self.d * (n - level)
+        arr = self.levels[n]
+        return (bisect.bisect_left(arr, key << shift),
+                bisect.bisect_left(arr, (key + 1) << shift))
 
     def descendant_count(self, level: int, key: int, n: int) -> int:
         """Number of selected level-n cubes inside the level-`level` cube."""
@@ -341,30 +344,14 @@ class DyadicSetTree:
             raise ValidationError("target level above the cube")
         if n > self.max_depth:
             raise UnavailableError("target level beyond materialized depth")
-        shift = self.d * (n - level)
-        arr = self.levels[n]
-        lo = bisect.bisect_left(arr, key << shift)
-        hi = bisect.bisect_left(arr, (key + 1) << shift)
+        lo, hi = self._span(level, key, n)
         return hi - lo
 
     def descendant_keys(self, level: int, key: int, n: int) -> list[int]:
         if n < level or n > self.max_depth:
             raise ValidationError("target level out of range")
-        shift = self.d * (n - level)
-        arr = self.levels[n]
-        lo = bisect.bisect_left(arr, key << shift)
-        hi = bisect.bisect_left(arr, (key + 1) << shift)
-        return arr[lo:hi]
-
-    def representatives(self, n: int) -> list[tuple[Fraction, ...]]:
-        """Upper corners of the selected level-n cubes, in Morton order:
-        distinct ones are at least 2^-n apart, so they form a maximal
-        2^-n-separated net."""
-        if not (0 <= n <= self.max_depth):
-            raise ValidationError("level out of range")
-        side = pow2(-n)
-        return [tuple((j + 1) * side for j in deinterleave(k, n, self.d))
-                for k in self.levels[n]]
+        lo, hi = self._span(level, key, n)
+        return self.levels[n][lo:hi]
 
 
 def _check_dims(d: int, depth: int) -> None:

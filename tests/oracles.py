@@ -12,8 +12,9 @@ measure layer: the uniform-model ball bracket over every ordered pair of
 cap-level cubes, the same bracket by a per-cube loop over each row pair
 (no row paired with itself specially, no row index kept), top-down mass
 tables split by one Fraction product per child, tables summed bottom-up
-from leaf masses, atomic() in Fractions, the cover mass and the 2^d-cube
-sup-ball cover bound by scans of every cube, and the s-energy over every
+from leaf masses, atomic() in Fractions, a level's upper corners in
+Fractions, the cover mass at one centre and the 2^d-cube sup-ball cover
+bound by scans of every cube, and the s-energy over every
 leaf pair in 80-digit Decimals (1-D) or every pair of cap-level cubes
 (d >= 2), with leaf_measure and deeper to build their inputs, and a
 measure file written, and one read, with one Fraction per mass row. The slope fit is the float
@@ -470,6 +471,14 @@ def oracle_cover(masses, x, r, n, d):
                 if all(j * side <= c + r and (j + 1) * side >= c - r
                        for j, c in zip(deinterleave(key, n, d), x))),
                Fraction(0))
+
+
+def oracle_representatives(tree, n):
+    """Upper corners of the selected level-n cubes in key order, in
+    Fractions: the net that measure._net lists on ints over 2^n."""
+    side = Fraction(1, 1 << n)
+    return [tuple((j + 1) * side for j in deinterleave(key, n, tree.d))
+            for key in tree.levels[n]]
 
 
 def oracle_atomic(pts, ws, d, depth):

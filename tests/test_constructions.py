@@ -8,11 +8,14 @@ here), so regressions in the plan code cannot hide behind the plan code.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimlab.constructions import (
     AlternatingPlan,
     FrostmanStageReport,
     _auto_oracle,
+    _stage_measure,
     alternating_measure,
     alternating_plan,
     alternating_set,
@@ -33,7 +36,8 @@ from dimlab.exact import (
 )
 from dimlab.measure import DyadicMeasureTree
 from dimlab.settree import DyadicSetTree
-from oracles import fraction_cmp_pow2
+from oracles import (fraction_cmp_pow2, fraction_cmp_rpow, oracle_cover,
+                     oracle_representatives, set_trees)
 
 T = Fraction(2, 5)
 S = Fraction(7, 10)
@@ -343,10 +347,36 @@ class TestFrostmanStages:
         tree = DyadicSetTree.full(1, 8)
         measures, report = stagewise_frostman_measures(
             tree, Fraction(1, 2), self.radii(8), stages=3)
-        res = verify_stage_balls(measures, report, samples=100)
-        assert res["ok"]
-        for row, r in zip(res["rows"], report.stage_radii):
-            assert cmp_rpow(row["max_cover_mass"], r, Fraction(1, 2)) <= 0
+        res = verify_stage_balls(measures, report)
+        assert res["ok"] and "samples" not in res
+        for row, r, stage in zip(res["rows"], report.stage_radii,
+                                 report.rows):
+            assert row["centers"] == stage["cubes"]
+            # the heaviest block is two equal level-n cubes
+            assert row["cover_bound"] == Fraction(2, stage["cubes"])
+            assert cmp_rpow(row["cover_bound"], r, Fraction(1, 2)) <= 0
+
+    def test_ball_check_finds_a_cube_between_evenly_spaced_centres(self):
+        # one heavy cube among 4096 at level 12; a ball of radius r < 2^-13
+        # about the upper corner of cube k meets cubes k and k + 1 only, so
+        # a check at 1000 evenly spaced corners (every (j 4095 // 999)-th)
+        # misses cube 2, and the block bound over every centre does not
+        n, r, s = 12, pow2(-14), Fraction(1, 2)
+        picks = {j * 4095 // 999 for j in range(1000)}
+        assert not {1, 2} & picks
+        light = Fraction(63, 64 * 4095)
+        cubes = [(k, Fraction(1, 64) if k == 2 else light)
+                 for k in range(1 << n)]
+        mu = _stage_measure(DyadicSetTree.full(1, n), n, cubes)
+        report = FrostmanStageReport(s, [n], [r], False)
+        res = verify_stage_balls([mu], report)
+        [row] = res["rows"]
+        assert not res["ok"] and not row["ok"]
+        assert row["centers"] == 1 << n
+        assert row["cover_bound"] == Fraction(1, 64) + light
+        assert cmp_rpow(row["cover_bound"], r, s) > 0
+        # every pick's cover mass (its cube and the next) stays below r^s
+        assert cmp_rpow(2 * light, r, s) <= 0
 
     def test_oracle_rejects_everything(self):
         # s above the set's dimension: no cube is admissible
@@ -415,3 +445,49 @@ class TestFrostmanStages:
         rep = FrostmanStageReport(Fraction(1, 2), [4], [Fraction(1, 8)],
                                   False)
         assert rep.ok and rep.rows == []
+
+
+def check_stage_balls_against_oracle(tree, s) -> bool:
+    """verify_stage_balls on the stage measures of `tree` at s (default
+    radius ladder) against the per-centre cover mass at every stage-level
+    corner; False when no stage exists."""
+    radii = [pow2(-(k + 2)) for k in range(1, tree.max_depth + 1)]
+    try:
+        measures, report = stagewise_frostman_measures(tree, s, radii)
+    except ConstructionError:  # no admissible stage 1
+        return False
+    res = verify_stage_balls(measures, report)
+    assert set(res) == {"ok", "rows"}
+    assert len(res["rows"]) == len(report.rows)
+    for mu, row, stage in zip(measures, res["rows"], report.rows):
+        n, r, bound = row["stage_level"], row["radius"], row["cover_bound"]
+        assert (n, r) == (stage["level"], stage["radius"])
+        assert row["centers"] == len(mu.support.levels[n]) == stage["cubes"]
+        masses = dict(mu.level_masses(n))
+        for x in oracle_representatives(mu.support, n):
+            assert bound >= oracle_cover(masses, x, r, n, mu.d)
+        assert row["ok"] == (fraction_cmp_rpow(bound, r, s) <= 0)
+        # the stage mass bound implies the ball bound
+        assert row["ok"] or not stage["mass_bound_ok"]
+    assert res["ok"] == all(row["ok"] for row in res["rows"])
+    return True
+
+
+# about a quarter of these trees admit a stage; the named sets below always do
+@settings(max_examples=150, deadline=None, database=None)
+@given(set_trees().filter(lambda t: t.d <= 2),
+       st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]))
+def test_stage_ball_bound_dominates_every_centre(tree, s):
+    check_stage_balls_against_oracle(tree, s)
+
+
+@pytest.mark.parametrize("tree, s", [
+    (DyadicSetTree.full(1, 9), Fraction(1, 2)),
+    (DyadicSetTree.full(2, 4), Fraction(1, 2)),
+    (DyadicSetTree.full(2, 4), Fraction(1)),
+    (DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 5), Fraction(1, 2)),
+    (DyadicSetTree.from_digit_ifs(1, 2, [0, 3], 14), Fraction(2, 5)),
+], ids=["full1-9", "full2-4-half", "full2-4-one", "sierpinski-5",
+        "cantor-14"])
+def test_stage_ball_bound_on_named_sets(tree, s):
+    assert check_stage_balls_against_oracle(tree, s)

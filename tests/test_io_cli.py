@@ -764,15 +764,30 @@ class TestCliVerify:
 
     def test_frostman_stages(self, capsys):
         code, text, _ = run_cli(capsys, "verify", "frostman-stages",
-                                "--s", "1/2", "--d", "1", "--depth", "8",
-                                "--samples", "64")
+                                "--s", "1/2", "--d", "1", "--depth", "8")
         assert code == 0 and "frostman-stages: PASS" in text
 
+    def test_frostman_stages_json_counts_every_centre(self, tmp_path,
+                                                      capsys):
+        jout = tmp_path / "fs.json"
+        code, text, _ = run_cli(capsys, "verify", "frostman-stages",
+                                "--s", "1/2", "--d", "2", "--depth", "5",
+                                "--json", str(jout))
+        assert code == 0 and "frostman-stages: PASS" in text
+        data = json.loads(jout.read_text())
+        assert "samples" not in data["balls"]
+        stages, balls = data["stages"]["rows"], data["balls"]["rows"]
+        assert len(balls) == len(stages) > 0
+        for stage, row in zip(stages, balls):
+            # every level-n cube of the full square is a centre
+            assert row["stage_level"] == stage["level"]
+            assert row["centers"] == stage["cubes"] == 4 ** stage["level"]
+            assert set(row) == {"stage_level", "radius", "centers",
+                                "cover_bound", "ok"}
+            assert f"ball check at level {stage['level']}: " \
+                   f"{row['centers']} centers, ok" in text
+
     @pytest.mark.parametrize("argv", [
-        ["verify", "frostman-stages", "--s", "1/2", "--depth", "8",
-         "--samples", "0"],
-        ["verify", "frostman-stages", "--s", "1/2", "--depth", "8",
-         "--samples", "-3"],
         ["verify", "frostman-stages", "--s", "1/2", "--depth", "8",
          "--stages", "0"],
         ["verify", "frostman-stages", "--s", "1/2", "--depth", "8",
@@ -794,7 +809,7 @@ class TestCliVerify:
         ["verify", "fourier-sandwich", "--in", "{cantor}", "--eps", "1/10",
          "--tol", "-1"],
         ["export", "--in", "{cantor}", "--csv", "{out}", "--min-level", "99"],
-    ], ids=["samples-0", "samples-neg", "stages-0", "stages-neg",
+    ], ids=["stages-0", "stages-neg",
             "sweep-depth-neg", "sweep-budget-0", "alternating-depth-neg",
             "sweep-set-depth-neg", "random-measures-neg", "snap-depth-neg",
             "ineq-tol-neg", "ineq-tol-nan", "fourier-tol-neg",

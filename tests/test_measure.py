@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from dimlab import constructions, io, measure
 from dimlab.cli import main
 from dimlab.dyadic import interleave
-from dimlab.estimators import (_sup_ball_cover, correlation_predicates,
-                               correlation_sandwich, inequality_report,
-                               packing_predicate, packing_threshold)
+from dimlab.estimators import (correlation_predicates, correlation_sandwich,
+                               inequality_report, packing_predicate,
+                               packing_threshold)
 from dimlab.exact import (UnsupportedModelError, ValidationError,
                           format_rational, level_for_radius, pow2)
 from dimlab.measure import (
@@ -32,10 +32,10 @@ from dimlab.measure import (
 from dimlab.settree import DyadicSetTree
 from oracles import (COORDS, MEASURE_KINDS, atom_ball_mass, atom_pair_sum,
                      brute_force_ball_bracket, deeper, leaf_case,
-                     measure_cases, oracle_atomic, oracle_cover,
-                     oracle_energy_1d, oracle_energy_cubes, oracle_row_ranges,
-                     oracle_sup_ball_cover, set_trees, split_case,
-                     square_riesz_energy, squared_distance)
+                     measure_cases, oracle_atomic, oracle_energy_1d,
+                     oracle_energy_cubes, oracle_representatives,
+                     oracle_row_ranges, oracle_sup_ball_cover, set_trees,
+                     split_case, square_riesz_energy, squared_distance)
 
 
 def cantor_tree(depth):
@@ -312,8 +312,8 @@ class TestAtomic:
         assert mu.ball_mass_atoms((Fraction(1, 2),), Fraction(1, 8)) == 0
 
     def test_ball_mass_atoms_rejects_negative_radius(self):
-        # a negative radius squares to the ball of radius |r|: reject it
-        # the way cover_mass does; r = 0 is the centre's own atom
+        # a negative radius squares to the ball of radius |r|: reject it;
+        # r = 0 is the centre's own atom
         line = DyadicMeasureTree.atomic(
             [(Fraction(1, 4),), (Fraction(3, 4),)],
             [Fraction(1, 2), Fraction(1, 2)], 1, 4)
@@ -598,44 +598,6 @@ def test_ball_brackets_match_row_range_oracle(name):
                     r, extra_depth=extra) == b
 
 
-class TestCoverMass:
-    def test_uniform_hand_value(self):
-        mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 3))
-        got = mu.cover_mass((Fraction(1, 2),), Fraction(1, 8), 3)
-        assert got == Fraction(1, 2)  # cells 2..5 of 8 touch the closed ball
-
-    def test_upper_bounds_true_ball_mass(self):
-        mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 6))
-        x = (Fraction(1, 2),)
-        r = Fraction(1, 8)
-        true_mass = 2 * r  # interval fully inside [0,1]
-        for n in (3, 4, 5, 6):
-            assert mu.cover_mass(x, r, n) >= true_mass
-
-    def test_ball_outside_support(self):
-        mu = uniform_cantor(4)
-        assert mu.cover_mass((Fraction(1, 2),), Fraction(1, 32), 4) == 0
-
-    def test_2d_corner(self):
-        mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, 2))
-        got = mu.cover_mass((Fraction(1, 4), Fraction(1, 4)), Fraction(1, 4), 2)
-        # 3x3 block of 1/16 cells around the corner point
-        assert got == Fraction(9, 16)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            uniform_cantor(3).cover_mass((Fraction(1, 2), Fraction(1, 2)),
-                                         Fraction(1, 4), 2)
-
-    def test_level_validation(self):
-        # the level is checked before any box arithmetic, which at a
-        # negative level would shift by a negative count
-        for level in (-1, 4):
-            with pytest.raises(ValidationError):
-                uniform_cantor(3).cover_mass((Fraction(1, 2),),
-                                             Fraction(1, 4), level)
-
-
 def _cover_measures():
     """Uniform, random-split and prime-leaf measures on occupied-cube trees
     of up to 20 points, depth 0 up, and atomic measures on rational
@@ -658,7 +620,7 @@ def test_sup_ball_cover_matches_direction_loop(mu, q, p):
     for n in range(mu.max_depth + 1):
         r = Fraction(q + p % q, q << (n + 2))
         assert level_for_radius(r) == n
-        cover = _sup_ball_cover(mu, r, n)
+        cover = mu.ball_cover_bound(n)
         assert cover == oracle_sup_ball_cover(mu, n)
         if mu.leaf_model == "atoms":
             assert cover >= max(mu.ball_mass_atoms(x, r) for x, _ in mu.atoms)
@@ -910,7 +872,7 @@ class TestAntiFrostman:
         for k in (2, 4, 6):
             r = Fraction(2, 1 << k)
             bound = info["per_level_bound"][k]
-            for x in tree.representatives(6):
+            for x in oracle_representatives(tree, 6):
                 assert mu.ball_mass_atoms(x, r) >= bound
 
     def test_level_validation(self):
@@ -952,21 +914,21 @@ ONE_CHILD_CHAIN_2D = DyadicSetTree.from_codes(2, 6, [0, (1 << 12) - 1])
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(measure_cases(), _unit_radii)
-@example(split_case(MIXED_COUNTS, "uniform"), Fraction(1, 3))
-@example(split_case(MIXED_COUNTS, "random_split", 5, 97), Fraction(1, 2))
-@example(split_case(MIXED_COUNTS, "random_split", 5, 1), Fraction(1, 2))
-@example(split_case(MIXED_COUNTS, "random_split", 5, 8), Fraction(1, 2))
-@example(split_case(MIXED_COUNTS, "random_split", 5, 9), Fraction(1, 2))
-@example(split_case(MIXED_COUNTS, "random_split", 5, 16), Fraction(1, 2))
-@example(split_case(SINGLE_CHILD_CHAIN, "uniform"), Fraction(1, 8))
-@example(split_case(SINGLE_CHILD_CHAIN, "random_split", 11), Fraction(1, 8))
-@example(split_case(SINGLE_CHILD_CHAIN, "random_split", 11, 1), Fraction(1, 8))
+@given(measure_cases())
+@example(split_case(MIXED_COUNTS, "uniform"))
+@example(split_case(MIXED_COUNTS, "random_split", 5, 97))
+@example(split_case(MIXED_COUNTS, "random_split", 5, 1))
+@example(split_case(MIXED_COUNTS, "random_split", 5, 8))
+@example(split_case(MIXED_COUNTS, "random_split", 5, 9))
+@example(split_case(MIXED_COUNTS, "random_split", 5, 16))
+@example(split_case(SINGLE_CHILD_CHAIN, "uniform"))
+@example(split_case(SINGLE_CHILD_CHAIN, "random_split", 11))
+@example(split_case(SINGLE_CHILD_CHAIN, "random_split", 11, 1))
 # one-child and two-child levels alternate
-@example(split_case(cantor_tree(8), "random_split", 3), Fraction(1, 5))
-@example(split_case(ONE_CHILD_CHAIN_2D, "uniform"), Fraction(1, 4))
-@example(split_case(ONE_CHILD_CHAIN_2D, "random_split", 7), Fraction(1, 4))
-def test_int_tables_match_fraction_oracle(case, r):
+@example(split_case(cantor_tree(8), "random_split", 3))
+@example(split_case(ONE_CHILD_CHAIN_2D, "uniform"))
+@example(split_case(ONE_CHILD_CHAIN_2D, "random_split", 7))
+def test_int_tables_match_fraction_oracle(case):
     mu, masses, states = case
     if states is not None:
         # the seeded stream is part of random_split's contract: one draw
@@ -974,7 +936,6 @@ def test_int_tables_match_fraction_oracle(case, r):
         after_split, after_oracle = states
         assert after_split == after_oracle
     mu.validate()
-    d = mu.d
     for n, want in enumerate(masses):
         nums, den = mu.tables[n]
         assert math.gcd(den, *nums) == 1  # each level reduced
@@ -984,8 +945,6 @@ def test_int_tables_match_fraction_oracle(case, r):
         assert mu.max_cube_mass(n) == max(want.values())
         assert mu.dyadic_correlation_sum(n) == sum(
             (m * m for m in want.values()), Fraction(0))
-        for x in mu.support.representatives(n)[:3] + [(Fraction(1, 3),) * d]:
-            assert mu.cover_mass(x, r, n) == oracle_cover(want, x, r, n, d)
     if mu.max_depth >= 1:
         levels = range(1, mu.max_depth + 1)
         grid = [Fraction(k, 4) for k in range(1, 9)]
@@ -1136,7 +1095,7 @@ def test_net_measure_is_atomic_on_the_representatives(make, tmp_path):
     # file; its q is the lcm of the corners' reduced denominators
     tree = make()
     for n in range(tree.max_depth + 1):
-        net = tree.representatives(n)
+        net = oracle_representatives(tree, n)
         want = DyadicMeasureTree.atomic(net, [Fraction(1, len(net))] * len(
             net), tree.d, n)
         got = net_measure(tree, n)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from dimlab.exact import UnavailableError, ValidationError, pow2
+from dimlab.exact import UnavailableError, ValidationError
+from dimlab.measure import _net
 from dimlab.settree import (
     DyadicSetTree,
     GeometricCounts,
@@ -293,38 +294,39 @@ class TestQueries:
             t.box_count(5)
 
     def test_representatives(self):
+        # the level-n net: upper corners on ints over 2^n, 1/4 and 1 here
         t = cantor_tree(4)
-        reps = t.representatives(2)
-        assert reps == [(Fraction(1, 4),), (Fraction(1),)]
+        assert _net(t, 2) == [(1,), (4,)]
+        assert _net(t, 2, 3) == [(8,), (32,)]  # the same over 2^5
 
 
 class TestSeparatedNet:
+    # the net on ints over 2^n: 2^-n separation is a distance of at least 1
     def test_same_level_representatives_always_qualify(self):
-        # distinct level-n representatives differ by >= 2^-n somewhere, and
-        # exact ties count as separated
+        # distinct level-n corners differ by >= 2^-n somewhere, and exact
+        # ties count as separated
         t = cantor_tree(8)
         for n in range(9):
-            net = t.representatives(n)
+            net = _net(t, n)
             assert len(net) == t.box_count(n)
             for i, p in enumerate(net):
                 for q in net[i + 1:]:
-                    assert max(abs(a - b) for a, b in zip(p, q)) >= pow2(-n)
+                    assert max(abs(a - b) for a, b in zip(p, q)) >= 1
 
     def test_separation_property(self):
         t = DyadicSetTree.full(2, 3)
         for n in (1, 2, 3):
-            net = t.representatives(n)
-            sep_sq = pow2(-2 * n)
+            net = _net(t, n)
             for i, p in enumerate(net):
                 for q in net[i + 1:]:
-                    assert sum((a - b) ** 2 for a, b in zip(p, q)) >= sep_sq
+                    assert sum((a - b) ** 2 for a, b in zip(p, q)) >= 1
 
     def test_level_out_of_range(self):
         # below 0 the corners would leave the unit cube, and past the
         # deepest level there are no cubes to list
         for n in (-1, 4):
             with pytest.raises(ValidationError):
-                cantor_tree(3).representatives(n)
+                _net(cantor_tree(3), n)
 
 
 class TestSymbolicCounts:
