@@ -5,8 +5,9 @@ Each section prints canonical text (Fractions as p/q, floats as
 float.hex) for one family of results over a fixed corpus: full trees in
 d = 1..3, Cantor and Sierpinski digit-IFS sets, sparse from_codes trees
 and the depth-24 alternating set, under uniform, seeded random_split and
-atomic measures, plus the ValidationError text of set trees with one
-defect or two planted on their one-child levels. A change that is meant
+atomic measures, and the stagewise Frostman measures on them, plus the
+ValidationError text of set trees with one defect or two planted on their
+one-child levels. A change that is meant
 to keep every output passes unchanged; one that moves a section on purpose re-pins it with
 
     PYTHONPATH=src python tests/test_digest.py
@@ -32,8 +33,8 @@ from dimlab import cli, constructions, io
 from dimlab.estimators import (box_dims, correlation_dims,
                                correlation_predicates, correlation_sandwich,
                                frostman_slope, packing_threshold)
-from dimlab.exact import (ValidationError, diameter_level, format_rational,
-                          level_for_radius)
+from dimlab.exact import (ConstructionError, ValidationError, diameter_level,
+                          format_rational, level_for_radius, pow2)
 from dimlab.fourier import fourier_box_estimate
 from dimlab.measure import (DyadicMeasureTree, anti_frostman_check,
                             anti_frostman_measure)
@@ -413,6 +414,40 @@ def atom_ball_masses():
            f"{text(rep.curve.samples)} {text(rep.dims.full.value)}")
 
 
+def frostman_stages():
+    """stagewise_frostman_measures at s = 1/3 and 1/2 on the CLI's default
+    radius ladder (2^-(k+2), k = 1..depth), all stages: stage levels and
+    report rows, verify_stage_balls rows, and each stage measure's levels
+    and tables; or the ConstructionError text where stage 1 is impossible.
+    The codes trees, and copies of full1-10 and sierpinski-5 stripped of
+    their metadata ("bare"), take the slope heuristic."""
+    trees = {name: TREES[name]() for name in (
+        "full1-10", "full2-5", "cantor-8", "sierpinski-5", "alternating24",
+        "codes1-12", "codes2-6")}
+    for name in ("full1-10", "sierpinski-5"):
+        t = trees[name]
+        trees[f"{name} bare"] = DyadicSetTree(t.d, t.max_depth, t.levels,
+                                              None, {})
+    for name, tree in trees.items():
+        radii = [pow2(-(k + 2)) for k in range(1, tree.max_depth + 1)]
+        for s in (Fraction(1, 3), Fraction(1, 2)):
+            try:
+                measures, rep = constructions.stagewise_frostman_measures(
+                    tree, s, radii)
+            except ConstructionError as exc:
+                yield f"{name} {s} error {exc}"
+                continue
+            yield (f"{name} {s} {text(rep.stage_levels)} "
+                   f"{text(rep.stage_radii)} {rep.heuristic_oracle} "
+                   f"{rep.ok} {text(rep.rows)}")
+            balls = constructions.verify_stage_balls(measures, rep)
+            yield f"{name} {s} balls {balls['ok']} {text(balls['rows'])}"
+            for mu in measures:
+                yield (f"{name} {s} stage {text(mu.meta)} "
+                       f"{text(mu.support.meta)} {text(mu.support.levels)} "
+                       f"{text(mu.tables)}")
+
+
 def levels():
     for q in range(1, 41):
         for p in range(1, 2 * q + 1):
@@ -432,6 +467,7 @@ SECTIONS = {
     "validation_messages": validation_messages,
     "measure_messages": measure_messages,
     "atom_ball_masses": atom_ball_masses,
+    "frostman_stages": frostman_stages,
 }
 
 
