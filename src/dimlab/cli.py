@@ -140,6 +140,14 @@ def _emit(args, report, lines) -> None:
         print(f"wrote {args.json}")
 
 
+def _verdict(args, report, lines, ok: bool) -> int:
+    """A verify suite's tail: lines and its "{suite}: PASS" or "FAIL" line
+    emitted with the report, then its exit code."""
+    lines.append(f"{args.suite}: {'PASS' if ok else 'FAIL'}")
+    _emit(args, report, lines)
+    return EXIT_OK if ok else EXIT_VERIFICATION
+
+
 def _slope_lines(name: str, st) -> list[str]:
     return [f"{name}: full={st.full.value:.4f} lower={st.lower.value:.4f} "
             f"upper={st.upper.value:.4f} window_len={st.window_len} "
@@ -319,9 +327,7 @@ def _cmd_verify_alternating(args) -> int:
     lines = [f"alternating-counts: k=1..{rep['k_max']}, "
              f"last level {rep['last_level']}"]
     lines += _check_lines(rep["checks"])
-    lines.append(f"alternating-counts: {'PASS' if rep['ok'] else 'FAIL'}")
-    _emit(args, rep, lines)
-    return EXIT_OK if rep["ok"] else EXIT_VERIFICATION
+    return _verdict(args, rep, lines, rep["ok"])
 
 
 def _cmd_verify_sweep(args) -> int:
@@ -334,9 +340,7 @@ def _cmd_verify_sweep(args) -> int:
     lines = [f"sweep-counts: k=1..{prep['k_max']}, materialized depth "
              f"{args.materialize_depth}"]
     lines += _check_lines(prep["checks"] + srep["checks"])
-    lines.append(f"sweep-counts: {'PASS' if ok else 'FAIL'}")
-    _emit(args, {"plan": prep, "set": srep, "ok": ok}, lines)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return _verdict(args, {"plan": prep, "set": srep, "ok": ok}, lines, ok)
 
 
 def _cmd_verify_frostman_stages(args) -> int:
@@ -361,9 +365,8 @@ def _cmd_verify_frostman_stages(args) -> int:
                      f"{'ok' if row['ok'] else 'VIOLATED'}")
     if rep.heuristic_oracle:
         lines.append("  note: admissibility decided by a slope heuristic")
-    lines.append(f"frostman-stages: {'PASS' if ok else 'FAIL'}")
-    _emit(args, {"stages": asdict(rep), "balls": balls, "ok": ok}, lines)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return _verdict(args, {"stages": asdict(rep), "balls": balls, "ok": ok},
+                    lines, ok)
 
 
 def _cmd_verify_fourier_sandwich(args) -> int:
@@ -380,9 +383,7 @@ def _cmd_verify_fourier_sandwich(args) -> int:
         lines.append("fourier-sandwich: INCONCLUSIVE")
         _emit(args, rep, lines)
         return EXIT_OK
-    lines.append(f"fourier-sandwich: {'PASS' if rep.passed else 'FAIL'}")
-    _emit(args, rep, lines)
-    return EXIT_OK if rep.passed else EXIT_VERIFICATION
+    return _verdict(args, rep, lines, rep.passed)
 
 
 def _cmd_verify_corr_sandwich(args) -> int:
@@ -395,9 +396,7 @@ def _cmd_verify_corr_sandwich(args) -> int:
              f"{len(rep['rows']) - len(bad)}/{len(rep['rows'])} checks passed"]
     for r in bad[:10]:
         lines.append(f"  FAIL level {r['level']} measure {r['measure']}")
-    lines.append(f"corr-sandwich: {'PASS' if rep['ok'] else 'FAIL'}")
-    _emit(args, rep, lines)
-    return EXIT_OK if rep["ok"] else EXIT_VERIFICATION
+    return _verdict(args, rep, lines, rep["ok"])
 
 
 def _cmd_verify_ineq_chain(args) -> int:
@@ -415,9 +414,7 @@ def _cmd_verify_ineq_chain(args) -> int:
         lines.append(f"  {mark} {c['name']}: {c['lhs']:.4f} vs {c['rhs']:.4f}")
     for g in rep.gaps:
         lines.append(f"  gap: {g}")
-    lines.append(f"ineq-chain: {'PASS' if rep.ok else 'FAIL'}")
-    _emit(args, rep, lines)
-    return EXIT_OK if rep.ok else EXIT_VERIFICATION
+    return _verdict(args, rep, lines, rep.ok)
 
 
 def _cmd_verify_ball_lower(args) -> int:
@@ -428,9 +425,8 @@ def _cmd_verify_ball_lower(args) -> int:
         lines.append(f"  level {row['level']}: net {row['net_size']}, "
                      f"min ball mass {row['min_ball_mass']} >= bound "
                      f"{row['bound']}: {'ok' if row['ok'] else 'VIOLATED'}")
-    lines.append(f"ball-lower-bound: {'PASS' if rep['ok'] else 'FAIL'}")
-    _emit(args, {k: v for k, v in rep.items() if k != "measure"}, lines)
-    return EXIT_OK if rep["ok"] else EXIT_VERIFICATION
+    return _verdict(args, {k: v for k, v in rep.items() if k != "measure"},
+                    lines, rep["ok"])
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,11 @@ split, which is what keeps the per-cube mass below 2^-(d+2s) * 2^-ns.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import rshift
 from typing import Callable, Sequence
 
 from .exact import (
@@ -38,7 +41,7 @@ from .exact import (
     level_for_radius,
     to_fraction,
 )
-from .measure import UNIFORM, DyadicMeasureTree, ancestor_tables
+from .measure import UNIFORM, DyadicMeasureTree, _split_level, _sums_up
 from .settree import DyadicSetTree, Segment, SegmentCounts
 
 
@@ -413,7 +416,7 @@ def sweep_set(plan: SweepPlan, materialize_depth: int) -> DyadicSetTree:
     cur_level, cur_key = None, None
     for m in range(1, materialize_depth + 1):
         prev = levels[-1]
-        k, regime = plan.stage_of_level(m)
+        _, regime = plan.stage_of_level(m)
         if m == 1:
             levels.append([0, 1])
         elif regime == "doubling":
@@ -539,22 +542,16 @@ def _auto_oracle(tree: DyadicSetTree, s: Fraction
     flagged: its slope must exceed s by 1/100, decided exactly by cmp_pow2.
     Returns (oracle, heuristic_flag).
     """
-    kind = tree.meta.get("kind")
-    if kind == "ifs":
-        branch = None
-        if tree.symbolic is not None and hasattr(tree.symbolic, "branch"):
-            branch = tree.symbolic.branch
-            group = tree.symbolic.group
-        if branch is not None:
-            # dimension = log2(branch)/(group*d); admissible iff dim > s
-            admit = cmp_pow2(Fraction(branch), s * group * tree.d) > 0
-            return (lambda level, key: admit), False
-    if kind == "alternating":
-        low = to_fraction(tree.meta["dim_low"])
-        admit = low > s
-        return (lambda level, key: admit), False
-    if kind == "full":
+    kind, sym = tree.meta.get("kind"), tree.symbolic
+    admit = None
+    if kind == "ifs" and getattr(sym, "branch", None) is not None:
+        # dimension = log2(branch)/(group*d); admissible iff dim > s
+        admit = cmp_pow2(Fraction(sym.branch), s * sym.group * tree.d) > 0
+    elif kind == "alternating":
+        admit = to_fraction(tree.meta["dim_low"]) > s
+    elif kind == "full":
         admit = tree.d > s
+    if admit is not None:
         return (lambda level, key: admit), False
 
     max_depth = tree.max_depth
@@ -624,56 +621,48 @@ def stagewise_frostman_measures(tree: DyadicSetTree, s, radii,
 
     threshold_exp = d + 2 * sf  # 2^{d+2s}
 
-    # stage state: keys and masses at cur_level; stage 1 splits the unit
-    # cube's mass 1, so its test is the general one with mu(C) = 1
+    # stage state: the sorted keys at cur_level, their masses nums / den;
+    # stage 1 splits the unit cube's mass 1 (the general test, mu(C) = 1)
     stage_levels: list[int] = []
     stage_radii: list[Fraction] = []
     measures: list[DyadicMeasureTree] = []
     rows: list[dict] = []
-    current: list[tuple[int, Fraction]] = [(0, Fraction(1))]
-    cur_level = 0
+    keys, nums, den, cur_level = [0], [1], 1, 0
 
     max_stage = stages if stages is not None else len(candidates)
     for _ in range(max_stage):
         floor_level = stage_levels[-1] if stage_levels else -1
-        found = None
+        inside = set(keys)
         for n in candidates:
             if n <= floor_level:
                 continue
-            per_parent: dict[int, list[int]] = {}
-            for key, mass in current:
-                dn_c = [k for k in tree.descendant_keys(cur_level, key, n)
-                        if admissible(n, k)]
-                # #D_n(C) >= 2^{d+2s+ns} * mu(C)
-                if not dn_c or cmp_pow2(Fraction(len(dn_c)) / mass,
-                                        threshold_exp + n * sf) < 0:
-                    break
-                per_parent[key] = dn_c
-            else:
-                found = (n, per_parent)
+            # the stage cubes' admissible level-n descendants, one run each
+            shift = d * (n - cur_level)
+            kids = [k for k in tree.levels[n]
+                    if k >> shift in inside and admissible(n, k)]
+            runs = Counter(map(rshift, kids, repeat(shift)))
+            # #D_n(C) >= 2^{d+2s+ns} * mu(C) at every stage cube C, decided
+            # once per distinct (count, numerator) pair
+            if len(runs) == len(keys) and all(
+                    cmp_pow2(Fraction(c * den, m), threshold_exp + n * sf) >= 0
+                    for c, m in set(zip(runs.values(), nums))):
                 break
-        if found is None:
+        else:
             if not stage_levels:
                 raise ConstructionError(
                     "stage 1 impossible: oracle admits no level in budget "
                     f"(s={sf}, candidates={candidates})")
             break
-        n, selection = found
-        nxt: list[tuple[int, Fraction]] = []
-        for key, mass in current:
-            kids = selection[key]
-            share = mass / len(kids)
-            nxt.extend((k, share) for k in kids)
-        current = nxt
-        cur_level = n
+        nums, den = _split_level(nums, den, list(runs.values()), None)
+        keys, cur_level = kids, n
         stage_levels.append(n)
         stage_radii.append(level_of[n])
-        measures.append(_stage_measure(tree, n, current))
-        worst = max(m for _, m in current)
+        measures.append(_stage_measure(tree, n, keys, nums, den))
+        worst = Fraction(max(nums), den)
         # every stage cube mass <= 2^-(d+2s) 2^-ns, exactly
         mass_bound_ok = cmp_pow2(worst, -(threshold_exp + n * sf)) <= 0
         rows.append({"stage": len(stage_levels), "level": n,
-                     "radius": level_of[n], "cubes": len(current),
+                     "radius": level_of[n], "cubes": len(keys),
                      "max_mass": worst, "mass_bound_ok": mass_bound_ok})
 
     report = FrostmanStageReport(sf, stage_levels, stage_radii, heuristic,
@@ -700,11 +689,11 @@ def verify_stage_balls(measures: Sequence[DyadicMeasureTree],
     return {"ok": all(row["ok"] for row in rows), "rows": rows}
 
 
-def _stage_measure(tree: DyadicSetTree, level: int,
-                   cubes: list[tuple[int, Fraction]]) -> DyadicMeasureTree:
-    """Measure truncated at the stage level: explicit masses on the stage
-    cubes' ancestor closure, uniform leaf model below."""
-    levels, tables = ancestor_tables(dict(cubes), tree.d, level)
+def _stage_measure(tree: DyadicSetTree, level: int, keys: list[int],
+                   nums: list[int], den: int) -> DyadicMeasureTree:
+    """Measure truncated at the stage level: the sorted stage cubes' masses
+    nums / den summed up their ancestors, uniform leaf model below."""
+    levels, tables = _sums_up(keys, nums, den, tree.d, level)
     support = DyadicSetTree(tree.d, level, levels, None,
                             {"kind": "frostman_stage", "from": tree.meta.get("kind")})
     mu = DyadicMeasureTree(support, UNIFORM, tables, None, {

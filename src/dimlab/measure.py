@@ -718,45 +718,40 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
 
 
 def _split_masses(tree: DyadicSetTree, ws=None) -> Tables:
-    """Per-level tables built top-down from root mass 1, one level at a
-    time: each cube's mass N / D is split among its selected children in
-    proportion to positive integer weights, ws in key order level by level
-    below the root (equal weights when None). Over the lcm L of the level's
-    per-parent weight totals a child of weight p gets N * (L // total) * p,
-    over D * L. The children are the tree's parent runs (parent_runs, built
-    once per tree), one run per numerator of the level above, so the split
-    works on positions; a level of one child per parent shares the table
-    above, its reduced N / D."""
+    """Per-level tables built top-down from root mass 1 by _split_level,
+    ws the positive integer weights in key order level by level below the
+    root (equal weights when None), over the tree's parent runs (built once
+    per tree); a level of one child per parent shares the table above."""
     tables: Tables = [([1], 1)]
     it = iter(ws or ())
     for level, runs in enumerate(tree.parent_runs):
-        nums, den = tables[level]
         w = list(itertools.islice(it, len(tree.levels[level + 1])))
         if runs is None:
             tables.append(tables[level])
-            continue
-        _, lens, ends = runs
-        if ws is None:
-            tots = lens
         else:
-            pre = list(itertools.accumulate(w, initial=0))
-            tots = [pre[b] - pre[a] for a, b in zip(ends, ends[1:])]
-        lcm = math.lcm(*tots)
-        # each parent's share, repeated over its run of children
-        per = itertools.chain.from_iterable(map(repeat, map(
-            mul, nums, map(floordiv, repeat(lcm), tots)), lens))
-        tables.append(_reduced(list(per if ws is None else map(mul, per, w)),
-                               den * lcm))
+            nums, den = tables[level]
+            tables.append(_split_level(nums, den, runs[1], runs[2],
+                                       w if ws else None))
     return tables
 
 
-def ancestor_tables(leaf: dict[int, Fraction], d: int,
-                    depth: int) -> tuple[list[list[int]], Tables]:
-    """(levels, tables) summed up from the level-`depth` masses in `leaf`."""
-    keys, masses = zip(*sorted(leaf.items()))
-    den = math.lcm(*(m.denominator for m in masses))
-    return _sums_up(keys, [m.numerator * (den // m.denominator)
-                           for m in masses], den, d, depth)
+def _split_level(nums: list[int], den: int, lens: list[int], ends,
+                 w: list[int] | None = None) -> tuple[list[int], int]:
+    """The reduced table of the level below nums / den: cube i's mass N / D
+    split among its lens[i] children, positions ends[i]:ends[i + 1] (read
+    only with weights), by the positive int weights w in level order (equal
+    when None): over the lcm L of the per-parent weight totals a child of
+    weight p gets N * (L // total) * p, over D * L."""
+    if w is None:
+        tots = lens
+    else:
+        pre = list(itertools.accumulate(w, initial=0))
+        tots = [pre[b] - pre[a] for a, b in zip(ends, ends[1:])]
+    lcm = math.lcm(*tots)
+    # each parent's share, repeated over its run of children
+    per = itertools.chain.from_iterable(map(repeat, map(
+        mul, nums, map(floordiv, repeat(lcm), tots)), lens))
+    return _reduced(list(per if w is None else map(mul, per, w)), den * lcm)
 
 
 def _sums_up(keys, nums, den: int, d: int,

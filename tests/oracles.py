@@ -12,7 +12,9 @@ measure layer: the uniform-model ball bracket over every ordered pair of
 cap-level cubes, the same bracket by a per-cube loop over each row pair
 (no row paired with itself specially, no row index kept), top-down mass
 tables split by one Fraction product per child, tables summed bottom-up
-from leaf masses, atomic() in Fractions, a level's upper corners in
+from leaf masses (in Fractions, and by ancestor_tables into the int form),
+the stagewise Frostman loop with one Fraction mass per stage cube,
+atomic() in Fractions, a level's upper corners in
 Fractions, the cover mass at one centre and the 2^d-cube sup-ball cover
 bound by scans of every cube, and the s-energy over every
 leaf pair in 80-digit Decimals (1-D) or every pair of cap-level cubes
@@ -46,10 +48,12 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from dimlab import io
+from dimlab.constructions import _auto_oracle
 from dimlab.dyadic import cube_of_point, deinterleave, interleave
 from dimlab.estimators import SlopeEstimate, SlopeTriple, default_window_len
-from dimlab.exact import ValidationError, format_rational, parse_rational
-from dimlab.measure import DyadicMeasureTree, _below_leaves, ancestor_tables
+from dimlab.exact import (ConstructionError, ValidationError, format_rational,
+                          parse_rational)
+from dimlab.measure import DyadicMeasureTree, _below_leaves, _sums_up
 from dimlab.settree import DyadicSetTree
 
 
@@ -462,6 +466,70 @@ def oracle_ancestors(leaf, d, depth):
         for key, m in masses[n].items():
             above[key >> d] = above.get(key >> d, Fraction(0)) + m
     return masses
+
+
+def ancestor_tables(leaf, d, depth):
+    """(levels, tables) of the int kernel, summed up from the level-`depth`
+    Fraction masses in `leaf` over the lcm of their denominators."""
+    keys, masses = zip(*sorted(leaf.items()))
+    den = math.lcm(*(m.denominator for m in masses))
+    return _sums_up(keys, [m.numerator * (den // m.denominator)
+                           for m in masses], den, d, depth)
+
+
+def oracle_frostman_stages(tree, s, radii, stages=None):
+    """stagewise_frostman_measures with one (key, Fraction) pair per stage
+    cube: each candidate level tested cube by cube over its descendant_keys
+    by a Fraction power comparison, the masses split by Fraction division,
+    and each stage's (levels, tables) summed by ancestor_tables. Returns
+    (stage levels, report rows, per-stage (levels, tables)); raises
+    ConstructionError where no radius maps to a materialized level or
+    stage 1 is impossible."""
+    s = Fraction(s)
+    admissible, _ = _auto_oracle(tree, s)
+    level_of = {}
+    for r in map(Fraction, radii):
+        level_of.setdefault(radius_level(r), r)
+    candidates = sorted(n for n in level_of if n <= tree.max_depth)
+    if not candidates:
+        raise ConstructionError("no radius maps to a materialized level")
+    e = tree.d + 2 * s
+    stage_levels, rows, tables = [], [], []
+    current, cur_level = [(0, Fraction(1))], 0
+    for _ in range(stages or len(candidates)):
+        floor_level = stage_levels[-1] if stage_levels else -1
+        found = None
+        for n in candidates:
+            if n <= floor_level:
+                continue
+            selection = {}
+            for key, mass in current:
+                kids = [k for k in tree.descendant_keys(cur_level, key, n)
+                        if admissible(n, k)]
+                if not kids or fraction_cmp_pow2(len(kids) / mass,
+                                                 e + n * s) < 0:
+                    break
+                selection[key] = kids
+            else:
+                found = n, selection
+                break
+        if found is None:
+            if not stage_levels:
+                raise ConstructionError("stage 1 impossible")
+            break
+        n, selection = found
+        current = [(k, mass / len(selection[key])) for key, mass in current
+                   for k in selection[key]]
+        cur_level = n
+        worst = max(m for _, m in current)
+        stage_levels.append(n)
+        rows.append({"stage": len(stage_levels), "level": n,
+                     "radius": level_of[n], "cubes": len(current),
+                     "max_mass": worst,
+                     "mass_bound_ok": fraction_cmp_pow2(
+                         worst, -(e + n * s)) <= 0})
+        tables.append(ancestor_tables(dict(current), tree.d, n))
+    return stage_levels, rows, tables
 
 
 def oracle_cover(masses, x, r, n, d):

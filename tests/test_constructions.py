@@ -5,6 +5,7 @@ floor recurrences (exact rational arithmetic worked out independently, then froz
 here), so regressions in the plan code cannot hide behind the plan code.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,8 @@ from dimlab.exact import (
 from dimlab.measure import DyadicMeasureTree
 from dimlab.settree import DyadicSetTree
 from oracles import (fraction_cmp_pow2, fraction_cmp_rpow, oracle_cover,
-                     oracle_representatives, set_trees)
+                     oracle_frostman_stages, oracle_representatives,
+                     set_trees)
 
 T = Fraction(2, 5)
 S = Fraction(7, 10)
@@ -364,10 +366,12 @@ class TestFrostmanStages:
         n, r, s = 12, pow2(-14), Fraction(1, 2)
         picks = {j * 4095 // 999 for j in range(1000)}
         assert not {1, 2} & picks
+        # 1/64 on cube 2, 63 / (64 4095) on the other 4095 cubes
         light = Fraction(63, 64 * 4095)
-        cubes = [(k, Fraction(1, 64) if k == 2 else light)
-                 for k in range(1 << n)]
-        mu = _stage_measure(DyadicSetTree.full(1, n), n, cubes)
+        mu = _stage_measure(DyadicSetTree.full(1, n), n, list(range(1 << n)),
+                            [4095 if k == 2 else 63 for k in range(1 << n)],
+                            64 * 4095)
+        assert mu.mass(n, 2) == Fraction(1, 64) and mu.mass(n, 3) == light
         report = FrostmanStageReport(s, [n], [r], False)
         res = verify_stage_balls([mu], report)
         [row] = res["rows"]
@@ -471,6 +475,80 @@ def check_stage_balls_against_oracle(tree, s) -> bool:
         assert row["ok"] or not stage["mass_bound_ok"]
     assert res["ok"] == all(row["ok"] for row in res["rows"])
     return True
+
+
+def check_stages_against_oracle(tree, s, radii, stages=None):
+    """stagewise_frostman_measures and the per-cube Fraction loop give the
+    same stage levels, report rows and stage tables, or both raise
+    ConstructionError."""
+    try:
+        want = oracle_frostman_stages(tree, s, radii, stages)
+    except ConstructionError:
+        with pytest.raises(ConstructionError):
+            stagewise_frostman_measures(tree, s, radii, stages)
+        return
+    measures, report = stagewise_frostman_measures(tree, s, radii, stages)
+    assert (report.stage_levels, report.rows,
+            [(mu.support.levels, mu.tables) for mu in measures]) == want
+
+
+def _bare(tree):
+    """The tree without its metadata: admissibility by the slope heuristic."""
+    return DyadicSetTree(tree.d, tree.max_depth, tree.levels, None, {})
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(set_trees(depths=(12, 6, 4), min_depth=4, sparse="codes", max_cubes=300),
+       st.booleans(),
+       st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3),
+                        Fraction(1, 2), Fraction(2, 3), Fraction(1),
+                        Fraction(3, 2)]),
+       st.sampled_from([None, 1, 2, 3]), st.data())
+def test_stages_match_fraction_oracle(tree, bare, s, stages, data):
+    # the int stage loop against the per-cube Fraction loop, on trees with
+    # their metadata (exact admissibility for digit-IFS trees) or without
+    # it (the slope heuristic), over radius ladders of several shapes p/q
+    # 2^-k, some of them sharing a level and some below the tree
+    if bare:
+        tree = _bare(tree)
+    ks = data.draw(st.one_of(
+        st.just(range(1, tree.max_depth + 1)),
+        st.sets(st.integers(0, tree.max_depth + 1), min_size=1)))
+    shapes = data.draw(st.sets(st.sampled_from(
+        [Fraction(1), Fraction(3, 2), Fraction(5, 7)]), min_size=1))
+    radii = sorted({c / (4 << k) for k in ks for c in shapes}, reverse=True)
+    check_stages_against_oracle(tree, s, radii, stages)
+
+
+def _two_densities(seed):
+    """Depth-12 cubes kept at random, 3 in 5 in the left half and 3 in 20
+    in the right: under the slope heuristic, stage cubes of unequal masses
+    and counts."""
+    rng = random.Random(seed)
+    return DyadicSetTree.from_codes(1, 12, [
+        k for k in range(4096) if rng.random() < (0.6 if k < 2048 else 0.15)])
+
+
+@pytest.mark.parametrize("tree", [
+    DyadicSetTree.full(1, 10),
+    DyadicSetTree.full(2, 5),
+    DyadicSetTree.from_digit_ifs(1, 2, [0, 3], 12),
+    DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 6),
+    alternating_set(alternating_plan(Fraction(2, 5), Fraction(7, 10)), 24),
+    _bare(DyadicSetTree.full(1, 10)),
+    _bare(DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 6)),
+    # the left half full, the right half one chain down to level 11: the
+    # slope heuristic leaves the chain out of the early stages but admits
+    # its level-11 and level-12 cubes, which later stages must not take
+    DyadicSetTree.from_codes(1, 12, [*range(2048), 3072, 3073]),
+    _two_densities(18),
+], ids=["full1-10", "full2-5", "cantor-12", "sierpinski-6", "alternating24",
+        "full1-10-bare", "sierpinski-6-bare", "half-full", "two-densities"])
+@pytest.mark.parametrize("s", [Fraction(1, 4), Fraction(1, 3),
+                               Fraction(1, 2), Fraction(3, 5)])
+def test_named_stages_match_fraction_oracle(tree, s):
+    check_stages_against_oracle(
+        tree, s, [pow2(-(k + 2)) for k in range(1, tree.max_depth + 1)])
 
 
 # about a quarter of these trees admit a stage; the named sets below always do
