@@ -41,7 +41,7 @@ from .exact import (
     level_for_radius,
     to_fraction,
 )
-from .measure import UNIFORM, DyadicMeasureTree, _split_level, _sums_up
+from .measure import UNIFORM, DyadicMeasureTree, _split_step, _sums_up
 from .settree import DyadicSetTree, Segment, SegmentCounts
 
 
@@ -653,7 +653,7 @@ def stagewise_frostman_measures(tree: DyadicSetTree, s, radii,
                     "stage 1 impossible: oracle admits no level in budget "
                     f"(s={sf}, candidates={candidates})")
             break
-        nums, den = _split_level(nums, den, list(runs.values()), None)
+        nums, den = _split_step(nums, den, list(runs.values()), None)
         keys, cur_level = kids, n
         stage_levels.append(n)
         stage_radii.append(level_of[n])

@@ -718,7 +718,7 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
 
 
 def _split_masses(tree: DyadicSetTree, ws=None) -> Tables:
-    """Per-level tables built top-down from root mass 1 by _split_level,
+    """Per-level tables built top-down from root mass 1 by _split_step,
     ws the positive integer weights in key order level by level below the
     root (equal weights when None), over the tree's parent runs (built once
     per tree); a level of one child per parent shares the table above."""
@@ -730,13 +730,13 @@ def _split_masses(tree: DyadicSetTree, ws=None) -> Tables:
             tables.append(tables[level])
         else:
             nums, den = tables[level]
-            tables.append(_split_level(nums, den, runs[1], runs[2],
-                                       w if ws else None))
+            tables.append(_split_step(nums, den, runs[1], runs[2],
+                                      w if ws else None))
     return tables
 
 
-def _split_level(nums: list[int], den: int, lens: list[int], ends,
-                 w: list[int] | None = None) -> tuple[list[int], int]:
+def _split_step(nums: list[int], den: int, lens: list[int], ends,
+                w: list[int] | None = None) -> tuple[list[int], int]:
     """The reduced table of the level below nums / den: cube i's mass N / D
     split among its lens[i] children, positions ends[i]:ends[i + 1] (read
     only with weights), by the positive int weights w in level order (equal
