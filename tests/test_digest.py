@@ -7,8 +7,10 @@ d = 1..3, Cantor and Sierpinski digit-IFS sets, sparse from_codes trees
 and the depth-24 alternating set, under uniform, seeded random_split and
 atomic measures, and the stagewise Frostman measures on them, plus the
 ValidationError text of set trees with one defect or two planted on their
-one-child levels. A change that is meant
-to keep every output passes unchanged; one that moves a section on purpose re-pins it with
+one-child levels, and what the corpus sets (with the four inequality-chain
+inputs) and the net measures load back to from their files. A change that
+is meant to keep every output passes unchanged; one that moves a section
+on purpose re-pins it with
 
     PYTHONPATH=src python tests/test_digest.py
 
@@ -100,10 +102,12 @@ def radii(k_max):
 
 
 def text(x) -> str:
-    """Canonical text: Fractions as p/q, floats as float.hex, dicts by
-    sorted key."""
+    """Canonical text: Fractions as p/q, floats as float.hex, ints wider
+    than 2048 bits (symbolic counts) in hex, dicts by sorted key."""
     if isinstance(x, float):
         return x.hex()
+    if isinstance(x, int) and x.bit_length() > 2048:
+        return hex(x)
     if isinstance(x, dict):
         return "{" + " ".join(f"{k}={text(v)}" for k, v in sorted(
             x.items())) + "}"
@@ -399,10 +403,11 @@ def atom_ball_masses():
                     code = cli.main(["construct", "measure", "--set", src,
                                      "--kind", "net", "--level", str(n),
                                      "--out", out])
-                body = Path(out).read_bytes()
-                yield (f"{name} net {n} {code} "
-                       f"{hashlib.sha256(body).hexdigest()} {len(body)}")
                 mu = io.load_json(out)
+                body = text((mu.support.levels, mu.tables, mu.atoms,
+                             mu.leaf_model, mu.meta, mu.support.meta))
+                yield (f"{name} net {n} {code} "
+                       f"{hashlib.sha256(body.encode()).hexdigest()}")
                 centres = [p for p, _ in mu.atoms][:48] + [
                     x[:mu.d] for x in extra]
                 yield from _ball_rows(f"{name} net {n}", mu, centres)
@@ -448,6 +453,30 @@ def frostman_stages():
                        f"{text(mu.tables)}")
 
 
+# the four inputs of the inequality-chain acceptance check
+INEQ_SETS = {
+    "ineq-cantor": lambda: DyadicSetTree.from_digit_ifs(1, 2, [0, 3], 12),
+    "ineq-full": lambda: DyadicSetTree.full(1, 10),
+    "ineq-alternating": lambda: constructions.alternating_set(
+        constructions.alternating_plan(Fraction(2, 5), Fraction(7, 10),
+                                       level_budget=10 ** 6), 24),
+    "ineq-sweep": _sweep24,
+}
+
+
+def set_files():
+    """Each corpus set and inequality-chain input saved and loaded back:
+    its levels, parent runs, symbolic counts and meta."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, make in {**TREES, **INEQ_SETS}.items():
+            path = f"{tmp}/{name}.json"
+            io.save_json(make(), path)
+            tree = io.load_json(path)
+            sym = tree.symbolic.to_dict() if tree.symbolic else None
+            yield (f"{name} {text(tree.levels)} {text(tree.parent_runs)} "
+                   f"{text(sym)} {text(tree.meta)}")
+
+
 def levels():
     for q in range(1, 41):
         for p in range(1, 2 * q + 1):
@@ -468,6 +497,7 @@ SECTIONS = {
     "measure_messages": measure_messages,
     "atom_ball_masses": atom_ball_masses,
     "frostman_stages": frostman_stages,
+    "set_files": set_files,
 }
 
 
