@@ -92,7 +92,7 @@ def set_to_dict(tree: DyadicSetTree) -> dict:
         "version": FORMAT_VERSION,
         "d": tree.d,
         "max_depth": tree.max_depth,
-        "levels": [list(level) for level in tree.levels],
+        "leaves": list(tree.levels[-1]),
         "symbolic": tree.symbolic.to_dict() if tree.symbolic else None,
         "meta": _encode_meta(tree.meta),
     }
@@ -111,10 +111,23 @@ def set_from_dict(data: dict) -> DyadicSetTree:
     _check_version(data)
     symbolic = (SymbolicCounts.from_dict(data["symbolic"])
                 if data.get("symbolic") else None)
-    tree = DyadicSetTree(*_ints([data["d"], data["max_depth"]]),
-                         [_ints(list(lvl)) for lvl in data["levels"]],
-                         symbolic, _decode_meta(data.get("meta", {})))
-    tree.validate()
+    d, depth = _ints([data["d"], data["max_depth"]])
+    meta = _decode_meta(data.get("meta", {}))
+    if "leaves" in data:
+        return DyadicSetTree.from_leaves(d, depth, _ints(list(data["leaves"])),
+                                         symbolic, meta)
+    # older files list every level: a valid tree's levels are the ancestors
+    # of its deepest level, and validate() names the first defect of others
+    levels = [_ints(list(lvl)) for lvl in data["levels"]]
+    stored = DyadicSetTree(d, depth, levels, symbolic, meta)
+    try:
+        tree = DyadicSetTree.from_leaves(d, depth, (levels or [[]])[-1],
+                                         symbolic, meta)
+    except ValidationError:
+        stored.validate()
+        raise
+    if tree.levels != levels:
+        stored.validate()
     return tree
 
 
@@ -255,15 +268,17 @@ _LOADERS = {
 
 def save_json(obj, path) -> None:
     if isinstance(obj, DyadicSetTree):
-        data = set_to_dict(obj)
+        data = _encode_bigints(set_to_dict(obj))
     elif isinstance(obj, DyadicMeasureTree):
+        # masses and atoms are strings, mass keys below 2^62 (_check_dims)
         data = measure_to_dict(obj)
+        data.update(support=_encode_bigints(data["support"]),
+                    meta=_encode_bigints(data["meta"]))
     elif isinstance(obj, (AlternatingPlan, SweepPlan)):
-        data = plan_to_dict(obj)
+        data = _encode_bigints(plan_to_dict(obj))
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
-    Path(path).write_text(json.dumps(_encode_bigints(data),
-                                     separators=(",", ":")) + "\n")
+    Path(path).write_text(json.dumps(data, separators=(",", ":")) + "\n")
 
 
 def load_json(path):

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import lt, rshift
 from typing import Iterable, Sequence
 
@@ -150,8 +149,8 @@ class SegmentCounts(SymbolicCounts):
 class DyadicSetTree:
     """Levelwise sorted Morton keys of a nested cube family. The levels are
     never mutated after construction: parent_runs, and the measures built
-    on the tree, keep what they derive from them; validate builds
-    parent_runs once the levels pass the order and range checks."""
+    on the tree, keep what they derive from them. from_leaves fills
+    parent_runs; validate builds it once the levels pass order and range."""
 
     d: int
     max_depth: int
@@ -171,16 +170,28 @@ class DyadicSetTree:
     @classmethod
     def from_codes(cls, d: int, depth: int, keys: Iterable[int],
                    meta: dict | None = None) -> "DyadicSetTree":
-        """Tree generated by a family of deepest-level cubes, given by their
-        Morton keys (their ancestors fill in the upper levels)."""
+        """Tree over the distinct deepest-level keys, in any order."""
+        return cls.from_leaves(d, depth, sorted(set(keys)), None, meta)
+
+    @classmethod
+    def from_leaves(cls, d: int, depth: int, leaves: list[int],
+                    symbolic: SymbolicCounts | None = None,
+                    meta: dict | None = None) -> "DyadicSetTree":
+        """Tree over strictly sorted in-range `leaves` (else validate's text
+        for the defect): one bottom-up pass derives each level above, the
+        distinct k >> d of the one below, and its parent_runs."""
         _check_dims(d, depth)
-        deepest = sorted(set(keys))
-        if not deepest:
+        if not leaves:
             raise ValidationError("empty cube family")
-        if deepest[0] < 0 or deepest[-1] >= 1 << (d * depth):
-            raise ValidationError(f"cube keys must lie in 0..2^{d * depth}-1")
-        levels = _levels_from_deepest(d, depth, deepest)
-        return cls(d, depth, levels, None, meta or {})
+        _check_level(leaves, depth, d)
+        levels, runs = [leaves], []
+        for _ in range(depth):
+            ups, run = _group(levels[-1], d)
+            levels.append(ups)
+            runs.append(run)
+        tree = cls(d, depth, levels[::-1], symbolic, meta or {})
+        tree.__dict__["parent_runs"] = runs[::-1]
+        return tree
 
     @classmethod
     def from_points(cls, points: Sequence, d: int, depth: int) -> "DyadicSetTree":
@@ -263,18 +274,8 @@ class DyadicSetTree:
             if n and len(keys) == len(self.levels[n - 1]) and list(
                     map(rshift, keys, repeat(self.d))) == self.levels[n - 1]:
                 chained.add(n)
-                continue
-            top = 1 << (self.d * n)
-            if not keys or (keys[0] >= 0 and keys[-1] < top
-                            and all(map(lt, keys, keys[1:]))):
-                continue
-            prev = -1
-            for k in keys:
-                if not (0 <= k < top):
-                    raise ValidationError(f"key {k} out of range at level {n}")
-                if k <= prev:
-                    raise ValidationError(f"level {n} keys not strictly sorted")
-                prev = k
+            elif keys:
+                _check_level(keys, n, self.d)
         # the distinct parents k >> d of a sorted level (all of its k >> d on
         # a one-child level), in order, equal the level above iff every cube
         # has a selected parent and every parent a child
@@ -313,18 +314,11 @@ class DyadicSetTree:
         the sorted level holds each parent's children as one run, so the
         runs are (the distinct parent keys in order, the run lengths, the
         run ends as offsets 0, l_0, l_0 + l_1, ...); None on a level of
-        one child per parent. Built once per tree and read by validate, the
-        mass splits, measure validation and the packing threshold."""
-        runs = []
-        for above, kids in zip(self.levels, self.levels[1:]):
-            if len(kids) == len(above):
-                runs.append(None)
-                continue
-            ups = Counter(map(rshift, kids, repeat(self.d)))
-            lens = list(ups.values())
-            runs.append((list(ups), lens,
-                         list(itertools.accumulate(lens, initial=0))))
-        return runs
+        one child per parent. Built once per tree (by from_leaves as it
+        derives the levels) and read by validate, the mass splits, measure
+        validation and the packing threshold."""
+        return [None if len(kids) == len(above) else _group(kids, self.d)[1]
+                for above, kids in zip(self.levels, self.levels[1:])]
 
     def children_keys(self, level: int, key: int) -> list[int]:
         if level >= self.max_depth:
@@ -364,12 +358,27 @@ def _check_dims(d: int, depth: int) -> None:
             f"materialized keys need d*depth <= 62, got {d * depth}")
 
 
-def _levels_from_deepest(d: int, depth: int, deepest_keys: list[int]) -> list[list[int]]:
-    levels = [deepest_keys]
-    cur = deepest_keys
-    for _ in range(depth):
-        nxt = sorted({k >> d for k in cur})
-        levels.append(nxt)
-        cur = nxt
-    levels.reverse()
-    return levels
+def _group(kids: list[int], d: int) -> tuple[list[int], tuple | None]:
+    """A sorted level's distinct parents k >> d in order, and its runs:
+    None if each parent has one child, else (the parents, the run lengths,
+    the run ends 0, l_0, l_0 + l_1, ...)."""
+    ups = list(map(rshift, kids, repeat(d)))
+    if all(map(lt, ups, ups[1:])):
+        return ups, None
+    counts = Counter(ups)
+    ups, lens = list(counts), list(counts.values())
+    return ups, (ups, lens, list(accumulate(lens, initial=0)))
+
+
+def _check_level(keys: list[int], n: int, d: int) -> None:
+    """Raise on the first key of level n out of range or order."""
+    top = 1 << (d * n)
+    if keys[0] >= 0 and keys[-1] < top and all(map(lt, keys, keys[1:])):
+        return
+    prev = -1
+    for k in keys:
+        if not (0 <= k < top):
+            raise ValidationError(f"key {k} out of range at level {n}")
+        if k <= prev:
+            raise ValidationError(f"level {n} keys not strictly sorted")
+        prev = k

@@ -5,7 +5,8 @@ int scaling: the closed-ball mass of a finite atom list by a scan of every
 atom, the ball-correlation pair sum of an atom list by a loop over every
 pair, the signs of a - 2**e and a - r**s from Fraction powers, the first
 key defect of a set tree's levels by a scan of every key and the first
-nesting defect by a scan of every cube pair, the closure
+nesting defect by a scan of every cube pair, a tree's levels from its
+deepest keys by a set and a sort per level, the closure
 distances of two cubes per axis, and the dyadic levels of a radius by
 stepping through the powers of two. The rest are slow paths of the
 measure layer: the uniform-model ball bracket over every ordered pair of
@@ -123,6 +124,15 @@ def first_nesting_defect(levels, d: int) -> str | None:
             if k >> d not in levels[n - 1]:
                 return f"cube {k} at level {n} has unselected parent"
     return None
+
+
+def oracle_levels_from_deepest(d: int, depth: int, keys) -> list[list[int]]:
+    """The levels generated by a family of deepest-level keys: each level
+    above is the sorted set of k >> d over the one below."""
+    levels = [sorted(set(keys))]
+    for _ in range(depth):
+        levels.append(sorted({k >> d for k in levels[-1]}))
+    return levels[::-1]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from dimlab import io
 from dimlab.cli import build_parser, main
@@ -17,11 +18,48 @@ from dimlab.constructions import (alternating_plan, alternating_set,
 from dimlab.exact import ValidationError, pow2
 from dimlab.measure import DyadicMeasureTree, anti_frostman_measure
 from dimlab.settree import DyadicSetTree
-from oracles import oracle_measure_from_dict, oracle_measure_json
+from oracles import oracle_measure_from_dict, oracle_measure_json, set_trees
 
 
 def cantor_tree(depth=8):
     return DyadicSetTree.from_digit_ifs(1, group=2, keep=[0, 3], depth=depth)
+
+
+# the four sets of the inequality-chain acceptance check
+CHAIN_SETS = {
+    "cantor": lambda: cantor_tree(12),
+    "full": lambda: DyadicSetTree.full(1, 10),
+    "alternating": lambda: alternating_set(alternating_plan(
+        Fraction(2, 5), Fraction(7, 10), level_budget=10 ** 6), 24),
+    "sweep": lambda: sweep_set(sweep_plan(Fraction(2, 5), Fraction(7, 10)),
+                               24),
+}
+
+
+def old_layout(tree):
+    """A set's payload in the layout that lists every level, as files were
+    written before they stored only the leaves."""
+    return {("levels" if k == "leaves" else k):
+            ([list(lv) for lv in tree.levels] if k == "leaves" else v)
+            for k, v in io.set_to_dict(tree).items()}
+
+
+def reread(data):
+    """A set or measure payload loaded back from its JSON text."""
+    text = json.dumps(io._encode_bigints(data))
+    return io._LOADERS[data["type"]](json.loads(
+        text, object_hook=io._decode_bigint))
+
+
+def assert_same_set(back, tree):
+    """back equals tree and came with the parent runs that the cached
+    property builds."""
+    assert (back.d, back.max_depth, back.levels, back.meta) == (
+        tree.d, tree.max_depth, tree.levels, tree.meta)
+    assert (back.symbolic and back.symbolic.to_dict()) == (
+        tree.symbolic and tree.symbolic.to_dict())
+    assert "parent_runs" in vars(back)  # filled by the load
+    assert back.parent_runs == DyadicSetTree.parent_runs.func(tree)
 
 
 def tables(mu):
@@ -41,6 +79,32 @@ class TestJsonRoundTrips:
         assert back.meta == tree.meta  # rational meta survives the tagging
         # symbolic extension works past the materialized depth
         assert back.box_count(40) == tree.box_count(40)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(set_trees())
+    def test_set_payloads_load_with_their_runs(self, tree):
+        # the leaves layout and the layout that lists every level load to
+        # the same tree, with the runs that the cached property builds
+        data = io.set_to_dict(tree)
+        assert data["leaves"] == tree.levels[-1] and "levels" not in data
+        for payload in (data, old_layout(tree)):
+            assert_same_set(reread(payload), tree)
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_SETS))
+    def test_chain_set_files_load_with_their_runs(self, tmp_path, name):
+        tree = CHAIN_SETS[name]()
+        p = tmp_path / f"{name}.json"
+        io.save_json(tree, p)
+        assert_same_set(io.load_json(p), tree)
+        p.write_text(json.dumps(io._encode_bigints(old_layout(tree))))
+        assert_same_set(io.load_json(p), tree)
+
+    def test_sweep_file_stores_only_its_leaves(self, tmp_path):
+        # 2,052 leaves in place of the 20,575 keys of its 25 levels
+        p = tmp_path / "sweep.json"
+        io.save_json(CHAIN_SETS["sweep"](), p)
+        assert len(json.loads(p.read_text())["leaves"]) == 2052
+        assert p.stat().st_size <= 25000
 
     def test_save_is_idempotent(self, tmp_path):
         # the depth-24 alternating set and the sweep plan hold $bighex ints
@@ -84,24 +148,25 @@ class TestJsonRoundTrips:
             assert back.support.levels == mu.support.levels
 
     def test_saved_measures_are_byte_identical(self, tmp_path):
-        # pinned digests of the format-1 files of these measures: lowest-terms
-        # "p/q" masses with the keys of each level sorted
+        # pinned digests of the format-1 files of these measures: the
+        # support's sorted leaves, lowest-terms "p/q" masses with the keys
+        # of each level sorted
         stages, _ = stagewise_frostman_measures(
             DyadicSetTree.full(1, 8), Fraction(1, 2),
             [Fraction(1, 2 ** k) for k in range(2, 9)], stages=2)
         cases = {
             "uniform": (DyadicMeasureTree.uniform_on_set(cantor_tree(6)),
-                        "bdb640e9d722d1d004652613319660064d0a2b6317dbc93600cd4486ba7b88a2"),
+                        "d9402e15eb24f5c3f37aa5a266d6833e4957b54f931f24c7569f6597b0e43e0a"),
             "random_split": (DyadicMeasureTree.random_split(
                 DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 3),
                 random.Random(11)),
-                "e0d77c60c8c425ed2dd876ae64f9c758605ce02349f02d83464ba4107873a8b9"),
+                "6b070bc3724f9b8f3db53b30a7d748b19b0080e7cd73426765f82739146e7dbb"),
             "atomic": (DyadicMeasureTree.atomic(
                 [(Fraction(1, 3),), (Fraction(3, 4),), (Fraction(5, 7),)],
                 [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], 1, 5),
-                "78c24c0d25285eea634ec60ae94c41f0e9c514224abe8f51d4e79147cbb9fc8f"),
+                "e6d22463a5d4d18dcaa0282ae3630df57b9673477b8da70cd8d92c91a9d592b7"),
             "stage": (stages[-1],
-                      "70a146ed74831acfa66d74515a57ec021a598d3d9c94eb5d26b4f3dff890b736"),
+                      "560a7094af10c23e52be9043ae73e9e2645b6f111929dfd379c23671806e8633"),
         }
         for name, (mu, want) in cases.items():
             p = tmp_path / f"{name}.json"
@@ -122,6 +187,38 @@ class TestJsonRoundTrips:
             back = io.load_json(p)
             assert back.tables == mu.tables, name
             assert tables(back) == tables(mu)
+            # the same file with its support in the layout that lists
+            # every level loads to the same measure
+            twin = dict(value, support=old_layout(mu.support))
+            for again in (back, reread(twin)):
+                assert again.support.levels == mu.support.levels, name
+                assert (again.tables, again.atoms, again.meta) == (
+                    mu.tables, mu.atoms, mu.meta), name
+
+    def test_measure_files_walk_only_support_and_meta(self, tmp_path):
+        # masses and atoms are strings and mass keys are below 2^62, so
+        # save_json tags wide ints in the support and meta only; the bytes
+        # equal those of the walk over the whole payload, on a support
+        # whose symbolic counts are wider than 2048 bits among others
+        alt = alternating_set(alternating_plan(Fraction(2, 5),
+                                               Fraction(7, 10)), 24)
+        measures = {
+            "alternating": DyadicMeasureTree.uniform_on_set(alt),
+            "random": DyadicMeasureTree.random_split(
+                DyadicSetTree.full(1, 10), random.Random(1)),
+            "atomic": DyadicMeasureTree.atomic(
+                [(Fraction(1, 3),), (Fraction(3, 4),)],
+                [Fraction(1, 4), Fraction(3, 4)], 1, 5),
+            "anti-frostman": anti_frostman_measure(cantor_tree(8),
+                                                   [2, 4, 6])[0],
+        }
+        for name, mu in measures.items():
+            p = tmp_path / f"{name}.json"
+            io.save_json(mu, p)
+            want = json.dumps(io._encode_bigints(io.measure_to_dict(mu)),
+                              separators=(",", ":")) + "\n"
+            assert p.read_text() == want, name
+        assert '"$bighex"' in (tmp_path / "alternating.json").read_text()
 
     def test_rows_from_numerators_match_fraction_rows(self, tmp_path):
         # measure files format each row from its numerator by one gcd; the
@@ -531,7 +628,7 @@ class TestCliEstimate:
     def test_non_integer_level_key_is_validation_error(self, tmp_path,
                                                        capsys):
         data = io.set_to_dict(cantor_tree(4))
-        data["levels"][1][0] = "x"
+        data["leaves"][0] = "x"
         code, _, err = self._estimate_box(capsys, tmp_path, data)
         assert code == 2 and "malformed set payload" in err
 
@@ -543,7 +640,7 @@ class TestCliEstimate:
         # string is not read as an int (1.9 was read as 1)
         data = io.set_to_dict(cantor_tree(4))
         if field == "key":
-            data["levels"][1][1] = value
+            data["leaves"][1] = value
         else:
             data[field] = value
         code, _, err = self._estimate_box(capsys, tmp_path, data)
@@ -559,6 +656,30 @@ class TestCliEstimate:
         p.write_text(p.read_text().replace("1.9", "1"))
         assert io.load_json(p).levels == [[0], [0, 1]]
 
+    @pytest.mark.parametrize("edit, want", [
+        (lambda ks: [ks[1], ks[0], *ks[2:]], "level 6 keys not strictly sorted"),
+        (lambda ks: [ks[0], *ks], "level 6 keys not strictly sorted"),
+        (lambda ks: [*ks[:-1], 64], "key 64 out of range at level 6"),
+        (lambda ks: [-1, *ks], "key -1 out of range at level 6"),
+        (lambda ks: [], "empty cube family"),
+    ], ids=["unsorted", "duplicate", "range-high", "range-low", "empty"])
+    def test_defective_leaves_are_validation_errors(self, tmp_path, capsys,
+                                                    edit, want):
+        # a defect of the leaves gives the text validate() gives for it at
+        # the deepest level, as the same edit does in the layout that lists
+        # every level (where no leaves are validate's text for a childless
+        # parent)
+        tree = cantor_tree(6)
+        data, old = io.set_to_dict(tree), old_layout(tree)
+        data["leaves"] = old["levels"][-1] = edit(data["leaves"])
+        got = self._estimate_box(capsys, tmp_path, data)
+        assert got == (2, "", f"error: {want}\n")
+        if data["leaves"]:
+            assert self._estimate_box(capsys, tmp_path, old) == got
+        else:
+            assert self._estimate_box(capsys, tmp_path, old) == (
+                2, "", "error: cube 0 at level 5 has no selected child\n")
+
     @pytest.mark.parametrize("value", [1.0, True, "1"])
     def test_measure_mass_keys_must_be_json_integers(self, tmp_path, capsys,
                                                      value):
@@ -573,7 +694,7 @@ class TestCliEstimate:
     def test_malformed_bighex_tag_is_validation_error(self, tmp_path, capsys,
                                                       tag):
         data = io.set_to_dict(cantor_tree(4))
-        data["levels"][1][0] = {"$bighex": tag}
+        data["leaves"][0] = {"$bighex": tag}
         code, _, err = self._estimate_box(capsys, tmp_path, data)
         assert code == 2 and "error:" in err
 
@@ -733,9 +854,9 @@ class TestCliVerify:
     def test_ineq_chain_corrupted_sweep_file(self, tmp_path, capsys, edits,
                                              want):
         # keys edited on the sweep set's one-child levels (4, 5 and 17..24
-        # have as many cubes as the level above) and on branching level 10
-        data = io.set_to_dict(sweep_set(sweep_plan(Fraction(2, 5),
-                                                   Fraction(7, 10)), 24))
+        # have as many cubes as the level above) and on branching level 10,
+        # in the layout that lists every level
+        data = old_layout(CHAIN_SETS["sweep"]())
         for n, keys in edits.items():
             level = data["levels"][n]
             for i, k in keys.items():

@@ -1330,11 +1330,14 @@ def test_sandwich_builds_parent_runs_once(monkeypatch):
 
 
 def test_loaded_set_groups_its_levels_once(monkeypatch, tmp_path):
-    # loading the depth-24 sweep set groups each level under its parents
-    # once, in validation; the uniform split, the inequality report (its
-    # packing threshold) and a second validation read the same runs
-    calls = []
+    # loading the depth-24 sweep set derives its levels from the leaves
+    # and groups each level under its parents in the same pass, without
+    # validate(); the uniform split, the inequality report (its packing
+    # threshold) and a validation read those runs, so the cached
+    # property's function never runs
+    calls, validated = [], []
     real = DyadicSetTree.parent_runs.func
+    real_validate = DyadicSetTree.validate
 
     def counting(tree):
         calls.append(tree)
@@ -1343,18 +1346,19 @@ def test_loaded_set_groups_its_levels_once(monkeypatch, tmp_path):
     runs = functools.cached_property(counting)
     runs.__set_name__(DyadicSetTree, "parent_runs")
     monkeypatch.setattr(DyadicSetTree, "parent_runs", runs)
+    monkeypatch.setattr(DyadicSetTree, "validate", lambda tree: (
+        validated.append(tree), real_validate(tree))[1])
     plan = constructions.sweep_plan(Fraction(2, 5), Fraction(7, 10))
     path = tmp_path / "sweep.json"
     io.save_json(constructions.sweep_set(plan, 24), path)
-    assert calls == []
     tree = io.load_json(path)
-    assert sum(map(len, tree.levels)) == 20575 and calls == [tree]
+    assert sum(map(len, tree.levels)) == 20575 and validated == []
     mu = DyadicMeasureTree.uniform_on_set(tree)
     rep = inequality_report(tree, [mu])  # what verify ineq-chain runs
     assert rep.ok and rep.estimates["packing_threshold"] == Fraction(1, 5)
     tree.validate()
     mu.validate()
-    assert calls == [tree]
+    assert calls == [] and tree.parent_runs == real(tree)
 
 
 @pytest.mark.parametrize("atoms, message", [

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimlab.exact import UnavailableError, ValidationError
 from dimlab.measure import _net
@@ -14,7 +16,8 @@ from dimlab.settree import (
     SegmentCounts,
     SymbolicCounts,
 )
-from oracles import first_key_defect, first_nesting_defect
+from oracles import (first_key_defect, first_nesting_defect,
+                     oracle_levels_from_deepest)
 
 
 def cantor_tree(depth):
@@ -114,6 +117,51 @@ class TestFromPointsAndKeys:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             DyadicSetTree.from_codes(1, 3, [])
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_from_codes_matches_oracle(self, data):
+        # unsorted key families with duplicates in d = 1..3: the levels are
+        # the sorted ancestors of the distinct keys, and the runs filled in
+        # on the way up are those the cached property builds
+        d = data.draw(st.integers(1, 3))
+        depth = data.draw(st.integers(0, (10, 6, 4)[d - 1]))
+        keys = data.draw(st.lists(st.integers(0, (1 << (d * depth)) - 1),
+                                  min_size=1, max_size=40))
+        keys = data.draw(st.permutations(
+            keys + data.draw(st.lists(st.sampled_from(keys), max_size=8))))
+        tree = DyadicSetTree.from_codes(d, depth, keys)
+        assert tree.levels == oracle_levels_from_deepest(d, depth, keys)
+        assert tree.parent_runs == DyadicSetTree.parent_runs.func(tree)
+        tree.validate()
+
+    def test_leaf_defects_give_validate_text(self):
+        # from_leaves takes sorted leaves as they are: a key out of range
+        # or order raises the text validate() gives for it at the deepest
+        # level
+        rng = random.Random(41)
+        for _ in range(300):
+            d, depth = rng.choice([1, 2, 3]), rng.randint(1, 4)
+            top = 1 << (d * depth)
+            leaves = sorted(rng.sample(range(top), rng.randint(1, min(8, top))))
+            i = rng.randrange(len(leaves))
+            kind = rng.choice(["range", "duplicate", "swap"])
+            if kind == "range":
+                leaves[i] = rng.choice([-1 - rng.randrange(top),
+                                        top + rng.randrange(top)])
+            elif kind == "duplicate" or len(leaves) == 1:
+                leaves.insert(i, leaves[i])
+            else:
+                j = min(i, len(leaves) - 2)
+                leaves[j], leaves[j + 1] = leaves[j + 1], leaves[j]
+            want = first_key_defect([[]] * depth + [leaves], d)
+            with pytest.raises(ValidationError) as err:
+                DyadicSetTree.from_leaves(d, depth, leaves)
+            assert str(err.value) == want
+        for d, depth, leaves in ((1, 3, []), (0, 3, [1]), (1, -1, [0]),
+                                 (2, 32, [0])):
+            with pytest.raises(ValidationError):
+                DyadicSetTree.from_leaves(d, depth, leaves)
 
     def test_point_dimension_mismatch(self):
         with pytest.raises(ValidationError):
