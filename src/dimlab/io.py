@@ -116,18 +116,9 @@ def set_from_dict(data: dict) -> DyadicSetTree:
     if "leaves" in data:
         return DyadicSetTree.from_leaves(d, depth, _ints(list(data["leaves"])),
                                          symbolic, meta)
-    # older files list every level: a valid tree's levels are the ancestors
-    # of its deepest level, and validate() names the first defect of others
     levels = [_ints(list(lvl)) for lvl in data["levels"]]
-    stored = DyadicSetTree(d, depth, levels, symbolic, meta)
-    try:
-        tree = DyadicSetTree.from_leaves(d, depth, (levels or [[]])[-1],
-                                         symbolic, meta)
-    except ValidationError:
-        stored.validate()
-        raise
-    if tree.levels != levels:
-        stored.validate()
+    tree = DyadicSetTree(d, depth, levels, symbolic, meta)
+    tree.validate()
     return tree
 
 

@@ -171,6 +171,7 @@ class DyadicSetTree:
     def from_codes(cls, d: int, depth: int, keys: Iterable[int],
                    meta: dict | None = None) -> "DyadicSetTree":
         """Tree over the distinct deepest-level keys, in any order."""
+        _check_dims(d, depth)
         return cls.from_leaves(d, depth, sorted(set(keys)), None, meta)
 
     @classmethod
@@ -179,8 +180,9 @@ class DyadicSetTree:
                     meta: dict | None = None) -> "DyadicSetTree":
         """Tree over strictly sorted in-range `leaves` (else validate's text
         for the defect): one bottom-up pass derives each level above, the
-        distinct k >> d of the one below, and its parent_runs."""
-        _check_dims(d, depth)
+        distinct k >> d of the one below, and its parent_runs. As validate,
+        it sets no 62-bit key budget, so deep saved sets load."""
+        _check_shape(d, depth)
         if not leaves:
             raise ValidationError("empty cube family")
         _check_level(leaves, depth, d)
@@ -317,7 +319,8 @@ class DyadicSetTree:
         one child per parent. Built once per tree (by from_leaves as it
         derives the levels) and read by validate, the mass splits, measure
         validation and the packing threshold."""
-        return [None if len(kids) == len(above) else _group(kids, self.d)[1]
+        return [None if len(kids) == len(above) else
+                _runs(map(rshift, kids, repeat(self.d)))
                 for above, kids in zip(self.levels, self.levels[1:])]
 
     def children_keys(self, level: int, key: int) -> list[int]:
@@ -348,26 +351,34 @@ class DyadicSetTree:
         return self.levels[n][lo:hi]
 
 
-def _check_dims(d: int, depth: int) -> None:
+def _check_shape(d: int, depth: int) -> None:
     if d < 1:
         raise ValidationError("d must be >= 1")
     if depth < 0:
         raise ValidationError("depth must be >= 0")
+
+
+def _check_dims(d: int, depth: int) -> None:
+    _check_shape(d, depth)
     if d * depth > 62:
         raise ValidationError(
             f"materialized keys need d*depth <= 62, got {d * depth}")
 
 
 def _group(kids: list[int], d: int) -> tuple[list[int], tuple | None]:
-    """A sorted level's distinct parents k >> d in order, and its runs:
-    None if each parent has one child, else (the parents, the run lengths,
-    the run ends 0, l_0, l_0 + l_1, ...)."""
+    """A sorted level's parents k >> d and runs (None if one child each)."""
     ups = list(map(rshift, kids, repeat(d)))
     if all(map(lt, ups, ups[1:])):
         return ups, None
+    return (runs := _runs(ups))[0], runs
+
+
+def _runs(ups: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
+    """The runs of a sorted level's parent keys k >> d: (the distinct
+    parents, the run lengths, the run ends 0, l_0, l_0 + l_1, ...)."""
     counts = Counter(ups)
-    ups, lens = list(counts), list(counts.values())
-    return ups, (ups, lens, list(accumulate(lens, initial=0)))
+    lens = list(counts.values())
+    return list(counts), lens, list(accumulate(lens, initial=0))
 
 
 def _check_level(keys: list[int], n: int, d: int) -> None:

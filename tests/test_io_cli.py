@@ -99,6 +99,19 @@ class TestJsonRoundTrips:
         p.write_text(json.dumps(io._encode_bigints(old_layout(tree))))
         assert_same_set(io.load_json(p), tree)
 
+    def test_sets_past_the_key_budget_round_trip(self, tmp_path):
+        # an alternating set may be materialized past d*depth = 62 (its
+        # keys are exact ints); its file loads in either layout
+        tree = alternating_set(alternating_plan(Fraction(1, 20),
+                                                Fraction(1, 10)), 80)
+        assert tree.levels[-1][-1] >= 1 << 62
+        p = tmp_path / "deep.json"
+        for data in (io.set_to_dict(tree), old_layout(tree)):
+            p.write_text(json.dumps(io._encode_bigints(data)))
+            assert_same_set(io.load_json(p), tree)
+        io.save_json(tree, p)
+        assert_same_set(io.load_json(p), tree)
+
     def test_sweep_file_stores_only_its_leaves(self, tmp_path):
         # 2,052 leaves in place of the 20,575 keys of its 25 levels
         p = tmp_path / "sweep.json"
@@ -465,6 +478,16 @@ class TestCliConstruct:
         assert "(depth 12, 128 leaf cubes)" in text
         assert isinstance(io.load_json(tmp_path / "mu.json"),
                           DyadicMeasureTree)
+
+    def test_alternating_set_past_the_key_budget_loads(self, tmp_path,
+                                                        capsys):
+        out = str(tmp_path / "deep.json")
+        code, text, _ = run_cli(capsys, "construct", "alternating",
+                                "--dim-low", "1/20", "--dim-high", "1/10",
+                                "--depth", "80", "--out", out)
+        assert code == 0 and "(depth 80, 8 leaf cubes)" in text
+        code, text, _ = run_cli(capsys, "verify", "ineq-chain", "--in", out)
+        assert code == 0 and "ineq-chain: PASS" in text
 
     def test_alternating_out_needs_depth(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "construct", "alternating",

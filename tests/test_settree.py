@@ -158,10 +158,13 @@ class TestFromPointsAndKeys:
             with pytest.raises(ValidationError) as err:
                 DyadicSetTree.from_leaves(d, depth, leaves)
             assert str(err.value) == want
-        for d, depth, leaves in ((1, 3, []), (0, 3, [1]), (1, -1, [0]),
-                                 (2, 32, [0])):
+        for d, depth, leaves in ((1, 3, []), (0, 3, [1]), (1, -1, [0])):
             with pytest.raises(ValidationError):
                 DyadicSetTree.from_leaves(d, depth, leaves)
+        # the 62-bit key budget binds what is built, not what is loaded
+        with pytest.raises(ValidationError, match="d\\*depth <= 62"):
+            DyadicSetTree.from_codes(2, 32, [0])
+        assert DyadicSetTree.from_leaves(2, 32, [0]).box_count(32) == 1
 
     def test_point_dimension_mismatch(self):
         with pytest.raises(ValidationError):
