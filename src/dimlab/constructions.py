@@ -25,7 +25,6 @@ split, which is what keeps the per-cube mass below 2^-(d+2s) * 2^-ns.
 from __future__ import annotations
 
 import bisect
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -42,7 +41,7 @@ from .exact import (
     to_fraction,
 )
 from .measure import UNIFORM, DyadicMeasureTree, _split_step, _sums_up
-from .settree import DyadicSetTree, Segment, SegmentCounts
+from .settree import DyadicSetTree, Segment, SegmentCounts, _runs
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +547,8 @@ def _auto_oracle(tree: DyadicSetTree, s: Fraction
         # dimension = log2(branch)/(group*d); admissible iff dim > s
         admit = cmp_pow2(Fraction(sym.branch), s * sym.group * tree.d) > 0
     elif kind == "alternating":
+        if "dim_low" not in tree.meta:
+            raise ValidationError("alternating set meta has no dim_low")
         admit = to_fraction(tree.meta["dim_low"]) > s
     elif kind == "full":
         admit = tree.d > s
@@ -640,12 +641,12 @@ def stagewise_frostman_measures(tree: DyadicSetTree, s, radii,
             shift = d * (n - cur_level)
             kids = [k for k in tree.levels[n]
                     if k >> shift in inside and admissible(n, k)]
-            runs = Counter(map(rshift, kids, repeat(shift)))
+            ups, lens, _ = _runs(map(rshift, kids, repeat(shift)))
             # #D_n(C) >= 2^{d+2s+ns} * mu(C) at every stage cube C, decided
             # once per distinct (count, numerator) pair
-            if len(runs) == len(keys) and all(
+            if len(ups) == len(keys) and all(
                     cmp_pow2(Fraction(c * den, m), threshold_exp + n * sf) >= 0
-                    for c, m in set(zip(runs.values(), nums))):
+                    for c, m in set(zip(lens, nums))):
                 break
         else:
             if not stage_levels:
@@ -653,7 +654,7 @@ def stagewise_frostman_measures(tree: DyadicSetTree, s, radii,
                     "stage 1 impossible: oracle admits no level in budget "
                     f"(s={sf}, candidates={candidates})")
             break
-        nums, den = _split_step(nums, den, list(runs.values()), None)
+        nums, den = _split_step(nums, den, lens, None)
         keys, cur_level = kids, n
         stage_levels.append(n)
         stage_radii.append(level_of[n])
@@ -691,12 +692,12 @@ def verify_stage_balls(measures: Sequence[DyadicMeasureTree],
 
 def _stage_measure(tree: DyadicSetTree, level: int, keys: list[int],
                    nums: list[int], den: int) -> DyadicMeasureTree:
-    """Measure truncated at the stage level: the sorted stage cubes' masses
-    nums / den summed up their ancestors, uniform leaf model below."""
-    levels, tables = _sums_up(keys, nums, den, tree.d, level)
-    support = DyadicSetTree(tree.d, level, levels, None,
-                            {"kind": "frostman_stage", "from": tree.meta.get("kind")})
-    mu = DyadicMeasureTree(support, UNIFORM, tables, None, {
-        "kind": "frostman_stage", "level": level})
+    """Measure truncated at the stage level: the sorted stage cubes, the
+    support's leaves, with masses nums / den summed up, uniform below."""
+    support = DyadicSetTree.from_leaves(
+        tree.d, level, keys, None,
+        {"kind": "frostman_stage", "from": tree.meta.get("kind")})
+    mu = DyadicMeasureTree(support, UNIFORM, _sums_up(support, nums, den),
+                           None, {"kind": "frostman_stage", "level": level})
     mu.validate()
     return mu

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, mul, rshift, sub
+from operator import add, mul, sub
 
 from .exact import (ValidationError, cmp_pow2, cmp_rpow, diameter_level,
                     le_rpow, level_for_radius, log2_fraction, to_fraction)
@@ -340,11 +339,11 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     the first half of the window and in the second half, and the predicate
     holds exactly on the shortest such prefix over all leaves. Each half
     keeps its best prefixes as a list in key order; a level that branches
-    repeats each entry over the cube's run of descendants (the tree's
-    parent_runs when the levels in between do not branch), then folds its
-    own prefixes in. Once no level of a half is left, only the minimum of
-    its list is read, which repeating entries does not change, so the
-    second half's levels repeat its list alone. A level with as many cubes
+    repeats each entry over the cube's runs of descendants (the tree's
+    parent_runs, level by level), then folds its own prefixes in. Once no
+    level of a half is left, only the minimum of its list is read, which
+    repeating entries does not change, so the second half's levels repeat
+    its list alone. A level with as many cubes
     only continues one-child chains, which repeat their masses, and a mass
     passes no more exponents deeper down (2^-ns falls with n for s > 0, is
     >= 1 for s <= 0), so it is skipped once its half has been folded in on
@@ -362,7 +361,7 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     if lv[0] < 0 or lv[-1] > mu.max_depth:
         raise ValidationError("levels must lie within the measure depth")
     half = len(lv) - len(lv) // 2  # first-half length (ceil)
-    d, nsv, support = mu.d, len(svs), mu.support.levels
+    nsv, support = len(svs), mu.support.levels
 
     # per half, the best prefix passed by each level-`at` cube or an
     # ancestor in that half; halves come in order and level `at` was folded
@@ -371,11 +370,9 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     for i, n in enumerate(lv):
         h, keys = int(i >= half), support[n]
         if len(keys) != len(support[at]):
-            runs = (mu.support.parent_runs[n - 1][1]
-                    if len(support[n - 1]) == len(support[at]) else
-                    Counter(map(rshift, keys, repeat(d * (n - at)))).values())
-            best[h:] = [list(chain.from_iterable(map(repeat, b, runs)))
-                        for b in best[h:]]
+            for runs in filter(None, mu.support.parent_runs[at:n]):
+                best[h:] = [list(chain.from_iterable(map(repeat, b, runs[1])))
+                            for b in best[h:]]
             at = n
         elif h == last:
             continue

@@ -82,6 +82,14 @@ def _decode_meta(value):
     return value
 
 
+def _file_meta(data: dict) -> dict:
+    """A file's decoded meta: a JSON object, {} when missing or null."""
+    meta = _decode_meta({} if data.get("meta") is None else data["meta"])
+    if not isinstance(meta, dict):
+        raise ValidationError("meta must be a JSON object")
+    return meta
+
+
 # ---------------------------------------------------------------------------
 # sets
 
@@ -112,7 +120,7 @@ def set_from_dict(data: dict) -> DyadicSetTree:
     symbolic = (SymbolicCounts.from_dict(data["symbolic"])
                 if data.get("symbolic") else None)
     d, depth = _ints([data["d"], data["max_depth"]])
-    meta = _decode_meta(data.get("meta", {}))
+    meta = _file_meta(data)
     if "leaves" in data:
         return DyadicSetTree.from_leaves(d, depth, _ints(list(data["leaves"])),
                                          symbolic, meta)
@@ -178,8 +186,7 @@ def measure_from_dict(data: dict) -> DyadicMeasureTree:
     if data.get("atoms") is not None:
         atoms = [(tuple(parse_rational(c) for c in p), parse_rational(w))
                  for p, w in data["atoms"]]
-    meta = _decode_meta(data.get("meta", {}))
-    return build(support, rows, data["leaf_model"], atoms, meta)
+    return build(support, rows, data["leaf_model"], atoms, _file_meta(data))
 
 
 def _ratios(texts: list) -> tuple[list[int], list[int]]:

@@ -11,8 +11,8 @@ splitting each cube's mass among its selected children (uniform; random,
 its weights drawn in one pass in key order), each parent's children one run
 of the sorted next level (the tree's parent_runs, built once per tree and
 shared by every measure split on it), a level of one child per parent
-sharing the list above; or bottom-up by summing deepest-level masses into
-their ancestors (atoms, construction stages). Below the deepest
+sharing the list above; or bottom-up from the support's leaves (atoms,
+stages) along the same runs, built by from_leaves. Below the deepest
 materialized level a leaf model interprets the measure: "uniform" spreads
 each leaf's mass as normalized Lebesgue measure on the leaf cube, "atoms"
 on an explicit finite point list.
@@ -42,11 +42,11 @@ import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import add, floordiv, getitem, mul, neg, rshift, sub
+from operator import add, floordiv, getitem, itemgetter, mul, neg, sub
 from typing import Sequence
 
 from .dyadic import deinterleave, interleave, offset_bounds
@@ -56,7 +56,7 @@ from .exact import (
     diameter_level,
     to_fraction,
 )
-from .settree import DyadicSetTree, _check_dims
+from .settree import DyadicSetTree, _check_dims, _runs
 
 UNIFORM = "uniform"
 ATOMS = "atoms"
@@ -124,6 +124,8 @@ class DyadicMeasureTree:
             raise ValidationError(f"unknown leaf model {leaf_model!r}")
         if leaf_model == ATOMS and atoms is None and ints is None:
             raise ValidationError("atomic leaf model needs an atom list")
+        if leaf_model == UNIFORM and (atoms is not None or ints is not None):
+            raise ValidationError("uniform leaf model takes no atoms")
         self.support = support
         self.leaf_model = leaf_model
         self.tables = tables
@@ -194,18 +196,18 @@ class DyadicMeasureTree:
     def _on_ints(cls, q: int, ips: list, ns: list[int], wden: int, d: int,
                  depth: int, meta: dict | None) -> "DyadicMeasureTree":
         """The atomic measure of points ips / q with weights ns / wden
-        (positive, summing to wden) at `depth`, its tables summed up from
-        the atoms' level-depth keys, (a 2^depth - 1) // q per axis."""
+        (positive, summing to wden) at `depth`: the merged atoms' keys,
+        (a 2^depth - 1) // q per axis, one leaf per distinct key, summed up."""
+        ints = q, ips, ns, wden = _merged(q, ips, ns, wden)
         idx = [((a << depth) - 1) // q for p in ips for a in p]
         keys = idx if d == 1 else list(map(interleave, zip(*[iter(idx)] * d),
                                            repeat(depth)))
-        levels, tables = _sums_up(*zip(*sorted(zip(keys, ns))), wden, d,
-                                  depth)
-        ints = _merged(q, ips, ns, wden)
-        tree = DyadicSetTree(d, depth, levels, None,
-                             {"kind": "points", "count": len(ints[1])})
-        return cls(tree, ATOMS, tables, None, meta or {"kind": "atomic"},
-                   ints)
+        keys, ns = zip(*sorted(zip(keys, ns), key=itemgetter(0)))
+        leaves, _, ends = _runs(keys)
+        tree = DyadicSetTree.from_leaves(d, depth, leaves, None,
+                                         {"kind": "points", "count": len(ips)})
+        return cls(tree, ATOMS, _sums_up(tree, _run_sums(ns, ends), wden),
+                   None, meta or {"kind": "atomic"}, ints)
 
     @classmethod
     def random_split(cls, tree: DyadicSetTree, rng,
@@ -634,11 +636,8 @@ class DyadicMeasureTree:
                 raise ValidationError(f"level {n}: masses not in lowest terms")
             if n > 0:  # per parent, its run of children summed
                 above, up = self.tables[n - 1]
-                runs, sums = parent_runs[n - 1], nums
-                if runs:  # else one child per parent
-                    pre = list(itertools.accumulate(nums, initial=0))
-                    sums = list(map(sub, map(pre.__getitem__, runs[2][1:]),
-                                    map(pre.__getitem__, runs[2])))
+                runs = parent_runs[n - 1]  # None: one child per parent
+                sums = _run_sums(nums, runs[2]) if runs else nums
                 broken = {pk for pk, s, pm in zip(levels[n - 1], sums, above)
                           if s * up != pm * den}
                 if broken:
@@ -742,11 +741,7 @@ def _split_step(nums: list[int], den: int, lens: list[int], ends,
     only with weights), by the positive int weights w in level order (equal
     when None): over the lcm L of the per-parent weight totals a child of
     weight p gets N * (L // total) * p, over D * L."""
-    if w is None:
-        tots = lens
-    else:
-        pre = list(itertools.accumulate(w, initial=0))
-        tots = [pre[b] - pre[a] for a, b in zip(ends, ends[1:])]
+    tots = lens if w is None else _run_sums(w, ends)
     lcm = math.lcm(*tots)
     # each parent's share, repeated over its run of children
     per = itertools.chain.from_iterable(map(repeat, map(
@@ -754,23 +749,25 @@ def _split_step(nums: list[int], den: int, lens: list[int], ends,
     return _reduced(list(per if w is None else map(mul, per, w)), den * lcm)
 
 
-def _sums_up(keys, nums, den: int, d: int,
-             depth: int) -> tuple[list[list[int]], Tables]:
-    """(sorted keys, reduced tables) per level from sorted level-`depth`
-    keys (repeats add up): a cube's numerator is the prefix-sum difference
-    over its children; a level of one child per cube shares the table
-    below."""
-    levels, tables = [], []
-    for shift in (0,) + (d,) * depth:
-        runs = Counter(map(rshift, keys, repeat(shift)))
-        one = tables and len(runs) == len(keys)  # one child per cube
-        pre = list(itertools.accumulate(nums, initial=0))
-        ends = list(map(pre.__getitem__,
-                        itertools.accumulate(runs.values(), initial=0)))
-        keys, nums = list(runs), list(map(sub, ends[1:], ends))
-        levels.append(keys)
-        tables.append(tables[-1] if one else _reduced(nums, den))
-    return levels[::-1], tables[::-1]
+def _sums_up(tree: DyadicSetTree, nums: list[int], den: int) -> Tables:
+    """Reduced tables per level from the deepest level's numerators nums
+    over den, in key order, summed bottom-up along the tree's parent runs:
+    a cube's numerator is the sum over its run of children (_run_sums); a
+    level of one child per cube shares the table below."""
+    tables = [_reduced(nums, den)]
+    for runs in reversed(tree.parent_runs):
+        if runs is not None:
+            nums = _run_sums(nums, runs[2])
+        tables.append(tables[-1] if runs is None else _reduced(nums, den))
+    return tables[::-1]
+
+
+def _run_sums(values, ends: list[int]) -> list[int]:
+    """The sum of values over each run ends[i]:ends[i + 1]: prefix sums
+    differenced at the run ends."""
+    pre = list(itertools.accumulate(values, initial=0))
+    return list(map(sub, map(pre.__getitem__, ends[1:]),
+                    map(pre.__getitem__, ends)))
 
 
 def _int_atoms(points, weights, d: int):
@@ -794,15 +791,13 @@ def _int_atoms(points, weights, d: int):
 
 
 def _merged(q: int, ips: list, ns: list[int], wden: int):
-    """The int form of atoms ips / q with weights ns / wden: coincident
-    points one atom, sorted, weights over their reduced denominator, and q
-    divided by its gcd with every coordinate (so the lcm of the reduced
+    """The int form of atoms ips / q with weights ns / wden: sorted,
+    coincident points one atom, weights over their reduced denominator, and
+    q divided by its gcd with every coordinate (so the lcm of the reduced
     coordinate denominators)."""
-    tot = Counter()
-    for p, n in zip(ips, ns):
-        tot[p] += n
-    pts = sorted(tot)
-    ns, wden = _reduced(list(map(tot.get, pts)), wden)
+    pts, ns = zip(*sorted(zip(ips, ns), key=itemgetter(0)))
+    pts, _, ends = _runs(pts)
+    ns, wden = _reduced(_run_sums(ns, ends), wden)
     g = math.gcd(q, *itertools.chain.from_iterable(pts))
     if g > 1:
         q, pts = q // g, [tuple(a // g for a in p) for p in pts]
@@ -816,13 +811,9 @@ def _axis_rows(pts: list, ns: list[int], i: int):
     the rows of its atoms on the axes after i)."""
     if i == len(pts[0]) - 1:
         return [p[i] for p in pts], list(itertools.accumulate(ns, initial=0))
-    coords, subs, lo = [], [], 0
-    for a, run in itertools.groupby(p[i] for p in pts):
-        hi = lo + sum(1 for _ in run)
-        coords.append(a)
-        subs.append(_axis_rows(pts[lo:hi], ns[lo:hi], i + 1))
-        lo = hi
-    return coords, subs
+    coords, _, ends = _runs(p[i] for p in pts)
+    return coords, [_axis_rows(pts[a:b], ns[a:b], i + 1)
+                    for a, b in zip(ends, ends[1:])]
 
 
 def _ball_sums(rows, f: int, cols: list[list[int]], r2: int) -> list[int]:

@@ -149,8 +149,9 @@ class SegmentCounts(SymbolicCounts):
 class DyadicSetTree:
     """Levelwise sorted Morton keys of a nested cube family. The levels are
     never mutated after construction: parent_runs, and the measures built
-    on the tree, keep what they derive from them. from_leaves fills
-    parent_runs; validate builds it once the levels pass order and range."""
+    on the tree, keep what they derive from them. from_leaves (so every
+    set or measure support built from its leaves) fills parent_runs;
+    validate builds it once given levels pass order and range."""
 
     d: int
     max_depth: int
@@ -317,8 +318,8 @@ class DyadicSetTree:
         runs are (the distinct parent keys in order, the run lengths, the
         run ends as offsets 0, l_0, l_0 + l_1, ...); None on a level of
         one child per parent. Built once per tree (by from_leaves as it
-        derives the levels) and read by validate, the mass splits, measure
-        validation and the packing threshold."""
+        derives the levels) and read by validate, the mass splits and sums,
+        measure validation and the packing threshold."""
         return [None if len(kids) == len(above) else
                 _runs(map(rshift, kids, repeat(self.d)))
                 for above, kids in zip(self.levels, self.levels[1:])]

@@ -54,7 +54,7 @@ from dimlab.dyadic import cube_of_point, deinterleave, interleave
 from dimlab.estimators import SlopeEstimate, SlopeTriple, default_window_len
 from dimlab.exact import (ConstructionError, ValidationError, format_rational,
                           parse_rational)
-from dimlab.measure import DyadicMeasureTree, _below_leaves, _sums_up
+from dimlab.measure import DyadicMeasureTree, _below_leaves
 from dimlab.settree import DyadicSetTree
 
 
@@ -479,12 +479,19 @@ def oracle_ancestors(leaf, d, depth):
 
 
 def ancestor_tables(leaf, d, depth):
-    """(levels, tables) of the int kernel, summed up from the level-`depth`
-    Fraction masses in `leaf` over the lcm of their denominators."""
-    keys, masses = zip(*sorted(leaf.items()))
-    den = math.lcm(*(m.denominator for m in masses))
-    return _sums_up(keys, [m.numerator * (den // m.denominator)
-                           for m in masses], den, d, depth)
+    """(levels, tables) in the int form, from the level-`depth` Fraction
+    masses in `leaf`: the levels by oracle_levels_from_deepest, each
+    level's Fraction sums by oracle_ancestors, over the lcm of that level's
+    reduced denominators (so in lowest terms); a level equal to the one
+    above (one child per cube) shares its table."""
+    levels = oracle_levels_from_deepest(d, depth, leaf)
+    tables = []
+    for keys, masses in zip(levels, oracle_ancestors(leaf, d, depth)):
+        den = math.lcm(*(masses[k].denominator for k in keys))
+        t = ([masses[k].numerator * (den // masses[k].denominator)
+              for k in keys], den)
+        tables.append(tables[-1] if tables and t == tables[-1] else t)
+    return levels, tables
 
 
 def oracle_frostman_stages(tree, s, radii, stages=None):

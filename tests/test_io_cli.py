@@ -44,6 +44,23 @@ def old_layout(tree):
             for k, v in io.set_to_dict(tree).items()}
 
 
+def meta_file(tmp_path, where, meta):
+    """A depth-6 Cantor set's file, in either layout ("set", "old-layout"),
+    or its uniform measure's, with `meta` as the measure's own meta
+    ("measure") or its support's ("support")."""
+    tree = cantor_tree(6)
+    if where == "set":
+        data = io.set_to_dict(tree)
+    elif where == "old-layout":
+        data = old_layout(tree)
+    else:
+        data = io.measure_to_dict(DyadicMeasureTree.uniform_on_set(tree))
+    (data["support"] if where == "support" else data)["meta"] = meta
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(data))
+    return p
+
+
 def reread(data):
     """A set or measure payload loaded back from its JSON text."""
     text = json.dumps(io._encode_bigints(data))
@@ -797,6 +814,19 @@ class TestCliEstimate:
         code, _, err = self._estimate_box(capsys, tmp_path, data)
         assert code == 2 and "not conserved" in err
 
+    def test_uniform_measure_with_atoms_is_validation_error(self, tmp_path,
+                                                            capsys):
+        # the uniform leaf model never checks atoms: they used to load and
+        # be written back by save_json
+        data = io.measure_to_dict(
+            DyadicMeasureTree.uniform_on_set(cantor_tree(4)))
+        data["atoms"] = [[["5/1"], "7/1"]]
+        p = tmp_path / "mu.json"
+        p.write_text(json.dumps(data))
+        code, text, err = run_cli(capsys, "estimate", "corr", "--in", str(p))
+        assert (code, text, err) == (
+            2, "", "error: uniform leaf model takes no atoms\n")
+
     @pytest.mark.parametrize("level, row, at, want", [
         (2, [0, "999/1000"], 0, "level 2: cube 0 listed twice"),
         (2, [3, "1/4"], 4, "level 2: cube 3 listed twice"),
@@ -910,6 +940,41 @@ class TestCliVerify:
         code, text, _ = run_cli(capsys, "verify", "frostman-stages",
                                 "--s", "1/2", "--d", "1", "--depth", "8")
         assert code == 0 and "frostman-stages: PASS" in text
+
+    @pytest.mark.parametrize("meta", ["cantor", [1, 2], 7,
+                                      {"$rational": "1/2"}])
+    @pytest.mark.parametrize("where", ["set", "old-layout", "measure",
+                                       "support"])
+    def test_meta_must_be_a_json_object(self, tmp_path, capsys, where, meta):
+        # a meta that is not an object used to load, and the stage oracle
+        # then failed on it with a traceback
+        p = meta_file(tmp_path, where, meta)
+        code, text, err = run_cli(capsys, "verify", "frostman-stages",
+                                  "--s", "1/4", "--in", str(p))
+        assert (code, text, err) == (
+            2, "", "error: meta must be a JSON object\n")
+
+    @pytest.mark.parametrize("where", ["set", "old-layout", "measure",
+                                       "support"])
+    def test_null_meta_loads_as_empty(self, tmp_path, capsys, where):
+        p = meta_file(tmp_path, where, None)
+        obj = io.load_json(p)
+        assert (obj.support if where == "support" else obj).meta == {}
+        # a set of no known kind: the stages fall back on the heuristic
+        code, text, _ = run_cli(capsys, "verify", "frostman-stages",
+                                "--s", "1/8", "--in", str(p))
+        assert code == 0 and "frostman-stages: PASS" in text
+        assert (where == "measure") != ("slope heuristic" in text)
+
+    def test_alternating_meta_needs_dim_low(self, tmp_path, capsys):
+        data = io.set_to_dict(cantor_tree(6))
+        data["meta"] = {"kind": "alternating"}
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(data))
+        code, text, err = run_cli(capsys, "verify", "frostman-stages",
+                                  "--s", "1/4", "--in", str(p))
+        assert (code, text, err) == (
+            2, "", "error: alternating set meta has no dim_low\n")
 
     def test_frostman_stages_json_counts_every_centre(self, tmp_path,
                                                       capsys):

@@ -294,6 +294,19 @@ class TestAtomic:
         with pytest.raises(ValidationError):
             DyadicMeasureTree.atomic([(Fraction(1, 2),)], [1], 1, -1)
 
+    def test_atoms_only_on_the_atomic_leaf_model(self):
+        # the uniform leaf model never reads atoms, so it takes none in
+        # either form, and the atomic one needs them
+        mu = DyadicMeasureTree.atomic([(Fraction(1, 2),)], [1], 1, 3)
+        tree, tables = mu.support, mu.tables
+        for given in ({"atoms": mu.atoms}, {"ints": mu._atom_ints}):
+            with pytest.raises(ValidationError,
+                               match="^uniform leaf model takes no atoms$"):
+                DyadicMeasureTree(tree, "uniform", tables, **given)
+        with pytest.raises(ValidationError,
+                           match="^atomic leaf model needs an atom list$"):
+            DyadicMeasureTree(tree, "atoms", tables)
+
     def test_cube_masses_aggregate_atoms(self):
         mu = DyadicMeasureTree.atomic(
             [(Fraction(1, 4),), (Fraction(1),)],
@@ -1310,9 +1323,9 @@ def test_ball_brackets_build_each_level_row_index_once(monkeypatch):
     assert calls == [8, 9, 10]
 
 
-def test_sandwich_builds_parent_runs_once(monkeypatch):
-    # the uniform and the 100 random-split measures of one tree split its
-    # levels along the same parent runs, built once for the tree
+def counted_parent_runs(monkeypatch):
+    """(calls, the real function): DyadicSetTree.parent_runs patched to
+    record in calls each tree its cached property's function runs on."""
     calls = []
     real = DyadicSetTree.parent_runs.func
 
@@ -1323,6 +1336,13 @@ def test_sandwich_builds_parent_runs_once(monkeypatch):
     runs = functools.cached_property(counting)
     runs.__set_name__(DyadicSetTree, "parent_runs")
     monkeypatch.setattr(DyadicSetTree, "parent_runs", runs)
+    return calls, real
+
+
+def test_sandwich_builds_parent_runs_once(monkeypatch):
+    # the uniform and the 100 random-split measures of one tree split its
+    # levels along the same parent runs, built once for the tree
+    calls, _ = counted_parent_runs(monkeypatch)
     tree = cantor_tree(12)
     rep = correlation_sandwich(tree, range(4, 13), n_random=100)
     assert rep["ok"] and len(rep["rows"]) == 9 * 102
@@ -1335,17 +1355,8 @@ def test_loaded_set_groups_its_levels_once(monkeypatch, tmp_path):
     # validate(); the uniform split, the inequality report (its packing
     # threshold) and a validation read those runs, so the cached
     # property's function never runs
-    calls, validated = [], []
-    real = DyadicSetTree.parent_runs.func
-    real_validate = DyadicSetTree.validate
-
-    def counting(tree):
-        calls.append(tree)
-        return real(tree)
-
-    runs = functools.cached_property(counting)
-    runs.__set_name__(DyadicSetTree, "parent_runs")
-    monkeypatch.setattr(DyadicSetTree, "parent_runs", runs)
+    calls, real = counted_parent_runs(monkeypatch)
+    validated, real_validate = [], DyadicSetTree.validate
     monkeypatch.setattr(DyadicSetTree, "validate", lambda tree: (
         validated.append(tree), real_validate(tree))[1])
     plan = constructions.sweep_plan(Fraction(2, 5), Fraction(7, 10))
@@ -1359,6 +1370,28 @@ def test_loaded_set_groups_its_levels_once(monkeypatch, tmp_path):
     tree.validate()
     mu.validate()
     assert calls == [] and tree.parent_runs == real(tree)
+
+
+def test_bottom_up_trees_are_grouped_once(monkeypatch):
+    # atomic, net, anti-Frostman and stage measures take their supports
+    # from from_leaves, whose one pass groups every level under its
+    # parents; their sums, their ball checks and their validation read
+    # those runs, so the cached property's function never runs
+    calls, _ = counted_parent_runs(monkeypatch)
+    pts = [(Fraction(k, 7), Fraction(k * k % 7 + 1, 7)) for k in range(1, 8)]
+    atoms = DyadicMeasureTree.atomic(pts + pts[:2], [Fraction(1, 9)] * 9, 2, 6)
+    tree = cantor_tree(10)
+    net = net_measure(tree, 8)
+    heavy = anti_frostman_check(tree, [2, 4, 6, 8, 10])
+    assert heavy["ok"]
+    full = DyadicSetTree.full(1, 10)
+    stages, rep = constructions.stagewise_frostman_measures(
+        full, Fraction(1, 2), [pow2(-(k + 2)) for k in range(11)])
+    assert len(stages) > 1
+    assert constructions.verify_stage_balls(stages, rep)["ok"]
+    for mu in [atoms, net, heavy["measure"], *stages]:
+        mu.validate()
+    assert calls == []
 
 
 @pytest.mark.parametrize("atoms, message", [
