@@ -7,10 +7,10 @@ d = 1..3, Cantor and Sierpinski digit-IFS sets, sparse from_codes trees
 and the depth-24 alternating set, under uniform, seeded random_split and
 atomic measures, and the stagewise Frostman measures on them, plus the
 ValidationError text of set trees with one defect or two planted on their
-one-child levels, and what the corpus sets (with the four inequality-chain
-inputs) and the net measures load back to from their files. A change that
-is meant to keep every output passes unchanged; one that moves a section
-on purpose re-pins it with
+one-child levels, what the corpus sets (with the four inequality-chain
+inputs) and the net measures load back to from their files, and the staged
+and digit-IFS sets as built. A change that is meant to keep every output
+passes unchanged; one that moves a section on purpose re-pins it with
 
     PYTHONPATH=src python tests/test_digest.py
 
@@ -477,6 +477,38 @@ def set_files():
                    f"{text(sym)} {text(tree.meta)}")
 
 
+def _keep_sets(d, group):
+    """Full, sparse and single-pattern keep sets of d-bit digit groups."""
+    top = 1 << (d * group)
+    rng = random.Random(top)
+    return {"full": list(range(top)),
+            "sparse": sorted(rng.sample(range(top), max(1, top // 3))),
+            "single": [top - 2]}
+
+
+def construction_sets():
+    """The staged and digit-IFS sets as built: levels, symbolic counts and
+    meta of the alternating set at depth 32 (frozen, doubling, frozen and
+    doubling again; at depth 40 it holds 2^23 cubes), the sweep set at
+    depth 40 (past its wrap at 28) and from_digit_ifs in d = 1..3 with
+    group 1..3, on full, sparse and single-pattern keep sets (depth so
+    that d * depth stays at most 12)."""
+    t, s = Fraction(2, 5), Fraction(7, 10)
+    trees = {
+        "alternating32": constructions.alternating_set(
+            constructions.alternating_plan(t, s), 32),
+        "sweep40": constructions.sweep_set(constructions.sweep_plan(t, s),
+                                           40)}
+    for d in (1, 2, 3):
+        for group in (1, 2, 3):
+            for label, keep in _keep_sets(d, group).items():
+                trees[f"ifs d{d} g{group} {label}"] = \
+                    DyadicSetTree.from_digit_ifs(d, group, keep, 12 // d)
+    for name, tree in trees.items():
+        yield (f"{name} {text(tree.levels)} {text(tree.symbolic.to_dict())} "
+               f"{text(tree.meta)}")
+
+
 def levels():
     for q in range(1, 41):
         for p in range(1, 2 * q + 1):
@@ -498,6 +530,7 @@ SECTIONS = {
     "atom_ball_masses": atom_ball_masses,
     "frostman_stages": frostman_stages,
     "set_files": set_files,
+    "constructions": construction_sets,
 }
 
 
