@@ -61,7 +61,6 @@ from .fourier import (
     fourier_correlation_dims,
     fourier_energy,
     fourier_sandwich_report,
-    mean_square,
     mean_square_curve,
     mu_hat,
     near_zero_report,

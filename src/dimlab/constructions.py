@@ -74,22 +74,6 @@ class AlternatingPlan:
     def last_level(self) -> int:
         return self.breakpoints[-1]
 
-    def doubling_exponent(self, n: int) -> int:
-        """E(n): log2 of the cube count at level n."""
-        if not (0 <= n <= self.last_level):
-            raise UnavailableError(f"level {n} beyond plan budget")
-        i = bisect.bisect_left(self.breakpoints, n)
-        if self.breakpoints[i] == n:
-            return self.doubled[i]
-        # inside the stretch ending at breakpoint i
-        if i % 2 == 1:
-            # doubling stretch (n_{2k}, n_{2k+1}]
-            return self.doubled[i] - (self.breakpoints[i] - n)
-        return self.doubled[i]
-
-    def count(self, n: int) -> int:
-        return 1 << self.doubling_exponent(n)
-
     def segment_counts(self) -> SegmentCounts:
         segs = []
         bps = self.breakpoints
@@ -105,13 +89,6 @@ class AlternatingPlan:
             else:
                 segs.append(Segment(lo, hi, 1 << self.doubled[i], 0))
         return SegmentCounts(segs)
-
-    def method_is_doubling(self, m: int) -> bool:
-        """Does the step from level m-1 to m double every cube?"""
-        if not (1 <= m <= self.last_level):
-            raise UnavailableError(f"level {m} beyond plan budget")
-        i = bisect.bisect_left(self.breakpoints, m)
-        return i % 2 == 1
 
 
 def default_slack(dim_low: Fraction) -> Callable[[int], Fraction]:
@@ -216,27 +193,27 @@ def verify_alternating_plan(plan: AlternatingPlan) -> dict:
 def alternating_set(plan: AlternatingPlan,
                     materialize_depth: int) -> DyadicSetTree:
     """Materialize the alternating tree: single (left) child on slow
-    stretches, both children on doubling stretches."""
+    stretches, both children on doubling stretches (the segments of the
+    schedule with coef != 0)."""
     if not 0 <= materialize_depth <= plan.last_level:
         raise ValidationError(
             f"materialize depth must lie in 0..{plan.last_level}")
+    sym = plan.segment_counts()
     levels = [[0]]
     for m in range(1, materialize_depth + 1):
         prev = levels[-1]
-        if plan.method_is_doubling(m):
-            nxt = []
-            for key in prev:
-                nxt.append(key << 1)
-                nxt.append((key << 1) | 1)
-        else:
-            nxt = [key << 1 for key in prev]
-        levels.append(nxt)
+        levels.append(_grow(prev, 0, len(prev) if sym.segment(m).coef else 0))
     meta = {"kind": "alternating",
             "dim_low": str(plan.dim_low), "dim_high": str(plan.dim_high),
             "breakpoints": list(plan.breakpoints)}
-    tree = DyadicSetTree(1, materialize_depth, levels,
-                         plan.segment_counts(), meta)
-    return tree
+    return DyadicSetTree(1, materialize_depth, levels, sym, meta)
+
+
+def _grow(keys: list[int], lo: int, hi: int) -> list[int]:
+    """The level below 1-D `keys`: keys[lo:hi] keep both children, every
+    other cube its left child (a merge of two sorted runs)."""
+    left = [k << 1 for k in keys]
+    return sorted(left + [k | 1 for k in left[lo:hi]]) if lo < hi else left
 
 
 def alternating_measure(plan: AlternatingPlan, m: int) -> DyadicMeasureTree:
@@ -300,23 +277,6 @@ class SweepPlan:
                 segs.append(Segment(nk + 1, nk_big,
                                     self.counts_at_stage[k], 0))
         return SegmentCounts(segs)
-
-    def count(self, n: int) -> int:
-        return self.segment_counts().count(n)
-
-    def stage_of_level(self, m: int) -> tuple[int, str]:
-        """(k, regime) with regime 'doubling' on (N_{k-1}, n_k] or
-        'frozen' on (n_k, N_k]."""
-        if not (1 <= m <= self.last_level):
-            raise UnavailableError(f"level {m} beyond plan budget")
-        if m == 1:
-            return 0, "doubling"
-        k = bisect.bisect_left(self.n_seq, m) + 1
-        if k <= self.k_max and m <= self.n_seq[k - 1]:
-            if m > self.big_n_seq[k - 1]:
-                return k, "doubling"
-            return k - 1, "frozen"
-        return k - 1, "frozen"
 
 
 def sweep_plan(dim_low, dim_high, level_budget: int = 10 ** 5) -> SweepPlan:
@@ -398,40 +358,31 @@ def verify_sweep_plan(plan: SweepPlan) -> dict:
 def sweep_set(plan: SweepPlan, materialize_depth: int) -> DyadicSetTree:
     """Materialize the sweep tree, tracking designated intervals.
 
-    The designated interval's whole subtree doubles during (N_{k-1}, n_k];
-    every other cube keeps its left child. At level N_k the designation
-    moves to the leftmost selected level-N_k cube strictly to the right of
-    the old designated interval (compared through ancestors at the old
-    level), wrapping to the global leftmost cube when the old interval was
-    rightmost.
+    The designated interval's whole subtree doubles during (N_{k-1}, n_k],
+    the schedule's segments with coef != 0; every other cube keeps its
+    left child. At level N_k the designation moves to the leftmost
+    selected level-N_k cube strictly to the right of the old designated
+    interval (compared through ancestors at the old level), wrapping to the
+    global leftmost cube when the old interval was rightmost.
     """
     if not 0 <= materialize_depth <= plan.last_level:
         raise ValidationError(
             f"materialize depth must lie in 0..{plan.last_level}")
     if materialize_depth > 62:
         raise ValidationError("materialize depth beyond key budget")
+    sym = plan.segment_counts()
     levels = [[0]]
     designated: list[dict] = []
-    cur_level, cur_key = None, None
+    # the unit cube is designated for the doubling into level 1
+    cur_level, cur_key = 0, 0
     for m in range(1, materialize_depth + 1):
         prev = levels[-1]
-        _, regime = plan.stage_of_level(m)
-        if m == 1:
-            levels.append([0, 1])
-        elif regime == "doubling":
+        lo = hi = 0
+        if sym.segment(m).coef:
             shift = (m - 1) - cur_level
             lo = bisect.bisect_left(prev, cur_key << shift)
             hi = bisect.bisect_left(prev, (cur_key + 1) << shift)
-            nxt = []
-            for i, key in enumerate(prev):
-                if lo <= i < hi:
-                    nxt.append(key << 1)
-                    nxt.append((key << 1) | 1)
-                else:
-                    nxt.append(key << 1)
-            levels.append(nxt)
-        else:
-            levels.append([key << 1 for key in prev])
+        levels.append(_grow(prev, lo, hi))
         # designation events at N_0 = 1 and at each N_k
         if m == 1:
             cur_level, cur_key = 1, 0
@@ -448,8 +399,7 @@ def sweep_set(plan: SweepPlan, materialize_depth: int) -> DyadicSetTree:
                                "wrapped": wrapped})
     meta = {"kind": "sweep", "dim_low": str(plan.dim_low),
             "dim_high": str(plan.dim_high), "designated": designated}
-    return DyadicSetTree(1, materialize_depth, levels,
-                         plan.segment_counts(), meta)
+    return DyadicSetTree(1, materialize_depth, levels, sym, meta)
 
 
 def verify_sweep_set(plan: SweepPlan, tree: DyadicSetTree) -> dict:

@@ -216,13 +216,6 @@ class MeanSquareCurve:
     degraded: bool = False
     meta: dict = field(default_factory=dict)
 
-    def value_at(self, R) -> float:
-        target = float(R)
-        for s in self.samples:
-            if math.isclose(s["R"], target, rel_tol=1e-12):
-                return s["value"]
-        raise ValidationError(f"R={target} is not a sample of this curve")
-
 
 def _trapezoid(ys: np.ndarray, h: float) -> float:
     return float((0.5 * (ys[0] + ys[-1]) + ys[1:-1].sum()) * h)
@@ -373,11 +366,6 @@ def mean_square_curve(mu: DyadicMeasureTree, r_values, rel_tol: float = 1e-3,
     return curve
 
 
-def mean_square(mu: DyadicMeasureTree, R, rel_tol: float = 1e-3) -> dict:
-    """One sample of the mean-square curve."""
-    return mean_square_curve(mu, [R], rel_tol).samples[0]
-
-
 # ---------------------------------------------------------------------------
 # ball-count vs mean-square sandwich
 
@@ -419,17 +407,18 @@ def fourier_sandwich_report(mu: DyadicMeasureTree, eps, r_list,
         raise ValidationError("need at least 4 radii at or below 1/2")
 
     d = mu.d
+    # 1/r ascends as r descends, so the samples come in the order of usable
     curve = mean_square_curve(mu, [1.0 / float(r) for r in usable], rel_tol)
     inconclusive = curve.degraded
 
     rows = []
     pts = []
-    for r in usable:
+    for r, sample in zip(usable, curve.samples):
         rf = float(r)
         br = mu.ball_correlation_bracket(r, extra_depth)
         mid = br.midpoint
         width = br.width
-        I = curve.value_at(1.0 / rf)
+        I = sample["value"]
         ratio = mid / (rf ** d * I)
         row = {"r": rf, "corr_mid": mid, "corr_width": width,
                "mean_square": I,

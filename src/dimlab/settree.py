@@ -69,6 +69,8 @@ class GeometricCounts(SymbolicCounts):
     def __init__(self, group: int, branch: int, prefix_counts: list[int]):
         if group < 1 or branch < 1 or len(prefix_counts) != group:
             raise ValidationError("malformed geometric counts")
+        if min(prefix_counts) < 1:
+            raise ValidationError("every prefix count must be >= 1")
         if prefix_counts[0] != 1:
             raise ValidationError("prefix_counts[0] must be 1 (the cube itself)")
         self.group = group
@@ -98,43 +100,41 @@ class Segment:
     base: int
     coef: int
 
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValidationError("segment with lo > hi")
+        if self.base < 0 or self.coef < 0 or self.base + self.coef < 1:
+            raise ValidationError("segment counts need base >= 0, coef >= 0 "
+                                  "and base + coef >= 1")
+
     def count(self, n: int) -> int:
         return self.base + (self.coef << (n - self.lo))
 
 
 class SegmentCounts(SymbolicCounts):
-    """Piecewise exponential count schedule for staged constructions."""
+    """Piecewise exponential count schedule for staged constructions: the
+    levels of a segment with coef != 0 grow, those of one with coef == 0
+    keep their count."""
 
     kind = "segments"
 
     def __init__(self, segments: Sequence[Segment]):
         segs = sorted(segments, key=lambda s: s.lo)
-        prev_hi = None
-        for s in segs:
-            if s.lo > s.hi:
-                raise ValidationError("segment with lo > hi")
-            if prev_hi is not None and s.lo != prev_hi + 1:
-                raise ValidationError("segments must tile a level range")
-            prev_hi = s.hi
         if not segs:
             raise ValidationError("no segments")
+        if any(s.lo != prev.hi + 1 for prev, s in zip(segs, segs[1:])):
+            raise ValidationError("segments must tile a level range")
         self.segments = segs
+        self._starts = [s.lo for s in segs]
 
-    def count(self, n: int) -> int:
+    def segment(self, n: int) -> Segment:
+        """The segment whose levels hold level n."""
         if not self.covers(n):
             raise UnavailableError(f"level {n} outside symbolic range")
-        lo = 0
-        hi = len(self.segments) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            s = self.segments[mid]
-            if n < s.lo:
-                hi = mid - 1
-            elif n > s.hi:
-                lo = mid + 1
-            else:
-                return s.count(n)
-        raise UnavailableError(f"level {n} outside symbolic range")
+        return self.segments[bisect.bisect_right(self._starts, n) - 1]
+
+    def count(self, n: int) -> int:
+        return self.segment(n).count(n)
 
     def covers(self, n: int) -> bool:
         return self.segments[0].lo <= n <= self.segments[-1].hi
@@ -224,32 +224,19 @@ class DyadicSetTree:
         if keep_sorted[0] < 0 or keep_sorted[-1] >= top:
             raise ValidationError("keep pattern out of range")
 
-        # allowed[p] maps a p-digit prefix to its sorted continuation digits
-        allowed: list[dict[int, list[int]]] = [dict() for _ in range(group)]
-        prefixes: list[set[int]] = [set() for _ in range(group + 1)]
-        prefixes[0].add(0)
-        for pat in keep_sorted:
-            for p in range(group):
-                pre = pat >> (d * (group - p))
-                digit = (pat >> (d * (group - p - 1))) & ((1 << d) - 1)
-                allowed[p].setdefault(pre, set()).add(digit)
-                prefixes[p + 1].add(pat >> (d * (group - p - 1)))
-        for p in range(group):
-            allowed[p] = {pre: sorted(ds) for pre, ds in allowed[p].items()}
-
+        # pre[p]: the kept patterns' distinct p-digit prefixes, sorted; a
+        # level n = a * group + p (1 <= p <= group) is level a * group
+        # extended by pre[p], so it holds branch**a * len(pre[p]) cubes
+        pre = [sorted({pat >> (d * (group - p)) for pat in keep_sorted})
+               for p in range(group + 1)]
         levels = [[0]]
-        for n in range(depth):
-            p = n % group
-            shift = d * p
-            nxt: list[int] = []
-            for key in levels[n]:
-                pre = key & ((1 << shift) - 1) if p else 0
-                for t in allowed[p][pre]:
-                    nxt.append((key << d) | t)
-            levels.append(nxt)
+        for n in range(1, depth + 1):
+            p = (n - 1) % group + 1
+            levels.append([key << (d * p) | t for key in levels[n - p]
+                           for t in pre[p]])
 
-        prefix_counts = [len(prefixes[p]) for p in range(group)]
-        sym = GeometricCounts(group, len(keep_sorted), prefix_counts)
+        sym = GeometricCounts(group, len(keep_sorted),
+                              [len(pre[p]) for p in range(group)])
         meta = {"kind": "ifs", "group": group, "keep": keep_sorted,
                 "dimension": math.log2(len(keep_sorted)) / (group * d)}
         return cls(d, depth, levels, sym, meta)

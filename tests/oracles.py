@@ -6,7 +6,9 @@ atom, the ball-correlation pair sum of an atom list by a loop over every
 pair, the signs of a - 2**e and a - r**s from Fraction powers, the first
 key defect of a set tree's levels by a scan of every key and the first
 nesting defect by a scan of every cube pair, a tree's levels from its
-deepest keys by a set and a sort per level, the closure
+deepest keys by a set and a sort per level, the alternating set's
+doubling exponent read off its breakpoints, a digit-IFS level by a filter
+of every key at that level, the closure
 distances of two cubes per axis, and the dyadic levels of a radius by
 stepping through the powers of two. The rest are slow paths of the
 measure layer: the uniform-model ball bracket over every ordered pair of
@@ -124,6 +126,30 @@ def first_nesting_defect(levels, d: int) -> str | None:
             if k >> d not in levels[n - 1]:
                 return f"cube {k} at level {n} has unselected parent"
     return None
+
+
+def doubling_exponent(plan, n: int) -> int:
+    """E(n), log2 of the alternating set's cube count at level n, read off
+    the breakpoints: the doubling count at the first breakpoint at or past
+    n, less the doubling levels of its stretch still to come."""
+    i = bisect_left(plan.breakpoints, n)
+    if i % 2 == 1:  # doubling stretch (n_{2k}, n_{2k+1}]
+        return plan.doubled[i] - (plan.breakpoints[i] - n)
+    return plan.doubled[i]
+
+
+def oracle_digit_ifs_level(d: int, group: int, keep, n: int) -> list[int]:
+    """Level n of a digit-IFS set by a filter of every level-n key: each
+    whole group of `group` d-bit digits is a kept pattern, and the partial
+    group after them is a prefix of one."""
+    a, p = divmod(n, group)
+    kept = set(keep)
+    partial = {pat >> (d * (group - p)) for pat in kept}
+    width = d * group
+    return [key for key in range(1 << (d * n))
+            if key & ((1 << (d * p)) - 1) in partial
+            and all((key >> (d * p + width * j)) & ((1 << width) - 1) in kept
+                    for j in range(a))]
 
 
 def oracle_levels_from_deepest(d: int, depth: int, keys) -> list[list[int]]:

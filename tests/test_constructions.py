@@ -37,7 +37,8 @@ from dimlab.exact import (
 )
 from dimlab.measure import DyadicMeasureTree
 from dimlab.settree import DyadicSetTree
-from oracles import (fraction_cmp_pow2, fraction_cmp_rpow, oracle_cover,
+from oracles import (doubling_exponent, fraction_cmp_pow2,
+                     fraction_cmp_rpow, oracle_cover,
                      oracle_frostman_stages, oracle_representatives,
                      set_trees)
 
@@ -75,37 +76,42 @@ class TestAlternatingPlan:
         assert plan.slack == tuple(T / (k + 2) for k in range(1, 9))
 
     def test_exponents_between_breakpoints(self, plan):
+        segs = plan.segment_counts()
         # doubling stretch (4, 10]: one new bit per level
-        assert [plan.doubling_exponent(n) for n in range(4, 11)] == \
-            [1, 2, 3, 4, 5, 6, 7]
+        assert [segs.count(n) for n in range(4, 11)] == \
+            [1 << e for e in (1, 2, 3, 4, 5, 6, 7)]
         # slow stretch (10, 24]: frozen
-        assert plan.doubling_exponent(17) == 7
-        assert plan.doubling_exponent(24) == 7
+        assert segs.count(17) == 1 << 7
+        assert segs.count(24) == 1 << 7
 
     def test_counts(self, plan):
-        assert plan.count(0) == 1
-        assert plan.count(1) == 2
-        assert plan.count(10) == 128
-        assert plan.count(438693) == 1 << 307085
+        segs = plan.segment_counts()
+        assert segs.count(0) == 1
+        assert segs.count(1) == 2
+        assert segs.count(10) == 128
+        assert segs.count(438693) == 1 << 307085
 
     def test_method_flags(self, plan):
-        assert plan.method_is_doubling(1)
-        assert not plan.method_is_doubling(4)
-        assert plan.method_is_doubling(5)
-        assert plan.method_is_doubling(10)
-        assert not plan.method_is_doubling(11)
+        # does the step from level m-1 to m double every cube?
+        segs = plan.segment_counts()
+        assert segs.segment(1).coef != 0
+        assert segs.segment(4).coef == 0
+        assert segs.segment(5).coef != 0
+        assert segs.segment(10).coef != 0
+        assert segs.segment(11).coef == 0
 
     def test_out_of_budget(self, plan):
+        segs = plan.segment_counts()
         with pytest.raises(UnavailableError):
-            plan.doubling_exponent(438694)
+            segs.count(438694)
         with pytest.raises(UnavailableError):
-            plan.method_is_doubling(10 ** 7)
+            segs.segment(10 ** 7)
 
     def test_segment_counts_match_exponents(self, plan):
         segs = plan.segment_counts()
         assert segs.covers(438693)
         for n in (0, 1, 2, 4, 5, 10, 24, 56, 123, 5770, 438693):
-            assert segs.count(n) == 1 << plan.doubling_exponent(n)
+            assert segs.count(n) == 1 << doubling_exponent(plan, n)
 
     def test_verification_suite_passes(self, plan):
         res = verify_alternating_plan(plan)
@@ -160,7 +166,7 @@ class TestAlternatingSet:
     def test_counts_and_symbolic_agree(self, plan):
         tree = alternating_set(plan, 20)
         for n in range(21):
-            assert tree.box_count(n) == plan.count(n)
+            assert tree.box_count(n) == 1 << doubling_exponent(plan, n)
         assert tree.box_count(105756) == 1 << 74029
 
     def test_meta(self, plan):
@@ -214,29 +220,28 @@ class TestSweepPlan:
             assert splan.counts_at_stage[k] == closed
 
     def test_level_counts(self, splan):
-        assert splan.count(0) == 1
-        assert splan.count(1) == 2
-        assert splan.count(2) == 3
-        assert splan.count(3) == 5
-        assert splan.count(4) == 5   # frozen through N_1
-        assert splan.count(5) == 5
-        assert splan.count(6) == 6   # designated subtree doubles again
-        assert splan.count(16) == 4 + (1 << 11)
-        assert splan.count(20) == splan.count(16)
+        segs = splan.segment_counts()
+        assert segs.count(0) == 1
+        assert segs.count(1) == 2
+        assert segs.count(2) == 3
+        assert segs.count(3) == 5
+        assert segs.count(4) == 5   # frozen through N_1
+        assert segs.count(5) == 5
+        assert segs.count(6) == 6   # designated subtree doubles again
+        assert segs.count(16) == 4 + (1 << 11)
+        assert segs.count(20) == segs.count(16)
 
-    def test_stage_of_level(self, splan):
-        assert splan.stage_of_level(1) == (0, "doubling")
-        assert splan.stage_of_level(2) == (1, "doubling")
-        assert splan.stage_of_level(3) == (1, "doubling")
-        assert splan.stage_of_level(4) == (1, "frozen")
-        assert splan.stage_of_level(5) == (1, "frozen")
-        assert splan.stage_of_level(6) == (2, "doubling")
-        assert splan.stage_of_level(28) == (2, "frozen")
-        assert splan.stage_of_level(29) == (3, "doubling")
+    def test_doubling_flags(self, splan):
+        # the designated subtree doubles on (N_{k-1}, n_k], else all freeze
+        segs = splan.segment_counts()
+        doubling = [m for m in (1, 2, 3, 4, 5, 6, 28, 29)
+                    if segs.segment(m).coef != 0]
+        assert doubling == [1, 2, 3, 6, 29]
+        assert segs.segment(0).coef != 0   # the unit cube's own level
         with pytest.raises(UnavailableError):
-            splan.stage_of_level(0)
+            segs.segment(-1)
         with pytest.raises(UnavailableError):
-            splan.stage_of_level(32153)
+            segs.segment(32153)
 
     def test_verification_suite_passes(self, splan):
         res = verify_sweep_plan(splan)
@@ -295,8 +300,9 @@ class TestSweepSet:
 
     def test_counts_match_plan(self, splan):
         tree = sweep_set(splan, 30)
+        segs = splan.segment_counts()
         for n in range(31):
-            assert len(tree.levels[n]) == splan.count(n)
+            assert len(tree.levels[n]) == segs.count(n)
         assert tree.box_count(32152) == splan.counts_at_stage[6]
 
     def test_verify_suite_passes(self, splan):

@@ -31,7 +31,6 @@ from dimlab.fourier import (
     fourier_correlation_dims,
     fourier_energy,
     fourier_sandwich_report,
-    mean_square,
     mean_square_curve,
     mu_hat,
     near_zero_report,
@@ -345,7 +344,7 @@ class TestMeanSquare:
     def test_interval_against_si_oracle(self):
         mu = uniform_interval()
         for R in (1.0, 8.0, 64.0):
-            got = mean_square(mu, R)
+            got = mean_square_curve(mu, [R]).samples[0]
             assert got["value"] == pytest.approx(
                 interval_I(R), abs=max(3 * got["err"], 1e-6))
 
@@ -366,7 +365,7 @@ class TestMeanSquare:
 
     def test_atom_is_twice_R(self):
         mu = DyadicMeasureTree.atomic([(Fraction(1, 3),)], [1], 1, 6)
-        got = mean_square(mu, 5.0)
+        got = mean_square_curve(mu, [5.0]).samples[0]
         assert got["value"] == pytest.approx(10.0, abs=1e-9)
         assert got["err"] == pytest.approx(0.0, abs=1e-9)
 
@@ -398,19 +397,17 @@ class TestMeanSquare:
         curve = mean_square_curve(mu, Rs)
         vals = [s["value"] for s in curve.samples]
         assert vals == sorted(vals)
-        assert curve.value_at(4.0) == vals[1]
-        with pytest.raises(ValidationError):
-            curve.value_at(3.0)
+        assert [s["R"] for s in curve.samples] == Rs
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            mean_square(uniform_interval(3), 0.0)
+            mean_square_curve(uniform_interval(3), [0.0])
         for bad in (math.inf, math.nan, pow2(1100), pow2(-1100)):
             with pytest.raises(ValidationError):
                 mean_square_curve(uniform_interval(3), [1.0, bad])
         mu3 = DyadicMeasureTree.atomic([(Fraction(1, 2),) * 3], [1], 3, 4)
         with pytest.raises(UnavailableError):
-            mean_square(mu3, 2.0)
+            mean_square_curve(mu3, [2.0])
 
 
 def sierpinski_tree(depth=3):

@@ -768,6 +768,30 @@ class TestCliEstimate:
         with pytest.raises(ValidationError):
             io.load_json(tmp_path / "in.json")
 
+    @pytest.mark.parametrize("symbolic", [
+        {"kind": "segments",
+         "segments": [{"lo": 0, "hi": 20, "base": 0, "coef": 0}]},
+        {"kind": "segments",
+         "segments": [{"lo": 0, "hi": 20, "base": -5, "coef": 0}]},
+        {"kind": "geometric", "group": 2, "branch": 2,
+         "prefix_counts": [1, 0]},
+        {"kind": "geometric", "group": 2, "branch": 2,
+         "prefix_counts": [1, -3]}])
+    def test_symbolic_counts_must_be_positive(self, tmp_path, capsys,
+                                              symbolic):
+        # past the depth-4 leaves the counts come from `symbolic`, and a
+        # count of 0 or fewer cubes has no logarithm
+        data = io.set_to_dict(DyadicSetTree.full(1, 4))
+        data["symbolic"] = symbolic
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(data))
+        for argv in (["estimate", "box"], ["verify", "ineq-chain"]):
+            code, _, err = run_cli(capsys, *argv, "--in", str(p),
+                                   "--levels", "1..12")
+            assert code == 2 and "error:" in err
+        with pytest.raises(ValidationError):
+            io.load_json(p)
+
     def test_symbolic_geometric_group_must_be_json_integer(self, tmp_path,
                                                            capsys):
         data = io.set_to_dict(DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2],

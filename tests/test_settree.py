@@ -17,7 +17,7 @@ from dimlab.settree import (
     SymbolicCounts,
 )
 from oracles import (first_key_defect, first_nesting_defect,
-                     oracle_levels_from_deepest)
+                     oracle_digit_ifs_level, oracle_levels_from_deepest)
 
 
 def cantor_tree(depth):
@@ -96,6 +96,24 @@ class TestDigitIfs:
 
     def test_validate_accepts_ifs(self):
         cantor_tree(9).validate()
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_from_digit_ifs_matches_oracle(self, data):
+        # full, sparse and single-pattern keep sets in d = 1..3 with group
+        # 1..3, against a filter of every key, with d * depth <= 12
+        d = data.draw(st.integers(1, 3))
+        group = data.draw(st.integers(1, 3))
+        top = 1 << (d * group)
+        keep = data.draw(st.one_of(
+            st.just(list(range(top))),
+            st.lists(st.integers(0, top - 1), min_size=1, max_size=12)))
+        depth = data.draw(st.integers(0, 12 // d))
+        tree = DyadicSetTree.from_digit_ifs(d, group, keep, depth)
+        assert tree.levels == [oracle_digit_ifs_level(d, group, keep, n)
+                               for n in range(depth + 1)]
+        assert [tree.symbolic.count(n) for n in range(depth + 1)] == \
+            list(map(len, tree.levels))
 
 
 class TestFromPointsAndKeys:
@@ -404,6 +422,18 @@ class TestSymbolicCounts:
         assert segs.count(5) == 16 + 15
         assert segs.covers(9)
         assert not segs.covers(10)
+        assert [segs.segment(n).lo for n in (0, 4, 5, 9)] == [0, 0, 5, 5]
+        with pytest.raises(UnavailableError):
+            segs.segment(10)
+
+    def test_counts_must_be_positive(self):
+        for lo, hi, base, coef in ((0, 3, 0, 0), (0, 3, -5, 0),
+                                   (0, 3, 2, -1), (4, 3, 1, 0)):
+            with pytest.raises(ValidationError):
+                Segment(lo, hi, base, coef)
+        for prefix_counts in ([1, 0], [1, -3]):
+            with pytest.raises(ValidationError):
+                GeometricCounts(2, 2, prefix_counts)
 
     def test_round_trip_both_kinds(self):
         for sym in (GeometricCounts(2, 2, [1, 2]),
