@@ -62,7 +62,6 @@ from .fourier import (
     fourier_energy,
     fourier_sandwich_report,
     mean_square_curve,
-    mu_hat,
     near_zero_report,
 )
 from .io import (

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import fourier, io
@@ -365,7 +364,7 @@ def _cmd_verify_frostman_stages(args) -> int:
                      f"{'ok' if row['ok'] else 'VIOLATED'}")
     if rep.heuristic_oracle:
         lines.append("  note: admissibility decided by a slope heuristic")
-    return _verdict(args, {"stages": asdict(rep), "balls": balls, "ok": ok},
+    return _verdict(args, {"stages": rep, "balls": balls, "ok": ok},
                     lines, ok)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
@@ -204,7 +205,7 @@ class PredicateReport:
 def correlation_predicates(mu: DyadicMeasureTree, s, radii,
                            extra_depth: int = 4) -> dict[str, PredicateReport]:
     """The three per-scale membership tests behind the upper correlation
-    dimension, decided exactly where possible:
+    dimension, decided exactly where possible, in one pass over the radii:
 
     - "pair-integral": two-point bracket upper bound <= r^s; certified fail
       when the bracket lower bound already exceeds r^s.
@@ -219,61 +220,55 @@ def correlation_predicates(mu: DyadicMeasureTree, s, radii,
     if any(not (0 < r) for r in rads):
         raise ValidationError("radii must be positive")
 
-    pair = PredicateReport("pair-integral", sf)
+    pair, sup, cmax = (PredicateReport(p, sf) for p in
+                       ("pair-integral", "ball-sup", "cube-max"))
     for r in rads:
         br = mu.ball_correlation_bracket(r, extra_depth)
-        if le_rpow(br.upper, r, sf):
-            st = "pass"
-        elif cmp_rpow(br.lower, r, sf) > 0:
-            st = "fail"
-        else:
-            st = "inconclusive"
+        st = ("pass" if le_rpow(br.upper, r, sf) else
+              "fail" if cmp_rpow(br.lower, r, sf) > 0 else "inconclusive")
         pair.records.append({"radius": r, "lower": br.lower,
                              "upper": br.upper, "status": st})
-    pair.settle()
 
-    sup = PredicateReport("ball-sup", sf)
-    for r in rads:
         n = level_for_radius(r)
         if n > mu.max_depth:
-            sup.records.append({"radius": r, "level": n,
-                                "status": "inconclusive",
-                                "why": "cover level beyond depth"})
+            for rep, why in ((sup, "cover level beyond depth"),
+                             (cmax, "level beyond depth")):
+                rep.records.append({"radius": r, "level": n,
+                                    "status": "inconclusive", "why": why})
             continue
+        # past the cover bound, the heaviest ball about an atom, or a cube
+        # of diameter <= r, certifies a failure
         bound = mu.ball_cover_bound(n)
         if le_rpow(bound, r, sf):
-            sup.records.append({"radius": r, "level": n, "cover_bound": bound,
-                                "status": "pass"})
-            continue
-        # cover bound exceeded r^s: try to certify failure
-        st = "inconclusive"
-        if mu.leaf_model == "atoms":  # the heaviest ball about an atom
+            st = "pass"
+        elif mu.leaf_model == "atoms":
             nums, wden = mu.ball_masses_atoms(None, r)
-            if cmp_rpow(Fraction(max(nums), wden), r, sf) > 0:
-                st = "fail"
+            heavy = cmp_rpow(Fraction(max(nums), wden), r, sf) > 0
+            st = "fail" if heavy else "inconclusive"
         else:
             m = diameter_level(mu.d, r)
-            if m <= mu.max_depth and cmp_rpow(mu.max_cube_mass(m), r, sf) > 0:
-                st = "fail"
+            heavy = (m <= mu.max_depth
+                     and cmp_rpow(mu.max_cube_mass(m), r, sf) > 0)
+            st = "fail" if heavy else "inconclusive"
         sup.records.append({"radius": r, "level": n, "cover_bound": bound,
                             "status": st})
-    sup.settle()
-
-    cmax = PredicateReport("cube-max", sf)
-    for r in rads:
-        n = level_for_radius(r)
-        if n > mu.max_depth:
-            cmax.records.append({"radius": r, "level": n,
-                                 "status": "inconclusive",
-                                 "why": "level beyond depth"})
-            continue
         mmax = mu.max_cube_mass(n)
         ok = cmp_pow2(mmax, -(n * sf)) <= 0
         cmax.records.append({"radius": r, "level": n, "max_mass": mmax,
                              "status": "pass" if ok else "fail"})
-    cmax.settle()
+    return {rep.predicate: rep.settle() for rep in (pair, sup, cmax)}
 
-    return {"pair-integral": pair, "ball-sup": sup, "cube-max": cmax}
+
+def _halves(levels, depth: int) -> tuple[list[int], list[int], list[int]]:
+    """The sorted distinct window levels and its two halves, the first
+    holding the extra level of an odd window."""
+    lv = sorted(set(int(n) for n in levels))
+    if not lv:
+        raise ValidationError("empty level window")
+    if lv[0] < 0 or lv[-1] > depth:
+        raise ValidationError("levels must lie within the measure depth")
+    half = len(lv) - len(lv) // 2  # first-half length (ceil)
+    return lv, lv[:half], lv[half:]
 
 
 def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
@@ -285,13 +280,8 @@ def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
     half of the window. Exact comparisons throughout.
     """
     sf = to_fraction(s)
-    lv = sorted(set(int(n) for n in levels))
-    if not lv:
-        raise ValidationError("empty level window")
-    if lv[0] < 0 or lv[-1] > mu.max_depth:
-        raise ValidationError("levels must lie within the measure depth")
-    half = len(lv) - len(lv) // 2  # first-half length (ceil)
-    first, second = set(lv[:half]), set(lv[half:])
+    lv, *halves = _halves(levels, mu.max_depth)
+    first, second = map(set, halves)
 
     d = mu.d
     report = PredicateReport("dyadic-packing", sf)
@@ -299,7 +289,6 @@ def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
     per_level_pass = {n: 0 for n in lv}
     top = mu.max_depth
     leaves = mu.support.levels[top]
-    ok_all = True
     for leaf in leaves:
         hits = []
         for n in lv:
@@ -307,17 +296,15 @@ def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
             if cmp_pow2(mu.mass(n, anc), -(n * sf)) <= 0:
                 hits.append(n)
                 per_level_pass[n] += 1
-        if not (any(h in first for h in hits)
-                and any(h in second for h in hits)):
-            ok_all = False
-            if len(failing) < 16:
-                failing.append(leaf)
+        if len(failing) < 16 and not (first.intersection(hits)
+                                      and second.intersection(hits)):
+            failing.append(leaf)
     for n in lv:
         report.records.append({"level": n, "cubes_pass": per_level_pass[n],
                                "cubes_total": len(leaves),
                                "half": "first" if n in first else "second",
                                "status": "pass"})
-    report.verdict = "holds-on-window" if ok_all else "fails"
+    report.verdict = "fails" if failing else "holds-on-window"
     if failing:
         report.records.append({"failing_leaf_keys": failing,
                                "leaf_level": top,
@@ -331,66 +318,50 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     Returns (threshold, per-exponent verdicts); threshold 0 when none hold.
 
     Same verdicts as packing_predicate at every grid exponent, from one
-    top-down pass over the window's levels. For a fixed cube of mass m at
-    level n, m <= 2^-ns is monotone in s, so the exponents it passes form a
-    prefix of the sorted grid; its length is found by bisection, once per
-    (level, mass numerator). A leaf then passes at the first k exponents,
-    where k is the smaller of the longest prefix passed by an ancestor in
-    the first half of the window and in the second half, and the predicate
-    holds exactly on the shortest such prefix over all leaves. Each half
-    keeps its best prefixes as a list in key order; a level that branches
-    repeats each entry over the cube's runs of descendants (the tree's
-    parent_runs, level by level), then folds its own prefixes in. Once no
-    level of a half is left, only the minimum of its list is read, which
-    repeating entries does not change, so the second half's levels repeat
-    its list alone. A level with as many cubes
-    only continues one-child chains, which repeat their masses, and a mass
-    passes no more exponents deeper down (2^-ns falls with n for s > 0, is
-    >= 1 for s <= 0), so it is skipped once its half has been folded in on
-    those chains. Every cube at the window's last level has a leaf below
-    it with the same window ancestors, so the pass stops there.
+    top-down pass over each half of the window. For a fixed cube of mass m
+    at level n, m <= 2^-ns is monotone in s, so the exponents it passes form
+    a prefix of the sorted grid; its length is found by bisection, once per
+    (level, mass numerator). A leaf passes the first k exponents, k the
+    smaller of the longest prefixes passed by its ancestors in each half, so
+    the predicate holds on the smaller of the two half minima (0 for the
+    empty second half of a one-level window). A half keeps its best
+    prefixes as a list in key order from its first level; before each later
+    level the list repeats each entry over the cube's runs of descendants
+    (parent_runs, level by level from the last level folded in), which
+    keeps its minimum, then folds in that level's prefixes. A level with as
+    many cubes as the last one folded only continues one-child chains,
+    which repeat their masses, and a mass passes no more exponents deeper
+    down (2^-ns falls with n for s > 0, is >= 1 for s <= 0): it is skipped.
     """
     if grid is None:
         grid = [Fraction(k, 20) for k in range(1, 21)]
     svs = sorted(to_fraction(g) for g in grid)
     if not svs:
         return Fraction(0), []
-    lv = sorted(set(int(n) for n in levels))
-    if not lv:
-        raise ValidationError("empty level window")
-    if lv[0] < 0 or lv[-1] > mu.max_depth:
-        raise ValidationError("levels must lie within the measure depth")
-    half = len(lv) - len(lv) // 2  # first-half length (ceil)
-    nsv, support = len(svs), mu.support.levels
-
-    # per half, the best prefix passed by each level-`at` cube or an
-    # ancestor in that half; halves come in order and level `at` was folded
-    # in, so the chains below it were folded into `last`, the latest half
-    best, at, last = [[0], [0]], 0, None
-    for i, n in enumerate(lv):
-        h, keys = int(i >= half), support[n]
-        if len(keys) != len(support[at]):
-            for runs in filter(None, mu.support.parent_runs[at:n]):
-                best[h:] = [list(chain.from_iterable(map(repeat, b, runs[1])))
-                            for b in best[h:]]
-            at = n
-        elif h == last:
-            continue
-        last = h
-        nums, den = mu.tables[n]
-        passed = {}  # numerator -> length of the grid prefix its mass passes
-        for num in set(nums):
-            m, lo, hi = Fraction(num, den), 0, nsv
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if cmp_pow2(m, -(n * svs[mid])) <= 0:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            passed[num] = lo
-        best[h] = [x if x > k else k for x, k in zip(
-            best[h], map(passed.__getitem__, nums))]
-    holds = min(nsv, *map(min, best))
+    _, *halves = _halves(levels, mu.max_depth)
+    tree, holds = mu.support, len(svs)
+    for half in halves:
+        # the best prefix passed by each level-`at` cube or an ancestor in
+        # the half; an empty half keeps [0] at the root, so holds is 0
+        at = half[0] if half else 0
+        best = [0] * len(tree.levels[at])
+        for n in half:
+            if n != at:
+                if len(tree.levels[n]) == len(tree.levels[at]):
+                    continue
+                for runs in filter(None, tree.parent_runs[at:n]):
+                    best = list(chain.from_iterable(
+                        map(repeat, best, runs[1])))
+                at = n
+            nums, den = mu.tables[n]
+            passed = {}  # numerator -> length of the grid prefix it passes
+            for num in set(nums):
+                m = Fraction(num, den)
+                passed[num] = bisect_left(
+                    svs, True, key=lambda sv: cmp_pow2(m, -(n * sv)) > 0)
+            best = [x if x > k else k for x, k in zip(
+                best, map(passed.__getitem__, nums))]
+        holds = min(holds, *best)
     tested = [(sv, "holds-on-window" if i < holds else "fails")
               for i, sv in enumerate(svs)]
     return (svs[holds - 1] if holds else Fraction(0)), tested
@@ -450,6 +421,9 @@ def inequality_report(tree: DyadicSetTree, measures, levels=None,
     hdd: list[float] = []
     pack: list[Fraction] = []
     for i, mu in enumerate(measures):
+        if mu.d != tree.d:
+            raise ValidationError(f"measure {i} has d = {mu.d}, "
+                                  f"the set has d = {tree.d}")
         mlv = [n for n in lv if n <= mu.max_depth]
         row: dict = {"measure": i, "levels": (mlv[0], mlv[-1]) if mlv else None}
         if len(mlv) < 4:

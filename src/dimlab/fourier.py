@@ -191,17 +191,6 @@ def _mu_hat_grid(terms, dirs: np.ndarray, start: float, step: float,
     return out
 
 
-def mu_hat(mu: DyadicMeasureTree, z) -> complex:
-    """The characteristic function of mu at one frequency vector
-    (a scalar is accepted when d = 1)."""
-    import numpy as np
-    zv = np.atleast_1d(np.asarray(z, dtype=float)).reshape(-1)
-    if zv.shape[0] != mu.d:
-        raise ValidationError(f"frequency vector must have length {mu.d}")
-    return complex(_mu_hat_grid(_terms(mu), zv.reshape(1, -1), 1.0, 0.0,
-                                1)[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # mean-square integrals I(R) = integral of |mu_hat|^2 over |z| <= R
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from io import StringIO
 from operator import itemgetter, methodcaller
@@ -46,6 +46,9 @@ def _encode_bigints(value):
                 and -_BIG < min(value) and max(value) < _BIG):
             return value
         return [_encode_bigints(v) for v in value]
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _encode_bigints(getattr(value, f.name))
+                for f in fields(value)}
     return value
 
 
@@ -362,13 +365,11 @@ def curve_to_csv(samples, path, header=("scale", "value", "err")) -> None:
 
 
 def report_to_json(report, path=None):
-    """Dump any report dataclass as JSON (rationals become p/q strings).
-    Returns the JSON string; writes it when a path is given."""
-    if is_dataclass(report) and not isinstance(report, type):
-        payload = asdict(report)
-    elif isinstance(report, dict):
-        payload = report
-    else:
+    """Dump a report dataclass or dict as JSON (dataclasses in it become
+    their fields, rationals p/q strings). Returns the JSON string; writes
+    it when a path is given."""
+    if not (isinstance(report, dict) or is_dataclass(report)
+            and not isinstance(report, type)):
         raise ValidationError(f"cannot export {type(report).__name__}")
 
     def default(o):
@@ -381,7 +382,7 @@ def report_to_json(report, path=None):
             return {"re": o.real, "im": o.imag}
         return str(o)
 
-    text = json.dumps(_encode_bigints(payload), separators=(",", ":"),
+    text = json.dumps(_encode_bigints(report), separators=(",", ":"),
                       default=default)
     if path is not None:
         Path(path).write_text(text + "\n")

@@ -181,8 +181,9 @@ class DyadicSetTree:
                     meta: dict | None = None) -> "DyadicSetTree":
         """Tree over strictly sorted in-range `leaves` (else validate's text
         for the defect): one bottom-up pass derives each level above, the
-        distinct k >> d of the one below, and its parent_runs. As validate,
-        it sets no 62-bit key budget, so deep saved sets load."""
+        distinct k >> d of the one below, and its parent_runs, then checks
+        the symbolic counts. As validate, it sets no 62-bit key budget, so
+        deep saved sets load."""
         _check_shape(d, depth)
         if not leaves:
             raise ValidationError("empty cube family")
@@ -194,6 +195,7 @@ class DyadicSetTree:
             runs.append(run)
         tree = cls(d, depth, levels[::-1], symbolic, meta or {})
         tree.__dict__["parent_runs"] = runs[::-1]
+        tree._check_counts()
         return tree
 
     @classmethod
@@ -246,8 +248,9 @@ class DyadicSetTree:
     def validate(self) -> None:
         """Raise ValidationError on the first defect: the shape, a key out
         of range or order, then a level not nested under the one above (a
-        childless parent before an orphan), each level by level. A sound
-        level of one child per parent passes both in one comparison."""
+        childless parent before an orphan), each level by level, then a
+        symbolic count that contradicts a level. A sound level of one child
+        per parent passes the nesting checks in one comparison."""
         if self.d < 1:
             raise ValidationError("d must be >= 1")
         if len(self.levels) != self.max_depth + 1:
@@ -286,6 +289,16 @@ class DyadicSetTree:
                           if k >> self.d not in selected)
             raise ValidationError(
                 f"cube {orphan} at level {n} has unselected parent")
+        self._check_counts()
+
+    def _check_counts(self) -> None:
+        """Raise where the symbolic counts contradict a stored level."""
+        sym = self.symbolic
+        for n, keys in enumerate(self.levels if sym else ()):
+            if sym.covers(n) and sym.count(n) != len(keys):
+                raise ValidationError(f"symbolic counts give {sym.count(n)} "
+                                      f"cubes at level {n}, the set holds "
+                                      f"{len(keys)}")
 
     def box_count(self, n: int) -> int:
         if n < 0:

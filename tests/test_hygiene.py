@@ -12,7 +12,6 @@ re-exports.
 import ast
 import builtins
 import os
-import re
 import subprocess
 import sys
 from collections import Counter
@@ -70,15 +69,17 @@ ROOT = SRC.parent.parent
 # the code that can call a definition: the other modules of the package and
 # the benchmark, whose tracer names its targets in strings. Tests and the
 # re-exports of __init__.py do not count: a name only they reach is dead.
-CALLERS = MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
-IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+BENCH = sorted((ROOT / "perfbench").rglob("*.py"))
+CALLERS = MODULES + BENCH
 
 
-def used_identifiers(tree: ast.AST, attributes_only: bool = False) -> Counter:
-    """How often each identifier is read as an attribute or named in a
-    string that is not a docstring (string annotations, the benchmark
-    tracer's target table, `__all__`), and, unless attributes_only, loaded
-    as a bare name or imported."""
+def used_identifiers(tree: ast.AST, attributes_only: bool = False,
+                     strings: bool = False) -> Counter:
+    """How often each identifier is read as an attribute, is the whole of
+    a string that is not a docstring when `strings` (the benchmark tracer
+    names its targets so), and, unless attributes_only, is loaded as a bare
+    name or imported. Any other string (a message, a report key) names
+    nothing."""
     docstrings = {id(node.value) for node in ast.walk(tree)
                   if isinstance(node, ast.Expr)
                   and isinstance(node.value, ast.Constant)}
@@ -90,9 +91,10 @@ def used_identifiers(tree: ast.AST, attributes_only: bool = False) -> Counter:
             used[node.attr] += 1
         elif isinstance(node, ast.alias) and not attributes_only:
             used[node.name.split(".")[-1]] += 1
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docstrings):
-            used.update(IDENTIFIER.findall(node.value))
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and id(node) not in docstrings
+              and node.value.isidentifier()):
+            used[node.value] += 1
     return used
 
 
@@ -100,13 +102,14 @@ def test_no_dead_definitions():
     """Every function, method and class defined in src/dimlab is named
     somewhere in its modules (__init__.py aside) or in perfbench outside its
     own definition. A method or property counts as used only when it is
-    read as an attribute or named in a string: a bare name of the same
+    read as an attribute or is a perfbench string: a bare name of the same
     spelling is some other variable."""
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in CALLERS}
     used = {False: Counter(), True: Counter()}
-    for tree in trees.values():
+    for path, tree in trees.items():
         for attributes_only, counts in used.items():
-            counts.update(used_identifiers(tree, attributes_only))
+            counts.update(used_identifiers(tree, attributes_only,
+                                           path in BENCH))
     dead = []
     for path in MODULES:
         tree = trees[path]
@@ -176,7 +179,7 @@ square = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, 2))
 assert square.ball_correlation_bracket(Fraction(1, 5)).cap_level > 2
 assert "numpy" not in sys.modules, "a 2-D ball bracket loaded numpy"
 if sys.argv[2] == "transform":
-    fourier.mu_hat(DyadicMeasureTree.uniform_on_set(tree), 1.0)
+    fourier.near_zero_report(DyadicMeasureTree.uniform_on_set(tree))
 else:
     square.energy_bracket(Fraction(1, 2), refine_depth=1)
 assert "numpy" in sys.modules, f"the {sys.argv[2]} ran without numpy"

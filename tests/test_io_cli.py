@@ -427,6 +427,15 @@ class TestReportJson:
                                   "c": edge, "d": {"$bighex": hex(-big)}}
         assert json.loads(text, object_hook=io._decode_bigint) == report
 
+    def test_dataclass_inside_dict_report_writes_its_fields(self):
+        # as `verify frostman-stages --json` nests its stage report
+        mu = DyadicMeasureTree.uniform_on_set(cantor_tree(6))
+        br = mu.energy_bracket(Fraction(1, 3), refine_depth=2)
+        data = json.loads(io.report_to_json({"bracket": br, "ok": True}))
+        assert data == {"bracket": json.loads(io.report_to_json(br)),
+                        "ok": True}
+        assert data["bracket"]["s"] == "1/3"
+
     def test_bool_in_int_list_stays_bool(self):
         text = io.report_to_json({"xs": [1, True, 2], "flags": [False]})
         assert text == '{"xs":[1,true,2],"flags":[false]}'
@@ -792,6 +801,27 @@ class TestCliEstimate:
         with pytest.raises(ValidationError):
             io.load_json(p)
 
+    @pytest.mark.parametrize("layout", ["leaves", "old-layout"])
+    @pytest.mark.parametrize("symbolic, want", [
+        ({"kind": "geometric", "group": 1, "branch": 2,
+          "prefix_counts": [1]}, "give 4 cubes at level 2, the set holds 2"),
+        ({"kind": "segments",
+          "segments": [{"lo": 5, "hi": 40, "base": 3, "coef": 1}]},
+         "give 4 cubes at level 5, the set holds 8"),
+    ], ids=["geometric", "segments"])
+    def test_symbolic_counts_must_match_levels(self, tmp_path, capsys,
+                                               symbolic, want, layout):
+        # counts that contradict a stored level would carry the box slope
+        # past the set's dimension (a slope above 1 for this 1-D set)
+        tree = cantor_tree(8)
+        data = io.set_to_dict(tree) if layout == "leaves" else \
+            old_layout(tree)
+        data["symbolic"] = symbolic
+        code, text, err = self._estimate_box(capsys, tmp_path, data)
+        assert (code, text, err) == (2, "", f"error: symbolic counts {want}\n")
+        with pytest.raises(ValidationError, match=want):
+            io.load_json(tmp_path / "in.json")
+
     def test_symbolic_geometric_group_must_be_json_integer(self, tmp_path,
                                                            capsys):
         data = io.set_to_dict(DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2],
@@ -945,6 +975,19 @@ class TestCliVerify:
         code, text, err = run_cli(capsys, "verify", "ineq-chain",
                                   "--in", str(path))
         assert (code, text, err) == (2, "", f"error: {want}\n")
+
+    def test_ineq_chain_rejects_measure_of_another_dimension(
+            self, tmp_path, cantor_file, capsys):
+        square = tmp_path / "sq.json"
+        code, _, _ = run_cli(capsys, "construct", "ifs", "--base", "4",
+                             "--keep", "0,3", "--depth", "6", "--d", "2",
+                             "--out", str(square))
+        assert code == 0
+        code, text, err = run_cli(capsys, "verify", "ineq-chain",
+                                  "--in", cantor_file,
+                                  "--measures", str(square))
+        assert (code, text, err) == (
+            2, "", "error: measure 1 has d = 2, the set has d = 1\n")
 
     def test_ball_lower_bound(self, cantor_file, capsys):
         code, text, _ = run_cli(capsys, "verify", "ball-lower-bound",
