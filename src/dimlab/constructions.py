@@ -80,8 +80,6 @@ class AlternatingPlan:
         for i in range(1, len(bps)):
             lo = bps[i - 1] + 1 if i > 1 else 0
             hi = bps[i]
-            if lo > hi:
-                continue
             if i % 2 == 1:
                 # doubling: count(n) = 2^{E(bps[i]) - (bps[i] - n)}
                 coef = 1 << (self.doubled[i] - (hi - lo))
@@ -89,10 +87,6 @@ class AlternatingPlan:
             else:
                 segs.append(Segment(lo, hi, 1 << self.doubled[i], 0))
         return SegmentCounts(segs)
-
-
-def default_slack(dim_low: Fraction) -> Callable[[int], Fraction]:
-    return lambda k: dim_low / (k + 2)
 
 
 def alternating_plan(dim_low, dim_high, slack=None,
@@ -111,7 +105,7 @@ def alternating_plan(dim_low, dim_high, slack=None,
         raise ValidationError("level budget must be >= 1")
     slack_fn: Callable[[int], Fraction]
     if slack is None:
-        slack_fn = default_slack(t)
+        slack_fn = lambda k: t / (k + 2)  # noqa: E731
     elif callable(slack):
         slack_fn = lambda k: to_fraction(slack(k))  # noqa: E731
     else:
@@ -514,8 +508,6 @@ def _auto_oracle(tree: DyadicSetTree, s: Fraction
         lo = level + span // 2
         c_lo = tree.descendant_count(level, key, lo)
         c_hi = tree.descendant_count(level, key, max_depth)
-        if c_lo == 0:
-            return False
         # log2(c_hi / c_lo) / (max_depth - lo) > s + 1/100, on ints
         return cmp_pow2(Fraction(c_hi, c_lo),
                         (s + Fraction(1, 100)) * (max_depth - lo)) > 0

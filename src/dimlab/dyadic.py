@@ -17,8 +17,10 @@ from .exact import dyadic_index
 
 def interleave(index: tuple[int, ...], level: int) -> int:
     """Morton key of an index tuple at a level. Axis 0 takes the high bit
-    of each d-bit group."""
+    of each d-bit group; a 1-D index is its own key."""
     d = len(index)
+    if d == 1:
+        return index[0]
     key = 0
     for b in range(level - 1, -1, -1):
         for j in index:
@@ -27,6 +29,9 @@ def interleave(index: tuple[int, ...], level: int) -> int:
 
 
 def deinterleave(key: int, level: int, d: int) -> tuple[int, ...]:
+    """Index tuple of a Morton key at a level, the inverse of interleave."""
+    if d == 1:
+        return (key,)
     idx = [0] * d
     for b in range(level):
         for i in range(d - 1, -1, -1):

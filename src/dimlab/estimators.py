@@ -416,10 +416,6 @@ def inequality_report(tree: DyadicSetTree, measures, levels=None,
 
     gaps: list[str] = []
     per_measure: list[dict] = []
-    corr_lo: list[float] = []
-    corr_hi: list[float] = []
-    hdd: list[float] = []
-    pack: list[Fraction] = []
     for i, mu in enumerate(measures):
         if mu.d != tree.d:
             raise ValidationError(f"measure {i} has d = {mu.d}, "
@@ -437,10 +433,6 @@ def inequality_report(tree: DyadicSetTree, measures, levels=None,
         row.update(corr_lower=corr.lower.value, corr_upper=corr.upper.value,
                    frostman=fro.lower.value, packing_threshold=thr)
         per_measure.append(row)
-        corr_lo.append(corr.lower.value)
-        corr_hi.append(corr.upper.value)
-        hdd.append(fro.lower.value)
-        pack.append(thr)
 
     if not measures:
         gaps.append("no measures supplied: correlation, Frostman and "
@@ -453,21 +445,23 @@ def inequality_report(tree: DyadicSetTree, measures, levels=None,
                        "ok": float(lhs) <= float(rhs)})
 
     add_check("lower_box <= upper_box", box.lower.value, box.upper.value)
-    if hdd:
-        estimates["hausdorff_proxy"] = max(hdd)
-        add_check("hausdorff_proxy <= lower_box + tol", max(hdd),
+    # each proxy's best witness over the measures that have a row of them
+    rows = [row for row in per_measure if "gap" not in row]
+    if rows:
+        hdd, corr_lo, corr_hi, pack = (
+            max(row[name] for row in rows) for name in
+            ("frostman", "corr_lower", "corr_upper", "packing_threshold"))
+        estimates["hausdorff_proxy"] = hdd
+        add_check("hausdorff_proxy <= lower_box + tol", hdd,
                   box.lower.value + tol)
         # the minkowski-type lower dimension sits between these two
-        estimates["lower_box_bracket"] = (max(hdd), box.lower.value)
-    if corr_lo:
-        estimates["corr_lower"] = max(corr_lo)
-        estimates["corr_upper"] = max(corr_hi)
-        add_check("corr_lower <= corr_upper", max(corr_lo), max(corr_hi))
-    if pack:
-        estimates["packing_threshold"] = max(pack)
-        if corr_hi:
-            add_check("corr_upper <= packing_threshold + tol", max(corr_hi),
-                      float(max(pack)) + tol)
+        estimates["lower_box_bracket"] = (hdd, box.lower.value)
+        estimates["corr_lower"] = corr_lo
+        estimates["corr_upper"] = corr_hi
+        add_check("corr_lower <= corr_upper", corr_lo, corr_hi)
+        estimates["packing_threshold"] = pack
+        add_check("corr_upper <= packing_threshold + tol", corr_hi,
+                  float(pack) + tol)
 
     ok = all(c["ok"] for c in checks)
     return InequalityReport(estimates, per_measure, checks, gaps,

@@ -100,14 +100,6 @@ class EnergyBracket:
     diverged: bool = False
     detail: dict = field(default_factory=dict)
 
-    @property
-    def midpoint(self) -> float:
-        return (self.lower + self.upper) / 2
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 class DyadicMeasureTree:
     """Mass assignment on a DyadicSetTree. tables[n] = (N, D) holds level
@@ -200,8 +192,7 @@ class DyadicMeasureTree:
         (a 2^depth - 1) // q per axis, one leaf per distinct key, summed up."""
         ints = q, ips, ns, wden = _merged(q, ips, ns, wden)
         idx = [((a << depth) - 1) // q for p in ips for a in p]
-        keys = idx if d == 1 else list(map(interleave, zip(*[iter(idx)] * d),
-                                           repeat(depth)))
+        keys = list(map(interleave, zip(*[iter(idx)] * d), repeat(depth)))
         keys, ns = zip(*sorted(zip(keys, ns), key=itemgetter(0)))
         leaves, _, ends = _runs(keys)
         tree = DyadicSetTree.from_leaves(d, depth, leaves, None,
@@ -401,7 +392,7 @@ class DyadicMeasureTree:
         corners = list(itertools.product((0, -1), repeat=self.d))
         blocks = defaultdict(int)
         for key, m in zip(self.support.levels[n], nums):
-            idx = (key,) if self.d == 1 else deinterleave(key, n, self.d)
+            idx = deinterleave(key, n, self.d)
             for c in corners:
                 blocks[tuple(map(add, idx, c))] += m
         return Fraction(max(blocks.values()), den)
@@ -582,10 +573,7 @@ class DyadicMeasureTree:
         nums, den = self.tables[L]
         keys = self.support.levels[L]
         n = len(keys)
-        # axis i takes key bit d b + d - 1 - i as its bit b (deinterleave)
-        bits = (np.array(keys)[:, None] >> np.arange(d * L)) & 1
-        idx = (bits.reshape(n, L, d)[:, :, ::-1]
-               << np.arange(L)[:, None]).sum(axis=1)
+        idx = np.array([deinterleave(k, L, d) for k in keys])
         w = np.array([m / den for m in nums])
         shifts = np.arange(d - 1, -1, -1, dtype=np.int64) * L
         rows = min(n, max(1, (1 << 20) // (n * d)))
@@ -658,7 +646,7 @@ def _level_rows(keys: list[int], nums: list[int], m: int, d: int) -> list:
     their numerators ns, ns by js, prefix sums of ns)."""
     cubes = defaultdict(list)
     for key, n in zip(keys, nums):
-        idx = (key,) if d == 1 else deinterleave(key, m, d)
+        idx = deinterleave(key, m, d)
         cubes[idx[:-1]].append((idx[-1], n))
     rows = []
     for u, row in sorted(cubes.items()):
@@ -875,8 +863,6 @@ def _net(tree: DyadicSetTree, n: int, shift: int = 0) -> list[tuple]:
     so they form a maximal 2^-n-separated net."""
     if not (0 <= n <= tree.max_depth):
         raise ValidationError("level out of range")
-    if tree.d == 1:
-        return [((k + 1) << shift,) for k in tree.levels[n]]
     return [tuple((j + 1) << shift for j in deinterleave(k, n, tree.d))
             for k in tree.levels[n]]
 

@@ -34,18 +34,8 @@ def _ints(values: list) -> list:
 
 
 class SymbolicCounts:
-    """Closed-form cube counts past the materialized depth."""
-
-    kind = "abstract"
-
-    def count(self, n: int) -> int:
-        raise NotImplementedError
-
-    def covers(self, n: int) -> bool:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
+    """Closed-form cube counts past the materialized depth: a subclass
+    gives count(n), covers(n) and to_dict()."""
 
     @staticmethod
     def from_dict(data: dict) -> "SymbolicCounts":
@@ -327,7 +317,8 @@ class DyadicSetTree:
     def children_keys(self, level: int, key: int) -> list[int]:
         if level >= self.max_depth:
             return []
-        return self.descendant_keys(level, key, level + 1)
+        lo, hi = self._span(level, key, level + 1)
+        return self.levels[level + 1][lo:hi]
 
     def _span(self, level: int, key: int, n: int) -> tuple[int, int]:
         """The slice of levels[n] under the level-`level` cube `key`."""
@@ -344,12 +335,6 @@ class DyadicSetTree:
             raise UnavailableError("target level beyond materialized depth")
         lo, hi = self._span(level, key, n)
         return hi - lo
-
-    def descendant_keys(self, level: int, key: int, n: int) -> list[int]:
-        if n < level or n > self.max_depth:
-            raise ValidationError("target level out of range")
-        lo, hi = self._span(level, key, n)
-        return self.levels[n][lo:hi]
 
 
 def _check_shape(d: int, depth: int) -> None:

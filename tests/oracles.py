@@ -522,7 +522,7 @@ def ancestor_tables(leaf, d, depth):
 
 def oracle_frostman_stages(tree, s, radii, stages=None):
     """stagewise_frostman_measures with one (key, Fraction) pair per stage
-    cube: each candidate level tested cube by cube over its descendant_keys
+    cube: each candidate level tested cube by cube over its level-n keys
     by a Fraction power comparison, the masses split by Fraction division,
     and each stage's (levels, tables) summed by ancestor_tables. Returns
     (stage levels, report rows, per-stage (levels, tables)); raises
@@ -546,9 +546,11 @@ def oracle_frostman_stages(tree, s, radii, stages=None):
             if n <= floor_level:
                 continue
             selection = {}
+            keys, shift = tree.levels[n], tree.d * (n - cur_level)
             for key, mass in current:
-                kids = [k for k in tree.descendant_keys(cur_level, key, n)
-                        if admissible(n, k)]
+                lo = bisect_left(keys, key << shift)
+                hi = bisect_left(keys, (key + 1) << shift)
+                kids = [k for k in keys[lo:hi] if admissible(n, k)]
                 if not kids or fraction_cmp_pow2(len(kids) / mass,
                                                  e + n * s) < 0:
                     break

@@ -667,8 +667,9 @@ class TestEnergy:
                         (Fraction(3, 4), 32 / 5)]:
             b = mu.energy_bracket(s)
             assert not b.diverged
-            assert b.lower <= want <= b.upper or abs(b.midpoint - want) < 1e-9
-            assert b.width < 1e-6
+            assert (b.lower <= want <= b.upper
+                    or abs((b.lower + b.upper) / 2 - want) < 1e-9)
+            assert b.upper - b.lower < 1e-6
 
     @pytest.mark.parametrize("s, want", [
         (Fraction(1, 2), 1.5844091716), (Fraction(1), 2.9732095982),
@@ -707,7 +708,7 @@ class TestEnergy:
         fine = mu.energy_bracket(Fraction(1, 2), refine_depth=3)
         assert not rough.diverged and not fine.diverged
         assert rough.lower <= fine.lower <= fine.upper <= rough.upper
-        assert fine.width < rough.width
+        assert fine.upper - fine.lower < rough.upper - rough.lower
         assert fine.lower > 0
         # s = 1: the mean reciprocal distance in the unit square
         want = 4 / 3 * (1 - math.sqrt(2)) + 4 * math.log(1 + math.sqrt(2))
@@ -811,8 +812,8 @@ class TestEnergyOracle:
         want = oracle_energy_1d(mu, s)
         b = mu.energy_bracket(s)
         assert b.lower <= want <= b.upper
-        assert b.width < 1e-6 * want
-        assert b.midpoint == pytest.approx(want, rel=1e-12)
+        assert b.upper - b.lower < 1e-6 * want
+        assert (b.lower + b.upper) / 2 == pytest.approx(want, rel=1e-12)
         assert type(b.lower) is float and type(b.upper) is float
 
     @pytest.mark.parametrize("mu, s, cap", [

@@ -342,12 +342,10 @@ class TestQueries:
 
     def test_descendants(self):
         t = cantor_tree(8)
-        assert t.descendant_keys(2, 3, 4) == [12, 15]
         assert t.descendant_count(0, 0, 8) == t.box_count(8)
         # brute force against the level lists
         for key in t.levels[2]:
             want = [k for k in t.levels[6] if (k >> 4) == key]
-            assert t.descendant_keys(2, key, 6) == want
             assert t.descendant_count(2, key, 6) == len(want)
 
     def test_descendant_bounds(self):
