@@ -487,15 +487,14 @@ def _auto_oracle(tree: DyadicSetTree, s: Fraction
     """
     kind, sym = tree.meta.get("kind"), tree.symbolic
     admit = None
-    if kind == "ifs" and getattr(sym, "branch", None) is not None:
-        # dimension = log2(branch)/(group*d); admissible iff dim > s
-        admit = cmp_pow2(Fraction(sym.branch), s * sym.group * tree.d) > 0
+    if kind in ("ifs", "full") and getattr(sym, "branch", None) is not None:
+        # a level-(a * group) cube holds branch^a cubes a * group levels
+        # down, so dimension = log2(branch) / group; admissible iff dim > s
+        admit = cmp_pow2(Fraction(sym.branch), s * sym.group) > 0
     elif kind == "alternating":
         if "dim_low" not in tree.meta:
             raise ValidationError("alternating set meta has no dim_low")
         admit = to_fraction(tree.meta["dim_low"]) > s
-    elif kind == "full":
-        admit = tree.d > s
     if admit is not None:
         return (lambda level, key: admit), False
 

@@ -230,7 +230,7 @@ class DyadicSetTree:
         sym = GeometricCounts(group, len(keep_sorted),
                               [len(pre[p]) for p in range(group)])
         meta = {"kind": "ifs", "group": group, "keep": keep_sorted,
-                "dimension": math.log2(len(keep_sorted)) / (group * d)}
+                "dimension": math.log2(len(keep_sorted)) / group}
         return cls(d, depth, levels, sym, meta)
 
     # -- structure queries ------------------------------------------------

@@ -402,6 +402,19 @@ class TestFrostmanStages:
         assert report.ok
         assert not report.heuristic_oracle
 
+    def test_full_and_keep_all_digit_sets_admit_alike(self):
+        # a full cube and the digit rule that keeps every digit are the same
+        # set, of dimension d, and take the same admissibility rule
+        for d in (1, 2, 3):
+            full = DyadicSetTree.full(d, 3)
+            every = DyadicSetTree.from_digit_ifs(d, 1, range(1 << d), 3)
+            assert every.levels == full.levels
+            for s in (Fraction(k, 4) for k in range(1, 4 * d + 3)):
+                admit, heuristic = _auto_oracle(full, s)
+                same, _ = _auto_oracle(every, s)
+                assert not heuristic
+                assert admit(1, 0) is same(1, 0) is (d > s), (d, s)
+
     def test_heuristic_oracle_flagged(self):
         # a tree with no construction metadata falls back to the slope
         # heuristic, and the report says so

@@ -190,7 +190,7 @@ class TestJsonRoundTrips:
             "random_split": (DyadicMeasureTree.random_split(
                 DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 3),
                 random.Random(11)),
-                "6b070bc3724f9b8f3db53b30a7d748b19b0080e7cd73426765f82739146e7dbb"),
+                "65bdd8650790edb04e26b67845b4cf5d3240635267df2f95c85d694697b103d7"),
             "atomic": (DyadicMeasureTree.atomic(
                 [(Fraction(1, 3),), (Fraction(3, 4),), (Fraction(5, 7),)],
                 [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], 1, 5),
@@ -1007,6 +1007,20 @@ class TestCliVerify:
         code, text, _ = run_cli(capsys, "verify", "frostman-stages",
                                 "--s", "1/2", "--d", "1", "--depth", "8")
         assert code == 0 and "frostman-stages: PASS" in text
+
+    def test_frostman_stages_on_sierpinski_use_its_dimension(self, tmp_path,
+                                                             capsys):
+        # the depth-6 Sierpinski set has dimension log2 3 ~ 1.585, so
+        # s = 4/5 is admissible (it was refused as if the dimension were
+        # log2 3 / 2)
+        p = tmp_path / "sierpinski.json"
+        io.save_json(DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 6), p)
+        code, text, err = run_cli(capsys, "verify", "frostman-stages",
+                                  "--in", str(p), "--s", "4/5")
+        assert (code, err) == (0, "")
+        assert "stages at levels [5, 6]" in text
+        assert "frostman-stages: PASS" in text
+        assert "slope heuristic" not in text
 
     @pytest.mark.parametrize("meta", ["cantor", [1, 2], 7,
                                       {"$rational": "1/2"}])

@@ -1,5 +1,6 @@
 """Unit tests for cube-family trees and their symbolic level counts."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -74,9 +75,15 @@ class TestDigitIfs:
         assert t.box_count(21) == 1 << 11
 
     def test_meta_dimension(self):
+        # log2(branch) / group in every d: the digit rule keeps `branch`
+        # of the level-(a * group) cubes' descendants `group` levels down
         assert cantor_tree(4).meta["dimension"] == 0.5
+        for d, group, keep in [(2, 1, [0, 3]), (2, 1, [0, 1, 2]),
+                               (2, 2, [0, 5, 15]), (3, 1, range(8))]:
+            t = DyadicSetTree.from_digit_ifs(d, group, keep, depth=4)
+            assert t.meta["dimension"] == math.log2(len(keep)) / group
         quad = DyadicSetTree.from_digit_ifs(2, group=1, keep=[0, 3], depth=4)
-        assert quad.meta["dimension"] == 0.5
+        assert quad.meta["dimension"] == 1.0
 
     def test_2d_quadrant_rule(self):
         # keep the (0,0) and (1,1) quadrants at every level
