@@ -279,7 +279,17 @@ def save_json(obj, path) -> None:
         data = _encode_bigints(plan_to_dict(obj))
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
-    Path(path).write_text(json.dumps(data, separators=(",", ":")) + "\n")
+    _write(path, json.dumps(data, separators=(",", ":")) + "\n")
+
+
+def _write(path, text: str, newline: str | None = None) -> None:
+    """Write text to path; one that cannot be written is a ValidationError,
+    as load_json makes one that cannot be read."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def load_json(path):
@@ -353,15 +363,16 @@ def _parse_coord(cell: str) -> Fraction:
 def curve_to_csv(samples, path, header=("scale", "value", "err")) -> None:
     """Write (scale, value[, err]) rows; accepts mean-square curve samples
     (dicts) or plain tuples."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for s in samples:
-            if isinstance(s, dict):
-                w.writerow([s.get("R", s.get("scale")), s["value"],
-                            s.get("err", "")])
-            else:
-                w.writerow(list(s))
+    buf = StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for s in samples:
+        if isinstance(s, dict):
+            w.writerow([s.get("R", s.get("scale")), s["value"],
+                        s.get("err", "")])
+        else:
+            w.writerow(list(s))
+    _write(path, buf.getvalue(), newline="")
 
 
 def report_to_json(report, path=None):
@@ -385,5 +396,5 @@ def report_to_json(report, path=None):
     text = json.dumps(_encode_bigints(report), separators=(",", ":"),
                       default=default)
     if path is not None:
-        Path(path).write_text(text + "\n")
+        _write(path, text + "\n")
     return text

@@ -1193,6 +1193,43 @@ class TestCliPlumbing:
         assert first == again == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "box", "--in", "{cantor}", "--json", "{out}"],
+        ["estimate", "box", "--in", "{cantor}", "--csv", "{out}"],
+        ["export", "--in", "{cantor}", "--csv", "{out}"],
+        ["construct", "ifs", "--base", "4", "--keep", "0,3", "--depth", "4",
+         "--out", "{out}"],
+    ], ids=["box-json", "box-csv", "export-csv", "ifs-out"])
+    def test_write_errors_exit_two(self, tmp_path, cantor_file, capsys,
+                                   argv):
+        # each ended in a FileNotFoundError traceback
+        out = tmp_path / "missing" / "out.json"
+        code, _, err = run_cli(capsys, *[a.format(cantor=cantor_file, out=out)
+                                         for a in argv])
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, depth, count", [
+        (["verify", "frostman-stages", "--s", "1/2", "--depth", "30"],
+         30, 1 << 30),
+        (["construct", "ifs", "--base", "2", "--keep", "0,1", "--depth", "30",
+          "--out", "{out}"], 30, 1 << 30),
+        (["construct", "alternating", "--dim-low", "2/5", "--dim-high", "7/10",
+          "--depth", "100", "--out", "{out}"], 100, 1 << 39),
+        (["construct", "sweep", "--dim-low", "2/5", "--dim-high", "7/10",
+          "--depth", "56", "--out", "{out}"], 56, 268437507),
+    ], ids=["full", "ifs", "alternating", "sweep"])
+    def test_sets_too_large_to_build_are_refused(self, tmp_path, capsys,
+                                                 argv, depth, count):
+        # the alternating one allocated until the process was killed
+        out = tmp_path / "set.json"
+        code, text, err = run_cli(capsys, *[a.format(out=out) for a in argv])
+        assert (code, err) == (3, f"error: level {depth} would hold {count} "
+                               "cubes, more than the 16777216 a constructed "
+                               "set may materialize\n")
+        assert "PASS" not in text and not out.exists()
+
     @pytest.mark.parametrize("argv, want", [
         (["estimate", "fourier-corr", "--in", "x.json"], range(1, 13)),
         (["estimate", "fourier-box", "--in", "x.json"], range(1, 13)),

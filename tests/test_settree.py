@@ -16,6 +16,7 @@ from dimlab.settree import (
     Segment,
     SegmentCounts,
     SymbolicCounts,
+    _check_cubes,
 )
 from oracles import (first_key_defect, first_nesting_defect,
                      oracle_digit_ifs_level, oracle_levels_from_deepest)
@@ -338,6 +339,23 @@ class TestValidate:
                     bad.validate()
                 assert str(err.value) == want
         assert one_child > 100
+
+
+class TestCubeLimit:
+    def test_limit_is_two_to_the_24_deepest_cubes(self):
+        _check_cubes(1 << 24, 24)
+        with pytest.raises(UnavailableError, match="16777217 cubes"):
+            _check_cubes((1 << 24) + 1, 24)
+
+    @pytest.mark.parametrize("build", [
+        lambda: DyadicSetTree.full(2, 13),
+        lambda: DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 16),
+        # 3^15 * 2 cubes: a prefix of the next digit group
+        lambda: DyadicSetTree.from_digit_ifs(1, 2, [0, 1, 3], 31),
+    ], ids=["full", "ifs", "ifs-prefix"])
+    def test_builders_refuse_before_building(self, build):
+        with pytest.raises(UnavailableError, match="more than the 16777216"):
+            build()
 
 
 class TestQueries:
