@@ -313,6 +313,20 @@ class TestSweepSet:
         assert "designated_doubling" in names
         assert "designated_lower" in names
 
+    def test_verify_suite_past_the_wrap(self, splan):
+        res = verify_sweep_set(splan, sweep_set(splan, 30))
+        assert res["ok"]
+        assert [dz.get("wrapped") for dz in res["designated"]] == [
+            None, False, True]
+        # the stage-0 interval is designated again at N_2 = 28 (the wrap),
+        # which ends its lower range there
+        assert res["ranges"][0] == {"stage": 0, "cube": (1, 0),
+                                    "range": [5, 28], "truncated": False}
+        # the stage-2 interval lies inside the stage-0 one: that pair of
+        # nested intervals is not compared
+        assert [c["pair"] for c in res["checks"]
+                if c["name"] == "lower_range_disjoint"] == [[0, 1], [1, 2]]
+
     def test_depth_validation(self, splan):
         with pytest.raises(ValidationError):
             sweep_set(splan, 63)

@@ -1,8 +1,8 @@
 """Source hygiene: every name a dimlab module imports is used there,
 every function or class it defines is used by the package or the
-benchmark (not only by tests or a re-export), every exception
-class it defines is raised somewhere, and numpy loads only when a transform
-or an energy bracket needs it.
+benchmark (not only by tests or a re-export), every function the benchmark
+tracer wraps exists, every exception class it defines is raised somewhere,
+and numpy loads only when a transform or an energy bracket needs it.
 
 Stdlib-`ast` stand-ins for a linter's unused-import and dead-code rules.
 The import check skips `__init__.py`, since its imports are the package's
@@ -127,6 +127,58 @@ def test_no_dead_definitions():
                     - used_identifiers(node, member)[name] <= 0):
                 dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, f"defined but never used: {dead}"
+
+
+def tracer_targets() -> list[tuple[str, str | None, str]]:
+    """(module, class or None, attribute) of each TARGETS row of the
+    benchmark tracer, read from its source: importing it loads numpy."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    rows = next(node.value.elts for node in tree.body
+                if isinstance(node, ast.Assign)
+                and "TARGETS" in defined_names([node]))
+    return [tuple(ast.literal_eval(field) for field in row.elts[1:4])
+            for row in rows]
+
+
+def defined_names(body) -> set[str]:
+    """Names a module or class body binds by def, class or assignment."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                names.update(sub.id for sub in ast.walk(target)
+                             if isinstance(sub, ast.Name))
+    return names
+
+
+def test_tracer_targets_exist():
+    """Every function the benchmark tracer wraps is defined in src/dimlab:
+    the benchmark is not part of this suite, so a deleted or renamed
+    target would otherwise show only when the benchmark runs."""
+    targets = tracer_targets()
+    assert targets
+    missing = []
+    for module, cls, attr in targets:
+        path = SRC / f"{module}.py"
+        if not path.exists():
+            missing.append(f"module {module}")
+            continue
+        body = ast.parse(path.read_text(), filename=str(path)).body
+        if cls is not None:
+            owner = [node for node in body
+                     if isinstance(node, ast.ClassDef) and node.name == cls]
+            if not owner:
+                missing.append(f"{module}.{cls}")
+                continue
+            body = owner[0].body
+        if attr not in defined_names(body):
+            missing.append(".".join(filter(None, (module, cls, attr))))
+    assert not missing, f"the tracer wraps what src/dimlab lacks: {missing}"
 
 
 def test_exceptions_are_raised():

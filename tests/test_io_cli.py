@@ -87,8 +87,11 @@ def tables(mu):
 class TestJsonRoundTrips:
     def test_set_round_trip_preserves_everything(self, tmp_path):
         tree = cantor_tree(8)
+        tree.meta["ratio"] = Fraction(1, 3)
         p = tmp_path / "set.json"
         io.save_json(tree, p)
+        assert json.loads(p.read_text())["meta"]["ratio"] == {
+            "$rational": "1/3"}
         back = io.load_json(p)
         assert back.d == tree.d
         assert back.max_depth == tree.max_depth
@@ -545,6 +548,30 @@ class TestCliConstruct:
         mu = io.load_json(out)
         assert mu.leaf_model == "atoms" and len(mu.atoms) == 4
 
+    def test_uniform_measure(self, tmp_path, cantor_file, capsys):
+        out = tmp_path / "uniform.json"
+        code, text, _ = run_cli(capsys, "construct", "measure",
+                                "--set", cantor_file, "--kind", "uniform",
+                                "--out", str(out))
+        assert code == 0 and "(uniform measure, depth 9)" in text
+        assert io.load_json(out).tables == DyadicMeasureTree.uniform_on_set(
+            cantor_tree(9)).tables
+
+    @pytest.mark.parametrize("argv, want", [
+        (["construct", "measure", "--set", "{cantor}",
+          "--kind", "anti-frostman", "--out", "{out}"],
+         "--net-levels required for anti-frostman"),
+        (["construct", "alternating", "--dim-low", "2/5", "--dim-high", "7/10",
+          "--measure-out", "{out}"], "--stage is required with --measure-out"),
+    ], ids=["anti-frostman-net-levels", "measure-out-stage"])
+    def test_missing_companion_option(self, tmp_path, cantor_file, capsys,
+                                      argv, want):
+        out = tmp_path / "mu.json"
+        code, _, err = run_cli(capsys, *[a.format(cantor=cantor_file, out=out)
+                                         for a in argv])
+        assert (code, err) == (2, f"error: {want}\n")
+        assert not out.exists()
+
     def test_points_command(self, tmp_path, capsys):
         csv_path = tmp_path / "pts.csv"
         csv_path.write_text("0.1\n0.6\n0.9\n")
@@ -644,6 +671,39 @@ class TestCliEstimate:
         assert code == 2 and "error:" in err
         assert "PASS" not in text
 
+    def test_fourier_box(self, tmp_path, cantor_file, capsys):
+        jout = tmp_path / "rep.json"
+        code, text, _ = run_cli(capsys, "estimate", "fourier-box",
+                                "--in", cantor_file, "--scales", "2^1..2^8",
+                                "--json", str(jout))
+        assert code == 0 and text.startswith("fourier-box: full=")
+        rep = json.loads(jout.read_text())
+        assert len(rep["dims"]["points"]) == 8
+        assert set(rep) == {"dims", "low_confidence"}
+
+    @pytest.mark.parametrize("argv, want", [
+        (["estimate", "box", "--levels", "5..3"],
+         "argument --levels: bad level list '5..3'"),
+        (["estimate", "fourier-corr", "--scales", ","],
+         "argument --scales: empty scale list ','"),
+    ], ids=["reversed-levels", "empty-scales"])
+    def test_malformed_lists_are_usage_errors(self, cantor_file, capsys,
+                                              argv, want):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--in", cantor_file])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {want}\n")
+
+    @pytest.mark.parametrize("cmd, want", [("box", "set"),
+                                           ("corr", "measure")])
+    def test_plan_file_is_not_a_set_or_measure(self, tmp_path, capsys, cmd,
+                                               want):
+        p = tmp_path / "plan.json"
+        io.save_json(sweep_plan(Fraction(2, 5), Fraction(7, 10)), p)
+        code, text, err = run_cli(capsys, "estimate", cmd, "--in", str(p))
+        assert (code, text, err) == (
+            2, "", f"error: {p} holds a plan, not a {want}\n")
+
     @pytest.mark.parametrize("cmd", ["fourier-corr", "fourier-box"])
     def test_fourier_estimates_reject_levels(self, cantor_file, capsys, cmd):
         # the transform slopes fit every scale in --scales; a level list
@@ -664,6 +724,24 @@ class TestCliEstimate:
         p.write_text(payload if isinstance(payload, str)
                      else json.dumps(payload))
         return run_cli(capsys, "estimate", "box", "--in", str(p))
+
+    @pytest.mark.parametrize("kind, edit, want", [
+        ("measure", lambda data: data.update(leaf_model="gaussian"),
+         "unknown leaf model 'gaussian'"),
+        ("set", lambda data: data.update(symbolic={"kind": "spiral"}),
+         "unknown symbolic counts kind 'spiral'"),
+        ("measure", lambda data: data.update(support=io.plan_to_dict(
+            sweep_plan(Fraction(2, 5), Fraction(7, 10)))),
+         "not a serialized set"),
+    ], ids=["leaf-model", "symbolic-kind", "support-not-a-set"])
+    def test_malformed_fields_are_validation_errors(self, tmp_path, capsys,
+                                                    kind, edit, want):
+        tree = cantor_tree(4)
+        data = (io.set_to_dict(tree) if kind == "set" else
+                io.measure_to_dict(DyadicMeasureTree.uniform_on_set(tree)))
+        edit(data)
+        code, text, err = self._estimate_box(capsys, tmp_path, data)
+        assert (code, text, err) == (2, "", f"error: {want}\n")
 
     def test_set_without_fields_is_validation_error(self, tmp_path, capsys):
         for payload in ('{"type": "set"}', '{"type": "set", "version": 1}'):
