@@ -491,8 +491,8 @@ def _auto_oracle(tree: DyadicSetTree, s: Fraction
     kind, sym = tree.meta.get("kind"), tree.symbolic
     admit = None
     if kind in ("ifs", "full") and getattr(sym, "branch", None) is not None:
-        # a level-(a * group) cube holds branch^a cubes a * group levels
-        # down, so dimension = log2(branch) / group; admissible iff dim > s
+        # count(a * group) = branch^a in every d, so the dimension is
+        # log2(branch) / group; admissible iff dim > s
         admit = cmp_pow2(Fraction(sym.branch), s * sym.group) > 0
     elif kind == "alternating":
         if "dim_low" not in tree.meta:

@@ -282,11 +282,12 @@ def save_json(obj, path) -> None:
     _write(path, json.dumps(data, separators=(",", ":")) + "\n")
 
 
-def _write(path, text: str, newline: str | None = None) -> None:
-    """Write text to path; one that cannot be written is a ValidationError,
-    as load_json makes one that cannot be read."""
+def _write(path, text: str) -> None:
+    """Write text to path as it is (no newline translation); a path that
+    cannot be written is a ValidationError, as load_json makes one that
+    cannot be read."""
     try:
-        with open(path, "w", newline=newline) as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
@@ -372,7 +373,7 @@ def curve_to_csv(samples, path, header=("scale", "value", "err")) -> None:
                         s.get("err", "")])
         else:
             w.writerow(list(s))
-    _write(path, buf.getvalue(), newline="")
+    _write(path, buf.getvalue())
 
 
 def report_to_json(report, path=None):
