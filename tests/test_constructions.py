@@ -113,6 +113,15 @@ class TestAlternatingPlan:
         for n in (0, 1, 2, 4, 5, 10, 24, 56, 123, 5770, 438693):
             assert segs.count(n) == 1 << doubling_exponent(plan, n)
 
+    def test_repeated_breakpoint_is_rejected(self):
+        # a plan (a loaded one, say) whose breakpoints do not increase has
+        # an empty stretch, which is refused rather than skipped
+        bad = AlternatingPlan(Fraction(2, 5), Fraction(7, 10),
+                              (Fraction(1, 5),), (0, 1, 4, 4), (0, 1, 1, 1),
+                              10)
+        with pytest.raises(ValidationError, match="segment with lo > hi"):
+            bad.segment_counts()
+
     def test_verification_suite_passes(self, plan):
         res = verify_alternating_plan(plan)
         assert res["ok"]
