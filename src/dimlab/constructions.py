@@ -194,7 +194,7 @@ def alternating_set(plan: AlternatingPlan,
         raise ValidationError(
             f"materialize depth must lie in 0..{plan.last_level}")
     sym = plan.segment_counts()
-    _check_cubes(sym.count(materialize_depth), materialize_depth)
+    _check_cubes(sym, materialize_depth)
     levels = [[0]]
     for m in range(1, materialize_depth + 1):
         prev = levels[-1]
@@ -367,7 +367,7 @@ def sweep_set(plan: SweepPlan, materialize_depth: int) -> DyadicSetTree:
     if materialize_depth > 62:
         raise ValidationError("materialize depth beyond key budget")
     sym = plan.segment_counts()
-    _check_cubes(sym.count(materialize_depth), materialize_depth)
+    _check_cubes(sym, materialize_depth)
     levels = [[0]]
     designated: list[dict] = []
     # the unit cube is designated for the doubling into level 1

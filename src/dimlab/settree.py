@@ -155,7 +155,7 @@ class DyadicSetTree:
     def full(cls, d: int, depth: int) -> "DyadicSetTree":
         _check_dims(d, depth)
         sym = GeometricCounts(1, 1 << d, [1])
-        _check_cubes(sym.count(depth), depth)
+        _check_cubes(sym, depth)
         levels = [list(range(1 << (d * n))) for n in range(depth + 1)]
         return cls(d, depth, levels, sym, {"kind": "full"})
 
@@ -224,7 +224,7 @@ class DyadicSetTree:
                for p in range(group + 1)]
         sym = GeometricCounts(group, len(keep_sorted),
                               [len(pre[p]) for p in range(group)])
-        _check_cubes(sym.count(depth), depth)
+        _check_cubes(sym, depth)
         levels = [[0]]
         for n in range(1, depth + 1):
             p = (n - 1) % group + 1
@@ -357,9 +357,10 @@ def _check_dims(d: int, depth: int) -> None:
 _MAX_CUBES = 1 << 24
 
 
-def _check_cubes(count: int, depth: int) -> None:
-    """Refuse, before building it, a set whose deepest level holds more
-    than _MAX_CUBES cubes."""
+def _check_cubes(sym: SymbolicCounts, depth: int) -> None:
+    """Refuse, before building it, a set whose counts give more than
+    _MAX_CUBES cubes at its deepest level."""
+    count = sym.count(depth)
     if count > _MAX_CUBES:
         raise UnavailableError(
             f"level {depth} would hold {count} cubes, more than the "

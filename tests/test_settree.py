@@ -343,9 +343,10 @@ class TestValidate:
 
 class TestCubeLimit:
     def test_limit_is_two_to_the_24_deepest_cubes(self):
-        _check_cubes(1 << 24, 24)
-        with pytest.raises(UnavailableError, match="16777217 cubes"):
-            _check_cubes((1 << 24) + 1, 24)
+        _check_cubes(GeometricCounts(1, 2, [1]), 24)
+        with pytest.raises(UnavailableError, match="level 24 would hold "
+                                                   "16777217 cubes"):
+            _check_cubes(SegmentCounts([Segment(0, 24, 1, 1)]), 24)
 
     @pytest.mark.parametrize("build", [
         lambda: DyadicSetTree.full(2, 13),
