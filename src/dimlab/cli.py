@@ -152,7 +152,8 @@ def _triple_report(st) -> dict:
             "points": [[x, y] for x, y in st.points]}
 
 
-def _check_lines(checks, limit: int = 20) -> list[str]:
+def _check_lines(checks) -> list[str]:
+    limit = 20  # failed checks listed one by one
     lines = []
     bad = [c for c in checks if not c["ok"]]
     for c in bad[:limit]:
@@ -263,9 +264,13 @@ def _cmd_estimate_slope(args) -> int:
     return EXIT_OK
 
 
-def _fourier_dims_common(args, rep, name: str) -> int:
+def _cmd_estimate_fourier(args) -> int:
+    """estimate fourier-corr or fourier-box: the loader and fit that the
+    subcommand registered."""
+    rep = args.fit(args.load(args.infile), args.scales, args.window,
+                   args.rel_tol)
     st = rep.dims
-    lines = _slope_lines(name, st)
+    lines = _slope_lines(args.estimator, st)
     if rep.low_confidence:
         lines.append("  low confidence: fewer than 4 octaves or points")
     if rep.curve.degraded:
@@ -276,21 +281,6 @@ def _fourier_dims_common(args, rep, name: str) -> int:
         io.curve_to_csv(rep.curve.samples, args.csv)
         print(f"wrote {args.csv}")
     return EXIT_OK
-
-
-def _cmd_estimate_fourier_corr(args) -> int:
-    mu = _load_measure(args.infile)
-    rep = fourier.fourier_correlation_dims(
-        mu, args.scales, args.window, args.rel_tol)
-    return _fourier_dims_common(args, rep, "fourier-corr")
-
-
-def _cmd_estimate_fourier_box(args) -> int:
-    tree = _load_set(args.infile)
-    rep = fourier.fourier_box_estimate(
-        tree, args.scales, window_len=args.window,
-        rel_tol=args.rel_tol)
-    return _fourier_dims_common(args, rep, "fourier-box")
 
 
 def _cmd_estimate_energy(args) -> int:
@@ -561,17 +551,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_cmd_estimate_slope, load=load, fit=fit,
                        column=column)
 
-    p = esub.add_parser("fourier-corr",
-                        help="correlation slopes from the mean-square "
-                             "transform curve")
-    _add_common_estimate(p, scales_default="2^1..2^12")
-    p.set_defaults(func=_cmd_estimate_fourier_corr)
-
-    p = esub.add_parser("fourier-box",
-                        help="box-flavored slope from the best transform "
-                             "curve over a candidate measure family")
-    _add_common_estimate(p, scales_default="2^1..2^12")
-    p.set_defaults(func=_cmd_estimate_fourier_box)
+    for name, text, load, fit in (
+            ("fourier-corr", "correlation slopes from the mean-square "
+             "transform curve", _load_measure,
+             fourier.fourier_correlation_dims),
+            ("fourier-box", "box-flavored slope from the best transform "
+             "curve over a candidate measure family", _load_set,
+             fourier.fourier_box_estimate)):
+        p = esub.add_parser(name, help=text)
+        _add_common_estimate(p, scales_default="2^1..2^12")
+        p.set_defaults(func=_cmd_estimate_fourier, load=load, fit=fit)
 
     p = esub.add_parser("energy", help="weighted frequency-energy integral")
     p.add_argument("--in", dest="infile", required=True)

@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 
 from .exact import (
     ConstructionError,
-    UnavailableError,
     ValidationError,
     cmp_pow2,
     le_rpow,
@@ -90,43 +89,34 @@ class AlternatingPlan:
         return SegmentCounts(segs)
 
 
-def alternating_plan(dim_low, dim_high, slack=None,
-                     level_budget: int = 10 ** 6) -> AlternatingPlan:
-    """Compute the breakpoint schedule by the two floor recurrences.
-
-    With E_2k the doubling count before the k-th slow stretch ends:
-    n_2k = floor(E_2k / (t - eps_k)) + 1 and
-    n_2k+1 = floor((n_2k - E_2k) / (1 - s)).
-    """
+def _rates(dim_low, dim_high, level_budget: int) -> tuple[Fraction, Fraction]:
+    """A plan's two rates as Fractions, once 0 < dim_low < dim_high < 1
+    and the level budget is at least 1."""
     t = to_fraction(dim_low)
     s = to_fraction(dim_high)
     if not (0 < t < s < 1):
         raise ValidationError("need 0 < dim_low < dim_high < 1")
     if level_budget < 1:
         raise ValidationError("level budget must be >= 1")
-    slack_fn: Callable[[int], Fraction]
-    if slack is None:
-        slack_fn = lambda k: t / (k + 2)  # noqa: E731
-    elif callable(slack):
-        slack_fn = lambda k: to_fraction(slack(k))  # noqa: E731
-    else:
-        seq = [to_fraction(x) for x in slack]
-        slack_fn = lambda k: seq[k - 1]  # noqa: E731
+    return t, s
 
+
+def alternating_plan(dim_low, dim_high,
+                     level_budget: int = 10 ** 6) -> AlternatingPlan:
+    """Compute the breakpoint schedule by the two floor recurrences.
+
+    With E_2k the doubling count before the k-th slow stretch ends and
+    the slack eps_k = dim_low / (k + 2):
+    n_2k = floor(E_2k / (t - eps_k)) + 1 and
+    n_2k+1 = floor((n_2k - E_2k) / (1 - s)).
+    """
+    t, s = _rates(dim_low, dim_high, level_budget)
     bps = [0, 1]
     doubled = [0, 1]
     slacks: list[Fraction] = []
-    prev_eps = None
     k = 1
     while True:
-        try:
-            eps = slack_fn(k)
-        except IndexError:
-            break
-        if not (0 < eps < t):
-            raise ValidationError(f"slack {eps} at k={k} outside (0, dim_low)")
-        if prev_eps is not None and eps >= prev_eps:
-            raise ValidationError("slack sequence must strictly decrease")
+        eps = t / (k + 2)
         e_2k = doubled[-1]
         n_2k = (e_2k / (t - eps)).__floor__() + 1
         if n_2k <= bps[-1]:
@@ -141,7 +131,6 @@ def alternating_plan(dim_low, dim_high, slack=None,
         bps.extend([n_2k, n_2k1])
         doubled.extend([e_2k, e_2k + (n_2k1 - n_2k)])
         slacks.append(eps)
-        prev_eps = eps
         k += 1
     if len(bps) < 4:
         raise ConstructionError("level budget too small for one full cycle")
@@ -190,11 +179,7 @@ def alternating_set(plan: AlternatingPlan,
     """Materialize the alternating tree: single (left) child on slow
     stretches, both children on doubling stretches (the segments of the
     schedule with coef != 0)."""
-    if not 0 <= materialize_depth <= plan.last_level:
-        raise ValidationError(
-            f"materialize depth must lie in 0..{plan.last_level}")
-    sym = plan.segment_counts()
-    _check_cubes(sym, materialize_depth)
+    sym = _schedule(plan, materialize_depth)
     levels = [[0]]
     for m in range(1, materialize_depth + 1):
         prev = levels[-1]
@@ -203,6 +188,17 @@ def alternating_set(plan: AlternatingPlan,
             "dim_low": str(plan.dim_low), "dim_high": str(plan.dim_high),
             "breakpoints": list(plan.breakpoints)}
     return DyadicSetTree(1, materialize_depth, levels, sym, meta)
+
+
+def _schedule(plan, depth: int) -> SegmentCounts:
+    """The plan's segment counts, once depth lies in 0..last_level and its
+    level holds no more cubes than a constructed set may materialize."""
+    if not 0 <= depth <= plan.last_level:
+        raise ValidationError(
+            f"materialize depth must lie in 0..{plan.last_level}")
+    sym = plan.segment_counts()
+    _check_cubes(sym, depth)
+    return sym
 
 
 def _grow(keys: list[int], lo: int, hi: int) -> list[int]:
@@ -222,9 +218,6 @@ def alternating_measure(plan: AlternatingPlan, m: int) -> DyadicMeasureTree:
     if m < 1 or 2 * m + 1 >= len(plan.breakpoints):
         raise ValidationError(f"stage {m} outside plan range")
     depth = plan.breakpoints[2 * m + 1]
-    if depth > 62:
-        raise UnavailableError(
-            f"stage level {depth} cannot be materialized (key budget)")
     tree = alternating_set(plan, depth)
     mu = DyadicMeasureTree.uniform_on_set(tree)
     mu.meta = {"kind": "alternating_stage", "stage": m, "level": depth}
@@ -276,12 +269,7 @@ class SweepPlan:
 
 
 def sweep_plan(dim_low, dim_high, level_budget: int = 10 ** 5) -> SweepPlan:
-    t = to_fraction(dim_low)
-    s = to_fraction(dim_high)
-    if not (0 < t < s < 1):
-        raise ValidationError("need 0 < dim_low < dim_high < 1")
-    if level_budget < 1:
-        raise ValidationError("level budget must be >= 1")
+    t, s = _rates(dim_low, dim_high, level_budget)
     n_seq: list[int] = []
     big_n: list[int] = [1]
     counts = [2]
@@ -361,13 +349,7 @@ def sweep_set(plan: SweepPlan, materialize_depth: int) -> DyadicSetTree:
     interval (compared through ancestors at the old level), wrapping to the
     global leftmost cube when the old interval was rightmost.
     """
-    if not 0 <= materialize_depth <= plan.last_level:
-        raise ValidationError(
-            f"materialize depth must lie in 0..{plan.last_level}")
-    if materialize_depth > 62:
-        raise ValidationError("materialize depth beyond key budget")
-    sym = plan.segment_counts()
-    _check_cubes(sym, materialize_depth)
+    sym = _schedule(plan, materialize_depth)
     levels = [[0]]
     designated: list[dict] = []
     # the unit cube is designated for the doubling into level 1
@@ -595,7 +577,8 @@ def stagewise_frostman_measures(tree: DyadicSetTree, s, radii,
         else:
             if not stage_levels:
                 raise ConstructionError(
-                    "stage 1 impossible: oracle admits no level in budget "
+                    "stage 1 impossible: at no candidate level n does the "
+                    "oracle admit at least 2^(d+2s+ns) cubes "
                     f"(s={sf}, candidates={candidates})")
             break
         nums, den = _split_step(nums, den, lens, None)

@@ -20,7 +20,7 @@ from operator import add, mul, sub
 
 from .exact import (ValidationError, cmp_pow2, cmp_rpow, diameter_level,
                     le_rpow, level_for_radius, log2_fraction, to_fraction)
-from .measure import DyadicMeasureTree, net_measure
+from .measure import ATOMS, DyadicMeasureTree, net_measure
 from .settree import DyadicSetTree
 
 
@@ -241,7 +241,7 @@ def correlation_predicates(mu: DyadicMeasureTree, s, radii,
         bound = mu.ball_cover_bound(n)
         if le_rpow(bound, r, sf):
             st = "pass"
-        elif mu.leaf_model == "atoms":
+        elif mu.leaf_model == ATOMS:
             nums, wden = mu.ball_masses_atoms(None, r)
             heavy = cmp_rpow(Fraction(max(nums), wden), r, sf) > 0
             st = "fail" if heavy else "inconclusive"
@@ -388,8 +388,8 @@ class InequalityReport:
 
 
 def inequality_report(tree: DyadicSetTree, measures, levels=None,
-                      window_len: int | None = None, tol: float = 0.05,
-                      grid=None) -> InequalityReport:
+                      window_len: int | None = None,
+                      tol: float = 0.05) -> InequalityReport:
     """Tabulate box, correlation, Frostman-decay and packing proxies on one
     shared level window and assert the dimension orderings:
 
@@ -400,7 +400,8 @@ def inequality_report(tree: DyadicSetTree, measures, levels=None,
 
     The Hausdorff proxy is the best (largest) Frostman decay slope over the
     supplied measures; correlation and packing proxies likewise take the
-    best witness. Missing inputs produce explicit gaps, not failures.
+    best witness. Missing inputs produce explicit gaps, not failures: so
+    does a measure whose depth ends before the window's last level.
     """
     if levels is None:
         levels = range(1, tree.max_depth + 1)
@@ -420,19 +421,18 @@ def inequality_report(tree: DyadicSetTree, measures, levels=None,
         if mu.d != tree.d:
             raise ValidationError(f"measure {i} has d = {mu.d}, "
                                   f"the set has d = {tree.d}")
-        mlv = [n for n in lv if n <= mu.max_depth]
-        row: dict = {"measure": i, "levels": (mlv[0], mlv[-1]) if mlv else None}
-        if len(mlv) < 4:
-            row["gap"] = "fewer than 4 usable levels"
-            gaps.append(f"measure {i}: fewer than 4 usable levels")
-            per_measure.append(row)
+        if mu.max_depth < lv[-1]:
+            gap = f"depth {mu.max_depth} ends before the window"
+            gaps.append(f"measure {i}: {gap}")
+            per_measure.append({"measure": i, "levels": None, "gap": gap})
             continue
-        corr = correlation_dims(mu, mlv, window_len)
-        fro = frostman_slope(mu, mlv, window_len)
-        thr, _ = packing_threshold(mu, mlv, grid)
-        row.update(corr_lower=corr.lower.value, corr_upper=corr.upper.value,
-                   frostman=fro.lower.value, packing_threshold=thr)
-        per_measure.append(row)
+        corr = correlation_dims(mu, lv, window_len)
+        fro = frostman_slope(mu, lv, window_len)
+        thr, _ = packing_threshold(mu, lv)
+        per_measure.append({
+            "measure": i, "levels": (lv[0], lv[-1]),
+            "corr_lower": corr.lower.value, "corr_upper": corr.upper.value,
+            "frostman": fro.lower.value, "packing_threshold": thr})
 
     if not measures:
         gaps.append("no measures supplied: correlation, Frostman and "

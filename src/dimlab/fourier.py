@@ -41,9 +41,9 @@ import math
 from dataclasses import dataclass, field
 
 from .dyadic import deinterleave
-from .estimators import SlopeTriple, slope_fit
+from .estimators import SlopeTriple, _ls, slope_fit
 from .exact import UnavailableError, ValidationError, to_fraction
-from .measure import DyadicMeasureTree, net_measure
+from .measure import ATOMS, DyadicMeasureTree, net_measure
 from .settree import DyadicSetTree
 
 _TWO_PI = 2.0 * math.pi
@@ -108,7 +108,7 @@ def _terms(mu: DyadicMeasureTree):
     """
     import numpy as np
     d = mu.d
-    if mu.leaf_model == "atoms":  # a / q is float(Fraction(a, q)), bit for bit
+    if mu.leaf_model == ATOMS:  # a / q is float(Fraction(a, q)), bit for bit
         q, pts, ns, wden = mu._atom_ints
         lo = np.array([[a / q - 0.5 for a in p] for p in pts],
                       dtype=float).reshape(-1, d)
@@ -378,8 +378,8 @@ class FourierSandwichReport:
 
 def fourier_sandwich_report(mu: DyadicMeasureTree, eps, r_list,
                             tol: float = 0.05, extra_depth: int = 4,
-                            bracket_rel_tol: float = 0.25,
-                            rel_tol: float = 1e-3) -> FourierSandwichReport:
+                            bracket_rel_tol: float = 0.25
+                            ) -> FourierSandwichReport:
     epsf = float(eps)
     if not (0.0 < epsf < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
@@ -397,7 +397,7 @@ def fourier_sandwich_report(mu: DyadicMeasureTree, eps, r_list,
 
     d = mu.d
     # 1/r ascends as r descends, so the samples come in the order of usable
-    curve = mean_square_curve(mu, [1.0 / float(r) for r in usable], rel_tol)
+    curve = mean_square_curve(mu, [1.0 / float(r) for r in usable])
     inconclusive = curve.degraded
 
     rows = []
@@ -466,20 +466,18 @@ def fourier_correlation_dims(mu: DyadicMeasureTree, r_window,
     return FourierDimsReport(triple, low_conf or curve.degraded, curve)
 
 
-def fourier_box_estimate(tree: DyadicSetTree, r_window, candidates=None,
+def fourier_box_estimate(tree: DyadicSetTree, r_window,
                          window_len: int | None = None,
                          rel_tol: float = 1e-3) -> FourierDimsReport:
     """Box-dimension-flavored estimate: slope of R^-d min over candidate
     measures of I_mu(R). With a finite candidate family this upper-bounds
-    the infimum the limit definition calls for; the default family is the
-    uniform measure plus atomic net measures at a few levels."""
-    if candidates is None:
-        candidates = [DyadicMeasureTree.uniform_on_set(tree)]
-        depth = tree.max_depth
-        for n in sorted({max(1, depth // 2), depth}):
-            candidates.append(net_measure(tree, n))
-    if not candidates:
-        raise ValidationError("candidate family must be nonempty")
+    the infimum the limit definition calls for; the family is the uniform
+    measure plus the atomic net measures at the deepest level and half
+    of it."""
+    candidates = [DyadicMeasureTree.uniform_on_set(tree)]
+    depth = tree.max_depth
+    for n in sorted({max(1, depth // 2), depth}):
+        candidates.append(net_measure(tree, n))
 
     Rs = _radii(r_window)
     curves = [mean_square_curve(mu, Rs, rel_tol) for mu in candidates]
@@ -565,13 +563,8 @@ def fourier_energy(mu: DyadicMeasureTree, s, r_max: float = 4096.0,
     tail_pts = [(math.log2(seg["hi"]),
                  math.log2(max(seg["raw_mean"], 1e-300)))
                 for seg in segments[-k:]]
-    xs_t = [p[0] for p in tail_pts]
-    ys_t = [p[1] for p in tail_pts]
-    mx = sum(xs_t) / len(xs_t)
-    my = sum(ys_t) / len(ys_t)
-    den = sum((x - mx) ** 2 for x in xs_t)
-    gamma = -(sum((x - mx) * (y - my) for x, y in zip(xs_t, ys_t)) / den
-              if den else 0.0)
+    xs_t, ys_t = zip(*tail_pts)
+    gamma = -(_ls(xs_t, ys_t)[0] if k > 1 else 0.0)
 
     # beyond r_max, |mu_hat|^2 ~ C |z|^-gamma gives a closed-form shell
     # integral that converges only for gamma > s
@@ -597,13 +590,12 @@ def fourier_energy(mu: DyadicMeasureTree, s, r_max: float = 4096.0,
 # near-zero lower bound
 
 
-def near_zero_report(mu: DyadicMeasureTree, samples: int = 129) -> dict:
+def near_zero_report(mu: DyadicMeasureTree) -> dict:
     """Sampled check of |mu_hat(z)| >= 1/2 on |z| <= (1/2)/(sqrt(d) rho),
     which follows from the gradient bound |grad mu_hat| <= sqrt(d) rho for
-    a probability measure supported in B(0, rho)."""
+    a probability measure supported in B(0, rho), at 129 frequencies."""
     import numpy as np
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    samples = 129
     d = mu.d
     rho = support_radius(d)
     radius = 0.5 / (math.sqrt(d) * rho)

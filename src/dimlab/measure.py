@@ -178,11 +178,11 @@ class DyadicMeasureTree:
 
     @classmethod
     def atomic(cls, points: Sequence, weights: Sequence, d: int,
-               depth: int, meta: dict | None = None) -> "DyadicMeasureTree":
+               depth: int) -> "DyadicMeasureTree":
         """Atoms, merged where they coincide: checked on ints once
         (_int_atoms), then built from those ints (_on_ints)."""
         _check_dims(d, depth)
-        return cls._on_ints(*_int_atoms(points, weights, d), d, depth, meta)
+        return cls._on_ints(*_int_atoms(points, weights, d), d, depth, None)
 
     @classmethod
     def _on_ints(cls, q: int, ips: list, ns: list[int], wden: int, d: int,

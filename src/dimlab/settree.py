@@ -240,32 +240,20 @@ class DyadicSetTree:
         """Raise ValidationError on the first defect: the shape, a key out
         of range or order, then a level not nested under the one above (a
         childless parent before an orphan), each level by level, then a
-        symbolic count that contradicts a level. A sound level of one child
-        per parent passes the nesting checks in one comparison."""
+        symbolic count that contradicts a level."""
         if self.d < 1:
             raise ValidationError("d must be >= 1")
         if len(self.levels) != self.max_depth + 1:
             raise ValidationError("level list length != max_depth + 1")
         if self.levels[0] != [0]:
             raise ValidationError("root level must be exactly the unit cube")
-        # a level with as many keys as the (checked) level above nests
-        # under it iff its keys >> d equal that level, and is then strictly
-        # sorted and in range too; any other level is iff its two ends are
-        # in range and each key is above the one before, and the key-by-key
-        # scan names the first defect of a bad one
-        chained = set()
         for n, keys in enumerate(self.levels):
-            if n and len(keys) == len(self.levels[n - 1]) and list(
-                    map(rshift, keys, repeat(self.d))) == self.levels[n - 1]:
-                chained.add(n)
-            elif keys:
+            if keys:
                 _check_level(keys, n, self.d)
         # the distinct parents k >> d of a sorted level (all of its k >> d on
         # a one-child level), in order, equal the level above iff every cube
         # has a selected parent and every parent a child
         for n, runs in enumerate(self.parent_runs, 1):
-            if n in chained:
-                continue
             parents = self.levels[n - 1]
             ups = (runs[0] if runs else
                    list(map(rshift, self.levels[n], repeat(self.d))))
@@ -311,9 +299,7 @@ class DyadicSetTree:
         one child per parent. Built once per tree (by from_leaves as it
         derives the levels) and read by validate, the mass splits and sums,
         measure validation and the packing threshold."""
-        return [None if len(kids) == len(above) else
-                _runs(map(rshift, kids, repeat(self.d)))
-                for above, kids in zip(self.levels, self.levels[1:])]
+        return [_group(kids, self.d)[1] for kids in self.levels[1:]]
 
     def children_keys(self, level: int, key: int) -> list[int]:
         if level >= self.max_depth:

@@ -130,22 +130,10 @@ class TestAlternatingPlan:
         assert names == {"recurrence", "low_pinch", "high_pinch"}
         assert len(res["checks"]) == 3 * 8
 
-    def test_explicit_slack_sequence(self):
-        p = alternating_plan(T, S, slack=[Fraction(2, 15)], level_budget=100)
-        assert p.breakpoints == (0, 1, 4, 10)
-        assert p.doubled == (0, 1, 1, 7)
-        assert p.k_max == 1
-
-    def test_callable_slack(self):
-        p = alternating_plan(T, S, slack=lambda k: T / (k + 2),
-                             level_budget=100)
+    def test_default_slack_in_a_small_budget(self):
+        p = alternating_plan(T, S, level_budget=100)
         assert p.breakpoints == (0, 1, 4, 10, 24, 56)
-
-    def test_slack_validation(self):
-        with pytest.raises(ValidationError):
-            alternating_plan(T, S, slack=[Fraction(1, 2)])  # >= dim_low
-        with pytest.raises(ValidationError):
-            alternating_plan(T, S, slack=[Fraction(1, 10), Fraction(1, 10)])
+        assert p.slack == (T / 3, T / 4)
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
@@ -337,7 +325,8 @@ class TestSweepSet:
                 if c["name"] == "lower_range_disjoint"] == [[0, 1], [1, 2]]
 
     def test_depth_validation(self, splan):
-        with pytest.raises(ValidationError):
+        # past the 62-bit key budget, the cube limit refuses the set
+        with pytest.raises(UnavailableError, match="level 63 would hold"):
             sweep_set(splan, 63)
         with pytest.raises(ValidationError):
             sweep_set(splan, splan.last_level + 1)

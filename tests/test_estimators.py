@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimlab import estimators
-from dimlab.constructions import (alternating_plan, alternating_set,
-                                  sweep_plan, sweep_set)
+from dimlab.constructions import (alternating_measure, alternating_plan,
+                                  alternating_set, sweep_plan, sweep_set)
 from dimlab.estimators import (
     box_dims,
     correlation_dims,
@@ -553,6 +553,23 @@ class TestInequalityReport:
         rep = inequality_report(tree, [shallow], levels=range(4, 11))
         assert rep.per_measure[0].get("gap")
         assert rep.gaps
+
+    def test_measure_ending_inside_the_window_is_a_gap(self):
+        # the stage-1 measure of the two-regime set ends at level 10: fit on
+        # levels 1..10 only, its slopes would be compared with the set's on
+        # 1..24 (Frostman 0.5 against lower box 0.056)
+        plan = alternating_plan(Fraction(2, 5), Fraction(7, 10))
+        tree = alternating_set(plan, 24)
+        stage = alternating_measure(plan, 1)
+        rep = inequality_report(
+            tree, [DyadicMeasureTree.uniform_on_set(tree), stage])
+        assert rep.ok
+        assert rep.gaps == ["measure 1: depth 10 ends before the window"]
+        assert rep.per_measure[1] == {
+            "measure": 1, "levels": None,
+            "gap": "depth 10 ends before the window"}
+        assert rep.estimates["hausdorff_proxy"] == \
+            rep.per_measure[0]["frostman"]
 
     def test_needs_four_levels(self):
         tree = cantor_tree(6)

@@ -42,6 +42,12 @@ class TestToFraction:
         assert to_fraction("7/10") == Fraction(7, 10)
         assert to_fraction("-3") == Fraction(-3)
 
+    def test_other_rationals_convert(self):
+        # numpy integers register as numbers.Integral
+        import numpy
+        got = to_fraction(numpy.int64(3))
+        assert got == 3 and type(got) is Fraction
+
     def test_rejects_bool_nonfinite_and_junk(self):
         with pytest.raises(ValidationError):
             to_fraction(True)

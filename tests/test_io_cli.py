@@ -93,6 +93,11 @@ class TestJsonRoundTrips:
         assert json.loads(p.read_text())["meta"]["ratio"] == {
             "$rational": "1/3"}
         back = io.load_json(p)
+        # a meta value JSON cannot hold is saved as its text
+        tree.meta["z"] = 1j
+        io.save_json(tree, p)
+        assert io.load_json(p).meta["z"] == "1j"
+        del tree.meta["z"]
         assert back.d == tree.d
         assert back.max_depth == tree.max_depth
         assert back.levels == tree.levels
@@ -430,6 +435,13 @@ class TestReportJson:
                                   "c": edge, "d": {"$bighex": hex(-big)}}
         assert json.loads(text, object_hook=io._decode_bigint) == report
 
+    def test_wide_fraction_is_tagged_hex(self):
+        # a Fraction with a part wider than 2048 bits is written as the
+        # hex of both parts, not as a p/q string
+        wide = Fraction(1, 2 ** 2048)
+        data = json.loads(io.report_to_json({"f": wide, "g": Fraction(1, 3)}))
+        assert data == {"f": {"$bighex": ["0x1", hex(2 ** 2048)]}, "g": "1/3"}
+
     def test_dataclass_inside_dict_report_writes_its_fields(self):
         # as `verify frostman-stages --json` nests its stage report
         mu = DyadicMeasureTree.uniform_on_set(cantor_tree(6))
@@ -548,6 +560,16 @@ class TestCliConstruct:
         mu = io.load_json(out)
         assert mu.leaf_model == "atoms" and len(mu.atoms) == 4
 
+    def test_anti_frostman_measure(self, tmp_path, cantor_file, capsys):
+        out = tmp_path / "af.json"
+        code, text, _ = run_cli(capsys, "construct", "measure",
+                                "--set", cantor_file, "--kind",
+                                "anti-frostman", "--net-levels", "2,4",
+                                "--out", str(out))
+        assert code == 0 and "(anti-frostman measure, depth 9)" in text
+        assert io.load_json(out).tables == anti_frostman_measure(
+            cantor_tree(9), [2, 4])[0].tables
+
     def test_uniform_measure(self, tmp_path, cantor_file, capsys):
         out = tmp_path / "uniform.json"
         code, text, _ = run_cli(capsys, "construct", "measure",
@@ -632,6 +654,17 @@ class TestCliEstimate:
         assert code == 0 and "fourier-corr: full=" in text
         assert len(cout.read_text().splitlines()) == 9
 
+    def test_fourier_corr_on_few_octaves_is_low_confidence(
+            self, tmp_path, cantor_file, capsys):
+        # plain rational scales; 2..6 spans log2(3) < 4 octaves
+        jout = tmp_path / "rep.json"
+        code, text, _ = run_cli(capsys, "estimate", "fourier-corr",
+                                "--in", cantor_file, "--scales", "2,3,4,6",
+                                "--json", str(jout))
+        assert code == 0 and "points=4" in text
+        assert "  low confidence: fewer than 4 octaves or points\n" in text
+        assert json.loads(jout.read_text())["low_confidence"] is True
+
     @pytest.mark.parametrize("tree", [
         cantor_tree(6), DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 3)],
         ids=["cantor6", "sierpinski3"])
@@ -686,7 +719,11 @@ class TestCliEstimate:
          "argument --levels: bad level list '5..3'"),
         (["estimate", "fourier-corr", "--scales", ","],
          "argument --scales: empty scale list ','"),
-    ], ids=["reversed-levels", "empty-scales"])
+        (["estimate", "fourier-corr", "--scales", "2^1..8"],
+         "argument --scales: range form must be 2^a..2^b, got '2^1..8'"),
+        (["estimate", "fourier-corr", "--scales", "2^x"],
+         "argument --scales: bad rational literal '2^x'"),
+    ], ids=["reversed-levels", "empty-scales", "half-range", "bad-power"])
     def test_malformed_lists_are_usage_errors(self, cantor_file, capsys,
                                               argv, want):
         with pytest.raises(SystemExit) as exc:
@@ -1054,6 +1091,23 @@ class TestCliVerify:
                                   "--in", str(path))
         assert (code, text, err) == (2, "", f"error: {want}\n")
 
+    def test_ineq_chain_measure_ending_inside_the_window(self, tmp_path,
+                                                         capsys):
+        # the stage-1 measure ends at level 10 of the depth-24 window: a
+        # gap, not a Frostman slope on 1..10 set against a box slope on
+        # 1..24 (which failed the chain)
+        alt, stage = tmp_path / "alt.json", tmp_path / "st1.json"
+        code, _, _ = run_cli(capsys, "construct", "alternating",
+                             "--dim-low", "2/5", "--dim-high", "7/10",
+                             "--depth", "24", "--out", str(alt),
+                             "--stage", "1", "--measure-out", str(stage))
+        assert code == 0
+        code, text, err = run_cli(capsys, "verify", "ineq-chain",
+                                  "--in", str(alt), "--measures", str(stage))
+        assert (code, err) == (0, "")
+        assert "  gap: measure 1: depth 10 ends before the window\n" in text
+        assert "ineq-chain: PASS" in text
+
     def test_ineq_chain_rejects_measure_of_another_dimension(
             self, tmp_path, cantor_file, capsys):
         square = tmp_path / "sq.json"
@@ -1085,6 +1139,19 @@ class TestCliVerify:
         code, text, _ = run_cli(capsys, "verify", "frostman-stages",
                                 "--s", "1/2", "--d", "1", "--depth", "8")
         assert code == 0 and "frostman-stages: PASS" in text
+
+    def test_frostman_stage_one_refusal_names_the_count(self, capsys):
+        # the oracle admits every cube of the square (dimension 2 > 3/2),
+        # but 2^(d+2s+ns) = 2^(5 + 3n/2) cubes need n >= 10 > depth 6
+        code, text, err = run_cli(capsys, "verify", "frostman-stages",
+                                  "--d", "2", "--depth", "6", "--s", "3/2")
+        assert (code, text, err) == (
+            3, "", "error: stage 1 impossible: at no candidate level n does "
+            "the oracle admit at least 2^(d+2s+ns) cubes (s=3/2, "
+            "candidates=[1, 2, 3, 4, 5, 6])\n")
+        code, text, _ = run_cli(capsys, "verify", "frostman-stages",
+                                "--d", "2", "--depth", "10", "--s", "3/2")
+        assert code == 0 and "stages at levels [10]" in text
 
     def test_frostman_stages_on_sierpinski_use_its_dimension(self, tmp_path,
                                                              capsys):

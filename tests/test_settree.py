@@ -281,6 +281,14 @@ class TestValidate:
             bad.validate()
         assert str(err.value) == want
 
+    def test_shape_is_checked_first(self):
+        levels = DyadicSetTree.full(1, 3).levels
+        for tree, want in ((DyadicSetTree(0, 3, levels), "d must be >= 1"),
+                           (DyadicSetTree(1, 4, levels),
+                            r"level list length != max_depth \+ 1")):
+            with pytest.raises(ValidationError, match=want):
+                tree.validate()
+
     def test_root_must_be_unit_cube(self):
         bad = DyadicSetTree(1, 1, [[], [0]], None, {})
         with pytest.raises(ValidationError):
@@ -426,17 +434,27 @@ class TestSymbolicCounts:
     def test_geometric_prefix_validation(self):
         with pytest.raises(ValidationError):
             GeometricCounts(2, 2, [3, 2])  # prefix_counts[0] must be 1
+        for group, branch, prefix_counts in ((0, 2, []), (1, 0, [1]),
+                                             (2, 2, [1])):
+            with pytest.raises(ValidationError,
+                               match="malformed geometric counts"):
+                GeometricCounts(group, branch, prefix_counts)
 
     def test_geometric_count(self):
         g = GeometricCounts(2, 2, [1, 2])
         assert [g.count(n) for n in range(6)] == [1, 2, 2, 4, 4, 8]
         assert g.covers(10 ** 9)
+        assert not g.covers(-1)
+        with pytest.raises(ValidationError, match="negative level"):
+            g.count(-1)
 
     def test_segments_must_tile(self):
         a = Segment(0, 4, 0, 1)
         gap = Segment(6, 9, 3, 1)
         with pytest.raises(ValidationError):
             SegmentCounts([a, gap])
+        with pytest.raises(ValidationError, match="no segments"):
+            SegmentCounts([])
 
     def test_segment_counts_lookup(self):
         # doubling on [0,4], frozen on [5,9]
