@@ -420,8 +420,6 @@ def verify_sweep_set(plan: SweepPlan, tree: DyadicSetTree) -> dict:
         # designation into this interval, or the horizon
         reentry = None
         for later in designated[i + 1:]:
-            if later["level"] <= lvl:
-                continue
             if (later["key"] >> (later["level"] - lvl)) == key:
                 reentry = later["level"]
                 break

@@ -536,8 +536,10 @@ def fourier_energy(mu: DyadicMeasureTree, s, r_max: float = 4096.0,
         a = 1.0
         head = 0.0
         head_err = 0.0
-    if not (math.isfinite(r_max) and r_max > a):
-        raise ValidationError(f"r_max must be finite and > the head cut {a}")
+    if not (math.isfinite(r_max) and 2.0 * a < r_max * 0.999):
+        raise ValidationError("r_max must be finite and leave the two octave "
+                              f"segments past the head cut {a} that the "
+                              "decay fit needs")
     _check_rel_tol(rel_tol)
 
     octaves = [a]
@@ -564,7 +566,7 @@ def fourier_energy(mu: DyadicMeasureTree, s, r_max: float = 4096.0,
                  math.log2(max(seg["raw_mean"], 1e-300)))
                 for seg in segments[-k:]]
     xs_t, ys_t = zip(*tail_pts)
-    gamma = -(_ls(xs_t, ys_t)[0] if k > 1 else 0.0)
+    gamma = -_ls(xs_t, ys_t)[0]
 
     # beyond r_max, |mu_hat|^2 ~ C |z|^-gamma gives a closed-form shell
     # integral that converges only for gamma > s

@@ -3,9 +3,9 @@
 Masses, weights and plan parameters round-trip as "p/q" strings; floats
 never enter a serialized measure, so load(dump(x)) reproduces x bit for
 bit. Report exports (slope fits, curves) are plain CSV/JSON for plotting
-and are not meant to round-trip. Files and reports are written compact,
-by json's C encoder; ints wider than 2048 bits are tagged hex strings,
-and files in the older indented layout still load.
+and are not meant to round-trip. Files and reports are compact, strict
+JSON from one walk (_encode) and json's C encoder: wide ints are tagged
+hex, non-finite floats null; older indented files still load.
 """
 
 from __future__ import annotations
@@ -34,63 +34,70 @@ _BIGINT_BITS = 2048
 _BIG = 1 << _BIGINT_BITS
 
 
-def _encode_bigints(value):
-    if isinstance(value, bool):
+def _encode(value, leaf):
+    """value as JSON data, in one walk: ints wider than _BIGINT_BITS are
+    tagged hex, non-finite floats null, dict keys text, tuples lists and
+    dataclasses their fields; any other value is written as leaf(value)."""
+    if value is None or isinstance(value, (bool, str)):
         return value
-    if isinstance(value, int) and value.bit_length() > _BIGINT_BITS:
-        return {"$bighex": hex(value)}
+    if isinstance(value, int):
+        if value.bit_length() > _BIGINT_BITS:
+            return {"$bighex": hex(value)}
+        return value
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        return {k: _encode_bigints(v) for k, v in value.items()}
+        return {str(k): _encode(v, leaf) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         if (set(map(type, value)) == {int}  # flat int lists skip the walk
                 and -_BIG < min(value) and max(value) < _BIG):
             return value
-        return [_encode_bigints(v) for v in value]
+        return [_encode(v, leaf) for v in value]
     if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _encode_bigints(getattr(value, f.name))
+        return {f.name: _encode(getattr(value, f.name), leaf)
                 for f in fields(value)}
-    return value
+    return _encode(leaf(value), leaf)
 
 
-def _decode_bigint(obj: dict):
-    """json object_hook: an object whose one key is "$bighex" is an int."""
-    if len(obj) == 1 and "$bighex" in obj:
-        return int(obj["$bighex"], 16)
-    return obj
-
-
-# ---------------------------------------------------------------------------
-# meta payloads: JSON plus tagged rationals
-
-
-def _encode_meta(value):
+def _file_leaf(value):
+    """Files tag a rational so that loading gives it back; any other value
+    JSON cannot hold is saved as its text."""
     if isinstance(value, Fraction):
         return {"$rational": format_rational(value)}
-    if isinstance(value, dict):
-        return {str(k): _encode_meta(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_meta(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     return str(value)
 
 
-def _decode_meta(value):
-    if isinstance(value, dict):
-        if set(value) == {"$rational"}:
-            return parse_rational(value["$rational"])
-        return {k: _decode_meta(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_meta(v) for v in value]
-    return value
+def _report_leaf(value):
+    if isinstance(value, Fraction):
+        if max(value.numerator.bit_length(),
+               value.denominator.bit_length()) > _BIGINT_BITS:
+            return {"$bighex": [hex(value.numerator), hex(value.denominator)]}
+        return format_rational(value)
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    return str(value)
+
+
+def _decode(obj: dict):
+    """json object_hook: the one-key objects {"$bighex": hex} and
+    {"$rational": "p/q"} are an int and a Fraction."""
+    if len(obj) == 1:
+        if "$bighex" in obj:
+            return int(obj["$bighex"], 16)
+        if "$rational" in obj:
+            text = obj["$rational"]
+            if not isinstance(text, str):
+                raise ValidationError(f"bad rational literal {text!r}")
+            return parse_rational(text)
+    return obj
 
 
 def _file_meta(data: dict) -> dict:
-    """A file's decoded meta: a JSON object, {} when missing or null."""
-    meta = _decode_meta({} if data.get("meta") is None else data["meta"])
+    """A payload's meta: a JSON object, {} when missing or null."""
+    meta = {} if data.get("meta") is None else data["meta"]
     if not isinstance(meta, dict):
         raise ValidationError("meta must be a JSON object")
-    return meta
+    return dict(meta)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +112,7 @@ def set_to_dict(tree: DyadicSetTree) -> dict:
         "max_depth": tree.max_depth,
         "leaves": list(tree.levels[-1]),
         "symbolic": tree.symbolic.to_dict() if tree.symbolic else None,
-        "meta": _encode_meta(tree.meta),
+        "meta": dict(tree.meta),
     }
 
 
@@ -155,7 +162,7 @@ def measure_to_dict(mu: DyadicMeasureTree) -> dict:
         "mass_rule": "explicit",
         "masses": masses,
         "atoms": atoms,
-        "meta": _encode_meta(mu.meta),
+        "meta": dict(mu.meta),
     }
 
 
@@ -212,35 +219,29 @@ def _ratios(texts: list) -> tuple[list[int], list[int]]:
 # construction plans
 
 
+_PLAN_TYPES = {AlternatingPlan: "alternating_plan", SweepPlan: "sweep_plan"}
+
+
+def _plan_text(value):
+    return format_rational(value) if isinstance(value, Fraction) else value
+
+
 def plan_to_dict(plan) -> dict:
-    if isinstance(plan, AlternatingPlan):
-        return {
-            "type": "alternating_plan",
-            "version": FORMAT_VERSION,
-            "dim_low": format_rational(plan.dim_low),
-            "dim_high": format_rational(plan.dim_high),
-            "slack": [format_rational(e) for e in plan.slack],
-            "breakpoints": list(plan.breakpoints),
-            "doubled": list(plan.doubled),
-            "level_budget": plan.level_budget,
-        }
-    if isinstance(plan, SweepPlan):
-        return {
-            "type": "sweep_plan",
-            "version": FORMAT_VERSION,
-            "dim_low": format_rational(plan.dim_low),
-            "dim_high": format_rational(plan.dim_high),
-            "n_seq": list(plan.n_seq),
-            "big_n_seq": list(plan.big_n_seq),
-            "counts_at_stage": list(plan.counts_at_stage),
-            "level_budget": plan.level_budget,
-        }
-    raise ValidationError(f"not a serializable plan: {type(plan).__name__}")
+    """A plan's fields, in their order, with rationals as "p/q"."""
+    if type(plan) not in _PLAN_TYPES:
+        raise ValidationError(
+            f"not a serializable plan: {type(plan).__name__}")
+    data = {"type": _PLAN_TYPES[type(plan)], "version": FORMAT_VERSION}
+    for f in fields(plan):
+        value = getattr(plan, f.name)
+        data[f.name] = (list(map(_plan_text, value))
+                        if isinstance(value, tuple) else _plan_text(value))
+    return data
 
 
 def plan_from_dict(data: dict):
     kind = data.get("type")
-    if kind not in ("alternating_plan", "sweep_plan"):
+    if kind not in _PLAN_TYPES.values():
         raise ValidationError("not a serialized plan")
     _check_version(data)
     if kind == "alternating_plan":
@@ -259,24 +260,20 @@ def plan_from_dict(data: dict):
 # files
 
 
-_LOADERS = {
-    "set": set_from_dict,
-    "measure": measure_from_dict,
-    "alternating_plan": plan_from_dict,
-    "sweep_plan": plan_from_dict,
-}
+_LOADERS = {"set": set_from_dict, "measure": measure_from_dict,
+            **dict.fromkeys(_PLAN_TYPES.values(), plan_from_dict)}
 
 
 def save_json(obj, path) -> None:
     if isinstance(obj, DyadicSetTree):
-        data = _encode_bigints(set_to_dict(obj))
+        data = _encode(set_to_dict(obj), _file_leaf)
     elif isinstance(obj, DyadicMeasureTree):
         # masses and atoms are strings, mass keys below 2^62 (_check_dims)
         data = measure_to_dict(obj)
-        data.update(support=_encode_bigints(data["support"]),
-                    meta=_encode_bigints(data["meta"]))
-    elif isinstance(obj, (AlternatingPlan, SweepPlan)):
-        data = _encode_bigints(plan_to_dict(obj))
+        data.update(support=_encode(data["support"], _file_leaf),
+                    meta=_encode(data["meta"], _file_leaf))
+    elif type(obj) in _PLAN_TYPES:
+        data = _encode(plan_to_dict(obj), _file_leaf)
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
     _write(path, json.dumps(data, separators=(",", ":")) + "\n")
@@ -297,7 +294,7 @@ def load_json(path):
     """Load a saved set, measure or plan. Anything that is not a well-formed
     payload of this format version raises ValidationError."""
     try:
-        data = json.loads(Path(path).read_text(), object_hook=_decode_bigint)
+        data = json.loads(Path(path).read_text(), object_hook=_decode)
     except (OSError, ValueError, TypeError, RecursionError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -383,19 +380,7 @@ def report_to_json(report, path=None):
     if not (isinstance(report, dict) or is_dataclass(report)
             and not isinstance(report, type)):
         raise ValidationError(f"cannot export {type(report).__name__}")
-
-    def default(o):
-        if isinstance(o, Fraction):
-            if max(o.numerator.bit_length(),
-                   o.denominator.bit_length()) > _BIGINT_BITS:
-                return {"$bighex": [hex(o.numerator), hex(o.denominator)]}
-            return format_rational(o)
-        if isinstance(o, complex):
-            return {"re": o.real, "im": o.imag}
-        return str(o)
-
-    text = json.dumps(_encode_bigints(report), separators=(",", ":"),
-                      default=default)
+    text = json.dumps(_encode(report, _report_leaf), separators=(",", ":"))
     if path is not None:
         _write(path, text + "\n")
     return text

@@ -341,7 +341,8 @@ def oracle_measure_json(mu) -> str:
     data = io.measure_to_dict(mu)
     data["masses"] = [[[k, format_rational(m)] for k, m in mu.level_masses(n)]
                       for n in range(mu.max_depth + 1)]
-    return json.dumps(io._encode_bigints(data), separators=(",", ":")) + "\n"
+    return json.dumps(io._encode(data, io._file_leaf),
+                      separators=(",", ":")) + "\n"
 
 
 def oracle_measure_from_dict(data):
@@ -355,7 +356,7 @@ def oracle_measure_from_dict(data):
         (tuple(map(parse_rational, p)), parse_rational(w))
         for p, w in data["atoms"]]
     return DyadicMeasureTree.from_masses(support, masses, data["leaf_model"],
-                                         atoms, io._decode_meta(data.get("meta", {})))
+                                         atoms, io._file_meta(data))
 
 
 def oracle_sup_ball_cover(mu, n):

@@ -324,6 +324,18 @@ class TestSweepSet:
         assert [c["pair"] for c in res["checks"]
                 if c["name"] == "lower_range_disjoint"] == [[0, 1], [1, 2]]
 
+    def test_last_stage_designation_opens_no_range(self):
+        # k_max = 1: the stage-1 designation at N_1 = 5 has no stage 2 to
+        # double into, so it adds no check and no lower range
+        plan = sweep_plan(Fraction(2, 5), Fraction(7, 10), level_budget=10)
+        res = verify_sweep_set(plan, sweep_set(plan, 5))
+        assert res["ok"] and plan.k_max == 1
+        assert [dz["stage"] for dz in res["designated"]] == [0, 1]
+        assert res["ranges"] == [{"stage": 0, "cube": (1, 0),
+                                  "range": [5, 5], "truncated": True}]
+        assert {c.get("stage") for c in res["checks"]
+                if c["name"] != "level_count"} == {0}
+
     def test_depth_validation(self, splan):
         # past the 62-bit key budget, the cube limit refuses the set
         with pytest.raises(UnavailableError, match="level 63 would hold"):

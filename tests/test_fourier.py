@@ -612,6 +612,17 @@ class TestDecaySlopes:
                                        [2.0, 3.0, 4.0, 5.0])
         assert rep.low_confidence
 
+    def test_underflowed_samples_leave_the_fit(self):
+        # in 2-D, I(R) ~ pi R^2 rounds to 0.0 as a float below R ~ 2^-537;
+        # such a sample has no logarithm and is left out of the fit
+        mu = DyadicMeasureTree.uniform_on_set(
+            DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 4))
+        rep = fourier_correlation_dims(mu, [2.0 ** -k
+                                            for k in range(560, 519, -1)])
+        zeros = [s["R"] for s in rep.curve.samples if s["value"] == 0.0]
+        assert len(zeros) == 23 and max(zeros) < 2.0 ** -537
+        assert len(rep.dims.points) == 41 - 23
+
     def test_box_estimate_full_and_cantor(self):
         win = [2.0 ** k for k in range(1, 10)]
         full = fourier_box_estimate(DyadicSetTree.full(1, 6), win)
@@ -689,6 +700,22 @@ class TestFourierEnergy:
         assert not rep.diverged
         assert rep.meta["head_cut"] == 1.0
         assert 0.0 < rep.value < math.inf
+
+    @pytest.mark.parametrize("s, cut, r_max", [
+        (Fraction(1, 3), 0.0625, 0.1), (Fraction(1, 3), 0.0625, 0.125),
+        (0, 1.0, 2.0)])
+    def test_one_octave_is_refused(self, s, cut, r_max):
+        # one octave segment past the head cut leaves no decay slope to
+        # fit; the energy used to read diverged on a decay exponent of 0
+        mu = DyadicMeasureTree.uniform_on_set(cantor_tree(10))
+        with pytest.raises(ValidationError, match=f"head cut {cut} "):
+            fourier_energy(mu, s, r_max=r_max)
+
+    def test_two_octaves_fit_the_decay(self):
+        mu = DyadicMeasureTree.uniform_on_set(cantor_tree(10))
+        rep = fourier_energy(mu, Fraction(1, 3), r_max=0.13)
+        assert [r for r, _ in rep.truncations] == [0.125, 0.13]
+        assert rep.decay_exponent == pytest.approx(0.0272, abs=1e-4)
 
     def test_cantor_third_energy_finite(self):
         mu = DyadicMeasureTree.uniform_on_set(cantor_tree(8))

@@ -2,7 +2,9 @@
 every function or class it defines is used by the package or the
 benchmark (not only by tests or a re-export), every function the benchmark
 tracer wraps exists, every exception class it defines is raised somewhere,
-and numpy loads only when a transform or an energy bracket needs it.
+numpy loads only when a transform or an energy bracket needs it, and a
+failing property test reports its example under the suite's warning
+filters.
 
 Stdlib-`ast` stand-ins for a linter's unused-import and dead-code rules.
 The import check skips `__init__.py`, since its imports are the package's
@@ -253,3 +255,29 @@ def test_numpy_loads_only_for_transforms(tmp_path):
             [sys.executable, "-c", NUMPY_PROBE, str(tmp_path / "cantor.json"),
              loader], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_failing_property_shows_its_example(tmp_path):
+    """Under the suite's `filterwarnings` (every warning an error), a failing
+    @given test ends in its falsifying example, not in an INTERNALERROR
+    raised while hypothesis formats the failure report."""
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(SRC.parent.parent / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr

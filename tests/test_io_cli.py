@@ -6,12 +6,13 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from dimlab import io
-from dimlab.cli import build_parser, main
+from dimlab.cli import _check_lines, build_parser, main
 from dimlab.constructions import (alternating_plan, alternating_set,
                                   stagewise_frostman_measures, sweep_plan,
                                   sweep_set)
@@ -63,9 +64,9 @@ def meta_file(tmp_path, where, meta):
 
 def reread(data):
     """A set or measure payload loaded back from its JSON text."""
-    text = json.dumps(io._encode_bigints(data))
+    text = json.dumps(io._encode(data, io._file_leaf))
     return io._LOADERS[data["type"]](json.loads(
-        text, object_hook=io._decode_bigint))
+        text, object_hook=io._decode))
 
 
 def assert_same_set(back, tree):
@@ -77,6 +78,13 @@ def assert_same_set(back, tree):
         tree.symbolic and tree.symbolic.to_dict())
     assert "parent_runs" in vars(back)  # filled by the load
     assert back.parent_runs == DyadicSetTree.parent_runs.func(tree)
+
+
+def strict_json(text):
+    """json.loads that refuses the non-JSON constants NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def tables(mu):
@@ -121,7 +129,8 @@ class TestJsonRoundTrips:
         p = tmp_path / f"{name}.json"
         io.save_json(tree, p)
         assert_same_set(io.load_json(p), tree)
-        p.write_text(json.dumps(io._encode_bigints(old_layout(tree))))
+        p.write_text(json.dumps(io._encode(old_layout(tree),
+                                           io._file_leaf)))
         assert_same_set(io.load_json(p), tree)
 
     def test_sets_past_the_key_budget_round_trip(self, tmp_path):
@@ -132,7 +141,7 @@ class TestJsonRoundTrips:
         assert tree.levels[-1][-1] >= 1 << 62
         p = tmp_path / "deep.json"
         for data in (io.set_to_dict(tree), old_layout(tree)):
-            p.write_text(json.dumps(io._encode_bigints(data)))
+            p.write_text(json.dumps(io._encode(data, io._file_leaf)))
             assert_same_set(io.load_json(p), tree)
         io.save_json(tree, p)
         assert_same_set(io.load_json(p), tree)
@@ -163,8 +172,8 @@ class TestJsonRoundTrips:
         for obj, to_dict in ((plan, io.plan_to_dict), (alt, io.set_to_dict),
                              (mu, io.measure_to_dict)):
             old, new = tmp_path / "old.json", tmp_path / "new.json"
-            old.write_text(json.dumps(io._encode_bigints(to_dict(obj)),
-                                      indent=1) + "\n")
+            old.write_text(json.dumps(
+                io._encode(to_dict(obj), io._file_leaf), indent=1) + "\n")
             assert "\n " in old.read_text()
             back = io.load_json(old)
             assert to_dict(back) == to_dict(obj)
@@ -253,7 +262,8 @@ class TestJsonRoundTrips:
         for name, mu in measures.items():
             p = tmp_path / f"{name}.json"
             io.save_json(mu, p)
-            want = json.dumps(io._encode_bigints(io.measure_to_dict(mu)),
+            want = json.dumps(io._encode(io.measure_to_dict(mu),
+                                         io._file_leaf),
                               separators=(",", ":")) + "\n"
             assert p.read_text() == want, name
         assert '"$bighex"' in (tmp_path / "alternating.json").read_text()
@@ -344,6 +354,40 @@ class TestJsonRoundTrips:
             io.save_json(plan, p)
             assert io.load_json(p) == plan
 
+    def test_dicts_round_trip_without_json_text(self):
+        # X_from_dict(X_to_dict(x)) gives x back with no file in between:
+        # rationals in meta and counts wider than 2048 bits included
+        tree = alternating_set(alternating_plan(Fraction(2, 5),
+                                                Fraction(7, 10)), 24)
+        tree.meta["r"] = Fraction(1, 3)
+        data = io.set_to_dict(tree)
+        assert max(data["symbolic"]["segments"][-1].values()
+                   ).bit_length() > 2048
+        back = io.set_from_dict(data)
+        assert (back.levels, back.meta) == (tree.levels, tree.meta)
+        assert back.symbolic.to_dict() == tree.symbolic.to_dict()
+        for plan in (alternating_plan(Fraction(2, 5), Fraction(7, 10)),
+                     sweep_plan(Fraction(2, 5), Fraction(7, 10))):
+            assert io.plan_from_dict(io.plan_to_dict(plan)) == plan
+        assert max(plan.counts_at_stage).bit_length() > 2048
+        mu = DyadicMeasureTree.atomic(
+            [(Fraction(1, 3),), (Fraction(3, 4),)],
+            [Fraction(1, 4), Fraction(3, 4)], 1, 5)
+        mu.meta["w"] = Fraction(2, 7)
+        back = io.measure_from_dict(io.measure_to_dict(mu))
+        assert (back.tables, back.atoms, back.meta) == (
+            mu.tables, mu.atoms, mu.meta)
+
+    def test_dict_readers_reject_other_payloads(self):
+        data = io.set_to_dict(cantor_tree(4))
+        with pytest.raises(ValidationError, match="not a serialized measure"):
+            io.measure_from_dict(data)
+        with pytest.raises(ValidationError, match="not a serialized plan"):
+            io.plan_from_dict(data)
+        with pytest.raises(ValidationError,
+                           match="not a serializable plan: DyadicSetTree"):
+            io.plan_to_dict(cantor_tree(4))
+
     def test_huge_counts_survive_as_hex(self, tmp_path):
         # segment anchors deep in the schedule exceed any float or int64
         plan = alternating_plan(Fraction(2, 5), Fraction(7, 10))
@@ -385,6 +429,9 @@ class TestCsv:
         p = tmp_path / "pts.csv"
         p.write_text("0.5,0.5\n0.25\n")
         with pytest.raises(ValidationError):
+            io.points_from_csv(p, 2, 4)
+        p.write_text("0.5,0.5\n0.25,abc\n")  # a header is only line 1
+        with pytest.raises(ValidationError, match="bad coordinate 'abc'"):
             io.points_from_csv(p, 2, 4)
         empty = tmp_path / "empty.csv"
         empty.write_text("# nothing\n")
@@ -433,7 +480,7 @@ class TestReportJson:
         assert data["negative"] == [{"$bighex": hex(-big)}, 0]
         assert data["nested"] == {"a": {"b": {"$bighex": hex(big)}},
                                   "c": edge, "d": {"$bighex": hex(-big)}}
-        assert json.loads(text, object_hook=io._decode_bigint) == report
+        assert json.loads(text, object_hook=io._decode) == report
 
     def test_wide_fraction_is_tagged_hex(self):
         # a Fraction with a part wider than 2048 bits is written as the
@@ -450,6 +497,24 @@ class TestReportJson:
         assert data == {"bracket": json.loads(io.report_to_json(br)),
                         "ok": True}
         assert data["bracket"]["s"] == "1/3"
+
+    def test_non_finite_floats_are_null(self, tmp_path):
+        # bare Infinity and NaN are not JSON; files and reports write null
+        inf = math.inf
+        text = io.report_to_json({"v": inf, "w": [-inf, math.nan, 0.5],
+                                  "z": complex(inf, 1)})
+        assert strict_json(text) == {"v": None, "w": [None, None, 0.5],
+                                     "z": {"re": None, "im": 1.0}}
+        tree = cantor_tree(4)
+        tree.meta["x"] = -inf
+        io.save_json(tree, tmp_path / "set.json")
+        text = (tmp_path / "set.json").read_text()
+        assert strict_json(text)["meta"]["x"] is None
+
+    def test_other_values_are_written_as_text(self):
+        path = Path("a") / "b"
+        assert json.loads(io.report_to_json({"path": path})) == {
+            "path": str(path)}
 
     def test_bool_in_int_list_stays_bool(self):
         text = io.report_to_json({"xs": [1, True, 2], "flags": [False]})
@@ -473,7 +538,7 @@ class TestReportJson:
         big = 1 << 3000
         text = io.report_to_json({"ratio": Fraction(3, 7), "z": 1 + 2j,
                                   "big": big}, tmp_path / "rep.json")
-        assert json.loads(text, object_hook=io._decode_bigint) == {
+        assert json.loads(text, object_hook=io._decode) == {
             "ratio": "3/7", "z": {"re": 1.0, "im": 2.0}, "big": big}
 
 
@@ -560,6 +625,19 @@ class TestCliConstruct:
         mu = io.load_json(out)
         assert mu.leaf_model == "atoms" and len(mu.atoms) == 4
 
+    def test_net_measure_defaults_to_the_deepest_level(self, tmp_path,
+                                                      cantor_file, capsys):
+        out = tmp_path / "net.json"
+        code, text, _ = run_cli(capsys, "construct", "measure", "--set",
+                                cantor_file, "--kind", "net",
+                                "--out", str(out))
+        assert (code, text) == (0, f"wrote {out} (net measure, depth 9)\n")
+        at9 = tmp_path / "net9.json"
+        assert run_cli(capsys, "construct", "measure", "--set", cantor_file,
+                       "--kind", "net", "--level", "9",
+                       "--out", str(at9))[0] == 0
+        assert out.read_bytes() == at9.read_bytes()
+
     def test_anti_frostman_measure(self, tmp_path, cantor_file, capsys):
         out = tmp_path / "af.json"
         code, text, _ = run_cli(capsys, "construct", "measure",
@@ -637,6 +715,29 @@ class TestCliEstimate:
                                 "--rmax", "512")
         assert code == 0 and "energy s=1/3:" in text
 
+    def test_one_octave_energy_is_refused(self, tmp_path, capsys):
+        # it printed "diverged (decay exponent -0.000)" and exited 0
+        p = tmp_path / "cantor.json"
+        io.save_json(cantor_tree(10), p)
+        code, text, err = run_cli(capsys, "estimate", "energy", "--in",
+                                  str(p), "--s", "1/3", "--rmax", "0.1")
+        assert (code, text) == (2, "")
+        assert err == ("error: r_max must be finite and leave the two octave "
+                       "segments past the head cut 0.0625 that the decay "
+                       "fit needs\n")
+
+    def test_diverged_energy_report_is_json(self, tmp_path, cantor_file,
+                                            capsys):
+        # its value and error were written as bare Infinity
+        rep = tmp_path / "energy.json"
+        code, text, _ = run_cli(capsys, "estimate", "energy", "--in",
+                                cantor_file, "--s", "3/4", "--rmax", "512",
+                                "--json", str(rep))
+        assert code == 0 and "diverged" in text
+        data = strict_json(rep.read_text())
+        assert (data["value"], data["err"], data["diverged"]) == (
+            None, None, True)
+
     def test_energy_error_prints_as_estimate(self, tmp_path, capsys):
         # err is a Richardson estimate, not a bound: the text must not
         # read as one
@@ -654,6 +755,16 @@ class TestCliEstimate:
         assert code == 0 and "fourier-corr: full=" in text
         assert len(cout.read_text().splitlines()) == 9
 
+    def test_fourier_corr_reports_an_exhausted_budget(self, tmp_path,
+                                                      capsys):
+        p = tmp_path / "cantor.json"
+        io.save_json(cantor_tree(10), p)
+        code, text, _ = run_cli(capsys, "estimate", "fourier-corr", "--in",
+                                str(p), "--scales", "2^1..2^4",
+                                "--rel-tol", "1e-14")
+        assert code == 0
+        assert "  quadrature budget exhausted on some samples\n" in text
+
     def test_fourier_corr_on_few_octaves_is_low_confidence(
             self, tmp_path, cantor_file, capsys):
         # plain rational scales; 2..6 spans log2(3) < 4 octaves
@@ -670,6 +781,7 @@ class TestCliEstimate:
         ids=["cantor6", "sierpinski3"])
     @pytest.mark.parametrize("cmd, flag, value", [
         ("energy", "--rmax", "0.01"),  # below the head cut 1/16
+        ("energy", "--rmax", "0.1"),  # one octave past the head cut
         ("energy", "--rmax", "-5"),
         ("energy", "--rmax", "nan"),
         ("energy", "--rmax", "inf"),
@@ -862,6 +974,23 @@ class TestCliEstimate:
         code, _, err = self._estimate_box(capsys, tmp_path, data)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("where, tag", [
+        ("meta", {"$rational": 5}), ("meta", {"$rational": "x/"}),
+        ("meta", {"$bighex": "zz"}), ("meta", {"$bighex": 5}),
+        ("leaves", {"$rational": "1/2"})])
+    def test_malformed_tags_are_validation_errors(self, tmp_path, capsys,
+                                                  where, tag):
+        # the load hook reads both tags anywhere in a file: one it cannot
+        # read, or a rational where a cube key belongs, is an error line
+        data = io.set_to_dict(cantor_tree(4))
+        if where == "meta":
+            data["meta"]["r"] = tag
+        else:
+            data["leaves"][0] = tag
+        code, text, err = self._estimate_box(capsys, tmp_path, data)
+        assert (code, text) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_version_is_validation_error(self, tmp_path, capsys):
         data = io.set_to_dict(cantor_tree(4))
         data["version"] = 99
@@ -884,7 +1013,7 @@ class TestCliEstimate:
     def test_symbolic_segment_coef_is_not_truncated(self, tmp_path, capsys):
         tree = alternating_set(alternating_plan(Fraction(2, 5),
                                                 Fraction(7, 10)), 24)
-        data = io._encode_bigints(io.set_to_dict(tree))
+        data = io._encode(io.set_to_dict(tree), io._file_leaf)
         assert data["symbolic"]["segments"][0]["coef"] == 1
         data["symbolic"]["segments"][0]["coef"] = 1.9
         code, _, err = self._estimate_box(capsys, tmp_path, data)
@@ -949,8 +1078,8 @@ class TestCliEstimate:
             io.load_json(tmp_path / "in.json")
 
     def test_plan_integers_are_not_truncated(self, tmp_path):
-        data = io._encode_bigints(io.plan_to_dict(
-            sweep_plan(Fraction(2, 5), Fraction(7, 10))))
+        data = io._encode(io.plan_to_dict(
+            sweep_plan(Fraction(2, 5), Fraction(7, 10))), io._file_leaf)
         data["n_seq"][0] += 0.5
         p = tmp_path / "plan.json"
         p.write_text(json.dumps(data))
@@ -1135,6 +1264,19 @@ class TestCliVerify:
         assert code == 0 and "fourier-sandwich: PASS" in text
         assert jout.exists()
 
+    def test_fourier_sandwich_inconclusive_exits_zero(self, tmp_path,
+                                                     capsys):
+        p, jout = tmp_path / "cantor.json", tmp_path / "sw.json"
+        io.save_json(cantor_tree(10), p)
+        code, text, _ = run_cli(capsys, "verify", "fourier-sandwich",
+                                "--in", str(p), "--eps", "1/5",
+                                "--scales", "2^-4..2^-20",
+                                "--json", str(jout))
+        assert code == 0
+        assert text.endswith(f"fourier-sandwich: INCONCLUSIVE\n"
+                             f"wrote {jout}\n")
+        assert strict_json(jout.read_text())["inconclusive"] is True
+
     def test_frostman_stages(self, capsys):
         code, text, _ = run_cli(capsys, "verify", "frostman-stages",
                                 "--s", "1/2", "--d", "1", "--depth", "8")
@@ -1290,6 +1432,15 @@ class TestCliExport:
 
 
 class TestCliPlumbing:
+    def test_check_lines_list_twenty_failures(self):
+        checks = [{"name": "count", "level": n, "ok": False}
+                  for n in range(25)] + [{"name": "count", "ok": True}]
+        lines = _check_lines(checks)
+        assert lines[:2] == ["  FAIL count level=0", "  FAIL count level=1"]
+        assert lines[19:] == ["  FAIL count level=19",
+                              "  ... and 5 more failures",
+                              "  checks: 1/26 passed"]
+
     def test_argparse_errors_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["estimate"])
