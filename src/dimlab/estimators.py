@@ -316,6 +316,8 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
                       ) -> tuple[Fraction, list[tuple[Fraction, str]]]:
     """Largest grid exponent whose packing predicate holds on the window.
     Returns (threshold, per-exponent verdicts); threshold 0 when none hold.
+    The default grid is k/20 for k = 1..20 d, so it reaches the dimension
+    d of the ambient cube.
 
     Same verdicts as packing_predicate at every grid exponent, from one
     top-down pass over each half of the window. For a fixed cube of mass m
@@ -334,7 +336,7 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     down (2^-ns falls with n for s > 0, is >= 1 for s <= 0): it is skipped.
     """
     if grid is None:
-        grid = [Fraction(k, 20) for k in range(1, 21)]
+        grid = [Fraction(k, 20) for k in range(1, 20 * mu.d + 1)]
     svs = sorted(to_fraction(g) for g in grid)
     if not svs:
         return Fraction(0), []

@@ -571,6 +571,27 @@ class TestInequalityReport:
         assert rep.estimates["hausdorff_proxy"] == \
             rep.per_measure[0]["frostman"]
 
+    @pytest.mark.parametrize("d, keep, depth, expected", [
+        (2, range(4), 5, Fraction(2)),
+        (2, [0, 1, 2], 5, Fraction(31, 20)),
+        (3, range(8), 4, Fraction(3))], ids=["square", "sierpinski", "cube"])
+    def test_chain_passes_above_dimension_one(self, d, keep, depth,
+                                              expected):
+        # the default grid reaches d: with a grid that stopped at 1 the
+        # correlation slope (2, log2 3, 3) failed corr_upper <= threshold
+        tree = DyadicSetTree.from_digit_ifs(d, 1, keep, depth)
+        rep = inequality_report(tree, [DyadicMeasureTree.uniform_on_set(
+            tree)])
+        assert rep.estimates["packing_threshold"] == expected
+        assert rep.ok and all(c["ok"] for c in rep.checks)
+
+    @pytest.mark.parametrize("d, depth", [(2, 2), (2, 5), (3, 2), (3, 3)])
+    def test_full_cube_threshold_is_d(self, d, depth):
+        mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(d, depth))
+        thr, tested = packing_threshold(mu, range(1, depth + 1))
+        assert thr == d
+        assert len(tested) == 20 * d
+
     def test_needs_four_levels(self):
         tree = cantor_tree(6)
         with pytest.raises(ValidationError):

@@ -1192,6 +1192,23 @@ class TestCliVerify:
                                 "--tol", "0", "--window", "4")
         assert code == 4 and "ineq-chain: FAIL" in text
 
+    @pytest.mark.parametrize("argv, threshold", [
+        (["--keep", "0,1,2,3", "--d", "2", "--depth", "5"], "2"),
+        (["--keep", "0,1,2", "--d", "2", "--depth", "5"], "31/20"),
+        (["--keep", "0,1,2,3,4,5,6,7", "--d", "3", "--depth", "4"], "3")],
+        ids=["square", "sierpinski", "cube"])
+    def test_ineq_chain_passes_above_dimension_one(self, tmp_path, capsys,
+                                                   argv, threshold):
+        path = str(tmp_path / "set.json")
+        code, _, _ = run_cli(capsys, "construct", "ifs", "--base", "2",
+                             *argv, "--out", path)
+        assert code == 0
+        code, text, err = run_cli(capsys, "verify", "ineq-chain", "--in",
+                                  path)
+        assert (code, err) == (0, "")
+        assert f"  packing_threshold = {threshold}\n" in text
+        assert "FAIL" not in text and "ineq-chain: PASS" in text
+
     @pytest.mark.parametrize("edits, want", [
         ({20: {0: 131072, 1: 0}}, "level 20 keys not strictly sorted"),
         ({24: {-1: 1 << 24}}, "key 16777216 out of range at level 24"),
