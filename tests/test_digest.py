@@ -8,9 +8,11 @@ and the depth-24 alternating set, under uniform, seeded random_split and
 atomic measures, and the stagewise Frostman measures on them, plus the
 ValidationError text of set trees with one defect or two planted on their
 one-child levels, what the corpus sets (with the four inequality-chain
-inputs) and the net measures load back to from their files, and the staged
-and digit-IFS sets as built. A change that is meant to keep every output
-passes unchanged; one that moves a section on purpose re-pins it with
+inputs) and the net measures load back to from their files, the staged and
+digit-IFS sets as built, and a 40-command CLI session (each command's exit
+code, output and written files). A change that is meant to keep every
+output passes unchanged; one that moves a section on purpose re-pins it
+with
 
     PYTHONPATH=src python tests/test_digest.py
 
@@ -22,9 +24,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import random
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
@@ -509,6 +512,101 @@ def construction_sets():
                f"{text(tree.meta)}")
 
 
+# the commands of cli_session, in order: each later command reads files
+# that earlier ones wrote, all by relative paths in one directory
+SESSION = """
+construct ifs --base 4 --keep 0,3 --depth 8 --out cantor.json
+construct ifs --base 2 --keep 0,1,2 --d 2 --depth 5 --out sier.json
+construct ifs --base 2 --keep 0,1,2,3 --d 2 --depth 4 --out square.json
+construct alternating --dim-low 2/5 --dim-high 7/10 --depth 16 --out alt.json \
+--plan-out alt-plan.json --stage 1 --measure-out alt-st1.json
+construct sweep --dim-low 2/5 --dim-high 7/10 --depth 16 --out sweep.json \
+--plan-out sweep-plan.json
+construct points --csv pts.csv --snap-depth 6 --d 2 --out pts.json
+construct measure --set cantor.json --kind uniform --out cantor-u.json
+construct measure --set cantor.json --kind net --level 6 --out cantor-net.json
+construct measure --set cantor.json --kind anti-frostman --net-levels 2,4,6 \
+--out cantor-af.json
+construct measure --set sier.json --kind anti-frostman --net-levels 1..4 \
+--out sier-af.json
+estimate box --in cantor.json --json box.json --csv box.csv
+estimate box --in sweep.json --levels 4..16
+estimate corr --in cantor-net.json --levels 2..6
+estimate corr --in sier.json --csv corr.csv
+estimate frostman --in sier-af.json --window 3 --json fro.json
+estimate fourier-corr --in cantor.json --scales 2^1..2^6 --json fc.json \
+--csv fc.csv
+estimate fourier-box --in cantor.json --scales 2^1..2^5
+estimate fourier-corr --in square.json --scales 2^1..2^4
+estimate energy --in cantor.json --s 1/3 --rmax 256 --json en.json
+estimate energy --in cantor-net.json --s 1/2 --rmax 64
+verify alternating-counts --dim-low 2/5 --dim-high 7/10 --json ac.json
+verify sweep-counts --dim-low 2/5 --dim-high 7/10 --materialize-depth 16
+verify frostman-stages --d 1 --depth 10 --s 1/2 --stages 4 --json fs.json
+verify frostman-stages --in cantor.json --s 1/3
+verify frostman-stages --in sier.json --s 1/2
+verify frostman-stages --in alt.json --s 1/5
+verify frostman-stages --d 1 --depth 6 --s 1
+verify fourier-sandwich --in cantor.json --eps 1/10 --json fsw.json
+verify fourier-sandwich --in cantor.json --eps 1/1000 --tol 0
+verify corr-sandwich --in cantor.json --levels 2..8 --random-measures 2 \
+--seed 5 --json cs.json
+verify ineq-chain --in cantor.json --measures cantor-af.json cantor-net.json \
+--json ic.json
+verify ineq-chain --in sier.json --measures sier-af.json
+verify ineq-chain --in alt.json --measures alt-st1.json
+verify ineq-chain --in cantor.json --measures sier.json
+verify ball-lower-bound --in cantor.json --levels 2,4,6 --json bl.json
+verify ball-lower-bound --in sier.json --levels 1..4
+export --in cantor-u.json --csv ex-u.csv
+export --in sier.json --csv ex-s.csv --min-level 2
+export --in cantor-af.json --csv ex-af.csv
+estimate corr --in u-atoms.json
+""".strip().splitlines()
+
+
+def cli_session():
+    """SESSION run in-process through cli.main in a temporary working
+    directory: per command its argv, exit code, and the SHA-256 of its
+    stdout, its stderr and each file it writes or rewrites. It covers every
+    subcommand, --json and CSV outputs, net and anti-Frostman measure files
+    loaded back, frostman-stages on the full interval and on digit-IFS
+    sets, and one refusal each of exit 2 (a uniform measure file with
+    atoms; a witness of another d), 3 (no stage 1) and 4 (the fourier
+    sandwich on the uniform depth-8 Cantor measure at eps 1/1000, tol 0).
+    pts.csv, four 2-D points, is there from the start; u-atoms.json, the
+    uniform Cantor measure's file with the net measure's atoms added, is
+    made before the command that reads it."""
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    def files():
+        return {p.name: p.read_bytes() for p in Path().iterdir()}
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("pts.csv").write_text(
+                "0.1,0.2\n0.7,0.9\n0.5,0.5\n0.33,0.66\n")
+            for line in SESSION:
+                argv = line.split()
+                if "u-atoms.json" in argv:
+                    data = json.loads(Path("cantor-u.json").read_text())
+                    data["atoms"] = json.loads(
+                        Path("cantor-net.json").read_text())["atoms"]
+                    Path("u-atoms.json").write_text(json.dumps(data))
+                before, out, err = files(), StringIO(), StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main(argv)
+                wrote = [f"{name}={sha(data)}" for name, data in
+                         sorted(files().items()) if before.get(name) != data]
+                yield (f"{line} | {code} {sha(out.getvalue().encode())} "
+                       f"{sha(err.getvalue().encode())} {' '.join(wrote)}")
+        finally:
+            os.chdir(home)
+
+
 def levels():
     for q in range(1, 41):
         for p in range(1, 2 * q + 1):
@@ -531,6 +629,7 @@ SECTIONS = {
     "frostman_stages": frostman_stages,
     "set_files": set_files,
     "constructions": construction_sets,
+    "cli_session": cli_session,
 }
 
 
