@@ -39,7 +39,7 @@ from .exact import (
     level_for_radius,
     to_fraction,
 )
-from .measure import UNIFORM, DyadicMeasureTree, _split_step, _sums_up
+from .measure import DyadicMeasureTree, _split_step
 from .settree import (DyadicSetTree, Segment, SegmentCounts, _check_cubes,
                       _runs)
 
@@ -583,7 +583,10 @@ def stagewise_frostman_measures(tree: DyadicSetTree, s, radii,
         keys, cur_level = kids, n
         stage_levels.append(n)
         stage_radii.append(level_of[n])
-        measures.append(_stage_measure(tree, n, keys, nums, den))
+        measures.append(DyadicMeasureTree._from_leaves(
+            d, n, keys, nums, den,
+            {"kind": "frostman_stage", "from": tree.meta.get("kind")},
+            {"kind": "frostman_stage", "level": n}))
         worst = Fraction(max(nums), den)
         # every stage cube mass <= 2^-(d+2s) 2^-ns, exactly
         mass_bound_ok = cmp_pow2(worst, -(threshold_exp + n * sf)) <= 0
@@ -613,16 +616,3 @@ def verify_stage_balls(measures: Sequence[DyadicMeasureTree],
                      "centers": len(mu.support.levels[n]),
                      "cover_bound": bound, "ok": le_rpow(bound, r, report.s)})
     return {"ok": all(row["ok"] for row in rows), "rows": rows}
-
-
-def _stage_measure(tree: DyadicSetTree, level: int, keys: list[int],
-                   nums: list[int], den: int) -> DyadicMeasureTree:
-    """Measure truncated at the stage level: the sorted stage cubes, the
-    support's leaves, with masses nums / den summed up, uniform below."""
-    support = DyadicSetTree.from_leaves(
-        tree.d, level, keys, None,
-        {"kind": "frostman_stage", "from": tree.meta.get("kind")})
-    mu = DyadicMeasureTree(support, UNIFORM, _sums_up(support, nums, den),
-                           None, {"kind": "frostman_stage", "level": level})
-    mu.validate()
-    return mu

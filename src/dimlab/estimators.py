@@ -316,8 +316,7 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
                       ) -> tuple[Fraction, list[tuple[Fraction, str]]]:
     """Largest grid exponent whose packing predicate holds on the window.
     Returns (threshold, per-exponent verdicts); threshold 0 when none hold.
-    The default grid is k/20 for k = 1..20 d, so it reaches the dimension
-    d of the ambient cube.
+    The default grid is k/20 for k = 1..20 d: it runs to the dimension d.
 
     Same verdicts as packing_predicate at every grid exponent, from one
     top-down pass over each half of the window. For a fixed cube of mass m

@@ -173,7 +173,7 @@ def measure_from_dict(data: dict) -> DyadicMeasureTree:
     support = set_from_dict(data["support"])
     rule, tables = data.get("mass_rule"), data.get("masses")
     if rule == "explicit" and tables is not None:
-        build, rows = DyadicMeasureTree._from_rows, []
+        rows = []
         for level in tables:  # (keys, numerators, denominators) per level
             rows.append(([k for k, _ in level],
                          *_ratios([m for _, m in level])))
@@ -185,10 +185,8 @@ def measure_from_dict(data: dict) -> DyadicMeasureTree:
                 raise ValidationError(f"level {n}: cube {k} listed twice")
     elif rule == "equal_split" and tables is None:
         # files written before every measure carried tables
-        uni = DyadicMeasureTree.uniform_on_set(support)
-        build = DyadicMeasureTree.from_masses
-        rows = [dict(uni.level_masses(n))
-                for n in range(support.max_depth + 1)]
+        rows = [(keys, nums, [den] * len(nums)) for keys, (nums, den) in zip(
+            support.levels, DyadicMeasureTree.uniform_on_set(support).tables)]
     else:
         raise ValidationError(
             f"unsupported mass rule {rule!r} or missing mass tables")
@@ -196,7 +194,8 @@ def measure_from_dict(data: dict) -> DyadicMeasureTree:
     if data.get("atoms") is not None:
         atoms = [(tuple(parse_rational(c) for c in p), parse_rational(w))
                  for p, w in data["atoms"]]
-    return build(support, rows, data["leaf_model"], atoms, _file_meta(data))
+    return DyadicMeasureTree._from_rows(support, rows, data["leaf_model"],
+                                        atoms, _file_meta(data))
 
 
 def _ratios(texts: list) -> tuple[list[int], list[int]]:

@@ -11,21 +11,21 @@ splitting each cube's mass among its selected children (uniform; random,
 its weights drawn in one pass in key order), each parent's children one run
 of the sorted next level (the tree's parent_runs, built once per tree and
 shared by every measure split on it), a level of one child per parent
-sharing the list above; or bottom-up from the support's leaves (atoms,
-stages) along the same runs, built by from_leaves. Below the deepest
-materialized level a leaf model interprets the measure: "uniform" spreads
-each leaf's mass as normalized Lebesgue measure on the leaf cube, "atoms"
-on an explicit finite point list.
+sharing the list above; or bottom-up from the leaves along the same runs
+(atomic, net, anti-Frostman and stage measures, through one constructor,
+_from_leaves). Below the deepest materialized level a leaf model interprets
+the measure: "uniform" spreads each leaf's mass as normalized Lebesgue
+measure on the leaf cube, "atoms" on an explicit finite point list.
 
-Atoms have one representation, the int form (q, points, weight
-numerators, wden), merged, sorted and in lowest terms: atomic() converts
-its input to it once, level-n nets and the anti-Frostman net sum are built
-in it from the tree's level keys (upper corners deinterleave(key) + 1 over
-2^n), and (point, weight) Fractions are made from it only where a point
-leaves the measure. Exact ball masses are one batched query per radius
-over any number of centres (ball_masses_atoms): the atoms grouped axis by
-axis down to sorted last-axis coordinates with prefix sums, each centre's
-window bisected per axis on ints.
+Atoms have one form, the ints _atom_ints = (q, points, weight numerators,
+wden), merged, sorted and in lowest terms: atomic() and _from_rows (a
+file's atom list) convert their input to it once, level-n nets and the
+anti-Frostman net sum are built in it from the tree's level keys (upper
+corners deinterleave(key) + 1 over 2^n), and (point, weight) Fractions are
+made from it only where a point leaves the measure. Exact ball masses are
+one batched query per radius over many centres (ball_masses_atoms): the
+atoms grouped axis by axis down to sorted last-axis coordinates with prefix
+sums, each centre's window bisected per axis on ints.
 
 Ball quantities that a finite tree cannot pin down exactly are returned as
 two-sided brackets; dyadic quantities (cube masses, correlation sums over
@@ -106,25 +106,21 @@ class DyadicMeasureTree:
     n's masses as mass(n, support.levels[n][i]) = N[i] / D, in lowest
     terms. The tables are never mutated after construction: the measure
     keeps what it derives from them (the row index, the atom rows). An
-    atomic measure is given its atoms in the int form (ints, _atom_ints)
-    or as a Fraction list (atoms, a file's), and derives the other."""
+    atomic measure holds its atoms only in the int form (ints,
+    _atom_ints); a measure built from its leaves comes from _from_leaves."""
 
     def __init__(self, support: DyadicSetTree, leaf_model: str, tables: Tables,
-                 atoms: list[tuple[tuple[Fraction, ...], Fraction]] | None = None,
                  meta: dict | None = None, ints: tuple | None = None):
         if leaf_model not in (UNIFORM, ATOMS):
             raise ValidationError(f"unknown leaf model {leaf_model!r}")
-        if leaf_model == ATOMS and atoms is None and ints is None:
+        if leaf_model == ATOMS and ints is None:
             raise ValidationError("atomic leaf model needs an atom list")
-        if leaf_model == UNIFORM and (atoms is not None or ints is not None):
+        if leaf_model == UNIFORM and ints is not None:
             raise ValidationError("uniform leaf model takes no atoms")
         self.support = support
         self.leaf_model = leaf_model
         self.tables = tables
-        if atoms is not None:  # as given (a file's): checked in _atom_ints
-            self.atoms = atoms
-        if ints is not None:
-            self._atom_ints = ints
+        self._atom_ints = ints
         self.meta = meta or {}
         # level -> _level_rows of its table, filled by the ball bracket
         self._row_index: dict[int, list] = {}
@@ -135,19 +131,7 @@ class DyadicMeasureTree:
     def uniform_on_set(cls, tree: DyadicSetTree) -> "DyadicMeasureTree":
         """Equal split among selected children at every cube."""
         tables = _split_masses(tree)
-        return cls(tree, UNIFORM, tables, None, {"kind": "uniform_on_set"})
-
-    @classmethod
-    def from_masses(cls, tree: DyadicSetTree,
-                    masses: list[dict[int, Fraction]],
-                    leaf_model: str = UNIFORM,
-                    atoms=None, meta=None) -> "DyadicMeasureTree":
-        """Validated measure from Fraction tables in any key order (see
-        _from_rows)."""
-        return cls._from_rows(tree, [
-            (list(t), [m.numerator for m in t.values()],
-             [m.denominator for m in t.values()]) for t in masses],
-            leaf_model, atoms, meta)
+        return cls(tree, UNIFORM, tables, {"kind": "uniform_on_set"})
 
     @classmethod
     def _from_rows(cls, tree: DyadicSetTree, rows: list, leaf_model: str,
@@ -172,7 +156,10 @@ class DyadicMeasureTree:
             ks, ps, qs = rows[0]
             if 0 not in ks or ps[ks.index(0)] != qs[ks.index(0)]:
                 tables[:1] = [([0], 1)]
-        mu = cls(tree, leaf_model, tables, atoms, meta)
+        if atoms is not None and leaf_model == ATOMS:  # else refused as given
+            atoms = _merged(*_int_atoms([p for p, _ in atoms],
+                                        [w for _, w in atoms], tree.d))
+        mu = cls(tree, leaf_model, tables, meta, atoms)
         mu._check([ks for ks, _, _ in rows])
         return mu
 
@@ -195,10 +182,20 @@ class DyadicMeasureTree:
         keys = list(map(interleave, zip(*[iter(idx)] * d), repeat(depth)))
         keys, ns = zip(*sorted(zip(keys, ns), key=itemgetter(0)))
         leaves, _, ends = _runs(keys)
-        tree = DyadicSetTree.from_leaves(d, depth, leaves, None,
-                                         {"kind": "points", "count": len(ips)})
-        return cls(tree, ATOMS, _sums_up(tree, _run_sums(ns, ends), wden),
-                   None, meta or {"kind": "atomic"}, ints)
+        return cls._from_leaves(d, depth, leaves, _run_sums(ns, ends), wden,
+                                {"kind": "points", "count": len(ips)},
+                                meta or {"kind": "atomic"}, ints)
+
+    @classmethod
+    def _from_leaves(cls, d: int, depth: int, leaves: list[int],
+                     nums: list[int], den: int, set_meta: dict, meta: dict,
+                     ints: tuple | None = None) -> "DyadicMeasureTree":
+        """Masses nums / den on the sorted level-`depth` cubes leaves, summed
+        up along the parent runs of their support from_leaves (_sums_up);
+        atomic on the int atoms ints, else uniform below the leaves."""
+        tree = DyadicSetTree.from_leaves(d, depth, leaves, None, set_meta)
+        return cls(tree, UNIFORM if ints is None else ATOMS,
+                   _sums_up(tree, nums, den), meta, ints)
 
     @classmethod
     def random_split(cls, tree: DyadicSetTree, rng,
@@ -215,7 +212,7 @@ class DyadicMeasureTree:
             ws += [r + 1 for r in map(bits, repeat(k, n - len(ws)))
                    if r < max_part]
         tables = _split_masses(tree, ws)
-        return cls(tree, UNIFORM, tables, None, {"kind": "random_split"})
+        return cls(tree, UNIFORM, tables, {"kind": "random_split"})
 
     # -- mass queries --------------------------------------------------------
 
@@ -442,18 +439,9 @@ class DyadicMeasureTree:
             *centres))), r2)
 
     @functools.cached_property
-    def _atom_ints(self):
-        """The atoms' int form (q, points, weight numerators, wden): merged,
-        sorted, in lowest terms, q the lcm of the coordinates' reduced
-        denominators. atomic() builds it; an atom list given as Fractions
-        (a file's, in any order) is checked on ints here, once."""
-        return _merged(*_int_atoms([p for p, _ in self.atoms],
-                                   [w for _, w in self.atoms], self.d))
-
-    @functools.cached_property
     def atoms(self) -> list[tuple[tuple[Fraction, ...], Fraction]] | None:
-        """(point, weight) Fraction pairs, as given or made from _atom_ints
-        where a point leaves the measure; None without atoms."""
+        """(point, weight) Fraction pairs made from _atom_ints where a point
+        leaves the measure; None without atoms."""
         if self.leaf_model != ATOMS:
             return None
         q, pts, ns, wden = self._atom_ints
@@ -607,7 +595,7 @@ class DyadicMeasureTree:
 
     def _check(self, order) -> None:
         """validate(), a level's first broken parent named in the order of
-        order[n - 1]: the sorted level, or a from_masses table."""
+        order[n - 1]: the sorted level, or a _from_rows row."""
         self.support.validate()
         if not len(self.tables) == len(order) == self.max_depth + 1:
             raise ValidationError("mass table depth mismatch")
@@ -633,8 +621,7 @@ class DyadicMeasureTree:
                     raise ValidationError(
                         f"mass not conserved under cube {pk} at level {n-1}")
         if self.leaf_model == ATOMS:  # atoms as atomic() sums them
-            nu = self._on_ints(*self._atom_ints, self.d, self.max_depth,
-                               None)
+            nu = self._on_ints(*self._atom_ints, self.d, self.max_depth, None)
             if nu.support.levels != levels or nu.tables != self.tables:
                 raise ValidationError("atoms inconsistent with leaf masses")
 

@@ -21,7 +21,8 @@ atomic() in Fractions, a level's upper corners in
 Fractions, the cover mass at one centre and the 2^d-cube sup-ball cover
 bound by scans of every cube, and the s-energy over every
 leaf pair in 80-digit Decimals (1-D) or every pair of cap-level cubes
-(d >= 2), with leaf_measure and deeper to build their inputs, and a
+(d >= 2), with leaf_measure, deeper and from_masses (Fraction tables to a
+measure, by the file loader's _from_rows) to build their inputs, and a
 measure file written, and one read, with one Fraction per mass row. The slope fit is the float
 one with a slope and an RMS residual for every window. Two closed forms
 check the float results: the Riesz energies of the unit square from its
@@ -345,6 +346,16 @@ def oracle_measure_json(mu) -> str:
                       separators=(",", ":")) + "\n"
 
 
+def from_masses(tree, masses, leaf_model="uniform", atoms=None, meta=None):
+    """The validated measure of per-level {key: Fraction} tables in any key
+    order (and a (point, weight) atom list): each level split into keys,
+    numerators and denominators for _from_rows, which loads measure files."""
+    return DyadicMeasureTree._from_rows(tree, [
+        (list(t), [m.numerator for m in t.values()],
+         [m.denominator for m in t.values()]) for t in masses],
+        leaf_model, atoms, meta)
+
+
 def oracle_measure_from_dict(data):
     """A measure file read with one parse_rational Fraction per mass row,
     given to from_masses: the reference for measure_from_dict, which
@@ -355,8 +366,8 @@ def oracle_measure_from_dict(data):
     atoms = None if data.get("atoms") is None else [
         (tuple(map(parse_rational, p)), parse_rational(w))
         for p, w in data["atoms"]]
-    return DyadicMeasureTree.from_masses(support, masses, data["leaf_model"],
-                                         atoms, io._file_meta(data))
+    return from_masses(support, masses, data["leaf_model"], atoms,
+                       io._file_meta(data))
 
 
 def oracle_sup_ball_cover(mu, n):
@@ -742,10 +753,10 @@ def leaf_case(tree, kind, leaf):
     each reversed ("reversed"), else summed by ancestor_tables."""
     masses = oracle_ancestors(leaf, tree.d, tree.max_depth)
     if kind == "from_masses":
-        return DyadicMeasureTree.from_masses(tree, masses), masses, None
+        return from_masses(tree, masses), masses, None
     if kind == "reversed":
-        return DyadicMeasureTree.from_masses(tree, [
-            dict(reversed(t.items())) for t in masses]), masses, None
+        return from_masses(tree, [dict(reversed(t.items())) for t in masses]
+                           ), masses, None
     return leaf_measure(tree, leaf), masses, None
 
 

@@ -16,7 +16,6 @@ from dimlab.constructions import (
     AlternatingPlan,
     FrostmanStageReport,
     _auto_oracle,
-    _stage_measure,
     alternating_measure,
     alternating_plan,
     alternating_set,
@@ -398,9 +397,10 @@ class TestFrostmanStages:
         assert not {1, 2} & picks
         # 1/64 on cube 2, 63 / (64 4095) on the other 4095 cubes
         light = Fraction(63, 64 * 4095)
-        mu = _stage_measure(DyadicSetTree.full(1, n), n, list(range(1 << n)),
-                            [4095 if k == 2 else 63 for k in range(1 << n)],
-                            64 * 4095)
+        mu = DyadicMeasureTree._from_leaves(
+            1, n, list(range(1 << n)),
+            [4095 if k == 2 else 63 for k in range(1 << n)], 64 * 4095,
+            {"kind": "frostman_stage"}, {"kind": "frostman_stage", "level": n})
         assert mu.mass(n, 2) == Fraction(1, 64) and mu.mass(n, 3) == light
         report = FrostmanStageReport(s, [n], [r], False)
         res = verify_stage_balls([mu], report)
@@ -523,7 +523,8 @@ def check_stage_balls_against_oracle(tree, s) -> bool:
 def check_stages_against_oracle(tree, s, radii, stages=None):
     """stagewise_frostman_measures and the per-cube Fraction loop give the
     same stage levels, report rows and stage tables, or both raise
-    ConstructionError."""
+    ConstructionError; every stage measure is a valid measure (validate(),
+    which the construction does not call)."""
     try:
         want = oracle_frostman_stages(tree, s, radii, stages)
     except ConstructionError:
@@ -533,6 +534,8 @@ def check_stages_against_oracle(tree, s, radii, stages=None):
     measures, report = stagewise_frostman_measures(tree, s, radii, stages)
     assert (report.stage_levels, report.rows,
             [(mu.support.levels, mu.tables) for mu in measures]) == want
+    for mu in measures:
+        mu.validate()
 
 
 def _bare(tree):

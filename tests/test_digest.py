@@ -44,6 +44,7 @@ from dimlab.fourier import fourier_box_estimate
 from dimlab.measure import (DyadicMeasureTree, anti_frostman_check,
                             anti_frostman_measure)
 from dimlab.settree import DyadicSetTree
+from oracles import from_masses
 
 DIGEST = Path(__file__).with_name("digest.json")
 
@@ -331,8 +332,8 @@ def measure_messages():
             for order in ("keys", "reversed"):
                 if order == "reversed":
                     masses = [dict(reversed(t.items())) for t in masses]
-                got = _message(DyadicMeasureTree.from_masses, mu.support,
-                               masses, mu.leaf_model, atoms)
+                got = _message(from_masses, mu.support, masses,
+                               mu.leaf_model, atoms)
                 yield f"{name} {label} {order} from_masses {got}"
                 data = io.measure_to_dict(mu)
                 data["masses"] = [[[k, format_rational(m)] for k, m in
@@ -352,7 +353,8 @@ def measure_messages():
             tables = list(mu.tables)
             tables[n] = ([3 * m for m in nums], 3 * den)
             got = _message(DyadicMeasureTree(mu.support, mu.leaf_model,
-                                             tables, mu.atoms).validate)
+                                             tables, ints=mu._atom_ints
+                                             ).validate)
             yield f"{name} scaled {n} validate {got}"
 
 

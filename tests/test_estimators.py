@@ -29,7 +29,7 @@ from dimlab.estimators import (
 from dimlab.exact import ValidationError, cmp_pow2, log2_fraction, pow2
 from dimlab.measure import DyadicMeasureTree
 from dimlab.settree import DyadicSetTree
-from oracles import oracle_slope_fit
+from oracles import from_masses, oracle_slope_fit
 
 
 def cantor_tree(depth):
@@ -428,7 +428,7 @@ def _reference_threshold(mu, levels, grid):
 def _reverse_order(mu):
     """The same measure with its tables in reverse key order, as a file may
     list them."""
-    return DyadicMeasureTree.from_masses(
+    return from_masses(
         mu.support, [dict(mu.level_masses(n)[::-1])
                      for n in range(mu.max_depth + 1)], mu.leaf_model, mu.atoms)
 

@@ -194,6 +194,21 @@ class TestJsonRoundTrips:
             assert back.atoms == mu.atoms
             assert back.support.levels == mu.support.levels
 
+    def test_unsorted_repeated_atoms_load_merged(self):
+        # a hand-written file may list its atoms in any order and repeat a
+        # point: it loads to the same measure, and is written back merged
+        # and sorted, as every file dimlab writes
+        mu = DyadicMeasureTree.atomic(
+            [(Fraction(1, 3),), (Fraction(3, 4),)],
+            [Fraction(1, 4), Fraction(3, 4)], 1, 5)
+        data = io.measure_to_dict(mu)
+        (low, _), (high, _) = data["atoms"]
+        data["atoms"] = [[high, "1/2"], [low, "1/4"], [high, "1/4"]]
+        back = io.measure_from_dict(data)
+        assert (back.tables, back.atoms, back._atom_ints) == (
+            mu.tables, mu.atoms, mu._atom_ints)
+        assert io.measure_to_dict(back) == io.measure_to_dict(mu)
+
     def test_saved_measures_are_byte_identical(self, tmp_path):
         # pinned digests of the format-1 files of these measures: the
         # support's sorted leaves, lowest-terms "p/q" masses with the keys

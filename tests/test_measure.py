@@ -31,7 +31,7 @@ from dimlab.measure import (
 )
 from dimlab.settree import DyadicSetTree
 from oracles import (COORDS, MEASURE_KINDS, atom_ball_mass, atom_pair_sum,
-                     brute_force_ball_bracket, deeper, leaf_case,
+                     brute_force_ball_bracket, deeper, from_masses, leaf_case,
                      measure_cases, oracle_atomic, oracle_energy_1d,
                      oracle_energy_cubes, oracle_representatives,
                      oracle_row_ranges, oracle_sup_ball_cover, set_trees,
@@ -87,7 +87,7 @@ class TestExplicitMasses:
             {0: Fraction(1, 6), 1: Fraction(1, 6),
              2: Fraction(1, 3), 3: Fraction(1, 3)},
         ]
-        return DyadicMeasureTree.from_masses(tree, masses)
+        return from_masses(tree, masses)
 
     def test_validates_and_queries(self):
         mu = self.make_skewed()
@@ -99,7 +99,7 @@ class TestExplicitMasses:
         tree = DyadicSetTree.full(1, 1)
         masses = [{0: Fraction(1)}, {0: Fraction(1, 2), 1: Fraction(1, 3)}]
         with pytest.raises(ValidationError):
-            DyadicMeasureTree.from_masses(tree, masses)
+            from_masses(tree, masses)
 
     def test_conservation_break_names_first_unconserved_parent(self):
         # breaks under the third and fourth level-1 cubes of a 2-D tree, at
@@ -112,7 +112,7 @@ class TestExplicitMasses:
         with pytest.raises(ValidationError,
                            match="^mass not conserved under cube 2 at "
                                  "level 1$"):
-            DyadicMeasureTree.from_masses(tree, masses)
+            from_masses(tree, masses)
 
     @pytest.mark.parametrize("d, depth, codes", [
         (1, 6, [0, 1, 4, 40]), (2, 4, [3, 12, 200, 201])])
@@ -142,7 +142,7 @@ class TestExplicitMasses:
         first = max(cut) if reverse else min(cut)
         message = f"mass not conserved under cube {first} at level {n - 1}"
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            DyadicMeasureTree.from_masses(tree, masses)
+            from_masses(tree, masses)
         data = io.measure_to_dict(mu)
         data["masses"] = [[[k, format_rational(m)] for k, m in tbl.items()]
                           for tbl in masses]
@@ -155,14 +155,14 @@ class TestExplicitMasses:
         tree = DyadicSetTree.full(1, 1)
         masses = [{0: Fraction(1, 2)}, {0: Fraction(1, 4), 1: Fraction(1, 4)}]
         with pytest.raises(ValidationError):
-            DyadicMeasureTree.from_masses(tree, masses)
+            from_masses(tree, masses)
 
     def test_support_mismatch_is_caught(self):
         tree = cantor_tree(2)
         masses = [{0: Fraction(1)}, {0: Fraction(1)},
                   {0: Fraction(1, 2), 1: Fraction(1, 2)}]  # 1 not selected
         with pytest.raises(ValidationError):
-            DyadicMeasureTree.from_masses(tree, masses)
+            from_masses(tree, masses)
 
     def test_random_split_pinned(self):
         # seeded outputs of the top-down split: a change in the order of the
@@ -295,14 +295,13 @@ class TestAtomic:
             DyadicMeasureTree.atomic([(Fraction(1, 2),)], [1], 1, -1)
 
     def test_atoms_only_on_the_atomic_leaf_model(self):
-        # the uniform leaf model never reads atoms, so it takes none in
-        # either form, and the atomic one needs them
+        # the uniform leaf model never reads atoms, so it takes none, and
+        # the atomic one needs them
         mu = DyadicMeasureTree.atomic([(Fraction(1, 2),)], [1], 1, 3)
         tree, tables = mu.support, mu.tables
-        for given in ({"atoms": mu.atoms}, {"ints": mu._atom_ints}):
-            with pytest.raises(ValidationError,
-                               match="^uniform leaf model takes no atoms$"):
-                DyadicMeasureTree(tree, "uniform", tables, **given)
+        with pytest.raises(ValidationError,
+                           match="^uniform leaf model takes no atoms$"):
+            DyadicMeasureTree(tree, "uniform", tables, ints=mu._atom_ints)
         with pytest.raises(ValidationError,
                            match="^atomic leaf model needs an atom list$"):
             DyadicMeasureTree(tree, "atoms", tables)
@@ -1182,7 +1181,7 @@ def test_atom_windows_match_brute_force(case, depth):
     assert any(squared_distance(p, x) == r * r for p, _ in atoms)
     mu = DyadicMeasureTree.atomic([p for p, _ in atoms],
                                   [w for _, w in atoms], d, depth)
-    as_given = DyadicMeasureTree.from_masses(
+    as_given = from_masses(
         mu.support, [dict(mu.level_masses(n)) for n in range(depth + 1)],
         "atoms", atoms)
     # eps is below one step of the atoms' grid and off it: a centre
@@ -1271,7 +1270,8 @@ def test_atomic_matches_fraction_oracle(case):
 def test_atomic_seeds_its_int_atoms(monkeypatch):
     # atomic() checks its atoms on ints once and keeps them, merged, sorted
     # and in lowest terms, for the exact queries; a measure whose atom list
-    # comes another way (as from a file, in file order) gets the same ints
+    # comes another way (from_masses, or a file, in any order) is converted
+    # to the same ints once
     calls = []
     real = measure._int_atoms
 
@@ -1290,14 +1290,12 @@ def test_atomic_seeds_its_int_atoms(monkeypatch):
     seeded = mu._atom_ints
     # (q, points, weight numerators, wden): wden reduced from 4
     assert seeded == (12, [(3, 4), (9, 6)], [1, 1], 2)
-    del mu._atom_ints
-    assert mu._atom_ints == seeded
-    as_given = DyadicMeasureTree.from_masses(
+    as_given = from_masses(
         mu.support, [dict(mu.level_masses(n)) for n in range(5)], "atoms",
         mu.atoms[::-1])
     assert as_given._atom_ints == seeded
-    # a measure loaded from a file checks its atoms once, in validate(),
-    # and keeps the ints for its queries
+    # a measure loaded from a file checks its atoms once, as it loads, and
+    # keeps the ints for its queries
     calls.clear()
     loaded = io.measure_from_dict(io.measure_to_dict(mu))
     assert loaded.ball_mass_atoms(a, Fraction(1, 8)) == Fraction(1, 2)
@@ -1415,6 +1413,6 @@ def test_atom_list_validation(atoms, message):
     mu = DyadicMeasureTree.atomic([(Fraction(1, 4),), (Fraction(3, 4),)],
                                   [Fraction(1, 3), Fraction(2, 3)], 1, 3)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        DyadicMeasureTree.from_masses(
+        from_masses(
             mu.support, [dict(mu.level_masses(n)) for n in range(4)],
             "atoms", atoms)
