@@ -585,7 +585,7 @@ def cli_session():
     def files():
         return {p.name: p.read_bytes() for p in Path().iterdir()}
 
-    home = os.getcwd()
+    lines, home = [], os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
@@ -603,10 +603,12 @@ def cli_session():
                     code = cli.main(argv)
                 wrote = [f"{name}={sha(data)}" for name, data in
                          sorted(files().items()) if before.get(name) != data]
-                yield (f"{line} | {code} {sha(out.getvalue().encode())} "
-                       f"{sha(err.getvalue().encode())} {' '.join(wrote)}")
+                lines.append(f"{line} | {code} {sha(out.getvalue().encode())} "
+                             f"{sha(err.getvalue().encode())} "
+                             f"{' '.join(wrote)}")
         finally:
             os.chdir(home)
+    return lines
 
 
 def levels():

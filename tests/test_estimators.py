@@ -577,8 +577,8 @@ class TestInequalityReport:
         (3, range(8), 4, Fraction(3))], ids=["square", "sierpinski", "cube"])
     def test_chain_passes_above_dimension_one(self, d, keep, depth,
                                               expected):
-        # the default grid reaches d: with a grid that stopped at 1 the
-        # correlation slope (2, log2 3, 3) failed corr_upper <= threshold
+        # the default grid runs to d, so the threshold reaches each set's
+        # correlation slope (2, log2 3, 3) and corr_upper <= threshold holds
         tree = DyadicSetTree.from_digit_ifs(d, 1, keep, depth)
         rep = inequality_report(tree, [DyadicMeasureTree.uniform_on_set(
             tree)])
