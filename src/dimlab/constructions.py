@@ -35,7 +35,7 @@ from .exact import (
     ConstructionError,
     ValidationError,
     cmp_pow2,
-    le_rpow,
+    cmp_rpow,
     level_for_radius,
     to_fraction,
 )
@@ -614,5 +614,6 @@ def verify_stage_balls(measures: Sequence[DyadicMeasureTree],
         bound = mu.ball_cover_bound(n)
         rows.append({"stage_level": n, "radius": r,
                      "centers": len(mu.support.levels[n]),
-                     "cover_bound": bound, "ok": le_rpow(bound, r, report.s)})
+                     "cover_bound": bound,
+                     "ok": cmp_rpow(bound, r, report.s) <= 0})
     return {"ok": all(row["ok"] for row in rows), "rows": rows}

@@ -29,16 +29,14 @@ def interleave(index: tuple[int, ...], level: int) -> int:
 
 
 def deinterleave(key: int, level: int, d: int) -> tuple[int, ...]:
-    """Index tuple of a Morton key at a level, the inverse of interleave."""
+    """Index tuple of a Morton key at a level n, the inverse of interleave.
+    The key must lie below 2^(nd), as every key of the level does: written
+    as nd binary digits, axis i reads digit i of each d-digit group, the
+    highest level first."""
     if d == 1:
         return (key,)
-    idx = [0] * d
-    for b in range(level):
-        for i in range(d - 1, -1, -1):
-            idx[i] |= (key & 1) << b
-            key >>= 1
-        # bits come off the low end: level-bit b of each axis, axis d-1 first
-    return tuple(idx)
+    bits = format(key, f"0{level * d}b")
+    return tuple(int(bits[i::d] or "0", 2) for i in range(d))
 
 
 def cube_of_point(point, level: int) -> int:

@@ -19,7 +19,7 @@ from itertools import chain, repeat
 from operator import add, mul, sub
 
 from .exact import (ValidationError, cmp_pow2, cmp_rpow, diameter_level,
-                    le_rpow, level_for_radius, log2_fraction, to_fraction)
+                    level_for_radius, log2_fraction, to_fraction)
 from .measure import ATOMS, DyadicMeasureTree, net_measure
 from .settree import DyadicSetTree
 
@@ -224,7 +224,7 @@ def correlation_predicates(mu: DyadicMeasureTree, s, radii,
                        ("pair-integral", "ball-sup", "cube-max"))
     for r in rads:
         br = mu.ball_correlation_bracket(r, extra_depth)
-        st = ("pass" if le_rpow(br.upper, r, sf) else
+        st = ("pass" if cmp_rpow(br.upper, r, sf) <= 0 else
               "fail" if cmp_rpow(br.lower, r, sf) > 0 else "inconclusive")
         pair.records.append({"radius": r, "lower": br.lower,
                              "upper": br.upper, "status": st})
@@ -239,7 +239,7 @@ def correlation_predicates(mu: DyadicMeasureTree, s, radii,
         # past the cover bound, the heaviest ball about an atom, or a cube
         # of diameter <= r, certifies a failure
         bound = mu.ball_cover_bound(n)
-        if le_rpow(bound, r, sf):
+        if cmp_rpow(bound, r, sf) <= 0:
             st = "pass"
         elif mu.leaf_model == ATOMS:
             nums, wden = mu.ball_masses_atoms(None, r)
@@ -312,16 +312,16 @@ def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
     return report
 
 
-def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
+def packing_threshold(mu: DyadicMeasureTree, levels
                       ) -> tuple[Fraction, list[tuple[Fraction, str]]]:
-    """Largest grid exponent whose packing predicate holds on the window.
-    Returns (threshold, per-exponent verdicts); threshold 0 when none hold.
-    The default grid is k/20 for k = 1..20 d: it runs to the dimension d.
+    """Largest exponent k/20, k = 1..20 d, whose packing predicate holds on
+    the window: the grid runs to the dimension d. Returns (threshold,
+    per-exponent verdicts); threshold 0 when none hold.
 
     Same verdicts as packing_predicate at every grid exponent, from one
     top-down pass over each half of the window. For a fixed cube of mass m
     at level n, m <= 2^-ns is monotone in s, so the exponents it passes form
-    a prefix of the sorted grid; its length is found by bisection, once per
+    a prefix of the grid; its length is found by bisection, once per
     (level, mass numerator). A leaf passes the first k exponents, k the
     smaller of the longest prefixes passed by its ancestors in each half, so
     the predicate holds on the smaller of the two half minima (0 for the
@@ -332,13 +332,9 @@ def packing_threshold(mu: DyadicMeasureTree, levels, grid=None
     keeps its minimum, then folds in that level's prefixes. A level with as
     many cubes as the last one folded only continues one-child chains,
     which repeat their masses, and a mass passes no more exponents deeper
-    down (2^-ns falls with n for s > 0, is >= 1 for s <= 0): it is skipped.
+    down (2^-ns falls with n for s > 0): it is skipped.
     """
-    if grid is None:
-        grid = [Fraction(k, 20) for k in range(1, 20 * mu.d + 1)]
-    svs = sorted(to_fraction(g) for g in grid)
-    if not svs:
-        return Fraction(0), []
+    svs = [Fraction(k, 20) for k in range(1, 20 * mu.d + 1)]
     _, *halves = _halves(levels, mu.max_depth)
     tree, holds = mu.support, len(svs)
     for half in halves:

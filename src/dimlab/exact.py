@@ -109,10 +109,6 @@ def cmp_rpow(a, r, s) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def le_rpow(a, r, s) -> bool:
-    return cmp_rpow(a, r, s) <= 0
-
-
 def level_for_radius(r) -> int:
     """The level n with 2**-(n+2) <= r < 2**-(n+1).
 

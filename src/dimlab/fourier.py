@@ -62,6 +62,9 @@ _BLOCK_CELLS = 1 << 20
 # frequency vectors per quadrature call: ~4x the ~950,000 of the default
 # 2-D fourier-corr and energy radii on a depth-6 Sierpinski measure
 _NODE_BUDGET = 1 << 22
+# a sandwich row's correlation bracket wider than this share of its
+# midpoint makes the verdict inconclusive
+_BRACKET_REL_TOL = 0.25
 
 
 def unit_ball_volume(d: int) -> float:
@@ -323,21 +326,19 @@ def _check_rel_tol(rel_tol: float) -> None:
         raise ValidationError("rel_tol must be finite and > 0")
 
 
-def mean_square_curve(mu: DyadicMeasureTree, r_values, rel_tol: float = 1e-3,
-                      max_halvings: int = 14) -> MeanSquareCurve:
+def mean_square_curve(mu: DyadicMeasureTree, r_values,
+                      rel_tol: float = 1e-3) -> MeanSquareCurve:
     """I(R) at each requested R. The requested radii are segment endpoints,
     so every sample sits exactly on a quadrature node."""
     Rs = _radii(r_values)
     _check_rel_tol(rel_tol)
-    if max_halvings < 0:
-        raise ValidationError("max_halvings must be >= 0")
     if mu.d > 2:
         raise UnavailableError("mean-square quadrature is implemented for "
                                "d <= 2")
 
     g = _RadialIntegrand(mu)
     segments, degraded, halvings = _refine_segments(
-        g, [0.0] + Rs, _node_spacing(mu.d), rel_tol, max_halvings)
+        g, [0.0] + Rs, _node_spacing(mu.d), rel_tol, max_halvings=14)
 
     curve = MeanSquareCurve(degraded=degraded,
                             meta={"h_start": _node_spacing(mu.d),
@@ -377,8 +378,7 @@ class FourierSandwichReport:
 
 
 def fourier_sandwich_report(mu: DyadicMeasureTree, eps, r_list,
-                            tol: float = 0.05, extra_depth: int = 4,
-                            bracket_rel_tol: float = 0.25
+                            tol: float = 0.05, extra_depth: int = 4
                             ) -> FourierSandwichReport:
     epsf = float(eps)
     if not (0.0 < epsf < 1.0):
@@ -414,7 +414,7 @@ def fourier_sandwich_report(mu: DyadicMeasureTree, eps, r_list,
                "envelope_low": rf ** (d * (1 + epsf)) * I,
                "envelope_high": rf ** (d * (1 - epsf)) * I,
                "ratio": ratio}
-        if mid > 0 and width > bracket_rel_tol * mid:
+        if mid > 0 and width > _BRACKET_REL_TOL * mid:
             row["flag"] = "wide-bracket"
             inconclusive = True
         rows.append(row)

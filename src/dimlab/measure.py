@@ -198,19 +198,15 @@ class DyadicMeasureTree:
                    _sums_up(tree, nums, den), meta, ints)
 
     @classmethod
-    def random_split(cls, tree: DyadicSetTree, rng,
-                     max_part: int = 9) -> "DyadicMeasureTree":
+    def random_split(cls, tree: DyadicSetTree, rng) -> "DyadicMeasureTree":
         """Random exact-rational splits among selected children, for seeded
         property sweeps: each cube below the root, level by level in key
-        order, draws rng.randint(1, max_part), here by randint's getrandbits
+        order, draws rng.randint(1, 9), here by randint's 4-bit getrandbits
         rejection in batches of the draws still missing (the same stream)."""
-        if max_part < 1:
-            raise ValidationError("max_part must be >= 1")
-        bits, k = rng.getrandbits, max_part.bit_length()
         ws, n = [], sum(map(len, tree.levels)) - 1
         while len(ws) < n:
-            ws += [r + 1 for r in map(bits, repeat(k, n - len(ws)))
-                   if r < max_part]
+            ws += [r + 1 for r in map(rng.getrandbits, repeat(4, n - len(ws)))
+                   if r < 9]
         tables = _split_masses(tree, ws)
         return cls(tree, UNIFORM, tables, {"kind": "random_split"})
 

@@ -3,7 +3,8 @@
 Each one is the plain definition, in Fraction arithmetic, with no window or
 int scaling: the closed-ball mass of a finite atom list by a scan of every
 atom, the ball-correlation pair sum of an atom list by a loop over every
-pair, the signs of a - 2**e and a - r**s from Fraction powers, the first
+pair, the signs of a - 2**e and a - r**s from Fraction powers, a Morton
+key's index tuple by one bit per axis per level, the first
 key defect of a set tree's levels by a scan of every key and the first
 nesting defect by a scan of every cube pair, a tree's levels from its
 deepest keys by a set and a sort per level, the alternating set's
@@ -97,6 +98,17 @@ def fraction_cmp_rpow(a, r, s) -> int:
         return -1
     lhs, rhs = a ** s.denominator, r ** s.numerator
     return (lhs > rhs) - (lhs < rhs)
+
+
+def bitwise_deinterleave(key: int, level: int, d: int) -> tuple[int, ...]:
+    """Index tuple of a Morton key at a level, one bit per axis per level:
+    bits come off the low end, level-bit b of each axis, axis d - 1 first."""
+    idx = [0] * d
+    for b in range(level):
+        for i in range(d - 1, -1, -1):
+            idx[i] |= (key & 1) << b
+            key >>= 1
+    return tuple(idx)
 
 
 def first_key_defect(levels, d: int) -> str | None:
@@ -733,7 +745,7 @@ def set_trees(draw, depths=(7, 4, 3), min_depth=1, max_keep=(None,) * 3,
     return DyadicSetTree.from_points(pts, d, depth)
 
 
-def split_case(tree, kind, seed=0, top=9):
+def split_case(tree, kind, seed=0):
     """(measure, oracle tables, rng states) for a top-down split: equal, or
     random_split seeded with `seed`, whose rng state afterwards is paired
     with that of the oracle's per-cube draws from the same seed."""
@@ -741,8 +753,8 @@ def split_case(tree, kind, seed=0, top=9):
         return (DyadicMeasureTree.uniform_on_set(tree),
                 oracle_split(tree, lambda kids: [1] * len(kids)), None)
     rng, oracle_rng = random.Random(seed), random.Random(seed)
-    mu = DyadicMeasureTree.random_split(tree, rng, top)
-    masses = oracle_split(tree, lambda kids: [oracle_rng.randint(1, top)
+    mu = DyadicMeasureTree.random_split(tree, rng)
+    masses = oracle_split(tree, lambda kids: [oracle_rng.randint(1, 9)
                                               for _ in kids])
     return mu, masses, (rng.getstate(), oracle_rng.getstate())
 
@@ -761,11 +773,10 @@ def leaf_case(tree, kind, leaf):
 
 
 @st.composite
-def measure_cases(draw, kinds=MEASURE_KINDS, trees=set_trees(),
-                  max_part=97):
+def measure_cases(draw, kinds=MEASURE_KINDS, trees=set_trees()):
     """(measure, its Fraction tables from the oracles, rng states or None)
     on a drawn tree, of a drawn kind: uniform; random_split with parts
-    1..max_part; "primes", leaf masses 1/p for distinct primes p, the last
+    1..9; "primes", leaf masses 1/p for distinct primes p, the last
     leaf the rest (trees of at most 20 leaves); atoms, 1..12 points of
     COORDS with weights 1..9, at the tree's d and depth; leaf weights
     1..60 given to from_masses in key or reversed order, or summed by
@@ -774,8 +785,7 @@ def measure_cases(draw, kinds=MEASURE_KINDS, trees=set_trees(),
     d, depth, leaves = tree.d, tree.max_depth, tree.levels[-1]
     kind = draw(st.sampled_from(kinds))
     if kind in ("uniform", "random_split"):
-        return split_case(tree, kind, draw(st.integers(0, 2 ** 32)),
-                          draw(st.integers(1, max_part)))
+        return split_case(tree, kind, draw(st.integers(0, 2 ** 32)))
     if kind == "atoms":
         pts = draw(st.lists(st.tuples(*[COORDS] * d), min_size=1,
                             max_size=12))

@@ -8,7 +8,7 @@ import pytest
 from dimlab.dyadic import (cube_of_point, deinterleave, interleave,
                            offset_bounds)
 from dimlab.exact import ValidationError, pow2
-from oracles import cube_pair_geometry
+from oracles import bitwise_deinterleave, cube_pair_geometry
 
 
 class TestInterleave:
@@ -36,6 +36,17 @@ class TestInterleave:
             key = interleave(idx, n)
             assert 0 <= key < (1 << (d * n))
             assert deinterleave(key, n, d) == idx
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_deinterleave_matches_bitwise_oracle(d):
+    # every level up to 62 key bits: keys 0 and 2^(d level) - 1, and random
+    # keys in between
+    rng = random.Random(d)
+    for n in range(62 // d + 1):
+        top = (1 << (d * n)) - 1
+        for key in [0, top] + [rng.randint(0, top) for _ in range(50)]:
+            assert deinterleave(key, n, d) == bitwise_deinterleave(key, n, d)
 
 
 class TestCubeOfPoint:

@@ -315,15 +315,6 @@ class TestPacking:
         assert thr == Fraction(11, 20)
         assert len(tested) == 20
 
-    def test_threshold_grid_override(self):
-        mu = DyadicMeasureTree.uniform_on_set(cantor_tree(12))
-        thr, tested = packing_threshold(
-            mu, range(4, 13),
-            grid=[Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
-        assert thr == Fraction(1, 2)
-        assert [v for _, v in tested] == \
-            ["holds-on-window", "holds-on-window", "fails"]
-
     def test_level_validation(self):
         mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 4))
         with pytest.raises(ValidationError):
@@ -331,10 +322,9 @@ class TestPacking:
         with pytest.raises(ValidationError):
             packing_predicate(mu, 1, [3, 9])
         with pytest.raises(ValidationError):
-            packing_threshold(mu, [], grid=[1])
+            packing_threshold(mu, [])
         with pytest.raises(ValidationError):
-            packing_threshold(mu, [3, 9], grid=[1])
-        assert packing_threshold(mu, [3, 9], grid=[]) == (Fraction(0), [])
+            packing_threshold(mu, [3, 9])
 
     @pytest.mark.parametrize("name, expected, comparisons", [
         ("cantor", Fraction(11, 20), 27), ("full", Fraction(1), 40),
@@ -393,7 +383,6 @@ class TestPacking:
     def test_one_bisection_per_level_and_mass(self, monkeypatch):
         mu = DyadicMeasureTree.uniform_on_set(cantor_tree(12))
         window = range(4, 13)
-        grid = [Fraction(k, 20) for k in range(1, 21)]
         calls = []
 
         def counting_cmp_pow2(a, e):
@@ -405,19 +394,20 @@ class TestPacking:
 
         monkeypatch.setattr(estimators, "cmp_pow2", counting_cmp_pow2)
         monkeypatch.setattr(estimators, "packing_predicate", no_predicate)
-        thr, _ = packing_threshold(mu, window, grid)
+        thr, tested = packing_threshold(mu, window)
         assert thr == Fraction(11, 20)
         distinct = sum(len({m for _, m in mu.level_masses(n)})
                        for n in window)
         assert 0 < len(calls) <= \
-            math.ceil(math.log2(len(grid) + 1)) * distinct
+            math.ceil(math.log2(len(tested) + 1)) * distinct
 
 
-def _reference_threshold(mu, levels, grid):
-    """The threshold as one packing_predicate run per grid exponent."""
+def _reference_threshold(mu, levels):
+    """The threshold as one packing_predicate run per grid exponent k/20,
+    k = 1..20 d."""
     best = Fraction(0)
     tested = []
-    for sv in sorted(Fraction(g) for g in grid):
+    for sv in (Fraction(k, 20) for k in range(1, 20 * mu.d + 1)):
         verdict = packing_predicate(mu, sv, levels).verdict
         tested.append((sv, verdict))
         if verdict == "holds-on-window":
@@ -435,12 +425,10 @@ def _reverse_order(mu):
 
 @st.composite
 def _packing_cases(draw):
-    """(measure, window, grid): digit-IFS trees in 1-D and 2-D, or sparse
-    trees of a few deepest cubes (long one-child chains), with equal or
-    random splits, or atomic measures, their tables in key order or not;
-    any window inside the depth, a range or any set of levels; grids with
-    duplicates, zero, negative values and values above d, possibly
-    empty."""
+    """(measure, window): digit-IFS trees in 1-D and 2-D, or sparse trees
+    of a few deepest cubes (long one-child chains), with equal or random
+    splits, or atomic measures, their tables in key order or not; any
+    window inside the depth, a range or any set of levels."""
     d = draw(st.sampled_from([1, 2]))
     depth = draw(st.integers(1, 7 if d == 1 else 4))
     kind = draw(st.sampled_from(["uniform", "random_split", "atomic",
@@ -477,9 +465,7 @@ def _packing_cases(draw):
         window = range(lo, draw(st.integers(lo, depth)) + 1)
     else:
         window = sorted(draw(st.sets(st.integers(0, depth), min_size=1)))
-    exponent = st.builds(Fraction, st.integers(-6, 24), st.integers(1, 6))
-    grid = draw(st.lists(exponent, max_size=8))
-    return mu, window, grid
+    return mu, window
 
 
 _SIERPINSKI = DyadicMeasureTree.uniform_on_set(
@@ -494,32 +480,30 @@ _CHAIN_2D = DyadicMeasureTree.uniform_on_set(
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(_packing_cases())
-@example((DyadicMeasureTree.uniform_on_set(cantor_tree(8)), range(0, 9),
-          [Fraction(1, 2), Fraction(1, 2), Fraction(-1), Fraction(3)]))
-@example((_SIERPINSKI, range(3, 4), [Fraction(1), Fraction(1, 2), 1]))
+@example((DyadicMeasureTree.uniform_on_set(cantor_tree(8)), range(0, 9)))
+@example((_SIERPINSKI, range(3, 4)))
 @example((DyadicMeasureTree.random_split(cantor_tree(6), random.Random(3)),
-          range(0, 1), [Fraction(0), Fraction(5, 2)]))
+          range(0, 1)))
 @example((DyadicMeasureTree.atomic([(Fraction(1, 3),)], [1], 1, 6),
-          range(2, 7), [Fraction(-1, 2), Fraction(0), Fraction(1, 20)]))
-@example((_SIERPINSKI, range(0, 5), []))
-@example((_CHAINS, range(2, 11), [Fraction(k, 10) for k in range(-2, 13)]))
-@example((_CHAINS, [1, 3, 5, 6, 8, 9], [Fraction(k, 7) for k in range(8)]))
-@example((_CHAINS, [0, 4, 7, 10], [Fraction(1, 9), Fraction(2, 3)]))
+          range(2, 7)))
+@example((_SIERPINSKI, range(0, 5)))
+@example((_CHAINS, range(2, 11)))
+@example((_CHAINS, [1, 3, 5, 6, 8, 9]))
+@example((_CHAINS, [0, 4, 7, 10]))
 # level 10's runs under level 0 skip the branching levels 1 and 8, so they
 # are not its runs under level 9
-@example((_CHAINS, [0, 10], [Fraction(k, 10) for k in range(1, 13)]))
-@example((_CHAIN_2D, [0, 2, 3, 5, 6], [Fraction(k, 4) for k in range(-1, 9)]))
+@example((_CHAINS, [0, 10]))
+@example((_CHAIN_2D, [0, 2, 3, 5, 6]))
 @example((_reverse_order(DyadicMeasureTree.random_split(
     DyadicSetTree.from_codes(1, 3, [3, 4, 5]), random.Random(3))),
-    range(0, 4), [Fraction(k, 10) for k in range(1, 15)]))
+    range(0, 4)))
 @example((DyadicMeasureTree.atomic(
     [(Fraction(1, 3),), (Fraction(1, 3) + Fraction(1, 4096),),
      (Fraction(7, 8),)], [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)],
-    1, 12), [1, 2, 5, 9, 11, 12], [Fraction(k, 8) for k in range(-3, 9)]))
+    1, 12), [1, 2, 5, 9, 11, 12]))
 def test_packing_threshold_matches_predicate_loop(case):
-    mu, window, grid = case
-    assert packing_threshold(mu, window, grid) == \
-        _reference_threshold(mu, window, grid)
+    mu, window = case
+    assert packing_threshold(mu, window) == _reference_threshold(mu, window)
 
 
 class TestInequalityReport:

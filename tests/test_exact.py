@@ -14,7 +14,6 @@ from dimlab.exact import (
     diameter_level,
     dyadic_index,
     format_rational,
-    le_rpow,
     level_for_radius,
     log2_fraction,
     parse_rational,
@@ -99,8 +98,9 @@ class TestCmpPow2:
 
 class TestCmpRpow:
     def test_exact_tie(self):
-        # (1/8)^(2/3) = 1/4
+        # (1/8)^(2/3) = 1/4, so a = 1/4 is <= r^s and a = 1/3 is not
         assert cmp_rpow(Fraction(1, 4), Fraction(1, 8), Fraction(2, 3)) == 0
+        assert cmp_rpow(Fraction(1, 3), Fraction(1, 8), Fraction(2, 3)) == 1
 
     def test_strict_sides(self):
         # (1/3)^(1/2): compare a^2 against 1/3
@@ -125,10 +125,6 @@ class TestCmpRpow:
     def test_rejects_nonpositive_base(self):
         with pytest.raises(ValidationError):
             cmp_rpow(1, 0, Fraction(1, 2))
-
-    def test_le_wrapper(self):
-        assert le_rpow(Fraction(1, 4), Fraction(1, 8), Fraction(2, 3))
-        assert not le_rpow(Fraction(1, 3), Fraction(1, 8), Fraction(2, 3))
 
     def test_agrees_with_float_when_far_from_ties(self):
         vals = [Fraction(1, 3), Fraction(2, 5), Fraction(9, 8), Fraction(5, 1)]
@@ -172,7 +168,6 @@ def _ties(draw):
 def test_cmp_rpow_matches_fraction_powers(case):
     a, r, s = case
     assert cmp_rpow(a, r, s) == fraction_cmp_rpow(a, r, s)
-    assert le_rpow(a, r, s) == (fraction_cmp_rpow(a, r, s) <= 0)
 
 
 @st.composite

@@ -189,7 +189,7 @@ ORACLE_MEASURES = {
     "random-split-sierpinski": lambda: DyadicMeasureTree.random_split(
         DyadicSetTree.from_digit_ifs(2, 1, [0, 1, 2], 5), random.Random(3)),
     "random-split-cantor": lambda: DyadicMeasureTree.random_split(
-        cantor_tree(10), random.Random(5), 9),
+        cantor_tree(10), random.Random(5)),
     "random-sparse-2d": lambda: DyadicMeasureTree.random_split(
         random_sparse_2d(11), random.Random(11)),
     # 12% of the depth-7 cubes: the cheapest split by cost alone would
@@ -239,7 +239,7 @@ def _oracle_measures(draw):
     if kind == "uniform":
         return DyadicMeasureTree.uniform_on_set(tree)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    return DyadicMeasureTree.random_split(tree, rng, draw(st.integers(1, 9)))
+    return DyadicMeasureTree.random_split(tree, rng)
 
 
 def two_set_split_level(keys, n, d):
@@ -388,12 +388,11 @@ class TestMeanSquare:
                 atoms_I(points, weights, got["R"]),
                 abs=max(3 * got["err"], 1e-9))
 
-    def test_negative_halvings_rejected(self):
-        with pytest.raises(ValidationError, match="max_halvings must be >= 0"):
-            mean_square_curve(uniform_interval(4), [4.0], max_halvings=-1)
-
-    def test_no_halvings_is_degraded(self):
-        curve = mean_square_curve(uniform_interval(4), [4.0], max_halvings=0)
+    def test_no_halvings_is_degraded(self, monkeypatch):
+        # a node budget of 12 covers the starting nodes of [0, 4] and no
+        # halving, so no segment gets an error estimate
+        monkeypatch.setattr("dimlab.fourier._NODE_BUDGET", 12)
+        curve = mean_square_curve(uniform_interval(4), [4.0])
         assert curve.degraded
         assert curve.samples[0]["err"] == math.inf
 
@@ -655,7 +654,7 @@ class TestSandwich:
         mu = DyadicMeasureTree.uniform_on_set(cantor_tree(8))
         rep = fourier_sandwich_report(mu, Fraction(1, 5),
                                       [pow2(-k) for k in range(2, 7)],
-                                      extra_depth=0, bracket_rel_tol=1e-9)
+                                      extra_depth=0)
         assert rep.inconclusive and not rep.passed
         assert any("flag" in row for row in rep.rows)
 
