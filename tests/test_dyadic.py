@@ -38,7 +38,7 @@ class TestInterleave:
             assert deinterleave(key, n, d) == idx
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_deinterleave_matches_bitwise_oracle(d):
     # every level up to 62 key bits: keys 0 and 2^(d level) - 1, and random
     # keys in between

@@ -315,6 +315,16 @@ class TestPacking:
         assert thr == Fraction(11, 20)
         assert len(tested) == 20
 
+    def test_threshold_grid_runs_to_the_dimension(self):
+        # the full square's level-n cubes weigh 4^-n = 2^-2n, so every
+        # twentieth up to d = 2 holds and the threshold is the dimension
+        mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, 4))
+        thr, tested = packing_threshold(mu, range(1, 5))
+        assert thr == 2
+        assert [sv for sv, _ in tested] == [Fraction(k, 20)
+                                            for k in range(1, 41)]
+        assert {v for _, v in tested} == {"holds-on-window"}
+
     def test_level_validation(self):
         mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 4))
         with pytest.raises(ValidationError):
