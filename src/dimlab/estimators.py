@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
@@ -312,31 +311,30 @@ def packing_predicate(mu: DyadicMeasureTree, s, levels) -> PredicateReport:
     return report
 
 
-def packing_threshold(mu: DyadicMeasureTree, levels
-                      ) -> tuple[Fraction, list[tuple[Fraction, str]]]:
+def packing_threshold(mu: DyadicMeasureTree, levels) -> Fraction:
     """Largest exponent k/20, k = 1..20 d, whose packing predicate holds on
-    the window: the grid runs to the dimension d. Returns (threshold,
-    per-exponent verdicts); threshold 0 when none hold.
+    the window: the grid runs to the dimension d. 0 when none holds.
 
     Same verdicts as packing_predicate at every grid exponent, from one
-    top-down pass over each half of the window. For a fixed cube of mass m
-    at level n, m <= 2^-ns is monotone in s, so the exponents it passes form
-    a prefix of the grid; its length is found by bisection, once per
-    (level, mass numerator). A leaf passes the first k exponents, k the
-    smaller of the longest prefixes passed by its ancestors in each half, so
-    the predicate holds on the smaller of the two half minima (0 for the
-    empty second half of a one-level window). A half keeps its best
-    prefixes as a list in key order from its first level; before each later
-    level the list repeats each entry over the cube's runs of descendants
-    (parent_runs, level by level from the last level folded in), which
-    keeps its minimum, then folds in that level's prefixes. A level with as
-    many cubes as the last one folded only continues one-child chains,
-    which repeat their masses, and a mass passes no more exponents deeper
-    down (2^-ns falls with n for s > 0): it is skipped.
+    top-down pass over each half of the window. A level-n cube of mass N/D
+    passes k/20 iff nk <= log2(D^20 / N^20), iff nk <= b - 1 with b the bit
+    length of D^20 // N^20 (nk is an integer, the quotient >= 1): it passes
+    the first (b - 1) // n exponents, and all of them at n = 0. A leaf
+    passes the first k exponents, k the smaller of the longest prefixes
+    passed by its ancestors in each half, so the predicate holds on the
+    smaller of the two half minima (0 for the empty second half of a
+    one-level window). A half keeps its best prefixes as a list in key order
+    from its first level; before each later level the list repeats each
+    entry over the cube's runs of descendants (parent_runs, level by level
+    from the last level folded in), which keeps its minimum, then folds in
+    that level's prefixes. A level with as many cubes as the last one folded
+    only continues one-child chains, which repeat their masses, and a mass
+    passes no more exponents deeper down (2^-ns falls with n for s > 0): it
+    is skipped.
     """
-    svs = [Fraction(k, 20) for k in range(1, 20 * mu.d + 1)]
+    grid = 20 * mu.d
     _, *halves = _halves(levels, mu.max_depth)
-    tree, holds = mu.support, len(svs)
+    tree, holds = mu.support, grid
     for half in halves:
         # the best prefix passed by each level-`at` cube or an ancestor in
         # the half; an empty half keeps [0] at the root, so holds is 0
@@ -351,17 +349,14 @@ def packing_threshold(mu: DyadicMeasureTree, levels
                         map(repeat, best, runs[1])))
                 at = n
             nums, den = mu.tables[n]
-            passed = {}  # numerator -> length of the grid prefix it passes
-            for num in set(nums):
-                m = Fraction(num, den)
-                passed[num] = bisect_left(
-                    svs, True, key=lambda sv: cmp_pow2(m, -(n * sv)) > 0)
+            den20 = den ** 20
+            # numerator -> length of the grid prefix it passes
+            passed = {num: min(grid, ((den20 // num ** 20).bit_length() - 1)
+                               // n) if n else grid for num in set(nums)}
             best = [x if x > k else k for x, k in zip(
                 best, map(passed.__getitem__, nums))]
         holds = min(holds, *best)
-    tested = [(sv, "holds-on-window" if i < holds else "fails")
-              for i, sv in enumerate(svs)]
-    return (svs[holds - 1] if holds else Fraction(0)), tested
+    return Fraction(holds, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +420,7 @@ def inequality_report(tree: DyadicSetTree, measures, levels=None,
             continue
         corr = correlation_dims(mu, lv, window_len)
         fro = frostman_slope(mu, lv, window_len)
-        thr, _ = packing_threshold(mu, lv)
+        thr = packing_threshold(mu, lv)
         per_measure.append({
             "measure": i, "levels": (lv[0], lv[-1]),
             "corr_lower": corr.lower.value, "corr_upper": corr.upper.value,

@@ -143,7 +143,12 @@ def packing():
         mu = measure(name)
         top = mu.max_depth
         for levels in (range(1, top + 1), range(top // 2, top + 1)):
-            got = packing_threshold(mu, levels)
+            thr = packing_threshold(mu, levels)
+            # pinned as the threshold and the verdict it implies at each
+            # grid exponent k/20
+            grid = [Fraction(k, 20) for k in range(1, 20 * mu.d + 1)]
+            got = (thr, [(sv, "holds-on-window" if sv <= thr else "fails")
+                         for sv in grid])
             yield f"{name} {text(list(levels))} {text(got)}"
 
 

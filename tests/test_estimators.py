@@ -311,19 +311,15 @@ class TestPacking:
                                  range(4, 13)).verdict == "holds-on-window"
         assert packing_predicate(mu, Fraction(12, 20),
                                  range(4, 13)).verdict == "fails"
-        thr, tested = packing_threshold(mu, range(4, 13))
-        assert thr == Fraction(11, 20)
-        assert len(tested) == 20
+        assert packing_threshold(mu, range(4, 13)) == Fraction(11, 20)
 
     def test_threshold_grid_runs_to_the_dimension(self):
         # the full square's level-n cubes weigh 4^-n = 2^-2n, so every
         # twentieth up to d = 2 holds and the threshold is the dimension
         mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, 4))
-        thr, tested = packing_threshold(mu, range(1, 5))
-        assert thr == 2
-        assert [sv for sv, _ in tested] == [Fraction(k, 20)
-                                            for k in range(1, 41)]
-        assert {v for _, v in tested} == {"holds-on-window"}
+        assert packing_threshold(mu, range(1, 5)) == 2
+        assert packing_predicate(mu, 2, range(1, 5)).verdict == \
+            "holds-on-window"
 
     def test_level_validation(self):
         mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 4))
@@ -336,16 +332,16 @@ class TestPacking:
         with pytest.raises(ValidationError):
             packing_threshold(mu, [3, 9])
 
-    @pytest.mark.parametrize("name, expected, comparisons", [
-        ("cantor", Fraction(11, 20), 27), ("full", Fraction(1), 40),
-        ("alternating", Fraction(1, 2), 34), ("sweep", Fraction(1, 5), 116)])
-    def test_inequality_chain_thresholds(self, name, expected, comparisons,
-                                         monkeypatch):
+    @pytest.mark.parametrize("name, expected", [
+        ("cantor", Fraction(11, 20)), ("full", Fraction(1)),
+        ("alternating", Fraction(1, 2)), ("sweep", Fraction(1, 5))])
+    def test_inequality_chain_thresholds(self, name, expected, monkeypatch):
         # the four sets of the inequality-chain acceptance check, on their
         # default window 1..depth. The exact comparisons inequality_report
-        # makes are a work count, pinned as an algorithmic regression check
-        # (403 in all before one-child levels were skipped); a change that
-        # moves them on purpose says so
+        # makes are a work count, pinned as an algorithmic regression check:
+        # 403 in all before one-child levels were skipped, 27, 40, 34 and
+        # 116 while the threshold bisected its grid, and none since each
+        # cube mass passes an integer floor of the grid
         tree = chain_set(name)
         mu = DyadicMeasureTree.uniform_on_set(tree)
         calls = []
@@ -353,14 +349,10 @@ class TestPacking:
             m.setattr(estimators, "cmp_pow2",
                       lambda a, e: calls.append(a) or cmp_pow2(a, e))
             rep = inequality_report(tree, [mu])
-        assert len(calls) == comparisons
+        assert calls == []
         assert rep.estimates["packing_threshold"] == expected
-        thr, tested = packing_threshold(mu, range(1, tree.max_depth + 1))
-        assert thr == expected
-        assert tested == [
-            (Fraction(k, 20),
-             "holds-on-window" if Fraction(k, 20) <= expected else "fails")
-            for k in range(1, 21)]
+        assert packing_threshold(
+            mu, range(1, tree.max_depth + 1)) == expected
 
     @pytest.mark.parametrize("name, values", [
         ("cantor", 6), ("full", 10), ("alternating", 7), ("sweep", 14)])
@@ -390,31 +382,24 @@ class TestPacking:
         inequality_report(tree, [mu])
         assert calls == {"corr": values, "max": values, "fit": 3, "rms": 9}
 
-    def test_one_bisection_per_level_and_mass(self, monkeypatch):
+    def test_threshold_makes_no_comparison_or_predicate_call(
+            self, monkeypatch):
+        # each cube mass's grid prefix is an integer floor, not a search
         mu = DyadicMeasureTree.uniform_on_set(cantor_tree(12))
-        window = range(4, 13)
-        calls = []
 
-        def counting_cmp_pow2(a, e):
-            calls.append((a, e))
-            return cmp_pow2(a, e)
+        def refused(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
 
-        def no_predicate(*args, **kwargs):
-            raise AssertionError("packing_predicate called")
-
-        monkeypatch.setattr(estimators, "cmp_pow2", counting_cmp_pow2)
-        monkeypatch.setattr(estimators, "packing_predicate", no_predicate)
-        thr, tested = packing_threshold(mu, window)
-        assert thr == Fraction(11, 20)
-        distinct = sum(len({m for _, m in mu.level_masses(n)})
-                       for n in window)
-        assert 0 < len(calls) <= \
-            math.ceil(math.log2(len(tested) + 1)) * distinct
+        for name in ("cmp_pow2", "packing_predicate"):
+            monkeypatch.setattr(estimators, name, refused(name))
+        assert packing_threshold(mu, range(4, 13)) == Fraction(11, 20)
 
 
 def _reference_threshold(mu, levels):
     """The threshold as one packing_predicate run per grid exponent k/20,
-    k = 1..20 d."""
+    k = 1..20 d, with each exponent's verdict."""
     best = Fraction(0)
     tested = []
     for sv in (Fraction(k, 20) for k in range(1, 20 * mu.d + 1)):
@@ -486,6 +471,7 @@ _CHAINS = DyadicMeasureTree.random_split(
     DyadicSetTree.from_codes(1, 10, [0, 1, 4, 5, 768]), random.Random(5))
 _CHAIN_2D = DyadicMeasureTree.uniform_on_set(
     DyadicSetTree.from_codes(2, 6, [1000, 1001, 1006]))
+_TINY = Fraction(1, 2 ** 521 - 1)  # 1/p, p the Mersenne prime 2^521 - 1
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -511,9 +497,19 @@ _CHAIN_2D = DyadicMeasureTree.uniform_on_set(
     [(Fraction(1, 3),), (Fraction(1, 3) + Fraction(1, 4096),),
      (Fraction(7, 8),)], [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)],
     1, 12), [1, 2, 5, 9, 11, 12]))
+# 522-bit denominators: the level-1 masses 1/2 -+ 1/p sit on either side of
+# the tie 2^-1 at k = 20, so level 1 passes 20 and 19 exponents and the
+# threshold is 19/20 (a float log2 reads 20 for both)
+@example((DyadicMeasureTree.atomic(
+    [(Fraction(1, 3),), (Fraction(2, 3),)],
+    [Fraction(1, 2) - _TINY, Fraction(1, 2) + _TINY], 1, 12), [0, 1]))
 def test_packing_threshold_matches_predicate_loop(case):
     mu, window = case
-    assert packing_threshold(mu, window) == _reference_threshold(mu, window)
+    thr = packing_threshold(mu, window)
+    best, tested = _reference_threshold(mu, window)
+    assert thr == best
+    assert all((verdict == "holds-on-window") == (sv <= thr)
+               for sv, verdict in tested)
 
 
 class TestInequalityReport:
@@ -582,9 +578,7 @@ class TestInequalityReport:
     @pytest.mark.parametrize("d, depth", [(2, 2), (2, 5), (3, 2), (3, 3)])
     def test_full_cube_threshold_is_d(self, d, depth):
         mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(d, depth))
-        thr, tested = packing_threshold(mu, range(1, depth + 1))
-        assert thr == d
-        assert len(tested) == 20 * d
+        assert packing_threshold(mu, range(1, depth + 1)) == d
 
     def test_needs_four_levels(self):
         tree = cantor_tree(6)

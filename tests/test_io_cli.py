@@ -1171,12 +1171,26 @@ class TestCliEstimate:
                                "--in", cantor_file, "--scales", "2^40")
         assert code == 3 and "budget" in err and "Traceback" not in err
 
-    def test_too_small_budget_is_computation_error(self, tmp_path, capsys):
-        code, _, err = run_cli(capsys, "construct", "alternating",
-                               "--dim-low", "2/5", "--dim-high", "7/10",
-                               "--level-budget", "2",
-                               "--plan-out", str(tmp_path / "p.json"))
-        assert code == 3
+    @pytest.mark.parametrize("argv, want", [
+        (["construct", "alternating", "--dim-low", "2/5", "--dim-high", "7/10",
+          "--level-budget", "2", "--plan-out", "{out}"],
+         "level budget too small for one full cycle"),
+        (["construct", "sweep", "--dim-low", "1/5", "--dim-high", "2/5",
+          "--out", "{out}"],
+         "breakpoints fail to interleave at stage 1: 1, 1, 2"),
+        (["verify", "alternating-counts", "--dim-low", "7/37",
+          "--dim-high", "8/37"],
+         "schedule collapsed at k=1: n_2k+1=8 <= 8"),
+        (["verify", "frostman-stages", "--s", "1/2", "--radii", "2^-30"],
+         "no radius maps to a materialized level"),
+    ], ids=["alternating-budget", "sweep-interleave", "alternating-collapse",
+            "frostman-radii"])
+    def test_impossible_requests_are_computation_errors(self, tmp_path,
+                                                        capsys, argv, want):
+        out = tmp_path / "p.json"
+        code, text, err = run_cli(capsys, *[a.format(out=out) for a in argv])
+        assert (code, text, err) == (3, "", f"error: {want}\n")
+        assert not out.exists()
 
 
 class TestCliVerify:
@@ -1308,6 +1322,19 @@ class TestCliVerify:
         assert text.endswith(f"fourier-sandwich: INCONCLUSIVE\n"
                              f"wrote {jout}\n")
         assert strict_json(jout.read_text())["inconclusive"] is True
+        # three points snapped to the depth-6 cubes 28, 29 and 44: at
+        # r = 1/4 the bracket is 28.6% of its midpoint, too wide to decide
+        csv, p = tmp_path / "pts.csv", tmp_path / "pts.json"
+        csv.write_text("0.4453125\n0.4609375\n0.6953125\n")
+        code, _, _ = run_cli(capsys, "construct", "points", "--csv", str(csv),
+                             "--snap-depth", "6", "--out", str(p))
+        assert code == 0
+        code, text, _ = run_cli(capsys, "verify", "fourier-sandwich",
+                                "--in", str(p), "--eps", "1/2",
+                                "--scales", "1/2,1/4,1/8,1/16")
+        assert code == 0
+        assert "  r=0.25: ratio 0.4729 (bracket too wide)\n" in text
+        assert text.endswith("fourier-sandwich: INCONCLUSIVE\n")
 
     def test_frostman_stages(self, capsys):
         code, text, _ = run_cli(capsys, "verify", "frostman-stages",

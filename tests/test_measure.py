@@ -942,10 +942,11 @@ def test_int_tables_match_fraction_oracle(case):
             (m * m for m in want.values()), Fraction(0))
     if mu.max_depth >= 1:
         levels = range(1, mu.max_depth + 1)
-        _, tested = packing_threshold(mu, levels)
-        quarters = tested[4::5]  # the grid's exponents k/4
-        assert [v for _, v in quarters] == [
-            packing_predicate(mu, sv, levels).verdict for sv, _ in quarters]
+        thr = packing_threshold(mu, levels)
+        quarters = [Fraction(k, 4) for k in range(1, 4 * mu.d + 1)]
+        assert ["holds-on-window" if sv <= thr else "fails"
+                for sv in quarters] == [
+            packing_predicate(mu, sv, levels).verdict for sv in quarters]
 
 
 @settings(max_examples=200, deadline=None, database=None)
