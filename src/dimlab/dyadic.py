@@ -8,9 +8,15 @@ A cube is addressed by the pair (level n, Morton key), the key obtained by
 interleaving the bits of the index tuple (j_1, ..., j_d). Morton keys order
 each level so that the descendants of a cube occupy one contiguous key
 range, which is what makes sorted-key level lists searchable with bisect.
+A step of one index along an axis is a dilated-integer increment on the
+key itself (step_axis), with no decoding.
 """
 
 from __future__ import annotations
+
+from collections.abc import Collection
+from itertools import repeat
+from operator import add, and_, or_
 
 from .exact import dyadic_index
 
@@ -37,6 +43,28 @@ def deinterleave(key: int, level: int, d: int) -> tuple[int, ...]:
         return (key,)
     bits = format(key, f"0{level * d}b")
     return tuple(int(bits[i::d] or "0", 2) for i in range(d))
+
+
+def step_axis(keys: Collection[int], level: int, d: int,
+              axis: int) -> list[int]:
+    """Morton keys of the cubes one index up along an axis from the level-n
+    cubes with the given keys (read twice: a list, or a dict's keys), in
+    their order, each interleave(index + e_axis, n + 1).
+
+    With M the axis's bits (digit axis of each d-digit group) over n + 1
+    groups, the step is the dilated-integer increment
+    ((k | ~M) + 1) & M | (k & ~M) (Schrack 1992): the other axes' bits,
+    set to 1, pass the carry along M, and the extra group keeps the carry
+    out of a cube on the top face (index 2^n - 1), so no two stepped keys
+    coincide. Level-n keys already stepped along other axes (an index of
+    2^n there) step the same way."""
+    if d == 1:
+        return list(map(add, keys, repeat(1)))
+    m = int(("0" * axis + "1").ljust(d, "0") * (level + 1), 2)
+    rest = ~m
+    return list(map(or_, map(and_, map(add, map(or_, keys, repeat(rest)),
+                                       repeat(1)), repeat(m)),
+                    map(and_, keys, repeat(rest))))
 
 
 def cube_of_point(point, level: int) -> int:

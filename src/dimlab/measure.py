@@ -49,7 +49,7 @@ from itertools import repeat
 from operator import add, floordiv, getitem, itemgetter, mul, neg, sub
 from typing import Sequence
 
-from .dyadic import deinterleave, interleave, offset_bounds
+from .dyadic import deinterleave, interleave, offset_bounds, step_axis
 from .exact import (
     UnsupportedModelError,
     ValidationError,
@@ -65,6 +65,10 @@ Tables = list[tuple[list[int], int]]
 # terms of the 1-D energy kernel's series at large offsets: from offset 4
 # or 5 up its error bound is below the direct form's rounding bound
 _SERIES_TERMS = 8
+# random_split's draws: a generator output's top byte b holds the 4-bit
+# draw b >> 4, the weight (b >> 4) + 1 when b < 144 (a draw below 9)
+_DRAW_WEIGHT = bytes((b >> 4) + 1 if b < 144 else 0 for b in range(256))
+_DRAW_REJECTED = bytes(range(144, 256))
 
 
 @dataclass(frozen=True)
@@ -201,12 +205,22 @@ class DyadicMeasureTree:
     def random_split(cls, tree: DyadicSetTree, rng) -> "DyadicMeasureTree":
         """Random exact-rational splits among selected children, for seeded
         property sweeps: each cube below the root, level by level in key
-        order, draws rng.randint(1, 9), here by randint's 4-bit getrandbits
-        rejection in batches of the draws still missing (the same stream)."""
-        ws, n = [], sum(map(len, tree.levels)) - 1
+        order, draws rng.randint(1, 9), with randint's own stream.
+
+        randint(1, 9) takes r = getrandbits(4), the top 4 bits of one
+        32-bit generator output, until r < 9, and returns r + 1. In
+        CPython getrandbits(32 k) takes k successive outputs, each in turn
+        the next more significant 32 bits, so the top bytes of its
+        little-endian bytes, [3::4], are those k outputs' top bytes in
+        order. Translating each byte b to (b >> 4) + 1 and deleting every
+        b >= 144 (r >= 9) leaves the accepted draws in order, having used
+        exactly as many outputs as k 4-bit draws would: one generator call
+        per rejection round, for all the draws still missing."""
+        ws, n = b"", sum(map(len, tree.levels)) - 1
         while len(ws) < n:
-            ws += [r + 1 for r in map(rng.getrandbits, repeat(4, n - len(ws)))
-                   if r < 9]
+            k = n - len(ws)
+            ws += rng.getrandbits(32 * k).to_bytes(4 * k, "little")[
+                3::4].translate(_DRAW_WEIGHT, _DRAW_REJECTED)
         tables = _split_masses(tree, ws)
         return cls(tree, UNIFORM, tables, {"kind": "random_split"})
 
@@ -378,16 +392,19 @@ class DyadicMeasureTree:
         r < 2^-(n+1) (so at n = level_for_radius(r)): the closed box
         [x - r, x + r]^d then meets at most two level-n cubes per axis, so
         the ball sits inside one of the 2^d blocks of two cubes per axis
-        that hold x's cube. One pass adds each cube's numerator to those
-        blocks, keyed by lower corner idx + c, c in {0, -1}^d; the bound is
-        the largest block total."""
+        that hold x's cube. A block is keyed by its upper cube's Morton
+        key, and the totals are summed one axis at a time on the keys
+        (step_axis, no decoding): every total so far also adds into the
+        block one step up that axis, so each cube reaches its 2^d blocks
+        by incrementing every subset of its axes. The bound is the largest
+        block total."""
         nums, den = self._table(n)
-        corners = list(itertools.product((0, -1), repeat=self.d))
-        blocks = defaultdict(int)
-        for key, m in zip(self.support.levels[n], nums):
-            idx = deinterleave(key, n, self.d)
-            for c in corners:
-                blocks[tuple(map(add, idx, c))] += m
+        blocks = dict(zip(self.support.levels[n], nums))
+        get = blocks.get
+        for j in range(self.d):
+            for k, m in zip(step_axis(blocks, n, self.d, j),
+                            list(blocks.values())):
+                blocks[k] = get(k, 0) + m
         return Fraction(max(blocks.values()), den)
 
     def ball_mass_atoms(self, point, r) -> Fraction:
@@ -626,7 +643,11 @@ def _level_rows(keys: list[int], nums: list[int], m: int, d: int) -> list:
     """The row index of level m's sorted keys and their numerators: its
     cubes grouped into rows along the last axis, in the order of their
     other axis indices u, each row as (u, sorted last-axis indices js,
-    their numerators ns, ns by js, prefix sums of ns)."""
+    their numerators ns, ns by js, prefix sums of ns). A 1-D level is one
+    row, u = (), whose keys are its indices, already sorted."""
+    if d == 1:
+        return [((), keys, nums, dict(zip(keys, nums)),
+                 list(itertools.accumulate(nums, initial=0)))]
     cubes = defaultdict(list)
     for key, n in zip(keys, nums):
         idx = deinterleave(key, m, d)

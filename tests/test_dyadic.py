@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dimlab.dyadic import (cube_of_point, deinterleave, interleave,
-                           offset_bounds)
+                           offset_bounds, step_axis)
 from dimlab.exact import ValidationError, pow2
 from oracles import bitwise_deinterleave, cube_pair_geometry
 
@@ -47,6 +47,59 @@ def test_deinterleave_matches_bitwise_oracle(d):
         top = (1 << (d * n)) - 1
         for key in [0, top] + [rng.randint(0, top) for _ in range(50)]:
             assert deinterleave(key, n, d) == bitwise_deinterleave(key, n, d)
+
+
+def _stepped(key, n, d, axis):
+    """The step's reference: decode, add e_axis, interleave over n + 1
+    digit groups (so index 2^n, off the top face, keeps its carry)."""
+    idx = list(deinterleave(key, n, d))
+    idx[axis] += 1
+    return interleave(tuple(idx), n + 1)
+
+
+class TestStepAxis:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_key_of_small_levels(self, d):
+        # levels 0..3 take in the top face, idx_j = 2^n - 1, whose carry
+        # leaves the level (at n = 0 the root's one cube is all top face)
+        for n in range(4):
+            keys = list(range(1 << (d * n)))
+            for axis in range(d):
+                assert step_axis(keys, n, d, axis) == [
+                    _stepped(k, n, d, axis) for k in keys]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_keys_at_level_20(self, d):
+        rng = random.Random(20 + d)
+        n, top = 20, (1 << 20) - 1
+        keys = [rng.getrandbits(d * n) for _ in range(200)]
+        # cubes on the top face of each axis, and the last cube
+        keys += [interleave(tuple(top if i == j else rng.randrange(top)
+                                  for i in range(d)), n) for j in range(d)]
+        keys.append((1 << (d * n)) - 1)
+        for axis in range(d):
+            assert step_axis(keys, n, d, axis) == [
+                _stepped(k, n, d, axis) for k in keys]
+
+    def test_steps_compose_across_axes(self):
+        # a key already stepped off the top face of one axis steps on
+        # along another, as the ball cover's blocks do
+        n, d = 3, 3
+        keys = list(range(1 << (d * n)))
+        got = step_axis(step_axis(keys, n, d, 0), n, d, 2)
+        want = []
+        for k in keys:
+            idx = list(deinterleave(k, n, d))
+            idx[0] += 1
+            idx[2] += 1
+            want.append(interleave(tuple(idx), n + 1))
+        assert got == want
+        assert len(set(got)) == len(keys)
+
+    def test_reads_a_dicts_keys(self):
+        keys = {interleave((1, 2), 2): 5, interleave((3, 3), 2): 7}
+        assert step_axis(keys, 2, 2, 1) == [interleave((1, 3), 3),
+                                            interleave((3, 4), 3)]
 
 
 class TestCubeOfPoint:

@@ -613,6 +613,14 @@ def _cover_measures():
 @example(DyadicMeasureTree.atomic([(Fraction(1, 4),), (Fraction(3, 4),)],
                                   [Fraction(1, 3), Fraction(2, 3)], 1, 4),
          3, 2)
+# every level n = 0..3 full, so every top-face cube's step carries out of
+# the level; then the one cube whose key is 2^(d n) - 1, top face on
+# every axis
+@example(DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, 3)), 2, 1)
+@example(DyadicMeasureTree.uniform_on_set(
+    DyadicSetTree.from_codes(2, 4, [(1 << 8) - 1])), 5, 3)
+@example(DyadicMeasureTree.uniform_on_set(
+    DyadicSetTree.from_codes(3, 3, [(1 << 9) - 1])), 1, 0)
 def test_sup_ball_cover_matches_direction_loop(mu, q, p):
     # r in [2^-(n+2), 2^-(n+1)): a closed ball of radius r meets at most
     # two level-n cubes per axis
@@ -911,6 +919,10 @@ MIXED_COUNTS = DyadicSetTree.from_codes(
 SINGLE_CHILD_CHAIN = DyadicSetTree.from_codes(1, 12, [0, (1 << 12) - 1])
 # the same in 2-D: opposite corners part at level 1, then one child each
 ONE_CHILD_CHAIN_2D = DyadicSetTree.from_codes(2, 6, [0, (1 << 12) - 1])
+# the root alone: no cube below it, so random_split draws nothing
+ROOT_ONLY = DyadicSetTree.full(2, 0)
+# one cube per level: one draw per level, down to one missing draw a round
+ONE_CUBE_CHAIN = DyadicSetTree.from_codes(3, 5, [0b101_011_110_000_111])
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -923,6 +935,11 @@ ONE_CHILD_CHAIN_2D = DyadicSetTree.from_codes(2, 6, [0, (1 << 12) - 1])
 @example(split_case(cantor_tree(8), "random_split", 3))
 @example(split_case(ONE_CHILD_CHAIN_2D, "uniform"))
 @example(split_case(ONE_CHILD_CHAIN_2D, "random_split", 7))
+# random_split's rejection rounds against one randint(1, 9) per cube: no
+# draw, one draw per level, and 2,046 draws over several rounds
+@example(split_case(ROOT_ONLY, "random_split", 2))
+@example(split_case(ONE_CUBE_CHAIN, "random_split", 13))
+@example(split_case(DyadicSetTree.full(1, 10), "random_split", 17))
 def test_int_tables_match_fraction_oracle(case):
     mu, masses, states = case
     if states is not None:
@@ -1303,6 +1320,38 @@ def test_ball_brackets_build_each_level_row_index_once(monkeypatch):
     pair = correlation_predicates(mu, 1, radii)["pair-integral"]
     assert len(pair.records) == 7
     assert calls == [8, 9, 10]
+
+
+def test_cover_blocks_and_1d_rows_decode_no_key(monkeypatch):
+    # the cover blocks step along Morton keys (step_axis) and a 1-D level's
+    # keys are its indices: neither decodes a key into an index tuple
+    def refused(*args):
+        raise AssertionError("deinterleave called")
+
+    monkeypatch.setattr(measure, "deinterleave", refused)
+    mu = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(2, 6))
+    # a level-n block holds 4 cubes of mass 4^-n each, the root alone 1
+    assert [mu.ball_cover_bound(n) for n in range(7)] == [1] + [
+        Fraction(4, 4 ** n) for n in range(1, 7)]
+    line = DyadicMeasureTree.uniform_on_set(DyadicSetTree.full(1, 10))
+    assert line.ball_cover_bound(10) == Fraction(2, 1 << 10)
+    line.ball_correlation_bracket(Fraction(1, 64))
+
+
+def test_random_split_draws_one_call_per_round():
+    # 2,046 draws of randint(1, 9) take about 3,600 4-bit draws; drawn a
+    # rejection round at a time they take about ten getrandbits calls
+    class Counting(random.Random):
+        calls = 0
+
+        def getrandbits(self, k):
+            self.calls += 1
+            return super().getrandbits(k)
+
+    for seed in range(5):
+        rng = Counting(seed)
+        DyadicMeasureTree.random_split(DyadicSetTree.full(1, 10), rng)
+        assert rng.calls <= 40
 
 
 def counted_parent_runs(monkeypatch):
