@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from itertools import repeat
-from operator import add, and_, or_
+from operator import add, and_, mul, or_
 
 from .exact import dyadic_index
 
@@ -77,9 +77,11 @@ def cube_of_point(point, level: int) -> int:
 
 def offset_bounds(offsets) -> tuple[int, int]:
     """(gaps, reach) of two same-level cubes whose index tuples differ by
-    the non-negative per-axis offsets: the squared min and max distances
-    between their closures, in units of the squared cube side. Per axis an
-    offset x leaves a gap of x - 1 sides (none when x = 0) and a reach of
-    x + 1 sides."""
-    return (sum((x - 1) ** 2 for x in offsets if x),
-            sum((x + 1) ** 2 for x in offsets))
+    the non-negative per-axis offsets (a list or tuple): the squared min
+    and max distances between their closures, in units of the squared cube
+    side. Per axis an offset x leaves a gap of x - 1 sides (none when
+    x = 0) and a reach of x + 1 sides: sum x^2 -+ 2 sum x plus one per
+    term summed (only x > 0 for the gaps, and x = 0 adds no x or x^2)."""
+    sq, twice = sum(map(mul, offsets, offsets)), 2 * sum(offsets)
+    return (sq - twice + len(offsets) - offsets.count(0),
+            sq + twice + len(offsets))

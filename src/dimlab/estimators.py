@@ -15,10 +15,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
+from numbers import Integral
 from operator import add, mul, sub
 
 from .exact import (ValidationError, cmp_pow2, cmp_rpow, diameter_level,
-                    level_for_radius, log2_fraction, to_fraction)
+                    level_for_radius, log2_fraction, sorted_levels,
+                    to_fraction)
 from .measure import ATOMS, DyadicMeasureTree, net_measure
 from .settree import DyadicSetTree
 
@@ -136,7 +138,7 @@ def _level_slopes(tree, levels, window_len, value) -> SlopeTriple:
     if levels is None:
         levels = range(1, tree.max_depth + 1)
     pts, last = [], None
-    for n in sorted(set(int(n) for n in levels)):
+    for n in sorted_levels(levels):
         if not (last and n <= tree.max_depth
                 and len(tree.levels[n]) == len(tree.levels[last[0]])):
             last = n, value(n)
@@ -261,7 +263,7 @@ def correlation_predicates(mu: DyadicMeasureTree, s, radii,
 def _halves(levels, depth: int) -> tuple[list[int], list[int], list[int]]:
     """The sorted distinct window levels and its two halves, the first
     holding the extra level of an odd window."""
-    lv = sorted(set(int(n) for n in levels))
+    lv = sorted_levels(levels)
     if not lv:
         raise ValidationError("empty level window")
     if lv[0] < 0 or lv[-1] > depth:
@@ -397,7 +399,7 @@ def inequality_report(tree: DyadicSetTree, measures, levels=None,
     """
     if levels is None:
         levels = range(1, tree.max_depth + 1)
-    lv = sorted(set(int(n) for n in levels))
+    lv = sorted_levels(levels)
     if len(lv) < 4:
         raise ValidationError("need at least 4 levels")
     if not (math.isfinite(tol) and tol >= 0):
@@ -473,42 +475,38 @@ def correlation_sandwich(tree: DyadicSetTree, levels, n_random: int = 0,
     equal masses. Verified with rational arithmetic for the uniform-split
     measure, `n_random` seeded random-split measures, and the level-n net
     atomic measure, which must achieve equality. Each verdict compares
-    ints, sum N^2 #C_n against D^2 for a level table N / D.
+    ints, sum N^2 #C_n against D^2 for a level table N / D. One measure
+    is built and checked at a time, its sums, corr_sum and verdict made
+    once per distinct table (a one-child level shares the table above).
     """
-    lv = sorted(set(int(n) for n in levels))
+    lv = sorted_levels(levels)
     if not lv or lv[0] < 0 or lv[-1] > tree.max_depth:
         raise ValidationError("levels outside the materialized range")
-    if n_random < 0:
-        raise ValidationError("number of random measures must be >= 0")
-    named = [("uniform", DyadicMeasureTree.uniform_on_set(tree))]
+    if not isinstance(n_random, Integral) or n_random < 0:
+        raise ValidationError("number of random measures must be an int >= 0")
+    floors = [Fraction(1, tree.box_count(n)) for n in lv]
+    per_level = [[] for _ in lv]  # each level's rows, in measure order
+
+    def check(name, tables):
+        last = None
+        for rows, n, floor in zip(per_level, lv, floors):
+            if tables[n] is not last:
+                last = nums, den = tables[n]
+                s2, den2 = sum(map(mul, nums, nums)), den * den
+                corr, good = Fraction(s2, den2), s2 * len(nums) >= den2
+            rows.append({"level": n, "measure": name, "corr_sum": corr,
+                         "floor": floor, "ok": good})
+
+    check("uniform", DyadicMeasureTree.uniform_on_set(tree).tables)
     rng = random.Random(seed)
     for i in range(n_random):
-        named.append((f"random-{i}", DyadicMeasureTree.random_split(tree, rng)))
-    # name -> (table, sum N^2, D^2) at the last level checked: a one-child
-    # level shares the table above, and so its sums
-    last = {}
-    rows = []
-    ok = True
-    for n in lv:
-        count = tree.box_count(n)
-        floor = Fraction(1, count)
-        for name, mu in named:
-            table = mu.tables[n]
-            if name not in last or last[name][0] is not table:
-                nums, den = table
-                last[name] = table, sum(map(mul, nums, nums)), den * den
-            _, s2, den2 = last[name]
-            good = s2 * count >= den2
-            ok = ok and good
-            rows.append({"level": n, "measure": name,
-                         "corr_sum": Fraction(s2, den2), "floor": floor,
-                         "ok": good})
+        check(f"random-{i}", DyadicMeasureTree.random_split(tree, rng).tables)
+    for rows, n, floor in zip(per_level, lv, floors):
         nums, den = net_measure(tree, n).tables[n]
         s2, den2 = sum(map(mul, nums, nums)), den * den
-        good = s2 * count == den2
-        ok = ok and good
         rows.append({"level": n, "measure": "net",
                      "corr_sum": Fraction(s2, den2), "floor": floor,
-                     "ok": good, "equality": True})
-    return {"ok": ok, "rows": rows, "levels": lv,
+                     "ok": s2 * tree.box_count(n) == den2, "equality": True})
+    rows = list(chain.from_iterable(per_level))
+    return {"ok": all(row["ok"] for row in rows), "rows": rows, "levels": lv,
             "random_measures": n_random, "seed": seed}

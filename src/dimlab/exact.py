@@ -8,6 +8,7 @@ integer comparisons by raising both sides to the exponent's denominator.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from numbers import Rational
 
@@ -61,6 +62,15 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad rational literal {text!r}") from exc
+
+
+def sorted_levels(levels) -> list[int]:
+    """A level window's sorted distinct levels, each read by operator.index:
+    an int or a numpy int passes, 2.5 or "3" is refused, not truncated."""
+    try:
+        return sorted(set(map(operator.index, levels)))
+    except TypeError:
+        raise ValidationError("levels must be integers") from None
 
 
 def format_rational(x) -> str:

@@ -54,6 +54,7 @@ from .exact import (
     UnsupportedModelError,
     ValidationError,
     diameter_level,
+    sorted_levels,
     to_fraction,
 )
 from .settree import DyadicSetTree, _check_dims, _runs
@@ -282,11 +283,11 @@ class DyadicMeasureTree:
         row pair within reach splits its last-axis lags into an inside
         window |lag| <= t_in, summed in one pass of bisects into prefix sums
         of the stored numerators, and the straddling lags, one pass of
-        lookups each, binned by sorted axis offsets and weighted by the
-        count of inside (or straddling) cap-level pairs under an offset
-        (_below_leaves). A row paired with itself (every 1-D call, and the
-        diagonal in d >= 2) meets lag -s as it meets lag s, so it sums
-        each lag s > 0 once and counts it twice, and lag 0 once: its
+        lookups per lag and sign, binned by sorted axis offsets and weighted
+        by the count of inside (or straddling) cap-level pairs under an
+        offset (_below_leaves). A row paired with itself (every 1-D call,
+        and the diagonal in d >= 2) meets lag -s as it meets lag s, so it
+        sums each lag s > 0 once and counts it twice, and lag 0 once: its
         window is sum n_a^2 + 2 sum_a n_a (P[hi_a] - P[a + 1]), which is
         2 sum_a n_a P[hi_a] - S^2 for S = P[-1], since
         sum_a n_a P[a + 1] = (S^2 + sum n_a^2) / 2: one bisect per cube.
@@ -366,9 +367,11 @@ class DyadicMeasureTree:
                             pre_b.__getitem__, hi), map(pre_b.__getitem__,
                                                         lo))))
                 for s in range(t_in + 1, t_out + 1):  # straddling lags
-                    h = sum(sum(map(mul, ns_a, map(row_b.get, map(
-                        add, js_a, repeat(t)), repeat(0))))
-                        for t in ((s,) if own else {s, -s}))
+                    h = sum(map(mul, ns_a, map(row_b.get, map(
+                        add, js_a, repeat(s)), repeat(0))))
+                    if s and not own:
+                        h += sum(map(mul, ns_a, map(row_b.get, map(
+                            add, js_a, repeat(-s)), repeat(0))))
                     if h:
                         hist[tuple(sorted(off + [s]))] += (
                             h if own and not s else 2 * h)
@@ -672,9 +675,10 @@ def _below_leaves(resolve):
     derives what it needs, such as offset_bounds, from the offset itself),
     else the sum over the child offsets, which per axis are
     2x - 1, 2x, 2x + 1 with multiplicities 1, 2, 1 for an offset x > 0 and
-    0, 1 with multiplicities 2, 2 for x = 0, counting ordered child pairs.
-    resolve scales its (lower, upper) values so that this sum needs no
-    rescaling."""
+    0, 1 with multiplicities 2, 2 for x = 0, counting ordered child pairs:
+    one product over the axes' offsets, zipped with the products of their
+    multiplicities. resolve scales its (lower, upper) values so that this
+    sum needs no rescaling."""
     memo = {}  # (level, sorted axis offsets) -> below(level, offsets)
 
     def below(level, offset):
@@ -683,14 +687,13 @@ def _below_leaves(resolve):
             got = resolve(level, offset)
             if got is None:
                 lo = hi = 0
-                # per axis, child offsets with their multiplicities
-                for axes in itertools.product(*(
-                        ((0, 2), (1, 2)) if x == 0 else
-                        ((2 * x - 1, 1), (2 * x, 2), (2 * x + 1, 1))
-                        for x in offset)):
-                    ks, ns = zip(*axes)
-                    a, b = below(level + 1, tuple(sorted(ks)))
-                    n = math.prod(ns)
+                # per axis, child offsets and their multiplicities
+                ks = [(2 * x - 1, 2 * x, 2 * x + 1) if x else (0, 1)
+                      for x in offset]
+                ns = [(1, 2, 1) if x else (2, 2) for x in offset]
+                for k, n in zip(itertools.product(*ks), map(
+                        math.prod, itertools.product(*ns))):
+                    a, b = below(level + 1, tuple(sorted(k)))
                     lo += n * a
                     hi += n * b
                 got = lo, hi
@@ -710,24 +713,21 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
 
 def _split_masses(tree: DyadicSetTree, ws=None) -> Tables:
     """Per-level tables built top-down from root mass 1 by _split_step,
-    ws the positive integer weights in key order level by level below the
-    root (equal weights when None), over the tree's parent runs (built once
-    per tree); a level of one child per parent shares the table above."""
+    ws the positive int weights in key order level by level below the root
+    as bytes, one slice per branching level (equal weights when None), over
+    the tree's parent runs (built once per tree); a level of one child per
+    parent reads no weights and shares the table above."""
     tables: Tables = [([1], 1)]
-    it = iter(ws or ())
-    for level, runs in enumerate(tree.parent_runs):
-        w = list(itertools.islice(it, len(tree.levels[level + 1])))
-        if runs is None:
-            tables.append(tables[level])
-        else:
-            nums, den = tables[level]
-            tables.append(_split_step(nums, den, runs[1], runs[2],
-                                      w if ws else None))
+    end = 0
+    for runs, keys in zip(tree.parent_runs, tree.levels[1:]):
+        start, end = end, end + len(keys)
+        tables.append(tables[-1] if runs is None else _split_step(
+            *tables[-1], runs[1], runs[2], ws[start:end] if ws else None))
     return tables
 
 
 def _split_step(nums: list[int], den: int, lens: list[int], ends,
-                w: list[int] | None = None) -> tuple[list[int], int]:
+                w: bytes | None = None) -> tuple[list[int], int]:
     """The reduced table of the level below nums / den: cube i's mass N / D
     split among its lens[i] children, positions ends[i]:ends[i + 1] (read
     only with weights), by the positive int weights w in level order (equal
@@ -755,11 +755,11 @@ def _sums_up(tree: DyadicSetTree, nums: list[int], den: int) -> Tables:
 
 
 def _run_sums(values, ends: list[int]) -> list[int]:
-    """The sum of values over each run ends[i]:ends[i + 1]: prefix sums
-    differenced at the run ends."""
+    """The sum of values over each run ends[i]:ends[i + 1]: prefix sums,
+    read once at the run ends, differenced."""
     pre = list(itertools.accumulate(values, initial=0))
-    return list(map(sub, map(pre.__getitem__, ends[1:]),
-                    map(pre.__getitem__, ends)))
+    at = list(map(pre.__getitem__, ends))
+    return list(map(sub, itertools.islice(at, 1, None), at))
 
 
 def _int_atoms(points, weights, d: int):
@@ -894,7 +894,7 @@ def anti_frostman_measure(tree: DyadicSetTree,
     to ints over 2^max(levels) (_net) and are merged where they share
     points.
     """
-    lv = sorted(set(int(k) for k in levels))
+    lv = sorted_levels(levels)
     if not lv or lv[0] < 1:
         raise ValidationError("levels must be positive integers")
     if lv[-1] > tree.max_depth:
@@ -932,7 +932,7 @@ def anti_frostman_check(tree: DyadicSetTree,
     wden = mu._atom_ints[3]
     rows = []
     ok = True
-    for k in sorted(set(int(k) for k in levels)):
+    for k in mu.meta["levels"]:
         r, bound = Fraction(2, 1 << k), info["per_level_bound"][k]
         nums = mu._ball_nums(1 << tree.max_depth, centers, r)
         worst = Fraction(min(nums), wden) if nums else None

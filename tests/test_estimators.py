@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from dimlab.estimators import (
     slope_fit,
 )
 from dimlab.exact import ValidationError, cmp_pow2, log2_fraction, pow2
-from dimlab.measure import DyadicMeasureTree
+from dimlab.measure import DyadicMeasureTree, anti_frostman_check
 from dimlab.settree import DyadicSetTree
 from oracles import from_masses, oracle_slope_fit
 
@@ -586,6 +587,22 @@ class TestInequalityReport:
             inequality_report(tree, [], levels=[2, 3, 4])
 
 
+@pytest.mark.parametrize("bad", [2.5, "3"])
+@pytest.mark.parametrize("window", [
+    lambda tree, lv: box_dims(tree, lv),
+    lambda tree, lv: inequality_report(tree, [], lv),
+    lambda tree, lv: packing_threshold(
+        DyadicMeasureTree.uniform_on_set(tree), lv),
+    lambda tree, lv: correlation_sandwich(tree, lv),
+    lambda tree, lv: anti_frostman_check(tree, lv),
+], ids=["box", "ineq", "packing", "sandwich", "anti-frostman"])
+def test_level_windows_refuse_non_integers(window, bad):
+    # a non-integral level is refused, not truncated to a level checked
+    # in its place
+    with pytest.raises(ValidationError, match="levels must be integers"):
+        window(cantor_tree(6), [1, 2, bad, 4, 5])
+
+
 class TestCorrelationSandwich:
     def test_cantor_with_random_measures(self):
         tree = cantor_tree(8)
@@ -613,6 +630,15 @@ class TestCorrelationSandwich:
     def test_level_validation(self):
         with pytest.raises(ValidationError):
             correlation_sandwich(cantor_tree(4), [5])
+
+    def test_random_count_must_be_an_integer(self):
+        with pytest.raises(ValidationError):
+            correlation_sandwich(cantor_tree(4), [2], n_random=2.7)
+
+    def test_numpy_ints_read_as_ints(self):
+        tree = cantor_tree(6)
+        res = correlation_sandwich(tree, np.arange(2, 7), np.int64(2))
+        assert res == correlation_sandwich(tree, range(2, 7), 2)
 
     def test_benchmark_seeded_rows_pin(self):
         # the benchmark's corr-sandwich job at its default seed: the rows,

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from dimlab import constructions, io, measure
 from dimlab.cli import main
-from dimlab.dyadic import interleave
+from dimlab.dyadic import interleave, offset_bounds
 from dimlab.estimators import (correlation_predicates, correlation_sandwich,
                                inequality_report, packing_predicate,
                                packing_threshold)
@@ -650,6 +651,40 @@ def test_below_leaves_hands_resolve_the_sorted_offset(d):
             assert below(level, off) == (4 ** (d * (cap - level)),) * 2
     assert all(len(off) == d and list(off) == sorted(off) for _, off in seen)
     assert sorted(seen) == sorted(memo)  # once per memo entry
+
+
+def _sub_cube_offsets(x, k):
+    """Per-axis offsets |b - a| of the ordered pairs of sub-cubes k levels
+    down under two cubes at axis offset x: a in [0, 2^k) and b in
+    [x 2^k, (x + 1) 2^k)."""
+    side = 1 << k
+    return [abs(b - a) for a in range(side)
+            for b in range(x * side, (x + 1) * side)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_below_leaves_matches_the_sub_cube_pairs(d):
+    # with a resolve whose terms depend on the offset, below(l, off) is
+    # the sum of resolve(cap, sorted |b - a|) over every ordered pair of
+    # cap-level sub-cubes under two level-l cubes at offsets off: a wrong
+    # child offset or multiplicity moves the sum
+    cap = 3
+
+    def resolve(level, offset):
+        if level < cap:
+            return None
+        gaps, reach = offset_bounds(offset)
+        return gaps + 7 * reach, (gaps + 1) * (reach + 3) + offset[-1]
+
+    below, _ = measure._below_leaves(resolve)
+    for level in range(cap - 2, cap + 1):
+        for off in itertools.combinations_with_replacement(range(4), d):
+            want = [0, 0]
+            for pair in itertools.product(*(
+                    _sub_cube_offsets(x, cap - level) for x in off)):
+                for i, v in enumerate(resolve(cap, tuple(sorted(pair)))):
+                    want[i] += v
+            assert below(level, off) == tuple(want), (level, off)
 
 
 class TestEnergy:
@@ -1378,6 +1413,38 @@ def test_sandwich_builds_parent_runs_once(monkeypatch):
     rep = correlation_sandwich(tree, range(4, 13), n_random=100)
     assert rep["ok"] and len(rep["rows"]) == 9 * 102
     assert len(calls) == 1 and calls[0] is tree
+
+
+def test_sandwich_drops_each_measure_before_the_next(monkeypatch):
+    # the sandwich builds and checks one random measure at a time: when
+    # random_split builds the next one, every earlier one is collected
+    refs, real = [], DyadicMeasureTree.random_split.__func__
+
+    def tracked(cls, tree, rng):
+        assert all(ref() is None for ref in refs)
+        mu = real(cls, tree, rng)
+        refs.append(weakref.ref(mu))
+        return mu
+
+    monkeypatch.setattr(DyadicMeasureTree, "random_split",
+                        classmethod(tracked))
+    rep = correlation_sandwich(cantor_tree(8), range(2, 9), n_random=5)
+    assert rep["ok"] and len(refs) == 5
+
+
+def test_sandwich_sums_each_distinct_table_once():
+    # on the Cantor tree every even level has one child per parent and
+    # shares the table above: each measure's row there holds the very
+    # corr_sum made for the level above
+    tree = cantor_tree(12)
+    rep = correlation_sandwich(tree, range(4, 13), n_random=3, seed=5)
+    rows = {(row["level"], row["measure"]): row for row in rep["rows"]}
+    chained = [n for n in range(5, 13) if tree.parent_runs[n - 1] is None]
+    assert chained == [6, 8, 10, 12]
+    for n in chained:
+        for name in ["uniform", "random-0", "random-1", "random-2"]:
+            assert rows[n, name]["corr_sum"] is rows[n - 1, name]["corr_sum"]
+        assert rows[n, "net"]["corr_sum"] == rows[n, "net"]["floor"]
 
 
 def test_loaded_set_groups_its_levels_once(monkeypatch, tmp_path):
